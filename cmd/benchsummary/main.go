@@ -31,6 +31,8 @@ type result struct {
 	MBPerSec        float64 `json:"mb_per_sec,omitempty"`
 	BytesPerOp      float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp     float64 `json:"allocs_per_op,omitempty"`
+	ResidentMB      float64 `json:"resident_mb,omitempty"`
+	BytesPerPrefix  float64 `json:"bytes_per_prefix,omitempty"`
 }
 
 // summary is the artifact schema. Bump SchemaVersion on any breaking
@@ -62,6 +64,10 @@ func unitField(r *result, unit string) *float64 {
 		return &r.BytesPerOp
 	case "allocs/op":
 		return &r.AllocsPerOp
+	case "resident-MB":
+		return &r.ResidentMB
+	case "bytes/prefix":
+		return &r.BytesPerPrefix
 	}
 	return nil
 }
@@ -164,6 +170,8 @@ func parse(path string) (*summary, error) {
 		r.MBPerSec /= n
 		r.BytesPerOp /= n
 		r.AllocsPerOp /= n
+		r.ResidentMB /= n
+		r.BytesPerPrefix /= n
 		sum.Results[i] = *r
 	}
 	return sum, nil

@@ -11,8 +11,8 @@ goos: linux
 goarch: amd64
 pkg: moas/internal/stream
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkStreamReplay/shards=4/workers=1-2   30  40000000 ns/op  16.00 MB/s  0.40 allocs/update  4369 distinct-attrs  150000 updates/s  11000000 B/op  2500 allocs/op
-BenchmarkStreamReplay/shards=4/workers=1-2   30  20000000 ns/op  32.00 MB/s  0.40 allocs/update  4369 distinct-attrs  250000 updates/s  11000000 B/op  2500 allocs/op
+BenchmarkStreamReplay/shards=4/workers=1-2   30  40000000 ns/op  16.00 MB/s  0.40 allocs/update  100.0 bytes/prefix  4369 distinct-attrs  110.0 resident-MB  150000 updates/s  11000000 B/op  2500 allocs/op
+BenchmarkStreamReplay/shards=4/workers=1-2   30  20000000 ns/op  32.00 MB/s  0.40 allocs/update  104.0 bytes/prefix  4369 distinct-attrs  114.0 resident-MB  250000 updates/s  11000000 B/op  2500 allocs/op
 BenchmarkDecodeUpdate/variant=into-2   4000000  300.0 ns/op  0 B/op  0 allocs/op
 PASS
 `
@@ -38,7 +38,8 @@ func TestParse(t *testing.T) {
 		t.Fatalf("replay result: %+v", r)
 	}
 	// Repetitions average, and the -2 cpu suffix must not split them.
-	if r.NsPerOp != 30000000 || r.UpdatesPerSec != 200000 || r.AllocsPerUpdate != 0.40 {
+	if r.NsPerOp != 30000000 || r.UpdatesPerSec != 200000 || r.AllocsPerUpdate != 0.40 ||
+		r.ResidentMB != 112 || r.BytesPerPrefix != 102 {
 		t.Fatalf("replay metrics: %+v", r)
 	}
 	d := sum.Results[1]

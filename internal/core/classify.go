@@ -104,15 +104,26 @@ func disjoint(p1, p2 bgp.Path) bool {
 // state its multi-path rule; this precedence is the documented convention
 // (DESIGN.md §1) and is exercised by tests.
 func ClassifyRoutes(routes []rib.PeerRoute) Class {
+	// A prefix rarely has more than a handful of routes; the stack buffer
+	// keeps the common case allocation-free.
+	var buf [8]bgp.Path
+	paths := buf[:0]
+	for i := range routes {
+		paths = append(paths, routes[i].Route.Path())
+	}
+	return ClassifyPaths(paths)
+}
+
+// ClassifyPaths is ClassifyRoutes over the routes' bare AS paths, for
+// callers that do not store routes as rib.PeerRoute values.
+func ClassifyPaths(paths []bgp.Path) Class {
 	var sawSplit, sawDistinct, sawRelated bool
-	for i := 0; i < len(routes); i++ {
-		pi := routes[i].Route.Path()
+	for i, pi := range paths {
 		oi, ok := pi.Origin()
 		if !ok {
 			continue
 		}
-		for j := i + 1; j < len(routes); j++ {
-			pj := routes[j].Route.Path()
+		for _, pj := range paths[i+1:] {
 			oj, ok := pj.Origin()
 			if !ok || oi == oj {
 				continue

@@ -16,6 +16,7 @@ import (
 
 	"moas/internal/bgp"
 	"moas/internal/core"
+	"moas/internal/ptable"
 )
 
 // Span is one contiguous activation of a conflict: Start is the day the
@@ -104,19 +105,41 @@ type Obs struct {
 	Class   core.Class
 }
 
-// state is one prefix's assessed conflict state.
-type state struct {
+// rec is one table id's compact conflict state — the whole state of a
+// prefix that never had a lifecycle event, which is all but a sliver of
+// a real table. Such a prefix has at most one origin, class None, no
+// history and no ordinal, so four bytes of origin and a flag byte say
+// everything; the table stores the record inline beside the prefix key,
+// so the probe that finds the id has already loaded it. A prefix's
+// first conflict moves its state to an ext record for good.
+type rec struct {
+	val   uint32 // recExt: index of the ext record; recOrigin: the single origin AS
+	flags uint8
+}
+
+const (
+	recOrigin uint8 = 1 << iota // val holds the prefix's one origin
+	recExt                      // val indexes Kernel.exts
+)
+
+// ext is the full conflict state of a prefix that has (or, restored from
+// a snapshot, claims) a lifecycle: origin set, class, event ordinal,
+// activation day and history. Ext records are never recycled — a
+// lifecycle is worth keeping for as long as the kernel lives.
+type ext struct {
 	origins []bgp.ASN // current origin set (ascending); in conflict iff len >= 2
 	// escaped marks origins' backing array as aliased by an emitted event
 	// (Origins of the event that committed it). While false the backing
 	// is exclusively the kernel's and may be overwritten in place, which
-	// is what makes eventless origin churn — single-origin route flap,
-	// the bulk of a real feed — allocation-free.
+	// is what makes eventless churn under a lifecycle allocation-free.
 	escaped bool
 	class   core.Class
-	seq     uint64 // lifecycle event ordinal for this prefix
-	since   int    // day the current activation started
-	history []Event
+	// activeAt is the prefix's position in Kernel.active while it is in
+	// conflict, -1 otherwise.
+	activeAt int32
+	seq      uint64 // lifecycle event ordinal for this prefix
+	since    int    // day the current activation started
+	history  []Event
 }
 
 // Episode is one conflict activation as reported to Options.OnEpisode.
@@ -154,67 +177,111 @@ type Options struct {
 // single-threaded: concurrent users (the sharded streaming engine) own
 // one kernel per shard and serialize access through the shard lock.
 type Kernel struct {
-	opts   Options
-	states map[bgp.Prefix]*state
-	active map[bgp.Prefix]struct{}
+	opts Options
+	// tab is the prefix index: prefix → dense id → rec. The kernel owns
+	// it; the streaming shard borrows its ids (Lookup/Acquire) to address
+	// its own per-prefix route lists and drives observations in by id
+	// (ApplyAt), so a route op probes the table exactly once.
+	tab  ptable.Table[rec]
+	exts ptable.Chunks[ext]
+	// active lists the ids currently in conflict, in no particular order
+	// (ext.activeAt is each one's position), so a day close costs
+	// O(active conflicts) whatever the table size.
+	active []uint32
 	reg    *core.Registry
 	events int     // lifecycle events emitted
 	log    []Event // full event record, kept only when opts.KeepLog
 	// closedSpans accumulates ended activations incrementally so duration
 	// stats never rescan the event log; open spans are derived from the
-	// active set (state.since) on demand.
+	// active set (ext.since) on demand.
 	closedSpans []Span
-	evBuf       []Event // Apply's reused return buffer
-	// stateArena allocates state values in chunks and freeStates recycles
-	// deleted ones, so prefixes that flap between announced and withdrawn
-	// (created, deleted as "no lifecycle worth keeping", re-created) do
-	// not allocate a fresh state per cycle.
-	stateArena []state
-	freeStates []*state
-	asnArena   []bgp.ASN // chunked backing for unescaped origin commits
-	// arenaTotal counts states ever carved from the arena (recycled ones
-	// are not re-counted) — the memory-accounting view of how many state
-	// objects the kernel retains across all chunks.
-	arenaTotal int
+	evBuf       []Event   // ApplyAt's reused return buffer
+	asnArena    []bgp.ASN // chunked backing for unescaped origin commits
 }
 
 // New returns an empty kernel.
 func New(opts Options) *Kernel {
-	return &Kernel{
-		opts:   opts,
-		states: make(map[bgp.Prefix]*state),
-		active: make(map[bgp.Prefix]struct{}),
-		reg:    core.NewRegistry(),
-	}
+	return &Kernel{opts: opts, reg: core.NewRegistry()}
 }
 
 // Apply drives one observation through the state machine and returns the
 // lifecycle events it implies (zero or one; the slice is reused by the
-// next Apply call, so callers retain events by copying them out). An
+// next call, so callers retain events by copying them out). An
 // observation that changes neither the origin set nor the class performs
 // no allocation — the streaming hot path's claim (BenchmarkShardReassess).
 func (k *Kernel) Apply(o Obs) []Event {
-	st := k.states[o.Prefix]
+	h := uint32(ptable.Hash(o.Prefix))
+	id, ok := k.tab.Find(o.Prefix, h)
+	if !ok {
+		if len(o.Origins) == 0 {
+			return nil // never tracked and observed absent: nothing to do
+		}
+		id = k.tab.Insert(o.Prefix, h)
+	}
+	return k.ApplyAt(id, o, false)
+}
+
+// Lookup returns the table id of p, if the kernel or a holder of its
+// ids tracks it. h must be uint32(ptable.Hash(p)).
+func (k *Kernel) Lookup(p bgp.Prefix, h uint32) (uint32, bool) {
+	return k.tab.Find(p, h)
+}
+
+// Acquire returns the table id of p, entering p if it is new. Ids are
+// dense and recycled, which is what lets a caller keep its own
+// per-prefix data in a slice indexed by id. An id lives until an ApplyAt
+// with held false leaves the prefix without origins or lifecycle; the
+// caller must hold nothing under the id at that point. h must be
+// uint32(ptable.Hash(p)).
+func (k *Kernel) Acquire(p bgp.Prefix, h uint32) uint32 {
+	if id, ok := k.tab.Find(p, h); ok {
+		return id
+	}
+	return k.tab.Insert(p, h)
+}
+
+// ApplyAt is Apply for a caller that already holds o.Prefix's id. held
+// reports whether the caller still keeps data of its own under the id
+// (the shard: routes); the kernel recycles the id only when it is not
+// held and the prefix has neither origins nor lifecycle left.
+func (k *Kernel) ApplyAt(id uint32, o Obs, held bool) []Event {
+	r := k.tab.At(id)
+	if r.flags&recExt == 0 {
+		switch len(o.Origins) {
+		case 0:
+			r.flags = 0
+			if !held {
+				k.tab.Delete(id)
+			}
+			return nil
+		case 1:
+			// Sub-conflict origin churn: the bulk of a real feed.
+			r.val, r.flags = uint32(o.Origins[0]), recOrigin
+			return nil
+		}
+		// First conflict: the state moves out of line.
+		xi := k.exts.Alloc()
+		x := k.exts.At(xi)
+		x.activeAt = -1
+		if r.flags&recOrigin != 0 {
+			x.origins = append(k.allocOrigins(1), bgp.ASN(r.val))
+		}
+		r.val, r.flags = xi, recExt
+	}
+	return k.applyExt(id, k.exts.At(r.val), o)
+}
+
+// applyExt is the state machine proper, for a prefix with a lifecycle.
+func (k *Kernel) applyExt(id uint32, st *ext, o Obs) []Event {
 	origins := o.Origins
 	class := o.Class
 	if len(origins) < 2 {
 		class = core.ClassNone
 	}
-	var prevOrigins []bgp.ASN
-	var prevClass core.Class
-	if st != nil {
-		prevOrigins, prevClass = st.origins, st.class
-	}
+	prevOrigins, prevClass := st.origins, st.class
 	sameSet := asnsEqual(origins, prevOrigins)
 	if sameSet && class == prevClass {
 		return nil
-	}
-	if st == nil {
-		if len(origins) == 0 {
-			return nil // never tracked and observed absent: nothing to do
-		}
-		st = k.newState()
-		k.states[o.Prefix] = st
 	}
 
 	// The lifecycle transition is decided before the commit so the commit
@@ -241,10 +308,8 @@ func (k *Kernel) Apply(o Obs) []Event {
 		committed = append(st.origins[:0], origins...)
 	} else if len(origins) > 0 {
 		if evType == 0 && !st.escaped {
-			// Eventless commit outgrowing its backing — in practice a
-			// fresh state's first single-origin set. Nothing escapes it,
-			// so it can come from the chunked arena; it stays with the
-			// state (and its recycled successors) from here on.
+			// Eventless commit outgrowing its backing. Nothing escapes
+			// it, so it can come from the chunked arena.
 			committed = append(k.allocOrigins(len(origins)), origins...)
 		} else {
 			committed = append(make([]bgp.ASN, 0, len(origins)), origins...)
@@ -254,28 +319,17 @@ func (k *Kernel) Apply(o Obs) []Event {
 	switch evType {
 	case EventConflictStart:
 		st.since = o.Day
-		k.active[o.Prefix] = struct{}{}
+		st.activeAt = int32(len(k.active))
+		k.active = append(k.active, id)
 	case EventConflictEnd:
 		ev.Origins = nil
-		delete(k.active, o.Prefix)
+		k.deactivate(st)
 		k.closedSpans = append(k.closedSpans, Span{Start: st.since, End: o.Day})
 	}
 	st.origins, st.class = committed, class
 	// An end event's committed set (at most one origin) is not carried by
 	// the event, so its backing stays exclusively the kernel's.
 	st.escaped = evType != 0 && evType != EventConflictEnd && len(committed) > 0
-	if len(st.origins) == 0 && st.seq == 0 {
-		// Fully withdrawn, no lifecycle worth keeping: recycle the state.
-		// Organically seq == 0 implies no event here, but a hostile
-		// snapshot can restore >=2 origins with Seq 0, making this very
-		// observation emit a conflict-end — emit() below would then write
-		// into a recycled state and corrupt the free list, so such a
-		// state is dropped to the GC instead.
-		delete(k.states, o.Prefix)
-		if evType == 0 {
-			k.freeState(st)
-		}
-	}
 	if evType == 0 {
 		return nil // sub-conflict origin churn (e.g. one origin to another)
 	}
@@ -287,6 +341,19 @@ func (k *Kernel) Apply(o Obs) []Event {
 	return k.evBuf
 }
 
+// deactivate drops st's prefix from the active list by swapping the
+// list's last id into its position.
+func (k *Kernel) deactivate(st *ext) {
+	last := k.active[len(k.active)-1]
+	k.active[st.activeAt] = last
+	k.extOf(last).activeAt = st.activeAt
+	k.active = k.active[:len(k.active)-1]
+	st.activeAt = -1
+}
+
+// extOf returns the ext record of an id known to have one.
+func (k *Kernel) extOf(id uint32) *ext { return k.exts.At(k.tab.At(id).val) }
+
 // fireEpisode reports the observation's episode effect. An end event
 // closes the activation: it was last active at the close of the day
 // before the dissolving observation (clamped so a same-day start+end
@@ -295,7 +362,7 @@ func (k *Kernel) Apply(o Obs) []Event {
 // open through the event's own day with the post-transition set. The
 // event's Seq carries over, giving durable consumers a per-prefix total
 // order shared with the event stream.
-func (k *Kernel) fireEpisode(st *state, ev *Event, prevOrigins []bgp.ASN, prevClass core.Class) {
+func (k *Kernel) fireEpisode(st *ext, ev *Event, prevOrigins []bgp.ASN, prevClass core.Class) {
 	ep := Episode{Prefix: ev.Prefix, Seq: ev.Seq, Start: st.since, Open: ev.Type != EventConflictEnd}
 	if ev.Type == EventConflictEnd {
 		ep.Origins, ep.Class = prevOrigins, prevClass
@@ -310,26 +377,10 @@ func (k *Kernel) fireEpisode(st *state, ev *Event, prevOrigins []bgp.ASN, prevCl
 	k.opts.OnEpisode(ep)
 }
 
-// newState returns a zeroed state, recycling freed ones and carving fresh
-// ones from the chunked arena.
-func (k *Kernel) newState() *state {
-	if n := len(k.freeStates); n > 0 {
-		st := k.freeStates[n-1]
-		k.freeStates = k.freeStates[:n-1]
-		return st
-	}
-	if len(k.stateArena) == cap(k.stateArena) {
-		k.stateArena = make([]state, 0, 512)
-	}
-	k.stateArena = append(k.stateArena, state{})
-	k.arenaTotal++
-	return &k.stateArena[len(k.stateArena)-1]
-}
-
-// ArenaStates returns the number of state objects carved from the
-// kernel's arena over its lifetime — live states plus the recycled free
-// list, i.e. the arena's retained footprint in states.
-func (k *Kernel) ArenaStates() int { return k.arenaTotal }
+// ArenaStates returns the number of table ids carved over the kernel's
+// lifetime — live prefixes plus the recycled chain, i.e. the table's
+// retained footprint in entries.
+func (k *Kernel) ArenaStates() int { return k.tab.Carved() }
 
 // allocOrigins reserves an n-capacity, zero-length origin slice from the
 // chunked arena. The full-capacity bound keeps a later in-place reuse
@@ -343,15 +394,7 @@ func (k *Kernel) allocOrigins(n int) []bgp.ASN {
 	return k.asnArena[off : off : off+n]
 }
 
-// freeState recycles st, keeping its origins backing for reuse. Only
-// lifecycle-free states reach here (seq == 0, hence no emitted event and
-// no escaped backing), so nothing aliases the state or its slices.
-func (k *Kernel) freeState(st *state) {
-	*st = state{origins: st.origins[:0]}
-	k.freeStates = append(k.freeStates, st)
-}
-
-func (k *Kernel) emit(st *state, ev *Event) {
+func (k *Kernel) emit(st *ext, ev *Event) {
 	st.seq++
 	ev.Seq = st.seq
 	if k.opts.HistoryCap > 0 && len(st.history) >= k.opts.HistoryCap {
@@ -371,9 +414,9 @@ func (k *Kernel) emit(st *state, ev *Event) {
 // conflicts) instead of O(table). Both adapters call it once per observed
 // day, which is what makes their registries identical.
 func (k *Kernel) CloseDay(day int) {
-	for p := range k.active {
-		st := k.states[p]
-		k.reg.Record(day, p, st.origins, st.class)
+	for _, id := range k.active {
+		st := k.extOf(id)
+		k.reg.Record(day, k.tab.Prefix(id), st.origins, st.class)
 	}
 }
 
@@ -406,28 +449,48 @@ type View struct {
 // kernel holds no state for the prefix (never observed, or withdrawn with
 // no lifecycle).
 func (k *Kernel) State(p bgp.Prefix) (View, bool) {
-	st, ok := k.states[p]
+	id, ok := k.tab.Find(p, uint32(ptable.Hash(p)))
 	if !ok {
 		return View{}, false
 	}
-	_, active := k.active[p]
-	return View{
-		Origins: st.origins,
-		Class:   st.class,
-		Since:   st.since,
-		Seq:     st.seq,
-		Active:  active,
-		History: st.history,
-	}, true
+	return k.view(id)
 }
+
+// view renders id's state; ok is false for an id that carries none (a
+// holder's routes without an origin).
+func (k *Kernel) view(id uint32) (View, bool) {
+	r := k.tab.At(id)
+	switch {
+	case r.flags&recExt != 0:
+		st := k.exts.At(r.val)
+		return View{
+			Origins: st.origins,
+			Class:   st.class,
+			Since:   st.since,
+			Seq:     st.seq,
+			Active:  st.activeAt >= 0,
+			History: st.history,
+		}, true
+	case r.flags&recOrigin != 0:
+		// Readers may run concurrently under the shard's read lock, so the
+		// one-origin set is materialized fresh, not in shared scratch.
+		return View{Origins: []bgp.ASN{bgp.ASN(r.val)}}, true
+	}
+	return View{}, false
+}
+
+// WalkPrefixes visits every table id with its prefix, in id order —
+// tracked prefixes and ids a caller merely holds alike. The callback
+// must not call back into the kernel's mutating methods.
+func (k *Kernel) WalkPrefixes(fn func(id uint32, p bgp.Prefix) bool) { k.tab.Walk(fn) }
 
 // WalkActive visits every active conflict; iteration order is undefined.
 // The View's slices are borrowed (see State). Return false to stop.
 // The callback must not call back into the kernel's mutating methods.
 func (k *Kernel) WalkActive(fn func(p bgp.Prefix, v View) bool) {
-	for p := range k.active {
-		st := k.states[p]
-		if !fn(p, View{Origins: st.origins, Class: st.class, Since: st.since, Seq: st.seq, Active: true, History: st.history}) {
+	for _, id := range k.active {
+		v, _ := k.view(id)
+		if !fn(k.tab.Prefix(id), v) {
 			return
 		}
 	}
@@ -437,8 +500,8 @@ func (k *Kernel) WalkActive(fn func(p bgp.Prefix, v View) bool) {
 // event time, open ones derived from the active set — to dst.
 func (k *Kernel) AppendSpans(dst []Span) []Span {
 	dst = append(dst, k.closedSpans...)
-	for p := range k.active {
-		dst = append(dst, Span{Start: k.states[p].since, Open: true})
+	for _, id := range k.active {
+		dst = append(dst, Span{Start: k.extOf(id).since, Open: true})
 	}
 	return dst
 }

@@ -8,6 +8,7 @@ import (
 
 	"moas/internal/bgp"
 	"moas/internal/core"
+	"moas/internal/ptable"
 )
 
 // SnapshotVersion is the current snapshot format version. Decoders reject
@@ -126,19 +127,29 @@ func snapToEvent(s *EventSnap) (Event, error) {
 // while the kernel keeps running.
 func (k *Kernel) Snapshot() *Snapshot {
 	s := &Snapshot{Version: SnapshotVersion, Events: k.events}
-	for p, st := range k.states {
+	k.tab.Walk(func(id uint32, p bgp.Prefix) bool {
+		v, ok := k.view(id)
+		if !ok {
+			return true // an id held for its routes only carries no state
+		}
+		if k.tab.At(id).flags&recExt != 0 {
+			// Borrowed from the ext record (an inline origin is already
+			// materialized afresh by view).
+			v.Origins = append([]bgp.ASN(nil), v.Origins...)
+		}
 		ps := PrefixSnap{
 			Prefix:  p.String(),
-			Origins: append([]bgp.ASN(nil), st.origins...),
-			Class:   uint8(st.class),
-			Seq:     st.seq,
-			Since:   st.since,
+			Origins: v.Origins,
+			Class:   uint8(v.Class),
+			Seq:     v.Seq,
+			Since:   v.Since,
 		}
-		for i := range st.history {
-			ps.History = append(ps.History, eventToSnap(&st.history[i]))
+		for i := range v.History {
+			ps.History = append(ps.History, eventToSnap(&v.History[i]))
 		}
 		s.Prefixes = append(s.Prefixes, ps)
-	}
+		return true
+	})
 	sort.Slice(s.Prefixes, func(i, j int) bool { return s.Prefixes[i].Prefix < s.Prefixes[j].Prefix })
 	for _, c := range k.reg.Conflicts() {
 		s.Conflicts = append(s.Conflicts, ConflictSnap{
@@ -167,7 +178,7 @@ func (k *Kernel) Restore(s *Snapshot) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("kernel: snapshot version %d, want %d", s.Version, SnapshotVersion)
 	}
-	if len(k.states) != 0 || k.reg.Len() != 0 || k.events != 0 {
+	if k.tab.Len() != 0 || k.reg.Len() != 0 || k.events != 0 {
 		return fmt.Errorf("kernel: restore into non-empty kernel")
 	}
 	for i := range s.Prefixes {
@@ -179,11 +190,28 @@ func (k *Kernel) Restore(s *Snapshot) error {
 		if err := validClass(ps.Class); err != nil {
 			return fmt.Errorf("kernel: snapshot prefix %s: %w", ps.Prefix, err)
 		}
-		st := &state{
-			origins: append([]bgp.ASN(nil), ps.Origins...),
-			class:   core.Class(ps.Class),
-			seq:     ps.Seq,
-			since:   ps.Since,
+		h := uint32(ptable.Hash(p))
+		if _, dup := k.tab.Find(p, h); dup {
+			return fmt.Errorf("kernel: snapshot repeats prefix %s", ps.Prefix)
+		}
+		lifecycle := ps.Seq != 0 || ps.Since != 0 || ps.Class != 0 || len(ps.History) > 0
+		if !lifecycle && len(ps.Origins) == 0 {
+			continue // a stateless prefix is simply not tracked
+		}
+		id := k.tab.Insert(p, h)
+		r := k.tab.At(id)
+		if !lifecycle && len(ps.Origins) == 1 {
+			r.val, r.flags = uint32(ps.Origins[0]), recOrigin
+			continue
+		}
+		r.val, r.flags = k.exts.Alloc(), recExt
+		st := k.exts.At(r.val)
+		*st = ext{
+			origins:  append([]bgp.ASN(nil), ps.Origins...),
+			class:    core.Class(ps.Class),
+			activeAt: -1,
+			seq:      ps.Seq,
+			since:    ps.Since,
 		}
 		hist := ps.History
 		if k.opts.HistoryCap > 0 && len(hist) > k.opts.HistoryCap {
@@ -196,9 +224,9 @@ func (k *Kernel) Restore(s *Snapshot) error {
 			}
 			st.history = append(st.history, ev)
 		}
-		k.states[p] = st
 		if len(st.origins) >= 2 {
-			k.active[p] = struct{}{}
+			st.activeAt = int32(len(k.active))
+			k.active = append(k.active, id)
 		}
 	}
 	for i := range s.Conflicts {

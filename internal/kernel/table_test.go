@@ -1,0 +1,164 @@
+package kernel
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"moas/internal/bgp"
+	"moas/internal/core"
+	"moas/internal/ptable"
+	"moas/internal/ptable/ptabletest"
+)
+
+// TestCompactStatePointerFree guards the layout the heap numbers rest
+// on: the per-prefix record the table stores inline holds nothing the
+// garbage collector would trace, in eight bytes.
+func TestCompactStatePointerFree(t *testing.T) {
+	typ := reflect.TypeOf(rec{})
+	if !ptabletest.PointerFree(typ) {
+		t.Errorf("%s contains pointers", typ)
+	}
+	if typ.Size() > 8 {
+		t.Errorf("%s is %d bytes, want <= 8", typ, typ.Size())
+	}
+}
+
+// TestIDLifetime walks one id through the contract between the kernel
+// and a holder of its ids (the streaming shard): an id survives for as
+// long as the holder keeps routes under it or the kernel keeps state
+// under it, is recycled — with clean state — the moment neither does,
+// and is never recycled once the prefix has a lifecycle.
+func TestIDLifetime(t *testing.T) {
+	k := New(Options{})
+	p := bgp.MustParsePrefix("10.1.0.0/16")
+	q := bgp.MustParsePrefix("2001:db8::/32")
+	hp, hq := uint32(ptable.Hash(p)), uint32(ptable.Hash(q))
+
+	id := k.Acquire(p, hp)
+	if again := k.Acquire(p, hp); again != id {
+		t.Fatalf("second Acquire returned %d, want %d", again, id)
+	}
+	// Held without an origin (a route ending in an AS_SET): id stays,
+	// kernel reports no state.
+	k.ApplyAt(id, Obs{Day: 1, Prefix: p}, true)
+	if _, ok := k.State(p); ok {
+		t.Fatal("originless held id reports state")
+	}
+	if got, ok := k.Lookup(p, hp); !ok || got != id {
+		t.Fatalf("held id lost: %d, %v", got, ok)
+	}
+	k.ApplyAt(id, Obs{Day: 1, Prefix: p, Origins: []bgp.ASN{701}}, true)
+	if v, ok := k.State(p); !ok || len(v.Origins) != 1 || v.Origins[0] != 701 || v.Seq != 0 {
+		t.Fatalf("single-origin state = %+v, %v", v, ok)
+	}
+	// Fully withdrawn, no lifecycle: recycled.
+	k.ApplyAt(id, Obs{Day: 2, Prefix: p}, false)
+	if _, ok := k.Lookup(p, hp); ok {
+		t.Fatal("id survived its last route and origin")
+	}
+	// The next prefix takes the recycled id and must not see p's state.
+	if got := k.Acquire(q, hq); got != id {
+		t.Fatalf("Acquire after recycle returned %d, want the recycled %d", got, id)
+	}
+	if _, ok := k.State(q); ok {
+		t.Fatal("recycled id leaked its previous state")
+	}
+	if k.ArenaStates() != 1 {
+		t.Fatalf("arena holds %d entries for one live prefix", k.ArenaStates())
+	}
+
+	// A lifecycle pins the id for good, held or not.
+	k.ApplyAt(id, Obs{Day: 3, Prefix: q, Origins: []bgp.ASN{701, 3356}, Class: core.ClassDistinctPaths}, true)
+	k.ApplyAt(id, Obs{Day: 4, Prefix: q}, false)
+	if got, ok := k.Lookup(q, hq); !ok || got != id {
+		t.Fatal("id with a lifecycle was recycled")
+	}
+	if v, _ := k.State(q); v.Seq != 2 || len(v.History) != 2 || v.Active {
+		t.Fatalf("lifecycle state = %+v", v)
+	}
+	if got := k.Acquire(p, hp); got == id {
+		t.Fatal("a live id was handed out twice")
+	}
+}
+
+// TestApplyAgainstMapReference drives random observation sequences —
+// appear, change origin, conflict, dissolve, vanish, reappear — through
+// Apply and checks every prefix's state against a map-based reference
+// that applies the old "delete when empty and lifecycle-free" rule.
+func TestApplyAgainstMapReference(t *testing.T) {
+	type refState struct {
+		origins []bgp.ASN
+		seq     uint64
+	}
+	rng := rand.New(rand.NewSource(3))
+	k := New(Options{})
+	ref := make(map[bgp.Prefix]*refState)
+	prefixes := make([]bgp.Prefix, 300)
+	for i := range prefixes {
+		if i%3 == 0 {
+			var a [16]byte
+			a[0], a[1], a[7] = 0x20, 0x01, byte(i)
+			prefixes[i] = bgp.PrefixFrom16(a, 64)
+		} else {
+			prefixes[i] = bgp.PrefixFromUint32(uint32(i)<<12, 20)
+		}
+	}
+	for step := 0; step < 30000; step++ {
+		p := prefixes[rng.Intn(len(prefixes))]
+		var origins []bgp.ASN
+		for a := bgp.ASN(100); a < 103; a++ { // ascending by construction
+			if rng.Intn(3) == 0 {
+				origins = append(origins, a)
+			}
+		}
+		evs := k.Apply(Obs{Day: step, Prefix: p, Origins: origins, Class: core.ClassDistinctPaths})
+		st := ref[p]
+		if st == nil {
+			st = &refState{}
+		}
+		was, now := len(st.origins) >= 2, len(origins) >= 2
+		wantEvent := was != now || (was && now && !reflect.DeepEqual(st.origins, origins))
+		if (len(evs) == 1) != wantEvent {
+			t.Fatalf("step %d %s: %v -> %v emitted %d events, want event=%v", step, p, st.origins, origins, len(evs), wantEvent)
+		}
+		if wantEvent {
+			st.seq++
+			if evs[0].Seq != st.seq {
+				t.Fatalf("step %d %s: seq %d, want %d", step, p, evs[0].Seq, st.seq)
+			}
+		}
+		st.origins = origins
+		if len(origins) == 0 && st.seq == 0 {
+			delete(ref, p)
+		} else {
+			ref[p] = st
+		}
+	}
+	active := 0
+	for _, p := range prefixes {
+		v, ok := k.State(p)
+		st, want := ref[p]
+		if ok != want {
+			t.Fatalf("%s: tracked=%v, want %v", p, ok, want)
+		}
+		if !ok {
+			continue
+		}
+		if len(v.Origins) != len(st.origins) || (len(v.Origins) > 0 && !reflect.DeepEqual(v.Origins, st.origins)) || v.Seq != st.seq {
+			t.Fatalf("%s: state %v seq %d, want %v seq %d", p, v.Origins, v.Seq, st.origins, st.seq)
+		}
+		if v.Active != (len(st.origins) >= 2) {
+			t.Fatalf("%s: active=%v with origins %v", p, v.Active, st.origins)
+		}
+		if v.Active {
+			active++
+		}
+	}
+	if k.ActiveCount() != active {
+		t.Fatalf("ActiveCount %d, want %d", k.ActiveCount(), active)
+	}
+	if k.ArenaStates() > len(prefixes) {
+		t.Fatalf("arena carved %d entries for %d prefixes", k.ArenaStates(), len(prefixes))
+	}
+}

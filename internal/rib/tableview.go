@@ -92,24 +92,26 @@ func AppendOrigins(dst []bgp.ASN, rs []PeerRoute) ([]bgp.ASN, int) {
 			excluded++
 			continue
 		}
-		pos := len(dst)
-		dup := false
-		for i, v := range dst {
-			if v == o {
-				dup = true
-				break
-			}
-			if v > o {
-				pos = i
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		dst = append(dst, 0)
-		copy(dst[pos+1:], dst[pos:])
-		dst[pos] = o
+		dst = InsertOrigin(dst, o)
 	}
 	return dst, excluded
+}
+
+// InsertOrigin adds o to the ascending, deduplicated origin set dst and
+// returns the set.
+func InsertOrigin(dst []bgp.ASN, o bgp.ASN) []bgp.ASN {
+	pos := len(dst)
+	for i, v := range dst {
+		if v == o {
+			return dst
+		}
+		if v > o {
+			pos = i
+			break
+		}
+	}
+	dst = append(dst, 0)
+	copy(dst[pos+1:], dst[pos:])
+	dst[pos] = o
+	return dst
 }

@@ -12,6 +12,7 @@ import (
 
 	"moas/internal/bgp"
 	"moas/internal/epilog"
+	"moas/internal/ptable"
 )
 
 // benchCounts dedupes a candidate list of shard/worker counts in place
@@ -295,19 +296,21 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 func BenchmarkShardReassess(b *testing.B) {
 	s := newShard(1, 0, false, nil, nil, nil)
 	p := bgp.MustParsePrefix("10.0.0.0/8")
-	peerA := PeerKey{IP: [16]byte{1}, AS: 701}
-	peerB := PeerKey{IP: [16]byte{2}, AS: 3356}
+	const peerA, peerB = 0, 1 // peer-table indices (AS 701 and AS 3356)
+	mk := func(day int32, peer uint32, path bgp.Path) op {
+		return op{day: day, peer: peer, prefix: p, hash: uint32(ptable.Hash(p)), attrs: &bgp.Attrs{ASPath: path}}
+	}
 	// Establish a two-origin conflict (origins 7 and 9).
 	s.apply([]op{
-		{day: 0, peer: peerA, prefix: p, attrs: &bgp.Attrs{ASPath: bgp.Seq(701, 9)}},
-		{day: 0, peer: peerB, prefix: p, attrs: &bgp.Attrs{ASPath: bgp.Seq(3356, 7)}},
+		mk(0, peerA, bgp.Seq(701, 9)),
+		mk(0, peerB, bgp.Seq(3356, 7)),
 	})
 	// Steady-state churn: peerB flaps between two transit paths with the
 	// same origin, so every op forces a full reassess that changes neither
 	// the origin set nor the class.
 	ops := []op{
-		{day: 1, peer: peerB, prefix: p, attrs: &bgp.Attrs{ASPath: bgp.Seq(3356, 1239, 7)}},
-		{day: 1, peer: peerB, prefix: p, attrs: &bgp.Attrs{ASPath: bgp.Seq(3356, 2914, 7)}},
+		mk(1, peerB, bgp.Seq(3356, 1239, 7)),
+		mk(1, peerB, bgp.Seq(3356, 2914, 7)),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

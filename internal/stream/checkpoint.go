@@ -7,6 +7,7 @@ import (
 
 	"moas/internal/bgp"
 	"moas/internal/kernel"
+	"moas/internal/ptable"
 )
 
 // CheckpointVersion is the engine checkpoint format version. It wraps
@@ -61,16 +62,24 @@ func (e *Engine) Checkpoint() *Checkpoint {
 	parts := make([]*kernel.Snapshot, 0, len(e.shards))
 	for _, s := range e.shards {
 		s.mu.RLock()
+		// Taken under the shard lock: every node visible here was applied
+		// after its peer entered the table.
+		peers := e.peers.snapshot()
 		parts = append(parts, s.k.Snapshot())
-		for p, head := range s.prefixes {
+		s.k.WalkPrefixes(func(id uint32, p bgp.Prefix) bool {
+			if int(id) >= s.heads.Len() || *s.heads.At(id) == 0 {
+				return true // kernel state only: a lifecycle outliving its routes
+			}
 			pr := PrefixRoutes{Prefix: p.String()}
-			for i := head; i >= 0; i = s.nodes[i].next {
-				n := &s.nodes[i]
+			for i := *s.heads.At(id); i != 0; {
+				n := s.nodes.At(i)
+				peer := &peers[n.peer]
 				pr.Routes = append(pr.Routes, PeerRouteSnap{
-					PeerIP: hex.EncodeToString(n.peer.IP[:]),
-					PeerAS: n.peer.AS,
-					Attrs:  hex.EncodeToString(n.attrs.AppendWireEx(nil, true)),
+					PeerIP: hex.EncodeToString(peer.IP[:]),
+					PeerAS: peer.AS,
+					Attrs:  hex.EncodeToString(s.attrs.ptr(n.attrs&^noOrigin).AppendWireEx(nil, true)),
 				})
+				i = n.next
 			}
 			sort.Slice(pr.Routes, func(i, j int) bool {
 				if pr.Routes[i].PeerIP != pr.Routes[j].PeerIP {
@@ -79,7 +88,8 @@ func (e *Engine) Checkpoint() *Checkpoint {
 				return pr.Routes[i].PeerAS < pr.Routes[j].PeerAS
 			})
 			ck.Routes = append(ck.Routes, pr)
-		}
+			return true
+		})
 		s.mu.RUnlock()
 	}
 	ck.Kernel = kernel.Merge(parts)
@@ -125,7 +135,7 @@ func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 		if err != nil {
 			return fail(fmt.Errorf("stream: checkpoint prefix %q: %w", ps.Prefix, err))
 		}
-		i := e.shardFor(p)
+		i := ptable.Shard(ptable.Hash(p), len(e.shards))
 		parts[i].Prefixes = append(parts[i].Prefixes, ps)
 	}
 	for _, cs := range ck.Kernel.Conflicts {
@@ -133,7 +143,7 @@ func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 		if err != nil {
 			return fail(fmt.Errorf("stream: checkpoint conflict prefix %q: %w", cs.Prefix, err))
 		}
-		i := e.shardFor(p)
+		i := ptable.Shard(ptable.Hash(p), len(e.shards))
 		parts[i].Conflicts = append(parts[i].Conflicts, cs)
 	}
 	parts[0].ClosedSpans = ck.Kernel.ClosedSpans
@@ -159,8 +169,8 @@ func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 		if err != nil {
 			return fail(fmt.Errorf("stream: checkpoint route prefix %q: %w", pr.Prefix, err))
 		}
-		s := e.shards[e.shardFor(p)]
-		head := int32(-1)
+		h := ptable.Hash(p)
+		s := e.shards[ptable.Shard(h, len(e.shards))]
 		s.mu.Lock()
 		for _, rt := range pr.Routes {
 			ipBytes, err := hex.DecodeString(rt.PeerIP)
@@ -186,10 +196,7 @@ func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 			// duplicate node would shadow the peer's route forever
 			// (list walks stop at the first match). Last entry wins,
 			// as the old map-based restore behaved.
-			head, _ = s.upsertRoute(head, peer, attrs)
-		}
-		if head >= 0 {
-			s.prefixes[p] = head
+			s.upsertRoute(s.head(s.k.Acquire(p, uint32(h))), e.peers.indexOf(peer), attrs)
 		}
 		s.mu.Unlock()
 	}

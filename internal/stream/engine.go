@@ -12,6 +12,7 @@ import (
 	"moas/internal/core"
 	"moas/internal/epilog"
 	"moas/internal/kernel"
+	"moas/internal/ptable"
 	"moas/internal/source"
 )
 
@@ -74,6 +75,7 @@ type Config struct {
 type Engine struct {
 	cfg    Config
 	shards []*shard
+	peers  peerTable
 	pend   [][]op // dispatcher-owned per-shard pending batches
 	// opFree recycles op slices between the dispatcher and the shard
 	// workers: flushShard takes a drained slice instead of allocating a
@@ -133,8 +135,9 @@ func New(cfg Config) *Engine {
 		cfg.QueueDepth = 8
 	}
 	e := &Engine{
-		cfg:  cfg,
-		pend: make([][]op, cfg.Shards),
+		cfg:   cfg,
+		peers: peerTable{index: make(map[PeerKey]uint32)},
+		pend:  make([][]op, cfg.Shards),
 		// Capacity covers every batch that can be in flight at once (per
 		// shard: the queue plus one being applied plus one pending), so a
 		// recycled slice is always waiting once the pipeline warms up.
@@ -202,37 +205,63 @@ func (e *Engine) putOps(b []op) {
 	}
 }
 
-// shardFor hashes a canonical prefix onto a shard (FNV-1a over the address
-// bytes and length).
-func (e *Engine) shardFor(p bgp.Prefix) int {
-	a := p.Addr16()
-	h := uint32(2166136261)
-	for _, b := range a {
-		h = (h ^ uint32(b)) * 16777619
+// peerTable numbers the collector peers an engine has heard from, so
+// ops and route nodes carry a 4-byte index instead of the 20-byte key.
+// It only grows: a collector has tens of peers.
+type peerTable struct {
+	index map[PeerKey]uint32 // feeding goroutine only
+	mu    sync.RWMutex       // guards keys against concurrent readers
+	keys  []PeerKey
+}
+
+// indexOf returns k's index, entering k on first sight. Feeding
+// goroutine only.
+func (t *peerTable) indexOf(k PeerKey) uint32 {
+	i, ok := t.index[k]
+	if !ok {
+		t.mu.Lock()
+		i = uint32(len(t.keys))
+		t.keys = append(t.keys, k)
+		t.mu.Unlock()
+		t.index[k] = i
 	}
-	h = (h ^ uint32(p.Bits())) * 16777619
-	return int(h % uint32(len(e.shards)))
+	return i
+}
+
+// snapshot returns the keys entered so far; entries are immutable, so
+// the slice stays valid while the table keeps growing.
+func (t *peerTable) snapshot() []PeerKey {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.keys[:len(t.keys):len(t.keys)]
 }
 
 // ApplyUpdate decomposes one peer's UPDATE message into route ops —
 // withdrawals then announcements, as on the wire — and dispatches them to
-// the owning shards.
+// the owning shards. The peer is resolved to its table index once per
+// message, not once per route.
 func (e *Engine) ApplyUpdate(day int, peer PeerKey, u *bgp.Update) {
 	e.msgs.Add(1)
+	pi := e.peers.indexOf(peer)
+	n := len(u.Withdrawn)
 	for _, p := range u.Withdrawn {
-		e.dispatch(op{day: day, withdraw: true, peer: peer, prefix: p})
+		e.dispatch(op{day: int32(day), peer: pi, prefix: p})
 	}
-	if u.Attrs == nil {
-		return
+	if u.Attrs != nil {
+		n += len(u.NLRI)
+		for _, p := range u.NLRI {
+			e.dispatch(op{day: int32(day), peer: pi, prefix: p, attrs: u.Attrs})
+		}
 	}
-	for _, p := range u.NLRI {
-		e.dispatch(op{day: day, peer: peer, prefix: p, attrs: u.Attrs})
-	}
+	e.ops.Add(uint64(n))
 }
 
+// dispatch hashes the op's prefix once: the high word of the hash picks
+// the shard, the low word rides in the op to address the shard's table.
 func (e *Engine) dispatch(o op) {
-	e.ops.Add(1)
-	i := e.shardFor(o.prefix)
+	h := ptable.Hash(o.prefix)
+	o.hash = uint32(h)
+	i := ptable.Shard(h, len(e.shards))
 	e.pend[i] = append(e.pend[i], o)
 	if len(e.pend[i]) >= e.cfg.BatchSize {
 		e.flushShard(i)
@@ -424,7 +453,8 @@ type PrefixInfo struct {
 
 // Prefix reports the live state of one prefix.
 func (e *Engine) Prefix(p bgp.Prefix) PrefixInfo {
-	s := e.shards[e.shardFor(p)]
+	h := ptable.Hash(p)
+	s := e.shards[ptable.Shard(h, len(e.shards))]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	info := PrefixInfo{Prefix: p}
@@ -434,8 +464,8 @@ func (e *Engine) Prefix(p bgp.Prefix) PrefixInfo {
 		info.Class = v.Class
 		info.History = append([]Event(nil), v.History...)
 	}
-	if head, ok := s.prefixes[p]; ok {
-		info.Routes = s.routeCount(head)
+	if id, ok := s.k.Lookup(p, uint32(h)); ok && int(id) < s.heads.Len() {
+		info.Routes = s.routeCount(*s.heads.At(id))
 	}
 	if c, ok := s.k.Registry().Get(p); ok {
 		info.Conflict = c.Clone()
@@ -487,8 +517,10 @@ type Stats struct {
 	DistinctAttrs   int    // attrs blocks interned by the replay decode stage
 	InternerEpochs  int    // cap-triggered interner rebuilds (0 = never capped)
 	InternerBytes   int64  // approximate retained interner memory
-	RouteNodes      int    // per-peer route entries retained across all shards
-	KernelStates    int    // kernel state objects retained across all shards
+	RouteNodes      int    // route-node arena entries carved across all shards
+	KernelStates    int    // prefix-table entries carved across all shard kernels
+	AttrHandles     int    // attrs-handle table entries carved across all shards
+	Peers           int    // collector peers in the engine's peer table
 	ActiveConflicts int
 	TotalConflicts  int                  // distinct prefixes ever in conflict
 	Events          int                  // lifecycle events emitted
@@ -532,14 +564,16 @@ func (e *Engine) Stats() Stats {
 		InternerEpochs: e.interner.Epochs(),
 		InternerBytes:  e.interner.Bytes(),
 		Source:         e.SourceStatus(),
+		Peers:          len(e.peers.snapshot()),
 	}
 	for _, s := range e.shards {
 		s.mu.RLock()
 		st.ActiveConflicts += s.k.ActiveCount()
 		st.TotalConflicts += s.k.Registry().Len()
 		st.Events += s.k.EventCount()
-		st.RouteNodes += len(s.nodes)
+		st.RouteNodes += max(s.nodes.Len()-1, 0) // node 0 is the reserved "none"
 		st.KernelStates += s.k.ArenaStates()
+		st.AttrHandles += len(s.attrs.ptrs)
 		s.k.WalkActive(func(_ bgp.Prefix, v kernel.View) bool {
 			st.ByClass[v.Class]++
 			return true

@@ -7,6 +7,7 @@ import (
 	"moas/internal/core"
 	"moas/internal/epilog"
 	"moas/internal/kernel"
+	"moas/internal/ptable"
 	"moas/internal/rib"
 	"moas/internal/supervise"
 )
@@ -18,13 +19,16 @@ type PeerKey struct {
 	AS bgp.ASN
 }
 
-// op is one route-level change dispatched to a shard.
+// op is one route-level change dispatched to a shard. It carries what
+// the dispatcher already resolved — the peer's index in the engine's
+// peer table and the prefix's slot hash — so the shard neither hashes
+// nor compares a 20-byte peer key per route.
 type op struct {
-	day      int
-	withdraw bool
-	peer     PeerKey
-	prefix   bgp.Prefix
-	attrs    *bgp.Attrs // nil on withdraw; shared and immutable once dispatched
+	attrs  *bgp.Attrs // nil withdraws; shared and immutable once dispatched
+	hash   uint32     // uint32(ptable.Hash(prefix))
+	peer   uint32     // index into Engine.peers
+	day    int32
+	prefix bgp.Prefix
 }
 
 // batch is the unit a shard consumes: a run of ops, a day-close barrier, or
@@ -36,17 +40,25 @@ type batch struct {
 }
 
 // routeNode is one (peer → attrs) entry of a prefix's live route table.
-// Nodes live in the shard's arena slice and chain through indices, so the
-// per-prefix table is a linked list with no per-prefix heap object: route
-// flap — withdraw-then-reannounce, the dominant churn on a real feed —
-// recycles nodes through the shard free list instead of reallocating maps.
-// Peer counts per prefix are small (a collector has tens of peers), so the
-// linear list walk beats a map on both allocation and locality.
+// Nodes live in the shard's chunked arena and chain through indices, so
+// the per-prefix table is a linked list with no per-prefix heap object:
+// route flap — withdraw-then-reannounce, the dominant churn on a real
+// feed — recycles nodes through the shard free list instead of
+// reallocating maps. Peer counts per prefix are small (a collector has
+// tens of peers), so the linear list walk beats a map on both allocation
+// and locality. A node is 16 pointer-free bytes: the garbage collector
+// never looks inside the arena, and the route's origin AS is cached at
+// upsert so reassessing a prefix reads nothing but its nodes.
 type routeNode struct {
-	peer  PeerKey
-	attrs *bgp.Attrs
-	next  int32 // arena index of the next route for the prefix; -1 ends
+	peer   uint32  // index into Engine.peers
+	attrs  uint32  // attrTable handle; noOrigin set when the path has no origin
+	origin bgp.ASN // the path's origin AS, valid unless noOrigin
+	next   uint32  // arena index of the prefix's next route; 0 ends
 }
+
+// noOrigin flags, in routeNode.attrs, a route whose AS path is empty or
+// ends in an AS_SET: it has no origin to contribute (bgp.Path.Origin).
+const noOrigin = 1 << 31
 
 // shard owns a hash partition of the prefix space: the per-peer route
 // state and a kernel instance holding that partition's conflict episodes.
@@ -55,19 +67,21 @@ type routeNode struct {
 // shard.
 type shard struct {
 	mu sync.RWMutex
-	// prefixes maps a prefix to the head of its route list in nodes.
-	// Values, not pointers: deleting and re-adding a prefix costs no
-	// allocation once the map has grown.
-	prefixes map[bgp.Prefix]int32
-	nodes    []routeNode
-	freeNode int32 // head of the recycled-node list, -1 when empty
+	// k owns the shard's prefix table; heads, indexed by the table's dense
+	// ids, holds each prefix's first route node (0: no routes). Node 0 is
+	// reserved so that a zeroed head or next means "none".
 	k        *kernel.Kernel
+	heads    ptable.Chunks[uint32]
+	nodes    ptable.Chunks[routeNode]
+	freeNode uint32 // head of the recycled-node list, 0 when empty
+	attrs    attrTable
 
-	scratch []rib.PeerRoute
 	// origScratch is the reusable target of the per-change origin-set
 	// recompute; the kernel copies it only on an actual transition, so
-	// steady-state churn is alloc-free.
+	// steady-state churn is alloc-free. pathScratch collects the AS paths
+	// for classification, which only a multi-origin prefix needs.
 	origScratch []bgp.ASN
+	pathScratch []bgp.Path
 	notify      func(Event) // engine Config.OnEvent; called outside the lock
 	notifyBuf   []Event     // events emitted by the batch being applied
 	recycle     func([]op)  // returns drained batch slices to the engine pool
@@ -91,12 +105,10 @@ type shard struct {
 
 func newShard(queueDepth, historyCap int, keepLog bool, notify func(Event), recycle func([]op), epLog *epilog.Log) *shard {
 	s := &shard{
-		prefixes: make(map[bgp.Prefix]int32),
-		freeNode: -1,
-		notify:   notify,
-		recycle:  recycle,
-		ch:       make(chan batch, queueDepth),
-		epLog:    epLog,
+		notify:  notify,
+		recycle: recycle,
+		ch:      make(chan batch, queueDepth),
+		epLog:   epLog,
 	}
 	opts := kernel.Options{HistoryCap: historyCap, KeepLog: keepLog}
 	if epLog != nil {
@@ -209,53 +221,54 @@ func (s *shard) apply(ops []op) {
 }
 
 // allocNode returns a free node index, recycling before growing the arena.
-func (s *shard) allocNode() int32 {
-	if i := s.freeNode; i >= 0 {
-		s.freeNode = s.nodes[i].next
+func (s *shard) allocNode() uint32 {
+	if i := s.freeNode; i != 0 {
+		s.freeNode = s.nodes.At(i).next
 		return i
 	}
-	s.nodes = append(s.nodes, routeNode{})
-	return int32(len(s.nodes) - 1)
+	i := s.nodes.Alloc()
+	if i == 0 { // reserved: 0 means "no node"
+		i = s.nodes.Alloc()
+	}
+	return i
+}
+
+// head returns the route-list head of a table id, growing heads to
+// cover ids the kernel carved since the last call.
+func (s *shard) head(id uint32) *uint32 {
+	for uint32(s.heads.Len()) <= id {
+		s.heads.Alloc()
+	}
+	return s.heads.At(id)
 }
 
 func (s *shard) applyOne(o *op) {
-	head, ok := s.prefixes[o.prefix]
-	if !ok {
-		head = -1
-	}
-	if o.withdraw {
-		if !ok {
+	var head *uint32
+	var id uint32
+	if o.attrs == nil {
+		var ok bool
+		if id, ok = s.k.Lookup(o.prefix, o.hash); !ok {
 			return
 		}
-		newHead, removed := s.removeRoute(head, o.peer)
-		if !removed {
+		head = s.head(id)
+		if !s.removeRoute(head, o.peer) {
 			return
-		}
-		head = newHead
-		if head >= 0 {
-			s.prefixes[o.prefix] = head
-		} else {
-			// Fully withdrawn: the kernel keeps any lifecycle worth keeping.
-			delete(s.prefixes, o.prefix)
 		}
 	} else {
-		newHead, changed := s.upsertRoute(head, o.peer, o.attrs)
-		if !changed {
+		id = s.k.Acquire(o.prefix, o.hash)
+		head = s.head(id)
+		if !s.upsertRoute(head, o.peer, o.attrs) {
 			return
 		}
-		if newHead != head {
-			s.prefixes[o.prefix] = newHead
-			head = newHead
-		}
 	}
-	s.reassess(o.prefix, head, o.day)
+	s.reassess(id, *head, o.prefix, int(o.day))
 }
 
-// upsertRoute stores attrs as peer's route in the list at head, returning
-// the (possibly new) head and whether anything changed.
-func (s *shard) upsertRoute(head int32, peer PeerKey, attrs *bgp.Attrs) (int32, bool) {
-	for i := head; i >= 0; i = s.nodes[i].next {
-		n := &s.nodes[i]
+// upsertRoute stores a as peer's route in the list at *head and reports
+// whether anything changed.
+func (s *shard) upsertRoute(head *uint32, peer uint32, a *bgp.Attrs) bool {
+	for i := *head; i != 0; {
+		n := s.nodes.At(i)
 		if n.peer == peer {
 			// Pointer equality first: the replay decode stage interns
 			// attrs by wire bytes, so a re-announcement with unchanged
@@ -263,43 +276,59 @@ func (s *shard) upsertRoute(head int32, peer PeerKey, attrs *bgp.Attrs) (int32, 
 			// carries the exact pointer already stored and never reaches
 			// the deep comparison. Equal stays as the fallback for attrs
 			// from other feeders (direct ApplyUpdate callers, checkpoint
-			// restores).
-			if n.attrs == attrs || n.attrs.Equal(attrs) {
-				return head, false
+			// restores, a later interner epoch).
+			cur := n.attrs &^ noOrigin
+			if c := s.attrs.ptr(cur); c == a || c.Equal(a) {
+				return false
 			}
-			n.attrs = attrs
-			return head, true
+			n.attrs, n.origin = s.hold(a)
+			s.attrs.release(cur)
+			return true
 		}
+		i = n.next
 	}
 	i := s.allocNode()
-	s.nodes[i] = routeNode{peer: peer, attrs: attrs, next: head}
-	return i, true
+	n := s.nodes.At(i)
+	n.peer, n.next = peer, *head
+	n.attrs, n.origin = s.hold(a)
+	*head = i
+	return true
 }
 
-// removeRoute unlinks peer's route from the list at head, returning the
-// new head and whether a route was removed.
-func (s *shard) removeRoute(head int32, peer PeerKey) (int32, bool) {
-	prev := int32(-1)
-	for i := head; i >= 0; i = s.nodes[i].next {
-		if s.nodes[i].peer == peer {
-			if prev < 0 {
-				head = s.nodes[i].next
-			} else {
-				s.nodes[prev].next = s.nodes[i].next
-			}
-			s.nodes[i] = routeNode{next: s.freeNode}
-			s.freeNode = i
-			return head, true
-		}
-		prev = i
+// hold takes a reference on a's handle and returns the node words for a
+// route carrying a: the handle (flagged when the path has no origin) and
+// the origin AS.
+func (s *shard) hold(a *bgp.Attrs) (uint32, bgp.ASN) {
+	word := s.attrs.acquire(a)
+	origin, ok := a.ASPath.Origin()
+	if !ok {
+		word |= noOrigin
 	}
-	return head, false
+	return word, origin
+}
+
+// removeRoute unlinks peer's route from the list at *head and reports
+// whether there was one.
+func (s *shard) removeRoute(head *uint32, peer uint32) bool {
+	link := head
+	for i := *link; i != 0; i = *link {
+		n := s.nodes.At(i)
+		if n.peer == peer {
+			*link = n.next
+			s.attrs.release(n.attrs &^ noOrigin)
+			*n = routeNode{next: s.freeNode}
+			s.freeNode = i
+			return true
+		}
+		link = &n.next
+	}
+	return false
 }
 
 // routeCount returns the length of the route list at head.
-func (s *shard) routeCount(head int32) int {
+func (s *shard) routeCount(head uint32) int {
 	n := 0
-	for i := head; i >= 0; i = s.nodes[i].next {
+	for i := head; i != 0; i = s.nodes.At(i).next {
 		n++
 	}
 	return n
@@ -307,28 +336,37 @@ func (s *shard) routeCount(head int32) int {
 
 // reassess recomputes the prefix's origin set and classification after a
 // route change and drives the observation through the kernel, which emits
-// the lifecycle event the change implies, if any. The recompute lands in
-// the shard's reusable scratch; the kernel commits a fresh copy only when
-// the set actually changed, so the common case — an update that does not
-// flip the origin set — performs zero allocations
-// (BenchmarkShardReassess's claim).
-func (s *shard) reassess(p bgp.Prefix, head int32, day int) {
-	s.scratch = s.scratch[:0]
-	for i := head; i >= 0; i = s.nodes[i].next {
-		n := &s.nodes[i]
-		s.scratch = append(s.scratch, rib.PeerRoute{
-			PeerAS: n.peer.AS,
-			Route:  bgp.Route{Prefix: p, Attrs: n.attrs},
-		})
+// the lifecycle event the change implies, if any. The origins come from
+// the nodes' cached copies and land in the shard's reusable scratch; the
+// kernel commits a fresh copy only when the set actually changed, so the
+// common case — an update that does not flip the origin set — performs
+// zero allocations (BenchmarkShardReassess's claim) and touches no
+// attribute block.
+func (s *shard) reassess(id, head uint32, p bgp.Prefix, day int) {
+	// Origin-set insertion and ClassifyPaths are order-independent, so
+	// the list order cannot leak into events or the registry.
+	origins := s.origScratch[:0]
+	for i := head; i != 0; {
+		n := s.nodes.At(i)
+		if n.attrs&noOrigin == 0 {
+			origins = rib.InsertOrigin(origins, n.origin)
+		}
+		i = n.next
 	}
-	// AppendOrigins and ClassifyRoutes are order-independent, so the list
-	// order above cannot leak into events or the registry.
-	s.origScratch, _ = rib.AppendOrigins(s.origScratch, s.scratch)
+	s.origScratch = origins
 	var class core.Class
-	if len(s.origScratch) >= 2 {
-		class = core.ClassifyRoutes(s.scratch)
+	if len(origins) >= 2 {
+		paths := s.pathScratch[:0]
+		for i := head; i != 0; {
+			n := s.nodes.At(i)
+			paths = append(paths, s.attrs.ptr(n.attrs&^noOrigin).ASPath)
+			i = n.next
+		}
+		s.pathScratch = paths
+		class = core.ClassifyPaths(paths)
 	}
-	for _, ev := range s.k.Apply(kernel.Obs{Day: day, Prefix: p, Origins: s.origScratch, Class: class}) {
+	obs := kernel.Obs{Day: day, Prefix: p, Origins: origins, Class: class}
+	for _, ev := range s.k.ApplyAt(id, obs, head != 0) {
 		if s.notify != nil {
 			s.notifyBuf = append(s.notifyBuf, ev)
 		}

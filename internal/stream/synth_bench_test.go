@@ -70,11 +70,25 @@ func dedupeCounts(vals ...int) []int {
 	return out
 }
 
+// heapInuse returns the heap in use after two collections (the second
+// reclaims what the first one's finalizers and sweep released).
+func heapInuse() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapInuse
+}
+
 // BenchmarkSynthReplay reports the same trajectory metrics as
 // BenchmarkStreamReplay (updates/s, allocs/update, distinct-attrs) on
 // the internet-scale corpus, across 1 and GOMAXPROCS shards and 1 and
 // GOMAXPROCS decode workers. The shards=N/workers=N cell is the
 // headline number: full parallel pipeline on an internet-scale table.
+// resident-MB is what the last replay's engine retains — heap in use
+// with the engine alive, over the heap before it was built — and
+// bytes/prefix divides that by the prefix-table entries it holds; B/op
+// over resident-MB is how much the engine allocates to retain a byte.
 func BenchmarkSynthReplay(b *testing.B) {
 	archive := benchArchive(b)
 	days := 4
@@ -90,11 +104,13 @@ func BenchmarkSynthReplay(b *testing.B) {
 				b.ReportAllocs()
 				var msgs uint64
 				var distinct int
+				var e *stream.Engine
 				var m0, m1 runtime.MemStats
+				base := heapInuse()
 				runtime.ReadMemStats(&m0)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					e := stream.New(stream.Config{Shards: shards, DecodeWorkers: workers})
+					e = stream.New(stream.Config{Shards: shards, DecodeWorkers: workers})
 					if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 						b.Fatal(err)
 					}
@@ -104,6 +120,11 @@ func BenchmarkSynthReplay(b *testing.B) {
 				}
 				b.StopTimer()
 				runtime.ReadMemStats(&m1)
+				resident := float64(heapInuse()) - float64(base)
+				b.ReportMetric(resident/1e6, "resident-MB")
+				if n := e.Stats().KernelStates; n > 0 {
+					b.ReportMetric(resident/float64(n), "bytes/prefix")
+				}
 				if total := msgs * uint64(b.N); total > 0 {
 					b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(total), "allocs/update")
 				}

@@ -15,13 +15,22 @@ import (
 )
 
 // TestSynthFlapStormSoak: after a warmup third of the run, every
-// storage-growth counter — route nodes carved, kernel states carved,
-// interner bytes — must stay exactly flat while events keep
-// accumulating: withdraw/re-announce cycles and flapping conflicts must
-// run on recycled storage. Sized to seconds by default (the -race CI job
-// runs it on every push); MOAS_SOAK=1 (`make soak`) runs the
-// months-of-days version.
+// storage-growth counter — route nodes carved, prefix-table entries
+// carved, attrs handles carved, peers, interner bytes — must stay
+// exactly flat while events keep accumulating: withdraw/re-announce
+// cycles and flapping conflicts must run on recycled storage. The
+// capped leg rolls the interner through SetCap epochs all run long, so
+// routes keep arriving with fresh pointers for old blocks: handles must
+// still be released by refcount and recycled (interner bytes saw-tooth
+// under a cap by design, so that leg checks the epochs happened
+// instead). Sized to seconds by default (the -race CI job runs it on
+// every push); MOAS_SOAK=1 (`make soak`) runs the months-of-days version.
 func TestSynthFlapStormSoak(t *testing.T) {
+	t.Run("unbounded", func(t *testing.T) { soakFlapStorm(t, 0) })
+	t.Run("capped", func(t *testing.T) { soakFlapStorm(t, 96) })
+}
+
+func soakFlapStorm(t *testing.T, maxDistinctAttrs int) {
 	days, flap, churnPfx, cycles := 40, 64, 128, 4
 	if os.Getenv("MOAS_SOAK") != "" {
 		days, flap, churnPfx, cycles = 365, 128, 256, 6
@@ -40,14 +49,14 @@ func TestSynthFlapStormSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := stream.New(stream.Config{Shards: 4})
+	e := stream.New(stream.Config{Shards: 4, MaxDistinctAttrs: maxDistinctAttrs})
 	defer e.Close()
 
 	type sample struct {
-		day                    int
-		routeNodes, kernStates int
-		internerBytes          int64
-		events                 int
+		day                                        int
+		routeNodes, kernStates, attrHandles, peers int
+		internerBytes                              int64
+		events                                     int
 	}
 	var samples []sample
 	// The generator is the transport: synth streams MRT bytes straight
@@ -61,7 +70,7 @@ func TestSynthFlapStormSoak(t *testing.T) {
 		Tick: time.Hour,
 		OnDayClose: func(day int) {
 			st := e.Stats()
-			samples = append(samples, sample{day, st.RouteNodes, st.KernelStates, st.InternerBytes, st.Events})
+			samples = append(samples, sample{day, st.RouteNodes, st.KernelStates, st.AttrHandles, st.Peers, st.InternerBytes, st.Events})
 		},
 	})
 	if err != nil {
@@ -80,7 +89,13 @@ func TestSynthFlapStormSoak(t *testing.T) {
 		if s.kernStates > warm.kernStates {
 			t.Errorf("day %d: kernel arena grew past warmup plateau: %d > %d", s.day, s.kernStates, warm.kernStates)
 		}
-		if s.internerBytes > warm.internerBytes {
+		if s.attrHandles > warm.attrHandles {
+			t.Errorf("day %d: attrs-handle table grew past warmup plateau: %d > %d", s.day, s.attrHandles, warm.attrHandles)
+		}
+		if s.peers > warm.peers {
+			t.Errorf("day %d: peer table grew past warmup plateau: %d > %d", s.day, s.peers, warm.peers)
+		}
+		if maxDistinctAttrs == 0 && s.internerBytes > warm.internerBytes {
 			t.Errorf("day %d: interner bytes grew past warmup plateau: %d > %d", s.day, s.internerBytes, warm.internerBytes)
 		}
 	}
@@ -92,6 +107,9 @@ func TestSynthFlapStormSoak(t *testing.T) {
 	if st.ActiveConflicts != 0 && st.TotalConflicts == 0 {
 		t.Fatalf("degenerate soak: %+v", st)
 	}
-	t.Logf("%d days: %d events on a plateau of %d route nodes, %d kernel states, %d interner bytes",
-		days, last.events, warm.routeNodes, warm.kernStates, warm.internerBytes)
+	if maxDistinctAttrs > 0 && st.InternerEpochs < 2 {
+		t.Fatalf("capped leg saw %d interner epochs, want >= 2: the cap never rolled", st.InternerEpochs)
+	}
+	t.Logf("%d days, %d interner epochs: %d events on a plateau of %d route nodes, %d table entries, %d attrs handles, %d peers, %d interner bytes",
+		days, st.InternerEpochs, last.events, warm.routeNodes, warm.kernStates, warm.attrHandles, warm.peers, warm.internerBytes)
 }
