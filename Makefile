@@ -9,7 +9,7 @@ BENCH_TIME ?= 1s
 # (bench-trend in CI refuses to benchstat across differing counts).
 BENCH_CPU ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: build test race bench benchall profile fuzz-smoke soak vet fmt docscheck ci
+.PHONY: build test race bench benchall bench-check bench-e2e profile fuzz-smoke soak vet fmt docscheck ci
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,17 @@ bench:
 
 benchall:
 	$(GO) test -bench . -run XXX -benchmem ./...
+
+# bench/ is its own module (it times this one from outside), so
+# `go test ./...` stops at its boundary: bench-check vets it and runs its
+# tests — a 3 s smoke run of every workload and the BENCHMARK.json <->
+# catalog check — against the current tree. bench-e2e runs the declared
+# benchmark itself (BENCHMARK.json's command).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+bench-e2e:
+	sh bench/run.sh
 
 # profile replays the internet-scale synth corpus (BenchmarkSynthReplay,
 # the PR 7 differential-oracle generator at 1M prefixes) under the CPU
@@ -94,4 +105,4 @@ docscheck:
 	done; \
 	if [ $$missing -ne 0 ]; then exit 1; fi
 
-ci: fmt vet docscheck build race
+ci: fmt vet docscheck build race bench-check

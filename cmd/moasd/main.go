@@ -49,7 +49,7 @@ func main() {
 		bgpListen = flag.String("bgp-listen", "", "create and start a live scenario running a passive BGP speaker on this TCP address (e.g. :179)")
 		bgpAS     = flag.Uint("bgp-as", 64512, "local AS the BGP speaker answers OPEN with")
 		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "prefix-space worker shards per scenario")
-		decWrkrs  = flag.Int("decode-workers", 0, "parallel MRT decode workers per replay (0 = GOMAXPROCS); live sources decode on their feed goroutine and ignore it")
+		decWrkrs  = flag.Int("decode-workers", 0, "MRT decode workers per replay (0 = GOMAXPROCS; results are identical at every count); live sources decode on their feed goroutine and ignore it")
 		rate      = flag.Float64("days-per-sec", 0, "replay pacing in observed days per second (0 = as fast as possible)")
 		history   = flag.Int("history", 256, "lifecycle events retained per prefix (0 or -1 = unlimited)")
 		maxScen   = flag.Int("max-scenarios", 0, "maximum concurrently hosted scenarios; further creates get 429 (0 = unlimited)")

@@ -9,9 +9,10 @@ import (
 // Framer splits an MRT stream into raw record frames: a walk of the
 // length-prefixed common headers that hands out undecoded bodies. It is
 // the cheap front half of a parallel decode pipeline — one goroutine
-// frames the archive in order while body decode happens elsewhere. Like
-// Reader it buffers internally; do not mix reads of the underlying
-// reader with Framer calls.
+// frames the archive in order while body decode happens elsewhere — and
+// the one place header and body reads (and their error forms) live:
+// Reader is a Framer plus a body buffer. It buffers internally; do not
+// mix reads of the underlying reader with Framer calls.
 type Framer struct {
 	br  *bufio.Reader
 	hdr [headerLen]byte
@@ -28,9 +29,8 @@ func (f *Framer) Reset(src io.Reader) {
 	f.br.Reset(src)
 }
 
-// readHeader reads and decodes one common header with exactly Reader's
-// error semantics: io.EOF at a clean record boundary, ErrBadRecord for a
-// truncated or malformed header.
+// readHeader reads and decodes one common header: io.EOF at a clean
+// record boundary, ErrBadRecord for a truncated or malformed header.
 func (f *Framer) readHeader() (Header, error) {
 	if _, err := io.ReadFull(f.br, f.hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -46,9 +46,8 @@ func (f *Framer) readHeader() (Header, error) {
 // buf[len(buf at call):]; batching callers record that offset to slice
 // frames back out, so one arena holds a whole batch of bodies and the
 // warm path allocates nothing. On error the returned buf is the input
-// truncated back to its original length. Errors match Reader.Next:
-// io.EOF at a clean end of stream, io.ErrUnexpectedEOF for a mid-record
-// truncation.
+// truncated back to its original length. Errors are io.EOF at a clean
+// end of stream and io.ErrUnexpectedEOF for a mid-record truncation.
 func (f *Framer) NextInto(buf []byte) (Header, []byte, error) {
 	h, err := f.readHeader()
 	if err != nil {

@@ -1,22 +1,21 @@
 package mrt
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 )
 
-// Reader streams MRT records from an io.Reader. It buffers internally; do
-// not mix reads of the underlying reader with Reader calls.
+// Reader streams MRT records from an io.Reader: a Framer plus one reused
+// body buffer. It buffers internally; do not mix reads of the underlying
+// reader with Reader calls.
 type Reader struct {
-	br   *bufio.Reader
-	hdr  [headerLen]byte
+	fr   Framer
 	body []byte // reused across Next calls
 }
 
 // NewReader returns a streaming MRT reader over r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{fr: *NewFramer(r)}
 }
 
 // Reset repoints the Reader at a new source, keeping its internal buffers
@@ -24,7 +23,7 @@ func NewReader(r io.Reader) *Reader {
 // body reuse it makes reading N records — or re-reading the same archive —
 // an O(1)-allocation affair, which the ingest alloc gate depends on.
 func (r *Reader) Reset(src io.Reader) {
-	r.br.Reset(src)
+	r.fr.Reset(src)
 }
 
 // Next returns the next raw record. The record's Body is valid only until
@@ -32,24 +31,12 @@ func (r *Reader) Reset(src io.Reader) {
 // Decode* methods already copy what they retain). Next returns io.EOF at a
 // clean end of stream and io.ErrUnexpectedEOF for a mid-record truncation.
 func (r *Reader) Next() (Record, error) {
-	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return Record{}, fmt.Errorf("%w: truncated header", ErrBadRecord)
-		}
-		return Record{}, err // io.EOF
-	}
-	h, err := decodeHeader(r.hdr[:])
+	h, body, err := r.fr.NextInto(r.body[:0])
 	if err != nil {
 		return Record{}, err
 	}
-	if cap(r.body) < int(h.Length) {
-		r.body = make([]byte, h.Length)
-	}
-	r.body = r.body[:h.Length]
-	if _, err := io.ReadFull(r.br, r.body); err != nil {
-		return Record{}, io.ErrUnexpectedEOF
-	}
-	return Record{Header: h, Body: r.body}, nil
+	r.body = body
+	return Record{Header: h, Body: body}, nil
 }
 
 // Decoded is any typed MRT record value returned by DecodeRecord.

@@ -3,50 +3,36 @@ package source
 import (
 	"fmt"
 	"io"
-	"os"
 	"sync/atomic"
 
 	"moas/internal/bgp"
 	"moas/internal/mrt"
 )
 
-// File is a Source over a BGP4MP MRT update archive on disk: the replay
+// File is a Source over a BGP4MP MRT update archive stream: the replay
 // path expressed in live-ingest terms, so the engine's source loop and
 // the equivalence tests can treat an archive exactly like a feed. Each
 // delivered record is one BGP UPDATE; non-message records and
-// non-update message kinds are skipped (after the same validation the
-// batched replay decoder applies, so a malformed archive fails
-// identically). Seq counts delivered updates only — the cursor a live
-// checkpoint stores — which deliberately differs from the raw-record
-// cursor Replay keeps for ReplayOptions.Resume.
+// non-update message kinds are skipped (through the Decoder the replay
+// decode workers use, so a malformed archive fails identically). Seq
+// counts delivered updates only — the cursor a live checkpoint stores —
+// which deliberately differs from the raw-record cursor Replay keeps for
+// ReplayOptions.Resume.
 type File struct {
 	path   string
-	f      *os.File
 	mr     *mrt.Reader
-	in     *bgp.AttrsInterner
-	msg    mrt.BGP4MPMessage
+	dec    Decoder
 	seq    atomic.Uint64
 	closed atomic.Bool
 	done   atomic.Bool
 	err    atomic.Value // string: terminal error text, for Status
 }
 
-// OpenFile opens path as a Source decoding with in. The interner is
-// shared with the engine the source feeds (Next runs on the engine's
-// run-loop goroutine, preserving the interner's single-goroutine
-// contract).
-func OpenFile(path string, in *bgp.AttrsInterner) (*File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return &File{path: path, f: f, mr: mrt.NewReader(f), in: in}, nil
-}
-
-// NewFileReader wraps an already-open stream (testing, stdin pipes).
-// endpoint is a label for Status.
+// NewFileReader wraps an already-open archive stream as a Source
+// decoding with in. endpoint is a label for Status. The interner is
+// shared with the engine the source feeds.
 func NewFileReader(r io.Reader, endpoint string, in *bgp.AttrsInterner) *File {
-	return &File{path: endpoint, mr: mrt.NewReader(r), in: in}
+	return &File{path: endpoint, mr: mrt.NewReader(r), dec: Decoder{Interner: in}}
 }
 
 // Next delivers the next UPDATE in archive order.
@@ -56,50 +42,25 @@ func (s *File) Next(rec *Record) error {
 	}
 	for {
 		mrec, err := s.mr.Next()
-		if err != nil {
+		if err == io.EOF || (err != nil && s.closed.Load()) {
+			// A read failing after Close is the caller tearing the stream
+			// down: a clean shutdown, not an archive error.
 			s.done.Store(true)
-			// A concurrent Close yanks the fd out from under a blocked
-			// read; that is a clean shutdown, not an archive error.
-			if err != io.EOF && !s.closed.Load() {
-				s.err.Store(err.Error())
-				return fmt.Errorf("source: %s: %w", s.path, err)
-			}
 			return io.EOF
 		}
-		if mrec.Type != mrt.TypeBGP4MP || mrec.Subtype != mrt.SubtypeMessage {
-			continue
+		var kind Kind
+		if err == nil {
+			kind, err = s.dec.Decode(rec, mrec.Header, mrec.Body)
 		}
-		if err := s.msg.DecodeBGP4MPMessageBorrow(mrec.Body); err != nil {
+		if err != nil {
 			s.done.Store(true)
 			s.err.Store(err.Error())
 			return fmt.Errorf("source: %s: %w", s.path, err)
 		}
-		msgType, body, err := bgp.MessageBody(s.msg.Data)
-		if err != nil {
-			s.done.Store(true)
-			s.err.Store(err.Error())
-			return fmt.Errorf("source: %s: embedded message: %w", s.path, err)
+		if kind == KindUpdate {
+			rec.Seq = s.seq.Add(1)
+			return nil
 		}
-		if msgType != bgp.MsgUpdate {
-			// Validate the rare non-update kinds the way the replay decode
-			// stage does, so malformed archives fail identically here.
-			if _, _, err := bgp.DecodeMessage(s.msg.Data); err != nil {
-				s.done.Store(true)
-				s.err.Store(err.Error())
-				return fmt.Errorf("source: %s: embedded message: %w", s.path, err)
-			}
-			continue
-		}
-		if err := bgp.DecodeUpdateBodyInto(&rec.Upd, body, s.in); err != nil {
-			s.done.Store(true)
-			s.err.Store(err.Error())
-			return fmt.Errorf("source: %s: embedded message: %w", s.path, err)
-		}
-		rec.TS = mrec.Timestamp
-		rec.PeerIP = s.msg.PeerIP
-		rec.PeerAS = s.msg.PeerAS
-		rec.Seq = s.seq.Add(1)
-		return nil
 	}
 }
 
@@ -120,11 +81,6 @@ func (s *File) Status() Status {
 // Close implements Source. The next Next returns io.EOF; a concurrent
 // Next may deliver one final record.
 func (s *File) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	if s.f != nil {
-		return s.f.Close()
-	}
+	s.closed.Store(true)
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"moas/internal/bgp"
 	"moas/internal/mrt"
+	"moas/internal/source"
 )
 
 // allocGateArchive builds a small BGP4MP archive whose replay is pure
@@ -51,90 +52,102 @@ func allocGateArchive(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// loopReader serves the same bytes over and over, never ending: a source
+// built once over it can be drained pass after pass with no per-pass
+// setup to allocate.
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	if r.off == len(r.data) {
+		r.off = 0
+	}
+	n := copy(p, r.data[r.off:])
+	r.off += n
+	return n, nil
+}
+
 // TestSteadyStateDecodeDispatchZeroAlloc is the zero-alloc ingest
 // regression gate: once the interner, decode-batch slots, dispatch
 // buffers and kernel state are warm, running the full decode+dispatch
-// path over the archive — MRT read, BGP4MP borrow-decode, UPDATE decode
-// through the interner, per-op shard routing — must perform exactly zero
-// allocations per pass, hence 0 allocs/update. Both decode paths are
-// gated: the serial (workers=1) reader-decoder and the parallel path's
-// frame-then-decode pair, the per-worker work one pipeline worker
-// performs on a warm batch. Shard flush/apply is kept out of the
+// path over the archive — MRT framing, BGP4MP borrow-decode, UPDATE
+// decode through the interner, per-op shard routing — must perform
+// exactly zero allocations per pass, hence 0 allocs/update. Both routes
+// into source.Decoder are gated: the replay pipeline's frame-then-decode
+// pair (the work one framer and one decode worker perform on a warm
+// batch) and the File source's Next. Shard flush/apply is kept out of the
 // measured function (worker timing would make the measurement
 // nondeterministic); its steady state is pinned at 0 allocs/op separately
 // by BenchmarkShardReassess and the pool-recycling test below.
 func TestSteadyStateDecodeDispatchZeroAlloc(t *testing.T) {
 	archive := allocGateArchive(t)
 
-	dispatch := func(t *testing.T, e *Engine, b *decBatch) {
-		for i := range b.recs {
-			rec := &b.recs[i]
-			if rec.err != nil {
-				t.Fatal(rec.err)
-			}
-			if rec.hasUpd {
-				e.ApplyUpdate(0, rec.peer, &rec.upd)
-			}
-		}
-	}
-	drain := func(e *Engine) {
-		for i := range e.pend {
-			e.pend[i] = e.pend[i][:0]
-		}
-	}
+	// BatchSize beyond the archive's op count: ops accumulate in pend and
+	// are reset between passes, so no flush lands mid-measurement.
+	cfg := Config{Shards: 4, BatchSize: 1 << 20}
 	gate := func(t *testing.T, e *Engine, pass func()) {
 		t.Helper()
-		// Warm: interner misses, slot and pend capacity growth.
-		pass()
-		drain(e)
-		if e.DistinctAttrs() == 0 {
-			t.Fatal("gate archive interned no attrs — not exercising the decode path")
+		run := func() {
+			pass()
+			for i := range e.pend {
+				e.pend[i] = e.pend[i][:0]
+			}
 		}
-		if avg := testing.AllocsPerRun(10, func() { pass(); drain(e) }); avg != 0 {
+		// Warm: interner misses, slot and pend capacity growth.
+		run()
+		if e.DistinctAttrs() == 0 || e.Stats().Messages == 0 {
+			t.Fatal("gate archive decoded nothing — not exercising the decode path")
+		}
+		if avg := testing.AllocsPerRun(10, run); avg != 0 {
 			t.Fatalf("steady-state decode+dispatch: %.2f allocs per pass, want 0", avg)
 		}
 	}
 
-	t.Run("serial", func(t *testing.T) {
-		// BatchSize beyond the archive's op count: ops accumulate in pend
-		// and are reset between passes, so no flush lands mid-measurement.
-		e := New(Config{Shards: 4, BatchSize: 1 << 20})
+	t.Run("worker", func(t *testing.T) {
+		e := New(cfg)
 		defer e.Close()
 		br := bytes.NewReader(archive)
-		mr := mrt.NewReader(br)
-		d := &decoder{mr: mr, recDecoder: recDecoder{in: e.interner}}
+		f := &framer{fr: mrt.NewFramer(br), stage: new(decStage)}
+		dec := &source.Decoder{Interner: e.interner}
 		b := newDecBatch()
 		gate(t, e, func() {
 			br.Reset(archive)
-			mr.Reset(br)
-			for {
-				terminal := d.fill(b)
-				dispatch(t, e, b)
-				if terminal {
-					return
+			f.fr.Reset(br)
+			for terminal := false; !terminal; {
+				b.reset(0)
+				terminal = f.fill(b)
+				decodeBatch(dec, b)
+				for i := range b.recs {
+					rec := &b.recs[i]
+					if rec.err != nil {
+						t.Fatal(rec.err)
+					}
+					if rec.kind == source.KindUpdate {
+						e.ApplyUpdate(0, PeerKey{IP: rec.PeerIP, AS: rec.PeerAS}, &rec.Upd)
+					}
 				}
 			}
 		})
 	})
 
-	t.Run("worker", func(t *testing.T) {
-		e := New(Config{Shards: 4, BatchSize: 1 << 20})
+	t.Run("file-source", func(t *testing.T) {
+		e := New(cfg)
 		defer e.Close()
-		br := bytes.NewReader(archive)
-		fr := mrt.NewFramer(br)
-		f := &framer{fr: fr}
-		w := &decodeWorker{recDecoder{in: e.interner}}
-		b := newDecBatch()
+		// Count one pass's updates, then loop the archive forever.
+		var rec source.Record
+		updates := 0
+		for probe := source.NewFileReader(bytes.NewReader(archive), "count", nil); probe.Next(&rec) == nil; {
+			updates++
+		}
+		src := source.NewFileReader(&loopReader{data: archive}, "loop", e.interner)
 		gate(t, e, func() {
-			br.Reset(archive)
-			fr.Reset(br)
-			for {
-				terminal := f.fill(b)
-				w.decode(b)
-				dispatch(t, e, b)
-				if terminal {
-					return
+			for i := 0; i < updates; i++ {
+				if err := src.Next(&rec); err != nil {
+					t.Fatal(err)
 				}
+				e.ApplyUpdate(0, PeerKey{IP: rec.PeerIP, AS: rec.PeerAS}, &rec.Upd)
 			}
 		})
 	})

@@ -37,8 +37,8 @@ func benchCounts(vals ...int) []int {
 }
 
 // BenchmarkStreamReplay measures full-archive replay throughput across
-// shard counts and decode-worker counts (workers=1 is the serial decode
-// path, workers=GOMAXPROCS the parallel pipeline; on a single-core box
+// shard counts and decode-worker counts (the same framer → workers →
+// reorder pipeline at one worker and at GOMAXPROCS; on a single-core box
 // only workers=1 runs). The custom updates/s metric is the trajectory
 // number future PRs track (b.SetBytes additionally reports archive MB/s);
 // allocs/update is the zero-alloc-ingest claim at replay granularity
@@ -294,7 +294,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 // feed). The origin-set recompute runs into the shard's reusable scratch,
 // so allocs/op must be 0 — the regression this benchmark guards.
 func BenchmarkShardReassess(b *testing.B) {
-	s := newShard(1, 0, false, nil, nil, nil)
+	s := newShard(0, false, nil, nil, nil)
 	p := bgp.MustParsePrefix("10.0.0.0/8")
 	const peerA, peerB = 0, 1 // peer-table indices (AS 701 and AS 3356)
 	mk := func(day int32, peer uint32, path bgp.Path) op {

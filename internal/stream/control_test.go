@@ -10,6 +10,7 @@ import (
 
 	"moas/internal/bgp"
 	"moas/internal/core"
+	"moas/internal/mrt"
 )
 
 // awaitParked spins until the engine's replay has settled and parked on
@@ -205,5 +206,92 @@ func TestArchiveCalendar(t *testing.T) {
 
 	if _, err := ArchiveCalendar(bytes.NewReader(nil)); err == nil {
 		t.Fatal("ArchiveCalendar accepted an empty archive")
+	}
+}
+
+// TestPauseBeforeQuietDays: a pause requested from a day close must park
+// the replay at that day even when the record in hand implies more closes
+// — quiet observed days between it and the previous record. The archive
+// has records on days 0 and 3 of a four-day calendar; pausing from
+// OnDayClose(0) parks with day 0 the last one closed (not day 2) and the
+// day-3 record uncounted, and both a resume of the parked replay and a
+// restore from a checkpoint taken at the park end byte-identical to an
+// uninterrupted replay.
+func TestPauseBeforeQuietDays(t *testing.T) {
+	const daySecs = 86400
+	cal := Calendar{Days: []int{0, 1, 2, 3}, Times: []uint32{0, daySecs, 2 * daySecs, 3 * daySecs}}
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	p := bgp.MustParsePrefix("10.0.0.0/8")
+	write := func(ts uint32, peerAS bgp.ASN, u *bgp.Update) {
+		msg := &mrt.BGP4MPMessage{PeerAS: peerAS, LocalAS: 65000, Family: bgp.FamilyIPv4, Data: u.AppendWire(nil)}
+		msg.PeerIP[15] = byte(peerAS)
+		if err := w.WriteBGP4MPMessage(ts, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A two-origin conflict opens on day 0, runs through quiet days 1
+	// and 2, and ends on day 3 when one origin withdraws.
+	write(10, 64501, &bgp.Update{NLRI: []bgp.Prefix{p}, Attrs: &bgp.Attrs{ASPath: bgp.Seq(64501, 70)}})
+	write(20, 64502, &bgp.Update{NLRI: []bgp.Prefix{p}, Attrs: &bgp.Attrs{ASPath: bgp.Seq(64502, 71)}})
+	write(3*daySecs+5, 64502, &bgp.Update{Withdrawn: []bgp.Prefix{p}})
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	archive := buf.Bytes()
+
+	want := New(Config{Shards: 2})
+	if err := want.Replay(bytes.NewReader(archive), cal, nil); err != nil {
+		t.Fatal(err)
+	}
+	want.Close()
+	if want.Registry().Len() != 1 {
+		t.Fatalf("uninterrupted replay found %d conflicts, want 1", want.Registry().Len())
+	}
+
+	e := New(Config{Shards: 2})
+	replayDone := make(chan error, 1)
+	go func() {
+		replayDone <- e.Replay(bytes.NewReader(archive), cal, &ReplayOptions{
+			OnDayClose: func(day int) {
+				if day == 0 {
+					e.Pause()
+				}
+			},
+		})
+	}()
+	awaitParked(t, e)
+	if d := e.LastClosedDay(); d != 0 {
+		t.Fatalf("parked with last closed day %d, want 0 (quiet days 1 and 2 must wait for the resume)", d)
+	}
+	if n := e.Records(); n != 2 {
+		t.Fatalf("parked with cursor %d, want 2 (the day-3 record in hand is uncounted)", n)
+	}
+	ck := e.Checkpoint()
+
+	restored, err := NewFromCheckpoint(Config{Shards: 3}, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = restored.Replay(bytes.NewReader(archive), cal, &ReplayOptions{
+		Resume: &ReplayPosition{Records: ck.Records, DaysClosed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.Close()
+
+	e.Resume()
+	if err := <-replayDone; err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+
+	wantCk := checkpointBytes(t, want)
+	for name, got := range map[string]*Engine{"resumed": e, "restored": restored} {
+		diffRegistries(t, want.Registry(), got.Registry())
+		if !bytes.Equal(wantCk, checkpointBytes(t, got)) {
+			t.Fatalf("%s replay's checkpoint differs from the uninterrupted one", name)
+		}
 	}
 }

@@ -2,19 +2,23 @@ package stream
 
 import (
 	"fmt"
+	"io"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"moas/internal/bgp"
 	"moas/internal/mrt"
+	"moas/internal/source"
+	"moas/internal/supervise"
 )
 
-// The replay decode stage. Replay used to read, decode and dispatch every
-// record on one goroutine, which capped throughput at the serial decode
-// rate no matter how many shards the engine ran. The decode stage now
-// runs as a three-stage pipeline feeding the apply loop (Replay proper):
+// The archive producer: Replay's side of the ingest loop (ingest.go). An
+// archive is read, decoded and handed to the loop by a three-stage
+// pipeline, so replay throughput is not capped at one core's decode rate:
 //
-//	framing ──► decode workers ──► reorder ──► apply loop
+//	framing ──► decode workers ──► reorder ──► ingest loop
 //	 (1 goroutine)   (N goroutines)   (1 goroutine)
 //
 // Stage 1 walks the archive's MRT framing only — length-prefixed header
@@ -23,14 +27,12 @@ import (
 // GOMAXPROCS) decoding those frames into the batches' record slots in
 // parallel, interning attribute blocks through the engine's concurrent
 // AttrsInterner. Stage 3 buffers finished batches until their sequence
-// number is next, restoring exact archive order, so the apply loop sees
-// the same records in the same order as the serial decoder did — error
-// ordering, resume-skip, the record cursor and day-close semantics are
-// byte-for-byte identical at any worker count. With one worker the
-// pipeline collapses to the original single decode goroutine (no framing
-// or reorder stages at all), so workers=1 is exactly the old path.
+// number is next, restoring exact archive order, so the loop sees the
+// same records in the same order at any worker count — error ordering,
+// resume-skip, the record cursor and day-close semantics are byte-for-byte
+// identical. One worker is simply N = 1: the same three stages.
 //
-// Batches travel a channel ring (free -> fill -> [decode -> reorder] ->
+// Batches travel a channel ring (free -> fill -> decode -> reorder ->
 // out -> drain -> free), so the steady state recycles the same few
 // batches — their frame arenas and their record slots' Withdrawn/NLRI
 // backing arrays — forever: zero allocations per record, per worker.
@@ -41,245 +43,96 @@ import (
 const (
 	// decBatchLen is the number of records decoded per batch — enough to
 	// amortize channel handoffs without letting the decode stage run far
-	// ahead of a paused or stopping apply loop.
+	// ahead of a paused or stopping ingest loop.
 	decBatchLen = 256
 	// decBatchBufCap ends a frame batch early once its body arena holds
 	// this many bytes, so a run of giant records cannot park megabytes in
 	// every ring slot.
 	decBatchBufCap = 1 << 19
-	// decRingDepth is the number of batches in flight at one decode
-	// worker; it bounds decode read-ahead (and the memory parked in the
-	// ring) at decRingDepth*decBatchLen records. With N workers the ring
-	// deepens to 2N+2 so every stage can hold work without starving the
-	// others.
-	decRingDepth = 4
 )
 
-// ringDepthFor sizes the batch ring for a worker count.
-func ringDepthFor(workers int) int {
-	if workers <= 1 {
-		return decRingDepth
-	}
-	return 2*workers + 2
-}
-
-// decRec is one pre-decoded MRT record, in archive order.
+// decRec is one record on its way to the ingest loop, in feed order.
 type decRec struct {
-	// skip marks a record that is not a BGP4MP message: the apply loop
-	// counts it into the record cursor and does nothing else, exactly as
-	// an archive consumer must.
-	skip bool
-	// hasUpd marks a BGP UPDATE; upd is valid only then. A message record
-	// without hasUpd (keepalive, open, ...) still drives day-close
-	// bookkeeping through its timestamp.
-	hasUpd bool
-	ts     uint32
-	peer   PeerKey
-	// upd's Withdrawn/NLRI slices are owned by this slot and recycled
-	// with the batch; Attrs is interned (stable, shared).
-	upd bgp.Update
-	// err is a record-level decode failure. Day closes implied by ts
-	// still run first; then the replay fails with this error — the same
-	// order the serial loop produced.
+	// Seq is the cursor value the loop stores once the record is applied,
+	// stamped by the producer: the raw MRT record count for an archive
+	// (non-BGP4MP records included), base + the source's own sequence for
+	// a live feed. Upd's Withdrawn/NLRI slices are owned by this slot and
+	// recycled with the batch; Attrs is interned (stable, shared).
+	source.Record
+	// kind is what the record holds: a KindSkip record only advances the
+	// cursor, a KindMessage one also drives day closes through its
+	// timestamp, a KindUpdate one is applied.
+	kind source.Kind
+	// err is a record-level decode failure. Day closes implied by TS
+	// still run first; then the feed fails with this error.
 	err error
 }
 
-// decBatch is the ring element. In the parallel pipeline one value
-// carries a batch through every stage: the framing goroutine fills
-// seq/hdrs/offs/buf (raw frames in one arena), a decode worker turns
-// those frames into recs, and the reorder stage releases batches to the
-// apply loop in seq order. The serial path uses only recs. The final
-// batch of a stream carries the terminal error (io.EOF for a clean end).
+// decBatch is the unit producers hand the ingest loop, and the archive
+// pipeline's ring element: the framing goroutine fills seq/first/hdrs/
+// offs/buf (raw frames in one arena), a decode worker turns those frames
+// into recs, and the reorder stage releases batches in seq order. A live
+// producer uses only recs, err and flush. The final batch of a feed
+// carries the terminal error (io.EOF for a clean end).
 type decBatch struct {
-	seq  uint64       // archive-order batch sequence, stamped by the framer
-	hdrs []mrt.Header // frame headers, in order
-	offs []int        // frame i's body is buf[offs[i-1]:offs[i]] (offs[-1] = 0)
-	buf  []byte       // frame body arena, recycled with the batch
-	recs []decRec
-	err  error
+	seq   uint64       // archive-order batch sequence, stamped by the framer
+	first uint64       // raw archive index of hdrs[0]
+	hdrs  []mrt.Header // frame headers, in order
+	offs  []int        // frame i's body is buf[offs[i-1]:offs[i]] (offs[-1] = 0)
+	buf   []byte       // frame body arena, recycled with the batch
+	recs  []decRec
+	err   error
+	// flush makes the loop flush every shard's pending ops after each
+	// record instead of when a batch fills — the live feed's setting.
+	flush bool
 }
 
 // newDecBatch builds a batch with every slot's NLRI and Withdrawn slices
 // pre-carved from two shared arrays (full-capacity sub-slices, so a long
 // update that outgrows its slot reallocates privately without bleeding
 // into a neighbor). Pre-carving replaces ~2 first-use allocations per
-// slot per replay with 3 per batch. The frame arenas (hdrs/offs/buf)
-// start empty and warm up on the first trip around the ring.
+// slot per replay with 3 per batch. The frame index arrays are sized for
+// a full batch up front and the body arena for a typical one, so the
+// first trip around the ring does not grow them step by step.
 func newDecBatch() *decBatch {
 	const nlriCap, wdCap = 24, 8
 	recs := make([]decRec, decBatchLen)
 	nlri := make([]bgp.Prefix, decBatchLen*nlriCap)
 	wd := make([]bgp.Prefix, decBatchLen*wdCap)
 	for i := range recs {
-		recs[i].upd.NLRI = nlri[i*nlriCap : i*nlriCap : (i+1)*nlriCap]
-		recs[i].upd.Withdrawn = wd[i*wdCap : i*wdCap : (i+1)*wdCap]
+		recs[i].Upd.NLRI = nlri[i*nlriCap : i*nlriCap : (i+1)*nlriCap]
+		recs[i].Upd.Withdrawn = wd[i*wdCap : i*wdCap : (i+1)*wdCap]
 	}
-	return &decBatch{recs: recs[:0]}
-}
-
-// slot returns the next record slot, reusing the slot's previous backing
-// arrays from earlier trips around the ring. Callers (fill, decode)
-// never ask for more than cap(b.recs) slots, so this is a reslice, never
-// a grow — a grow would silently lose the pre-carved backing newDecBatch
-// set up.
-func (b *decBatch) slot() *decRec {
-	b.recs = b.recs[:len(b.recs)+1]
-	r := &b.recs[len(b.recs)-1]
-	r.skip, r.hasUpd, r.err = false, false, nil
-	return r
-}
-
-// recDecoder turns one raw BGP4MP record into a decRec slot — the
-// per-record work shared by the serial decoder and the parallel decode
-// workers. Each holder owns its scratch message privately; the interner
-// is the engine's shared concurrent one.
-type recDecoder struct {
-	in  *bgp.AttrsInterner
-	msg mrt.BGP4MPMessage
-}
-
-// decodeRec fills r from a framed record. It returns false when the
-// stream must stop at this record: r.err carries the record-level
-// failure and the batch ends here, exactly as the serial loop stopped.
-func (d *recDecoder) decodeRec(r *decRec, h mrt.Header, body []byte) bool {
-	if h.Type != mrt.TypeBGP4MP || h.Subtype != mrt.SubtypeMessage {
-		r.skip = true
-		return true
-	}
-	r.ts = h.Timestamp
-	if err := d.msg.DecodeBGP4MPMessageBorrow(body); err != nil {
-		r.err = err
-		return false
-	}
-	r.peer = PeerKey{IP: d.msg.PeerIP, AS: d.msg.PeerAS}
-	msgType, mbody, err := bgp.MessageBody(d.msg.Data)
-	if err != nil {
-		r.err = fmt.Errorf("stream: embedded message: %w", err)
-		return false
-	}
-	if msgType != bgp.MsgUpdate {
-		// Validate the rare non-update kinds the way the serial loop's
-		// full decode did, so malformed archives fail identically.
-		if _, _, err := bgp.DecodeMessage(d.msg.Data); err != nil {
-			r.err = fmt.Errorf("stream: embedded message: %w", err)
-			return false
-		}
-		return true
-	}
-	if err := bgp.DecodeUpdateBodyInto(&r.upd, mbody, d.in); err != nil {
-		r.err = fmt.Errorf("stream: embedded message: %w", err)
-		return false
-	}
-	r.hasUpd = true
-	return true
-}
-
-// decoder is the serial (workers=1) decode stage: one goroutine reading,
-// decoding and batching records — the original pipeline, kept verbatim
-// as the single-core path so one-worker replays regress by nothing.
-type decoder struct {
-	mr *mrt.Reader
-	recDecoder
-	frames *atomic.Uint64 // engine frame counter, nil in tests
-}
-
-// fill decodes up to cap(b.recs) records into b. It returns true when the
-// stream is done: either b.err is set (terminal stream error, io.EOF for
-// a clean end) or the last record carries a record-level error.
-func (d *decoder) fill(b *decBatch) bool {
-	b.err = nil
-	b.recs = b.recs[:0]
-	for len(b.recs) < cap(b.recs) {
-		rec, err := d.mr.Next()
-		if err != nil {
-			b.err = err
-			return true
-		}
-		if d.frames != nil {
-			d.frames.Add(1)
-		}
-		if !d.decodeRec(b.slot(), rec.Header, rec.Body) {
-			return true
-		}
-	}
-	return false
-}
-
-// run is the serial decode goroutine body: skip the resume cursor, then
-// stream batches through the ring until the archive ends, a decode error
-// occurs, or the apply loop signals it is done (done closes). Every exit
-// path either delivers a terminal batch or was ordered to quit, so the
-// apply loop never waits on a dead decoder.
-func (d *decoder) run(skip uint64, free, out chan *decBatch, done <-chan struct{}) {
-	send := func(b *decBatch) bool {
-		select {
-		case out <- b:
-			return true
-		case <-done:
-			return false
-		}
-	}
-	for n := uint64(0); n < skip; n++ {
-		// Surface periodically during a deep skip: an empty batch lets
-		// the apply loop run its gate, so a Stop (scenario delete) or a
-		// Pause (operator or auto-checkpoint park) does not wait for a
-		// disk-bound skip of the whole resume cursor to finish.
-		if n%4096 == 0 && n > 0 {
-			var b *decBatch
-			select {
-			case b = <-free:
-			case <-done:
-				return
-			}
-			b.recs, b.err = b.recs[:0], nil
-			if !send(b) {
-				return
-			}
-		}
-		if _, err := d.mr.Next(); err != nil {
-			select {
-			case b := <-free:
-				b.recs, b.err = b.recs[:0], fmt.Errorf("stream: resume skip at record %d: %w", n, err)
-				send(b)
-			case <-done:
-			}
-			return
-		}
-	}
-	for {
-		var b *decBatch
-		select {
-		case b = <-free:
-		case <-done:
-			return
-		}
-		terminal := d.fill(b)
-		if !send(b) || terminal {
-			return
-		}
+	return &decBatch{
+		hdrs: make([]mrt.Header, 0, decBatchLen),
+		offs: make([]int, 0, decBatchLen),
+		buf:  make([]byte, 0, decBatchLen*64),
+		recs: recs[:0],
 	}
 }
 
-// framer is stage 1 of the parallel pipeline: a single goroutine walking
-// the archive's MRT framing — headers and body bytes, no decode — into
-// sequence-stamped frame batches. It is the only stage that touches the
-// reader, so archive order is defined entirely by the seq stamps it
-// issues.
+// reset empties a recycled batch, keeping every backing array.
+func (b *decBatch) reset(seq uint64) {
+	b.seq, b.err = seq, nil
+	b.hdrs, b.offs, b.buf, b.recs = b.hdrs[:0], b.offs[:0], b.buf[:0], b.recs[:0]
+}
+
+// framer is stage 1: a single goroutine walking the archive's MRT
+// framing — headers and body bytes, no decode — into sequence-stamped
+// frame batches. It is the only stage that touches the reader, so archive
+// order is defined entirely by the seq stamps it issues.
 type framer struct {
-	fr     *mrt.Framer
-	seq    uint64
-	frames *atomic.Uint64 // engine frame counter, nil in tests
+	fr    *mrt.Framer
+	seq   uint64 // next batch sequence number
+	next  uint64 // raw archive index of the next record to frame
+	stage *decStage
 }
 
 // fill frames records into b until the batch is full (by record count or
-// arena bytes) or the stream ends. Terminal semantics mirror
-// decoder.fill: true with b.err set (io.EOF for a clean end).
+// arena bytes) or the stream ends; it returns true with b.err set when the
+// stream is done (io.EOF for a clean end).
 func (f *framer) fill(b *decBatch) bool {
-	b.err = nil
-	b.hdrs = b.hdrs[:0]
-	b.offs = b.offs[:0]
-	b.buf = b.buf[:0]
-	b.recs = b.recs[:0]
+	b.first = f.next
 	for len(b.hdrs) < decBatchLen && len(b.buf) < decBatchBufCap {
 		h, buf, err := f.fr.NextInto(b.buf)
 		if err != nil {
@@ -289,9 +142,8 @@ func (f *framer) fill(b *decBatch) bool {
 		b.buf = buf
 		b.hdrs = append(b.hdrs, h)
 		b.offs = append(b.offs, len(buf))
-		if f.frames != nil {
-			f.frames.Add(1)
-		}
+		f.next++
+		f.stage.frames.Add(1)
 	}
 	return false
 }
@@ -299,8 +151,21 @@ func (f *framer) fill(b *decBatch) bool {
 // run is the framing goroutine body. Every batch — frame batches, skip
 // heartbeats and terminal error batches alike — flows through the work
 // channel with a seq stamp, so the reorder stage releases them to the
-// apply loop in exactly the order the framer read the archive.
+// ingest loop in exactly the order the framer read the archive. Every
+// exit path either delivers a terminal batch or was ordered to quit (done
+// closed), so the loop never waits on a dead producer.
 func (f *framer) run(skip uint64, free, work chan *decBatch, done <-chan struct{}) {
+	take := func() *decBatch {
+		select {
+		case b := <-free:
+			f.stage.occupancy.Store(int64(cap(free) - len(free)))
+			b.reset(f.seq)
+			f.seq++
+			return b
+		case <-done:
+			return nil
+		}
+	}
 	send := func(b *decBatch) bool {
 		select {
 		case work <- b:
@@ -309,37 +174,22 @@ func (f *framer) run(skip uint64, free, work chan *decBatch, done <-chan struct{
 			return false
 		}
 	}
-	take := func() *decBatch {
-		select {
-		case b := <-free:
-			return b
-		case <-done:
-			return nil
-		}
-	}
-	// emitEmpty sends a frameless batch: a skip heartbeat (err nil) or
-	// the resume-skip terminal error.
-	emitEmpty := func(err error) bool {
-		b := take()
-		if b == nil {
-			return false
-		}
-		b.hdrs, b.offs, b.buf, b.recs = b.hdrs[:0], b.offs[:0], b.buf[:0], b.recs[:0]
-		b.seq, b.err = f.seq, err
-		f.seq++
-		return send(b)
-	}
-	for n := uint64(0); n < skip; n++ {
-		// Surface periodically during a deep skip — same contract as the
-		// serial decoder: an empty batch lets the apply loop run its gate
-		// mid-skip. Skip discards bodies without copying them.
-		if n%4096 == 0 && n > 0 {
-			if !emitEmpty(nil) {
+	for ; f.next < skip; f.next++ {
+		// Surface periodically during a deep resume skip: an empty batch
+		// lets the ingest loop run its gate, so a Stop (scenario delete) or
+		// a Pause (operator or auto-checkpoint park) does not wait for a
+		// disk-bound skip of the whole resume cursor to finish.
+		if f.next%4096 == 0 && f.next > 0 {
+			if b := take(); b == nil || !send(b) {
 				return
 			}
 		}
+		// Skip discards bodies without copying them.
 		if _, err := f.fr.Skip(); err != nil {
-			emitEmpty(fmt.Errorf("stream: resume skip at record %d: %w", n, err))
+			if b := take(); b != nil {
+				b.err = fmt.Errorf("stream: resume skip at record %d: %w", f.next, err)
+				send(b)
+			}
 			return
 		}
 	}
@@ -348,8 +198,6 @@ func (f *framer) run(skip uint64, free, work chan *decBatch, done <-chan struct{
 		if b == nil {
 			return
 		}
-		b.seq = f.seq
-		f.seq++
 		terminal := f.fill(b)
 		if !send(b) || terminal {
 			return
@@ -357,34 +205,34 @@ func (f *framer) run(skip uint64, free, work chan *decBatch, done <-chan struct{
 	}
 }
 
-// decodeWorker is stage 2: one of N goroutines turning raw frame batches
-// into decoded record batches, in parallel and out of order. Workers
-// share nothing but the channels and the engine's concurrent interner.
-type decodeWorker struct {
-	recDecoder
-}
-
-// decode fills b.recs from b's frames. A record-level decode failure
-// ends the batch at that record with r.err set — the apply loop, not the
-// worker, decides what to do with it (run the day closes its timestamp
-// implies, then fail), so error ordering is position-exact.
-func (w *decodeWorker) decode(b *decBatch) {
-	b.recs = b.recs[:0]
+// decodeBatch is stage 2's work on one batch: fill b.recs from b's
+// frames. A record-level decode failure ends the batch at that record
+// with its err set — the ingest loop, not the worker, decides what to do
+// with it (run the day closes its timestamp implies, then fail), so error
+// ordering is position-exact.
+func decodeBatch(dec *source.Decoder, b *decBatch) {
 	off := 0
-	for i := range b.hdrs {
-		body := b.buf[off:b.offs[i]]
-		off = b.offs[i]
-		if !w.decodeRec(b.slot(), b.hdrs[i], body) {
+	for i, h := range b.hdrs {
+		// A reslice, never a grow: a batch frames at most cap(b.recs)
+		// records, and growing would lose newDecBatch's pre-carved slots.
+		b.recs = b.recs[:i+1]
+		r := &b.recs[i]
+		r.Seq = b.first + uint64(i) + 1
+		r.kind, r.err = dec.Decode(&r.Record, h, b.buf[off:b.offs[i]])
+		if r.err != nil {
+			r.err = fmt.Errorf("stream: %w", r.err)
 			return
 		}
+		off = b.offs[i]
 	}
 }
 
-// run is the decode worker body: drain frame batches until done closes.
-// Workers do not exit on terminal batches — later frames may still be in
-// flight with other workers, and the apply loop ends the pipeline by
-// closing done once it has consumed the terminal batch.
-func (w *decodeWorker) run(work, decoded chan *decBatch, done <-chan struct{}) {
+// decodeRun is a decode worker's body: one of N goroutines turning raw
+// frame batches into decoded record batches, in parallel and out of
+// order, sharing nothing but the channels and the engine's concurrent
+// interner. Workers do not exit on terminal batches — later frames may
+// still be in flight with other workers — only when done closes.
+func decodeRun(dec *source.Decoder, work, decoded chan *decBatch, done <-chan struct{}) {
 	for {
 		var b *decBatch
 		select {
@@ -392,7 +240,7 @@ func (w *decodeWorker) run(work, decoded chan *decBatch, done <-chan struct{}) {
 		case <-done:
 			return
 		}
-		w.decode(b)
+		decodeBatch(dec, b)
 		select {
 		case decoded <- b:
 		case <-done:
@@ -436,14 +284,67 @@ func reorderRun(decoded, out chan *decBatch, done <-chan struct{}, depth *atomic
 }
 
 // decStage is the decode pipeline's observability handle, published on
-// the engine for the duration of a replay (and left in place afterwards
-// so a finished replay's stats remain inspectable). All fields are
-// written once at replay start except end.
+// the engine when a replay starts and left in place afterwards so a
+// finished replay's stats remain inspectable. It holds counters only —
+// never a batch or a ring channel — so a finished replay's ring is
+// garbage the moment Replay returns.
 type decStage struct {
-	workers int
-	ring    int
-	free    chan *decBatch // ring occupancy = ring - len(free)
-	start   time.Time
-	frames0 uint64       // engine frame counter at replay start
-	end     atomic.Int64 // unix nanos at replay return; 0 while running
+	workers   int
+	start     time.Time
+	frames    atomic.Uint64 // MRT records framed (read ahead of the cursor)
+	occupancy atomic.Int64  // batches out of the free ring, sampled by the framer
+	reorder   atomic.Int64  // batches parked in the reorder buffer
+	end       atomic.Int64  // unix nanos at replay return; 0 while running
+}
+
+// startDecode launches the archive pipeline over r, discarding the first
+// skip records (a resume cursor). Decoded batches arrive on out in archive
+// order and go back on free once drained. The stages own r until shutdown
+// returns, which the caller must invoke before giving r up. Every stage
+// runs under supervise: a panic in one records the engine failure (waking
+// the ingest loop) instead of killing the process.
+func (e *Engine) startDecode(r io.Reader, skip uint64) (out, free chan *decBatch, shutdown func()) {
+	workers := e.cfg.DecodeWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// Two batches per worker plus one each for the framer and the loop, so
+	// every stage can hold work without starving the others; the ring also
+	// bounds decode read-ahead (and the memory parked in it).
+	ring := 2*workers + 2
+	free = make(chan *decBatch, ring)
+	for i := 0; i < ring; i++ {
+		free <- newDecBatch()
+	}
+	// Every channel holds the whole ring, so no stage blocks on a send.
+	work, decoded := make(chan *decBatch, ring), make(chan *decBatch, ring)
+	out = make(chan *decBatch, ring)
+	done := make(chan struct{})
+	stage := &decStage{workers: workers, start: time.Now()}
+	e.dec.Store(stage)
+
+	var stages sync.WaitGroup
+	spawn := func(name string, body func()) {
+		stages.Add(1)
+		supervise.Go(name, func() error { body(); return nil }, func(err error) {
+			e.recordFailure(err)
+			stages.Done()
+		})
+	}
+	spawn("mrt framer", func() {
+		(&framer{fr: mrt.NewFramer(r), stage: stage}).run(skip, free, work, done)
+	})
+	for i := 0; i < workers; i++ {
+		spawn("decode worker", func() {
+			decodeRun(&source.Decoder{Interner: e.interner}, work, decoded, done)
+		})
+	}
+	spawn("decode reorder", func() { reorderRun(decoded, out, done, &stage.reorder) })
+	return out, free, func() {
+		close(done)
+		stages.Wait()
+		stage.occupancy.Store(0)
+		stage.reorder.Store(0)
+		stage.end.Store(time.Now().UnixNano())
+	}
 }

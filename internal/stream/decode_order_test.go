@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"moas/internal/bgp"
@@ -58,119 +59,75 @@ func errOrderArchive(t testing.TB) ([]byte, Calendar, int) {
 	return buf.Bytes(), cal, valid
 }
 
-// TestDecodeErrorOrderingAcrossWorkers pins the parallel pipeline to the
-// serial loop's error semantics: a mid-archive corrupt record surfaces
+// TestDecodeErrorOrderingAcrossWorkers pins the pipeline's error
+// semantics at every worker count: a mid-archive corrupt record surfaces
 // its error only after every day close implied by earlier timestamps
 // (including its own), with the record cursor stopped exactly at the
-// corrupt record and nothing after it applied — identically at
-// workers=1 and workers=8.
+// corrupt record and nothing after it applied.
 func TestDecodeErrorOrderingAcrossWorkers(t *testing.T) {
 	archive, cal, _ := errOrderArchive(t)
+	const wantErr = "stream: embedded message: bgp: bad message: bad marker"
 
-	type outcome struct {
-		errText    string
-		records    uint64
-		messages   uint64
-		lastClosed int
-		events     []Event
-	}
-	run := func(workers int) outcome {
+	var wantEvents []Event
+	for _, workers := range []int{1, 4, 8} {
 		e := New(Config{Shards: 2, DecodeWorkers: workers})
-		defer e.Close()
 		err := e.Replay(bytes.NewReader(archive), cal, nil)
-		if err == nil {
-			t.Fatalf("workers=%d: replay of corrupt archive succeeded", workers)
+		e.Close()
+		if err == nil || err.Error() != wantErr {
+			t.Fatalf("workers=%d: replay of corrupt archive returned %v, want %q", workers, err, wantErr)
+		}
+		if n := e.Records(); n != 20 {
+			t.Fatalf("workers=%d: cursor at %d records, want 20 (the corrupt record is uncounted)", workers, n)
 		}
 		st := e.Stats()
-		return outcome{
-			errText:    err.Error(),
-			records:    e.Records(),
-			messages:   st.Messages,
-			lastClosed: st.LastClosedDay,
-			events:     e.Events(),
+		if st.Messages != 20 {
+			t.Fatalf("workers=%d: %d messages applied, want 20 (nothing after the corruption)", workers, st.Messages)
 		}
-	}
-
-	want := run(1)
-	if want.records != 20 {
-		t.Fatalf("cursor at %d records, want 20 (the corrupt record is uncounted)", want.records)
-	}
-	if want.messages != 20 {
-		t.Fatalf("%d messages applied, want 20 (nothing after the corruption)", want.messages)
-	}
-	if want.lastClosed != 2 {
-		t.Fatalf("last closed day %d, want 2 (closes implied by the corrupt record's own timestamp)", want.lastClosed)
-	}
-
-	for _, workers := range []int{4, 8} {
-		got := run(workers)
-		if got.errText != want.errText {
-			t.Fatalf("workers=%d error %q, want %q", workers, got.errText, want.errText)
+		if st.LastClosedDay != 2 {
+			t.Fatalf("workers=%d: last closed day %d, want 2 (closes implied by the corrupt record's own timestamp)", workers, st.LastClosedDay)
 		}
-		if got.records != want.records || got.messages != want.messages || got.lastClosed != want.lastClosed {
-			t.Fatalf("workers=%d cursor (%d rec, %d msg, day %d), want (%d, %d, %d)",
-				workers, got.records, got.messages, got.lastClosed,
-				want.records, want.messages, want.lastClosed)
-		}
-		if !reflect.DeepEqual(got.events, want.events) {
-			t.Fatalf("workers=%d event log diverged: %d vs %d events", workers, len(got.events), len(want.events))
+		if wantEvents == nil {
+			wantEvents = e.Events()
+		} else if got := e.Events(); !reflect.DeepEqual(got, wantEvents) {
+			t.Fatalf("workers=%d event log diverged: %d vs %d events", workers, len(got), len(wantEvents))
 		}
 	}
 }
 
 // TestDecodeTruncationAcrossWorkers pins stream-level (framing) errors
-// the same way: an archive cut mid-record fails with io.ErrUnexpectedEOF
-// at the same cursor regardless of worker count, with every record
-// before the truncation applied.
+// the same way: an archive cut inside its final record fails with
+// io.ErrUnexpectedEOF at every worker count, with every record before the
+// cut applied and counted.
 func TestDecodeTruncationAcrossWorkers(t *testing.T) {
-	archive, cal, _ := errOrderArchive(t)
-	// Cut inside the final record's body; everything before it is intact
-	// except the corrupt record, so truncate before that: rebuild a clean
-	// prefix instead — cut the first 10-record day mid-record.
+	sc, archive, _ := fixtures(t)
+	cal := ScenarioCalendar(sc)
+	whole := replayAll(t, Config{Shards: 2})
 	truncated := archive[:len(archive)-7]
 
-	run := func(workers int) (string, uint64) {
+	for _, workers := range []int{1, 4, 8} {
 		e := New(Config{Shards: 2, DecodeWorkers: workers})
-		defer e.Close()
 		err := e.Replay(bytes.NewReader(truncated), cal, nil)
-		if err == nil {
-			t.Fatalf("workers=%d: truncated archive replayed cleanly", workers)
+		e.Close()
+		if err != io.ErrUnexpectedEOF {
+			t.Fatalf("workers=%d: truncated archive returned %v, want io.ErrUnexpectedEOF", workers, err)
 		}
-		return err.Error(), e.Records()
-	}
-
-	wantErr, wantRecs := run(1)
-	if wantErr != io.ErrUnexpectedEOF.Error() {
-		// The corrupt record at index 20 fails first unless truncation
-		// lands before it; either way the point is worker-invariance.
-		t.Logf("serial error: %s", wantErr)
-	}
-	for _, workers := range []int{4, 8} {
-		gotErr, gotRecs := run(workers)
-		if gotErr != wantErr || gotRecs != wantRecs {
-			t.Fatalf("workers=%d: (%q, %d), want (%q, %d)", workers, gotErr, gotRecs, wantErr, wantRecs)
+		if got, want := e.Records(), whole.Records()-1; got != want {
+			t.Fatalf("workers=%d: cursor at %d records, want %d (all but the cut one)", workers, got, want)
 		}
 	}
 }
 
-// TestDecodeWorkerInvariance is the parallel pipeline's equivalence
-// claim: a full fixture replay at workers ∈ {1, 4, 8} produces the
-// identical registry, event log and byte-identical binary checkpoint.
+// TestDecodeWorkerInvariance is the pipeline's equivalence claim: a full
+// fixture replay at workers ∈ {1, 4, 8} produces the batch full scan's
+// registry (driver.RunFullScanScenario over the same scenario) and one
+// event log and binary checkpoint, byte for byte, across worker counts.
 func TestDecodeWorkerInvariance(t *testing.T) {
-	sc, archive, _ := fixtures(t)
+	sc, archive, want := fixtures(t)
 	cal := ScenarioCalendar(sc)
 
-	encode := func(e *Engine) []byte {
-		var buf bytes.Buffer
-		if err := EncodeCheckpointBinary(&buf, e.Checkpoint()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	want := replayAll(t, Config{Shards: 3, DecodeWorkers: 1})
-	wantCk := encode(want)
-	for _, workers := range []int{4, 8} {
+	var wantEvents []Event
+	var wantCk []byte
+	for _, workers := range []int{1, 4, 8} {
 		e := New(Config{Shards: 3, DecodeWorkers: workers})
 		if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -179,14 +136,55 @@ func TestDecodeWorkerInvariance(t *testing.T) {
 		if st := e.Stats(); st.Decode.Workers != workers {
 			t.Fatalf("stats report %d workers, want %d", st.Decode.Workers, workers)
 		}
-		diffRegistries(t, want.Registry(), e.Registry())
-		if w, g := want.Events(), e.Events(); !reflect.DeepEqual(w, g) {
-			t.Fatalf("workers=%d event logs differ: %d vs %d events", workers, len(w), len(g))
+		diffRegistries(t, want, e.Registry())
+		ck := checkpointBytes(t, e)
+		if wantEvents == nil {
+			wantEvents, wantCk = e.Events(), ck
+			continue
 		}
-		if got := encode(e); !bytes.Equal(wantCk, got) {
-			t.Fatalf("workers=%d binary checkpoint differs from workers=1 (%d vs %d bytes)", workers, len(wantCk), len(got))
+		if got := e.Events(); !reflect.DeepEqual(wantEvents, got) {
+			t.Fatalf("workers=%d event logs differ: %d vs %d events", workers, len(wantEvents), len(got))
+		}
+		if !bytes.Equal(wantCk, ck) {
+			t.Fatalf("workers=%d binary checkpoint differs (%d vs %d bytes)", workers, len(wantCk), len(ck))
 		}
 	}
+}
+
+// TestFinishedReplayReleasesRing: once Replay returns, nothing on the
+// engine may keep the decode ring alive — at eight workers that is 18
+// batches (~4 MB of frame arenas and pre-carved slots) per finished
+// scenario. The stage handle the engine keeps for /stats holds counters
+// only, so dropping it must free next to nothing, and the decode stats
+// stay readable through it.
+func TestFinishedReplayReleasesRing(t *testing.T) {
+	e := replayAll(t, Config{Shards: 1, DecodeWorkers: 8})
+
+	st := statsToJSON(e).Decode
+	if st == nil {
+		t.Fatal("/stats has no decode object after a replay")
+	}
+	if st.Workers != 8 || st.Frames != e.Records() || st.FramesPerSec <= 0 {
+		t.Fatalf("decode stats after replay: %+v (records %d)", *st, e.Records())
+	}
+	if st.RingOccupancy != 0 || st.ReorderBuffer != 0 {
+		t.Fatalf("finished replay reports batches in flight: %+v", *st)
+	}
+
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	e.dec.Store(nil)
+	if after := heap(); before > after+256<<10 {
+		t.Fatalf("dropping the finished replay's stage handle freed %d KB: it was pinning the batch ring",
+			(before-after)>>10)
+	}
+	runtime.KeepAlive(e) // the engine's own state must not count as freed
 }
 
 // TestParallelDecodeCheckpointResume parks a workers=8 replay mid-stream
@@ -231,14 +229,7 @@ func TestParallelDecodeCheckpointResume(t *testing.T) {
 	if w, g := want.Events(), restored.Events(); !reflect.DeepEqual(w, g) {
 		t.Fatalf("event logs differ: %d vs %d events", len(w), len(g))
 	}
-	var wantCk, gotCk bytes.Buffer
-	if err := EncodeCheckpointBinary(&wantCk, want.Checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeCheckpointBinary(&gotCk, restored.Checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantCk.Bytes(), gotCk.Bytes()) {
+	if !bytes.Equal(checkpointBytes(t, want), checkpointBytes(t, restored)) {
 		t.Fatal("resumed checkpoint differs byte-for-byte from uninterrupted")
 	}
 }

@@ -24,16 +24,12 @@ type Config struct {
 	// BatchSize is the number of route ops buffered per shard before a
 	// dispatch (0 = 256).
 	BatchSize int
-	// QueueDepth is each shard's channel depth in batches (0 = 8); full
-	// queues exert backpressure on the ingest goroutine.
-	QueueDepth int
 	// DecodeWorkers is the number of parallel MRT decode workers a Replay
-	// runs (0 = GOMAXPROCS). With one worker the decode stage is the
-	// original serial goroutine; with more, a framing goroutine fans raw
-	// record batches out to the workers and a reorder stage restores
-	// archive order, so results are identical at any setting — only
-	// throughput changes. Live sources (Run) decode on their own
-	// goroutine and ignore this.
+	// runs (0 = GOMAXPROCS): a framing goroutine fans raw record batches
+	// out to the workers and a reorder stage restores archive order, so
+	// results are identical at any setting, 1 included — only throughput
+	// changes. Live sources (Run) decode on their own goroutine and ignore
+	// this.
 	DecodeWorkers int
 	// HistoryLimit caps lifecycle events retained per prefix (0 = all).
 	HistoryLimit int
@@ -91,15 +87,12 @@ type Engine struct {
 
 	msgs       atomic.Uint64
 	ops        atomic.Uint64
-	recs       atomic.Uint64 // MRT records fully consumed by Replay (checkpoint cursor)
+	recs       atomic.Uint64 // checkpoint cursor: the last applied record's producer stamp
 	lastClosed atomic.Int64  // last day-close dispatched; -1 before any
 
-	// Decode-stage observability: frames counts MRT records framed (read
-	// ahead of the cursor), reorderDepth gauges the reorder buffer, and
-	// dec points at the current/last replay's stage handle (see decStage).
-	frames       atomic.Uint64
-	reorderDepth atomic.Int64
-	dec          atomic.Pointer[decStage]
+	// dec points at the current/last replay's decode-stage counters (see
+	// decStage); nil until the first Replay.
+	dec atomic.Pointer[decStage]
 
 	// src holds the live source a Run loop is currently draining (a
 	// srcBox so the stored type is always identical); Stats and the
@@ -131,9 +124,6 @@ func New(cfg Config) *Engine {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 256
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 8
-	}
 	e := &Engine{
 		cfg:   cfg,
 		peers: peerTable{index: make(map[PeerKey]uint32)},
@@ -141,7 +131,7 @@ func New(cfg Config) *Engine {
 		// Capacity covers every batch that can be in flight at once (per
 		// shard: the queue plus one being applied plus one pending), so a
 		// recycled slice is always waiting once the pipeline warms up.
-		opFree:   make(chan []op, cfg.Shards*(cfg.QueueDepth+2)),
+		opFree:   make(chan []op, cfg.Shards*(shardQueue+2)),
 		interner: bgp.NewAttrsInterner(false),
 		failedCh: make(chan struct{}),
 	}
@@ -150,7 +140,7 @@ func New(cfg Config) *Engine {
 	}
 	e.lastClosed.Store(-1)
 	for i := 0; i < cfg.Shards; i++ {
-		s := newShard(cfg.QueueDepth, cfg.HistoryLimit, !cfg.DisableEventLog, cfg.OnEvent, e.putOps, cfg.EpisodeLog)
+		s := newShard(cfg.HistoryLimit, !cfg.DisableEventLog, cfg.OnEvent, e.putOps, cfg.EpisodeLog)
 		s.onFail = e.recordFailure
 		e.shards = append(e.shards, s)
 		e.wg.Add(1)
@@ -594,16 +584,16 @@ func (e *Engine) decodeStats() DecodeStats {
 	}
 	st := DecodeStats{
 		Workers:       ds.workers,
-		Frames:        e.frames.Load(),
-		RingOccupancy: ds.ring - len(ds.free),
-		ReorderBuffer: int(e.reorderDepth.Load()),
+		Frames:        ds.frames.Load(),
+		RingOccupancy: int(ds.occupancy.Load()),
+		ReorderBuffer: int(ds.reorder.Load()),
 	}
 	end := time.Now()
 	if ns := ds.end.Load(); ns != 0 {
 		end = time.Unix(0, ns)
 	}
 	if sec := end.Sub(ds.start).Seconds(); sec > 0 {
-		st.FramesPerSec = float64(st.Frames-ds.frames0) / sec
+		st.FramesPerSec = float64(st.Frames) / sec
 	}
 	return st
 }

@@ -4,14 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"moas/internal/mrt"
 	"moas/internal/scenario"
-	"moas/internal/supervise"
 )
 
 // Calendar maps BGP4MP record timestamps back to observation days: Times[i]
@@ -67,13 +63,22 @@ type ReplayPosition struct {
 // queryable but mid-stream; the caller decides whether to Close it.
 var ErrReplayStopped = errors.New("stream: replay stopped")
 
-// gate is Replay's per-record check point: it honors a requested pause
-// (settling all shards with Sync before parking, so a paused engine serves
-// a stable view) and a Stop cancellation. Runs on the replay goroutine.
+// gate is the ingest loop's check point: it honors a Stop cancellation, a
+// contained worker failure (a dead shard is draining its queue; the feed
+// must fail rather than keep half-applying) and a requested pause,
+// settling all shards with Sync before parking so a paused engine serves
+// a stable view. Runs on the ingest goroutine.
 func (e *Engine) gate(stop <-chan struct{}) error {
+	// Two one-channel polls, not one select over both: each compiles to a
+	// lock-free emptiness check, and this runs once per record.
 	select {
 	case <-stop:
 		return ErrReplayStopped
+	default:
+	}
+	select {
+	case <-e.failed():
+		return e.Err()
 	default:
 	}
 	for {
@@ -102,201 +107,38 @@ func (e *Engine) gate(stop <-chan struct{}) error {
 // collector consumer must. Replay does not Close the engine — callers may
 // keep feeding or querying afterwards.
 //
-// Internally Replay is a parallel pipeline: a framing goroutine splits
-// the archive into raw record batches, Config.DecodeWorkers goroutines
-// decode them concurrently, and a reorder stage restores archive order
-// (see decode.go; one worker collapses to a single decode goroutine)
-// while this goroutine — the apply stage — runs the gate, day-close and
-// dispatch logic over them in archive order. Pause/stop semantics and
-// the record cursor are untouched by the split: the cursor counts only
-// applied records, day closes fire at the same record boundaries, and a
-// parked replay serves the same settled view (decode read-ahead is
-// bounded by the ring and simply discarded if the replay is abandoned).
+// Replay is the ingest loop (ingest.go) over the archive producer — a
+// framing goroutine, Config.DecodeWorkers decode goroutines and a reorder
+// stage that restores archive order (decode.go) — and the calendar's
+// clock. The record cursor counts raw MRT records, and only applied ones:
+// decode read-ahead is bounded by the producer's ring and simply discarded
+// if the replay is abandoned, so a parked replay serves a settled view
+// with nothing past the park point reflected in it.
 func (e *Engine) Replay(r io.Reader, cal Calendar, opts *ReplayOptions) error {
 	if len(cal.Days) == 0 {
 		return errors.New("stream: empty calendar")
 	}
-	idx := 0 // calendar position currently receiving updates
-	closeDay := func() {
-		e.CloseDay(cal.Days[idx])
-		if opts != nil && opts.OnDayClose != nil {
-			opts.OnDayClose(cal.Days[idx])
-		}
-		idx++
-	}
-
-	var stop <-chan struct{}
+	var o ReplayOptions
 	if opts != nil {
-		stop = opts.Stop
+		o = *opts
 	}
-
+	clock := &calendarClock{cal: cal}
 	var skip uint64
-	if opts != nil && opts.Resume != nil {
+	if o.Resume != nil {
 		// The skipped records' effects (including their day closes) are
-		// restored engine state, so the decode stage discards them
-		// without dispatch.
-		if opts.Resume.DaysClosed < 0 || opts.Resume.DaysClosed > len(cal.Days) {
+		// restored engine state, so the producer discards them undecoded.
+		if o.Resume.DaysClosed < 0 || o.Resume.DaysClosed > len(cal.Days) {
 			return fmt.Errorf("stream: resume at day %d of a %d-day calendar",
-				opts.Resume.DaysClosed, len(cal.Days))
+				o.Resume.DaysClosed, len(cal.Days))
 		}
-		skip = opts.Resume.Records
-		idx = opts.Resume.DaysClosed
-		e.recs.Store(opts.Resume.Records)
+		skip, clock.idx = o.Resume.Records, o.Resume.DaysClosed
+		e.recs.Store(skip)
 	}
-
-	workers := e.cfg.DecodeWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ring := ringDepthFor(workers)
-	free := make(chan *decBatch, ring)
-	out := make(chan *decBatch, ring)
-	for i := 0; i < ring; i++ {
-		free <- newDecBatch()
-	}
-	done := make(chan struct{})
-	var stages sync.WaitGroup
-
-	// Publish the decode stage for Stats; stamp its end when Replay
-	// returns (registered before the shutdown defer, so it runs after).
-	stage := &decStage{workers: workers, ring: ring, free: free, start: time.Now(), frames0: e.frames.Load()}
-	e.reorderDepth.Store(0)
-	e.dec.Store(stage)
-	defer func() { stage.end.Store(time.Now().UnixNano()) }()
-
-	// Every decode-stage goroutine runs under supervise: a panic in one
-	// records the engine failure (waking the apply loop below) instead
-	// of killing the process, and the stage simply exits — the shared
-	// done channel unblocks its peers when Replay returns.
-	if workers == 1 {
-		stages.Add(1)
-		go func() {
-			defer stages.Done()
-			e.recordFailure(supervise.Run("mrt decoder", func() error {
-				d := &decoder{mr: mrt.NewReader(r), recDecoder: recDecoder{in: e.interner}, frames: &e.frames}
-				d.run(skip, free, out, done)
-				return nil
-			}))
-		}()
-	} else {
-		work := make(chan *decBatch, ring)
-		decoded := make(chan *decBatch, ring)
-		stages.Add(1)
-		go func() {
-			defer stages.Done()
-			e.recordFailure(supervise.Run("mrt framer", func() error {
-				f := &framer{fr: mrt.NewFramer(r), frames: &e.frames}
-				f.run(skip, free, work, done)
-				return nil
-			}))
-		}()
-		for i := 0; i < workers; i++ {
-			stages.Add(1)
-			go func() {
-				defer stages.Done()
-				e.recordFailure(supervise.Run("decode worker", func() error {
-					w := &decodeWorker{recDecoder{in: e.interner}}
-					w.run(work, decoded, done)
-					return nil
-				}))
-			}()
-		}
-		stages.Add(1)
-		go func() {
-			defer stages.Done()
-			e.recordFailure(supervise.Run("decode reorder", func() error {
-				reorderRun(decoded, out, done, &e.reorderDepth)
-				return nil
-			}))
-		}()
-	}
-	// The decode stages own r until they exit; Replay must not return
-	// while they might still read (callers close the file right after).
-	defer func() {
-		close(done)
-		stages.Wait()
-	}()
-
-	for {
-		var b *decBatch
-		if stop != nil {
-			select {
-			case b = <-out:
-			case <-stop:
-				return ErrReplayStopped
-			case <-e.failed():
-				return e.Err()
-			}
-		} else {
-			select {
-			case b = <-out:
-			case <-e.failed():
-				return e.Err()
-			}
-		}
-		// Gate per batch as well as per record: the decoder emits empty
-		// batches while skipping a resume cursor, and this is where a
-		// pause or stop lands during that disk-bound stretch.
-		if err := e.gate(stop); err != nil {
-			return err
-		}
-		// A contained worker panic (dead shard draining its queue)
-		// aborts the replay at the next batch boundary.
-		if err := e.Err(); err != nil {
-			return err
-		}
-		for i := range b.recs {
-			rec := &b.recs[i]
-			if err := e.gate(stop); err != nil {
-				return err
-			}
-			if rec.skip {
-				e.recs.Add(1)
-				continue
-			}
-			dayClosed := false
-			for idx+1 < len(cal.Days) && rec.ts >= cal.Times[idx+1] {
-				closeDay()
-				dayClosed = true
-			}
-			// Re-check the gate after a day close: OnDayClose is where
-			// callers pause, and the record in hand belongs to the new day —
-			// parking here keeps a paused view exactly at the just-closed
-			// day instead of one update past it. The record cursor (e.recs)
-			// has not counted the record yet, so a checkpoint taken at this
-			// park re-reads and applies it on resume.
-			if dayClosed {
-				if err := e.gate(stop); err != nil {
-					return err
-				}
-			}
-			if rec.err != nil {
-				return rec.err
-			}
-			if rec.hasUpd {
-				// idx can only reach len(cal.Days) through a crafted Resume
-				// position (all days closed, records left over); a legitimate
-				// checkpoint never produces that, but it must not panic.
-				if idx >= len(cal.Days) {
-					return fmt.Errorf("stream: update record beyond the %d-day calendar (bad resume position?)", len(cal.Days))
-				}
-				e.ApplyUpdate(cal.Days[idx], rec.peer, &rec.upd)
-			}
-			e.recs.Add(1)
-		}
-		if b.err != nil {
-			if b.err == io.EOF {
-				break
-			}
-			return b.err
-		}
-		free <- b
-	}
-	// Close the day in flight and any quiet tail days.
-	for idx < len(cal.Days) {
-		closeDay()
-	}
-	return nil
+	out, free, shutdown := e.startDecode(r, skip)
+	// The producer owns r until it exits; Replay must not return while it
+	// might still read (callers close the file right after).
+	defer shutdown()
+	return e.ingest(feed{out: out, free: free, clock: clock, stop: o.Stop, onDayClose: o.OnDayClose})
 }
 
 // ArchiveCalendar derives a replay calendar from a BGP4MP update archive
@@ -309,19 +151,20 @@ func (e *Engine) Replay(r io.Reader, cal Calendar, opts *ReplayOptions) error {
 func ArchiveCalendar(r io.Reader) (Calendar, error) {
 	const daySecs = 86400
 	seen := make(map[uint32]struct{}) // UTC day number (timestamp / 86400)
-	mr := mrt.NewReader(r)
+	fr := mrt.NewFramer(r)
 	for {
-		rec, err := mr.Next()
+		// A header walk: Skip discards bodies without copying them.
+		h, err := fr.Skip()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return Calendar{}, err
 		}
-		if rec.Type != mrt.TypeBGP4MP || rec.Subtype != mrt.SubtypeMessage {
+		if h.Type != mrt.TypeBGP4MP || h.Subtype != mrt.SubtypeMessage {
 			continue
 		}
-		seen[rec.Timestamp/daySecs] = struct{}{}
+		seen[h.Timestamp/daySecs] = struct{}{}
 	}
 	if len(seen) == 0 {
 		return Calendar{}, errors.New("stream: no BGP4MP messages in archive")

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"io"
 	"time"
 
 	"moas/internal/source"
@@ -36,20 +35,22 @@ type RunOptions struct {
 }
 
 // Run drains a live source into the engine until the source ends or
-// opts.Stop closes. It is the continuous-operation sibling of Replay:
-// updates dispatch as they arrive, observation days are absolute UTC
-// days (timestamp / 86400) and close when either a record's timestamp
-// or the wall clock crosses into a later day. Pause/Resume work exactly
-// as with Replay: the run parks between records with every shard
+// opts.Stop closes. It is the continuous-operation sibling of Replay —
+// the same ingest loop (ingest.go) over a different producer and clock:
+// updates dispatch as they arrive, one record per batch and flushed to
+// the shards at once (live rates are human-scale: queries see each update
+// as it lands, not after a replay-sized batch fills); observation days are
+// absolute UTC days (timestamp / 86400) and close when either a record's
+// timestamp or the wall clock crosses into a later day. Pause/Resume work
+// exactly as with Replay: the run parks between records with every shard
 // settled. The record cursor (Records) advances by the source's own
 // sequence numbers, so a checkpoint taken mid-run records how far into
 // the feed the engine got.
 //
 // The source's Next runs on a dedicated puller goroutine — the single
-// goroutine its interner contract requires — while this goroutine runs
-// the gate, day-close and dispatch logic. On Stop, Run closes the
-// source to unblock the puller; a stopped live run is done with its
-// transport.
+// goroutine its interner contract requires. The run owns its transport:
+// it closes the source on return, which is also what unblocks the puller
+// when a Stop lands mid-feed.
 func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 	var o RunOptions
 	if opts != nil {
@@ -58,164 +59,64 @@ func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 	if o.Now == nil {
 		o.Now = func() uint32 { return uint32(time.Now().Unix()) }
 	}
-	if o.Tick <= 0 {
-		o.Tick = time.Second
+	if o.Ticks == nil {
+		if o.Tick <= 0 {
+			o.Tick = time.Second
+		}
+		ticker := time.NewTicker(o.Tick)
+		defer ticker.Stop()
+		o.Ticks = ticker.C
 	}
 
 	e.src.Store(srcBox{src})
 	defer e.src.Store(srcBox{})
 
-	// Double-buffered handoff: the puller fills one record while this
-	// goroutine dispatches the other. The channel is unbuffered, so the
-	// puller cannot reuse a record until the dispatch of the previous one
-	// has finished (ApplyUpdate copies everything it keeps into ops).
-	type pulled struct {
-		rec *source.Record
-		err error
+	// Double-buffered handoff: the puller fills one record while the loop
+	// dispatches the other. out is unbuffered and a batch returns to free
+	// only once dispatched, so the puller never reuses a record the loop
+	// still reads (ApplyUpdate copies everything it keeps into ops).
+	out, free := make(chan *decBatch), make(chan *decBatch, 2)
+	for i := 0; i < cap(free); i++ {
+		free <- &decBatch{recs: []decRec{{kind: source.KindUpdate}}, flush: true}
 	}
-	recCh := make(chan pulled)
-	pullerDone := make(chan struct{})
-	go func() {
-		defer close(pullerDone)
-		var bufs [2]source.Record
-		for i := 0; ; i ^= 1 {
-			rec := &bufs[i]
-			// A panicking source (a malformed feed tripping a decoder
-			// bug) is contained to this scenario: the panic surfaces as
-			// the run's terminal error instead of killing the daemon.
-			err := supervise.Run("source puller", func() error { return src.Next(rec) })
-			recCh <- pulled{rec, err}
-			if err != nil {
-				return
-			}
+	go pull(src, e.recs.Load(), free, out)
+	// The puller owns the source until it exits: closing the source fails
+	// a pending Next, closing free ends its wait for a batch, and draining
+	// out (which it closes on exit) takes whatever it was handing over.
+	defer func() {
+		src.Close()
+		close(free)
+		for range out {
 		}
 	}()
-	// The puller owns the source until it exits; unblock it via the
-	// source's Close before returning mid-feed.
-	stopAndDrain := func() {
-		src.Close()
-		for {
-			select {
-			case <-pullerDone:
-				return
-			case <-recCh:
-			}
-		}
-	}
+	clock := &utcClock{cur: -1, now: o.Now, closeFinal: o.CloseFinalDay}
+	return e.ingest(feed{out: out, free: free, clock: clock, ticks: o.Ticks, stop: o.Stop, onDayClose: o.OnDayClose})
+}
 
-	base := e.recs.Load()
-	curDay := -1
-	closeThrough := func(day int) error {
-		for curDay < day {
-			e.CloseDay(curDay)
-			if o.OnDayClose != nil {
-				o.OnDayClose(curDay)
-			}
-			curDay++
-			if err := e.gate(o.Stop); err != nil {
+// pull is Run's producer: it moves records from src.Next into one-record
+// batches, stamping each with the engine cursor it advances to (base, the
+// cursor Run started at, plus the source's own sequence number), until
+// Next fails — the error, io.EOF included, goes out as the terminal batch
+// — or free closes. A panicking source (a malformed feed tripping a
+// decoder bug) is contained to this scenario: the panic surfaces as the
+// run's terminal error instead of killing the daemon.
+func pull(src source.Source, base uint64, free <-chan *decBatch, out chan<- *decBatch) {
+	defer close(out)
+	var b *decBatch // the batch in hand
+	err := supervise.Run("source puller", func() error {
+		for b = range free {
+			rec := &b.recs[0]
+			if err := src.Next(&rec.Record); err != nil {
 				return err
 			}
+			rec.Seq += base
+			out <- b
 		}
 		return nil
-	}
-
-	// handle dispatches one pulled record (or terminates the run on a
-	// pull error). done reports that Run should return err.
-	handle := func(p pulled) (done bool, err error) {
-		if p.err != nil {
-			<-pullerDone
-			if p.err == io.EOF {
-				if o.CloseFinalDay && curDay >= 0 {
-					e.CloseDay(curDay)
-					if o.OnDayClose != nil {
-						o.OnDayClose(curDay)
-					}
-				}
-				return true, nil
-			}
-			return true, p.err
-		}
-		if err := e.gate(o.Stop); err != nil {
-			stopAndDrain()
-			return true, err
-		}
-		// A contained shard/worker panic ends the run: the dead shard is
-		// draining, so nothing below can block, but the scenario must
-		// transition to failed rather than keep half-applying the feed.
-		if err := e.Err(); err != nil {
-			stopAndDrain()
-			return true, err
-		}
-		day := int(p.rec.TS / 86400)
-		if curDay < 0 {
-			curDay = day
-		}
-		if err := closeThrough(day); err != nil {
-			stopAndDrain()
-			return true, err
-		}
-		// A record timestamped before the current day (clock skew on a
-		// live feed) still applies — to the day in flight, since closed
-		// days are immutable.
-		e.ApplyUpdate(curDay, PeerKey{IP: p.rec.PeerIP, AS: p.rec.PeerAS}, &p.rec.Upd)
-		// Live rates are human-scale: flush the op batch per record so
-		// queries see each update as it lands, instead of after a
-		// replay-sized batch fills.
-		for i := range e.shards {
-			e.flushShard(i)
-		}
-		e.recs.Store(base + p.rec.Seq)
-		return false, nil
-	}
-
-	ticks := o.Ticks
-	if ticks == nil {
-		ticker := time.NewTicker(o.Tick)
-		defer ticker.Stop()
-		ticks = ticker.C
-	}
-	for {
-		select {
-		case <-o.Stop:
-			stopAndDrain()
-			return ErrReplayStopped
-		case <-e.failed():
-			stopAndDrain()
-			return e.Err()
-		case <-ticks:
-			// The gate is where a pause parks; checking it on the tick
-			// bounds how long a pause request waits on a quiet feed.
-			if err := e.gate(o.Stop); err != nil {
-				stopAndDrain()
-				return err
-			}
-			// Deliver every record already queued — including any that
-			// arrived while the gate was parked — before consulting the
-			// wall clock. A record racing the tick into the same select
-			// window is timestamped in the day now in flight; letting
-			// the clock close that day first would shunt the record onto
-			// the next day. Record time beats wall time.
-			for drained := false; !drained; {
-				select {
-				case p := <-recCh:
-					if done, err := handle(p); done {
-						return err
-					}
-				default:
-					drained = true
-				}
-			}
-			if curDay >= 0 {
-				if err := closeThrough(int(o.Now() / 86400)); err != nil {
-					stopAndDrain()
-					return err
-				}
-			}
-		case p := <-recCh:
-			if done, err := handle(p); done {
-				return err
-			}
-		}
+	})
+	if err != nil {
+		b.recs, b.err = nil, err
+		out <- b
 	}
 }
 

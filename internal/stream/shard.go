@@ -103,11 +103,15 @@ type shard struct {
 	dead   bool
 }
 
-func newShard(queueDepth, historyCap int, keepLog bool, notify func(Event), recycle func([]op), epLog *epilog.Log) *shard {
+// shardQueue is each shard's channel depth in batches; full queues exert
+// backpressure on the ingest goroutine.
+const shardQueue = 8
+
+func newShard(historyCap int, keepLog bool, notify func(Event), recycle func([]op), epLog *epilog.Log) *shard {
 	s := &shard{
 		notify:  notify,
 		recycle: recycle,
-		ch:      make(chan batch, queueDepth),
+		ch:      make(chan batch, shardQueue),
 		epLog:   epLog,
 	}
 	opts := kernel.Options{HistoryCap: historyCap, KeepLog: keepLog}

@@ -62,6 +62,17 @@ func replayAll(t testing.TB, cfg Config) *Engine {
 	return e
 }
 
+// checkpointBytes returns the engine's binary checkpoint — the strictest
+// equality two engines can be held to.
+func checkpointBytes(t testing.TB, e *Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeCheckpointBinary(&buf, e.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // diffRegistries asserts two registries are identical record for record.
 func diffRegistries(t *testing.T, want, got *core.Registry) {
 	t.Helper()
