@@ -23,8 +23,9 @@ race:
 # bench records the streaming perf trajectory: the replay throughput
 # (with allocs/update and distinct-attrs, and the episode-log-enabled
 # variant), the update-decode old-vs-Into comparison, the shard-reassess
-# hot path and the checkpoint codecs (JSON vs binary v1 vs binary v2 —
-# ns/op plus encoded size via the bytes metric), in the standard Go
+# hot path and the checkpoint path (phase=snapshot imaging the engine,
+# codec=json and codec=binary rendering the image — ns/op plus encoded
+# size via the bytes metric — and phase=restore), in the standard Go
 # benchmark text format benchstat consumes, written to BENCH_stream.json.
 # Compare two recordings with: benchstat old.json BENCH_stream.json
 # (CI's bench-trend job does this against the previous run

@@ -276,6 +276,34 @@ func (p Prefix) String() string {
 	return "invalid/0"
 }
 
+// maxPrefixText bounds the text UnmarshalText will parse (the longest
+// canonical form, a full IPv6 address with "/128", is 43 bytes), so a
+// hostile document cannot have a megabyte echoed back in the error.
+const maxPrefixText = 64
+
+// MarshalText renders the canonical "addr/len" form, which makes a Prefix
+// field a string in JSON (encoding.TextMarshaler). The zero Prefix has no
+// text form.
+func (p Prefix) MarshalText() ([]byte, error) {
+	if !p.IsValid() {
+		return nil, fmt.Errorf("%w: zero value", ErrBadPrefix)
+	}
+	return []byte(p.String()), nil
+}
+
+// UnmarshalText parses the forms ParsePrefix accepts.
+func (p *Prefix) UnmarshalText(text []byte) error {
+	if len(text) > maxPrefixText {
+		return fmt.Errorf("%w: %d bytes of text", ErrBadPrefix, len(text))
+	}
+	q, err := ParsePrefix(string(text))
+	if err != nil {
+		return err
+	}
+	*p = q
+	return nil
+}
+
 // bitAt returns bit i (0 = most significant) of the address.
 func (p Prefix) bitAt(i uint8) byte {
 	return (p.addr[i/8] >> (7 - i%8)) & 1

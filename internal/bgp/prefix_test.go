@@ -1,7 +1,10 @@
 package bgp
 
 import (
+	"encoding/json"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -66,6 +69,38 @@ func TestParsePrefixErrors(t *testing.T) {
 		if _, err := ParsePrefix(in); err == nil {
 			t.Errorf("ParsePrefix(%q) succeeded, want error", in)
 		}
+	}
+}
+
+// TestPrefixText: a Prefix field is a string in JSON, in the canonical
+// form, in both families; the text method rejects what ParsePrefix
+// rejects plus text no prefix could need, and the zero Prefix — which has
+// no text form — refuses to marshal instead of writing "invalid/0".
+func TestPrefixText(t *testing.T) {
+	type doc struct {
+		P Prefix `json:"p"`
+	}
+	for _, cidr := range []string{"0.0.0.0/0", "192.0.2.0/24", "10.1.2.3/32", "2001:db8:0:0:0:0:0:0/32"} {
+		blob, err := json.Marshal(doc{MustParsePrefix(cidr)})
+		if err != nil || string(blob) != `{"p":"`+cidr+`"}` {
+			t.Fatalf("marshal %s = %s, %v", cidr, blob, err)
+		}
+		var back doc
+		if err := json.Unmarshal(blob, &back); err != nil || back.P != MustParsePrefix(cidr) {
+			t.Fatalf("unmarshal %s = %v, %v", blob, back.P, err)
+		}
+	}
+	var d doc
+	if err := json.Unmarshal([]byte(`{"p":"2001:db8::/32"}`), &d); err != nil || d.P != MustParsePrefix("2001:db8:0:0:0:0:0:0/32") {
+		t.Fatalf("compressed IPv6 text: %v, %v", d.P, err)
+	}
+	for _, bad := range []string{"", "10.0.0.0", "10.0.0.0/33", "10.0.0.0/8 ", "1::/129", strings.Repeat("0", 80) + "/8"} {
+		if err := new(Prefix).UnmarshalText([]byte(bad)); !errors.Is(err, ErrBadPrefix) {
+			t.Errorf("UnmarshalText(%q) = %v, want ErrBadPrefix", bad, err)
+		}
+	}
+	if _, err := json.Marshal(doc{}); err == nil {
+		t.Error("the zero Prefix marshalled")
 	}
 }
 

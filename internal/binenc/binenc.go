@@ -164,6 +164,23 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// BeginFrame opens a section written in place: it reserves room for the
+// length prefix, the caller appends the payload to the result, and
+// EndFrame — given len(dst) from before BeginFrame — writes the length and
+// closes the gap. The bytes are AppendFrame's, but the payload is never
+// built in a buffer of its own, which at full-table scale doubles an
+// encoder's memory.
+func BeginFrame(dst []byte) []byte {
+	return append(dst, make([]byte, binary.MaxVarintLen64)...)
+}
+
+// EndFrame closes the section BeginFrame opened at offset start.
+func EndFrame(dst []byte, start int) []byte {
+	payload := dst[start+binary.MaxVarintLen64:]
+	dst = binary.AppendUvarint(dst[:start], uint64(len(payload)))
+	return append(dst, payload...) // overlapping, leftwards: append is a memmove
+}
+
 // AppendPrefix appends the compact prefix encoding: family byte, prefix
 // length byte, then the ceil(bits/8) network-address bytes.
 func AppendPrefix(dst []byte, p bgp.Prefix) []byte {

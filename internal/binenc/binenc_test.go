@@ -127,6 +127,29 @@ func TestFrames(t *testing.T) {
 	}
 }
 
+// TestInPlaceFrames: a section written between BeginFrame and EndFrame is
+// byte for byte what AppendFrame makes of the same payload — empty, one
+// byte, and either side of the length prefix growing to two and three
+// bytes — nested frames included, with whatever preceded it untouched.
+func TestInPlaceFrames(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384} {
+		payload := bytes.Repeat([]byte{0xAB}, n)
+		want := AppendFrame([]byte("head"), AppendFrame(AppendFrame(nil, payload), []byte{1, 2}))
+
+		got := []byte("head")
+		outer := len(got)
+		got = BeginFrame(got)
+		inner := len(got)
+		got = EndFrame(append(BeginFrame(got), payload...), inner)
+		inner = len(got)
+		got = EndFrame(append(BeginFrame(got), 1, 2), inner)
+		got = EndFrame(got, outer)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("payload of %d bytes: in-place frames differ from AppendFrame's", n)
+		}
+	}
+}
+
 // TestPrefixRoundTrip covers the compact prefix helpers at the edges of
 // both families: /0 carries no address bytes, host routes carry all of
 // them, and odd lengths round up to whole bytes.

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"slices"
 
 	"moas/internal/bgp"
 	"moas/internal/binenc"
+	"moas/internal/core"
 )
 
 // The binary snapshot format. JSON (snapshot.go) is the portable,
@@ -29,12 +30,14 @@ import (
 // a uvarint count followed by uvarint ASNs, and an event is: type byte,
 // varint day, uvarint seq, prefix, origin set, previous origin set,
 // class byte, previous class byte. Every section is length-prefixed
-// (binenc.AppendFrame) and every count is validated against the bytes
-// remaining, so truncated or fuzzed input fails cleanly.
+// (binenc.BeginFrame/EndFrame: written in place, no per-section buffer)
+// and every count is validated against the bytes remaining, so truncated
+// or fuzzed input fails cleanly. The codec moves values only: a prefix is
+// never rendered or parsed on the way through.
 
 // snapshotMagic introduces a binary kernel snapshot. The first byte can
-// never open a JSON document, which is what makes restore-side content
-// sniffing (DecodeSnapshotAuto) unambiguous.
+// never open a JSON document, so a reader holding either encoding can
+// tell them apart by content.
 var snapshotMagic = []byte("MSNP")
 
 func appendASNs(dst []byte, asns []bgp.ASN) []byte {
@@ -50,155 +53,114 @@ func readASNs(r *binenc.Reader) []bgp.ASN {
 	if n == 0 {
 		return nil
 	}
-	out := make([]bgp.ASN, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, bgp.ASN(r.Uvarint()))
+	out := make([]bgp.ASN, n)
+	for i := range out {
+		out[i] = bgp.ASN(r.Uvarint())
 	}
 	return out
 }
 
-func appendEventSnap(dst []byte, ev *EventSnap) ([]byte, error) {
-	p, err := bgp.ParsePrefix(ev.Prefix)
-	if err != nil {
-		return nil, fmt.Errorf("kernel: encode event prefix %q: %w", ev.Prefix, err)
-	}
-	dst = append(dst, ev.Type)
-	dst = binary.AppendVarint(dst, int64(ev.Day))
-	dst = binary.AppendUvarint(dst, ev.Seq)
-	dst = binenc.AppendPrefix(dst, p)
-	dst = appendASNs(dst, ev.Origins)
-	dst = appendASNs(dst, ev.PrevOrigins)
-	dst = append(dst, ev.Class, ev.PrevClass)
-	return dst, nil
-}
-
-func readEventSnap(r *binenc.Reader) EventSnap {
-	ev := EventSnap{Type: r.Byte(), Day: r.Int(), Seq: r.Uvarint()}
-	ev.Prefix = r.Prefix().String()
-	ev.Origins = readASNs(r)
-	ev.PrevOrigins = readASNs(r)
-	ev.Class = r.Byte()
-	ev.PrevClass = r.Byte()
-	return ev
-}
-
-func appendEventSnaps(dst []byte, evs []EventSnap) ([]byte, error) {
+func appendEvents(dst []byte, evs []Event) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(evs)))
-	var err error
 	for i := range evs {
-		if dst, err = appendEventSnap(dst, &evs[i]); err != nil {
-			return nil, err
-		}
+		ev := &evs[i]
+		dst = append(dst, byte(ev.Type))
+		dst = binary.AppendVarint(dst, int64(ev.Day))
+		dst = binary.AppendUvarint(dst, ev.Seq)
+		dst = binenc.AppendPrefix(dst, ev.Prefix)
+		dst = appendASNs(dst, ev.Origins)
+		dst = appendASNs(dst, ev.PrevOrigins)
+		dst = append(dst, byte(ev.Class), byte(ev.PrevClass))
 	}
-	return dst, nil
+	return dst
 }
 
-func readEventSnaps(r *binenc.Reader) []EventSnap {
+func readEvents(r *binenc.Reader) []Event {
 	// An event is at least 9 bytes: type, day, seq, a 2-byte /0 prefix,
 	// two empty origin sets, two classes.
 	n := r.Count(9)
 	if n == 0 {
 		return nil
 	}
-	out := make([]EventSnap, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, readEventSnap(r))
+	out := make([]Event, n)
+	for i := range out {
+		ev := &out[i]
+		ev.Type, ev.Day, ev.Seq = EventType(r.Byte()), r.Int(), r.Uvarint()
+		ev.Prefix = r.Prefix()
+		ev.Origins = readASNs(r)
+		ev.PrevOrigins = readASNs(r)
+		ev.Class, ev.PrevClass = core.Class(r.Byte()), core.Class(r.Byte())
 	}
 	return out
 }
 
-// snapshotSizeHint estimates the encoded size so the encoder's buffer
-// grows once instead of doubling its way up (at full-scan scale the
+// BinarySizeHint estimates s's encoded size — closely from above for the
+// AS numbers, days and ordinals of a real table — so an encoder's buffer
+// is sized once instead of growing its way up (at full-scan scale the
 // growth copies and the GC pressure they cause dominate the encode).
-func snapshotSizeHint(s *Snapshot) int {
-	const evBytes = 56 // generous per-event estimate
-	n := 64 + len(s.Conflicts)*56 + len(s.ClosedSpans)*8 + len(s.Log)*evBytes
+func (s *Snapshot) BinarySizeHint() int {
+	const evBytes = 48 // an event or a conflict with a handful of origins
+	n := 64 + (len(s.Conflicts)+len(s.Log))*evBytes + len(s.ClosedSpans)*6
 	for i := range s.Prefixes {
-		n += 48 + len(s.Prefixes[i].History)*evBytes
+		ps := &s.Prefixes[i]
+		n += 10 + int(ps.Prefix.Bits()+7)/8 + 4*len(ps.Origins) + len(ps.History)*evBytes
 	}
 	return n
 }
 
-// AppendSnapshotBinary appends s's binary encoding to dst. It fails only
-// on a snapshot whose prefix strings do not parse (which Snapshot never
-// produces).
-func AppendSnapshotBinary(dst []byte, s *Snapshot) ([]byte, error) {
-	if dst == nil {
-		dst = make([]byte, 0, snapshotSizeHint(s))
-	}
+// AppendSnapshotBinary appends s's binary encoding to dst.
+func AppendSnapshotBinary(dst []byte, s *Snapshot) []byte {
+	dst = slices.Grow(dst, s.BinarySizeHint())
 	dst = append(dst, snapshotMagic...)
 	dst = binary.AppendUvarint(dst, uint64(s.Version))
 
-	meta := binary.AppendUvarint(nil, uint64(s.Events))
-	dst = binenc.AppendFrame(dst, meta)
+	dst = binenc.AppendFrame(dst, binary.AppendUvarint(nil, uint64(s.Events)))
 
-	var err error
-	// The section scratch is sized for the biggest section up front, so
-	// neither it nor dst pays doubling-growth copies mid-encode.
-	sec := make([]byte, 0, snapshotSizeHint(s))
-	sec = binary.AppendUvarint(sec, uint64(len(s.Prefixes)))
+	start := len(dst)
+	dst = binary.AppendUvarint(binenc.BeginFrame(dst), uint64(len(s.Prefixes)))
 	for i := range s.Prefixes {
 		ps := &s.Prefixes[i]
-		p, perr := bgp.ParsePrefix(ps.Prefix)
-		if perr != nil {
-			return nil, fmt.Errorf("kernel: encode prefix %q: %w", ps.Prefix, perr)
-		}
-		sec = binenc.AppendPrefix(sec, p)
-		sec = appendASNs(sec, ps.Origins)
-		sec = append(sec, ps.Class)
-		sec = binary.AppendUvarint(sec, ps.Seq)
-		sec = binary.AppendVarint(sec, int64(ps.Since))
-		if sec, err = appendEventSnaps(sec, ps.History); err != nil {
-			return nil, err
-		}
+		dst = binenc.AppendPrefix(dst, ps.Prefix)
+		dst = appendASNs(dst, ps.Origins)
+		dst = append(dst, ps.Class)
+		dst = binary.AppendUvarint(dst, ps.Seq)
+		dst = binary.AppendVarint(dst, int64(ps.Since))
+		dst = appendEvents(dst, ps.History)
 	}
-	dst = binenc.AppendFrame(dst, sec)
+	dst = binenc.EndFrame(dst, start)
 
-	sec = binary.AppendUvarint(sec[:0], uint64(len(s.Conflicts)))
+	start = len(dst)
+	dst = binary.AppendUvarint(binenc.BeginFrame(dst), uint64(len(s.Conflicts)))
 	for i := range s.Conflicts {
 		cs := &s.Conflicts[i]
-		p, perr := bgp.ParsePrefix(cs.Prefix)
-		if perr != nil {
-			return nil, fmt.Errorf("kernel: encode conflict prefix %q: %w", cs.Prefix, perr)
-		}
-		sec = binenc.AppendPrefix(sec, p)
-		sec = binary.AppendVarint(sec, int64(cs.FirstDay))
-		sec = binary.AppendVarint(sec, int64(cs.LastDay))
-		sec = binary.AppendVarint(sec, int64(cs.DaysObserved))
-		sec = appendASNs(sec, cs.OriginsEver)
-		sec = binary.AppendUvarint(sec, uint64(len(cs.ClassDays)))
+		dst = binenc.AppendPrefix(dst, cs.Prefix)
+		dst = binary.AppendVarint(dst, int64(cs.FirstDay))
+		dst = binary.AppendVarint(dst, int64(cs.LastDay))
+		dst = binary.AppendVarint(dst, int64(cs.DaysObserved))
+		dst = appendASNs(dst, cs.OriginsEver)
+		dst = binary.AppendUvarint(dst, uint64(len(cs.ClassDays)))
 		for _, d := range cs.ClassDays {
-			sec = binary.AppendVarint(sec, int64(d))
+			dst = binary.AppendVarint(dst, int64(d))
 		}
 	}
-	dst = binenc.AppendFrame(dst, sec)
+	dst = binenc.EndFrame(dst, start)
 
-	sec = binary.AppendUvarint(sec[:0], uint64(len(s.ClosedSpans)))
+	start = len(dst)
+	dst = binary.AppendUvarint(binenc.BeginFrame(dst), uint64(len(s.ClosedSpans)))
 	for _, sp := range s.ClosedSpans {
-		sec = binary.AppendVarint(sec, int64(sp.Start))
-		sec = binary.AppendVarint(sec, int64(sp.End))
+		dst = binary.AppendVarint(dst, int64(sp.Start))
+		dst = binary.AppendVarint(dst, int64(sp.End))
 	}
-	dst = binenc.AppendFrame(dst, sec)
+	dst = binenc.EndFrame(dst, start)
 
-	if sec, err = appendEventSnaps(sec[:0], s.Log); err != nil {
-		return nil, err
-	}
-	dst = binenc.AppendFrame(dst, sec)
-	return dst, nil
-}
-
-// EncodeSnapshotBinary writes the snapshot in the binary format.
-func EncodeSnapshotBinary(w io.Writer, s *Snapshot) error {
-	buf, err := AppendSnapshotBinary(nil, s)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
+	start = len(dst)
+	dst = appendEvents(binenc.BeginFrame(dst), s.Log)
+	return binenc.EndFrame(dst, start)
 }
 
 // DecodeSnapshotBinary parses a binary snapshot and validates its
-// version. Hostile input errors; it never panics or over-allocates.
+// version. Hostile input errors; it never panics or over-allocates. The
+// result shares no memory with data.
 func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 	if !bytes.HasPrefix(data, snapshotMagic) {
 		return nil, fmt.Errorf("kernel: not a binary snapshot (bad magic)")
@@ -219,13 +181,14 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 	// A prefix entry is at least 7 bytes (2-byte prefix, empty origin
 	// set, class, seq, since, empty history).
 	n := sec.Count(7)
+	s.Prefixes = slices.Grow(s.Prefixes, n)
 	for i := 0; i < n; i++ {
-		ps := PrefixSnap{Prefix: sec.Prefix().String()}
+		ps := PrefixSnap{Prefix: sec.Prefix()}
 		ps.Origins = readASNs(sec)
 		ps.Class = sec.Byte()
 		ps.Seq = sec.Uvarint()
 		ps.Since = sec.Int()
-		ps.History = readEventSnaps(sec)
+		ps.History = readEvents(sec)
 		s.Prefixes = append(s.Prefixes, ps)
 	}
 	if err := binenc.FirstErr(sec, r); err != nil {
@@ -234,15 +197,16 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 
 	sec = r.Frame()
 	n = sec.Count(7)
+	s.Conflicts = slices.Grow(s.Conflicts, n)
 	for i := 0; i < n; i++ {
-		cs := ConflictSnap{Prefix: sec.Prefix().String()}
+		cs := ConflictSnap{Prefix: sec.Prefix()}
 		cs.FirstDay = sec.Int()
 		cs.LastDay = sec.Int()
 		cs.DaysObserved = sec.Int()
 		cs.OriginsEver = readASNs(sec)
-		nd := sec.Count(1)
-		for j := 0; j < nd; j++ {
-			cs.ClassDays = append(cs.ClassDays, sec.Int())
+		cs.ClassDays = make([]int, sec.Count(1))
+		for j := range cs.ClassDays {
+			cs.ClassDays[j] = sec.Int()
 		}
 		s.Conflicts = append(s.Conflicts, cs)
 	}
@@ -252,6 +216,7 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 
 	sec = r.Frame()
 	n = sec.Count(2)
+	s.ClosedSpans = slices.Grow(s.ClosedSpans, n)
 	for i := 0; i < n; i++ {
 		s.ClosedSpans = append(s.ClosedSpans, SpanSnap{Start: sec.Int(), End: sec.Int()})
 	}
@@ -260,7 +225,7 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 	}
 
 	sec = r.Frame()
-	s.Log = readEventSnaps(sec)
+	s.Log = readEvents(sec)
 	if err := binenc.FirstErr(sec, r); err != nil {
 		return nil, fmt.Errorf("kernel: decode binary snapshot log: %w", err)
 	}
@@ -268,20 +233,4 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("kernel: %d trailing bytes after binary snapshot", r.Len())
 	}
 	return s, nil
-}
-
-// DecodeSnapshotAuto reads a snapshot in either format, sniffing the
-// content: input opening with the binary magic parses as binary,
-// anything else as JSON (whose top level is always an object). This is
-// the restore entry point that keeps pre-binary JSON checkpoints
-// loading.
-func DecodeSnapshotAuto(r io.Reader) (*Snapshot, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("kernel: read snapshot: %w", err)
-	}
-	if bytes.HasPrefix(data, snapshotMagic) {
-		return DecodeSnapshotBinary(data)
-	}
-	return DecodeSnapshot(bytes.NewReader(data))
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"moas/internal/bgp"
 	"moas/internal/kernel"
 )
 
@@ -19,19 +20,15 @@ func midRunSnapshot(t testing.TB) *kernel.Snapshot {
 	return k.Snapshot()
 }
 
-// TestBinarySnapshotRoundTrip: the binary codec must reproduce the exact
-// snapshot image, and the sniffing decoder must accept both encodings of
-// the same snapshot.
+// TestBinarySnapshotRoundTrip: both codecs must reproduce the exact
+// snapshot image, the binary one in fewer bytes.
 func TestBinarySnapshotRoundTrip(t *testing.T) {
 	snap := midRunSnapshot(t)
 	if len(snap.Prefixes) == 0 || len(snap.Conflicts) == 0 || len(snap.Log) == 0 {
 		t.Fatalf("fixture snapshot too empty to prove anything: %+v", snap)
 	}
 
-	bin, err := kernel.AppendSnapshotBinary(nil, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := kernel.AppendSnapshotBinary(nil, snap)
 	decoded, err := kernel.DecodeSnapshotBinary(bin)
 	if err != nil {
 		t.Fatal(err)
@@ -47,14 +44,12 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	if len(bin) >= js.Len() {
 		t.Fatalf("binary encoding (%d bytes) not smaller than JSON (%d bytes)", len(bin), js.Len())
 	}
-	for name, blob := range map[string][]byte{"binary": bin, "json": js.Bytes()} {
-		sniffed, err := kernel.DecodeSnapshotAuto(bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("sniffing decode of %s: %v", name, err)
-		}
-		if !reflect.DeepEqual(snap, sniffed) {
-			t.Fatalf("sniffing decode of %s changed the snapshot", name)
-		}
+	fromJSON, err := kernel.DecodeSnapshot(&js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, fromJSON) {
+		t.Fatalf("JSON round trip changed the snapshot:\nwant %+v\n got %+v", snap, fromJSON)
 	}
 }
 
@@ -68,11 +63,7 @@ func TestBinarySnapshotRestoreEquivalence(t *testing.T) {
 	uninterrupted := kernel.New(opts)
 	drive(uninterrupted, all)
 
-	bin, err := kernel.AppendSnapshotBinary(nil, midRunSnapshot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := kernel.DecodeSnapshotAuto(bytes.NewReader(bin))
+	snap, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, midRunSnapshot(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +84,7 @@ func TestBinarySnapshotRestoreEquivalence(t *testing.T) {
 // never panic.
 func TestBinarySnapshotRejectsDamage(t *testing.T) {
 	snap := midRunSnapshot(t)
-	bin, err := kernel.AppendSnapshotBinary(nil, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := kernel.AppendSnapshotBinary(nil, snap)
 
 	if _, err := kernel.DecodeSnapshotBinary(append(bytes.Clone(bin), 0xFF)); err == nil {
 		t.Fatal("trailing garbage accepted")
@@ -114,28 +102,46 @@ func TestBinarySnapshotRejectsDamage(t *testing.T) {
 	}
 
 	snap.Version = 99
-	futureBin, err := kernel.AppendSnapshotBinary(nil, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kernel.DecodeSnapshotBinary(futureBin); err == nil {
+	if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap)); err == nil {
 		t.Fatal("version-99 binary snapshot accepted")
 	}
 }
 
 // TestRestoreRejectsBogusClass: a snapshot carrying a class byte past the
-// known classes must fail restore up front — deferring it would panic in
-// the first CloseDay's ClassDays indexing.
+// known classes — in a prefix state, a history event or the retained log
+// — must fail restore up front (deferring it would panic in the first
+// CloseDay's ClassDays indexing), and so must the other images only
+// outside input can produce: a prefix repeated, an entry with no prefix
+// at all. Each is restored as built and again after crossing the binary
+// codec, which moves values and must not launder them.
 func TestRestoreRejectsBogusClass(t *testing.T) {
-	snap := midRunSnapshot(t)
-	snap.Prefixes[0].Class = 200
-	if err := kernel.New(kernel.Options{}).Restore(snap); err == nil {
-		t.Fatal("restore accepted class 200")
+	withHistory := func(s *kernel.Snapshot) *kernel.PrefixSnap {
+		for i := range s.Prefixes {
+			if len(s.Prefixes[i].History) > 0 {
+				return &s.Prefixes[i]
+			}
+		}
+		t.Fatal("fixture snapshot has no history")
+		return nil
 	}
-
-	snap = midRunSnapshot(t)
-	snap.Log[0].PrevClass = 200
-	if err := kernel.New(kernel.Options{KeepLog: true}).Restore(snap); err == nil {
-		t.Fatal("restore accepted event class 200")
+	for name, damage := range map[string]func(s *kernel.Snapshot){
+		"prefix class 200":        func(s *kernel.Snapshot) { s.Prefixes[0].Class = 200 },
+		"log event class 200":     func(s *kernel.Snapshot) { s.Log[0].PrevClass = 200 },
+		"history event class 200": func(s *kernel.Snapshot) { withHistory(s).History[0].Class = 200 },
+		"prefix repeated":         func(s *kernel.Snapshot) { s.Prefixes = append(s.Prefixes, s.Prefixes[0]) },
+		"conflict without prefix": func(s *kernel.Snapshot) { s.Conflicts[0].Prefix = bgp.Prefix{} },
+	} {
+		snap := midRunSnapshot(t)
+		damage(snap)
+		if err := kernel.New(kernel.Options{KeepLog: true}).Restore(snap); err == nil {
+			t.Errorf("restore accepted %s", name)
+		}
+		decoded, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap))
+		if err != nil {
+			continue // the zero prefix has no binary form: rejected a step earlier
+		}
+		if err := kernel.New(kernel.Options{KeepLog: true}).Restore(decoded); err == nil {
+			t.Errorf("restore accepted %s after a binary round trip", name)
+		}
 	}
 }

@@ -19,10 +19,7 @@ import (
 func corpusSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	snap := midRunSnapshot(t)
-	bin, err := kernel.AppendSnapshotBinary(nil, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := kernel.AppendSnapshotBinary(nil, snap)
 	var js bytes.Buffer
 	if err := kernel.EncodeSnapshot(&js, snap); err != nil {
 		t.Fatal(err)
@@ -40,16 +37,20 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 }
 
 // FuzzSnapshotRestore is the snapshot surface's robustness claim: any
-// byte string fed to the sniffing decoder either errors or yields a
-// snapshot that restores into a fully usable kernel — no panic, no
-// deferred crash in CloseDay/Apply/Snapshot, and a re-encode that
-// succeeds in both codecs.
+// byte string fed to the decoder its first bytes select (binary behind
+// the MSNP magic, JSON otherwise — the choice a reader holding either
+// encoding makes) either errors or yields a snapshot that restores into a
+// fully usable kernel — no panic, no deferred crash in
+// CloseDay/Apply/Snapshot, and a re-encode that succeeds in both codecs.
 func FuzzSnapshotRestore(f *testing.F) {
 	for _, seed := range corpusSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := kernel.DecodeSnapshotAuto(bytes.NewReader(data))
+		s, err := kernel.DecodeSnapshot(bytes.NewReader(data))
+		if bytes.HasPrefix(data, []byte("MSNP")) {
+			s, err = kernel.DecodeSnapshotBinary(data)
+		}
 		if err != nil {
 			return
 		}
@@ -67,8 +68,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 		})
 		k.AppendSpans(nil)
 		out := k.Snapshot()
-		if _, err := kernel.AppendSnapshotBinary(nil, out); err != nil {
-			t.Fatalf("restored kernel re-encodes with error: %v", err)
+		if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, out)); err != nil {
+			t.Fatalf("restored kernel's re-encoding does not decode: %v", err)
 		}
 		if err := kernel.EncodeSnapshot(&bytes.Buffer{}, out); err != nil {
 			t.Fatalf("restored kernel re-encodes to JSON with error: %v", err)

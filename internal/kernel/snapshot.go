@@ -1,10 +1,11 @@
 package kernel
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"moas/internal/bgp"
 	"moas/internal/core"
@@ -16,77 +17,53 @@ import (
 // changes to the wire structs below.
 const SnapshotVersion = 1
 
-// Snapshot is the serializable image of a kernel: every tracked prefix
-// state, the cross-day conflict registry, the closed activation spans and
-// the event accounting. It is plain data — JSON-encodable directly or via
-// Encode/DecodeSnapshot — and is prefix-disjoint mergeable (Merge), which
-// is how the sharded engine composes one engine-wide snapshot out of its
-// per-shard kernels.
+// Snapshot is the image of a kernel: every tracked prefix state, the
+// cross-day conflict registry, the closed activation spans and the event
+// accounting. It is typed data — prefixes are bgp.Prefix values, which
+// render as "addr/len" strings only when the image is written as JSON
+// (Encode/DecodeSnapshot); the binary codec (binary.go) never sees text —
+// and is prefix-disjoint mergeable (Merge), which is how the sharded
+// engine composes one engine-wide snapshot out of its per-shard kernels.
 type Snapshot struct {
 	Version int `json:"version"`
-	// Prefixes holds one entry per tracked prefix, sorted by prefix.
+	// Prefixes holds one entry per tracked prefix, in Prefix.Compare order.
 	Prefixes []PrefixSnap `json:"prefixes"`
-	// Conflicts is the registry image, sorted by prefix.
+	// Conflicts is the registry image, in Prefix.Compare order.
 	Conflicts []ConflictSnap `json:"conflicts"`
 	// ClosedSpans are the ended activation spans (order irrelevant).
 	ClosedSpans []SpanSnap `json:"closed_spans,omitempty"`
 	// Events is the lifecycle-event count emitted so far.
 	Events int `json:"events"`
 	// Log is the retained global event record (present only when the
-	// kernel ran with Options.KeepLog), in canonical order.
-	Log []EventSnap `json:"log,omitempty"`
+	// kernel ran with Options.KeepLog); Merge puts it in SortEvents order.
+	Log []Event `json:"log,omitempty"`
 }
 
 // PrefixSnap is one prefix's serialized state. Class values are the
 // core.Class constants, which are version-stable by construction.
 type PrefixSnap struct {
-	Prefix  string      `json:"prefix"`
-	Origins []bgp.ASN   `json:"origins,omitempty"`
-	Class   uint8       `json:"class,omitempty"`
-	Seq     uint64      `json:"seq,omitempty"`
-	Since   int         `json:"since,omitempty"`
-	History []EventSnap `json:"history,omitempty"`
+	Prefix  bgp.Prefix `json:"prefix"`
+	Origins []bgp.ASN  `json:"origins,omitempty"`
+	Class   uint8      `json:"class,omitempty"`
+	Seq     uint64     `json:"seq,omitempty"`
+	Since   int        `json:"since,omitempty"`
+	History []Event    `json:"history,omitempty"`
 }
 
 // ConflictSnap is one registry record's serialized form.
 type ConflictSnap struct {
-	Prefix       string    `json:"prefix"`
-	FirstDay     int       `json:"first_day"`
-	LastDay      int       `json:"last_day"`
-	DaysObserved int       `json:"days_observed"`
-	OriginsEver  []bgp.ASN `json:"origins_ever"`
-	ClassDays    []int     `json:"class_days"`
+	Prefix       bgp.Prefix `json:"prefix"`
+	FirstDay     int        `json:"first_day"`
+	LastDay      int        `json:"last_day"`
+	DaysObserved int        `json:"days_observed"`
+	OriginsEver  []bgp.ASN  `json:"origins_ever"`
+	ClassDays    []int      `json:"class_days"`
 }
 
 // SpanSnap is one closed activation span.
 type SpanSnap struct {
 	Start int `json:"start"`
 	End   int `json:"end"`
-}
-
-// EventSnap is one lifecycle event's serialized form.
-type EventSnap struct {
-	Type        uint8     `json:"type"`
-	Day         int       `json:"day"`
-	Seq         uint64    `json:"seq"`
-	Prefix      string    `json:"prefix"`
-	Origins     []bgp.ASN `json:"origins,omitempty"`
-	PrevOrigins []bgp.ASN `json:"prev_origins,omitempty"`
-	Class       uint8     `json:"class,omitempty"`
-	PrevClass   uint8     `json:"prev_class,omitempty"`
-}
-
-func eventToSnap(ev *Event) EventSnap {
-	return EventSnap{
-		Type:        uint8(ev.Type),
-		Day:         ev.Day,
-		Seq:         ev.Seq,
-		Prefix:      ev.Prefix.String(),
-		Origins:     ev.Origins,
-		PrevOrigins: ev.PrevOrigins,
-		Class:       uint8(ev.Class),
-		PrevClass:   uint8(ev.PrevClass),
-	}
 }
 
 // validClass bounds snapshot class bytes: anything past the known
@@ -99,61 +76,63 @@ func validClass(c uint8) error {
 	return nil
 }
 
-func snapToEvent(s *EventSnap) (Event, error) {
-	p, err := bgp.ParsePrefix(s.Prefix)
-	if err != nil {
-		return Event{}, fmt.Errorf("kernel: snapshot event prefix %q: %w", s.Prefix, err)
+// validPrefix rejects the zero Prefix, which a JSON image yields for an
+// entry without a "prefix" member: it would re-encode to bytes no decoder
+// accepts.
+func validPrefix(p bgp.Prefix) error {
+	if !p.IsValid() {
+		return fmt.Errorf("kernel: snapshot entry without a prefix")
 	}
-	if err := validClass(s.Class); err != nil {
-		return Event{}, err
-	}
-	if err := validClass(s.PrevClass); err != nil {
-		return Event{}, err
-	}
-	return Event{
-		Type:        EventType(s.Type),
-		Day:         s.Day,
-		Seq:         s.Seq,
-		Prefix:      p,
-		Origins:     s.Origins,
-		PrevOrigins: s.PrevOrigins,
-		Class:       core.Class(s.Class),
-		PrevClass:   core.Class(s.PrevClass),
-	}, nil
+	return nil
 }
 
-// Snapshot serializes the kernel's complete state. The result shares no
-// memory with the kernel (event slices are copied), so it stays valid
-// while the kernel keeps running.
+// restoreEvents returns the image's events, checked and with origin sets
+// of their own: the image keeps no claim on what the kernel retains.
+func restoreEvents(evs []Event) ([]Event, error) {
+	dst := slices.Grow([]Event(nil), len(evs))
+	for i := range evs {
+		ev := evs[i]
+		if err := cmp.Or(validPrefix(ev.Prefix), validClass(uint8(ev.Class)), validClass(uint8(ev.PrevClass))); err != nil {
+			return nil, err
+		}
+		ev.Origins, ev.PrevOrigins = slices.Clone(ev.Origins), slices.Clone(ev.PrevOrigins)
+		dst = append(dst, ev)
+	}
+	return dst, nil
+}
+
+// Snapshot images the kernel's complete state. The result shares no
+// mutable memory with the kernel (origin sets and event records are
+// copied; an event's own origin sets are immutable once emitted), so it
+// stays valid while the kernel keeps running. Slices are sized from the
+// table's counts, and the one-origin sets of lifecycle-free prefixes —
+// nearly all of a real table — are carved from a single array.
 func (k *Kernel) Snapshot() *Snapshot {
 	s := &Snapshot{Version: SnapshotVersion, Events: k.events}
+	s.Prefixes = slices.Grow(s.Prefixes, k.tab.Len())
+	single := make([]bgp.ASN, 0, k.tab.Len())
 	k.tab.Walk(func(id uint32, p bgp.Prefix) bool {
-		v, ok := k.view(id)
-		if !ok {
+		ps := PrefixSnap{Prefix: p}
+		switch r := k.tab.At(id); {
+		case r.flags&recExt != 0:
+			st := k.exts.At(r.val)
+			ps.Origins = append([]bgp.ASN(nil), st.origins...)
+			ps.Class, ps.Seq, ps.Since = uint8(st.class), st.seq, st.since
+			ps.History = append([]Event(nil), st.history...)
+		case r.flags&recOrigin != 0:
+			single = append(single, bgp.ASN(r.val))
+			ps.Origins = single[len(single)-1 : len(single) : len(single)]
+		default:
 			return true // an id held for its routes only carries no state
-		}
-		if k.tab.At(id).flags&recExt != 0 {
-			// Borrowed from the ext record (an inline origin is already
-			// materialized afresh by view).
-			v.Origins = append([]bgp.ASN(nil), v.Origins...)
-		}
-		ps := PrefixSnap{
-			Prefix:  p.String(),
-			Origins: v.Origins,
-			Class:   uint8(v.Class),
-			Seq:     v.Seq,
-			Since:   v.Since,
-		}
-		for i := range v.History {
-			ps.History = append(ps.History, eventToSnap(&v.History[i]))
 		}
 		s.Prefixes = append(s.Prefixes, ps)
 		return true
 	})
-	sort.Slice(s.Prefixes, func(i, j int) bool { return s.Prefixes[i].Prefix < s.Prefixes[j].Prefix })
-	for _, c := range k.reg.Conflicts() {
+	slices.SortFunc(s.Prefixes, comparePrefixSnaps)
+	s.Conflicts = slices.Grow(s.Conflicts, k.reg.Len())
+	for _, c := range k.reg.Conflicts() { // sorted by prefix
 		s.Conflicts = append(s.Conflicts, ConflictSnap{
-			Prefix:       c.Prefix.String(),
+			Prefix:       c.Prefix,
 			FirstDay:     c.FirstDay,
 			LastDay:      c.LastDay,
 			DaysObserved: c.DaysObserved,
@@ -161,12 +140,11 @@ func (k *Kernel) Snapshot() *Snapshot {
 			ClassDays:    append([]int(nil), c.ClassDays[:]...),
 		})
 	}
+	s.ClosedSpans = slices.Grow(s.ClosedSpans, len(k.closedSpans))
 	for _, sp := range k.closedSpans {
 		s.ClosedSpans = append(s.ClosedSpans, SpanSnap{Start: sp.Start, End: sp.End})
 	}
-	for i := range k.log {
-		s.Log = append(s.Log, eventToSnap(&k.log[i]))
-	}
+	s.Log = append(s.Log, k.log...)
 	return s
 }
 
@@ -174,7 +152,15 @@ func (k *Kernel) Snapshot() *Snapshot {
 // Histories longer than the kernel's HistoryCap are truncated to their
 // most recent events. Active conflicts are re-derived from origin-set
 // cardinality, the invariant the state machine maintains.
-func (k *Kernel) Restore(s *Snapshot) error {
+func (k *Kernel) Restore(s *Snapshot) error { return k.RestorePart(s, 0, 1) }
+
+// RestorePart is Restore for one kernel of a sharded set, the inverse of
+// Merge: it loads the prefix states and conflicts ptable.Shard assigns
+// to partition part of parts. Spans, the event count and the log are not
+// prefix-keyed state machines — they only ever feed engine-wide
+// concatenations — so they land on partition 0 wholesale. Nothing the
+// kernel retains aliases the snapshot.
+func (k *Kernel) RestorePart(s *Snapshot, part, parts int) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("kernel: snapshot version %d, want %d", s.Version, SnapshotVersion)
 	}
@@ -183,122 +169,146 @@ func (k *Kernel) Restore(s *Snapshot) error {
 	}
 	for i := range s.Prefixes {
 		ps := &s.Prefixes[i]
-		p, err := bgp.ParsePrefix(ps.Prefix)
-		if err != nil {
-			return fmt.Errorf("kernel: snapshot prefix %q: %w", ps.Prefix, err)
-		}
-		if err := validClass(ps.Class); err != nil {
-			return fmt.Errorf("kernel: snapshot prefix %s: %w", ps.Prefix, err)
-		}
-		h := uint32(ptable.Hash(p))
-		if _, dup := k.tab.Find(p, h); dup {
-			return fmt.Errorf("kernel: snapshot repeats prefix %s", ps.Prefix)
-		}
-		lifecycle := ps.Seq != 0 || ps.Since != 0 || ps.Class != 0 || len(ps.History) > 0
-		if !lifecycle && len(ps.Origins) == 0 {
-			continue // a stateless prefix is simply not tracked
-		}
-		id := k.tab.Insert(p, h)
-		r := k.tab.At(id)
-		if !lifecycle && len(ps.Origins) == 1 {
-			r.val, r.flags = uint32(ps.Origins[0]), recOrigin
+		h := ptable.Hash(ps.Prefix)
+		if ptable.Shard(h, parts) != part {
 			continue
 		}
-		r.val, r.flags = k.exts.Alloc(), recExt
-		st := k.exts.At(r.val)
-		*st = ext{
-			origins:  append([]bgp.ASN(nil), ps.Origins...),
-			class:    core.Class(ps.Class),
-			activeAt: -1,
-			seq:      ps.Seq,
-			since:    ps.Since,
-		}
-		hist := ps.History
-		if k.opts.HistoryCap > 0 && len(hist) > k.opts.HistoryCap {
-			hist = hist[len(hist)-k.opts.HistoryCap:]
-		}
-		for j := range hist {
-			ev, err := snapToEvent(&hist[j])
-			if err != nil {
-				return err
-			}
-			st.history = append(st.history, ev)
-		}
-		if len(st.origins) >= 2 {
-			st.activeAt = int32(len(k.active))
-			k.active = append(k.active, id)
+		if err := k.restorePrefix(ps, uint32(h)); err != nil {
+			return err
 		}
 	}
 	for i := range s.Conflicts {
 		cs := &s.Conflicts[i]
-		p, err := bgp.ParsePrefix(cs.Prefix)
-		if err != nil {
-			return fmt.Errorf("kernel: snapshot conflict prefix %q: %w", cs.Prefix, err)
+		if ptable.Shard(ptable.Hash(cs.Prefix), parts) != part {
+			continue
+		}
+		if err := validPrefix(cs.Prefix); err != nil {
+			return err
 		}
 		c := &core.Conflict{
-			Prefix:       p,
+			Prefix:       cs.Prefix,
 			FirstDay:     cs.FirstDay,
 			LastDay:      cs.LastDay,
 			DaysObserved: cs.DaysObserved,
 			OriginsEver:  append([]bgp.ASN(nil), cs.OriginsEver...),
 		}
 		if len(cs.ClassDays) > len(c.ClassDays) {
-			return fmt.Errorf("kernel: snapshot conflict %s has %d classes, want <= %d",
+			return fmt.Errorf("kernel: snapshot conflict %v has %d classes, want <= %d",
 				cs.Prefix, len(cs.ClassDays), len(c.ClassDays))
 		}
 		copy(c.ClassDays[:], cs.ClassDays)
 		k.reg.Insert(c)
 	}
+	if part != 0 {
+		return nil
+	}
+	k.closedSpans = slices.Grow(k.closedSpans, len(s.ClosedSpans))
 	for _, sp := range s.ClosedSpans {
 		k.closedSpans = append(k.closedSpans, Span{Start: sp.Start, End: sp.End})
 	}
 	k.events = s.Events
 	if k.opts.KeepLog {
-		for i := range s.Log {
-			ev, err := snapToEvent(&s.Log[i])
-			if err != nil {
-				return err
-			}
-			k.log = append(k.log, ev)
-		}
+		var err error
+		k.log, err = restoreEvents(s.Log)
+		return err
+	}
+	return nil
+}
+
+// restorePrefix loads one prefix state; h is uint32(ptable.Hash) of it.
+func (k *Kernel) restorePrefix(ps *PrefixSnap, h uint32) error {
+	if err := cmp.Or(validPrefix(ps.Prefix), validClass(ps.Class)); err != nil {
+		return err
+	}
+	if _, dup := k.tab.Find(ps.Prefix, h); dup {
+		return fmt.Errorf("kernel: snapshot repeats prefix %v", ps.Prefix)
+	}
+	lifecycle := ps.Seq != 0 || ps.Since != 0 || ps.Class != 0 || len(ps.History) > 0
+	if !lifecycle && len(ps.Origins) == 0 {
+		return nil // a stateless prefix is simply not tracked
+	}
+	id := k.tab.Insert(ps.Prefix, h)
+	r := k.tab.At(id)
+	if !lifecycle && len(ps.Origins) == 1 {
+		r.val, r.flags = uint32(ps.Origins[0]), recOrigin
+		return nil
+	}
+	r.val, r.flags = k.exts.Alloc(), recExt
+	st := k.exts.At(r.val)
+	*st = ext{
+		origins:  append([]bgp.ASN(nil), ps.Origins...),
+		class:    core.Class(ps.Class),
+		activeAt: -1,
+		seq:      ps.Seq,
+		since:    ps.Since,
+	}
+	hist := ps.History
+	if k.opts.HistoryCap > 0 && len(hist) > k.opts.HistoryCap {
+		hist = hist[len(hist)-k.opts.HistoryCap:]
+	}
+	var err error
+	if st.history, err = restoreEvents(hist); err != nil {
+		return err
+	}
+	if len(st.origins) >= 2 {
+		st.activeAt = int32(len(k.active))
+		k.active = append(k.active, id)
 	}
 	return nil
 }
 
 // Merge combines prefix-disjoint snapshots (the sharded engine's case,
 // where each shard's kernel owns a hash partition of the prefix space)
-// into one. Prefix states and conflicts concatenate, spans concatenate,
-// event counts add, and logs merge into canonical order.
+// into one. Prefix states merge in order, conflicts and spans
+// concatenate, event counts add and logs merge; every section ends in
+// its one canonical order — Prefix.Compare, SortEvents for the log — so
+// the merged image, and with it checkpoint bytes, do not depend on how
+// the prefix space was partitioned.
 func Merge(parts []*Snapshot) *Snapshot {
 	out := &Snapshot{Version: SnapshotVersion}
-	for _, p := range parts {
-		out.Prefixes = append(out.Prefixes, p.Prefixes...)
+	prefixes := make([][]PrefixSnap, len(parts))
+	for i, p := range parts {
+		prefixes[i] = p.Prefixes
 		out.Conflicts = append(out.Conflicts, p.Conflicts...)
 		out.ClosedSpans = append(out.ClosedSpans, p.ClosedSpans...)
 		out.Events += p.Events
 		out.Log = append(out.Log, p.Log...)
 	}
-	sort.Slice(out.Prefixes, func(i, j int) bool { return out.Prefixes[i].Prefix < out.Prefixes[j].Prefix })
-	sort.Slice(out.Conflicts, func(i, j int) bool { return out.Conflicts[i].Prefix < out.Conflicts[j].Prefix })
-	// Span order is semantically irrelevant but shard-partition dependent;
-	// sorting makes the merged snapshot — and so checkpoint bytes —
-	// canonical across shard counts.
-	sort.Slice(out.ClosedSpans, func(i, j int) bool {
-		if out.ClosedSpans[i].Start != out.ClosedSpans[j].Start {
-			return out.ClosedSpans[i].Start < out.ClosedSpans[j].Start
-		}
-		return out.ClosedSpans[i].End < out.ClosedSpans[j].End
+	out.Prefixes = MergeSorted(prefixes, comparePrefixSnaps)
+	slices.SortFunc(out.Conflicts, func(a, b ConflictSnap) int { return a.Prefix.Compare(b.Prefix) })
+	slices.SortFunc(out.ClosedSpans, func(a, b SpanSnap) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
 	})
-	sort.Slice(out.Log, func(i, j int) bool {
-		a, b := &out.Log[i], &out.Log[j]
-		if a.Day != b.Day {
-			return a.Day < b.Day
+	SortEvents(out.Log)
+	return out
+}
+
+func comparePrefixSnaps(a, b PrefixSnap) int { return a.Prefix.Compare(b.Prefix) }
+
+// MergeSorted merges slices that are each sorted by cmp into one sorted
+// slice, consuming parts (a single part is returned as it is). Picking
+// the least head is linear in the total for the handful of partitions an
+// engine has, where sorting the concatenation — sorted runs interleaved
+// by hash — is pdqsort's full n log n over table-sized structs.
+func MergeSorted[T any](parts [][]T, cmp func(a, b T) int) []T {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	out := slices.Grow([]T(nil), n)
+	for len(out) < n {
+		least := -1
+		for i, p := range parts {
+			if len(p) > 0 && (least < 0 || cmp(p[0], parts[least][0]) < 0) {
+				least = i
+			}
 		}
-		if a.Prefix != b.Prefix {
-			return a.Prefix < b.Prefix
-		}
-		return a.Seq < b.Seq
-	})
+		out = append(out, parts[least][0])
+		parts[least] = parts[least][1:]
+	}
 	return out
 }
 
@@ -307,7 +317,8 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 	return json.NewEncoder(w).Encode(s)
 }
 
-// DecodeSnapshot reads a JSON snapshot and validates its version.
+// DecodeSnapshot reads a JSON snapshot and validates its version. A
+// prefix that does not parse fails here, not at Restore.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {

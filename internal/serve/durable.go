@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -84,27 +83,25 @@ func AppendScenarioCheckpointBinary(dst []byte, ck *ScenarioCheckpoint) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	eng, err := stream.AppendCheckpointBinary(nil, ck.Engine)
-	if err != nil {
-		return nil, err
-	}
 	dst = append(dst, scenarioCheckpointMagic...)
 	dst = binary.AppendUvarint(dst, uint64(ck.Version))
 	dst = binenc.AppendFrame(dst, metaJSON)
-	dst = binenc.AppendFrame(dst, eng)
-	return dst, nil
+	// The engine frame is written in place: the encoder sizes dst once
+	// for the whole image, and no second copy of it ever exists.
+	start := len(dst)
+	if dst, err = stream.AppendCheckpointBinary(binenc.BeginFrame(dst), ck.Engine); err != nil {
+		return nil, err
+	}
+	return binenc.EndFrame(dst, start), nil
 }
 
-// ReadScenarioCheckpoint reads a scenario checkpoint file in either
-// format, sniffing the content: the binary envelope by its magic,
+// ReadScenarioCheckpoint decodes a scenario checkpoint file's bytes in
+// either format, sniffing the content: the binary envelope by its magic,
 // anything else as the JSON form — which is byte-for-byte what POST
 // /scenarios/{id}/checkpoint returns, so an operator can drop a saved
-// API response into the checkpoint directory and boot from it.
-func ReadScenarioCheckpoint(r io.Reader) (*ScenarioCheckpoint, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("serve: read checkpoint: %w", err)
-	}
+// API response into the checkpoint directory and boot from it. The
+// result's engine image aliases data.
+func ReadScenarioCheckpoint(data []byte) (*ScenarioCheckpoint, error) {
 	var ck ScenarioCheckpoint
 	if !bytes.HasPrefix(data, scenarioCheckpointMagic) {
 		if err := json.Unmarshal(data, &ck); err != nil {
@@ -129,7 +126,7 @@ func ReadScenarioCheckpoint(r io.Reader) (*ScenarioCheckpoint, error) {
 		if err := json.Unmarshal(meta, &ck); err != nil {
 			return nil, fmt.Errorf("serve: decode checkpoint envelope: %w", err)
 		}
-		eng, err := stream.DecodeCheckpoint(bytes.NewReader(engBytes))
+		eng, err := stream.DecodeCheckpoint(engBytes) // in place: no copy of the frame
 		if err != nil {
 			return nil, err
 		}
@@ -285,13 +282,12 @@ func (st checkpointStore) prune() {
 func (st checkpointStore) recoverNewest(logf func(string, ...any)) (*ScenarioCheckpoint, string, bool) {
 	for _, name := range st.files() {
 		path := filepath.Join(st.dir, name)
-		f, err := st.vfs().Open(path)
+		data, err := st.vfs().ReadFile(path) // one buffer, sized from the file
 		if err != nil {
 			logf("recover: %s: %v", path, err)
 			continue
 		}
-		ck, err := ReadScenarioCheckpoint(f)
-		f.Close()
+		ck, err := ReadScenarioCheckpoint(data)
 		if err != nil {
 			logf("recover: %s: skipping corrupt checkpoint: %v", path, err)
 			continue

@@ -12,6 +12,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"moas/internal/binenc"
+	"moas/internal/stream"
 )
 
 // pausedCheckpoint runs a small scenario a few days in, pauses it, and
@@ -63,8 +66,17 @@ func TestScenarioCheckpointFileCodec(t *testing.T) {
 	if len(bin) >= len(js) {
 		t.Fatalf("binary scenario checkpoint (%d bytes) not smaller than JSON (%d bytes)", len(bin), len(js))
 	}
+	// The engine frame is encoded in place; it must still be exactly the
+	// engine's own encoding behind a length prefix.
+	eng, err := stream.AppendCheckpointBinary(nil, ck.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(bin, binenc.AppendFrame(nil, eng)) {
+		t.Fatal("engine frame differs from the framed engine checkpoint")
+	}
 	for name, blob := range map[string][]byte{"binary": bin, "json": js} {
-		got, err := ReadScenarioCheckpoint(bytes.NewReader(blob))
+		got, err := ReadScenarioCheckpoint(blob)
 		if err != nil {
 			t.Fatalf("read %s scenario checkpoint: %v", name, err)
 		}
@@ -73,11 +85,11 @@ func TestScenarioCheckpointFileCodec(t *testing.T) {
 		}
 	}
 	for _, cut := range []int{0, 2, len(bin) / 4, len(bin) / 2, len(bin) - 1} {
-		if _, err := ReadScenarioCheckpoint(bytes.NewReader(bin[:cut])); err == nil {
+		if _, err := ReadScenarioCheckpoint(bin[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := ReadScenarioCheckpoint(bytes.NewReader(append(bytes.Clone(bin), 7))); err == nil {
+	if _, err := ReadScenarioCheckpoint(append(bytes.Clone(bin), 7)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }
@@ -310,7 +322,7 @@ func TestCheckpointEndpointGET(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := ReadScenarioCheckpoint(bytes.NewReader(blob))
+	ck, err := ReadScenarioCheckpoint(blob)
 	if err != nil {
 		t.Fatalf("served checkpoint bytes do not decode: %v", err)
 	}

@@ -3,7 +3,6 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,7 +22,8 @@ import (
 // The container carries its own format version after the magic, separate
 // from the Checkpoint struct version it stores:
 //
-//	container v1 (legacy, decode-only):
+//	container v1 (legacy: read, never written — the committed
+//	testdata/checkpoint_v1.mckpt pins it):
 //	  magic "MCKP" | uvarint struct version
 //	  frame: cursor — varint lastClosedDay, uvarint messages/ops/records
 //	  frame: kernel — the kernel snapshot in its own binary format
@@ -50,7 +50,9 @@ import (
 // in the version slot can never be 2 (it was the struct version, fixed at
 // 1), so one uvarint read disambiguates the containers, and
 // DecodeCheckpoint still sniffs binary apart from JSON by the magic —
-// archives mixing JSON, v1 and v2 files all restore.
+// archives mixing JSON, v1 and v2 files all restore. Readers insert entry
+// by entry, so none depends on the order of entries inside a section;
+// the writer's order is the image's (Prefix.Compare).
 
 // checkpointMagic introduces a binary engine checkpoint. Like the kernel
 // snapshot magic, its first byte can never open a JSON document.
@@ -60,210 +62,74 @@ var checkpointMagic = []byte("MCKP")
 // the shared attrs-block table.
 const checkpointContainerV2 = 2
 
-// appendCursor appends the cursor section shared by both containers.
-func appendCursor(ck *Checkpoint) []byte {
-	cur := binary.AppendVarint(nil, int64(ck.LastClosedDay))
-	cur = binary.AppendUvarint(cur, ck.Messages)
-	cur = binary.AppendUvarint(cur, ck.Ops)
-	return binary.AppendUvarint(cur, ck.Records)
-}
-
-// routesSizeHintV1 estimates the v1 route section's size (the bulk of a
-// full-scale checkpoint) so buffers grow once, not by doubling.
-func routesSizeHintV1(ck *Checkpoint) int {
-	n := 64
-	for i := range ck.Routes {
-		n += 24
-		for j := range ck.Routes[i].Routes {
-			n += 16 + 8 + len(ck.Routes[i].Routes[j].Attrs)/2
-		}
-	}
-	return n
-}
-
 // AppendCheckpointBinary appends ck's binary encoding — container v2,
-// with the shared attrs-block table — to dst. It fails on a checkpoint
-// whose hex fields do not decode (which Checkpoint never produces).
+// with the shared attrs-block table — to dst, sizing dst once.
 func AppendCheckpointBinary(dst []byte, ck *Checkpoint) ([]byte, error) {
 	if ck.Kernel == nil {
 		return nil, fmt.Errorf("stream: checkpoint has no kernel snapshot")
 	}
-	ksec, err := kernel.AppendSnapshotBinary(nil, ck.Kernel)
-	if err != nil {
-		return nil, err
-	}
-
-	// First pass: the distinct attribute blocks, in first-use order, and
-	// the total route count (for the routes-section size hint).
+	// First pass: the distinct attribute blocks in first-use order, and
+	// the section sizes. Blocks are told apart by content, not by the
+	// array they alias: two shards each serialize a block both hold, and
+	// the bytes must not depend on the shard count.
 	blockIdx := make(map[string]uint64, 256)
-	var blocks []string
-	nroutes := 0
-	attrBytes := 0
-	for i := range ck.Routes {
-		for j := range ck.Routes[i].Routes {
-			nroutes++
-			a := ck.Routes[i].Routes[j].Attrs
-			if _, ok := blockIdx[a]; !ok {
-				blockIdx[a] = uint64(len(blocks))
-				blocks = append(blocks, a)
-				attrBytes += len(a) / 2
-			}
-		}
-	}
-
-	asec := make([]byte, 0, attrBytes+4*len(blocks)+8)
-	asec = binary.AppendUvarint(asec, uint64(len(blocks)))
-	for _, a := range blocks {
-		asec = binary.AppendUvarint(asec, uint64(len(a)/2))
-		var herr error
-		if asec, herr = appendHexDecoded(asec, a); herr != nil {
-			return nil, fmt.Errorf("stream: encode attrs block %q: %w", a, herr)
-		}
-	}
-
-	rsec := make([]byte, 0, 24*len(ck.Routes)+20*nroutes+8)
-	rsec = binary.AppendUvarint(rsec, uint64(len(ck.Routes)))
+	size := 64
 	for i := range ck.Routes {
 		pr := &ck.Routes[i]
-		p, perr := bgp.ParsePrefix(pr.Prefix)
-		if perr != nil {
-			return nil, fmt.Errorf("stream: encode route prefix %q: %w", pr.Prefix, perr)
-		}
-		rsec = binenc.AppendPrefix(rsec, p)
-		rsec = binary.AppendUvarint(rsec, uint64(len(pr.Routes)))
 		for j := range pr.Routes {
-			rt := &pr.Routes[j]
-			if len(rt.PeerIP) != 32 {
-				return nil, fmt.Errorf("stream: encode peer ip %q: bad 16-byte hex", rt.PeerIP)
+			a := pr.Routes[j].Attrs
+			if _, ok := blockIdx[string(a)]; !ok {
+				blockIdx[string(a)] = uint64(len(blockIdx))
+				size += len(a) + 3
 			}
-			var herr error
-			if rsec, herr = appendHexDecoded(rsec, rt.PeerIP); herr != nil {
-				return nil, fmt.Errorf("stream: encode peer ip %q: %w", rt.PeerIP, herr)
-			}
-			rsec = binary.AppendUvarint(rsec, uint64(rt.PeerAS))
-			rsec = binary.AppendUvarint(rsec, blockIdx[rt.Attrs])
 		}
+		// Compact prefix, route count, then per route 16 address bytes and
+		// two uvarints (AS, block index) of at most 5 and 3 bytes.
+		size += 4 + int(pr.Prefix.Bits()+7)/8 + 24*len(pr.Routes)
 	}
 
-	if dst == nil {
-		dst = make([]byte, 0, len(ksec)+len(asec)+len(rsec)+96)
-	}
+	dst = slices.Grow(dst, size+ck.Kernel.BinarySizeHint())
 	dst = append(dst, checkpointMagic...)
 	dst = binary.AppendUvarint(dst, checkpointContainerV2)
 	dst = binary.AppendUvarint(dst, uint64(ck.Version))
-	dst = binenc.AppendFrame(dst, appendCursor(ck))
-	dst = binenc.AppendFrame(dst, ksec)
-	dst = binenc.AppendFrame(dst, asec)
-	dst = binenc.AppendFrame(dst, rsec)
-	return dst, nil
-}
 
-// AppendCheckpointBinaryV1 appends the legacy container-v1 encoding
-// (attribute bytes repeated per route). Kept for the codec benchmark's
-// v1-vs-v2 comparison and the golden fixture generator; production
-// writers use AppendCheckpointBinary.
-func AppendCheckpointBinaryV1(dst []byte, ck *Checkpoint) ([]byte, error) {
-	if ck.Kernel == nil {
-		return nil, fmt.Errorf("stream: checkpoint has no kernel snapshot")
-	}
-	if ck.Version == checkpointContainerV2 {
-		// The v1 version slot doubles as the container discriminator; a
-		// struct version equal to the v2 marker would make the bytes
-		// ambiguous on decode.
-		return nil, fmt.Errorf("stream: struct version %d cannot be encoded in the v1 container", ck.Version)
-	}
-	ksec, err := kernel.AppendSnapshotBinary(nil, ck.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	routesHint := routesSizeHintV1(ck)
-	if dst == nil {
-		dst = make([]byte, 0, len(ksec)+routesHint+64)
-	}
-	dst = append(dst, checkpointMagic...)
-	dst = binary.AppendUvarint(dst, uint64(ck.Version))
-	dst = binenc.AppendFrame(dst, appendCursor(ck))
-	dst = binenc.AppendFrame(dst, ksec)
+	start := len(dst)
+	dst = binary.AppendVarint(binenc.BeginFrame(dst), int64(ck.LastClosedDay))
+	dst = binary.AppendUvarint(dst, ck.Messages)
+	dst = binary.AppendUvarint(dst, ck.Ops)
+	dst = binary.AppendUvarint(dst, ck.Records)
+	dst = binenc.EndFrame(dst, start)
 
-	sec := make([]byte, 0, routesHint)
-	sec = binary.AppendUvarint(sec, uint64(len(ck.Routes)))
+	start = len(dst)
+	dst = kernel.AppendSnapshotBinary(binenc.BeginFrame(dst), ck.Kernel)
+	dst = binenc.EndFrame(dst, start)
+
+	blocks := make([]string, len(blockIdx)) // the map's keys, by index
+	for a, i := range blockIdx {
+		blocks[i] = a
+	}
+	start = len(dst)
+	dst = binary.AppendUvarint(binenc.BeginFrame(dst), uint64(len(blocks)))
+	for _, a := range blocks {
+		dst = binary.AppendUvarint(dst, uint64(len(a)))
+		dst = append(dst, a...)
+	}
+	dst = binenc.EndFrame(dst, start)
+
+	start = len(dst)
+	dst = binary.AppendUvarint(binenc.BeginFrame(dst), uint64(len(ck.Routes)))
 	for i := range ck.Routes {
 		pr := &ck.Routes[i]
-		p, perr := bgp.ParsePrefix(pr.Prefix)
-		if perr != nil {
-			return nil, fmt.Errorf("stream: encode route prefix %q: %w", pr.Prefix, perr)
-		}
-		sec = binenc.AppendPrefix(sec, p)
-		sec = binary.AppendUvarint(sec, uint64(len(pr.Routes)))
+		dst = binenc.AppendPrefix(dst, pr.Prefix)
+		dst = binary.AppendUvarint(dst, uint64(len(pr.Routes)))
 		for j := range pr.Routes {
-			// Hex decodes land directly in the output buffer: at
-			// full-scan scale the route section dominates the encode, and
-			// per-route hex.DecodeString allocations would make the
-			// binary codec slower than the JSON one it exists to beat.
 			rt := &pr.Routes[j]
-			if len(rt.PeerIP) != 32 {
-				return nil, fmt.Errorf("stream: encode peer ip %q: bad 16-byte hex", rt.PeerIP)
-			}
-			var herr error
-			if sec, herr = appendHexDecoded(sec, rt.PeerIP); herr != nil {
-				return nil, fmt.Errorf("stream: encode peer ip %q: %w", rt.PeerIP, herr)
-			}
-			sec = binary.AppendUvarint(sec, uint64(rt.PeerAS))
-			sec = binary.AppendUvarint(sec, uint64(len(rt.Attrs)/2))
-			if sec, herr = appendHexDecoded(sec, rt.Attrs); herr != nil {
-				return nil, fmt.Errorf("stream: encode attrs for %s: %w", pr.Prefix, herr)
-			}
+			dst = append(dst, rt.PeerIP[:]...)
+			dst = binary.AppendUvarint(dst, uint64(rt.PeerAS))
+			dst = binary.AppendUvarint(dst, blockIdx[string(rt.Attrs)])
 		}
 	}
-	dst = binenc.AppendFrame(dst, sec)
-	return dst, nil
-}
-
-// unhexTable maps an ASCII byte to its hex value, -1 for non-hex — a
-// table lookup instead of branches, because at full-scan scale the
-// encoder pushes megabytes of hex through this path per checkpoint.
-var unhexTable = func() (t [256]int8) {
-	for i := range t {
-		t[i] = -1
-	}
-	for c := byte('0'); c <= '9'; c++ {
-		t[c] = int8(c - '0')
-	}
-	for c := byte('a'); c <= 'f'; c++ {
-		t[c] = int8(c-'a') + 10
-	}
-	for c := byte('A'); c <= 'F'; c++ {
-		t[c] = int8(c-'A') + 10
-	}
-	return t
-}()
-
-// appendHexDecoded appends the raw decoding of a hex string to dst
-// without intermediate allocation.
-func appendHexDecoded(dst []byte, s string) ([]byte, error) {
-	if len(s)%2 != 0 {
-		return nil, fmt.Errorf("odd-length hex")
-	}
-	n := len(dst)
-	dst = slices.Grow(dst, len(s)/2)[:n+len(s)/2]
-	for i, j := 0, n; i < len(s); i, j = i+2, j+1 {
-		hi, lo := unhexTable[s[i]], unhexTable[s[i+1]]
-		if hi < 0 || lo < 0 {
-			return nil, fmt.Errorf("bad hex byte at %d", i)
-		}
-		dst[j] = byte(hi)<<4 | byte(lo)
-	}
-	return dst, nil
-}
-
-// EncodeCheckpointBinary writes the checkpoint in the binary format.
-func EncodeCheckpointBinary(w io.Writer, ck *Checkpoint) error {
-	buf, err := AppendCheckpointBinary(nil, ck)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
+	return binenc.EndFrame(dst, start), nil
 }
 
 // EncodeCheckpointJSON writes the checkpoint as compact JSON — the
@@ -274,7 +140,8 @@ func EncodeCheckpointJSON(w io.Writer, ck *Checkpoint) error {
 
 // DecodeCheckpointBinary parses a binary checkpoint — either container
 // version — and validates its struct version. Hostile input errors; it
-// never panics or over-allocates.
+// never panics or over-allocates. The result's attribute blocks alias
+// data (NewFromCheckpoint copies what the engine keeps).
 func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	if !bytes.HasPrefix(data, checkpointMagic) {
 		return nil, fmt.Errorf("stream: not a binary checkpoint (bad magic)")
@@ -312,13 +179,12 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	ck.Kernel = snap
 
 	// v2: the shared attrs-block table the route entries index into.
-	var blocks []string
+	var blocks []WireAttrs
 	if v2 {
 		asec := r.Frame()
-		nb := asec.Count(1)
-		blocks = make([]string, nb)
-		for i := 0; i < nb; i++ {
-			blocks[i] = hex.EncodeToString(asec.Bytes(asec.Count(1)))
+		blocks = make([]WireAttrs, asec.Count(1))
+		for i := range blocks {
+			blocks[i] = asec.Bytes(asec.Count(1))
 		}
 		if err := binenc.FirstErr(asec, r); err != nil {
 			return nil, fmt.Errorf("stream: decode checkpoint attrs table: %w", err)
@@ -328,26 +194,23 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	sec := r.Frame()
 	// A route entry is at least 3 bytes (2-byte prefix, zero routes).
 	n := sec.Count(3)
+	ck.Routes = slices.Grow(ck.Routes, n)
 	for i := 0; i < n; i++ {
-		pr := PrefixRoutes{Prefix: sec.Prefix().String()}
+		pr := PrefixRoutes{Prefix: sec.Prefix()}
 		// Minimum bytes per route: 16-byte IP + AS + (v1: empty attrs
 		// length | v2: block index) = 18 either way.
-		nr := sec.Count(18)
-		for j := 0; j < nr; j++ {
-			rt := PeerRouteSnap{PeerIP: hex.EncodeToString(sec.Bytes(16))}
+		pr.Routes = make([]PeerRouteSnap, sec.Count(18))
+		for j := range pr.Routes {
+			rt := &pr.Routes[j]
+			copy(rt.PeerIP[:], sec.Bytes(len(rt.PeerIP)))
 			rt.PeerAS = bgp.ASN(sec.Uvarint())
-			if v2 {
-				idx := sec.Uvarint()
-				if sec.Err() == nil {
-					if idx >= uint64(len(blocks)) {
-						return nil, fmt.Errorf("stream: checkpoint attrs index %d beyond %d-block table", idx, len(blocks))
-					}
-					rt.Attrs = blocks[idx]
-				}
-			} else {
-				rt.Attrs = hex.EncodeToString(sec.Bytes(sec.Count(1)))
+			if !v2 {
+				rt.Attrs = sec.Bytes(sec.Count(1))
+			} else if idx := sec.Uvarint(); idx < uint64(len(blocks)) {
+				rt.Attrs = blocks[idx]
+			} else if sec.Err() == nil {
+				return nil, fmt.Errorf("stream: checkpoint attrs index %d beyond %d-block table", idx, len(blocks))
 			}
-			pr.Routes = append(pr.Routes, rt)
 		}
 		ck.Routes = append(ck.Routes, pr)
 	}
@@ -360,16 +223,14 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// DecodeCheckpoint reads an engine checkpoint in either format, sniffing
-// the content: the binary magic selects the binary codec (both container
-// versions), anything else parses as JSON. Restore-side sniffing is what
-// lets checkpoint archives mix generations — a directory of old JSON or
-// v1 binary checkpoints keeps working after the writer moves on.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("stream: read checkpoint: %w", err)
-	}
+// DecodeCheckpoint decodes an engine checkpoint in either format,
+// sniffing the content: the binary magic selects the binary codec (both
+// container versions), anything else parses as JSON — where malformed
+// prefix, peer-address or attribute text fails, through the fields' text
+// methods. Restore-side sniffing is what lets checkpoint archives mix
+// generations — a directory of old JSON or v1 binary checkpoints keeps
+// working after the writer moves on.
+func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if bytes.HasPrefix(data, checkpointMagic) {
 		return DecodeCheckpointBinary(data)
 	}

@@ -47,11 +47,11 @@ func tinyCheckpoint(t testing.TB) *Checkpoint {
 	return e.Checkpoint()
 }
 
-// TestBinaryCheckpointRoundTrip: both binary containers must reproduce
-// the exact checkpoint image, the sniffing decoder must accept all three
-// encodings, and each binary generation must actually be smaller than
-// what it replaces (the reason it exists) — v1 beats JSON, v2's shared
-// attrs-block table beats v1.
+// TestBinaryCheckpointRoundTrip: the binary and JSON codecs must
+// reproduce the exact checkpoint image through the sniffing decoder, the
+// binary form must be smaller than the JSON it replaces on disk (the
+// reason it exists), and the frozen legacy-v1 fixture — an image of the
+// scripted engine — must still decode to exactly that engine's image.
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	sc, _, _ := fixtures(t)
 	ck, _ := checkpointAtDay(t, Config{Shards: 2}, len(ScenarioCalendar(sc).Days)/2)
@@ -63,28 +63,29 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binV1, err := AppendCheckpointBinaryV1(nil, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var js bytes.Buffer
 	if err := EncodeCheckpointJSON(&js, ck); err != nil {
 		t.Fatal(err)
 	}
-	if len(binV1) >= js.Len() {
-		t.Fatalf("v1 binary checkpoint (%d bytes) not smaller than JSON (%d bytes)", len(binV1), js.Len())
+	if len(bin) >= js.Len() {
+		t.Fatalf("binary checkpoint (%d bytes) not smaller than JSON (%d bytes)", len(bin), js.Len())
 	}
-	if len(bin) >= len(binV1) {
-		t.Fatalf("v2 binary checkpoint (%d bytes) not smaller than v1 (%d bytes)", len(bin), len(binV1))
-	}
-	for name, blob := range map[string][]byte{"binary": bin, "binary-v1": binV1, "json": js.Bytes()} {
-		decoded, err := DecodeCheckpoint(bytes.NewReader(blob))
+	for name, blob := range map[string][]byte{"binary": bin, "json": js.Bytes()} {
+		decoded, err := DecodeCheckpoint(blob)
 		if err != nil {
 			t.Fatalf("sniffing decode of %s: %v", name, err)
 		}
 		if !reflect.DeepEqual(ck, decoded) {
 			t.Fatalf("sniffing decode of %s changed the checkpoint", name)
 		}
+	}
+
+	fromV1, err := DecodeCheckpoint(goldenV1(t))
+	if err != nil {
+		t.Fatalf("sniffing decode of the v1 fixture: %v", err)
+	}
+	if want := tinyCheckpoint(t); !reflect.DeepEqual(want, fromV1) {
+		t.Fatalf("v1 fixture decodes to a different image:\nwant %+v\n got %+v", want, fromV1)
 	}
 }
 
@@ -101,7 +102,7 @@ func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	thawed, err := DecodeCheckpoint(bytes.NewReader(bin))
+	thawed, err := DecodeCheckpoint(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,20 +137,33 @@ func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 
 // TestBinaryCheckpointRejectsDamage: truncation at every byte boundary,
 // magic corruption, trailing garbage and version skew must error — never
-// panic — in both binary containers.
+// panic — in both binary containers. The v1 bytes are the frozen
+// fixture's; its version slot is the byte after the magic.
 func TestBinaryCheckpointRejectsDamage(t *testing.T) {
 	ck := tinyCheckpoint(t)
-	encoders := map[string]func([]byte, *Checkpoint) ([]byte, error){
-		"v2": AppendCheckpointBinary,
-		"v1": AppendCheckpointBinaryV1,
+	v2, err := AppendCheckpointBinary(nil, ck)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, enc := range encoders {
-		t.Run(name, func(t *testing.T) {
-			bin, err := enc(nil, ck)
-			if err != nil {
-				t.Fatal(err)
-			}
+	future := *ck
+	future.Version = 99
+	futureV2, err := AppendCheckpointBinary(nil, &future)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := goldenV1(t)
+	futureV1 := bytes.Clone(v1)
+	futureV1[len(checkpointMagic)] = 99
 
+	for _, tc := range []struct {
+		name        string
+		bin, future []byte
+	}{{"v2", v2, futureV2}, {"v1", v1, futureV1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			bin := tc.bin
+			if decoded, err := DecodeCheckpointBinary(bin); err != nil || !reflect.DeepEqual(ck, decoded) {
+				t.Fatalf("undamaged %s checkpoint decodes with error %v or to a different image", tc.name, err)
+			}
 			if _, err := DecodeCheckpointBinary(append(bytes.Clone(bin), 0x01)); err == nil {
 				t.Fatal("trailing garbage accepted")
 			}
@@ -158,30 +172,20 @@ func TestBinaryCheckpointRejectsDamage(t *testing.T) {
 					t.Fatalf("truncation at byte %d accepted", cut)
 				}
 			}
+			// A flipped bit anywhere must error or decode — never panic.
+			for i := range bin {
+				bad := bytes.Clone(bin)
+				bad[i] ^= 0x10
+				_, _ = DecodeCheckpointBinary(bad)
+			}
 			bad := bytes.Clone(bin)
 			bad[0] = 'J'
 			if _, err := DecodeCheckpointBinary(bad); err == nil {
 				t.Fatal("corrupt magic accepted")
 			}
-
-			future := *ck
-			future.Version = 99
-			futureBin, err := enc(nil, &future)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := DecodeCheckpointBinary(futureBin); err == nil {
+			if _, err := DecodeCheckpointBinary(tc.future); err == nil {
 				t.Fatal("version-99 binary checkpoint accepted")
 			}
 		})
-	}
-
-	// A v2 route referencing past the attrs table must error, not panic.
-	bin, err := AppendCheckpointBinary(nil, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded, err := DecodeCheckpointBinary(bin); err != nil || len(decoded.Routes) == 0 {
-		t.Fatalf("fixture v2 checkpoint unusable: %v", err)
 	}
 }

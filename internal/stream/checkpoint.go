@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 
 	"moas/internal/bgp"
 	"moas/internal/kernel"
@@ -15,12 +17,15 @@ import (
 // below.
 const CheckpointVersion = 1
 
-// Checkpoint is the serializable image of a settled engine: the merged
-// kernel snapshot (episodes, registry, spans, event log), the per-peer
-// route tables the kernel's observations are assessed from, and the
-// replay cursor (records consumed), so a replay can resume mid-archive.
-// It is shard-count independent: restoring into an engine with a
-// different Config.Shards redistributes state by prefix hash.
+// Checkpoint is the image of a settled engine: the merged kernel snapshot
+// (episodes, registry, spans, event log), the per-peer route tables the
+// kernel's observations are assessed from, and the replay cursor (records
+// consumed), so a replay can resume mid-archive. It is shard-count
+// independent: restoring into an engine with a different Config.Shards
+// redistributes state by prefix hash. The image is typed — prefixes, peer
+// addresses and attribute blocks are values, and only their JSON rendering
+// (the text methods below and bgp.Prefix's) ever turns them into strings;
+// the binary codec and NewFromCheckpoint move the values as they are.
 type Checkpoint struct {
 	Version       int    `json:"version"`
 	LastClosedDay int    `json:"last_closed_day"` // -1 before the first day close
@@ -30,27 +35,64 @@ type Checkpoint struct {
 	// skip count for ReplayOptions.Resume.
 	Records uint64           `json:"records"`
 	Kernel  *kernel.Snapshot `json:"kernel"`
-	Routes  []PrefixRoutes   `json:"routes"`
+	// Routes holds one entry per prefix with routes, in Prefix.Compare
+	// order; each entry's routes are ordered by peer address, then peer AS.
+	Routes []PrefixRoutes `json:"routes"`
 }
 
 // PrefixRoutes is one prefix's per-peer Adj-RIB-In image.
 type PrefixRoutes struct {
-	Prefix string          `json:"prefix"`
+	Prefix bgp.Prefix      `json:"prefix"`
 	Routes []PeerRouteSnap `json:"routes"`
 }
 
-// PeerRouteSnap is one peer's route for a prefix. PeerIP is the raw
-// 16-byte BGP4MP peer address in hex (collector convention, not an
-// IP-literal); Attrs is the path-attribute block in 4-octet-AS wire form.
+// PeerRouteSnap is one peer's route for a prefix.
 type PeerRouteSnap struct {
-	PeerIP string  `json:"peer_ip"`
-	PeerAS bgp.ASN `json:"peer_as"`
-	Attrs  string  `json:"attrs"`
+	PeerIP PeerIP    `json:"peer_ip"`
+	PeerAS bgp.ASN   `json:"peer_as"`
+	Attrs  WireAttrs `json:"attrs"`
 }
 
-// Checkpoint serializes the engine. The engine must be settled — parked
+// PeerIP is the raw 16-byte BGP4MP peer address (collector convention,
+// not an IP literal). Its text form is 32 hex digits.
+type PeerIP [16]byte
+
+// MarshalText renders the address as hex.
+func (ip PeerIP) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, ip[:]), nil }
+
+// UnmarshalText accepts exactly 32 hex digits.
+func (ip *PeerIP) UnmarshalText(text []byte) error {
+	if len(text) != 2*len(ip) {
+		return fmt.Errorf("stream: peer ip of %d hex digits, want %d", len(text), 2*len(ip))
+	}
+	_, err := hex.Decode(ip[:], text)
+	return err
+}
+
+// WireAttrs is a path-attribute block in 4-octet-AS wire form; its text
+// form is hex. In an image the routes that carry one attribute set alias
+// one block — Checkpoint serializes each block once, the binary decoder
+// slices them out of its input — so a table's two million routes cost as
+// many slice headers, not as many copies.
+type WireAttrs []byte
+
+// MarshalText renders the block as hex.
+func (a WireAttrs) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, a), nil }
+
+// UnmarshalText parses hex into a block of its own.
+func (a *WireAttrs) UnmarshalText(text []byte) error {
+	b, err := hex.AppendDecode(nil, text)
+	if err != nil {
+		return fmt.Errorf("stream: attrs block: %w", err)
+	}
+	*a = b
+	return nil
+}
+
+// Checkpoint images the engine. The engine must be settled — parked
 // after a Pause (Parked), fully replayed, or Closed — so that no batches
-// are in flight; each shard is then read under its stripe lock.
+// are in flight; each shard is then read under its stripe lock. The
+// image shares no memory the engine will write to again.
 func (e *Engine) Checkpoint() *Checkpoint {
 	ck := &Checkpoint{
 		Version:       CheckpointVersion,
@@ -59,42 +101,74 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		Ops:           e.ops.Load(),
 		Records:       e.recs.Load(),
 	}
-	parts := make([]*kernel.Snapshot, 0, len(e.shards))
-	for _, s := range e.shards {
+	parts := make([]*kernel.Snapshot, len(e.shards))
+	routes := make([][]PrefixRoutes, len(e.shards))
+	for i, s := range e.shards {
 		s.mu.RLock()
 		// Taken under the shard lock: every node visible here was applied
 		// after its peer entered the table.
 		peers := e.peers.snapshot()
-		parts = append(parts, s.k.Snapshot())
-		s.k.WalkPrefixes(func(id uint32, p bgp.Prefix) bool {
-			if int(id) >= s.heads.Len() || *s.heads.At(id) == 0 {
-				return true // kernel state only: a lifecycle outliving its routes
-			}
-			pr := PrefixRoutes{Prefix: p.String()}
-			for i := *s.heads.At(id); i != 0; {
-				n := s.nodes.At(i)
-				peer := &peers[n.peer]
-				pr.Routes = append(pr.Routes, PeerRouteSnap{
-					PeerIP: hex.EncodeToString(peer.IP[:]),
-					PeerAS: peer.AS,
-					Attrs:  hex.EncodeToString(s.attrs.ptr(n.attrs&^noOrigin).AppendWireEx(nil, true)),
-				})
-				i = n.next
-			}
-			sort.Slice(pr.Routes, func(i, j int) bool {
-				if pr.Routes[i].PeerIP != pr.Routes[j].PeerIP {
-					return pr.Routes[i].PeerIP < pr.Routes[j].PeerIP
-				}
-				return pr.Routes[i].PeerAS < pr.Routes[j].PeerAS
-			})
-			ck.Routes = append(ck.Routes, pr)
-			return true
-		})
+		parts[i] = s.k.Snapshot()
+		routes[i] = s.routesImage(peers)
 		s.mu.RUnlock()
 	}
 	ck.Kernel = kernel.Merge(parts)
-	sort.Slice(ck.Routes, func(i, j int) bool { return ck.Routes[i].Prefix < ck.Routes[j].Prefix })
+	ck.Routes = kernel.MergeSorted(routes, comparePrefixRoutes)
 	return ck
+}
+
+func comparePrefixRoutes(a, b PrefixRoutes) int { return a.Prefix.Compare(b.Prefix) }
+
+// routesImage images every prefix of the shard that holds routes, in
+// Prefix.Compare order. Each live attrs handle is serialized once, into
+// a block the routes holding the handle alias, and all the shard's route
+// entries share one array sized from the handles' reference counts (one
+// reference per route). Caller holds the shard lock.
+func (s *shard) routesImage(peers []PeerKey) []PrefixRoutes {
+	// Blocks are carved from 64 KB chunks with room for any block a BGP
+	// message can carry; a longer one just moves append to an array of
+	// its own, which the block then aliases instead.
+	blocks := make([]WireAttrs, len(s.attrs.ptrs))
+	var chunk []byte
+	live := 0
+	for h, a := range s.attrs.ptrs {
+		if a == nil {
+			continue
+		}
+		if cap(chunk)-len(chunk) < 4096 {
+			chunk = make([]byte, 0, 1<<16)
+		}
+		off := len(chunk)
+		chunk = a.AppendWireEx(chunk, true)
+		blocks[h] = chunk[off:len(chunk):len(chunk)]
+		live += int(s.attrs.refs[h])
+	}
+	routes := make([]PeerRouteSnap, 0, live)
+	dst := slices.Grow([]PrefixRoutes(nil), s.k.ArenaStates())
+	s.k.WalkPrefixes(func(id uint32, p bgp.Prefix) bool {
+		if int(id) >= s.heads.Len() || *s.heads.At(id) == 0 {
+			return true // kernel state only: a lifecycle outliving its routes
+		}
+		first := len(routes)
+		for i := *s.heads.At(id); i != 0; {
+			n := s.nodes.At(i)
+			peer := &peers[n.peer]
+			routes = append(routes, PeerRouteSnap{
+				PeerIP: PeerIP(peer.IP),
+				PeerAS: peer.AS,
+				Attrs:  blocks[n.attrs&^noOrigin],
+			})
+			i = n.next
+		}
+		rs := routes[first:len(routes):len(routes)]
+		slices.SortFunc(rs, func(a, b PeerRouteSnap) int {
+			return cmp.Or(bytes.Compare(a.PeerIP[:], b.PeerIP[:]), cmp.Compare(a.PeerAS, b.PeerAS))
+		})
+		dst = append(dst, PrefixRoutes{Prefix: p, Routes: rs})
+		return true
+	})
+	slices.SortFunc(dst, comparePrefixRoutes)
+	return dst
 }
 
 // NewFromCheckpoint starts an engine primed with a checkpoint's state:
@@ -102,7 +176,8 @@ func (e *Engine) Checkpoint() *Checkpoint {
 // by prefix hash, and the replay counters resume where the checkpointed
 // engine stopped. Continue feeding it with Replay and
 // ReplayOptions.Resume{Records: ck.Records, ...} over a fresh open of the
-// same archive.
+// same archive. The engine keeps no reference into ck (or into the bytes
+// a decoded ck aliases): the image can be dropped once this returns.
 func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 	if ck.Version != CheckpointVersion {
 		return nil, fmt.Errorf("stream: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
@@ -122,36 +197,9 @@ func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 	e.recs.Store(ck.Records)
 	e.lastClosed.Store(int64(ck.LastClosedDay))
 
-	// Split the merged kernel snapshot into per-shard partitions. Spans,
-	// the event count and the log are not prefix-keyed state machines —
-	// they only ever feed engine-wide concatenations — so they land on
-	// shard 0 wholesale.
-	parts := make([]*kernel.Snapshot, len(e.shards))
-	for i := range parts {
-		parts[i] = &kernel.Snapshot{Version: kernel.SnapshotVersion}
-	}
-	for _, ps := range ck.Kernel.Prefixes {
-		p, err := bgp.ParsePrefix(ps.Prefix)
-		if err != nil {
-			return fail(fmt.Errorf("stream: checkpoint prefix %q: %w", ps.Prefix, err))
-		}
-		i := ptable.Shard(ptable.Hash(p), len(e.shards))
-		parts[i].Prefixes = append(parts[i].Prefixes, ps)
-	}
-	for _, cs := range ck.Kernel.Conflicts {
-		p, err := bgp.ParsePrefix(cs.Prefix)
-		if err != nil {
-			return fail(fmt.Errorf("stream: checkpoint conflict prefix %q: %w", cs.Prefix, err))
-		}
-		i := ptable.Shard(ptable.Hash(p), len(e.shards))
-		parts[i].Conflicts = append(parts[i].Conflicts, cs)
-	}
-	parts[0].ClosedSpans = ck.Kernel.ClosedSpans
-	parts[0].Events = ck.Kernel.Events
-	parts[0].Log = ck.Kernel.Log
 	for i, s := range e.shards {
 		s.mu.Lock()
-		err := s.k.Restore(parts[i])
+		err := s.k.RestorePart(ck.Kernel, i, len(e.shards))
 		s.mu.Unlock()
 		if err != nil {
 			return fail(err)
@@ -164,41 +212,42 @@ func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 	// local: a later Replay interns the live 2-octet encoding separately,
 	// and the pointer fast path falls back to Attrs.Equal across the two.
 	restoreIn := bgp.NewAttrsInterner(true)
-	for _, pr := range ck.Routes {
-		p, err := bgp.ParsePrefix(pr.Prefix)
-		if err != nil {
-			return fail(fmt.Errorf("stream: checkpoint route prefix %q: %w", pr.Prefix, err))
+	for i := range ck.Routes {
+		pr := &ck.Routes[i]
+		if !pr.Prefix.IsValid() {
+			return fail(fmt.Errorf("stream: checkpoint route entry %d has no prefix", i))
 		}
-		h := ptable.Hash(p)
+		h := ptable.Hash(pr.Prefix)
 		s := e.shards[ptable.Shard(h, len(e.shards))]
 		s.mu.Lock()
-		for _, rt := range pr.Routes {
-			ipBytes, err := hex.DecodeString(rt.PeerIP)
-			if err != nil || len(ipBytes) != 16 {
-				s.mu.Unlock()
-				return fail(fmt.Errorf("stream: checkpoint peer ip %q: bad 16-byte hex", rt.PeerIP))
-			}
-			var peer PeerKey
-			copy(peer.IP[:], ipBytes)
-			peer.AS = rt.PeerAS
-			wire, err := hex.DecodeString(rt.Attrs)
-			if err != nil {
-				s.mu.Unlock()
-				return fail(fmt.Errorf("stream: checkpoint attrs for %s: %w", pr.Prefix, err))
-			}
-			attrs, err := restoreIn.Intern(wire)
-			if err != nil {
-				s.mu.Unlock()
-				return fail(fmt.Errorf("stream: checkpoint attrs for %s: %w", pr.Prefix, err))
-			}
-			// upsert, not blind insert: a hand-edited or hostile
-			// checkpoint may repeat a peer under one prefix, and a
-			// duplicate node would shadow the peer's route forever
-			// (list walks stop at the first match). Last entry wins,
-			// as the old map-based restore behaved.
-			s.upsertRoute(s.head(s.k.Acquire(p, uint32(h))), e.peers.indexOf(peer), attrs)
-		}
+		err := s.restoreRoutes(pr, uint32(h), &e.peers, restoreIn)
 		s.mu.Unlock()
+		if err != nil {
+			return fail(fmt.Errorf("stream: checkpoint attrs for %v: %w", pr.Prefix, err))
+		}
 	}
 	return e, nil
+}
+
+// restoreRoutes rebuilds one prefix's route list from its image; the only
+// failure is an attribute block that does not parse. Caller holds the
+// shard lock.
+func (s *shard) restoreRoutes(pr *PrefixRoutes, h uint32, peers *peerTable, in *bgp.AttrsInterner) error {
+	if len(pr.Routes) == 0 {
+		return nil // nothing to hold an id for
+	}
+	head := s.head(s.k.Acquire(pr.Prefix, h))
+	for i := range pr.Routes {
+		rt := &pr.Routes[i]
+		attrs, err := in.Intern(rt.Attrs)
+		if err != nil {
+			return err
+		}
+		// upsert, not blind insert: a hand-edited or hostile checkpoint
+		// may repeat a peer under one prefix, and a duplicate node would
+		// shadow the peer's route forever (list walks stop at the first
+		// match). Last entry wins, as the old map-based restore behaved.
+		s.upsertRoute(head, peers.indexOf(PeerKey{IP: [16]byte(rt.PeerIP), AS: rt.PeerAS}), attrs)
+	}
+	return nil
 }

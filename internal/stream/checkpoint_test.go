@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"moas/internal/analysis"
+	"moas/internal/bgp"
 )
 
 // sortSpans orders spans for multiset comparison (shard iteration order
@@ -162,5 +165,170 @@ func TestCheckpointVersionRejected(t *testing.T) {
 	ck.Version = 99
 	if _, err := NewFromCheckpoint(Config{Shards: 1}, ck); err == nil {
 		t.Fatal("restore accepted a version-99 checkpoint")
+	}
+}
+
+// TestCheckpointHostileInput feeds both decoders the malformed and
+// adversarial images a hand-edited JSON document or a corrupted file can
+// carry. Each row starts from the scripted checkpoint and damages it —
+// as an image (mutate: both renderings then carry the damage), as JSON
+// text, or as MCKP v2 bytes, whichever can express it — and must end as
+// its want says, at decode or at restore, without a panic and without
+// leaking the shard goroutines NewFromCheckpoint starts before it can
+// know the image is bad.
+func TestCheckpointHostileInput(t *testing.T) {
+	pa := bgp.MustParsePrefix("10.0.0.0/8")
+	pc := bgp.MustParsePrefix("2001:db8::/32")
+	routesOf := func(ck *Checkpoint, p bgp.Prefix) *PrefixRoutes {
+		for i := range ck.Routes {
+			if ck.Routes[i].Prefix == p {
+				return &ck.Routes[i]
+			}
+		}
+		t.Fatalf("fixture has no routes for %v", p)
+		return nil
+	}
+	replaceJSON := func(old, new string) func([]byte) []byte {
+		return func(doc []byte) []byte {
+			if !bytes.Contains(doc, []byte(old)) {
+				t.Fatalf("fixture JSON has no %s", old)
+			}
+			return bytes.Replace(doc, []byte(old), []byte(new), 1)
+		}
+	}
+	const peer1 = `"peer_ip":"00000000000000000000000000000001"`
+	base := tinyCheckpoint(t)
+	otherAttrs := routesOf(base, pa).Routes[0].Attrs
+	blocks := map[string]bool{}
+	for _, pr := range base.Routes {
+		for _, rt := range pr.Routes {
+			blocks[string(rt.Attrs)] = true
+		}
+	}
+
+	const (
+		failsDecode = iota
+		failsRestore
+		restores
+	)
+	rows := []struct {
+		name     string
+		mutate   func(ck *Checkpoint)
+		editJSON func(doc []byte) []byte
+		editBin  func(bin []byte) []byte
+		want     int
+		check    func(t *testing.T, e *Engine)
+	}{
+		{name: "prefix longer than its family", want: failsDecode,
+			editJSON: replaceJSON(`"prefix":"10.0.0.0/8"`, `"prefix":"10.0.0.0/33"`),
+			// Compact form of 10.0.0.0/8: family 1, 8 bits, one address byte.
+			editBin: func(bin []byte) []byte { return bytes.Replace(bin, []byte{1, 8, 10}, []byte{1, 33, 10}, 1) }},
+		{name: "prefix with trailing garbage", want: failsDecode,
+			editJSON: replaceJSON(`"prefix":"10.0.0.0/8"`, `"prefix":"10.0.0.0/8 "`)},
+		{name: "prefix empty", want: failsDecode,
+			editJSON: replaceJSON(`"prefix":"10.0.0.0/8"`, `"prefix":""`),
+			editBin:  func(bin []byte) []byte { return bytes.Replace(bin, []byte{1, 8, 10}, []byte{0, 8, 10}, 1) }},
+		{name: "prefix text over-long", want: failsDecode,
+			editJSON: replaceJSON(`"prefix":"10.0.0.0/8"`, `"prefix":"`+strings.Repeat("0", 100)+`10.0.0.0/8"`)},
+		{name: "prefix missing", want: failsRestore,
+			editJSON: replaceJSON(`{"prefix":"10.0.0.0/8","routes"`, `{"routes"`)},
+		{name: "peer ip of 15 bytes", want: failsDecode,
+			editJSON: replaceJSON(peer1, `"peer_ip":"000000000000000000000000000001"`)},
+		{name: "peer ip of 17 bytes", want: failsDecode,
+			editJSON: replaceJSON(peer1, `"peer_ip":"0000000000000000000000000000000001"`)},
+		{name: "peer ip not hex", want: failsDecode,
+			editJSON: replaceJSON(peer1, `"peer_ip":"0000000000000000000000000000000g"`)},
+		{name: "attrs of odd length", want: failsDecode,
+			editJSON: replaceJSON(`"attrs":"4`, `"attrs":"`)},
+		{name: "attrs not hex", want: failsDecode,
+			editJSON: replaceJSON(`"attrs":"4`, `"attrs":"x`)},
+		{name: "attrs index equal to the block table length", want: failsDecode,
+			// The file ends with the last route's block index, one byte
+			// for a table this small.
+			editBin: func(bin []byte) []byte { bin[len(bin)-1] = byte(len(blocks)); return bin }},
+		{name: "attrs block that does not parse", want: failsRestore,
+			mutate: func(ck *Checkpoint) { ck.Routes[0].Routes[0].Attrs = WireAttrs{0x40, 0x01} }},
+		{name: "kernel prefix repeated", want: failsRestore,
+			mutate: func(ck *Checkpoint) { ck.Kernel.Prefixes = append(ck.Kernel.Prefixes, ck.Kernel.Prefixes[0]) }},
+		{name: "class byte 200 in a prefix state", want: failsRestore,
+			mutate: func(ck *Checkpoint) { ck.Kernel.Prefixes[0].Class = 200 }},
+		{name: "class byte 200 in a logged event", want: failsRestore,
+			mutate: func(ck *Checkpoint) { ck.Kernel.Log[0].PrevClass = 200 }},
+		{name: "peer repeated under one prefix", want: restores,
+			mutate: func(ck *Checkpoint) {
+				pr := routesOf(ck, pc)
+				dup := pr.Routes[0]
+				dup.Attrs = otherAttrs
+				pr.Routes = append(pr.Routes, dup)
+			},
+			check: func(t *testing.T, e *Engine) {
+				if n := e.Prefix(pc).Routes; n != 1 {
+					t.Fatalf("%d routes for the repeated peer, want 1 node", n)
+				}
+				if got := routesOf(e.Checkpoint(), pc).Routes; len(got) != 1 || !bytes.Equal(got[0].Attrs, otherAttrs) {
+					t.Fatalf("repeated peer restored as %+v, want the last entry's attrs", got)
+				}
+			}},
+	}
+	for _, row := range rows {
+		ck := tinyCheckpoint(t)
+		if row.mutate != nil {
+			row.mutate(ck)
+		}
+		var js bytes.Buffer
+		if err := EncodeCheckpointJSON(&js, ck); err != nil {
+			t.Fatal(err)
+		}
+		bin, err := AppendCheckpointBinary(nil, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := map[string][]byte{}
+		if row.mutate != nil || row.editJSON != nil {
+			inputs["json"] = js.Bytes()
+		}
+		if row.mutate != nil || row.editBin != nil {
+			inputs["binary"] = bin
+		}
+		if row.editJSON != nil {
+			inputs["json"] = row.editJSON(inputs["json"])
+		}
+		if row.editBin != nil {
+			inputs["binary"] = row.editBin(inputs["binary"])
+		}
+		for format, data := range inputs {
+			t.Run(row.name+"/"+format, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				defer func() {
+					if after := runtime.NumGoroutine(); after > before {
+						t.Errorf("%d goroutines before, %d after", before, after)
+					}
+				}()
+				decoded, err := DecodeCheckpoint(data)
+				if err != nil {
+					if row.want != failsDecode {
+						t.Fatalf("decode failed: %v", err)
+					}
+					t.Logf("decode: %v", err)
+					return
+				}
+				if row.want == failsDecode {
+					t.Fatal("decode accepted the image")
+				}
+				e, err := NewFromCheckpoint(Config{Shards: 2}, decoded)
+				if err != nil {
+					if row.want != failsRestore {
+						t.Fatalf("restore failed: %v", err)
+					}
+					t.Logf("restore: %v", err)
+					return
+				}
+				defer e.Close()
+				if row.want == failsRestore {
+					t.Fatal("restore accepted the image")
+				}
+				row.check(t, e)
+			})
+		}
 	}
 }

@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// checkpointCorpusSeeds returns the fuzz seed inputs: a real mid-archive
-// checkpoint in every encoding (JSON, binary container v1, binary
-// container v2 with the shared attrs table) plus damaged variants. The
-// same bytes are committed under testdata/fuzz/FuzzCheckpointRestore
-// (see TestGenerateCheckpointFuzzCorpus).
+// checkpointCorpusSeeds returns the fuzz seed inputs: the scripted
+// checkpoint in every encoding (JSON, binary container v2 with the
+// shared attrs table, and the frozen legacy v1 fixture, which images the
+// same engine) plus damaged variants. Seeds of the same names are
+// committed under testdata/fuzz/FuzzCheckpointRestore (see
+// TestGenerateCheckpointFuzzCorpus).
 func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	ck := tinyCheckpoint(t)
@@ -20,10 +21,7 @@ func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binV1, err := AppendCheckpointBinaryV1(nil, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
+	binV1 := goldenV1(t)
 	var js bytes.Buffer
 	if err := EncodeCheckpointJSON(&js, ck); err != nil {
 		t.Fatal(err)
@@ -55,7 +53,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := DecodeCheckpoint(bytes.NewReader(data))
+		ck, err := DecodeCheckpoint(data)
 		if err != nil {
 			return
 		}

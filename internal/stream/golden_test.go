@@ -5,17 +5,22 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"moas/internal/bgp"
 )
 
-// The golden fixtures pin the v1 checkpoint formats: a scripted engine
-// checkpoint committed in both encodings plus the state summary it must
+// The golden fixtures pin the checkpoint formats: a scripted engine
+// checkpoint committed in every encoding plus the state summary it must
 // restore to. Future codec changes that can't read these bytes — or
 // read them into different state — fail here instead of silently
 // orphaning every archived checkpoint. Regenerate (only after a
-// deliberate, version-bumped format change) with MOAS_GEN_GOLDEN=1.
+// deliberate, version-bumped format change) with MOAS_GEN_GOLDEN=1 —
+// except the legacy v1 container, which has no writer any more: its
+// committed bytes are frozen, and they are what every test of the v1
+// reader decodes.
 const (
 	goldenJSON     = "testdata/checkpoint_v1.json"
 	goldenBinary   = "testdata/checkpoint_v1.mckpt"
@@ -98,7 +103,7 @@ func TestGoldenCheckpointsRestore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("missing golden fixture (regenerate with MOAS_GEN_GOLDEN=1): %v", err)
 		}
-		ck, err := DecodeCheckpoint(bytes.NewReader(blob))
+		ck, err := DecodeCheckpoint(blob)
 		if err != nil {
 			t.Fatalf("%s no longer decodes: %v", path, err)
 		}
@@ -109,8 +114,71 @@ func TestGoldenCheckpointsRestore(t *testing.T) {
 	}
 }
 
-// TestGenerateGoldenCheckpoints rewrites the fixtures from the current
-// codecs; a skip unless MOAS_GEN_GOLDEN=1.
+// goldenV1 returns the frozen legacy-container fixture.
+func goldenV1(t testing.TB) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(goldenBinary)
+	if err != nil {
+		t.Fatalf("missing frozen v1 fixture: %v", err)
+	}
+	return blob
+}
+
+// jsonShape unmarshals a JSON document generically and sorts every array
+// of objects by its "prefix" or "peer_ip" member, so two documents compare
+// equal exactly when they agree on field names, text forms and values —
+// whatever order their entries are in.
+func jsonShape(t testing.TB, doc []byte) any {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(doc, &v); err != nil {
+		t.Fatal(err)
+	}
+	var walk func(v any)
+	walk = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for _, e := range v {
+				walk(e)
+			}
+		case []any:
+			key := func(e any) string {
+				m, _ := e.(map[string]any)
+				p, _ := m["prefix"].(string)
+				ip, _ := m["peer_ip"].(string)
+				return p + ip
+			}
+			sort.SliceStable(v, func(i, j int) bool { return key(v[i]) < key(v[j]) })
+			for _, e := range v {
+				walk(e)
+			}
+		}
+	}
+	walk(v)
+	return v
+}
+
+// TestCheckpointJSONWireShape pins the JSON document — every field name
+// and every text form (prefixes as "addr/len", peer addresses and
+// attribute blocks as hex) — against the committed checkpoint_v1.json,
+// without pinning the order of entries, which no reader depends on.
+func TestCheckpointJSONWireShape(t *testing.T) {
+	want, err := os.ReadFile(goldenJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := EncodeCheckpointJSON(&got, tinyCheckpoint(t)); err != nil {
+		t.Fatal(err)
+	}
+	if w, g := jsonShape(t, want), jsonShape(t, got.Bytes()); !reflect.DeepEqual(w, g) {
+		t.Fatalf("JSON checkpoint changed shape:\nwant %s\n got %s", want, got.Bytes())
+	}
+}
+
+// TestGenerateGoldenCheckpoints rewrites the JSON, v2 and expectation
+// fixtures from the current codecs (never the frozen v1 container); a
+// skip unless MOAS_GEN_GOLDEN=1.
 func TestGenerateGoldenCheckpoints(t *testing.T) {
 	if os.Getenv("MOAS_GEN_GOLDEN") == "" {
 		t.Skip("set MOAS_GEN_GOLDEN=1 to regenerate golden checkpoints")
@@ -124,13 +192,6 @@ func TestGenerateGoldenCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(goldenJSON, js.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bin, err := AppendCheckpointBinaryV1(nil, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(goldenBinary, bin, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	binV2, err := AppendCheckpointBinary(nil, ck)

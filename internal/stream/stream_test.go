@@ -66,11 +66,11 @@ func replayAll(t testing.TB, cfg Config) *Engine {
 // equality two engines can be held to.
 func checkpointBytes(t testing.TB, e *Engine) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeCheckpointBinary(&buf, e.Checkpoint()); err != nil {
+	bin, err := AppendCheckpointBinary(nil, e.Checkpoint())
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return bin
 }
 
 // diffRegistries asserts two registries are identical record for record.
