@@ -1,12 +1,9 @@
 GO ?= go
-# Benchmark repetitions (benchstat wants >= 5 for significance; CI uses 1
-# to keep the trajectory recording cheap).
+# Benchmark repetitions and length; an explicit GOMAXPROCS, because
+# throughput numbers from boxes with different core counts are not
+# comparable.
 BENCH_COUNT ?= 5
 BENCH_TIME ?= 1s
-# Explicit GOMAXPROCS for benchmarks: throughput numbers from boxes with
-# different core counts are not comparable, so the recording pins the
-# cpu count and stamps it into the artifact as a benchfmt config line
-# (bench-trend in CI refuses to benchstat across differing counts).
 BENCH_CPU ?= $(shell nproc 2>/dev/null || echo 1)
 
 .PHONY: build test race bench benchall bench-check bench-e2e profile fuzz-smoke soak vet fmt docscheck ci
@@ -20,28 +17,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench records the streaming perf trajectory: the replay throughput
-# (with allocs/update and distinct-attrs, and the episode-log-enabled
-# variant), the update-decode old-vs-Into comparison, the shard-reassess
-# hot path and the checkpoint path (phase=snapshot imaging the engine,
-# codec=json and codec=binary rendering the image — ns/op plus encoded
-# size via the bytes metric — and phase=restore), in the standard Go
-# benchmark text format benchstat consumes, written to BENCH_stream.json.
-# Compare two recordings with: benchstat old.json BENCH_stream.json
-# (CI's bench-trend job does this against the previous run
-# automatically). benchsummary then distills the recording into
-# BENCH_summary.json — a schema'd JSON sidecar (updates/s,
-# allocs/update, nproc, shards, workers) trend tooling parses directly.
-# (Redirect-then-cat, not tee: a pipe would let a failing benchmark run
-# exit 0 through tee and upload a garbage artifact.)
+# bench prints the stream layer's go-test benchmarks — the ones that
+# carry what moasbench cannot see from outside: allocs/update and
+# distinct-attrs on the replay (with the episode-log-enabled variant),
+# the shard-reassess hot path, and the checkpoint path (phase=snapshot
+# imaging the engine, codec=json and codec=binary rendering the image
+# with its size as the bytes metric, phase=restore) — in the text format
+# benchstat reads. Nothing is recorded: end-to-end and per-layer numbers,
+# and comparing two commits, are moasbench's job (bench-e2e below, and
+# `moasbench -compare old new`).
 bench:
-	@echo "nproc: $(BENCH_CPU)" > BENCH_stream.json
 	$(GO) test -run XXX -bench 'BenchmarkStreamReplay|BenchmarkSynthReplay|BenchmarkDecodeUpdate|BenchmarkShardReassess|BenchmarkCheckpointEncode' \
-		-benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) -cpu $(BENCH_CPU) ./internal/stream \
-		>> BENCH_stream.json || { cat BENCH_stream.json; exit 1; }
-	@cat BENCH_stream.json
-	$(GO) run ./cmd/benchsummary -in BENCH_stream.json -out BENCH_summary.json
-	@cat BENCH_summary.json
+		-benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) -cpu $(BENCH_CPU) ./internal/stream
 
 benchall:
 	$(GO) test -bench . -run XXX -benchmem ./...

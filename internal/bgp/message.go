@@ -138,8 +138,11 @@ func DecodeMessage(b []byte) (msg any, n int, err error) {
 		m, err := decodeOpen(body)
 		return m, total, err
 	case MsgUpdate:
-		m, err := DecodeUpdateBody(body)
-		return m, total, err
+		m := &Update{}
+		if err := DecodeUpdateBodyInto(m, body, nil); err != nil {
+			return nil, total, err
+		}
+		return m, total, nil
 	case MsgNotification:
 		if len(body) < 2 {
 			return nil, 0, fmt.Errorf("%w: short notification", ErrBadMessage)
@@ -172,25 +175,16 @@ func decodeOpen(body []byte) (*Open, error) {
 	return m, nil
 }
 
-// DecodeUpdateBody decodes the body of an UPDATE message (without the
-// 19-byte header); MRT BGP4MP records embed whole messages, while
-// TABLE_DUMP records embed bare attribute blocks decoded via Attrs.
-func DecodeUpdateBody(body []byte) (*Update, error) {
-	m := &Update{}
-	if err := DecodeUpdateBodyInto(m, body, nil); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// DecodeUpdateBodyInto is the reuse form of DecodeUpdateBody: it decodes
-// into u, truncating and reusing u's Withdrawn and NLRI backing arrays,
-// so decoding a stream of updates through one Update performs zero
+// DecodeUpdateBodyInto decodes the body of an UPDATE message (without
+// the 19-byte header; MRT BGP4MP records embed whole messages, while
+// TABLE_DUMP records embed bare attribute blocks decoded via Attrs) into
+// u, truncating and reusing u's Withdrawn and NLRI backing arrays, so
+// decoding a stream of updates through one Update performs zero
 // steady-state allocations. When in is non-nil the path attribute block
 // is resolved through the interner — u.Attrs then points at the shared
 // canonical value for those wire bytes and must not be mutated; when in
-// is nil a fresh Attrs is decoded, as DecodeUpdateBody always did. On
-// error u is left partially filled and must not be used.
+// is nil a fresh Attrs is decoded. On error u is left partially filled
+// and must not be used.
 func DecodeUpdateBodyInto(u *Update, body []byte, in *AttrsInterner) error {
 	u.Withdrawn = u.Withdrawn[:0]
 	u.NLRI = u.NLRI[:0]

@@ -124,8 +124,8 @@ func TestDecodeUpdateBodyErrors(t *testing.T) {
 		{0, 0, 0, 5, 1, 2}, // attr block overruns
 	}
 	for _, b := range bad {
-		if _, err := DecodeUpdateBody(b); err == nil {
-			t.Errorf("DecodeUpdateBody(% x) succeeded", b)
+		if err := DecodeUpdateBodyInto(new(Update), b, nil); err == nil {
+			t.Errorf("DecodeUpdateBodyInto(% x) succeeded", b)
 		}
 	}
 }

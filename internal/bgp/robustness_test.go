@@ -30,7 +30,7 @@ func TestDecodersNeverPanicOnRandomBytes(t *testing.T) {
 		_, _, _ = DecodeNLRI(b, FamilyIPv4)
 		_, _, _ = DecodeNLRI(b, FamilyIPv6)
 		_, _, _ = DecodeMessage(b)
-		_, _ = DecodeUpdateBody(b)
+		_ = DecodeUpdateBodyInto(new(Update), b, nil)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestDecodersNeverPanicOnMutatedValid(t *testing.T) {
 		}
 		_, _, _ = DecodeMessage(b)
 		if len(b) > 19 {
-			_, _ = DecodeUpdateBody(b[19:])
+			_ = DecodeUpdateBodyInto(new(Update), b[19:], nil)
 		}
 	}
 }

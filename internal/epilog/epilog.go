@@ -654,46 +654,17 @@ func (l *Log) compactLocked() error {
 	if len(l.seal) < 2 {
 		return nil
 	}
-	type ckey struct {
-		p   bgp.Prefix
-		seq uint64
-	}
-	seen := make(map[ckey]struct{})
-	open := make(map[bgp.Prefix]Episode)
-	maxClosed := make(map[bgp.Prefix]uint64)
-	var out []Episode
+	f := fold{aggs: make(map[bgp.Prefix]*pfxAgg)}
 	for _, seq := range l.seal {
 		b, err := l.fs.ReadFile(l.path(seq))
 		if err != nil {
 			return err
 		}
-		_, err = decodeSegment(b, func(ep *Episode) error {
-			if ep.Open {
-				if cur, ok := open[ep.Prefix]; !ok || ep.Seq > cur.Seq {
-					open[ep.Prefix] = cloneEpisode(ep)
-				}
-			} else {
-				k := ckey{ep.Prefix, ep.Seq}
-				if _, dup := seen[k]; !dup {
-					seen[k] = struct{}{}
-					out = append(out, cloneEpisode(ep))
-				}
-				if ep.Seq > maxClosed[ep.Prefix] {
-					maxClosed[ep.Prefix] = ep.Seq
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		if _, err := decodeSegment(b, f.add); err != nil {
 			return fmt.Errorf("epilog: compact %s: %w", segName(seq), err)
 		}
 	}
-	for p, ep := range open {
-		if ep.Seq > maxClosed[p] {
-			out = append(out, ep)
-		}
-	}
-	sortEpisodes(out)
+	out := f.episodes(nil)
 	buf := appendHeader(nil)
 	var payload []byte
 	for i := range out {
@@ -895,13 +866,73 @@ func (l *Log) Query(q Query) ([]Episode, error) {
 	return l.queryLocked(q)
 }
 
-// pfxAgg carries the per-prefix fold state Query needs beyond the
-// closed matches themselves: the highest closed seq (to judge open
-// records' liveness) and the best open candidate.
+// fold is the log's one reading rule, over any set of record sources
+// (segment images, the pending queue): a closed record counts once per
+// (prefix, seq) — a checkpoint-resume re-emits records — and of a
+// prefix's open records only the one with the highest seq is live, and
+// only while no closed record of that prefix has that seq or a higher.
+// Queries apply it to every segment plus the pending queue, compaction
+// to the sealed segments.
+type fold struct {
+	// keep, when non-nil, filters closed records as they arrive, so a
+	// selective query clones only what it returns.
+	keep   func(*Episode) bool
+	aggs   map[bgp.Prefix]*pfxAgg
+	closed []Episode
+}
+
+// pfxAgg is the fold's per-prefix state: the highest closed seq (to
+// judge open records' liveness) and the best open candidate.
 type pfxAgg struct {
 	maxClosed uint64
 	open      Episode
 	hasOpen   bool
+}
+
+// add folds one record in; it is decodeSegment's callback.
+func (f *fold) add(ep *Episode) error {
+	a := f.aggs[ep.Prefix]
+	if a == nil {
+		a = &pfxAgg{}
+		f.aggs[ep.Prefix] = a
+	}
+	if ep.Open {
+		if !a.hasOpen || ep.Seq > a.open.Seq {
+			a.open = cloneEpisode(ep)
+			a.hasOpen = true
+		}
+	} else {
+		if ep.Seq > a.maxClosed {
+			a.maxClosed = ep.Seq
+		}
+		if f.keep == nil || f.keep(ep) {
+			f.closed = append(f.closed, cloneEpisode(ep))
+		}
+	}
+	return nil
+}
+
+// episodes returns the fold's result in canonical order: the kept closed
+// records, deduplicated, and each prefix's live open record — as render
+// leaves it, and only if render accepts it, when render is non-nil.
+func (f *fold) episodes(render func(*Episode) bool) []Episode {
+	all := f.closed
+	for _, a := range f.aggs {
+		if a.hasOpen && a.open.Seq > a.maxClosed && (render == nil || render(&a.open)) {
+			all = append(all, a.open)
+		}
+	}
+	sortEpisodes(all)
+	// Closed duplicates sort adjacent: identical (prefix, seq) pairs
+	// collapse to one.
+	out := all[:0]
+	for i := range all {
+		if i > 0 && all[i].Prefix == all[i-1].Prefix && all[i].Seq == all[i-1].Seq {
+			continue
+		}
+		out = append(out, all[i])
+	}
+	return out
 }
 
 func (l *Log) queryLocked(q Query) ([]Episode, error) {
@@ -911,29 +942,7 @@ func (l *Log) queryLocked(q Query) ([]Episode, error) {
 	if l.dir == "" {
 		return nil, ErrNotOpen
 	}
-	aggs := make(map[bgp.Prefix]*pfxAgg)
-	var matches []Episode
-	fold := func(ep *Episode) error {
-		a := aggs[ep.Prefix]
-		if a == nil {
-			a = &pfxAgg{}
-			aggs[ep.Prefix] = a
-		}
-		if ep.Open {
-			if !a.hasOpen || ep.Seq > a.open.Seq {
-				a.open = cloneEpisode(ep)
-				a.hasOpen = true
-			}
-		} else {
-			if ep.Seq > a.maxClosed {
-				a.maxClosed = ep.Seq
-			}
-			if q.matches(ep) {
-				matches = append(matches, cloneEpisode(ep))
-			}
-		}
-		return nil
-	}
+	f := fold{keep: q.matches, aggs: make(map[bgp.Prefix]*pfxAgg)}
 	segs := append(append([]uint64(nil), l.seal...), l.seq)
 	for _, seq := range segs {
 		b, err := l.fs.ReadFile(l.path(seq))
@@ -943,7 +952,7 @@ func (l *Log) queryLocked(q Query) ([]Episode, error) {
 			}
 			return nil, err
 		}
-		_, err = decodeSegment(b, fold)
+		_, err = decodeSegment(b, f.add)
 		if err != nil {
 			if seq == l.seq && l.dirty {
 				// A failed write left torn bytes past the durable size;
@@ -959,35 +968,13 @@ func (l *Log) queryLocked(q Query) ([]Episode, error) {
 	// though they are not on disk yet: fold them in so reads do not
 	// regress while the disk is sick.
 	for i := range l.pending {
-		if err := fold(&l.pending[i]); err != nil {
-			return nil, err
-		}
+		_ = f.add(&l.pending[i]) // add never fails
 	}
-	for _, a := range aggs {
-		if !a.hasOpen || a.open.Seq <= a.maxClosed {
-			continue
-		}
-		ep := a.open
-		if ep.End < q.AsOf {
-			ep.End = q.AsOf
-		}
-		if ep.End < ep.Start {
-			ep.End = ep.Start
-		}
-		if q.matches(&ep) {
-			matches = append(matches, ep)
-		}
-	}
-	sortEpisodes(matches)
-	// Closed duplicates (checkpoint-resume re-emission) sort adjacent:
-	// identical (prefix, seq) pairs collapse to one.
-	out := matches[:0]
-	for i := range matches {
-		if i > 0 && matches[i].Prefix == matches[i-1].Prefix && matches[i].Seq == matches[i-1].Seq {
-			continue
-		}
-		out = append(out, matches[i])
-	}
+	// An open episode lasts to the query's as-of day.
+	out := f.episodes(func(ep *Episode) bool {
+		ep.End = max(ep.End, q.AsOf, ep.Start)
+		return q.matches(ep)
+	})
 	if q.Limit > 0 && len(out) > q.Limit {
 		out = out[:q.Limit]
 	}

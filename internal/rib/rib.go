@@ -1,87 +1,73 @@
+// Package rib implements the routing-table substrate: per-peer
+// Adj-RIB-In tables and the multi-peer TableView the MOAS detector
+// consumes (the stand-in for a Route Views daily snapshot).
 package rib
 
 import (
 	"moas/internal/bgp"
 )
 
+// PeerRoute is a route as learned from a specific collector peer. PeerID
+// disambiguates peers that share an AS (a large ISP exporting from several
+// routers, as at Oregon Route Views).
+type PeerRoute struct {
+	PeerID uint16
+	PeerAS bgp.ASN
+	Route  bgp.Route
+}
+
 // AdjRIBIn is one peer's advertised table as seen by the collector: the
 // routes currently announced and not withdrawn.
 type AdjRIBIn struct {
 	PeerID uint16
 	PeerAS bgp.ASN
-	routes *Trie[bgp.Route]
+	routes map[bgp.Prefix]bgp.Route
 }
 
 // NewAdjRIBIn returns an empty per-peer table.
 func NewAdjRIBIn(peerID uint16, peerAS bgp.ASN) *AdjRIBIn {
-	return &AdjRIBIn{PeerID: peerID, PeerAS: peerAS, routes: NewTrie[bgp.Route]()}
+	return &AdjRIBIn{PeerID: peerID, PeerAS: peerAS, routes: make(map[bgp.Prefix]bgp.Route)}
 }
 
 // Update applies a BGP UPDATE: withdrawals then announcements, as on the
 // wire.
 func (a *AdjRIBIn) Update(u *bgp.Update) {
 	for _, p := range u.Withdrawn {
-		a.routes.Delete(p)
+		delete(a.routes, p)
 	}
 	if u.Attrs == nil {
 		return
 	}
 	for _, p := range u.NLRI {
-		a.routes.Insert(p, bgp.Route{Prefix: p, Attrs: u.Attrs})
+		a.routes[p] = bgp.Route{Prefix: p, Attrs: u.Attrs}
 	}
 }
 
 // Announce inserts or replaces a single route.
-func (a *AdjRIBIn) Announce(r bgp.Route) { a.routes.Insert(r.Prefix, r) }
+func (a *AdjRIBIn) Announce(r bgp.Route) { a.routes[r.Prefix] = r }
 
 // Withdraw removes a prefix, reporting whether it was present.
-func (a *AdjRIBIn) Withdraw(p bgp.Prefix) bool { return a.routes.Delete(p) }
+func (a *AdjRIBIn) Withdraw(p bgp.Prefix) bool {
+	_, ok := a.routes[p]
+	delete(a.routes, p)
+	return ok
+}
 
 // Len returns the number of announced prefixes.
-func (a *AdjRIBIn) Len() int { return a.routes.Len() }
+func (a *AdjRIBIn) Len() int { return len(a.routes) }
 
 // Lookup returns this peer's route for exactly p.
-func (a *AdjRIBIn) Lookup(p bgp.Prefix) (bgp.Route, bool) { return a.routes.Get(p) }
+func (a *AdjRIBIn) Lookup(p bgp.Prefix) (bgp.Route, bool) {
+	r, ok := a.routes[p]
+	return r, ok
+}
 
-// Walk visits every announced route in canonical prefix order.
+// Walk visits every announced route, in no particular order (FromPeers,
+// the one consumer, files each route under its prefix).
 func (a *AdjRIBIn) Walk(fn func(bgp.Route) bool) {
-	a.routes.Walk(func(_ bgp.Prefix, r bgp.Route) bool { return fn(r) })
-}
-
-// LocRIB is a best-path table computed from a set of per-peer tables via
-// the decision process; it mirrors what a single router would install.
-type LocRIB struct {
-	best *Trie[PeerRoute]
-}
-
-// ComputeLocRIB runs the decision process over all peers' routes for every
-// prefix any peer announces.
-func ComputeLocRIB(peers []*AdjRIBIn) *LocRIB {
-	l := &LocRIB{best: NewTrie[PeerRoute]()}
-	for _, p := range peers {
-		peer := p
-		p.Walk(func(r bgp.Route) bool {
-			cand := PeerRoute{PeerID: peer.PeerID, PeerAS: peer.PeerAS, Route: r}
-			if cur, ok := l.best.Get(r.Prefix); !ok || Better(cand, cur) {
-				l.best.Insert(r.Prefix, cand)
-			}
-			return true
-		})
+	for _, r := range a.routes {
+		if !fn(r) {
+			return
+		}
 	}
-	return l
 }
-
-// Len returns the number of installed prefixes.
-func (l *LocRIB) Len() int { return l.best.Len() }
-
-// Lookup returns the installed best route for exactly p.
-func (l *LocRIB) Lookup(p bgp.Prefix) (PeerRoute, bool) { return l.best.Get(p) }
-
-// LookupLPM returns the best route whose prefix is the longest match
-// covering p — the forwarding decision for a destination inside p.
-func (l *LocRIB) LookupLPM(p bgp.Prefix) (bgp.Prefix, PeerRoute, bool) {
-	return l.best.LookupLPM(p)
-}
-
-// Walk visits every installed route in canonical prefix order.
-func (l *LocRIB) Walk(fn func(bgp.Prefix, PeerRoute) bool) { l.best.Walk(fn) }

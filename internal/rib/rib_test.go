@@ -7,79 +7,12 @@ import (
 	"moas/internal/bgp"
 )
 
+func pfx(s string) bgp.Prefix { return bgp.MustParsePrefix(s) }
+
 func route(prefix, path string) bgp.Route {
 	return bgp.Route{
 		Prefix: pfx(prefix),
 		Attrs:  &bgp.Attrs{ASPath: bgp.MustParsePath(path), NextHop: [4]byte{192, 0, 2, 1}},
-	}
-}
-
-func TestBetterLocalPref(t *testing.T) {
-	a := PeerRoute{PeerID: 1, Route: route("10.0.0.0/8", "701 1 2 3")}
-	b := PeerRoute{PeerID: 2, Route: route("10.0.0.0/8", "3356 9")}
-	a.Route.Attrs.LocalPref, a.Route.Attrs.HasLocalPref = 200, true
-	// Despite the longer path, higher LOCAL_PREF wins.
-	if !Better(a, b) {
-		t.Error("higher LOCAL_PREF did not win")
-	}
-	if Better(b, a) {
-		t.Error("Better not antisymmetric")
-	}
-}
-
-func TestBetterPathLength(t *testing.T) {
-	short := PeerRoute{PeerID: 2, Route: route("10.0.0.0/8", "701 9")}
-	long := PeerRoute{PeerID: 1, Route: route("10.0.0.0/8", "3356 1239 9")}
-	if !Better(short, long) || Better(long, short) {
-		t.Error("shorter path did not win")
-	}
-}
-
-func TestBetterOrigin(t *testing.T) {
-	igp := PeerRoute{PeerID: 2, Route: route("10.0.0.0/8", "701 9")}
-	inc := PeerRoute{PeerID: 1, Route: route("10.0.0.0/8", "3356 9")}
-	inc.Route.Attrs.Origin = bgp.OriginIncomplete
-	if !Better(igp, inc) {
-		t.Error("lower origin code did not win")
-	}
-}
-
-func TestBetterMEDSameNeighborOnly(t *testing.T) {
-	lowMED := PeerRoute{PeerID: 2, Route: route("10.0.0.0/8", "701 9")}
-	highMED := PeerRoute{PeerID: 1, Route: route("10.0.0.0/8", "701 9")}
-	lowMED.Route.Attrs.MED, lowMED.Route.Attrs.HasMED = 5, true
-	highMED.Route.Attrs.MED, highMED.Route.Attrs.HasMED = 50, true
-	if !Better(lowMED, highMED) {
-		t.Error("lower MED from same neighbor did not win")
-	}
-	// Different neighbor AS: MED incomparable, falls to peer ID.
-	diff := PeerRoute{PeerID: 1, Route: route("10.0.0.0/8", "3356 9")}
-	diff.Route.Attrs.MED, diff.Route.Attrs.HasMED = 50, true
-	if !Better(diff, lowMED) {
-		t.Error("cross-neighbor MED comparison applied; should fall through to peer ID")
-	}
-}
-
-func TestBetterPeerIDTieBreak(t *testing.T) {
-	a := PeerRoute{PeerID: 1, Route: route("10.0.0.0/8", "701 9")}
-	b := PeerRoute{PeerID: 2, Route: route("10.0.0.0/8", "3356 9")}
-	if !Better(a, b) || Better(b, a) {
-		t.Error("peer ID tie-break wrong")
-	}
-}
-
-func TestBestRoute(t *testing.T) {
-	if _, ok := BestRoute(nil); ok {
-		t.Error("BestRoute(nil) returned ok")
-	}
-	rs := []PeerRoute{
-		{PeerID: 3, Route: route("10.0.0.0/8", "701 1239 9")},
-		{PeerID: 1, Route: route("10.0.0.0/8", "3356 9")},
-		{PeerID: 2, Route: route("10.0.0.0/8", "7018 2914 9")},
-	}
-	best, ok := BestRoute(rs)
-	if !ok || best.PeerID != 1 {
-		t.Fatalf("BestRoute = peer %d, want 1", best.PeerID)
 	}
 }
 
@@ -122,31 +55,6 @@ func TestAdjRIBInAnnounceReplace(t *testing.T) {
 	}
 	if !a.Withdraw(pfx("10.0.0.0/8")) || a.Withdraw(pfx("10.0.0.0/8")) {
 		t.Error("Withdraw semantics wrong")
-	}
-}
-
-func TestComputeLocRIB(t *testing.T) {
-	p1 := NewAdjRIBIn(1, 701)
-	p1.Announce(route("10.0.0.0/8", "701 1239 9"))
-	p1.Announce(route("20.0.0.0/8", "701 20"))
-	p2 := NewAdjRIBIn(2, 3356)
-	p2.Announce(route("10.0.0.0/8", "3356 9"))
-
-	l := ComputeLocRIB([]*AdjRIBIn{p1, p2})
-	if l.Len() != 2 {
-		t.Fatalf("LocRIB Len = %d", l.Len())
-	}
-	best, ok := l.Lookup(pfx("10.0.0.0/8"))
-	if !ok || best.PeerID != 2 {
-		t.Fatalf("best for 10/8 from peer %d, want 2 (shorter path)", best.PeerID)
-	}
-	if _, pr, ok := l.LookupLPM(pfx("20.1.2.3/32")); !ok || pr.PeerID != 1 {
-		t.Fatal("LPM through LocRIB failed")
-	}
-	n := 0
-	l.Walk(func(bgp.Prefix, PeerRoute) bool { n++; return true })
-	if n != 2 {
-		t.Fatalf("Walk visited %d", n)
 	}
 }
 
@@ -242,26 +150,5 @@ func TestAppendOriginsReuse(t *testing.T) {
 	// Steady-state recompute into a warm scratch performs no allocation.
 	if n := testing.AllocsPerRun(100, func() { origins, _ = AppendOrigins(origins, rs) }); n != 0 {
 		t.Fatalf("AppendOrigins allocates %v per run with warm scratch", n)
-	}
-}
-
-func BenchmarkComputeLocRIB(b *testing.B) {
-	const prefixes = 5000
-	var peers []*AdjRIBIn
-	for pid := 0; pid < 5; pid++ {
-		a := NewAdjRIBIn(uint16(pid), bgp.ASN(100+pid))
-		for i := 0; i < prefixes; i++ {
-			p := bgp.PrefixFromUint32(uint32(10)<<24|uint32(i)<<8, 24)
-			a.Announce(bgp.Route{Prefix: p, Attrs: &bgp.Attrs{ASPath: bgp.Seq(bgp.ASN(100+pid), bgp.ASN(i%997+1))}})
-		}
-		peers = append(peers, a)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l := ComputeLocRIB(peers)
-		if l.Len() != prefixes {
-			b.Fatalf("LocRIB len = %d", l.Len())
-		}
 	}
 }

@@ -211,12 +211,12 @@ func (h *Hub) Close() {
 
 // HubStats is a point-in-time fan-out summary.
 type HubStats struct {
-	Subscribers int    // currently connected
-	Published   uint64 // events fanned out since creation (incl. gaps)
-	Gaps        uint64 // live-feed delivery gaps published
-	Dropped     uint64 // subscribers dropped for falling behind
-	LastID      uint64 // most recent event ID (0 before any)
-	Buffered    int    // events currently resumable from the ring
+	Subscribers int    `json:"subscribers"`              // currently connected
+	Published   uint64 `json:"events_published"`         // events fanned out since creation (incl. gaps)
+	Gaps        uint64 `json:"gaps_published,omitempty"` // live-feed delivery gaps published
+	Dropped     uint64 `json:"slow_drops"`               // subscribers dropped for falling behind
+	LastID      uint64 `json:"last_event_id"`            // most recent event ID (0 before any)
+	Buffered    int    `json:"resume_buffered"`          // events currently resumable from the ring
 }
 
 // Stats snapshots the hub.

@@ -13,39 +13,7 @@ import (
 	"moas/internal/bgp"
 	"moas/internal/core"
 	"moas/internal/epilog"
-	"moas/internal/source"
 )
-
-// Wire types. Scenario states render by name and events carry their
-// prefix (unlike the per-prefix history in internal/stream's API, an SSE
-// stream interleaves all prefixes).
-
-type scenarioJSON struct {
-	ID         string  `json:"id"`
-	Source     string  `json:"source"`
-	Scale      string  `json:"scale,omitempty"`
-	Path       string  `json:"path,omitempty"`
-	URL        string  `json:"url,omitempty"`
-	Listen     string  `json:"listen,omitempty"`
-	State      string  `json:"state"`
-	Error      string  `json:"error,omitempty"`
-	DaysPerSec float64 `json:"days_per_sec,omitempty"`
-	// TotalDays is -1 for live sources: the calendar never ends.
-	TotalDays  int `json:"total_days"`
-	ClosedDays int `json:"closed_days"`
-	// Feed is the live source's connection state (absent unless a live
-	// run is in flight).
-	Feed *source.Status `json:"feed,omitempty"`
-	// Health is the per-subsystem degradation snapshot.
-	Health Health `json:"health"`
-
-	Subscribers     int    `json:"subscribers"`
-	EventsPublished uint64 `json:"events_published"`
-	GapsPublished   uint64 `json:"gaps_published,omitempty"`
-	SlowDrops       uint64 `json:"slow_drops"`
-	LastEventID     uint64 `json:"last_event_id"`
-	ResumeBuffered  int    `json:"resume_buffered"`
-}
 
 // DefaultEpisodeLimit caps /episodes responses when no ?limit= is given:
 // a month-scale scenario can hold millions of episodes, and an unbounded
@@ -128,6 +96,9 @@ func episodeQuery(r *http.Request) (epilog.Query, error) {
 	return q, nil
 }
 
+// sseEventJSON is an SSE event's body; it carries its prefix (unlike the
+// per-prefix history in internal/stream's API, an SSE stream interleaves
+// all prefixes).
 type sseEventJSON struct {
 	Scenario    string    `json:"scenario"`
 	ID          uint64    `json:"id"`
@@ -139,30 +110,6 @@ type sseEventJSON struct {
 	PrevOrigins []bgp.ASN `json:"prev_origins,omitempty"`
 	Class       string    `json:"class"`
 	PrevClass   string    `json:"prev_class"`
-}
-
-func statusToJSON(st Status) scenarioJSON {
-	return scenarioJSON{
-		ID:              st.ID,
-		Source:          st.Source,
-		Scale:           st.Scale,
-		Path:            st.Path,
-		URL:             st.URL,
-		Listen:          st.Listen,
-		State:           st.State.String(),
-		Error:           st.Error,
-		DaysPerSec:      st.DaysPerSec,
-		TotalDays:       st.TotalDays,
-		ClosedDays:      st.ClosedDays,
-		Feed:            st.Feed,
-		Health:          st.Health,
-		Subscribers:     st.Events.Subscribers,
-		EventsPublished: st.Events.Published,
-		GapsPublished:   st.Events.Gaps,
-		SlowDrops:       st.Events.Dropped,
-		LastEventID:     st.Events.LastID,
-		ResumeBuffered:  st.Events.Buffered,
-	}
 }
 
 // NewHandler routes moasd's multi-scenario API over a registry:
@@ -230,11 +177,11 @@ func NewHandler(reg *Registry) http.Handler {
 	mux.HandleFunc("GET /scenarios", func(w http.ResponseWriter, r *http.Request) {
 		list := reg.List()
 		out := struct {
-			Count     int            `json:"count"`
-			Scenarios []scenarioJSON `json:"scenarios"`
-		}{Count: len(list), Scenarios: make([]scenarioJSON, len(list))}
+			Count     int      `json:"count"`
+			Scenarios []Status `json:"scenarios"`
+		}{Count: len(list), Scenarios: make([]Status, len(list))}
 		for i, s := range list {
-			out.Scenarios[i] = statusToJSON(s.Status())
+			out.Scenarios[i] = s.Status()
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
@@ -274,45 +221,40 @@ func NewHandler(reg *Registry) http.Handler {
 				return
 			}
 		}
-		writeJSON(w, http.StatusCreated, statusToJSON(s.Status()))
+		writeJSON(w, http.StatusCreated, s.Status())
 	})
 
-	lookup := func(w http.ResponseWriter, r *http.Request) *Scenario {
-		s := reg.Get(r.PathValue("id"))
-		if s == nil {
-			httpError(w, http.StatusNotFound, "no such scenario")
+	// scenario makes a handler of a function of the {id} scenario,
+	// answering 404 for an unknown id.
+	type scenarioHandler func(w http.ResponseWriter, r *http.Request, s *Scenario)
+	scenario := func(h scenarioHandler) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if s := reg.Get(r.PathValue("id")); s != nil {
+				h(w, r, s)
+			} else {
+				httpError(w, http.StatusNotFound, "no such scenario")
+			}
 		}
-		return s
 	}
 
-	mux.HandleFunc("GET /scenarios/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if s := lookup(w, r); s != nil {
-			writeJSON(w, http.StatusOK, statusToJSON(s.Status()))
-		}
-	})
+	mux.HandleFunc("GET /scenarios/{id}", scenario(func(w http.ResponseWriter, r *http.Request, s *Scenario) {
+		writeJSON(w, http.StatusOK, s.Status())
+	}))
 
 	transition := func(do func(*Scenario) error) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			s := lookup(w, r)
-			if s == nil {
-				return
-			}
+		return scenario(func(w http.ResponseWriter, r *http.Request, s *Scenario) {
 			if err := do(s); err != nil {
 				httpError(w, http.StatusConflict, err.Error())
 				return
 			}
-			writeJSON(w, http.StatusOK, statusToJSON(s.Status()))
-		}
+			writeJSON(w, http.StatusOK, s.Status())
+		})
 	}
 	mux.HandleFunc("POST /scenarios/{id}/start", transition((*Scenario).Start))
 	mux.HandleFunc("POST /scenarios/{id}/pause", transition((*Scenario).Pause))
 	mux.HandleFunc("POST /scenarios/{id}/resume", transition((*Scenario).Resume))
 
-	mux.HandleFunc("POST /scenarios/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		s := lookup(w, r)
-		if s == nil {
-			return
-		}
+	mux.HandleFunc("POST /scenarios/{id}/checkpoint", scenario(func(w http.ResponseWriter, r *http.Request, s *Scenario) {
 		ck, err := s.Checkpoint()
 		if err != nil {
 			httpError(w, http.StatusConflict, err.Error())
@@ -325,18 +267,14 @@ func NewHandler(reg *Registry) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_ = json.NewEncoder(w).Encode(ck)
-	})
+	}))
 
 	// The read half of durability: download the newest auto-checkpoint
 	// exactly as it sits on disk (binary envelope, or JSON if an operator
 	// dropped an API payload into the directory). The bytes feed off-host
 	// backup — saved elsewhere, they boot a standby daemon by landing in
 	// its checkpoint directory.
-	mux.HandleFunc("GET /scenarios/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		s := lookup(w, r)
-		if s == nil {
-			return
-		}
+	mux.HandleFunc("GET /scenarios/{id}/checkpoint", scenario(func(w http.ResponseWriter, r *http.Request, s *Scenario) {
 		path, ok := reg.LatestCheckpoint(s.ID())
 		if !ok {
 			httpError(w, http.StatusNotFound, "no on-disk checkpoint (durability off or none written yet)")
@@ -367,7 +305,7 @@ func NewHandler(reg *Registry) http.Handler {
 		}
 		w.WriteHeader(http.StatusOK)
 		_, _ = io.Copy(w, f)
-	})
+	}))
 
 	mux.HandleFunc("DELETE /scenarios/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if !reg.Delete(r.PathValue("id")) {
@@ -377,53 +315,41 @@ func NewHandler(reg *Registry) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"deleted": r.PathValue("id")})
 	})
 
-	mux.HandleFunc("GET /scenarios/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		s := lookup(w, r)
-		if s == nil {
-			return
-		}
-		serveEvents(w, r, s)
-	})
+	mux.HandleFunc("GET /scenarios/{id}/events", scenario(serveEvents))
 
 	// The episode log's read side: historical conflict episodes straight
 	// off the scenario's append-only log, filterable by time range,
 	// prefix, origin AS, class and minimum duration. Open episodes render
 	// with their end extended to the last closed day.
-	episodeLog := func(w http.ResponseWriter, r *http.Request) (*Scenario, *epilog.Log, epilog.Query, bool) {
-		s := lookup(w, r)
-		if s == nil {
-			return nil, nil, epilog.Query{}, false
-		}
-		lg := s.EpisodeLog()
-		if lg == nil {
-			httpError(w, http.StatusNotFound, "episode log disabled (start moasd with -episode-log-dir)")
-			return nil, nil, epilog.Query{}, false
-		}
-		if eh := lg.Health(); eh.Degraded && eh.Lost > 0 {
-			// Degraded-with-loss means the history has a hole the query
-			// cannot see; surface it instead of serving a silently
-			// incomplete answer. Degraded-without-loss keeps serving:
-			// buffered episodes are folded into queries, so the answer is
-			// still complete while the log retries its disk.
-			w.Header().Set("Retry-After", "5")
-			httpErrorSub(w, http.StatusInternalServerError, "episode_log",
-				fmt.Sprintf("episode log degraded, %d episodes lost: %s", eh.Lost, eh.Error))
-			return nil, nil, epilog.Query{}, false
-		}
-		q, err := episodeQuery(r)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return nil, nil, epilog.Query{}, false
-		}
-		q.AsOf = s.Engine().LastClosedDay()
-		return s, lg, q, true
+	episodes := func(h func(w http.ResponseWriter, lg *epilog.Log, q epilog.Query)) http.HandlerFunc {
+		return scenario(func(w http.ResponseWriter, r *http.Request, s *Scenario) {
+			lg := s.EpisodeLog()
+			if lg == nil {
+				httpError(w, http.StatusNotFound, "episode log disabled (start moasd with -episode-log-dir)")
+				return
+			}
+			if eh := lg.Health(); eh.Degraded && eh.Lost > 0 {
+				// Degraded-with-loss means the history has a hole the query
+				// cannot see; surface it instead of serving a silently
+				// incomplete answer. Degraded-without-loss keeps serving:
+				// buffered episodes are folded into queries, so the answer is
+				// still complete while the log retries its disk.
+				w.Header().Set("Retry-After", "5")
+				httpErrorSub(w, http.StatusInternalServerError, "episode_log",
+					fmt.Sprintf("episode log degraded, %d episodes lost: %s", eh.Lost, eh.Error))
+				return
+			}
+			q, err := episodeQuery(r)
+			if err != nil {
+				httpError(w, http.StatusBadRequest, err.Error())
+				return
+			}
+			q.AsOf = s.Engine().LastClosedDay()
+			h(w, lg, q)
+		})
 	}
 
-	mux.HandleFunc("GET /scenarios/{id}/episodes", func(w http.ResponseWriter, r *http.Request) {
-		_, lg, q, ok := episodeLog(w, r)
-		if !ok {
-			return
-		}
+	mux.HandleFunc("GET /scenarios/{id}/episodes", episodes(func(w http.ResponseWriter, lg *epilog.Log, q epilog.Query) {
 		if q.Limit == 0 {
 			q.Limit = DefaultEpisodeLimit
 		}
@@ -440,30 +366,22 @@ func NewHandler(reg *Registry) http.Handler {
 			out.Episodes[i] = episodeToJSON(&eps[i])
 		}
 		writeJSON(w, http.StatusOK, out)
-	})
+	}))
 
-	mux.HandleFunc("GET /scenarios/{id}/episodes/summary", func(w http.ResponseWriter, r *http.Request) {
-		_, lg, q, ok := episodeLog(w, r)
-		if !ok {
-			return
-		}
+	mux.HandleFunc("GET /scenarios/{id}/episodes/summary", episodes(func(w http.ResponseWriter, lg *epilog.Log, q epilog.Query) {
 		sum, err := lg.Summary(q)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		writeJSON(w, http.StatusOK, sum)
-	})
+	}))
 
 	// Per-scenario stats: the engine's /stats document (same fields the
 	// stream API serves) extended with the scenario's lifecycle state and
 	// per-subsystem health, so one poll answers both "how fast" and "how
 	// healthy". Registered explicitly so it wins over the catch-all.
-	mux.HandleFunc("GET /scenarios/{id}/stats", func(w http.ResponseWriter, r *http.Request) {
-		s := lookup(w, r)
-		if s == nil {
-			return
-		}
+	mux.HandleFunc("GET /scenarios/{id}/stats", scenario(func(w http.ResponseWriter, r *http.Request, s *Scenario) {
 		blob, err := json.Marshal(s.Engine().StatsView())
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
@@ -477,17 +395,13 @@ func NewHandler(reg *Registry) http.Handler {
 		doc["state"] = s.Status().State.String()
 		doc["health"] = s.Health()
 		writeJSON(w, http.StatusOK, doc)
-	})
+	}))
 
 	// Everything else under a scenario is internal/stream's query API,
 	// served by that scenario's isolated engine.
-	mux.HandleFunc("GET /scenarios/{id}/{rest...}", func(w http.ResponseWriter, r *http.Request) {
-		s := lookup(w, r)
-		if s == nil {
-			return
-		}
+	mux.HandleFunc("GET /scenarios/{id}/{rest...}", scenario(func(w http.ResponseWriter, r *http.Request, s *Scenario) {
 		http.StripPrefix("/scenarios/"+s.ID(), s.API()).ServeHTTP(w, r)
-	})
+	}))
 
 	return mux
 }

@@ -1,463 +1,18 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"moas/internal/bgp"
-	"moas/internal/collector"
 	"moas/internal/epilog"
-	"moas/internal/scenario"
 	"moas/internal/source"
-	"moas/internal/source/bgpd"
-	"moas/internal/source/rislive"
 	"moas/internal/stream"
 	"moas/internal/supervise"
-	"moas/internal/synth"
 )
-
-// Scenario source kinds.
-const (
-	// SourceSynth builds a synthetic scenario (internal/scenario) at the
-	// configured scale and streams its derived update archive.
-	SourceSynth = "synth"
-	// SourceMRT replays an MRT BGP4MP file from disk; the calendar is
-	// derived from the file's own record timestamps.
-	SourceMRT = "mrt"
-	// SourceCheckpoint restores a scenario from a ScenarioCheckpoint
-	// (POST /scenarios/{id}/checkpoint's payload): the engine resumes
-	// from the serialized kernel state and the replay picks the original
-	// source back up mid-archive.
-	SourceCheckpoint = "checkpoint"
-	// SourceRISLive subscribes to a RIS Live-style JSON-over-websocket
-	// feed (internal/source/rislive) and runs continuously: observation
-	// days are absolute UTC days closed by the wall clock, and the client
-	// reconnects through transport loss, surfacing gaps on the SSE hub.
-	SourceRISLive = "rislive"
-	// SourceBGP runs a minimal passive BGP speaker
-	// (internal/source/bgpd): real peers TCP-dial in, OPEN/KEEPALIVE
-	// negotiate a session, and their UPDATEs feed the engine live.
-	SourceBGP = "bgp"
-)
-
-// ScenarioConfig is the POST /scenarios request body: what to replay and
-// how. Zero values mean defaults.
-type ScenarioConfig struct {
-	// ID names the scenario in every /scenarios/{id}/... path. Optional;
-	// defaults to the scale (synth) or the file's base name (mrt), with a
-	// numeric suffix on collision. Letters, digits, ".", "_", "-" only.
-	ID string `json:"id,omitempty"`
-	// Source is "synth" (default), "mrt", "rislive", "bgp" or
-	// "checkpoint".
-	Source string `json:"source,omitempty"`
-	// Scale selects the synthesized scenario: "small" (two months),
-	// "full" (the paper's 1279 days) or "stress" (the internet-scale
-	// internal/synth update stream). Synth only; default "small".
-	Scale string `json:"scale,omitempty"`
-	// Path is the MRT BGP4MP file to replay. MRT only; must exist.
-	Path string `json:"path,omitempty"`
-	// URL is the ws:// feed endpoint. RIS Live only.
-	URL string `json:"url,omitempty"`
-	// Listen is the TCP address the BGP speaker accepts sessions on
-	// (e.g. ":179", "127.0.0.1:1790"). BGP only.
-	Listen string `json:"listen,omitempty"`
-	// LocalAS is the AS the BGP speaker answers OPEN with (BGP only;
-	// 0 = 64512, the first private AS).
-	LocalAS uint32 `json:"local_as,omitempty"`
-	// MaxAttrs caps the engine's distinct-attrs interner; at the cap the
-	// interner rebuilds and its memory plateaus. 0 = the live default
-	// (1<<20) for live sources and unbounded for replays; -1 = unbounded.
-	MaxAttrs int `json:"max_attrs,omitempty"`
-	// Shards is the engine's worker count (0 = GOMAXPROCS).
-	Shards int `json:"shards,omitempty"`
-	// DecodeWorkers is the replay's parallel MRT decode worker count
-	// (0 = GOMAXPROCS). Replay sources only; live sources decode on
-	// their feed goroutine and ignore it.
-	DecodeWorkers int `json:"decode_workers,omitempty"`
-	// DaysPerSec paces the replay in observed days per second (0 = as
-	// fast as possible).
-	DaysPerSec float64 `json:"days_per_sec,omitempty"`
-	// History caps lifecycle events retained per prefix (0 = the daemon
-	// default, 256; -1 = unlimited).
-	History int `json:"history,omitempty"`
-	// EventBuffer sizes each SSE subscriber's channel (0 = 1024). A
-	// subscriber that falls this many events behind is dropped.
-	EventBuffer int `json:"event_buffer,omitempty"`
-	// Start, when true, starts the replay immediately after creation —
-	// the create-and-start convenience moasd's boot flags use.
-	Start bool `json:"start,omitempty"`
-	// Checkpoint is the state to restore. Source "checkpoint" only;
-	// unset replay knobs (shards, pacing, history, event buffer) inherit
-	// the checkpointed scenario's values.
-	Checkpoint *ScenarioCheckpoint `json:"checkpoint,omitempty"`
-}
-
-// ScenarioCheckpointVersion is the scenario checkpoint envelope version
-// (the engine payload carries stream.CheckpointVersion separately).
-const ScenarioCheckpointVersion = 1
-
-// ScenarioCheckpoint is a paused (or finished) scenario's portable image:
-// the original source configuration, the replay's calendar position, and
-// the engine checkpoint (kernel snapshot + route tables + record cursor).
-// It round-trips through JSON; POST /scenarios with source "checkpoint"
-// resumes it, in the same process or another one with access to the same
-// source.
-type ScenarioCheckpoint struct {
-	Version int `json:"version"`
-	// Config is the checkpointed scenario's effective source config
-	// (never "checkpoint" — restoring a restored scenario re-checkpoints
-	// against the original source).
-	Config ScenarioConfig `json:"config"`
-	// TotalDays is the source calendar's length (0 if the source was
-	// never opened).
-	TotalDays int `json:"total_days"`
-	// DaysClosed is how many observation days the replay had closed.
-	DaysClosed int `json:"days_closed"`
-	// LastEventID is the hub's SSE id cursor. The restored scenario's hub
-	// continues the id-space from here, so a client reconnecting with
-	// Last-Event-ID after a restore keeps a monotonic cursor: events that
-	// fell outside the (unserialized) ring are reported as a gap instead
-	// of silently skipped against a restarted id-space.
-	LastEventID uint64 `json:"last_event_id"`
-	// Engine is the serialized engine state.
-	Engine *stream.Checkpoint `json:"engine"`
-}
-
-// isIDRune bounds the scenario-ID alphabet (IDs appear raw in URL paths
-// and name per-scenario checkpoint directories).
-func isIDRune(r rune) bool {
-	return r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' ||
-		r == '.' || r == '_' || r == '-'
-}
-
-// validateID enforces the scenario-ID rules on a non-empty ID. "." and
-// ".." are refused even though their runes are legal: with durability on
-// the ID names a directory under the checkpoint root, and either would
-// escape it.
-func validateID(id string) error {
-	if id == "." || id == ".." {
-		return fmt.Errorf("scenario id %q not allowed", id)
-	}
-	for _, r := range id {
-		if !isIDRune(r) {
-			return fmt.Errorf("scenario id %q: only letters, digits, '.', '_', '-' allowed", id)
-		}
-	}
-	return nil
-}
-
-// normalize fills defaults and validates.
-func (c *ScenarioConfig) normalize() error {
-	if c.ID != "" {
-		if err := validateID(c.ID); err != nil {
-			return err
-		}
-	}
-	if c.Source == "" {
-		c.Source = SourceSynth
-	}
-	switch c.Source {
-	case SourceSynth:
-		if c.Scale == "" {
-			c.Scale = "small"
-		}
-		if c.Scale != ScaleStress {
-			if _, err := specFor(c.Scale); err != nil {
-				return err
-			}
-		}
-		if c.Path != "" {
-			return errors.New(`"path" is only valid with source "mrt"`)
-		}
-	case SourceMRT:
-		if c.Path == "" {
-			return errors.New(`source "mrt" requires "path"`)
-		}
-		if fi, err := os.Stat(c.Path); err != nil {
-			return fmt.Errorf("mrt path: %w", err)
-		} else if fi.IsDir() {
-			return fmt.Errorf("mrt path %s is a directory", c.Path)
-		}
-		if c.Scale != "" {
-			return errors.New(`"scale" is only valid with source "synth"`)
-		}
-	case SourceRISLive:
-		if c.URL == "" {
-			return errors.New(`source "rislive" requires "url"`)
-		}
-		if !strings.HasPrefix(c.URL, "ws://") {
-			return fmt.Errorf(`rislive url %q: only ws:// endpoints are supported`, c.URL)
-		}
-		if c.Scale != "" || c.Path != "" {
-			return errors.New(`"scale" and "path" are not valid with source "rislive"`)
-		}
-	case SourceBGP:
-		if c.Listen == "" {
-			return errors.New(`source "bgp" requires "listen"`)
-		}
-		if c.Scale != "" || c.Path != "" {
-			return errors.New(`"scale" and "path" are not valid with source "bgp"`)
-		}
-		if c.LocalAS == 0 {
-			c.LocalAS = 64512
-		}
-	case SourceCheckpoint:
-		if err := c.normalizeCheckpoint(); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown source %q (want %q, %q, %q, %q or %q)",
-			c.Source, SourceSynth, SourceMRT, SourceRISLive, SourceBGP, SourceCheckpoint)
-	}
-	if c.Source != SourceCheckpoint && c.Checkpoint != nil {
-		return errors.New(`"checkpoint" is only valid with source "checkpoint"`)
-	}
-	if c.Source != SourceRISLive && c.URL != "" {
-		return errors.New(`"url" is only valid with source "rislive"`)
-	}
-	if c.Source != SourceBGP && (c.Listen != "" || c.LocalAS != 0) {
-		return errors.New(`"listen" and "local_as" are only valid with source "bgp"`)
-	}
-	if c.isLive() && c.DaysPerSec != 0 {
-		return errors.New("days_per_sec paces replays; live sources run at feed speed")
-	}
-	if c.DaysPerSec < 0 {
-		return errors.New("days_per_sec must be >= 0")
-	}
-	if c.MaxAttrs < -1 {
-		return errors.New("max_attrs must be >= -1")
-	}
-	// Bound the allocation-driving knobs: these come from untrusted
-	// request bodies, and a single huge value would defeat the
-	// deployment limits (shards allocates goroutines+channels,
-	// event_buffer and history allocate per subscriber / per prefix).
-	if c.Shards > MaxShards {
-		return fmt.Errorf("shards must be <= %d", MaxShards)
-	}
-	if c.DecodeWorkers < 0 {
-		return errors.New("decode_workers must be >= 0")
-	}
-	if c.DecodeWorkers > MaxDecodeWorkers {
-		return fmt.Errorf("decode_workers must be <= %d", MaxDecodeWorkers)
-	}
-	if c.History > MaxHistory {
-		return fmt.Errorf("history must be <= %d", MaxHistory)
-	}
-	if c.EventBuffer > MaxEventBuffer {
-		return fmt.Errorf("event_buffer must be <= %d", MaxEventBuffer)
-	}
-	if c.History == 0 {
-		c.History = 256
-	} else if c.History < 0 {
-		c.History = 0 // engine convention: 0 = unlimited
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 1024
-	}
-	return nil
-}
-
-// Per-scenario knob ceilings (request bodies are untrusted input; these
-// are far above any sensible setting, small enough that one create
-// cannot exhaust the process).
-const (
-	MaxShards        = 1024
-	MaxDecodeWorkers = 256
-	MaxHistory       = 1 << 20
-	MaxEventBuffer   = 1 << 20
-)
-
-// normalizeCheckpoint validates a source-"checkpoint" config and inherits
-// unset replay knobs from the checkpointed scenario's (already
-// normalized) config.
-func (c *ScenarioConfig) normalizeCheckpoint() error {
-	if c.Checkpoint == nil {
-		return errors.New(`source "checkpoint" requires "checkpoint"`)
-	}
-	ck := c.Checkpoint
-	if ck.Version != ScenarioCheckpointVersion {
-		return fmt.Errorf("checkpoint version %d, want %d", ck.Version, ScenarioCheckpointVersion)
-	}
-	if ck.Engine == nil {
-		return errors.New("checkpoint has no engine state")
-	}
-	inner := &ck.Config
-	switch inner.Source {
-	case SourceSynth:
-		if inner.Scale != ScaleStress {
-			if _, err := specFor(inner.Scale); err != nil {
-				return fmt.Errorf("checkpoint config: %w", err)
-			}
-		}
-	case SourceMRT:
-		// The file must still be reachable to resume mid-archive.
-		if fi, err := os.Stat(inner.Path); err != nil {
-			return fmt.Errorf("checkpoint mrt path: %w", err)
-		} else if fi.IsDir() {
-			return fmt.Errorf("checkpoint mrt path %s is a directory", inner.Path)
-		}
-	case SourceRISLive:
-		// A live feed cannot be seeked; the restored scenario keeps the
-		// engine state and simply reconnects, counting what it lost
-		// across the outage as a gap.
-		if !strings.HasPrefix(inner.URL, "ws://") {
-			return fmt.Errorf("checkpoint rislive url %q: only ws:// endpoints are supported", inner.URL)
-		}
-	case SourceBGP:
-		if inner.Listen == "" {
-			return errors.New("checkpoint bgp config has no listen address")
-		}
-	default:
-		return fmt.Errorf("checkpoint config has source %q; want %q, %q, %q or %q",
-			inner.Source, SourceSynth, SourceMRT, SourceRISLive, SourceBGP)
-	}
-	if c.Scale != "" || c.Path != "" {
-		return errors.New(`"scale" and "path" come from the checkpoint with source "checkpoint"`)
-	}
-	if c.Shards == 0 {
-		c.Shards = inner.Shards
-	}
-	if c.DecodeWorkers == 0 {
-		c.DecodeWorkers = inner.DecodeWorkers
-	}
-	if c.DaysPerSec == 0 {
-		c.DaysPerSec = inner.DaysPerSec
-	}
-	if c.History == 0 {
-		if inner.History == 0 {
-			c.History = -1 // inner ran unlimited; keep it that way
-		} else {
-			c.History = inner.History
-		}
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = inner.EventBuffer
-	}
-	if c.MaxAttrs == 0 {
-		c.MaxAttrs = inner.MaxAttrs
-	}
-	return nil
-}
-
-// DefaultID returns the ID the registry would derive for this config if
-// none were given (before collision suffixing). moasd pins its boot
-// scenarios to it so that after a crash recovery the boot flag collides
-// with the recovered scenario — and is skipped — instead of silently
-// auto-suffixing a duplicate replay.
-func (c *ScenarioConfig) DefaultID() string { return c.defaultID() }
-
-// defaultID derives an ID when the request gave none.
-func (c *ScenarioConfig) defaultID() string {
-	if c.Source == SourceCheckpoint {
-		base := c.Checkpoint.Config.ID
-		if base == "" {
-			base = c.Checkpoint.Config.defaultID()
-		}
-		// The embedded config is untrusted input; keep only the runes
-		// every other ID path allows (IDs appear raw in URL paths).
-		var clean []rune
-		for _, r := range base {
-			if isIDRune(r) {
-				clean = append(clean, r)
-			}
-		}
-		if len(clean) == 0 {
-			return "restored"
-		}
-		return string(clean) + "-restored"
-	}
-	if c.isLive() {
-		return c.Source // "rislive" or "bgp"
-	}
-	if c.Source == SourceMRT {
-		base := filepath.Base(c.Path)
-		base = strings.TrimSuffix(base, ".gz")
-		base = strings.TrimSuffix(base, filepath.Ext(base))
-		var clean []rune
-		for _, r := range base {
-			if isIDRune(r) {
-				clean = append(clean, r)
-			}
-		}
-		if id := string(clean); len(clean) > 0 && validateID(id) == nil {
-			return id
-		}
-		return "mrt"
-	}
-	return c.Scale
-}
-
-func (c *ScenarioConfig) describeSource() string {
-	switch c.Source {
-	case SourceMRT:
-		return "mrt file " + c.Path
-	case SourceRISLive:
-		return "ris live feed " + c.URL
-	case SourceBGP:
-		return "bgp speaker on " + c.Listen
-	case SourceCheckpoint:
-		return fmt.Sprintf("checkpoint of %s at %d/%d days",
-			c.Checkpoint.Config.describeSource(), c.Checkpoint.DaysClosed, c.Checkpoint.TotalDays)
-	}
-	return "synth scale " + c.Scale
-}
-
-// isLive reports whether the config's source is a continuous feed (no
-// finite calendar, wall-clock day closes, reconnect semantics).
-func (c *ScenarioConfig) isLive() bool {
-	return c.Source == SourceRISLive || c.Source == SourceBGP
-}
-
-// DefaultLiveMaxAttrs is the interner cap applied to live-source
-// scenarios when MaxAttrs is unset: a real feed's distinct-attrs
-// population grows without bound over months, so continuous operation
-// needs a plateau by default.
-const DefaultLiveMaxAttrs = 1 << 20
-
-// ScaleStress is the synth scale that bypasses the scenario pipeline:
-// the internal/synth generator streams an internet-scale UPDATE archive
-// (~1M background prefixes, the full 2-octet origin pool, mixed episode
-// patterns) straight into the engine. It is the served entry point for
-// the standing stress workload — the table never materializes.
-const ScaleStress = "stress"
-
-// stressConfig is the fixed workload behind ScaleStress. Seeded, so two
-// stress scenarios replay identical bytes.
-func stressConfig() synth.Config {
-	return synth.Config{
-		Seed:     1,
-		Days:     6,
-		Prefixes: 1 << 20,
-		ASes:     60000,
-		Vantages: 2,
-		Patterns: []synth.Pattern{
-			synth.Anycast(256),
-			synth.RouteLeak(256),
-			synth.GradualHijack(128),
-			synth.FlapStorm(128, 256, 2),
-		},
-	}
-}
-
-// specFor maps a scale name to its scenario spec (ScaleStress has no
-// spec; callers branch before building one).
-func specFor(scale string) (scenario.Spec, error) {
-	switch scale {
-	case "small":
-		return scenario.TestSpec(), nil
-	case "full":
-		return scenario.DefaultSpec(), nil
-	}
-	return scenario.Spec{}, fmt.Errorf("unknown scale %q (want small, full or stress)", scale)
-}
 
 // State is a scenario's lifecycle position.
 type State int32
@@ -478,30 +33,66 @@ const (
 	StateFailed
 )
 
+var stateNames = [...]string{"created", "running", "paused", "done", "failed"}
+
 // String names the state for JSON and logs.
 func (s State) String() string {
-	switch s {
-	case StateCreated:
-		return "created"
-	case StateRunning:
-		return "running"
-	case StatePaused:
-		return "paused"
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
+	if s < 0 || int(s) >= len(stateNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return stateNames[s]
+}
+
+// MarshalText renders the state by name in JSON documents.
+func (s State) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// verb is something that happens to a scenario: an operator request, a
+// checkpoint, the replay goroutine's exit, or the registry's shutdown.
+type verb int
+
+const (
+	verbStart verb = iota
+	verbPause
+	verbResume
+	// verbCheckpoint is the operator's checkpoint: the scenario must
+	// already be settled. verbAutoCheckpoint parks a running replay
+	// itself and releases it afterwards.
+	verbCheckpoint
+	verbAutoCheckpoint
+	// The replay goroutine's three exits: archive exhausted, error, and
+	// stop requested by shutdown.
+	verbRunOK
+	verbRunFailed
+	verbRunStopped
+	verbShutdown
+)
+
+// transitions is the whole lifecycle: transitions[verb][state] is the
+// state the verb leaves a scenario in, and a missing entry is a refused
+// move. Checkpoints and shutdown change no state; their rows say where
+// they are legal.
+var transitions = map[verb]map[State]State{
+	verbStart:          {StateCreated: StateRunning},
+	verbPause:          {StateRunning: StatePaused},
+	verbResume:         {StatePaused: StateRunning},
+	verbCheckpoint:     {StateCreated: StateCreated, StatePaused: StatePaused, StateDone: StateDone},
+	verbAutoCheckpoint: {StateRunning: StateRunning, StatePaused: StatePaused, StateDone: StateDone},
+	verbRunOK:          {StateRunning: StateDone, StatePaused: StateDone},
+	verbRunFailed:      {StateRunning: StateFailed, StatePaused: StateFailed},
+	verbRunStopped:     {StateRunning: StateRunning, StatePaused: StatePaused},
+	verbShutdown: {StateCreated: StateCreated, StateRunning: StateRunning, StatePaused: StatePaused,
+		StateDone: StateDone, StateFailed: StateFailed},
 }
 
 // Scenario is one hosted replay: an engine, its event hub, and the replay
 // goroutine's controls. All methods are safe for concurrent use.
 type Scenario struct {
+	// cfg is the effective config: what normalize made of the create
+	// request. Its source is a kind of sourceKinds, never "checkpoint" —
+	// a restored scenario has the checkpointed scenario's source.
 	cfg ScenarioConfig
-	// srcCfg is the effective source (never "checkpoint"): cfg itself
-	// unless this scenario was restored from a checkpoint.
-	srcCfg ScenarioConfig
+	// restored marks a scenario created from a checkpoint.
+	restored bool
 	// resume positions the replay mid-archive for restored scenarios
 	// (finite sources only; a restored live scenario reconnects instead).
 	resume *stream.ReplayPosition
@@ -534,10 +125,10 @@ type Scenario struct {
 	// policy here; it runs on its own goroutine because the restart
 	// path shuts this scenario down (which waits on s.done).
 	onFailure func(id string)
-	// checkpointing counts in-flight checkpoints; while non-zero, state
-	// transitions (Start/Resume/shutdown) are excluded so the engine
-	// stays settled, yet Status and List remain responsive because the
-	// serialization itself runs outside s.mu. A counter, not a bool:
+	// checkpointing counts checkpoints imaging the engine; while
+	// non-zero, move refuses the verbs that would wake the replay, so the
+	// engine stays settled, yet Status and List remain responsive because
+	// the imaging itself runs outside s.mu. A counter, not a bool:
 	// concurrent checkpoints must each hold the exclusion to the end.
 	checkpointing int
 	stop          chan struct{}
@@ -549,29 +140,27 @@ type Scenario struct {
 	ckLoopDone chan struct{}
 }
 
-func newScenario(cfg ScenarioConfig, lim Limits, logf func(string, ...any), epOpts *epilog.Options) (*Scenario, error) {
-	ring := lim.EventRing
+// newScenario builds a scenario for registry r, not yet registered, from
+// a normalized config. One that still carries a checkpoint is a restore:
+// the engine starts from the image, the hub continues its id-space and
+// the replay resumes mid-archive.
+func newScenario(cfg ScenarioConfig, r *Registry) (*Scenario, error) {
+	ring := r.Limits.EventRing
 	if ring <= 0 {
 		ring = DefaultEventRing
 	}
-	hub := NewHub(ring, lim.MaxSubscribers)
+	hub := NewHub(ring, r.Limits.MaxSubscribers)
 	// The log starts pending (no directory yet: the ID that names it is
 	// resolved by the registry); appends before OpenDir fail harmlessly
-	// and nothing feeds the engine until Start anyway. nil epOpts means
-	// episode logging is off.
+	// and nothing feeds the engine until Start anyway.
 	var epi *epilog.Log
-	if epOpts != nil {
-		epi = epilog.New(*epOpts)
+	if r.EpisodeDir != "" {
+		epi = epilog.New(epilog.Options{FS: r.EpisodeFS})
 	}
-	// The effective source decides liveness: a checkpoint of a live
-	// scenario restores as a live scenario.
-	eff := &cfg
-	if cfg.Source == SourceCheckpoint {
-		eff = &cfg.Checkpoint.Config
-	}
+	live := sourceKinds[cfg.Source].live()
 	maxAttrs := cfg.MaxAttrs
 	switch {
-	case maxAttrs == 0 && eff.isLive():
+	case maxAttrs == 0 && live:
 		maxAttrs = DefaultLiveMaxAttrs
 	case maxAttrs < 0:
 		maxAttrs = 0 // engine convention: 0 = unbounded
@@ -587,17 +176,20 @@ func newScenario(cfg ScenarioConfig, lim Limits, logf func(string, ...any), epOp
 		OnEvent:         hub.Publish,
 		EpisodeLog:      epi,
 	}
+	// The engine will hold the live state; keeping the decoded image in
+	// the config would double a restored scenario's resident memory.
+	ck := cfg.Checkpoint
+	cfg.Checkpoint = nil
 	s := &Scenario{
-		cfg:    cfg,
-		srcCfg: cfg,
-		logf:   logf,
-		hub:    hub,
-		epi:    epi,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		cfg:      cfg,
+		restored: ck != nil,
+		logf:     r.logf,
+		hub:      hub,
+		epi:      epi,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	if cfg.Source == SourceCheckpoint {
-		ck := cfg.Checkpoint
+	if ck != nil {
 		hub.startFrom(ck.LastEventID)
 		eng, err := stream.NewFromCheckpoint(engCfg, ck.Engine)
 		if err != nil {
@@ -605,18 +197,13 @@ func newScenario(cfg ScenarioConfig, lim Limits, logf func(string, ...any), epOp
 			return nil, fmt.Errorf("restore checkpoint: %w", err)
 		}
 		s.eng = eng
-		s.srcCfg = ck.Config
-		s.srcCfg.Checkpoint = nil
-		if !s.srcCfg.isLive() {
+		if !live {
 			// Live feeds cannot be seeked: the restored engine keeps its
 			// state and the run reconnects instead of resuming a cursor.
 			s.resume = &stream.ReplayPosition{Records: ck.Engine.Records, DaysClosed: ck.DaysClosed}
 		}
 		s.totalDays.Store(int64(ck.TotalDays))
 		s.closedDays.Store(int64(ck.DaysClosed))
-		// The engine now holds the live state; keeping the decoded image
-		// around would double a restored scenario's resident memory.
-		s.cfg.Checkpoint = nil
 	} else {
 		s.eng = stream.New(engCfg)
 	}
@@ -624,18 +211,10 @@ func newScenario(cfg ScenarioConfig, lim Limits, logf func(string, ...any), epOp
 	return s, nil
 }
 
-// ID returns the scenario's registry key.
+// ID returns the scenario's registry key. Registry.Create stamps the
+// resolved ID into cfg exactly once, under the registry lock, before the
+// scenario becomes reachable.
 func (s *Scenario) ID() string { return s.cfg.ID }
-
-// setID stamps the registry-resolved ID onto the scenario. Called by
-// Registry.Create exactly once, before the scenario becomes reachable
-// (IDs resolve under the registry lock, after the scenario is built).
-func (s *Scenario) setID(id string) {
-	s.cfg.ID = id
-	if s.cfg.Source != SourceCheckpoint {
-		s.srcCfg.ID = id
-	}
-}
 
 // Engine exposes the live engine (queries only; the replay goroutine owns
 // the feed side).
@@ -653,17 +232,40 @@ func (s *Scenario) EpisodeLog() *epilog.Log { return s.epi }
 // expecting paths with the /scenarios/{id} prefix already stripped.
 func (s *Scenario) API() http.Handler { return s.api }
 
+// move makes verb v's transition, or refuses it: from a state that has
+// no entry in v's row, and — for the verbs that wake the replay — while a
+// checkpoint is imaging the engine without s.mu, which waking would
+// tear. Every lifecycle change goes through it. Callers hold s.mu.
+func (s *Scenario) move(v verb) error {
+	if s.checkpointing > 0 && (v == verbStart || v == verbResume || v == verbShutdown) {
+		return fmt.Errorf("scenario %s: checkpoint in progress", s.ID())
+	}
+	to, ok := transitions[v][s.state]
+	if !ok {
+		return fmt.Errorf("scenario %s is %s, not %s", s.ID(), s.state, legalFrom(v))
+	}
+	s.state = to
+	return nil
+}
+
+// legalFrom names the states v's row admits: "created or paused or done".
+func legalFrom(v verb) string {
+	var names []string
+	for from := range State(len(stateNames)) {
+		if _, ok := transitions[v][from]; ok {
+			names = append(names, from.String())
+		}
+	}
+	return strings.Join(names, " or ")
+}
+
 // Start launches the replay goroutine. Only valid in state created.
 func (s *Scenario) Start() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.checkpointing > 0 {
-		return fmt.Errorf("scenario %s: checkpoint in progress", s.ID())
+	if err := s.move(verbStart); err != nil {
+		return err
 	}
-	if s.state != StateCreated {
-		return fmt.Errorf("scenario %s is %s, not %s", s.ID(), s.state, StateCreated)
-	}
-	s.state = StateRunning
 	go s.run()
 	return nil
 }
@@ -674,11 +276,10 @@ func (s *Scenario) Start() error {
 func (s *Scenario) Pause() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state != StateRunning {
-		return fmt.Errorf("scenario %s is %s, not %s", s.ID(), s.state, StateRunning)
+	if err := s.move(verbPause); err != nil {
+		return err
 	}
 	s.eng.Pause()
-	s.state = StatePaused
 	s.logf("scenario %s: paused", s.ID())
 	return nil
 }
@@ -687,14 +288,10 @@ func (s *Scenario) Pause() error {
 func (s *Scenario) Resume() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.checkpointing > 0 {
-		return fmt.Errorf("scenario %s: checkpoint in progress", s.ID())
-	}
-	if s.state != StatePaused {
-		return fmt.Errorf("scenario %s is %s, not %s", s.ID(), s.state, StatePaused)
+	if err := s.move(verbResume); err != nil {
+		return err
 	}
 	s.eng.Resume()
-	s.state = StateRunning
 	s.logf("scenario %s: resumed", s.ID())
 	return nil
 }
@@ -706,190 +303,97 @@ func (s *Scenario) Resume() error {
 // for the replay to actually park — or done. A running scenario must be
 // paused first.
 func (s *Scenario) Checkpoint() (*ScenarioCheckpoint, error) {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		settled := false
-		switch s.state {
-		case StateCreated, StateDone:
-			// No replay in flight (done: run() closed and drained the
-			// engine).
-			settled = true
-		case StatePaused:
-			// Parked means every shard is drained.
-			settled = s.eng.Parked()
-		default:
-			state := s.state
-			s.mu.Unlock()
-			return nil, fmt.Errorf("scenario %s is %s; checkpoint requires %s, %s or %s",
-				s.ID(), state, StateCreated, StatePaused, StateDone)
-		}
-		if settled {
-			// Serialize outside the lock so Status/List stay live; the
-			// checkpointing flag keeps Start/Resume/shutdown out until
-			// the snapshot is complete.
-			s.checkpointing++
-			s.mu.Unlock()
-			ck := s.checkpointSnapshot()
-			s.mu.Lock()
-			s.checkpointing--
-			s.mu.Unlock()
-			return ck, nil
-		}
-		s.mu.Unlock()
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("scenario %s: replay did not park in time", s.ID())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// checkpointSnapshot builds the checkpoint over a settled engine; the
-// caller holds the checkpointing flag (not s.mu) to exclude transitions.
-func (s *Scenario) checkpointSnapshot() *ScenarioCheckpoint {
-	src := s.srcCfg
-	src.Checkpoint = nil
-	src.Start = false
-	return &ScenarioCheckpoint{
-		Version:     ScenarioCheckpointVersion,
-		Config:      src,
-		TotalDays:   int(s.totalDays.Load()),
-		DaysClosed:  int(s.closedDays.Load()),
-		LastEventID: s.hub.Stats().LastID,
-		Engine:      s.eng.Checkpoint(),
-	}
+	return s.settleAndImage(verbCheckpoint)
 }
 
 // AutoCheckpoint serializes the scenario without an operator in the
 // loop: paused and done scenarios checkpoint directly, and a running one
 // is transparently parked at its next record boundary, checkpointed, and
 // released — the public state stays "running" throughout, so operators
-// and dashboards never see the flicker. Created and failed scenarios
-// return (nil, nil): there is nothing worth persisting.
+// and dashboards never see the flicker. Created and failed scenarios,
+// and a running one whose source is not open yet, return (nil, nil):
+// there is nothing worth persisting.
 func (s *Scenario) AutoCheckpoint() (*ScenarioCheckpoint, error) {
-	s.mu.Lock()
-	switch s.state {
-	case StateCreated, StateFailed:
-		s.mu.Unlock()
-		return nil, nil
-	case StatePaused, StateDone:
-		s.mu.Unlock()
-		return s.Checkpoint()
-	}
-	// StateRunning with the source not yet open (totalDays unset): the
-	// replay goroutine is still building/scanning its source and cannot
-	// park, and there is no consumed state to save anyway.
-	if s.totalDays.Load() == 0 {
-		s.mu.Unlock()
-		return nil, nil
-	}
-	// StateRunning: ask the replay to park. The gate is engine-level, so
-	// the lifecycle state is untouched.
-	s.eng.Pause()
-	s.mu.Unlock()
-
-	ck, err := s.autoSnapshotWhenParked()
-
-	// Release the replay — unless the scenario was operator-paused or
-	// shut down while we held it parked; their transition owns the gate
-	// now (Resume on a non-paused engine is a no-op either way).
-	s.mu.Lock()
-	if s.state == StateRunning && !s.stopped {
-		s.eng.Resume()
-	}
-	s.mu.Unlock()
-	return ck, err
+	return s.settleAndImage(verbAutoCheckpoint)
 }
 
-// autoSnapshotWhenParked waits for the pause requested by AutoCheckpoint
-// to take effect and snapshots the settled engine. If the scenario left
-// the running state while waiting (operator pause, replay completion),
-// it defers to Checkpoint's own settled-state rules.
-func (s *Scenario) autoSnapshotWhenParked() (*ScenarioCheckpoint, error) {
-	deadline := time.Now().Add(5 * time.Second)
+// How often a checkpoint polls for the replay to park, and how long it
+// waits before giving up.
+const (
+	parkPoll     = 2 * time.Millisecond
+	parkDeadline = 5 * time.Second
+)
+
+// settleAndImage is the one checkpoint path: wait until the engine is
+// settled — no replay in flight (created; done: run closed and drained
+// the engine) or the replay parked, which means every shard is drained —
+// and image it. Under verbAutoCheckpoint a running replay is asked to
+// park first; the gate is engine-level, so the lifecycle state is
+// untouched. The state is re-read on every poll: a scenario that is
+// paused, finishes or fails while the wait is on is judged by its new
+// state.
+func (s *Scenario) settleAndImage(v verb) (*ScenarioCheckpoint, error) {
+	deadline := time.Now().Add(parkDeadline)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
-		s.mu.Lock()
-		if s.stopped {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("scenario %s: shut down during auto-checkpoint", s.ID())
+		if err := s.move(v); err != nil {
+			if v == verbAutoCheckpoint {
+				err = nil // created, failed: nothing worth persisting
+			}
+			return nil, err
 		}
-		if s.state != StateRunning {
-			s.mu.Unlock()
-			return s.Checkpoint()
-		}
-		if s.eng.Parked() {
+		switch {
+		case s.stopped:
+			return nil, fmt.Errorf("scenario %s: shut down during checkpoint", s.ID())
+		case s.state == StateRunning && s.totalDays.Load() == 0:
+			// The replay goroutine is still building/scanning its source
+			// and cannot park, and there is no consumed state to save.
+			return nil, nil
+		case s.state == StateCreated || s.state == StateDone || s.eng.Parked():
+			// Image outside the lock so Status/List stay live; the count
+			// keeps Start/Resume/shutdown out until the image is complete.
 			s.checkpointing++
 			s.mu.Unlock()
-			ck := s.checkpointSnapshot()
+			ck := s.image()
 			s.mu.Lock()
 			s.checkpointing--
-			s.mu.Unlock()
+			s.release()
 			return ck, nil
+		case time.Now().After(deadline):
+			s.release()
+			return nil, fmt.Errorf("scenario %s: replay did not park in time", s.ID())
+		case s.state == StateRunning:
+			s.eng.Pause()
 		}
 		s.mu.Unlock()
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("scenario %s: replay did not park for auto-checkpoint", s.ID())
-		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(parkPoll)
+		s.mu.Lock()
 	}
 }
 
-// autoCheckpointLoop periodically persists the scenario into its
-// checkpoint store. Started by Registry.Create when durability is on;
-// exits when the scenario shuts down. Ticks where the replay consumed no
-// new records since the last successful write are skipped, so an idle
-// (done or long-paused) scenario costs no I/O.
-//
-// A failed write degrades the checkpoint subsystem (Health reports it;
-// the scenario keeps ingesting and serving) and the loop retries on a
-// jittered backoff capped by the interval, un-degrading on the first
-// write that lands. The whole attempt runs under supervise: a panic in
-// the write path (a fault-injected filesystem, a serialization bug)
-// degrades durability instead of killing the daemon.
-func (s *Scenario) autoCheckpointLoop(store checkpointStore, interval time.Duration, logf func(string, ...any)) {
-	timer := time.NewTimer(interval)
-	defer timer.Stop()
-	retry := source.Backoff{Base: interval / 8, Max: interval}
-	var written bool
-	var lastRecords uint64
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-timer.C:
-		}
-		if written && s.eng.Records() == lastRecords {
-			timer.Reset(interval)
-			continue
-		}
-		err := supervise.Run("auto-checkpoint", func() error {
-			ck, err := s.AutoCheckpoint()
-			if err != nil || ck == nil {
-				return err // nil ck: nothing worth persisting yet
-			}
-			path, err := store.write(ck)
-			if err != nil {
-				return err
-			}
-			written, lastRecords = true, ck.Engine.Records
-			logf("scenario %s: auto-checkpoint at %d/%d days -> %s",
-				s.ID(), ck.DaysClosed, ck.TotalDays, path)
-			return nil
-		})
-		s.mu.Lock()
-		wasDegraded := s.ckErr != nil
-		s.ckErr = err
-		s.mu.Unlock()
-		if err != nil {
-			logf("scenario %s: auto-checkpoint: %v (degraded, retrying)", s.ID(), err)
-			timer.Reset(retry.Next())
-			continue
-		}
-		if wasDegraded {
-			logf("scenario %s: auto-checkpoint healed", s.ID())
-		}
-		retry.Reset()
-		timer.Reset(interval)
+// release reopens the gate an auto-checkpoint closed, once no checkpoint
+// is imaging any more — unless the scenario was operator-paused or shut
+// down meanwhile; their transition owns the gate now (Resume on an
+// engine that is not paused is a no-op either way).
+func (s *Scenario) release() {
+	if s.checkpointing == 0 && s.state == StateRunning && !s.stopped {
+		s.eng.Resume()
+	}
+}
+
+// image builds the checkpoint over a settled engine; the caller holds the
+// checkpointing count (not s.mu) to exclude transitions.
+func (s *Scenario) image() *ScenarioCheckpoint {
+	cfg := s.cfg
+	cfg.Start = false
+	return &ScenarioCheckpoint{
+		Version:     ScenarioCheckpointVersion,
+		Config:      cfg,
+		TotalDays:   int(s.totalDays.Load()),
+		DaysClosed:  int(s.closedDays.Load()),
+		LastEventID: s.hub.Stats().LastID,
+		Engine:      s.eng.Checkpoint(),
 	}
 }
 
@@ -898,12 +402,11 @@ func (s *Scenario) autoCheckpointLoop(store checkpointStore, interval time.Durat
 // Called by Registry.Delete.
 func (s *Scenario) shutdown() {
 	s.mu.Lock()
-	// An in-flight checkpoint reads the engine without s.mu; waking the
-	// replay under it would tear the snapshot. Checkpoints are bounded,
-	// so wait them out.
-	for s.checkpointing > 0 {
+	// Shutdown is legal in every state; what refuses it is a checkpoint
+	// in flight. Checkpoints are bounded, so wait them out.
+	for s.move(verbShutdown) != nil {
 		s.mu.Unlock()
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(parkPoll)
 		s.mu.Lock()
 	}
 	if !s.stopped {
@@ -942,16 +445,20 @@ func (s *Scenario) run() {
 	err := supervise.Run("scenario replay", func() error { return s.replay() })
 	s.mu.Lock()
 	s.eng.Close()
+	// The moves below are never refused: only Start leads here, and until
+	// this exit only pause and resume move the state, between running and
+	// paused.
 	var failed bool
 	switch {
 	case err == stream.ErrReplayStopped:
 		// Deleted mid-replay; the scenario is already out of the registry.
+		_ = s.move(verbRunStopped)
 	case err != nil:
-		s.state, s.err = StateFailed, err
-		failed = true
+		_ = s.move(verbRunFailed)
+		s.err, failed = err, true
 		s.logf("scenario %s: failed: %v", s.ID(), err)
 	default:
-		s.state = StateDone
+		_ = s.move(verbRunOK)
 		st := s.eng.Stats()
 		s.logf("scenario %s: replay complete in %s: %d updates, %d conflicts ever, %d still active",
 			s.ID(), time.Since(start).Round(time.Millisecond),
@@ -962,72 +469,38 @@ func (s *Scenario) run() {
 	if failed && onFail != nil {
 		// On its own goroutine: the registry's restart path shuts this
 		// scenario down, which waits for run's deferred done close.
-		go onFail(s.cfg.ID)
+		go onFail(s.ID())
 	}
 }
 
-// replay opens the effective source (the checkpointed scenario's source
-// when restoring) and feeds it through the engine, resuming mid-archive
-// when a checkpoint position is set. Live sources run continuously
-// instead of replaying a calendar.
+// replay opens the scenario's source through its kind and feeds it
+// through the engine: a live feed runs continuously, an archive replays
+// its calendar, resuming mid-archive when a checkpoint position is set.
 func (s *Scenario) replay() error {
-	if s.srcCfg.isLive() {
-		return s.runLive()
+	kind := sourceKinds[s.cfg.Source]
+	if kind.live() {
+		// -1 is the "endless calendar" sentinel: the status JSON renders it
+		// so dashboards can tell a live feed from a source not yet opened,
+		// and the auto-checkpoint's not-yet-open guard (== 0) admits live
+		// scenarios. Delivery gaps — transport loss on the RIS client,
+		// session drops on the BGP speaker — surface as SSE gap events on
+		// the scenario's hub.
+		s.totalDays.Store(-1)
+		src, err := kind.openLive(&s.cfg, s.eng.Interner(), s.hub.PublishGap)
+		if err != nil {
+			return err
+		}
+		// Run closes the source itself on Stop; this covers error exits.
+		defer src.Close()
+		return s.eng.Run(src, &stream.RunOptions{
+			Stop:       s.stop,
+			OnDayClose: func(int) { s.closedDays.Add(1) },
+		})
 	}
-	var src io.ReadCloser
-	var cal stream.Calendar
-	switch s.srcCfg.Source {
-	case SourceSynth:
-		if s.srcCfg.Scale == ScaleStress {
-			// The generator is the source: synth streams MRT bytes on
-			// demand, so even the million-prefix table is never held.
-			gen, err := synth.NewStream(stressConfig())
-			if err != nil {
-				return fmt.Errorf("build stress stream: %w", err)
-			}
-			days := gen.Days()
-			c := stream.Calendar{Days: make([]int, days), Times: make([]uint32, days)}
-			for d := 0; d < days; d++ {
-				c.Days[d], c.Times[d] = d, uint32(d)*86400
-			}
-			src, cal = io.NopCloser(gen), c
-			break
-		}
-		spec, err := specFor(s.srcCfg.Scale)
-		if err != nil {
-			return err
-		}
-		sc, err := scenario.Build(spec)
-		if err != nil {
-			return fmt.Errorf("build scenario: %w", err)
-		}
-		// An io.Pipe keeps memory flat: the archive is generated day by
-		// day and never materializes, even at full scale.
-		pr, pw := io.Pipe()
-		go func() {
-			pw.CloseWithError(collector.WriteUpdateArchive(pw, sc))
-		}()
-		src, cal = pr, stream.ScenarioCalendar(sc)
-	case SourceMRT:
-		f, err := collector.OpenUpdateArchive(s.srcCfg.Path)
-		if err != nil {
-			return err
-		}
-		c, err := stream.ArchiveCalendar(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		f, err = collector.OpenUpdateArchive(s.srcCfg.Path)
-		if err != nil {
-			return err
-		}
-		src, cal = f, c
-	default:
-		return fmt.Errorf("unknown source %q", s.srcCfg.Source)
+	src, cal, err := kind.openArchive(&s.cfg)
+	if err != nil {
+		return err
 	}
-	// Closing the source on every exit also unblocks the synth writer
-	// goroutine when a stop aborts the replay mid-pipe.
 	defer src.Close()
 
 	s.totalDays.Store(int64(len(cal.Days)))
@@ -1045,17 +518,9 @@ func (s *Scenario) replay() error {
 			// a slow pacing interval would keep a "paused" replay from
 			// parking for up to a whole day's sleep, and Checkpoint's
 			// bounded park wait would time out on a legitimate pause.
-			end := time.Now().Add(interval)
-			for interval > 0 && !s.eng.Paused() {
-				remain := time.Until(end)
-				if remain <= 0 {
-					break
-				}
-				if remain > 50*time.Millisecond {
-					remain = 50 * time.Millisecond
-				}
+			for end := time.Now().Add(interval); time.Now().Before(end) && !s.eng.Paused(); {
 				select {
-				case <-time.After(remain):
+				case <-time.After(min(time.Until(end), 50*time.Millisecond)):
 				case <-s.stop:
 					return
 				}
@@ -1063,51 +528,6 @@ func (s *Scenario) replay() error {
 		},
 	}
 	return s.eng.Replay(src, cal, opts)
-}
-
-// runLive connects the configured live source and drains it through the
-// engine until shutdown. Delivery gaps — transport loss on the RIS
-// client, session drops on the BGP speaker — surface as SSE gap events
-// on the scenario's hub.
-func (s *Scenario) runLive() error {
-	// -1 is the "endless calendar" sentinel: the status JSON renders it
-	// so dashboards can tell a live feed from a source not yet opened,
-	// and the auto-checkpoint loop's not-yet-open guard (== 0) admits
-	// live scenarios.
-	s.totalDays.Store(-1)
-	var src source.Source
-	switch s.srcCfg.Source {
-	case SourceRISLive:
-		c, err := rislive.Dial(rislive.Config{
-			URL:      s.srcCfg.URL,
-			Interner: s.eng.Interner(),
-			OnGap:    s.hub.PublishGap,
-		})
-		if err != nil {
-			return err
-		}
-		src = c
-	case SourceBGP:
-		sp, err := bgpd.Listen(bgpd.Config{
-			Addr:     s.srcCfg.Listen,
-			LocalAS:  bgp.ASN(s.srcCfg.LocalAS),
-			BGPID:    [4]byte{192, 0, 2, 1},
-			Interner: s.eng.Interner(),
-			OnGap:    s.hub.PublishGap,
-		})
-		if err != nil {
-			return err
-		}
-		src = sp
-	default:
-		return fmt.Errorf("unknown live source %q", s.srcCfg.Source)
-	}
-	// Run closes the source itself on Stop; this covers error exits.
-	defer src.Close()
-	return s.eng.Run(src, &stream.RunOptions{
-		Stop:       s.stop,
-		OnDayClose: func(int) { s.closedDays.Add(1) },
-	})
 }
 
 // SubsystemHealth is one subsystem's degradation flag: OK false means
@@ -1172,28 +592,31 @@ func (s *Scenario) Health() Health {
 	return h
 }
 
-// Status is a scenario lifecycle snapshot (the list/detail endpoints'
-// payload, minus the engine stats the detail view adds).
+// Status is a scenario lifecycle snapshot, and — marshalled — the status
+// document of the create, list, detail and transition endpoints.
 type Status struct {
-	ID            string
-	Source        string
-	Scale         string
-	Path          string
-	URL           string
-	Listen        string
-	State         State
-	Error         string
-	Shards        int
-	DecodeWorkers int
-	DaysPerSec    float64
-	TotalDays     int // 0 until the source is open; -1 = endless (live feed)
-	ClosedDays    int
-	Events        HubStats
+	ID string `json:"id"`
+	// Source is the effective source, or "checkpoint" for a restored
+	// scenario; Scale, Path, URL and Listen describe the effective source
+	// either way.
+	Source     string  `json:"source"`
+	Scale      string  `json:"scale,omitempty"`
+	Path       string  `json:"path,omitempty"`
+	URL        string  `json:"url,omitempty"`
+	Listen     string  `json:"listen,omitempty"`
+	State      State   `json:"state"`
+	Error      string  `json:"error,omitempty"`
+	DaysPerSec float64 `json:"days_per_sec,omitempty"`
+	// TotalDays is 0 until the source is open and -1 for live sources:
+	// the calendar never ends.
+	TotalDays  int `json:"total_days"`
+	ClosedDays int `json:"closed_days"`
 	// Feed is the live source's connection state (nil unless a live run
 	// is in flight).
-	Feed *source.Status
+	Feed *source.Status `json:"feed,omitempty"`
 	// Health is the per-subsystem degradation snapshot.
-	Health Health
+	Health Health `json:"health"`
+	HubStats
 }
 
 // Status snapshots the scenario.
@@ -1202,21 +625,22 @@ func (s *Scenario) Status() Status {
 	state, err := s.state, s.err
 	s.mu.Unlock()
 	st := Status{
-		ID:            s.cfg.ID,
-		Source:        s.cfg.Source,
-		Scale:         s.cfg.Scale,
-		Path:          s.cfg.Path,
-		URL:           s.srcCfg.URL,
-		Listen:        s.srcCfg.Listen,
-		State:         state,
-		Shards:        s.cfg.Shards,
-		DecodeWorkers: s.cfg.DecodeWorkers,
-		DaysPerSec:    s.cfg.DaysPerSec,
-		TotalDays:     int(s.totalDays.Load()),
-		ClosedDays:    int(s.closedDays.Load()),
-		Events:        s.hub.Stats(),
-		Feed:          s.eng.SourceStatus(),
-		Health:        s.Health(),
+		ID:         s.cfg.ID,
+		Source:     s.cfg.Source,
+		Scale:      s.cfg.Scale,
+		Path:       s.cfg.Path,
+		URL:        s.cfg.URL,
+		Listen:     s.cfg.Listen,
+		State:      state,
+		DaysPerSec: s.cfg.DaysPerSec,
+		TotalDays:  int(s.totalDays.Load()),
+		ClosedDays: int(s.closedDays.Load()),
+		Feed:       s.eng.SourceStatus(),
+		Health:     s.Health(),
+		HubStats:   s.hub.Stats(),
+	}
+	if s.restored {
+		st.Source = SourceCheckpoint
 	}
 	if err != nil {
 		st.Error = err.Error()

@@ -24,8 +24,8 @@ import (
 	"sync"
 	"time"
 
-	"moas/internal/epilog"
 	"moas/internal/source"
+	"moas/internal/supervise"
 	"moas/internal/vfs"
 )
 
@@ -174,7 +174,7 @@ func (r *Registry) Create(cfg ScenarioConfig) (*Scenario, error) {
 	// restore decodes a whole engine image, and holding the write lock
 	// across it would stall every lookup. The limit and ID checks are
 	// re-done authoritatively at insert time below.
-	s, err := newScenario(cfg, r.Limits, r.logf, r.episodeOptions())
+	s, err := newScenario(cfg, r)
 	if err != nil {
 		return nil, err
 	}
@@ -191,10 +191,10 @@ func (r *Registry) Create(cfg ScenarioConfig) (*Scenario, error) {
 		return nil, fmt.Errorf("%w: %d scenarios hosted (max %d)", ErrTooManyScenarios, n, max)
 	}
 	if cfg.ID == "" {
-		cfg.ID = cfg.defaultID()
+		cfg.ID = cfg.DefaultID()
 		for _, taken := r.scenarios[cfg.ID]; taken; _, taken = r.scenarios[cfg.ID] {
 			r.autoID++
-			cfg.ID = fmt.Sprintf("%s-%d", cfg.defaultID(), r.autoID)
+			cfg.ID = fmt.Sprintf("%s-%d", cfg.DefaultID(), r.autoID)
 		}
 	}
 	if _, taken := r.scenarios[cfg.ID]; taken {
@@ -202,7 +202,7 @@ func (r *Registry) Create(cfg ScenarioConfig) (*Scenario, error) {
 		s.shutdown()
 		return nil, fmt.Errorf("%w: %q", ErrScenarioExists, cfg.ID)
 	}
-	s.setID(cfg.ID)
+	s.cfg.ID = cfg.ID
 	if s.epi != nil {
 		// The log's directory is named by the resolved ID, so the open
 		// happens here — under the lock, before the scenario is reachable,
@@ -225,10 +225,14 @@ func (r *Registry) Create(cfg ScenarioConfig) (*Scenario, error) {
 	if s.ckLoopDone != nil {
 		go func() {
 			defer close(s.ckLoopDone)
-			s.autoCheckpointLoop(r.storeFor(cfg.ID), r.Durability.interval(), r.logf)
+			r.autoCheckpointLoop(s)
 		}()
 	}
-	r.logf("scenario %s: created (%s)", s.ID(), cfg.describeSource())
+	desc := sourceKinds[cfg.Source].describe(&cfg)
+	if ck := cfg.Checkpoint; ck != nil {
+		desc = fmt.Sprintf("checkpoint of %s at %d/%d days", desc, ck.DaysClosed, ck.TotalDays)
+	}
+	r.logf("scenario %s: created (%s)", s.ID(), desc)
 	return s, nil
 }
 
@@ -239,15 +243,6 @@ func (r *Registry) storeFor(id string) checkpointStore {
 		keep: r.Durability.keep(),
 		fs:   r.Durability.fs(),
 	}
-}
-
-// episodeOptions returns the epilog options new scenarios open their
-// logs with, or nil when episode logging is disabled.
-func (r *Registry) episodeOptions() *epilog.Options {
-	if r.EpisodeDir == "" {
-		return nil
-	}
-	return &epilog.Options{FS: r.EpisodeFS}
 }
 
 // CheckpointNow synchronously persists the scenario into its on-disk
@@ -262,14 +257,107 @@ func (r *Registry) CheckpointNow(id string) (string, error) {
 	if s == nil {
 		return "", fmt.Errorf("serve: no scenario %q", id)
 	}
+	path, err := r.persist(s, "checkpoint")
+	if err == nil && path == "" {
+		err = fmt.Errorf("serve: scenario %s has nothing to checkpoint", id)
+	}
+	return path, err
+}
+
+// persist is the one way a checkpoint reaches disk: image the scenario
+// (parking a running replay for the moment of the image), write the
+// image into the scenario's store, log it as what. It returns "" and no
+// error when the scenario has nothing worth persisting yet.
+func (r *Registry) persist(s *Scenario, what string) (string, error) {
 	ck, err := s.AutoCheckpoint()
+	if err != nil || ck == nil {
+		return "", err
+	}
+	path, err := r.storeFor(s.ID()).write(ck)
 	if err != nil {
 		return "", err
 	}
-	if ck == nil {
-		return "", fmt.Errorf("serve: scenario %s has nothing to checkpoint", id)
+	r.logf("scenario %s: %s at %d/%d days -> %s", s.ID(), what, ck.DaysClosed, ck.TotalDays, path)
+	return path, nil
+}
+
+// autoCheckpointLoop periodically persists the scenario. Started by
+// Create when durability is on; exits when the scenario shuts down.
+// Ticks where the replay consumed no new records since the last
+// successful write are skipped, so an idle (done or long-paused)
+// scenario costs no I/O.
+//
+// A failed write degrades the checkpoint subsystem (Health reports it;
+// the scenario keeps ingesting and serving) and the loop retries on a
+// jittered backoff capped by the interval, un-degrading on the first
+// write that lands. The whole attempt runs under supervise: a panic in
+// the write path (a fault-injected filesystem, a serialization bug)
+// degrades durability instead of killing the daemon.
+func (r *Registry) autoCheckpointLoop(s *Scenario) {
+	interval := r.Durability.interval()
+	timer := time.NewTimer(interval)
+	defer timer.Stop()
+	retry := source.Backoff{Base: interval / 8, Max: interval}
+	var written bool
+	var lastRecords uint64
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-timer.C:
+		}
+		// Read before the image: records consumed in between make the
+		// next tick write once more, never skip.
+		records := s.eng.Records()
+		if written && records == lastRecords {
+			timer.Reset(interval)
+			continue
+		}
+		err := supervise.Run("auto-checkpoint", func() error {
+			path, err := r.persist(s, "auto-checkpoint")
+			if path != "" {
+				written, lastRecords = true, records
+			}
+			return err
+		})
+		s.mu.Lock()
+		wasDegraded := s.ckErr != nil
+		s.ckErr = err
+		s.mu.Unlock()
+		if err != nil {
+			r.logf("scenario %s: auto-checkpoint: %v (degraded, retrying)", s.ID(), err)
+			timer.Reset(retry.Next())
+			continue
+		}
+		if wasDegraded {
+			r.logf("scenario %s: auto-checkpoint healed", s.ID())
+		}
+		retry.Reset()
+		timer.Reset(interval)
 	}
-	return r.storeFor(id).write(ck)
+}
+
+// restore is the one way a scenario comes back from disk: re-create id
+// from the newest checkpoint file that still decodes, stamped with the
+// supervised-restart count that led here, and start it; how says why
+// in the log. The replay resumes mid-archive.
+func (r *Registry) restore(id, how string, restarts int) error {
+	ck, path, ok := r.storeFor(id).recoverNewest(r.logf)
+	if !ok {
+		return errors.New("no usable checkpoint")
+	}
+	s, err := r.Create(ScenarioConfig{ID: id, Source: SourceCheckpoint, Checkpoint: ck})
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.restarts = restarts
+	s.mu.Unlock()
+	if err := s.Start(); err != nil {
+		return err
+	}
+	r.logf("scenario %s: %s from %s (%d/%d days)", id, how, path, ck.DaysClosed, ck.TotalDays)
+	return nil
 }
 
 // maybeRestart is the restart policy's entry point, invoked (on its own
@@ -280,9 +368,6 @@ func (r *Registry) CheckpointNow(id string) (string, error) {
 // checkpoint is usable — or the crash-loop cap is hit — the scenario
 // simply stays failed, visible as such in /healthz.
 func (r *Registry) maybeRestart(id string) {
-	if !r.RestartPolicy.Enabled || !r.Durability.enabled() {
-		return
-	}
 	r.mu.Lock()
 	if r.closing {
 		r.mu.Unlock()
@@ -317,26 +402,11 @@ func (r *Registry) maybeRestart(id string) {
 	r.mu.Unlock()
 	// Unlike Delete, the on-disk state stays: it is what we restart from.
 	old.shutdown()
-	ck, path, ok := r.storeFor(id).recoverNewest(r.logf)
-	if !ok {
-		r.logf("scenario %s: restart: no usable checkpoint; staying failed", id)
-		r.reinsert(id, old)
-		return
-	}
-	s, err := r.Create(ScenarioConfig{ID: id, Source: SourceCheckpoint, Checkpoint: ck})
-	if err != nil {
+	how := fmt.Sprintf("restarted (attempt %d/%d)", count, r.RestartPolicy.max())
+	if err := r.restore(id, how, count); err != nil {
 		r.logf("scenario %s: restart: %v; staying failed", id, err)
 		r.reinsert(id, old)
-		return
 	}
-	s.mu.Lock()
-	s.restarts = count
-	s.mu.Unlock()
-	if err := s.Start(); err != nil {
-		r.logf("scenario %s: restart: %v", id, err)
-		return
-	}
-	r.logf("scenario %s: restarted from %s (attempt %d/%d)", id, path, count, r.RestartPolicy.max())
 }
 
 // reinsert puts a failed (already shut down) scenario back into the
@@ -436,14 +506,8 @@ func (r *Registry) Close() {
 		// The final checkpoint must land before shutdown: a stopped run
 		// leaves the scenario in a state Checkpoint refuses.
 		if r.Durability.enabled() {
-			if ck, err := s.AutoCheckpoint(); err != nil {
+			if _, err := r.persist(s, "final checkpoint"); err != nil {
 				r.logf("scenario %s: final checkpoint: %v", s.ID(), err)
-			} else if ck != nil {
-				if path, err := r.storeFor(s.ID()).write(ck); err != nil {
-					r.logf("scenario %s: final checkpoint write: %v", s.ID(), err)
-				} else {
-					r.logf("scenario %s: final checkpoint -> %s", s.ID(), path)
-				}
 			}
 		}
 		s.shutdown()
@@ -484,25 +548,13 @@ func (r *Registry) Recover() (int, error) {
 			r.logf("recover: skipping %s: %v", id, err)
 			continue
 		}
-		st := r.storeFor(id)
 		// A crash can strand the dot-hidden temp file write was filling;
 		// boot is the one moment no writer is mid-flight, so sweep them.
-		st.cleanTemps(r.logf)
-		ck, path, ok := st.recoverNewest(r.logf)
-		if !ok {
-			r.logf("recover: scenario %s: no usable checkpoint", id)
-			continue
-		}
-		s, err := r.Create(ScenarioConfig{ID: id, Source: SourceCheckpoint, Checkpoint: ck})
-		if err != nil {
+		r.storeFor(id).cleanTemps(r.logf)
+		if err := r.restore(id, "recovered", 0); err != nil {
 			r.logf("recover: scenario %s: %v", id, err)
 			continue
 		}
-		if err := s.Start(); err != nil {
-			r.logf("recover: scenario %s: %v", id, err)
-			continue
-		}
-		r.logf("scenario %s: recovered from %s (%d/%d days)", id, path, ck.DaysClosed, ck.TotalDays)
 		recovered++
 	}
 	return recovered, nil

@@ -16,7 +16,6 @@ import (
 
 	"moas/internal/collector"
 	"moas/internal/scenario"
-	"moas/internal/stream"
 )
 
 // The small scenario is built once per test binary; tests that need an
@@ -392,18 +391,17 @@ func TestPauseResumeDelete(t *testing.T) {
 	}
 }
 
-// TestScenarioConfigValidation exercises normalize's rejections and
-// defaults without HTTP.
+// TestScenarioConfigValidation exercises normalize's kind-independent
+// rejections and defaults without HTTP (what depends on the source kind
+// is TestSourceKinds').
 func TestScenarioConfigValidation(t *testing.T) {
 	bad := []ScenarioConfig{
 		{ID: "has space"},
 		{ID: "slash/ed"},
 		{Source: "carrier-pigeon"},
-		{Source: SourceSynth, Scale: "galactic"},
-		{Source: SourceSynth, Path: "/tmp/x"},
-		{Source: SourceMRT},
-		{Source: SourceMRT, Path: "/nonexistent/file.mrt"},
 		{Source: SourceSynth, DaysPerSec: -1},
+		{Source: SourceSynth, Shards: MaxShards + 1},
+		{Source: SourceSynth, MaxAttrs: -2},
 	}
 	for _, cfg := range bad {
 		if err := cfg.normalize(); err == nil {
@@ -417,33 +415,5 @@ func TestScenarioConfigValidation(t *testing.T) {
 	}
 	if cfg.Source != SourceSynth || cfg.Scale != "small" || cfg.History != 256 || cfg.EventBuffer != 1024 {
 		t.Fatalf("defaults not applied: %+v", cfg)
-	}
-	if cfg.defaultID() != "small" {
-		t.Fatalf("defaultID = %q", cfg.defaultID())
-	}
-	mrt := ScenarioConfig{Source: SourceMRT, Path: "/data/rrc00.updates.mrt.gz"}
-	if got := mrt.defaultID(); got != "rrc00.updates" {
-		t.Fatalf("mrt defaultID = %q", got)
-	}
-
-	// The stress scale has no scenario spec but is a valid synth scale:
-	// it streams the internal/synth workload straight into the engine.
-	stress := ScenarioConfig{Source: SourceSynth, Scale: ScaleStress}
-	if err := stress.normalize(); err != nil {
-		t.Fatalf("stress scale rejected: %v", err)
-	}
-	if stress.defaultID() != "stress" {
-		t.Fatalf("stress defaultID = %q", stress.defaultID())
-	}
-	if _, err := specFor(ScaleStress); err == nil {
-		t.Fatal("specFor(stress) returned a spec; stress must bypass the scenario pipeline")
-	}
-	restored := ScenarioConfig{Source: SourceCheckpoint, Checkpoint: &ScenarioCheckpoint{
-		Version: ScenarioCheckpointVersion,
-		Config:  ScenarioConfig{Source: SourceSynth, Scale: ScaleStress},
-		Engine:  &stream.Checkpoint{},
-	}}
-	if err := restored.normalize(); err != nil {
-		t.Fatalf("stress checkpoint config rejected: %v", err)
 	}
 }

@@ -16,8 +16,8 @@ import (
 
 // benchCounts dedupes a candidate list of shard/worker counts in place
 // of the old hardcoded {1, 4, GOMAXPROCS} — on a single-core box that
-// list emitted shards=1 twice, polluting BENCH_stream.json with #01
-// duplicate rows that confused benchstat.
+// list emitted shards=1 twice, and benchstat reads the #01 duplicate
+// rows as a second configuration.
 func benchCounts(vals ...int) []int {
 	var out []int
 	for _, v := range vals {
@@ -140,37 +140,25 @@ func BenchmarkStreamReplayEpilog(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeUpdate compares the two UPDATE-body decoders over a
-// realistic mixed wire corpus: the allocating DecodeUpdateBody (fresh
-// Update, fresh Attrs per message) against DecodeUpdateBodyInto with a
-// reused Update and a warm interner — the replay decode stage's
-// configuration, which must run at 0 allocs/op.
+// BenchmarkDecodeUpdate runs DecodeUpdateBodyInto over a realistic mixed
+// wire corpus with a reused Update and a warm interner — the replay
+// decode stage's configuration, which must run at 0 allocs/op.
 func BenchmarkDecodeUpdate(b *testing.B) {
 	bodies := updateWireCorpus()
-	b.Run("variant=old", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bgp.DecodeUpdateBody(bodies[i%len(bodies)]); err != nil {
-				b.Fatal(err)
-			}
+	var u bgp.Update
+	in := bgp.NewAttrsInterner(false)
+	for _, body := range bodies { // warm the interner
+		if err := bgp.DecodeUpdateBodyInto(&u, body, in); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("variant=into", func(b *testing.B) {
-		var u bgp.Update
-		in := bgp.NewAttrsInterner(false)
-		for _, body := range bodies { // warm the interner
-			if err := bgp.DecodeUpdateBodyInto(&u, body, in); err != nil {
-				b.Fatal(err)
-			}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := bgp.DecodeUpdateBodyInto(&u, bodies[i%len(bodies)], in); err != nil {
+			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := bgp.DecodeUpdateBodyInto(&u, bodies[i%len(bodies)], in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // updateWireCorpus builds a spread of UPDATE message bodies: varying

@@ -413,6 +413,7 @@ func runBatch(archive []byte, days int) ([]kernel.Event, *core.Registry, uint64,
 	}
 
 	var updates uint64
+	var upd bgp.Update // reused: each decode allocates a fresh Attrs, which the table keeps
 	curDay := 0
 	r := mrt.NewReader(bytes.NewReader(archive))
 	for {
@@ -434,8 +435,7 @@ func runBatch(archive []byte, days int) ([]kernel.Event, *core.Registry, uint64,
 		if err != nil || typ != bgp.MsgUpdate {
 			return nil, nil, 0, fmt.Errorf("oracle: batch: non-update message (type %d): %v", typ, err)
 		}
-		upd, err := bgp.DecodeUpdateBody(body)
-		if err != nil {
+		if err := bgp.DecodeUpdateBodyInto(&upd, body, nil); err != nil {
 			return nil, nil, 0, fmt.Errorf("oracle: batch update decode: %w", err)
 		}
 		updates++
