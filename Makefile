@@ -6,7 +6,7 @@ BENCH_COUNT ?= 5
 BENCH_TIME ?= 1s
 BENCH_CPU ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: build test race bench benchall bench-check bench-e2e profile fuzz-smoke soak vet fmt docscheck ci
+.PHONY: build test race bench benchall bench-check bench-e2e profile fuzz-smoke soak vet fmt docscheck depcheck ci
 
 build:
 	$(GO) build ./...
@@ -93,4 +93,18 @@ docscheck:
 	done; \
 	if [ $$missing -ne 0 ]; then exit 1; fi
 
-ci: fmt vet docscheck build race bench-check
+# The layering docs/ARCHITECTURE.md draws, enforced: the engine
+# (internal/stream) is a library — it links no HTTP stack, none of the
+# paper world (topology simulator, scenario, collector, batch driver,
+# figure code) and not the wire layer above it — and the figure code
+# (internal/analysis) is arithmetic over detection output: no simulator,
+# no driver, no engine. `go list -deps` excludes test imports, so the
+# stream tests may still replay scenario archives.
+depcheck:
+	@bad=$$( { \
+		$(GO) list -deps ./internal/stream | grep -xE 'net/http|moas/internal/(analysis|driver|scenario|simnet|topology|collector|serve)' | sed 's|^|internal/stream links |'; \
+		$(GO) list -deps ./internal/analysis | grep -xE 'moas/internal/(driver|scenario|simnet|topology|kernel|stream)' | sed 's|^|internal/analysis links |'; \
+	} ); \
+	if [ -n "$$bad" ]; then echo "$$bad"; exit 1; fi
+
+ci: fmt vet docscheck depcheck build race bench-check

@@ -13,9 +13,36 @@ import (
 
 	"moas/internal/bgp"
 	"moas/internal/core"
-	"moas/internal/driver"
 	"moas/internal/stats"
 )
+
+// MaxPrefixBits sizes per-length accumulators (IPv4 /0../32).
+const MaxPrefixBits = 33
+
+// DayStats is one observed day's aggregate detection output — what a
+// detection run (internal/driver) produces per day and every figure
+// function below consumes.
+type DayStats struct {
+	Day  int // calendar-day index
+	Date time.Time
+
+	// Total is the number of MOAS conflicts observed (Fig. 1).
+	Total int
+
+	// ByClass counts conflicts per classification (Fig. 6).
+	ByClass [core.NumClasses]int
+
+	// ByLen counts conflicts per prefix length (Fig. 5).
+	ByLen [MaxPrefixBits]int
+
+	// Involvement[i] counts conflicts whose origin set includes the run's
+	// i-th watched AS.
+	Involvement []int
+
+	// SeqHits[i] counts conflicts with the run's i-th watched AS pair
+	// consecutive in some observed AS path.
+	SeqHits []int
+}
 
 // Fig1Point is one day of the Fig. 1 time series.
 type Fig1Point struct {
@@ -24,7 +51,7 @@ type Fig1Point struct {
 }
 
 // Fig1Series extracts the daily MOAS conflict counts.
-func Fig1Series(days []driver.DayStats) []Fig1Point {
+func Fig1Series(days []DayStats) []Fig1Point {
 	out := make([]Fig1Point, len(days))
 	for i, d := range days {
 		out[i] = Fig1Point{Date: d.Date, Count: d.Total}
@@ -44,7 +71,7 @@ type Fig1Summary struct {
 }
 
 // SummarizeFig1 computes the headline aggregates.
-func SummarizeFig1(days []driver.DayStats, reg *core.Registry) Fig1Summary {
+func SummarizeFig1(days []DayStats, reg *core.Registry) Fig1Summary {
 	s := Fig1Summary{TotalConflicts: reg.Len(), ObservedDays: len(days)}
 	for _, d := range days {
 		if d.Total > s.PeakCount {
@@ -68,7 +95,7 @@ type Fig2Row struct {
 // and year-over-year growth, as in the paper's Fig. 2. Years with fewer
 // than minDays observations are skipped (the paper's table starts at 1998
 // although data begins 1997-11-08).
-func Fig2YearlyMedians(days []driver.DayStats, minDays int) []Fig2Row {
+func Fig2YearlyMedians(days []DayStats, minDays int) []Fig2Row {
 	byYear := map[int][]int{}
 	for _, d := range days {
 		byYear[d.Date.Year()] = append(byYear[d.Date.Year()], d.Total)
@@ -160,13 +187,13 @@ func SummarizeDurations(reg *core.Registry, finalDay int) DurationSummary {
 // the paper's per-year bars whose /24 column carries most of the mass.
 type Fig5Row struct {
 	Year  int
-	ByLen [driver.MaxPrefixBits]int
+	ByLen [MaxPrefixBits]int
 }
 
 // Fig5PrefixLengths selects each year's median day and reports its
 // per-length conflict counts.
-func Fig5PrefixLengths(days []driver.DayStats, minDays int) []Fig5Row {
-	byYear := map[int][]driver.DayStats{}
+func Fig5PrefixLengths(days []DayStats, minDays int) []Fig5Row {
+	byYear := map[int][]DayStats{}
 	for _, d := range days {
 		byYear[d.Date.Year()] = append(byYear[d.Date.Year()], d)
 	}
@@ -195,7 +222,7 @@ type Fig6Point struct {
 
 // Fig6ClassSeries restricts the run to [from, to] (inclusive) and returns
 // the per-day class counts — the paper's 05/15-08/15 window.
-func Fig6ClassSeries(days []driver.DayStats, from, to time.Time) []Fig6Point {
+func Fig6ClassSeries(days []DayStats, from, to time.Time) []Fig6Point {
 	var out []Fig6Point
 	for _, d := range days {
 		if d.Date.Before(from) || d.Date.After(to) {
@@ -218,7 +245,7 @@ type Attribution struct {
 
 // AttributeDay finds the day's stats and formats the attribution for
 // watch index w.
-func AttributeDay(days []driver.DayStats, date time.Time, w int, label string) (Attribution, error) {
+func AttributeDay(days []DayStats, date time.Time, w int, label string) (Attribution, error) {
 	for _, d := range days {
 		if d.Date.Equal(date) {
 			return Attribution{Date: date, Total: d.Total, Involved: d.Involvement[w], Label: label}, nil
@@ -228,7 +255,7 @@ func AttributeDay(days []driver.DayStats, date time.Time, w int, label string) (
 }
 
 // AttributeDaySeq is AttributeDay for a watched AS-path sequence.
-func AttributeDaySeq(days []driver.DayStats, date time.Time, w int, label string) (Attribution, error) {
+func AttributeDaySeq(days []DayStats, date time.Time, w int, label string) (Attribution, error) {
 	for _, d := range days {
 		if d.Date.Equal(date) {
 			return Attribution{Date: date, Total: d.Total, Involved: d.SeqHits[w], Label: label}, nil

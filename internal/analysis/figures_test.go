@@ -7,15 +7,14 @@ import (
 
 	"moas/internal/bgp"
 	"moas/internal/core"
-	"moas/internal/driver"
 )
 
-func day(y int, m time.Month, d, total int) driver.DayStats {
-	return driver.DayStats{Date: time.Date(y, m, d, 0, 0, 0, 0, time.UTC), Total: total}
+func day(y int, m time.Month, d, total int) DayStats {
+	return DayStats{Date: time.Date(y, m, d, 0, 0, 0, 0, time.UTC), Total: total}
 }
 
 func TestFig1SeriesAndSummary(t *testing.T) {
-	days := []driver.DayStats{
+	days := []DayStats{
 		day(1998, 1, 1, 700),
 		day(1998, 4, 7, 11842),
 		day(2001, 4, 6, 10226),
@@ -41,7 +40,7 @@ func TestFig1SeriesAndSummary(t *testing.T) {
 }
 
 func TestFig2YearlyMedians(t *testing.T) {
-	var days []driver.DayStats
+	var days []DayStats
 	// 1998: three days 680,683,690 → median 683; 1999: 800,821 → 810.5.
 	days = append(days, day(1998, 1, 1, 680), day(1998, 1, 2, 683), day(1998, 1, 3, 690))
 	days = append(days, day(1999, 1, 1, 800), day(1999, 1, 2, 821))
@@ -101,13 +100,13 @@ func TestFig3And4(t *testing.T) {
 }
 
 func TestFig5PrefixLengths(t *testing.T) {
-	mk := func(y int, dd, total, c24, c16 int) driver.DayStats {
+	mk := func(y int, dd, total, c24, c16 int) DayStats {
 		ds := day(y, 6, dd, total)
 		ds.ByLen[24] = c24
 		ds.ByLen[16] = c16
 		return ds
 	}
-	days := []driver.DayStats{
+	days := []DayStats{
 		mk(1998, 1, 100, 60, 10),
 		mk(1998, 2, 200, 120, 20), // median day of 1998 (middle of 3 sorted)
 		mk(1998, 3, 300, 170, 30),
@@ -127,14 +126,14 @@ func TestFig5PrefixLengths(t *testing.T) {
 }
 
 func TestFig6ClassSeriesAndTotals(t *testing.T) {
-	mk := func(m time.Month, d int, dp, ot, sv int) driver.DayStats {
+	mk := func(m time.Month, d int, dp, ot, sv int) DayStats {
 		ds := day(2001, m, d, dp+ot+sv)
 		ds.ByClass[core.ClassDistinctPaths] = dp
 		ds.ByClass[core.ClassOrigTranAS] = ot
 		ds.ByClass[core.ClassSplitView] = sv
 		return ds
 	}
-	days := []driver.DayStats{
+	days := []DayStats{
 		mk(time.May, 1, 100, 10, 5), // before window
 		mk(time.May, 20, 2000, 300, 150),
 		mk(time.June, 10, 2100, 310, 160),
@@ -159,7 +158,7 @@ func TestAttributeDay(t *testing.T) {
 	d := day(1998, 4, 7, 11842)
 	d.Involvement = []int{11357}
 	d.SeqHits = []int{42}
-	days := []driver.DayStats{d}
+	days := []DayStats{d}
 	date := time.Date(1998, 4, 7, 0, 0, 0, 0, time.UTC)
 
 	a, err := AttributeDay(days, date, 0, "AS8584")

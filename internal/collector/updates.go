@@ -103,7 +103,7 @@ const maxNLRIPerUpdate = 200
 func WriteUpdates(w io.Writer, sc *scenario.Scenario, oldDay, newDay int) error {
 	oldView := sc.TableViewAt(oldDay)
 	newView := sc.TableViewAt(newDay)
-	return WriteViewUpdates(w, oldView, newView, uint32(sc.DayDate(newDay).Unix()))
+	return WriteViewUpdates(w, oldView, newView, sc.DayStamp(newDay))
 }
 
 // WriteViewUpdates is WriteUpdates over explicit views.

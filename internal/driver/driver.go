@@ -2,33 +2,31 @@
 // collects the per-day statistics the analysis layer turns into the
 // paper's tables and figures.
 //
-// Two drivers are provided, and both are thin adapters over the shared
-// conflict-state kernel (internal/kernel) — the same state machine the
-// streaming engine drives, so episode open/close, durations and classes
-// have exactly one implementation. Run is the incremental multi-year
-// driver: it walks the observation calendar with a cursor and assesses
-// each episode exactly once (an episode's advertisement set — hence its
-// origin set and classification — is constant for its lifetime, and
-// non-conflicted background prefixes cannot enter conflict without an
-// episode). RunFullScan materializes every day's complete multi-peer
-// table and runs the paper's full-table methodology over it; a test
-// proves the two produce identical registries, which is what licenses
-// the fast path.
+// Two drivers are provided, and they share no state machine. Run is the
+// incremental multi-year driver, a thin adapter over the conflict-state
+// kernel (internal/kernel) the streaming engine also drives: it walks the
+// observation calendar with a cursor and assesses each episode exactly
+// once (an episode's advertisement set — hence its origin set and
+// classification — is constant for its lifetime, and non-conflicted
+// background prefixes cannot enter conflict without an episode).
+// RunFullScan is the independent reference: it materializes every day's
+// complete multi-peer table and runs the paper's full-table methodology
+// over it with core.Detector — no kernel, no lifecycle events, only "two
+// or more origins today". The equivalence tests (here, in internal/kernel
+// and in internal/stream) hold every kernel-driven path to that
+// reference, which is what licenses the fast paths.
 package driver
 
 import (
 	"fmt"
-	"time"
 
+	"moas/internal/analysis"
 	"moas/internal/bgp"
 	"moas/internal/core"
 	"moas/internal/kernel"
 	"moas/internal/rib"
 	"moas/internal/scenario"
 )
-
-// MaxPrefixBits sizes per-length accumulators (IPv4 /0../32).
-const MaxPrefixBits = 33
 
 // Config parameterizes a run.
 type Config struct {
@@ -46,46 +44,78 @@ type Config struct {
 	Progress func(string)
 }
 
-// DayStats is one observed day's aggregate detection output.
-type DayStats struct {
-	Day  int // calendar-day index
-	Date time.Time
-
-	// Total is the number of MOAS conflicts observed (Fig. 1).
-	Total int
-
-	// ByClass counts conflicts per classification (Fig. 6).
-	ByClass [core.NumClasses]int
-
-	// ByLen counts conflicts per prefix length (Fig. 5).
-	ByLen [MaxPrefixBits]int
-
-	// Involvement[i] counts conflicts whose origin set includes Watch[i].
-	Involvement []int
-
-	// SeqHits[i] counts conflicts with WatchSeqs[i] consecutive in some
-	// observed AS path.
-	SeqHits []int
-}
-
 // Result is a completed run.
 type Result struct {
 	Scenario *scenario.Scenario
 	Registry *core.Registry
-	Days     []DayStats
+	Days     []analysis.DayStats
 	// FinalDay is the last observed calendar day (for ongoing counts).
 	FinalDay int
 }
 
-// episodeSummary caches the per-episode facts the incremental driver
-// needs; they are invariant over the episode's life.
-type episodeSummary struct {
-	visible  bool
-	origins  []bgp.ASN
+// tally is what one conflict adds to a day's statistics: its class, its
+// prefix length, and which watched ASes and AS pairs it involves. Both
+// drivers count through it, so the accounting exists once.
+type tally struct {
 	class    core.Class
 	bits     uint8
 	involves []bool // aligned with Config.Watch
 	seqHits  []bool // aligned with Config.WatchSeqs
+}
+
+// newTally assesses one conflict — its origin set, class and the routes
+// observed for its prefix — against the run's watches.
+func newTally(cfg Config, c core.ConflictObs, routes []rib.PeerRoute) tally {
+	t := tally{
+		class:    c.Class,
+		bits:     c.Prefix.Bits(),
+		involves: make([]bool, len(cfg.Watch)),
+		seqHits:  make([]bool, len(cfg.WatchSeqs)),
+	}
+	for w, a := range cfg.Watch {
+		for _, o := range c.Origins {
+			if o == a {
+				t.involves[w] = true
+				break
+			}
+		}
+	}
+	for w, seq := range cfg.WatchSeqs {
+		for _, pr := range routes {
+			if hasSeq(pr.Route.Path(), seq) {
+				t.seqHits[w] = true
+				break
+			}
+		}
+	}
+	return t
+}
+
+// addTo counts the conflict into one observed day.
+func (t *tally) addTo(ds *analysis.DayStats) {
+	ds.Total++
+	ds.ByClass[t.class]++
+	ds.ByLen[t.bits]++
+	for w, hit := range t.involves {
+		if hit {
+			ds.Involvement[w]++
+		}
+	}
+	for w, hit := range t.seqHits {
+		if hit {
+			ds.SeqHits[w]++
+		}
+	}
+}
+
+// newDay starts an observed day's statistics.
+func newDay(sc *scenario.Scenario, cfg Config, day int) analysis.DayStats {
+	return analysis.DayStats{
+		Day:         day,
+		Date:        sc.DayDate(day),
+		Involvement: make([]int, len(cfg.Watch)),
+		SeqHits:     make([]int, len(cfg.WatchSeqs)),
+	}
 }
 
 // Run executes the incremental driver.
@@ -111,13 +141,25 @@ func RunScenario(sc *scenario.Scenario, cfg Config) (*Result, error) {
 		FinalDay: sc.FinalObservedDay(),
 	}
 
-	summaries := make(map[int]*episodeSummary)
-	summarize := func(id int) *episodeSummary {
-		if s, ok := summaries[id]; ok {
-			return s
+	// summaries caches each episode's conflict and tally, which are
+	// invariant over the episode's life; nil marks an episode invisible at
+	// the collector (fewer than two origins there: never a conflict).
+	type summary struct {
+		core.ConflictObs
+		tally
+	}
+	summaries := make(map[int]*summary)
+	summarize := func(id int) *summary {
+		s, ok := summaries[id]
+		if !ok {
+			// Materialize the routes, extract the facts, let the routes go.
+			routes := sc.EpisodeRoutesNoCache(id)
+			if origins, _ := rib.OriginsOf(routes); len(origins) >= 2 {
+				c := core.ConflictObs{Prefix: sc.Episodes[id].Prefix, Origins: origins, Class: core.ClassifyRoutes(routes)}
+				s = &summary{c, newTally(cfg, c, routes)}
+			}
+			summaries[id] = s
 		}
-		s := buildSummary(sc, cfg, id)
-		summaries[id] = s
 		return s
 	}
 
@@ -129,12 +171,7 @@ func RunScenario(sc *scenario.Scenario, cfg Config) (*Result, error) {
 	live := make(map[bgp.Prefix]int)
 	for i, day := range sc.ObservedDays {
 		active := cursor.Advance(day)
-		ds := DayStats{
-			Day:         day,
-			Date:        sc.DayDate(day),
-			Involvement: make([]int, len(cfg.Watch)),
-			SeqHits:     make([]int, len(cfg.WatchSeqs)),
-		}
+		ds := newDay(sc, cfg, day)
 		// Episodes that left the active set dissolve their conflicts first,
 		// so a same-day successor episode on a reused prefix observes a
 		// clean end→start transition.
@@ -146,27 +183,14 @@ func RunScenario(sc *scenario.Scenario, cfg Config) (*Result, error) {
 		}
 		for id := range active {
 			s := summarize(id)
-			if !s.visible {
+			if s == nil {
 				continue
 			}
-			p := sc.Episodes[id].Prefix
-			if owner, ok := live[p]; !ok || owner != id {
-				k.Apply(kernel.Obs{Day: day, Prefix: p, Origins: s.origins, Class: s.class})
-				live[p] = id
+			if owner, ok := live[s.Prefix]; !ok || owner != id {
+				k.Apply(kernel.Obs{Day: day, Prefix: s.Prefix, Origins: s.Origins, Class: s.Class})
+				live[s.Prefix] = id
 			}
-			ds.Total++
-			ds.ByClass[s.class]++
-			ds.ByLen[s.bits]++
-			for w := range cfg.Watch {
-				if s.involves[w] {
-					ds.Involvement[w]++
-				}
-			}
-			for w := range cfg.WatchSeqs {
-				if s.seqHits[w] {
-					ds.SeqHits[w]++
-				}
-			}
+			s.addTo(&ds)
 		}
 		k.CloseDay(day)
 		res.Days = append(res.Days, ds)
@@ -176,41 +200,6 @@ func RunScenario(sc *scenario.Scenario, cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// buildSummary materializes one episode's routes, extracts the invariant
-// facts, and lets the routes go.
-func buildSummary(sc *scenario.Scenario, cfg Config, id int) *episodeSummary {
-	routes := sc.EpisodeRoutesNoCache(id)
-	origins, _ := rib.OriginsOf(routes)
-	s := &episodeSummary{
-		bits:     sc.Episodes[id].Prefix.Bits(),
-		involves: make([]bool, len(cfg.Watch)),
-		seqHits:  make([]bool, len(cfg.WatchSeqs)),
-	}
-	if len(origins) < 2 {
-		return s // invisible: never a conflict at the collector
-	}
-	s.visible = true
-	s.origins = origins
-	s.class = core.ClassifyRoutes(routes)
-	for w, a := range cfg.Watch {
-		for _, o := range origins {
-			if o == a {
-				s.involves[w] = true
-				break
-			}
-		}
-	}
-	for w, seq := range cfg.WatchSeqs {
-		for _, pr := range routes {
-			if hasSeq(pr.Route.Path(), seq) {
-				s.seqHits[w] = true
-				break
-			}
-		}
-	}
-	return s
 }
 
 // hasSeq reports whether the consecutive AS pair appears in the path.
@@ -240,87 +229,26 @@ func RunFullScan(cfg Config) (*Result, error) {
 	return RunFullScanScenario(sc, cfg)
 }
 
-// RunFullScanScenario is RunFullScan over a pre-built scenario. It is the
-// batch table-scan adapter over the kernel: every day, every prefix in
-// the day's table is assessed (origin set + classification) and driven
-// through Apply; conflicts that vanished from the table dissolve, and
-// CloseDay records the day.
+// RunFullScanScenario is RunFullScan over a pre-built scenario: every
+// observed day's table goes through core.Detector.ObserveView, which
+// records each prefix announced with two or more origins that day. The
+// registry is the detector's and the day's statistics are tallied from
+// the day's observation, so nothing here shares a state machine with the
+// kernel-driven paths it is the reference for.
 func RunFullScanScenario(sc *scenario.Scenario, cfg Config) (*Result, error) {
-	k := kernel.New(kernel.Options{})
+	det := core.NewDetector()
 	res := &Result{
 		Scenario: sc,
-		Registry: k.Registry(),
+		Registry: det.Registry(),
 		FinalDay: sc.FinalObservedDay(),
 	}
-	type conflictObs struct {
-		prefix  bgp.Prefix
-		origins []bgp.ASN
-		class   core.Class
-	}
-	var conflicts []conflictObs
-	var gone []bgp.Prefix
 	for _, day := range sc.ObservedDays {
 		view := sc.TableViewAt(day)
-		conflicts = conflicts[:0]
-		view.Walk(func(p bgp.Prefix, routes []rib.PeerRoute) bool {
-			origins, _ := rib.OriginsOf(routes)
-			if len(origins) < 2 {
-				// Not (or no longer) a conflict: don't drive it into the
-				// kernel, or a full-scale scan would accumulate kernel
-				// state for every background prefix ever seen. A conflict
-				// that dropped below two origins is absent from `seen`
-				// and dissolves in the pass below.
-				return true
-			}
-			class := core.ClassifyRoutes(routes)
-			conflicts = append(conflicts, conflictObs{prefix: p, origins: origins, class: class})
-			k.Apply(kernel.Obs{Day: day, Prefix: p, Origins: origins, Class: class})
-			return true
-		})
-		// Conflicts that dissolved or left the table get no Apply from
-		// the walk; they are still active in the kernel and must end.
-		gone = gone[:0]
-		seen := make(map[bgp.Prefix]struct{}, len(conflicts))
-		for _, c := range conflicts {
-			seen[c.prefix] = struct{}{}
-		}
-		k.WalkActive(func(p bgp.Prefix, _ kernel.View) bool {
-			if _, ok := seen[p]; !ok {
-				gone = append(gone, p)
-			}
-			return true
-		})
-		for _, p := range gone {
-			k.Apply(kernel.Obs{Day: day, Prefix: p})
-		}
-		k.CloseDay(day)
-
-		ds := DayStats{
-			Day:         day,
-			Date:        sc.DayDate(day),
-			Total:       len(conflicts),
-			Involvement: make([]int, len(cfg.Watch)),
-			SeqHits:     make([]int, len(cfg.WatchSeqs)),
-		}
-		for _, c := range conflicts {
-			ds.ByClass[c.class]++
-			ds.ByLen[c.prefix.Bits()]++
-			for w, a := range cfg.Watch {
-				for _, o := range c.origins {
-					if o == a {
-						ds.Involvement[w]++
-						break
-					}
-				}
-			}
-			for w, seq := range cfg.WatchSeqs {
-				for _, pr := range view.Routes(c.prefix) {
-					if hasSeq(pr.Route.Path(), seq) {
-						ds.SeqHits[w]++
-						break
-					}
-				}
-			}
+		obs := det.ObserveView(day, view)
+		ds := newDay(sc, cfg, day)
+		for _, c := range obs.Conflicts {
+			t := newTally(cfg, c, view.Routes(c.Prefix))
+			t.addTo(&ds)
 		}
 		res.Days = append(res.Days, ds)
 	}

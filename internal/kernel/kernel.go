@@ -21,8 +21,8 @@ import (
 
 // Span is one contiguous activation of a conflict: Start is the day the
 // origin set first held two or more ASes, End the day an observation
-// dissolved it. Open spans have no End yet. (analysis.Span aliases this
-// type; the duration statistics live there.)
+// dissolved it. Open spans have no End yet. Lifecycle (lifecycle.go)
+// summarizes a set of them.
 type Span struct {
 	Start, End int
 	Open       bool

@@ -1,31 +1,23 @@
-package analysis
+package kernel
 
 import (
 	"sort"
 
-	"moas/internal/kernel"
 	"moas/internal/stats"
 )
-
-// Span is one contiguous activation of a conflict, produced by the
-// conflict-state kernel's lifecycle transitions: Start is the day the
-// origin set first held two or more ASes, End the day an observation
-// dissolved it. Open spans have no End yet. The type lives in
-// internal/kernel (the spans are kernel output); the alias keeps the
-// duration statistics colocated with the rest of the analysis layer.
-type Span = kernel.Span
 
 // LifecycleStats summarizes event-derived activation durations — the
 // streaming engine's analogue of the registry's Figure 3/4 inputs, computed
 // from conflict-start/conflict-end events instead of daily table scans.
 // Unlike registry durations it measures contiguous activations: a conflict
-// that recurs after a break contributes several spans.
+// that recurs after a break contributes several spans. Marshalled, it is
+// the "lifecycle" object of the per-scenario /stats document.
 type LifecycleStats struct {
-	Spans      int
-	Open       int // activations still ongoing
-	MeanDays   float64
-	MedianDays float64
-	MaxDays    int
+	Spans      int     `json:"spans"`
+	Open       int     `json:"open"` // activations still ongoing
+	MeanDays   float64 `json:"mean_days"`
+	MedianDays float64 `json:"median_days"`
+	MaxDays    int     `json:"max_days"`
 }
 
 // Lifecycle computes duration statistics over activation spans as of

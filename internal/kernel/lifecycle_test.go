@@ -1,4 +1,4 @@
-package analysis
+package kernel
 
 import "testing"
 

@@ -20,6 +20,9 @@ import (
 // DayDate maps a calendar-day index to its date.
 func (sc *Scenario) DayDate(d int) time.Time { return sc.Spec.DayDate(d) }
 
+// DayStamp is the Unix timestamp archives carry on day d's records.
+func (sc *Scenario) DayStamp(d int) uint32 { return uint32(sc.DayDate(d).Unix()) }
+
 // IsObserved reports whether calendar day d has archive data.
 func (sc *Scenario) IsObserved(d int) bool {
 	// ObservedDays is ascending; binary search.

@@ -194,7 +194,7 @@ func openScenario(spec scenario.Spec) (io.ReadCloser, stream.Calendar, error) {
 	go func() {
 		pw.CloseWithError(collector.WriteUpdateArchive(pw, sc))
 	}()
-	return pr, stream.ScenarioCalendar(sc), nil
+	return pr, stream.NewCalendar(sc.ObservedDays, sc.DayStamp), nil
 }
 
 // openStress streams the fixed workload behind ScaleStress. The
@@ -218,10 +218,9 @@ func openStress() (io.ReadCloser, stream.Calendar, error) {
 	if err != nil {
 		return nil, stream.Calendar{}, fmt.Errorf("build stress stream: %w", err)
 	}
-	days := gen.Days()
-	cal := stream.Calendar{Days: make([]int, days), Times: make([]uint32, days)}
-	for d := 0; d < days; d++ {
-		cal.Days[d], cal.Times[d] = d, uint32(d)*86400
+	days := make([]int, gen.Days())
+	for d := range days {
+		days[d] = d
 	}
-	return io.NopCloser(gen), cal, nil
+	return io.NopCloser(gen), stream.NewCalendar(days, synth.DayTime), nil
 }

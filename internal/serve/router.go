@@ -52,15 +52,13 @@ func episodeQuery(r *http.Request) (epilog.Query, error) {
 	for name, dst := range map[string]*int{
 		"from": &q.From, "to": &q.To, "min_days": &q.MinDays, "limit": &q.Limit,
 	} {
-		v := get.Get(name)
-		if v == "" {
-			continue
+		if v := get.Get(name); v != "" {
+			n, err := nonNegative(name, v)
+			if err != nil {
+				return q, err
+			}
+			*dst = n
 		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return q, fmt.Errorf("bad %s %q: want a non-negative integer", name, v)
-		}
-		*dst = n
 	}
 	if v := get.Get("prefix"); v != "" {
 		p, err := bgp.ParsePrefix(v)
@@ -96,22 +94,6 @@ func episodeQuery(r *http.Request) (epilog.Query, error) {
 	return q, nil
 }
 
-// sseEventJSON is an SSE event's body; it carries its prefix (unlike the
-// per-prefix history in internal/stream's API, an SSE stream interleaves
-// all prefixes).
-type sseEventJSON struct {
-	Scenario    string    `json:"scenario"`
-	ID          uint64    `json:"id"`
-	Type        string    `json:"type"`
-	Day         int       `json:"day"`
-	Seq         uint64    `json:"seq"`
-	Prefix      string    `json:"prefix"`
-	Origins     []bgp.ASN `json:"origins,omitempty"`
-	PrevOrigins []bgp.ASN `json:"prev_origins,omitempty"`
-	Class       string    `json:"class"`
-	PrevClass   string    `json:"prev_class"`
-}
-
 // NewHandler routes moasd's multi-scenario API over a registry:
 //
 //	GET    /healthz                      process liveness + scenario count
@@ -135,10 +117,18 @@ type sseEventJSON struct {
 //	GET    /scenarios/{id}/episodes/summary
 //	                                     duration/persistence histogram
 //	                                     over the same filters
-//	GET    /scenarios/{id}/conflicts     ┐
-//	GET    /scenarios/{id}/prefix/{cidr} │ internal/stream's query API,
-//	GET    /scenarios/{id}/as/{asn}      │ one isolated engine per id
-//	GET    /scenarios/{id}/stats         ┘
+//	GET    /scenarios/{id}/conflicts     current conflict set (?limit=N,
+//	                                     ?as=ASN)
+//	GET    /scenarios/{id}/prefix/{cidr} one prefix's state, lifecycle and
+//	                                     lifetime record
+//	GET    /scenarios/{id}/as/{asn}      an AS's conflict involvement
+//	GET    /scenarios/{id}/stats         engine counters, duration stats,
+//	                                     lifecycle state and health
+//	GET    /scenarios/{id}/healthz       liveness plus replay progress
+//
+// This is the one wire layer: every scenario has its own isolated engine
+// (internal/stream, a library that knows nothing of HTTP), and the query
+// endpoints (query.go) render that engine's typed results.
 func NewHandler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 
@@ -377,31 +367,11 @@ func NewHandler(reg *Registry) http.Handler {
 		writeJSON(w, http.StatusOK, sum)
 	}))
 
-	// Per-scenario stats: the engine's /stats document (same fields the
-	// stream API serves) extended with the scenario's lifecycle state and
-	// per-subsystem health, so one poll answers both "how fast" and "how
-	// healthy". Registered explicitly so it wins over the catch-all.
-	mux.HandleFunc("GET /scenarios/{id}/stats", scenario(func(w http.ResponseWriter, r *http.Request, s *Scenario) {
-		blob, err := json.Marshal(s.Engine().StatsView())
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		var doc map[string]any
-		if err := json.Unmarshal(blob, &doc); err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		doc["state"] = s.Status().State.String()
-		doc["health"] = s.Health()
-		writeJSON(w, http.StatusOK, doc)
-	}))
-
-	// Everything else under a scenario is internal/stream's query API,
-	// served by that scenario's isolated engine.
-	mux.HandleFunc("GET /scenarios/{id}/{rest...}", scenario(func(w http.ResponseWriter, r *http.Request, s *Scenario) {
-		http.StripPrefix("/scenarios/"+s.ID(), s.API()).ServeHTTP(w, r)
-	}))
+	mux.HandleFunc("GET /scenarios/{id}/conflicts", scenario(serveConflicts))
+	mux.HandleFunc("GET /scenarios/{id}/prefix/{cidr...}", scenario(servePrefix))
+	mux.HandleFunc("GET /scenarios/{id}/as/{asn}", scenario(serveAS))
+	mux.HandleFunc("GET /scenarios/{id}/stats", scenario(serveStats))
+	mux.HandleFunc("GET /scenarios/{id}/healthz", scenario(serveScenarioHealth))
 
 	return mux
 }
@@ -494,29 +464,15 @@ func serveEvents(w http.ResponseWriter, r *http.Request, s *Scenario) {
 			if want != nil && !want[ev.Event.Type.String()] {
 				continue
 			}
-			data, err := json.Marshal(eventToJSON(s.ID(), ev))
+			body := eventToJSON(&ev.Event)
+			body.Scenario, body.ID, body.Prefix = s.ID(), ev.ID, &ev.Event.Prefix
+			data, err := json.Marshal(body)
 			if err != nil {
 				continue
 			}
 			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Event.Type, data)
 			fl.Flush()
 		}
-	}
-}
-
-func eventToJSON(scenarioID string, sev SeqEvent) sseEventJSON {
-	ev := sev.Event
-	return sseEventJSON{
-		Scenario:    scenarioID,
-		ID:          sev.ID,
-		Type:        ev.Type.String(),
-		Day:         ev.Day,
-		Seq:         ev.Seq,
-		Prefix:      ev.Prefix.String(),
-		Origins:     ev.Origins,
-		PrevOrigins: ev.PrevOrigins,
-		Class:       ev.Class.String(),
-		PrevClass:   ev.PrevClass.String(),
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -103,7 +102,6 @@ type Scenario struct {
 	// opened by Registry.Create once the ID — and so the directory — is
 	// resolved.
 	epi  *epilog.Log
-	api  http.Handler // stream.NewAPI(eng), mounted under /scenarios/{id}/
 	logf func(format string, args ...any)
 
 	totalDays  atomic.Int64 // 0 until the source is open and counted
@@ -207,7 +205,6 @@ func newScenario(cfg ScenarioConfig, r *Registry) (*Scenario, error) {
 	} else {
 		s.eng = stream.New(engCfg)
 	}
-	s.api = stream.NewAPI(s.eng)
 	return s, nil
 }
 
@@ -227,10 +224,6 @@ func (s *Scenario) Hub() *Hub { return s.hub }
 // the registry runs without one. Queries only; the engine's shard
 // workers own the append side.
 func (s *Scenario) EpisodeLog() *epilog.Log { return s.epi }
-
-// API is the scenario's query handler (conflicts/prefix/as/stats/healthz),
-// expecting paths with the /scenarios/{id} prefix already stripped.
-func (s *Scenario) API() http.Handler { return s.api }
 
 // move makes verb v's transition, or refuses it: from a state that has
 // no entry in v's row, and — for the verbs that wake the replay — while a

@@ -47,7 +47,7 @@ func benchCounts(vals ...int) []int {
 // archive onto.
 func BenchmarkStreamReplay(b *testing.B) {
 	sc, archive, _ := fixtures(b)
-	cal := ScenarioCalendar(sc)
+	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 
 	for _, shards := range benchCounts(1, 4, runtime.GOMAXPROCS(0)) {
 		for _, workers := range benchCounts(1, runtime.GOMAXPROCS(0)) {
@@ -96,7 +96,7 @@ var epilogBenchDirSeq atomic.Uint64
 
 func BenchmarkStreamReplayEpilog(b *testing.B) {
 	sc, archive, _ := fixtures(b)
-	cal := ScenarioCalendar(sc)
+	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 	dir := b.TempDir()
 
 	for _, shards := range benchCounts(1, 4) {

@@ -54,7 +54,7 @@ func tinyCheckpoint(t testing.TB) *Checkpoint {
 // scripted engine — must still decode to exactly that engine's image.
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	sc, _, _ := fixtures(t)
-	ck, _ := checkpointAtDay(t, Config{Shards: 2}, len(ScenarioCalendar(sc).Days)/2)
+	ck, _ := checkpointAtDay(t, Config{Shards: 2}, len(sc.ObservedDays)/2)
 	if len(ck.Routes) == 0 || len(ck.Kernel.Prefixes) == 0 {
 		t.Fatalf("fixture checkpoint too empty to prove anything")
 	}
@@ -95,7 +95,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 // engine's state — the binary counterpart of the JSON resume test.
 func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	sc, archive, _ := fixtures(t)
-	cal := ScenarioCalendar(sc)
+	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 
 	ck, daysClosed := checkpointAtDay(t, Config{Shards: 4}, len(cal.Days)/3)
 	bin, err := AppendCheckpointBinary(nil, ck)

@@ -10,13 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"moas/internal/analysis"
 	"moas/internal/bgp"
+	"moas/internal/kernel"
 )
 
 // sortSpans orders spans for multiset comparison (shard iteration order
 // is not deterministic).
-func sortSpans(spans []analysis.Span) []analysis.Span {
+func sortSpans(spans []kernel.Span) []kernel.Span {
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {
 			return spans[i].Start < spans[j].Start
@@ -36,7 +36,7 @@ func sortSpans(spans []analysis.Span) []analysis.Span {
 func checkpointAtDay(t testing.TB, cfg Config, stopAfterDays int) (*Checkpoint, int) {
 	t.Helper()
 	sc, archive, _ := fixtures(t)
-	cal := ScenarioCalendar(sc)
+	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 	e := New(cfg)
 
 	closed := 0
@@ -78,7 +78,7 @@ func checkpointAtDay(t testing.TB, cfg Config, stopAfterDays int) (*Checkpoint, 
 // codec round-trips.
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	sc, archive, _ := fixtures(t)
-	cal := ScenarioCalendar(sc)
+	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 
 	ck, daysClosed := checkpointAtDay(t, Config{Shards: 3}, len(cal.Days)/2)
 	if daysClosed != len(cal.Days)/2 {
@@ -135,7 +135,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 // is a no-op that ends cleanly.
 func TestCheckpointOfFinishedEngine(t *testing.T) {
 	sc, archive, _ := fixtures(t)
-	cal := ScenarioCalendar(sc)
+	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 	want := replayAll(t, Config{Shards: 2})
 	ck := want.Checkpoint()
 

@@ -11,6 +11,7 @@ import (
 	"moas/internal/bgp"
 	"moas/internal/core"
 	"moas/internal/mrt"
+	"moas/internal/synth"
 )
 
 // awaitParked spins until the engine's replay has settled and parked on
@@ -36,7 +37,7 @@ func TestPauseResume(t *testing.T) {
 	pauseDay := sc.ObservedDays[len(sc.ObservedDays)/3]
 	replayDone := make(chan error, 1)
 	go func() {
-		err := e.Replay(bytes.NewReader(archive), ScenarioCalendar(sc), &ReplayOptions{
+		err := e.Replay(bytes.NewReader(archive), NewCalendar(sc.ObservedDays, sc.DayStamp), &ReplayOptions{
 			OnDayClose: func(day int) {
 				if day == pauseDay {
 					e.Pause()
@@ -75,7 +76,7 @@ func TestReplayStop(t *testing.T) {
 	e := New(Config{Shards: 2})
 	stop := make(chan struct{})
 	stopDay := sc.ObservedDays[len(sc.ObservedDays)/2]
-	err := e.Replay(bytes.NewReader(archive), ScenarioCalendar(sc), &ReplayOptions{
+	err := e.Replay(bytes.NewReader(archive), NewCalendar(sc.ObservedDays, sc.DayStamp), &ReplayOptions{
 		OnDayClose: func(day int) {
 			if day == stopDay {
 				close(stop)
@@ -101,7 +102,7 @@ func TestStopWakesPausedReplay(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- e.Replay(bytes.NewReader(archive), ScenarioCalendar(sc), &ReplayOptions{Stop: stop})
+		done <- e.Replay(bytes.NewReader(archive), NewCalendar(sc.ObservedDays, sc.DayStamp), &ReplayOptions{Stop: stop})
 	}()
 	awaitParked(t, e)
 	close(stop)
@@ -126,7 +127,7 @@ func TestOnEventHook(t *testing.T) {
 		got = append(got, ev)
 		mu.Unlock()
 	}})
-	if err := e.Replay(bytes.NewReader(archive), ScenarioCalendar(sc), nil); err != nil {
+	if err := e.Replay(bytes.NewReader(archive), NewCalendar(sc.ObservedDays, sc.DayStamp), nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
@@ -164,7 +165,7 @@ func TestOnEventHook(t *testing.T) {
 // same conflict population.
 func TestArchiveCalendar(t *testing.T) {
 	sc, archive, _ := fixtures(t)
-	want := ScenarioCalendar(sc)
+	want := NewCalendar(sc.ObservedDays, sc.DayStamp)
 	got, err := ArchiveCalendar(bytes.NewReader(archive))
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +207,46 @@ func TestArchiveCalendar(t *testing.T) {
 
 	if _, err := ArchiveCalendar(bytes.NewReader(nil)); err == nil {
 		t.Fatal("ArchiveCalendar accepted an empty archive")
+	}
+}
+
+// TestNewCalendar: the calendar of a known writer keeps the days it is
+// given, gaps and all, stamps each through the writer's function, and
+// owns its slices. The second case is the calendar serve builds for the
+// stress scale and the oracle for every synth archive: days 0..n-1 at
+// d*86400.
+func TestNewCalendar(t *testing.T) {
+	days := []int{0, 1, 2, 5, 9}
+	cal := NewCalendar(days, func(d int) uint32 { return 1000 + uint32(d)*86400 })
+	want := Calendar{Days: []int{0, 1, 2, 5, 9}, Times: []uint32{1000, 87400, 173800, 433000, 778600}}
+	if !reflect.DeepEqual(cal, want) {
+		t.Fatalf("calendar with gaps = %+v, want %+v", cal, want)
+	}
+	days[0] = 7
+	if cal.Days[0] != 0 {
+		t.Fatal("calendar aliases the caller's day slice")
+	}
+
+	stress := NewCalendar([]int{0, 1, 2, 3, 4, 5}, synth.DayTime)
+	for d := range stress.Days {
+		if stress.Days[d] != d || stress.Times[d] != uint32(d)*86400 {
+			t.Fatalf("stress calendar day %d = (%d, %d)", d, stress.Days[d], stress.Times[d])
+		}
+	}
+	// It drives the calendar clock like any other: a record stamped on
+	// day 5 closes 0 through 4 and lands on 5.
+	clock := &calendarClock{cal: stress}
+	for want := 0; want < 5; want++ {
+		if day, ok := clock.due(atRecord, stress.Times[5]); !ok || day != want {
+			t.Fatalf("close %d: due = (%d, %v)", want, day, ok)
+		}
+	}
+	if today, err := clock.today(); err != nil || today != 5 {
+		t.Fatalf("today = (%d, %v), want day 5", today, err)
+	}
+
+	if empty := NewCalendar(nil, synth.DayTime); len(empty.Days) != 0 || len(empty.Times) != 0 {
+		t.Fatalf("empty calendar = %+v", empty)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestDecodeErrorOrderingAcrossWorkers(t *testing.T) {
 // cut applied and counted.
 func TestDecodeTruncationAcrossWorkers(t *testing.T) {
 	sc, archive, _ := fixtures(t)
-	cal := ScenarioCalendar(sc)
+	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 	whole := replayAll(t, Config{Shards: 2})
 	truncated := archive[:len(archive)-7]
 
@@ -123,7 +123,7 @@ func TestDecodeTruncationAcrossWorkers(t *testing.T) {
 // event log and binary checkpoint, byte for byte, across worker counts.
 func TestDecodeWorkerInvariance(t *testing.T) {
 	sc, archive, want := fixtures(t)
-	cal := ScenarioCalendar(sc)
+	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 
 	var wantEvents []Event
 	var wantCk []byte
@@ -160,15 +160,12 @@ func TestDecodeWorkerInvariance(t *testing.T) {
 func TestFinishedReplayReleasesRing(t *testing.T) {
 	e := replayAll(t, Config{Shards: 1, DecodeWorkers: 8})
 
-	st := statsToJSON(e).Decode
-	if st == nil {
-		t.Fatal("/stats has no decode object after a replay")
-	}
+	st := e.Stats().Decode
 	if st.Workers != 8 || st.Frames != e.Records() || st.FramesPerSec <= 0 {
-		t.Fatalf("decode stats after replay: %+v (records %d)", *st, e.Records())
+		t.Fatalf("decode stats after replay: %+v (records %d)", st, e.Records())
 	}
 	if st.RingOccupancy != 0 || st.ReorderBuffer != 0 {
-		t.Fatalf("finished replay reports batches in flight: %+v", *st)
+		t.Fatalf("finished replay reports batches in flight: %+v", st)
 	}
 
 	heap := func() uint64 {
@@ -195,7 +192,7 @@ func TestFinishedReplayReleasesRing(t *testing.T) {
 // trace in the checkpoint.
 func TestParallelDecodeCheckpointResume(t *testing.T) {
 	sc, archive, _ := fixtures(t)
-	cal := ScenarioCalendar(sc)
+	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 
 	ck, daysClosed := checkpointAtDay(t, Config{Shards: 3, DecodeWorkers: 8}, len(cal.Days)/2)
 	if ck.Records == 0 {

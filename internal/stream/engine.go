@@ -2,12 +2,12 @@ package stream
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"moas/internal/analysis"
 	"moas/internal/bgp"
 	"moas/internal/core"
 	"moas/internal/epilog"
@@ -83,7 +83,7 @@ type Engine struct {
 	// steady-state heap proportional to distinct attrs, not routes.
 	interner *bgp.AttrsInterner
 	wg       sync.WaitGroup
-	closed   atomic.Bool // set by Close; read by API handlers
+	closed   atomic.Bool // set by Close; Stats reports it as !Replaying
 
 	msgs       atomic.Uint64
 	ops        atomic.Uint64
@@ -379,8 +379,8 @@ func (e *Engine) Close() {
 }
 
 // Registry merges every shard kernel's conflict records into one
-// registry — after a full archive replay it is identical to what
-// driver.RunFullScan builds (the equivalence holds at the kernel level).
+// registry — after a full archive replay it is identical to what the
+// batch full-table scan (driver.RunFullScan) builds.
 // Safe to call concurrently with replay, but a mid-day call sees only
 // days closed so far.
 func (e *Engine) Registry() *core.Registry {
@@ -463,30 +463,32 @@ func (e *Engine) Prefix(p bgp.Prefix) PrefixInfo {
 	return info
 }
 
-// ASInvolvement summarizes one AS's participation in conflicts.
+// ASInvolvement summarizes one AS's participation in conflicts;
+// marshalled, it is the /as/{asn} document.
 type ASInvolvement struct {
-	ASN    bgp.ASN
-	Active int // current conflicts whose origin set includes the AS
-	Ever   int // lifetime conflicts whose origin set ever included it
-	// ActivePrefixes lists the current conflicts, sorted.
-	ActivePrefixes []bgp.Prefix
+	ASN    bgp.ASN `json:"asn"`
+	Active int     `json:"active"` // current conflicts whose origin set includes the AS
+	Ever   int     `json:"ever"`   // lifetime conflicts whose origin set ever included it
+	// ActivePrefixes lists the current conflicts, sorted; empty, not nil,
+	// when there are none (an empty JSON array).
+	ActivePrefixes []bgp.Prefix `json:"active_prefixes"`
 }
 
 // Involvement reports a's conflict participation — the live form of the
 // paper's §VI-E spike attribution.
 func (e *Engine) Involvement(a bgp.ASN) ASInvolvement {
-	inv := ASInvolvement{ASN: a}
+	inv := ASInvolvement{ASN: a, ActivePrefixes: []bgp.Prefix{}}
 	for _, s := range e.shards {
 		s.mu.RLock()
 		s.k.WalkActive(func(p bgp.Prefix, v kernel.View) bool {
-			if containsASN(v.Origins, a) {
+			if slices.Contains(v.Origins, a) {
 				inv.Active++
 				inv.ActivePrefixes = append(inv.ActivePrefixes, p)
 			}
 			return true
 		})
 		for _, c := range s.k.Registry().Conflicts() {
-			if containsASN(c.OriginsEver, a) {
+			if slices.Contains(c.OriginsEver, a) {
 				inv.Ever++
 			}
 		}
@@ -498,32 +500,36 @@ func (e *Engine) Involvement(a bgp.ASN) ASInvolvement {
 	return inv
 }
 
-// Stats is a point-in-time engine summary.
+// Stats is a point-in-time engine summary. Marshalled, it is the engine's
+// part of the per-scenario /stats document (serve adds the class names,
+// lifecycle state and health).
 type Stats struct {
-	Shards          int
-	Messages        uint64 // UPDATE messages ingested
-	Ops             uint64 // route-level operations dispatched
-	LastClosedDay   int    // -1 before the first day close
-	DistinctAttrs   int    // attrs blocks interned by the replay decode stage
-	InternerEpochs  int    // cap-triggered interner rebuilds (0 = never capped)
-	InternerBytes   int64  // approximate retained interner memory
-	RouteNodes      int    // route-node arena entries carved across all shards
-	KernelStates    int    // prefix-table entries carved across all shard kernels
-	AttrHandles     int    // attrs-handle table entries carved across all shards
-	Peers           int    // collector peers in the engine's peer table
-	ActiveConflicts int
-	TotalConflicts  int                  // distinct prefixes ever in conflict
-	Events          int                  // lifecycle events emitted
-	ByClass         [core.NumClasses]int // active conflicts per class
+	Shards          int                  `json:"shards"`
+	Messages        uint64               `json:"messages"`        // UPDATE messages ingested
+	Ops             uint64               `json:"ops"`             // route-level operations dispatched
+	LastClosedDay   int                  `json:"last_closed_day"` // -1 before the first day close
+	DistinctAttrs   int                  `json:"distinct_attrs"`  // attrs blocks interned by the replay decode stage
+	InternerEpochs  int                  `json:"interner_epochs"` // cap-triggered interner rebuilds (0 = never capped)
+	InternerBytes   int64                `json:"interner_bytes"`  // approximate retained interner memory
+	RouteNodes      int                  `json:"route_nodes"`     // route-node arena entries carved across all shards
+	KernelStates    int                  `json:"kernel_states"`   // prefix-table entries carved across all shard kernels
+	AttrHandles     int                  `json:"-"`               // attrs-handle table entries carved across all shards
+	Peers           int                  `json:"-"`               // collector peers in the engine's peer table
+	ActiveConflicts int                  `json:"active_conflicts"`
+	TotalConflicts  int                  `json:"total_conflicts"` // distinct prefixes ever in conflict
+	Events          int                  `json:"events"`          // lifecycle events emitted
+	ByClass         [core.NumClasses]int `json:"-"`               // active conflicts per class
+	// Replaying is true until Close: the engine still accepts updates.
+	Replaying bool `json:"replaying"`
 	// Source is the live source's connection state when a Run loop is
 	// draining one; nil for replay-fed or idle engines.
-	Source *source.Status
+	Source *source.Status `json:"source,omitempty"`
 	// Lifecycle summarizes activation-span durations derived from the
 	// event log (conflict-start/-end pairs), as of the last closed day.
-	Lifecycle analysis.LifecycleStats
-	// Decode describes the replay decode pipeline; zero-valued until the
-	// engine's first Replay.
-	Decode DecodeStats
+	Lifecycle kernel.LifecycleStats `json:"lifecycle"`
+	// Decode describes the replay decode pipeline; zero-valued (and
+	// omitted) until the engine's first Replay.
+	Decode DecodeStats `json:"decode,omitzero"`
 }
 
 // DecodeStats is the replay decode pipeline's observability view: where
@@ -531,11 +537,11 @@ type Stats struct {
 // deep ReorderBuffer means decode is outrunning apply; occupancy near
 // zero means the framer (archive I/O) is the limit.
 type DecodeStats struct {
-	Workers       int     // decode workers of the current/last replay
-	Frames        uint64  // MRT records framed (read-ahead of the cursor)
-	FramesPerSec  float64 // framing rate over the current/last replay
-	RingOccupancy int     // batches somewhere between framing and apply
-	ReorderBuffer int     // batches parked waiting for their sequence turn
+	Workers       int     `json:"workers"`        // decode workers of the current/last replay
+	Frames        uint64  `json:"frames"`         // MRT records framed (read-ahead of the cursor)
+	FramesPerSec  float64 `json:"frames_per_sec"` // framing rate over the current/last replay
+	RingOccupancy int     `json:"ring_occupancy"` // batches somewhere between framing and apply
+	ReorderBuffer int     `json:"reorder_buffer"` // batches parked waiting for their sequence turn
 }
 
 // LastClosedDay returns the last day close dispatched (-1 before any) —
@@ -553,6 +559,7 @@ func (e *Engine) Stats() Stats {
 		DistinctAttrs:  e.DistinctAttrs(),
 		InternerEpochs: e.interner.Epochs(),
 		InternerBytes:  e.interner.Bytes(),
+		Replaying:      !e.closed.Load(),
 		Source:         e.SourceStatus(),
 		Peers:          len(e.peers.snapshot()),
 	}
@@ -570,7 +577,7 @@ func (e *Engine) Stats() Stats {
 		})
 		s.mu.RUnlock()
 	}
-	st.Lifecycle = analysis.Lifecycle(e.Spans(), st.LastClosedDay)
+	st.Lifecycle = kernel.Lifecycle(e.Spans(), st.LastClosedDay)
 	st.Decode = e.decodeStats()
 	return st
 }
@@ -603,8 +610,8 @@ func (e *Engine) decodeStats() DecodeStats {
 // been seen). Ended spans are accumulated incrementally at event time, so
 // the cost is O(spans), not O(event log); this is the event-derived
 // duration dataset the /stats endpoint summarizes.
-func (e *Engine) Spans() []analysis.Span {
-	var out []analysis.Span
+func (e *Engine) Spans() []kernel.Span {
+	var out []kernel.Span
 	for _, s := range e.shards {
 		s.mu.RLock()
 		out = s.k.AppendSpans(out)
@@ -626,13 +633,4 @@ func (e *Engine) Events() []Event {
 	}
 	kernel.SortEvents(out)
 	return out
-}
-
-func containsASN(set []bgp.ASN, a bgp.ASN) bool {
-	for _, o := range set {
-		if o == a {
-			return true
-		}
-	}
-	return false
 }

@@ -24,7 +24,7 @@ func TestReplayShardPanicContained(t *testing.T) {
 		},
 	})
 	defer e.Close()
-	err := e.Replay(bytes.NewReader(archive), ScenarioCalendar(sc), nil)
+	err := e.Replay(bytes.NewReader(archive), NewCalendar(sc.ObservedDays, sc.DayStamp), nil)
 	if err == nil {
 		t.Fatal("replay succeeded despite a panicking shard")
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"moas/internal/mrt"
-	"moas/internal/scenario"
 )
 
 // Calendar maps BGP4MP record timestamps back to observation days: Times[i]
@@ -17,13 +16,13 @@ type Calendar struct {
 	Times []uint32
 }
 
-// ScenarioCalendar derives the calendar for a scenario's update archive
-// (collector.WriteUpdateArchive stamps each day's messages with its date).
-func ScenarioCalendar(sc *scenario.Scenario) Calendar {
-	cal := Calendar{Days: append([]int(nil), sc.ObservedDays...)}
-	cal.Times = make([]uint32, len(cal.Days))
+// NewCalendar builds the calendar of an archive whose writer is known:
+// days are the observation days in ascending order (gaps allowed) and
+// stamp gives the timestamp the writer put on a day's records.
+func NewCalendar(days []int, stamp func(day int) uint32) Calendar {
+	cal := Calendar{Days: append([]int(nil), days...), Times: make([]uint32, len(days))}
 	for i, d := range cal.Days {
-		cal.Times[i] = uint32(sc.DayDate(d).Unix())
+		cal.Times[i] = stamp(d)
 	}
 	return cal
 }

@@ -55,7 +55,7 @@ func replayAll(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	sc, archive, _ := fixtures(t)
 	e := New(cfg)
-	if err := e.Replay(bytes.NewReader(archive), ScenarioCalendar(sc), nil); err != nil {
+	if err := e.Replay(bytes.NewReader(archive), NewCalendar(sc.ObservedDays, sc.DayStamp), nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
@@ -223,7 +223,7 @@ func TestConcurrentQueriesDuringReplay(t *testing.T) {
 		}()
 	}
 
-	if err := e.Replay(bytes.NewReader(archive), ScenarioCalendar(sc), nil); err != nil {
+	if err := e.Replay(bytes.NewReader(archive), NewCalendar(sc.ObservedDays, sc.DayStamp), nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()

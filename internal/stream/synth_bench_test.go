@@ -91,11 +91,7 @@ func heapInuse() uint64 {
 // over resident-MB is how much the engine allocates to retain a byte.
 func BenchmarkSynthReplay(b *testing.B) {
 	archive := benchArchive(b)
-	days := 4
-	cal := stream.Calendar{Days: make([]int, days), Times: make([]uint32, days)}
-	for d := 0; d < days; d++ {
-		cal.Days[d], cal.Times[d] = d, uint32(d)*86400
-	}
+	cal := stream.NewCalendar([]int{0, 1, 2, 3}, synth.DayTime)
 
 	for _, shards := range dedupeCounts(1, runtime.GOMAXPROCS(0)) {
 		for _, workers := range dedupeCounts(1, runtime.GOMAXPROCS(0)) {

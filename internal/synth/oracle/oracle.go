@@ -317,12 +317,11 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 
 // contiguousCalendar is the synth day axis: days 0..n-1 at d*86400.
 func contiguousCalendar(n int) stream.Calendar {
-	cal := stream.Calendar{Days: make([]int, n), Times: make([]uint32, n)}
-	for d := 0; d < n; d++ {
-		cal.Days[d] = d
-		cal.Times[d] = uint32(d) * 86400
+	days := make([]int, n)
+	for d := range days {
+		days[d] = d
 	}
-	return cal
+	return stream.NewCalendar(days, synth.DayTime)
 }
 
 // legResult is one ingest path's complete observable output.

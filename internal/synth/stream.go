@@ -137,7 +137,7 @@ func NewStream(cfg Config) (*Stream, error) {
 	}
 	sortEpisodes(pl.truth)
 	s.truth = pl.truth
-	s.em.ts = dayTime(0)
+	s.em.ts = DayTime(0)
 	return s, nil
 }
 
@@ -204,7 +204,7 @@ func (s *Stream) next() {
 			return
 		}
 		s.day++
-		s.em.ts = dayTime(s.day)
+		s.em.ts = DayTime(s.day)
 		s.stage = stageChurn
 	case stageChurn:
 		for i := 0; i < c.ChurnPerDay; i++ {

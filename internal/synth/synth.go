@@ -175,7 +175,9 @@ func patternPrefix(i uint32) bgp.Prefix {
 	return bgp.PrefixFromUint32(patternBase+i<<8, 24)
 }
 
-func dayTime(day int) uint32 { return uint32(day) * 86400 }
+// DayTime is the timestamp on day's records: the synth day axis is days
+// 0..n-1 at d*86400.
+func DayTime(day int) uint32 { return uint32(day) * 86400 }
 
 // sortedASNs returns a fresh ascending copy — the truth log's canonical
 // origin-set form, matching rib.AppendOrigins output order.

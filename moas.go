@@ -43,7 +43,7 @@ type (
 	// Registry accumulates conflicts across a study.
 	Registry = core.Registry
 	// DayStats is one observed day's aggregate detection output.
-	DayStats = driver.DayStats
+	DayStats = analysis.DayStats
 	// Spec parameterizes a scenario; obtain one from FullScale or
 	// SmallScale and adjust.
 	Spec = scenario.Spec
@@ -140,8 +140,10 @@ func (s *Study) Run() (*Report, error) {
 }
 
 // RunFullScan executes the literal full-table methodology (every day's
-// complete snapshot assembled and scanned). Equivalent output, much
-// slower; exposed for fidelity experiments.
+// complete snapshot assembled and scanned by the per-day detector; it
+// shares no state machine with Run's kernel, which is what makes it the
+// reference). Equivalent output, much slower; exposed for fidelity
+// experiments.
 func (s *Study) RunFullScan() (*Report, error) {
 	res, err := driver.RunFullScan(driver.Config{
 		Spec:      s.spec,
