@@ -22,13 +22,18 @@ race:
 # distinct-attrs on the replay (with the episode-log-enabled variant),
 # the shard-reassess hot path, and the checkpoint path (phase=snapshot
 # imaging the engine, codec=json and codec=binary rendering the image
-# with its size as the bytes metric, phase=restore) — in the text format
-# benchstat reads. Nothing is recorded: end-to-end and per-layer numbers,
-# and comparing two commits, are moasbench's job (bench-e2e below, and
-# `moasbench -compare old new`).
+# with its size as the bytes metric, phase=restore) — and the kernel's
+# per-event ones: a prefix flapping with its history at the cap against
+# one below it (eviction must cost about what an append costs), and
+# imaging an event-heavy kernel (time, bytes and objects by the table,
+# not by the event). All in the text format benchstat reads. Nothing is
+# recorded: end-to-end and per-layer numbers, and comparing two commits,
+# are moasbench's job (bench-e2e below, and `moasbench -compare old new`).
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkStreamReplay|BenchmarkSynthReplay|BenchmarkDecodeUpdate|BenchmarkShardReassess|BenchmarkCheckpointEncode' \
 		-benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) -cpu $(BENCH_CPU) ./internal/stream
+	$(GO) test -run XXX -bench 'BenchmarkFlapAtCap256|BenchmarkFlapBelowCap|BenchmarkStormSnapshot' \
+		-benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) -cpu $(BENCH_CPU) ./internal/kernel
 
 benchall:
 	$(GO) test -bench . -run XXX -benchmem ./...
@@ -47,15 +52,21 @@ bench-e2e:
 # profile replays the internet-scale synth corpus (BenchmarkSynthReplay,
 # the PR 7 differential-oracle generator at 1M prefixes) under the CPU
 # profiler and prints the top-10 cumulative functions — the quickest
-# answer to "where does replay time actually go". cpu.pprof and the test
-# binary stay on disk for interactive `go tool pprof stream.test
-# cpu.pprof`; PROFILE.txt is the text summary CI appends to the job
-# summary.
+# answer to "where does replay time actually go". PROFILE_KIND=mem takes
+# the heap profile instead and prints the top-10 lines by bytes still in
+# use — "what is all this memory" (the question that found the kernel's
+# per-prefix history at 128 of storm-replay's 171 MB). The profile
+# (cpu.pprof or mem.pprof) and the test binary stay on disk for
+# interactive `go tool pprof stream.test cpu.pprof`; PROFILE.txt is the
+# text summary CI appends to the job summary.
 PROFILE_TIME ?= 1x
+PROFILE_KIND ?= cpu
+PROFILE_TOP_cpu = -cum
+PROFILE_TOP_mem = -sample_index=inuse_space
 profile:
 	$(GO) test -run XXX -bench 'BenchmarkSynthReplay' -benchtime $(PROFILE_TIME) \
-		-cpu $(BENCH_CPU) -cpuprofile cpu.pprof -o stream.test ./internal/stream
-	$(GO) tool pprof -top -nodecount=10 -cum stream.test cpu.pprof | tee PROFILE.txt
+		-cpu $(BENCH_CPU) -$(PROFILE_KIND)profile $(PROFILE_KIND).pprof -o stream.test ./internal/stream
+	$(GO) tool pprof -top -nodecount=10 $(PROFILE_TOP_$(PROFILE_KIND)) stream.test $(PROFILE_KIND).pprof | tee PROFILE.txt
 
 # fuzz-smoke briefly live-fuzzes the snapshot/checkpoint restore surface
 # on top of the committed seed corpus (testdata/fuzz). go test -fuzz

@@ -48,48 +48,82 @@ func appendASNs(dst []byte, asns []bgp.ASN) []byte {
 	return dst
 }
 
-func readASNs(r *binenc.Reader) []bgp.ASN {
+// carveASNs reserves an n-capacity, zero-length slice at the end of
+// *arena, starting a fresh chunk when the current one cannot hold it, so
+// a run of small origin sets shares a few backing arrays instead of
+// owning one each. The full-capacity bound keeps an append to one
+// reservation out of its neighbor's.
+func carveASNs(arena *[]bgp.ASN, n int) []bgp.ASN {
+	if n == 0 {
+		return nil
+	}
+	if len(*arena)+n > cap(*arena) {
+		*arena = make([]bgp.ASN, 0, max(1024, n))
+	}
+	off := len(*arena)
+	*arena = (*arena)[:off+n]
+	return (*arena)[off : off : off+n]
+}
+
+// readASNs decodes one origin set, carved from *arena.
+func readASNs(r *binenc.Reader, arena *[]bgp.ASN) []bgp.ASN {
 	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
-	out := make([]bgp.ASN, n)
-	for i := range out {
-		out[i] = bgp.ASN(r.Uvarint())
+	out := carveASNs(arena, n)
+	for i := 0; i < n; i++ {
+		out = append(out, bgp.ASN(r.Uvarint()))
 	}
 	return out
 }
 
+// appendEvent and readEvent are the one encoding of a lifecycle event:
+// what a checkpoint writes per event and what the kernel keeps per event
+// of a prefix's history (history.go).
+func appendEvent(dst []byte, ev *Event) []byte {
+	dst = append(dst, byte(ev.Type))
+	dst = binary.AppendVarint(dst, int64(ev.Day))
+	dst = binary.AppendUvarint(dst, ev.Seq)
+	dst = binenc.AppendPrefix(dst, ev.Prefix)
+	dst = appendASNs(dst, ev.Origins)
+	dst = appendASNs(dst, ev.PrevOrigins)
+	return append(dst, byte(ev.Class), byte(ev.PrevClass))
+}
+
+// readEvent decodes one event, its origin sets carved from *arena. (It
+// returns the event instead of filling one in so that a caller's scratch
+// arena can stay on its stack.)
+func readEvent(r *binenc.Reader, arena *[]bgp.ASN) (ev Event) {
+	ev.Type, ev.Day, ev.Seq = EventType(r.Byte()), r.Int(), r.Uvarint()
+	ev.Prefix = r.Prefix()
+	ev.Origins = readASNs(r, arena)
+	ev.PrevOrigins = readASNs(r, arena)
+	ev.Class, ev.PrevClass = core.Class(r.Byte()), core.Class(r.Byte())
+	return ev
+}
+
+// minEventBytes is the shortest event: type, day, seq, a 2-byte /0
+// prefix, two empty origin sets, two classes.
+const minEventBytes = 9
+
 func appendEvents(dst []byte, evs []Event) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(evs)))
 	for i := range evs {
-		ev := &evs[i]
-		dst = append(dst, byte(ev.Type))
-		dst = binary.AppendVarint(dst, int64(ev.Day))
-		dst = binary.AppendUvarint(dst, ev.Seq)
-		dst = binenc.AppendPrefix(dst, ev.Prefix)
-		dst = appendASNs(dst, ev.Origins)
-		dst = appendASNs(dst, ev.PrevOrigins)
-		dst = append(dst, byte(ev.Class), byte(ev.PrevClass))
+		dst = appendEvent(dst, &evs[i])
 	}
 	return dst
 }
 
 func readEvents(r *binenc.Reader) []Event {
-	// An event is at least 9 bytes: type, day, seq, a 2-byte /0 prefix,
-	// two empty origin sets, two classes.
-	n := r.Count(9)
+	n := r.Count(minEventBytes)
 	if n == 0 {
 		return nil
 	}
 	out := make([]Event, n)
+	var arena []bgp.ASN
 	for i := range out {
-		ev := &out[i]
-		ev.Type, ev.Day, ev.Seq = EventType(r.Byte()), r.Int(), r.Uvarint()
-		ev.Prefix = r.Prefix()
-		ev.Origins = readASNs(r)
-		ev.PrevOrigins = readASNs(r)
-		ev.Class, ev.PrevClass = core.Class(r.Byte()), core.Class(r.Byte())
+		out[i] = readEvent(r, &arena)
 	}
 	return out
 }
@@ -103,7 +137,7 @@ func (s *Snapshot) BinarySizeHint() int {
 	n := 64 + (len(s.Conflicts)+len(s.Log))*evBytes + len(s.ClosedSpans)*6
 	for i := range s.Prefixes {
 		ps := &s.Prefixes[i]
-		n += 10 + int(ps.Prefix.Bits()+7)/8 + 4*len(ps.Origins) + len(ps.History)*evBytes
+		n += 10 + int(ps.Prefix.Bits()+7)/8 + 4*len(ps.Origins) + len(ps.History)
 	}
 	return n
 }
@@ -125,7 +159,7 @@ func AppendSnapshotBinary(dst []byte, s *Snapshot) []byte {
 		dst = append(dst, ps.Class)
 		dst = binary.AppendUvarint(dst, ps.Seq)
 		dst = binary.AppendVarint(dst, int64(ps.Since))
-		dst = appendEvents(dst, ps.History)
+		dst = appendHistory(dst, ps.History)
 	}
 	dst = binenc.EndFrame(dst, start)
 
@@ -177,18 +211,21 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("kernel: decode binary snapshot meta: %w", err)
 	}
 
-	sec := r.Frame()
+	// The prefixes frame stays in hand: histories are cut from it whole.
+	frame := r.Bytes(r.Count(1))
+	sec := binenc.NewReader(frame)
 	// A prefix entry is at least 7 bytes (2-byte prefix, empty origin
 	// set, class, seq, since, empty history).
 	n := sec.Count(7)
 	s.Prefixes = slices.Grow(s.Prefixes, n)
+	var origins []bgp.ASN
 	for i := 0; i < n; i++ {
 		ps := PrefixSnap{Prefix: sec.Prefix()}
-		ps.Origins = readASNs(sec)
+		ps.Origins = readASNs(sec, &origins)
 		ps.Class = sec.Byte()
 		ps.Seq = sec.Uvarint()
 		ps.Since = sec.Int()
-		ps.History = readEvents(sec)
+		ps.History = readHistory(sec, frame)
 		s.Prefixes = append(s.Prefixes, ps)
 	}
 	if err := binenc.FirstErr(sec, r); err != nil {
@@ -203,7 +240,7 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		cs.FirstDay = sec.Int()
 		cs.LastDay = sec.Int()
 		cs.DaysObserved = sec.Int()
-		cs.OriginsEver = readASNs(sec)
+		cs.OriginsEver = readASNs(sec, &origins)
 		cs.ClassDays = make([]int, sec.Count(1))
 		for j := range cs.ClassDays {
 			cs.ClassDays[j] = sec.Int()

@@ -2,6 +2,7 @@ package kernel_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -18,6 +19,21 @@ func midRunSnapshot(t testing.TB) *kernel.Snapshot {
 	k := kernel.New(kernel.Options{KeepLog: true})
 	drive(k, all[:splitAt])
 	return k.Snapshot()
+}
+
+// historyOf builds a snapshot history out of events the way a JSON image
+// does, checks and all left to Restore.
+func historyOf(t testing.TB, evs []kernel.Event) kernel.History {
+	t.Helper()
+	doc, err := json.Marshal(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h kernel.History
+	if err := h.UnmarshalJSON(doc); err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // TestBinarySnapshotRoundTrip: both codecs must reproduce the exact
@@ -125,9 +141,14 @@ func TestRestoreRejectsBogusClass(t *testing.T) {
 		return nil
 	}
 	for name, damage := range map[string]func(s *kernel.Snapshot){
-		"prefix class 200":        func(s *kernel.Snapshot) { s.Prefixes[0].Class = 200 },
-		"log event class 200":     func(s *kernel.Snapshot) { s.Log[0].PrevClass = 200 },
-		"history event class 200": func(s *kernel.Snapshot) { withHistory(s).History[0].Class = 200 },
+		"prefix class 200":    func(s *kernel.Snapshot) { s.Prefixes[0].Class = 200 },
+		"log event class 200": func(s *kernel.Snapshot) { s.Log[0].PrevClass = 200 },
+		"history event class 200": func(s *kernel.Snapshot) {
+			ps := withHistory(s)
+			evs := ps.History.Events()
+			evs[0].Class = 200
+			ps.History = historyOf(t, evs)
+		},
 		"prefix repeated":         func(s *kernel.Snapshot) { s.Prefixes = append(s.Prefixes, s.Prefixes[0]) },
 		"conflict without prefix": func(s *kernel.Snapshot) { s.Conflicts[0].Prefix = bgp.Prefix{} },
 	} {

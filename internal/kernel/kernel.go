@@ -12,6 +12,7 @@
 package kernel
 
 import (
+	"slices"
 	"sort"
 
 	"moas/internal/bgp"
@@ -27,6 +28,11 @@ type Span struct {
 	Start, End int
 	Open       bool
 }
+
+// closedSpan is an ended activation as the kernel keeps it — the list
+// only grows, one entry per conflict-end, so it holds a third of a Span:
+// no calendar or UTC day number comes near 32 bits.
+type closedSpan struct{ start, end int32 }
 
 // Len returns the span's length in observation days as of now: ended spans
 // count [Start, End), open spans [Start, now]. A conflict that started and
@@ -126,8 +132,9 @@ const (
 
 // ext is the full conflict state of a prefix that has (or, restored from
 // a snapshot, claims) a lifecycle: origin set, class, event ordinal,
-// activation day and history. Ext records are never recycled — a
-// lifecycle is worth keeping for as long as the kernel lives.
+// activation day and history (in its wire form, see history). Ext records
+// are never recycled — a lifecycle is worth keeping for as long as the
+// kernel lives.
 type ext struct {
 	origins []bgp.ASN // current origin set (ascending); in conflict iff len >= 2
 	// escaped marks origins' backing array as aliased by an emitted event
@@ -141,7 +148,7 @@ type ext struct {
 	activeAt int32
 	seq      uint64 // lifecycle event ordinal for this prefix
 	since    int    // day the current activation started
-	history  []Event
+	history  history
 }
 
 // Episode is one conflict activation as reported to Options.OnEpisode.
@@ -196,9 +203,12 @@ type Kernel struct {
 	// closedSpans accumulates ended activations incrementally so duration
 	// stats never rescan the event log; open spans are derived from the
 	// active set (ext.since) on demand.
-	closedSpans []Span
-	evBuf       []Event   // ApplyAt's reused return buffer
-	asnArena    []bgp.ASN // chunked backing for unescaped origin commits
+	closedSpans []closedSpan
+	// historyBytes is the encoded size of every retained history event,
+	// kept as events are appended and evicted.
+	historyBytes int
+	evBuf        []Event   // ApplyAt's reused return buffer
+	asnArena     []bgp.ASN // chunked backing for unescaped origin commits
 }
 
 // New returns an empty kernel.
@@ -326,7 +336,7 @@ func (k *Kernel) applyExt(id uint32, st *ext, o Obs) []Event {
 	case EventConflictEnd:
 		ev.Origins = nil
 		k.deactivate(st)
-		k.closedSpans = append(k.closedSpans, Span{Start: st.since, End: o.Day})
+		k.closedSpans = append(k.closedSpans, closedSpan{int32(st.since), int32(o.Day)})
 	}
 	st.origins, st.class = committed, class
 	// An end event's committed set (at most one origin) is not carried by
@@ -385,26 +395,16 @@ func (k *Kernel) fireEpisode(st *ext, ev *Event, prevOrigins []bgp.ASN, prevClas
 func (k *Kernel) ArenaStates() int { return k.tab.Carved() }
 
 // allocOrigins reserves an n-capacity, zero-length origin slice from the
-// chunked arena. The full-capacity bound keeps a later in-place reuse
-// from appending into a neighbor's reservation.
-func (k *Kernel) allocOrigins(n int) []bgp.ASN {
-	if len(k.asnArena)+n > cap(k.asnArena) {
-		k.asnArena = make([]bgp.ASN, 0, max(1024, n))
-	}
-	off := len(k.asnArena)
-	k.asnArena = k.asnArena[:off+n]
-	return k.asnArena[off : off : off+n]
-}
+// chunked arena.
+func (k *Kernel) allocOrigins(n int) []bgp.ASN { return carveASNs(&k.asnArena, n) }
 
 func (k *Kernel) emit(st *ext, ev *Event) {
 	st.seq++
 	ev.Seq = st.seq
-	if k.opts.HistoryCap > 0 && len(st.history) >= k.opts.HistoryCap {
-		copy(st.history, st.history[1:])
-		st.history[len(st.history)-1] = *ev
-	} else {
-		st.history = append(st.history, *ev)
+	if k.opts.HistoryCap > 0 && int(st.history.n) >= k.opts.HistoryCap {
+		k.historyBytes -= st.history.evict()
 	}
+	k.historyBytes += st.history.push(ev)
 	k.events++
 	if k.opts.KeepLog {
 		k.log = append(k.log, *ev)
@@ -432,12 +432,19 @@ func (k *Kernel) ActiveCount() int { return len(k.active) }
 // EventCount returns the number of lifecycle events emitted.
 func (k *Kernel) EventCount() int { return k.events }
 
+// HistoryBytes returns the encoded size of the per-prefix histories the
+// kernel retains — what Options.HistoryCap bounds, some 23 bytes per
+// start or end event.
+func (k *Kernel) HistoryBytes() int { return k.historyBytes }
+
 // Log returns the retained event record (nil unless Options.KeepLog).
 // The slice is the kernel's own; callers must copy before mutating.
 func (k *Kernel) Log() []Event { return k.log }
 
 // View is one prefix's assessed conflict state as exposed to queries.
-// Slices are borrowed from kernel state: copy before the next Apply.
+// Origins is borrowed from kernel state: copy it before the next Apply.
+// History is set by State alone, decoded for the call and the caller's
+// to keep.
 type View struct {
 	Origins []bgp.ASN
 	Class   core.Class
@@ -447,32 +454,37 @@ type View struct {
 	History []Event
 }
 
-// State reports one prefix's current assessed state. ok is false when the
-// kernel holds no state for the prefix (never observed, or withdrawn with
-// no lifecycle).
+// State reports one prefix's current assessed state, with its retained
+// history. ok is false when the kernel holds no state for the prefix
+// (never observed, or withdrawn with no lifecycle).
 func (k *Kernel) State(p bgp.Prefix) (View, bool) {
 	id, ok := k.tab.Find(p, uint32(ptable.Hash(p)))
 	if !ok {
 		return View{}, false
 	}
-	return k.view(id)
+	return k.view(id, true)
 }
 
-// view renders id's state; ok is false for an id that carries none (a
-// holder's routes without an origin).
-func (k *Kernel) view(id uint32) (View, bool) {
+// view renders id's state, its history decoded only when asked for; ok
+// is false for an id that carries none (a holder's routes without an
+// origin).
+func (k *Kernel) view(id uint32, withHistory bool) (View, bool) {
 	r := k.tab.At(id)
 	switch {
 	case r.flags&recExt != 0:
 		st := k.exts.At(r.val)
-		return View{
+		v := View{
 			Origins: st.origins,
 			Class:   st.class,
 			Since:   st.since,
 			Seq:     st.seq,
 			Active:  st.activeAt >= 0,
-			History: st.history,
-		}, true
+		}
+		if h := &st.history; withHistory && h.n > 0 {
+			// The kernel wrote these bytes itself: they decode.
+			v.History, _ = decodeEvents(h.live(), int(h.n))
+		}
+		return v, true
 	case r.flags&recOrigin != 0:
 		// Readers may run concurrently under the shard's read lock, so the
 		// one-origin set is materialized fresh, not in shared scratch.
@@ -487,11 +499,12 @@ func (k *Kernel) view(id uint32) (View, bool) {
 func (k *Kernel) WalkPrefixes(fn func(id uint32, p bgp.Prefix) bool) { k.tab.Walk(fn) }
 
 // WalkActive visits every active conflict; iteration order is undefined.
-// The View's slices are borrowed (see State). Return false to stop.
-// The callback must not call back into the kernel's mutating methods.
+// The View's Origins are borrowed and it carries no History (see View).
+// Return false to stop. The callback must not call back into the
+// kernel's mutating methods.
 func (k *Kernel) WalkActive(fn func(p bgp.Prefix, v View) bool) {
 	for _, id := range k.active {
-		v, _ := k.view(id)
+		v, _ := k.view(id, false)
 		if !fn(k.tab.Prefix(id), v) {
 			return
 		}
@@ -501,7 +514,10 @@ func (k *Kernel) WalkActive(fn func(p bgp.Prefix, v View) bool) {
 // AppendSpans appends every activation span — closed ones accumulated at
 // event time, open ones derived from the active set — to dst.
 func (k *Kernel) AppendSpans(dst []Span) []Span {
-	dst = append(dst, k.closedSpans...)
+	dst = slices.Grow(dst, len(k.closedSpans)+len(k.active))
+	for _, sp := range k.closedSpans {
+		dst = append(dst, Span{Start: int(sp.start), End: int(sp.end)})
+	}
 	for _, id := range k.active {
 		dst = append(dst, Span{Start: k.extOf(id).since, Open: true})
 	}

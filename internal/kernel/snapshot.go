@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -47,7 +48,7 @@ type PrefixSnap struct {
 	Class   uint8      `json:"class,omitempty"`
 	Seq     uint64     `json:"seq,omitempty"`
 	Since   int        `json:"since,omitempty"`
-	History []Event    `json:"history,omitempty"`
+	History History    `json:"history,omitempty"`
 }
 
 // ConflictSnap is one registry record's serialized form.
@@ -86,13 +87,17 @@ func validPrefix(p bgp.Prefix) error {
 	return nil
 }
 
+func validEvent(ev *Event) error {
+	return cmp.Or(validPrefix(ev.Prefix), validClass(uint8(ev.Class)), validClass(uint8(ev.PrevClass)))
+}
+
 // restoreEvents returns the image's events, checked and with origin sets
 // of their own: the image keeps no claim on what the kernel retains.
 func restoreEvents(evs []Event) ([]Event, error) {
 	dst := slices.Grow([]Event(nil), len(evs))
 	for i := range evs {
 		ev := evs[i]
-		if err := cmp.Or(validPrefix(ev.Prefix), validClass(uint8(ev.Class)), validClass(uint8(ev.PrevClass))); err != nil {
+		if err := validEvent(&ev); err != nil {
 			return nil, err
 		}
 		ev.Origins, ev.PrevOrigins = slices.Clone(ev.Origins), slices.Clone(ev.PrevOrigins)
@@ -102,23 +107,28 @@ func restoreEvents(evs []Event) ([]Event, error) {
 }
 
 // Snapshot images the kernel's complete state. The result shares no
-// mutable memory with the kernel (origin sets and event records are
-// copied; an event's own origin sets are immutable once emitted), so it
-// stays valid while the kernel keeps running. Slices are sized from the
-// table's counts, and the one-origin sets of lifecycle-free prefixes —
-// nearly all of a real table — are carved from a single array.
+// mutable memory with the kernel (origin sets and history bytes are
+// copied; a logged event's own origin sets are immutable once emitted),
+// so it stays valid while the kernel keeps running. It allocates by the
+// table, not by the event: slices are sized from the table's counts, the
+// one-origin sets of lifecycle-free prefixes — nearly all of a real
+// table — are carved from a single array, the origin sets of the rest
+// from a few, and every history is copied, as the bytes it is, into one.
 func (k *Kernel) Snapshot() *Snapshot {
 	s := &Snapshot{Version: SnapshotVersion, Events: k.events}
 	s.Prefixes = slices.Grow(s.Prefixes, k.tab.Len())
 	single := make([]bgp.ASN, 0, k.tab.Len())
+	var origins []bgp.ASN
+	// Room for every history's bytes and its count in front of them.
+	histories := make([]byte, 0, k.historyBytes+binary.MaxVarintLen32*k.exts.Len())
 	k.tab.Walk(func(id uint32, p bgp.Prefix) bool {
 		ps := PrefixSnap{Prefix: p}
 		switch r := k.tab.At(id); {
 		case r.flags&recExt != 0:
 			st := k.exts.At(r.val)
-			ps.Origins = append([]bgp.ASN(nil), st.origins...)
+			ps.Origins = append(carveASNs(&origins, len(st.origins)), st.origins...)
 			ps.Class, ps.Seq, ps.Since = uint8(st.class), st.seq, st.since
-			ps.History = append([]Event(nil), st.history...)
+			ps.History = st.history.image(&histories)
 		case r.flags&recOrigin != 0:
 			single = append(single, bgp.ASN(r.val))
 			ps.Origins = single[len(single)-1 : len(single) : len(single)]
@@ -142,7 +152,7 @@ func (k *Kernel) Snapshot() *Snapshot {
 	}
 	s.ClosedSpans = slices.Grow(s.ClosedSpans, len(k.closedSpans))
 	for _, sp := range k.closedSpans {
-		s.ClosedSpans = append(s.ClosedSpans, SpanSnap{Start: sp.Start, End: sp.End})
+		s.ClosedSpans = append(s.ClosedSpans, SpanSnap{Start: int(sp.start), End: int(sp.end)})
 	}
 	s.Log = append(s.Log, k.log...)
 	return s
@@ -204,7 +214,10 @@ func (k *Kernel) RestorePart(s *Snapshot, part, parts int) error {
 	}
 	k.closedSpans = slices.Grow(k.closedSpans, len(s.ClosedSpans))
 	for _, sp := range s.ClosedSpans {
-		k.closedSpans = append(k.closedSpans, Span{Start: sp.Start, End: sp.End})
+		if sp.Start != int(int32(sp.Start)) || sp.End != int(int32(sp.End)) {
+			return fmt.Errorf("kernel: snapshot span [%d, %d] outside 32-bit days", sp.Start, sp.End)
+		}
+		k.closedSpans = append(k.closedSpans, closedSpan{int32(sp.Start), int32(sp.End)})
 	}
 	k.events = s.Events
 	if k.opts.KeepLog {
@@ -223,7 +236,7 @@ func (k *Kernel) restorePrefix(ps *PrefixSnap, h uint32) error {
 	if _, dup := k.tab.Find(ps.Prefix, h); dup {
 		return fmt.Errorf("kernel: snapshot repeats prefix %v", ps.Prefix)
 	}
-	lifecycle := ps.Seq != 0 || ps.Since != 0 || ps.Class != 0 || len(ps.History) > 0
+	lifecycle := ps.Seq != 0 || ps.Since != 0 || ps.Class != 0 || ps.History.Len() > 0
 	if !lifecycle && len(ps.Origins) == 0 {
 		return nil // a stateless prefix is simply not tracked
 	}
@@ -242,14 +255,10 @@ func (k *Kernel) restorePrefix(ps *PrefixSnap, h uint32) error {
 		seq:      ps.Seq,
 		since:    ps.Since,
 	}
-	hist := ps.History
-	if k.opts.HistoryCap > 0 && len(hist) > k.opts.HistoryCap {
-		hist = hist[len(hist)-k.opts.HistoryCap:]
-	}
-	var err error
-	if st.history, err = restoreEvents(hist); err != nil {
+	if err := st.history.restore(ps.History, k.opts.HistoryCap); err != nil {
 		return err
 	}
+	k.historyBytes += len(st.history.buf)
 	if len(st.origins) >= 2 {
 		st.activeAt = int32(len(k.active))
 		k.active = append(k.active, id)

@@ -24,6 +24,30 @@ func TestCompactStatePointerFree(t *testing.T) {
 	}
 }
 
+// TestLifecycleStatePointerFree guards the layout the storm-shaped heap
+// numbers rest on: what the kernel keeps per lifecycle event and per
+// ended activation is bytes the collector never scans — the history
+// buffer and the closed-span list hold no pointers — and the record that
+// owns a history stays within 80 bytes.
+func TestLifecycleStatePointerFree(t *testing.T) {
+	h := reflect.TypeOf(history{})
+	for i := 0; i < h.NumField(); i++ {
+		f := h.Field(i)
+		if f.Type.Kind() == reflect.Slice {
+			f.Type = f.Type.Elem() // the storage, not its header
+		}
+		if !ptabletest.PointerFree(f.Type) {
+			t.Errorf("history.%s stores %s, which contains pointers", f.Name, f.Type)
+		}
+	}
+	if typ := reflect.TypeOf(closedSpan{}); !ptabletest.PointerFree(typ) || typ.Size() > 8 {
+		t.Errorf("%s: %d bytes, pointer-free %v; want <= 8 and true", typ, typ.Size(), ptabletest.PointerFree(typ))
+	}
+	if n := reflect.TypeOf(ext{}).Size(); n > 80 {
+		t.Errorf("ext is %d bytes, want <= 80", n)
+	}
+}
+
 // TestIDLifetime walks one id through the contract between the kernel
 // and a holder of its ids (the streaming shard): an id survives for as
 // long as the holder keeps routes under it or the kernel keeps state

@@ -254,6 +254,8 @@ func TestCheckpointHostileInput(t *testing.T) {
 			mutate: func(ck *Checkpoint) { ck.Kernel.Prefixes[0].Class = 200 }},
 		{name: "class byte 200 in a logged event", want: failsRestore,
 			mutate: func(ck *Checkpoint) { ck.Kernel.Log[0].PrevClass = 200 }},
+		{name: "closed span day beyond 32 bits", want: failsRestore,
+			mutate: func(ck *Checkpoint) { ck.Kernel.ClosedSpans[0].End = 1 << 40 }},
 		{name: "peer repeated under one prefix", want: restores,
 			mutate: func(ck *Checkpoint) {
 				pr := routesOf(ck, pc)

@@ -452,7 +452,7 @@ func (e *Engine) Prefix(p bgp.Prefix) PrefixInfo {
 		info.Active = v.Active
 		info.Origins = append([]bgp.ASN(nil), v.Origins...)
 		info.Class = v.Class
-		info.History = append([]Event(nil), v.History...)
+		info.History = v.History // decoded for this call: ours
 	}
 	if id, ok := s.k.Lookup(p, uint32(h)); ok && int(id) < s.heads.Len() {
 		info.Routes = s.routeCount(*s.heads.At(id))
@@ -518,6 +518,7 @@ type Stats struct {
 	ActiveConflicts int                  `json:"active_conflicts"`
 	TotalConflicts  int                  `json:"total_conflicts"` // distinct prefixes ever in conflict
 	Events          int                  `json:"events"`          // lifecycle events emitted
+	HistoryBytes    int                  `json:"history_bytes"`   // encoded per-prefix history retained across all shard kernels
 	ByClass         [core.NumClasses]int `json:"-"`               // active conflicts per class
 	// Replaying is true until Close: the engine still accepts updates.
 	Replaying bool `json:"replaying"`
@@ -568,6 +569,7 @@ func (e *Engine) Stats() Stats {
 		st.ActiveConflicts += s.k.ActiveCount()
 		st.TotalConflicts += s.k.Registry().Len()
 		st.Events += s.k.EventCount()
+		st.HistoryBytes += s.k.HistoryBytes()
 		st.RouteNodes += max(s.nodes.Len()-1, 0) // node 0 is the reserved "none"
 		st.KernelStates += s.k.ArenaStates()
 		st.AttrHandles += len(s.attrs.ptrs)

@@ -111,6 +111,23 @@ func TestGoldenCheckpointsRestore(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Fatalf("%s restores to different state than committed:\nwant %s\n got %s", path, want, got)
 		}
+		// All three are images of one engine, so whichever was read
+		// re-saves as the committed bytes of either written form: the
+		// codecs are stable to the byte, not only to the state.
+		bin, err := AppendCheckpointBinary(nil, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v2, _ := os.ReadFile(goldenBinaryV2); !bytes.Equal(bin, v2) {
+			t.Errorf("%s re-saves to different MCKP v2 bytes than %s", path, goldenBinaryV2)
+		}
+		var js bytes.Buffer
+		if err := EncodeCheckpointJSON(&js, ck); err != nil {
+			t.Fatal(err)
+		}
+		if doc, _ := os.ReadFile(goldenJSON); !bytes.Equal(js.Bytes(), doc) {
+			t.Errorf("%s re-saves to different JSON than %s", path, goldenJSON)
+		}
 	}
 }
 
