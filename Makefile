@@ -109,12 +109,16 @@ docscheck:
 # paper world (topology simulator, scenario, collector, batch driver,
 # figure code) and not the wire layer above it — and the figure code
 # (internal/analysis) is arithmetic over detection output: no simulator,
-# no driver, no engine. `go list -deps` excludes test imports, so the
-# stream tests may still replay scenario archives.
+# no driver, no engine. The kernel and the episode log know nothing of
+# each other: the records they exchange (Episode, Class) are declared
+# once, in internal/core. `go list -deps` excludes test imports,
+# so the stream tests may still replay scenario archives.
 depcheck:
 	@bad=$$( { \
 		$(GO) list -deps ./internal/stream | grep -xE 'net/http|moas/internal/(analysis|driver|scenario|simnet|topology|collector|serve)' | sed 's|^|internal/stream links |'; \
 		$(GO) list -deps ./internal/analysis | grep -xE 'moas/internal/(driver|scenario|simnet|topology|kernel|stream)' | sed 's|^|internal/analysis links |'; \
+		$(GO) list -deps ./internal/kernel | grep -xE 'moas/internal/epilog' | sed 's|^|internal/kernel links |'; \
+		$(GO) list -deps ./internal/epilog | grep -xE 'moas/internal/kernel' | sed 's|^|internal/epilog links |'; \
 	} ); \
 	if [ -n "$$bad" ]; then echo "$$bad"; exit 1; fi
 

@@ -350,45 +350,18 @@ func (p Path) appendWireSized(dst []byte, size int) []byte {
 var ErrBadPath = errors.New("bgp: bad AS_PATH encoding")
 
 // DecodePathWire decodes a 2-octet-ASN AS_PATH attribute body.
-func DecodePathWire(b []byte) (Path, error) { return decodePathSized(b, 2) }
+func DecodePathWire(b []byte) (Path, error) { return decodePathSizedInto(nil, b, 2) }
 
 // DecodePathWire4 decodes a 4-octet-ASN AS_PATH attribute body
 // (TABLE_DUMP_V2 / AS4_PATH encoding).
-func DecodePathWire4(b []byte) (Path, error) { return decodePathSized(b, 4) }
+func DecodePathWire4(b []byte) (Path, error) { return decodePathSizedInto(nil, b, 4) }
 
-func decodePathSized(b []byte, size int) (Path, error) {
-	var p Path
-	for len(b) > 0 {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("%w: truncated segment header", ErrBadPath)
-		}
-		t, n := SegmentType(b[0]), int(b[1])
-		if t != SegSet && t != SegSequence {
-			return nil, fmt.Errorf("%w: segment type %d", ErrBadPath, t)
-		}
-		b = b[2:]
-		if len(b) < size*n {
-			return nil, fmt.Errorf("%w: truncated segment body", ErrBadPath)
-		}
-		ases := make([]ASN, n)
-		for i := 0; i < n; i++ {
-			if size == 4 {
-				ases[i] = ASN(be32(b[4*i:]))
-			} else {
-				ases[i] = ASN(b[2*i])<<8 | ASN(b[2*i+1])
-			}
-		}
-		b = b[size*n:]
-		p = append(p, Segment{Type: t, ASes: ases})
-	}
-	return p, nil
-}
-
-// decodePathSizedInto is decodePathSized with storage reuse: segments are
-// decoded into dst's existing slots, each slot keeping its previous ASes
-// backing array. Decoding a stream of paths through one scratch Path is
-// allocation-free in steady state. Only sound when nothing aliases dst's
-// old contents (the AttrsInterner's scratch decode).
+// decodePathSizedInto is the one AS_PATH walker. It decodes into dst's
+// storage: segments land in dst's existing slots, each slot keeping its
+// previous ASes backing array, so decoding a stream of paths through one
+// scratch Path is allocation-free in steady state. Reuse is only sound
+// when nothing aliases dst's old contents (the AttrsInterner's scratch
+// decode); a nil dst is the allocating case, every AS array sized exactly.
 func decodePathSizedInto(dst Path, b []byte, size int) (Path, error) {
 	dst = dst[:0]
 	for len(b) > 0 {
@@ -410,15 +383,17 @@ func decodePathSizedInto(dst Path, b []byte, size int) (Path, error) {
 		}
 		seg := &dst[len(dst)-1]
 		seg.Type = t
-		ases := seg.ASes[:0]
-		for i := 0; i < n; i++ {
+		if cap(seg.ASes) < n {
+			seg.ASes = make([]ASN, n)
+		}
+		seg.ASes = seg.ASes[:n]
+		for i := range seg.ASes {
 			if size == 4 {
-				ases = append(ases, ASN(be32(b[4*i:])))
+				seg.ASes[i] = ASN(be32(b[4*i:]))
 			} else {
-				ases = append(ases, ASN(b[2*i])<<8|ASN(b[2*i+1]))
+				seg.ASes[i] = ASN(b[2*i])<<8 | ASN(b[2*i+1])
 			}
 		}
-		seg.ASes = ases
 		b = b[size*n:]
 	}
 	return dst, nil

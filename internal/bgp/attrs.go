@@ -3,6 +3,7 @@ package bgp
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Origin is the BGP ORIGIN attribute value.
@@ -188,22 +189,19 @@ func (a *Attrs) DecodeAttrs(b []byte) error { return a.DecodeAttrsEx(b, false) }
 
 // DecodeAttrsEx is DecodeAttrs with selectable ASN width (see AppendWireEx).
 func (a *Attrs) DecodeAttrsEx(b []byte, asn4 bool) error {
-	return a.decodeAttrsEx(b, asn4, false)
+	*a = Attrs{} // the caller may still hold the old contents: recycle nothing
+	return a.decodeAttrsInto(b, asn4)
 }
 
-// decodeAttrsEx is the shared implementation. With reuse set it recycles
-// a's previous backing storage — path segments (including their AS
-// arrays), the communities slice and the aggregator value — so decoding a
-// stream of blocks through one scratch Attrs allocates nothing in steady
-// state. Reuse is only sound when nothing else aliases a's old contents;
-// the AttrsInterner's scratch is the intended caller.
-func (a *Attrs) decodeAttrsEx(b []byte, asn4, reuse bool) error {
-	var oldPath Path
-	var oldComm []uint32
-	var oldAgg *Aggregator
-	if reuse {
-		oldPath, oldComm, oldAgg = a.ASPath, a.Communities[:0], a.Aggregator
-	}
+// decodeAttrsInto is the shared implementation. It recycles a's previous
+// backing storage — path segments (including their AS arrays), the
+// communities slice and the aggregator value — so decoding a stream of
+// blocks through one scratch Attrs allocates nothing in steady state.
+// That is only sound when nothing else aliases a's old contents; the
+// AttrsInterner's scratch is the intended caller. A zero a is the
+// allocating case.
+func (a *Attrs) decodeAttrsInto(b []byte, asn4 bool) error {
+	old := *a
 	*a = Attrs{}
 	for len(b) > 0 {
 		if len(b) < 3 {
@@ -232,17 +230,11 @@ func (a *Attrs) decodeAttrsEx(b []byte, asn4, reuse bool) error {
 			}
 			a.Origin = Origin(body[0])
 		case AttrASPath:
-			var p Path
-			var err error
 			size := 2
 			if asn4 {
 				size = 4
 			}
-			if reuse {
-				p, err = decodePathSizedInto(oldPath, body, size)
-			} else {
-				p, err = decodePathSized(body, size)
-			}
+			p, err := decodePathSizedInto(old.ASPath, body, size)
 			if err != nil {
 				return err
 			}
@@ -285,9 +277,9 @@ func (a *Attrs) decodeAttrsEx(b []byte, asn4, reuse bool) error {
 				agg.AS = ASN(body[0])<<8 | ASN(body[1])
 				copy(agg.Addr[:], body[2:6])
 			}
-			if reuse && oldAgg != nil {
-				*oldAgg = agg
-				a.Aggregator = oldAgg
+			if old.Aggregator != nil {
+				*old.Aggregator = agg
+				a.Aggregator = old.Aggregator
 			} else {
 				a.Aggregator = &agg
 			}
@@ -295,11 +287,7 @@ func (a *Attrs) decodeAttrsEx(b []byte, asn4, reuse bool) error {
 			if len(body)%4 != 0 {
 				return fmt.Errorf("%w: COMMUNITIES length %d", ErrBadAttrs, len(body))
 			}
-			if reuse {
-				a.Communities = oldComm
-			} else {
-				a.Communities = make([]uint32, 0, len(body)/4)
-			}
+			a.Communities = slices.Grow(old.Communities[:0], len(body)/4)
 			for i := 0; i+4 <= len(body); i += 4 {
 				a.Communities = append(a.Communities, be32(body[i:]))
 			}

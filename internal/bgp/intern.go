@@ -212,7 +212,7 @@ func (in *AttrsInterner) Intern(wire []byte) (*Attrs, error) {
 		} else {
 			head = -1
 		}
-		if err := s.scratch.decodeAttrsEx(wire, in.asn4, true); err != nil {
+		if err := s.scratch.decodeAttrsInto(wire, in.asn4); err != nil {
 			s.mu.Unlock()
 			in.epochMu.RUnlock()
 			return nil, err

@@ -69,18 +69,17 @@ func NewRegistry() *Registry {
 	return &Registry{m: make(map[bgp.Prefix]*Conflict)}
 }
 
-// Record notes that prefix was in MOAS conflict on the given observation
-// day with the given (ascending) origin set and classification. Recording
-// the same prefix twice for one day is idempotent for duration accounting.
-func (r *Registry) Record(day int, prefix bgp.Prefix, origins []bgp.ASN, class Class) {
-	c, ok := r.m[prefix]
-	if !ok {
-		c = &Conflict{Prefix: prefix, FirstDay: day, LastDay: day}
-		r.m[prefix] = c
-		c.DaysObserved = 1
-		c.OriginsEver = mergeOrigins(nil, origins)
-		c.ClassDays[class]++
-		return
+// Observe accounts one observation: prefix was in MOAS conflict on the
+// given observation day with the given (ascending) origin set and
+// classification. It is the one statement of the paper's duration
+// accounting — Registry.Record applies it to the records of a full-scan
+// detector, the streaming kernel to the records it keeps under its prefix
+// table. The zero Conflict is the empty record, which its first
+// observation starts; observing the same day twice is idempotent for
+// duration accounting.
+func (c *Conflict) Observe(day int, prefix bgp.Prefix, origins []bgp.ASN, class Class) {
+	if !c.Prefix.IsValid() {
+		*c = Conflict{Prefix: prefix, FirstDay: day, LastDay: day}
 	}
 	if day != c.LastDay || c.DaysObserved == 0 {
 		c.DaysObserved++
@@ -95,6 +94,17 @@ func (r *Registry) Record(day int, prefix bgp.Prefix, origins []bgp.ASN, class C
 	c.OriginsEver = mergeOrigins(c.OriginsEver, origins)
 }
 
+// Record notes that prefix was in MOAS conflict on the given observation
+// day (see Conflict.Observe).
+func (r *Registry) Record(day int, prefix bgp.Prefix, origins []bgp.ASN, class Class) {
+	c, ok := r.m[prefix]
+	if !ok {
+		c = new(Conflict)
+		r.m[prefix] = c
+	}
+	c.Observe(day, prefix, origins, class)
+}
+
 // Clone returns a deep copy of c.
 func (c *Conflict) Clone() *Conflict {
 	out := *c
@@ -102,36 +112,10 @@ func (c *Conflict) Clone() *Conflict {
 	return &out
 }
 
-// Absorb merges every record of other into r: day spans union, day counts
-// add, origin sets merge. The additive day accounting is exact when the two
-// registries observed disjoint day sets or disjoint prefixes — the sharded
-// streaming engine's case, where shards partition the prefix space. other
-// is not modified.
-func (r *Registry) Absorb(other *Registry) {
-	for p, c := range other.m {
-		cur, ok := r.m[p]
-		if !ok {
-			r.m[p] = c.Clone()
-			continue
-		}
-		if c.FirstDay < cur.FirstDay {
-			cur.FirstDay = c.FirstDay
-		}
-		if c.LastDay > cur.LastDay {
-			cur.LastDay = c.LastDay
-		}
-		cur.DaysObserved += c.DaysObserved
-		for i := range cur.ClassDays {
-			cur.ClassDays[i] += c.ClassDays[i]
-		}
-		cur.OriginsEver = mergeOrigins(cur.OriginsEver, c.OriginsEver)
-	}
-}
-
 // Insert adopts a fully-formed conflict record, replacing any existing
-// record for its prefix. It exists for snapshot restore (internal/kernel),
-// where records were accumulated by a previous process; normal accumulation
-// goes through Record.
+// record for its prefix. It is how a registry is rendered from records
+// kept elsewhere (the kernel's, see kernel.Registry); accumulation goes
+// through Record.
 func (r *Registry) Insert(c *Conflict) { r.m[c.Prefix] = c }
 
 // Len returns the number of distinct conflicts seen.

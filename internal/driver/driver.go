@@ -137,7 +137,6 @@ func RunScenario(sc *scenario.Scenario, cfg Config) (*Result, error) {
 	k := kernel.New(kernel.Options{})
 	res := &Result{
 		Scenario: sc,
-		Registry: k.Registry(),
 		FinalDay: sc.FinalObservedDay(),
 	}
 
@@ -199,6 +198,7 @@ func RunScenario(sc *scenario.Scenario, cfg Config) (*Result, error) {
 				i+1, len(sc.ObservedDays), ds.Date.Format("2006-01-02"), ds.Total))
 		}
 	}
+	res.Registry = k.Registry()
 	return res, nil
 }
 

@@ -52,22 +52,9 @@ import (
 	"moas/internal/vfs"
 )
 
-// Episode is one conflict activation as recorded in the log. Closed
-// episodes span [Start, End] observation days inclusive; open episodes
-// carry the day of their latest lifecycle event in End and are rendered
-// against a caller-supplied as-of day at query time.
-type Episode struct {
-	Prefix  bgp.Prefix
-	Origins []bgp.ASN // conflicting origin set, strictly ascending
-	Class   core.Class
-	Seq     uint64 // per-prefix kernel event ordinal of the reporting event
-	Start   int    // first day the activation held >= 2 origins
-	End     int    // last active day (closed) / latest event day (open)
-	Open    bool
-}
-
-// Duration returns the episode's length in days, inclusive of both ends.
-func (e *Episode) Duration() int { return e.End - e.Start + 1 }
+// Episode is one conflict activation as recorded in the log: the record
+// the kernel reports, declared once in core.
+type Episode = core.Episode
 
 // Segment container: magic, uvarint version, then one length-prefixed
 // frame per record. Record payload: flags byte, prefix, uvarint seq,

@@ -12,9 +12,9 @@ import (
 // collectEpisodes returns a kernel whose OnEpisode hook appends deep
 // copies (Origins are borrowed during the callback) to the returned
 // slice.
-func collectEpisodes(opts kernel.Options) (*kernel.Kernel, *[]kernel.Episode) {
-	eps := &[]kernel.Episode{}
-	opts.OnEpisode = func(ep kernel.Episode) {
+func collectEpisodes(opts kernel.Options) (*kernel.Kernel, *[]core.Episode) {
+	eps := &[]core.Episode{}
+	opts.OnEpisode = func(ep core.Episode) {
 		ep.Origins = append([]bgp.ASN(nil), ep.Origins...)
 		*eps = append(*eps, ep)
 	}
@@ -37,7 +37,7 @@ func TestOnEpisodeLifecycle(t *testing.T) {
 	apply(t, k, 10, p1, []bgp.ASN{1, 2}, core.ClassOrigTranAS)
 	apply(t, k, 10, p1, nil, 0)
 
-	want := []kernel.Episode{
+	want := []core.Episode{
 		{Prefix: p1, Origins: []bgp.ASN{701, 7018}, Class: core.ClassDistinctPaths, Seq: 1, Start: 3, End: 3, Open: true},
 		{Prefix: p1, Origins: []bgp.ASN{701, 7018, 8584}, Class: core.ClassDistinctPaths, Seq: 2, Start: 3, End: 5, Open: true},
 		{Prefix: p1, Origins: []bgp.ASN{701, 7018, 8584}, Class: core.ClassSplitView, Seq: 3, Start: 3, End: 6, Open: true},

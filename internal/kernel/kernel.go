@@ -12,7 +12,6 @@
 package kernel
 
 import (
-	"slices"
 	"sort"
 
 	"moas/internal/bgp"
@@ -28,11 +27,6 @@ type Span struct {
 	Start, End int
 	Open       bool
 }
-
-// closedSpan is an ended activation as the kernel keeps it — the list
-// only grows, one entry per conflict-end, so it holds a third of a Span:
-// no calendar or UTC day number comes near 32 bits.
-type closedSpan struct{ start, end int32 }
 
 // Len returns the span's length in observation days as of now: ended spans
 // count [Start, End), open spans [Start, now]. A conflict that started and
@@ -132,7 +126,8 @@ const (
 
 // ext is the full conflict state of a prefix that has (or, restored from
 // a snapshot, claims) a lifecycle: origin set, class, event ordinal,
-// activation day and history (in its wire form, see history). Ext records
+// activation day and history (in its wire form, see history). Its index
+// also addresses the prefix's lifetime record (Kernel.recs). Ext records
 // are never recycled — a lifecycle is worth keeping for as long as the
 // kernel lives.
 type ext struct {
@@ -151,23 +146,6 @@ type ext struct {
 	history  history
 }
 
-// Episode is one conflict activation as reported to Options.OnEpisode.
-// Closed episodes span [Start, End] observation days inclusive; an open
-// episode restates the still-running activation after its latest
-// lifecycle event, with End holding that event's day. Seq is the
-// per-prefix ordinal of the reporting event, which is what lets a
-// durable consumer fold re-emitted records (checkpoint resume replays
-// the same events with the same Seqs) back into one episode.
-type Episode struct {
-	Prefix  bgp.Prefix
-	Origins []bgp.ASN // borrowed; valid only during the callback
-	Class   core.Class
-	Seq     uint64
-	Start   int
-	End     int
-	Open    bool
-}
-
 // Options parameterizes a kernel.
 type Options struct {
 	// HistoryCap caps lifecycle events retained per prefix (0 = all).
@@ -179,7 +157,7 @@ type Options struct {
 	// event (re)states it as open. The Episode's Origins alias kernel
 	// state and are only valid during the call. The callback must not
 	// call back into the kernel.
-	OnEpisode func(Episode)
+	OnEpisode func(core.Episode)
 }
 
 // Kernel is the conflict-episode state machine. It is deliberately
@@ -193,17 +171,24 @@ type Kernel struct {
 	// (ApplyAt), so a route op probes the table exactly once.
 	tab  ptable.Table[rec]
 	exts ptable.Chunks[ext]
+	// recs holds, under its ext's index, the lifetime record of a prefix
+	// with a lifecycle — the paper's one record per conflicted prefix. It
+	// is nil until the first day close that finds the prefix in conflict
+	// (a live feed closes no day for hours, a same-day flap never meets
+	// one); conflicts counts the others.
+	recs      ptable.Chunks[*core.Conflict]
+	conflicts int
 	// active lists the ids currently in conflict, in no particular order
 	// (ext.activeAt is each one's position), so a day close costs
 	// O(active conflicts) whatever the table size.
 	active []uint32
-	reg    *core.Registry
 	events int     // lifecycle events emitted
 	log    []Event // full event record, kept only when opts.KeepLog
-	// closedSpans accumulates ended activations incrementally so duration
-	// stats never rescan the event log; open spans are derived from the
-	// active set (ext.since) on demand.
-	closedSpans []closedSpan
+	// closed counts ended activations per distinct (start, end) pair, so
+	// what a month of flapping leaves behind is bounded by days squared,
+	// not by events; open spans are derived from the active set
+	// (ext.since) on demand.
+	closed map[SpanSnap]int
 	// historyBytes is the encoded size of every retained history event,
 	// kept as events are appended and evicted.
 	historyBytes int
@@ -213,7 +198,7 @@ type Kernel struct {
 
 // New returns an empty kernel.
 func New(opts Options) *Kernel {
-	return &Kernel{opts: opts, reg: core.NewRegistry()}
+	return &Kernel{opts: opts, closed: make(map[SpanSnap]int)}
 }
 
 // Apply drives one observation through the state machine and returns the
@@ -271,16 +256,24 @@ func (k *Kernel) ApplyAt(id uint32, o Obs, held bool) []Event {
 			r.val, r.flags = uint32(o.Origins[0]), recOrigin
 			return nil
 		}
-		// First conflict: the state moves out of line.
-		xi := k.exts.Alloc()
-		x := k.exts.At(xi)
-		x.activeAt = -1
-		if r.flags&recOrigin != 0 {
-			x.origins = append(k.allocOrigins(1), bgp.ASN(r.val))
-		}
-		r.val, r.flags = xi, recExt
+		k.promote(r) // first conflict
 	}
 	return k.applyExt(id, k.exts.At(r.val), o)
+}
+
+// promote moves a compact record's state out of line, for good: it carves
+// the ext record and, under the same index, the slot of the lifetime
+// record.
+func (k *Kernel) promote(r *rec) *ext {
+	xi := k.exts.Alloc()
+	k.recs.Alloc()
+	x := k.exts.At(xi)
+	x.activeAt = -1
+	if r.flags&recOrigin != 0 {
+		x.origins = append(k.allocOrigins(1), bgp.ASN(r.val))
+	}
+	r.val, r.flags = xi, recExt
+	return x
 }
 
 // applyExt is the state machine proper, for a prefix with a lifecycle.
@@ -336,7 +329,7 @@ func (k *Kernel) applyExt(id uint32, st *ext, o Obs) []Event {
 	case EventConflictEnd:
 		ev.Origins = nil
 		k.deactivate(st)
-		k.closedSpans = append(k.closedSpans, closedSpan{int32(st.since), int32(o.Day)})
+		k.closed[SpanSnap{Start: st.since, End: o.Day}]++
 	}
 	st.origins, st.class = committed, class
 	// An end event's committed set (at most one origin) is not carried by
@@ -375,7 +368,7 @@ func (k *Kernel) extOf(id uint32) *ext { return k.exts.At(k.tab.At(id).val) }
 // event's Seq carries over, giving durable consumers a per-prefix total
 // order shared with the event stream.
 func (k *Kernel) fireEpisode(st *ext, ev *Event, prevOrigins []bgp.ASN, prevClass core.Class) {
-	ep := Episode{Prefix: ev.Prefix, Seq: ev.Seq, Start: st.since, Open: ev.Type != EventConflictEnd}
+	ep := core.Episode{Prefix: ev.Prefix, Seq: ev.Seq, Start: st.since, Open: ev.Type != EventConflictEnd}
 	if ev.Type == EventConflictEnd {
 		ep.Origins, ep.Class = prevOrigins, prevClass
 		ep.End = ev.Day - 1
@@ -411,20 +404,49 @@ func (k *Kernel) emit(st *ext, ev *Event) {
 	}
 }
 
-// CloseDay records the day's active conflicts into the registry — the
-// kernel-level form of the paper's daily table scan, costing O(active
-// conflicts) instead of O(table). Both adapters call it once per observed
-// day, which is what makes their registries identical.
+// CloseDay accounts the day in the lifetime record of every active
+// conflict — the kernel-level form of the paper's daily table scan,
+// costing O(active conflicts) instead of O(table). Both adapters call it
+// once per observed day, which is what makes their registries identical.
 func (k *Kernel) CloseDay(day int) {
 	for _, id := range k.active {
-		st := k.extOf(id)
-		k.reg.Record(day, k.tab.Prefix(id), st.origins, st.class)
+		xi := k.tab.At(id).val
+		st, c := k.exts.At(xi), k.recs.At(xi)
+		if *c == nil {
+			*c = new(core.Conflict)
+			k.conflicts++
+		}
+		(*c).Observe(day, k.tab.Prefix(id), st.origins, st.class)
 	}
 }
 
-// Registry exposes the cross-day conflict records (paper durations,
-// classes, origin sets). Callers must not mutate it.
-func (k *Kernel) Registry() *core.Registry { return k.reg }
+// WalkConflicts visits every lifetime record — one per prefix ever found
+// in conflict at a day close — in no particular order. The records are
+// the kernel's own: read them during the call, Clone to keep. Return
+// false to stop.
+func (k *Kernel) WalkConflicts(fn func(c *core.Conflict) bool) {
+	for xi := uint32(0); int(xi) < k.recs.Len(); xi++ {
+		if c := *k.recs.At(xi); c != nil && !fn(c) {
+			return
+		}
+	}
+}
+
+// Registry renders the cross-day conflict records (paper durations,
+// classes, origin sets) as a registry of their copies, as of the last
+// day close.
+func (k *Kernel) Registry() *core.Registry {
+	reg := core.NewRegistry()
+	k.WalkConflicts(func(c *core.Conflict) bool {
+		reg.Insert(c.Clone())
+		return true
+	})
+	return reg
+}
+
+// ConflictCount returns the number of lifetime records: distinct prefixes
+// ever in conflict at a day close.
+func (k *Kernel) ConflictCount() int { return k.conflicts }
 
 // ActiveCount returns the number of prefixes currently in conflict.
 func (k *Kernel) ActiveCount() int { return len(k.active) }
@@ -442,9 +464,9 @@ func (k *Kernel) HistoryBytes() int { return k.historyBytes }
 func (k *Kernel) Log() []Event { return k.log }
 
 // View is one prefix's assessed conflict state as exposed to queries.
-// Origins is borrowed from kernel state: copy it before the next Apply.
-// History is set by State alone, decoded for the call and the caller's
-// to keep.
+// Origins and Conflict are borrowed from kernel state: copy them before
+// the next Apply or CloseDay. History is set by State alone, decoded for
+// the call and the caller's to keep.
 type View struct {
 	Origins []bgp.ASN
 	Class   core.Class
@@ -452,6 +474,9 @@ type View struct {
 	Seq     uint64
 	Active  bool
 	History []Event
+	// Conflict is the prefix's lifetime record through the last day
+	// close; nil if no day close has found it in conflict.
+	Conflict *core.Conflict
 }
 
 // State reports one prefix's current assessed state, with its retained
@@ -474,11 +499,12 @@ func (k *Kernel) view(id uint32, withHistory bool) (View, bool) {
 	case r.flags&recExt != 0:
 		st := k.exts.At(r.val)
 		v := View{
-			Origins: st.origins,
-			Class:   st.class,
-			Since:   st.since,
-			Seq:     st.seq,
-			Active:  st.activeAt >= 0,
+			Origins:  st.origins,
+			Class:    st.class,
+			Since:    st.since,
+			Seq:      st.seq,
+			Active:   st.activeAt >= 0,
+			Conflict: *k.recs.At(r.val),
 		}
 		if h := &st.history; withHistory && h.n > 0 {
 			// The kernel wrote these bytes itself: they decode.
@@ -511,12 +537,14 @@ func (k *Kernel) WalkActive(fn func(p bgp.Prefix, v View) bool) {
 	}
 }
 
-// AppendSpans appends every activation span — closed ones accumulated at
-// event time, open ones derived from the active set — to dst.
+// AppendSpans appends every activation span — closed ones counted at
+// event time, open ones derived from the active set — to dst, in no
+// particular order.
 func (k *Kernel) AppendSpans(dst []Span) []Span {
-	dst = slices.Grow(dst, len(k.closedSpans)+len(k.active))
-	for _, sp := range k.closedSpans {
-		dst = append(dst, Span{Start: int(sp.start), End: int(sp.end)})
+	for sp, n := range k.closed {
+		for ; n > 0; n-- {
+			dst = append(dst, Span{Start: sp.Start, End: sp.End})
+		}
 	}
 	for _, id := range k.active {
 		dst = append(dst, Span{Start: k.extOf(id).since, Open: true})

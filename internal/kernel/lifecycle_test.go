@@ -21,15 +21,14 @@ func TestSpanLen(t *testing.T) {
 }
 
 func TestLifecycle(t *testing.T) {
-	if st := Lifecycle(nil, 0); st.Spans != 0 || st.MedianDays != 0 {
+	var d Durations
+	if st := d.Stats(); st != (LifecycleStats{}) {
 		t.Fatalf("empty lifecycle = %+v", st)
 	}
-	spans := []Span{
-		{Start: 0, End: 2},     // 2 days
-		{Start: 5, End: 6},     // 1 day
-		{Start: 0, Open: true}, // 11 days at now=10
-	}
-	st := Lifecycle(spans, 10)
+	d.add(Span{Start: 0, End: 2}, 10, 1)     // 2 days
+	d.add(Span{Start: 5, End: 6}, 10, 1)     // 1 day
+	d.add(Span{Start: 0, Open: true}, 10, 1) // 11 days at now=10
+	st := d.Stats()
 	if st.Spans != 3 || st.Open != 1 {
 		t.Fatalf("spans/open = %d/%d", st.Spans, st.Open)
 	}
@@ -41,5 +40,12 @@ func TestLifecycle(t *testing.T) {
 	}
 	if want := float64(2+1+11) / 3; st.MeanDays != want {
 		t.Fatalf("MeanDays = %v, want %v", st.MeanDays, want)
+	}
+	// An even count takes the mean of the middle pair, and a counted span
+	// weighs as many as it stands for: 1, 2, 2, 2, 7, 7, 7, 11.
+	d.add(Span{Start: 3, End: 5}, 10, 2)
+	d.add(Span{Start: 1, End: 8}, 10, 3)
+	if st := d.Stats(); st.Spans != 8 || st.MedianDays != 4.5 || st.MeanDays != 39.0/8 {
+		t.Fatalf("counted spans: %+v, want 8 spans, median 4.5, mean %v", st, 39.0/8)
 	}
 }

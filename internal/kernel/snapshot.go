@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 
 	"moas/internal/bgp"
@@ -19,7 +20,7 @@ import (
 const SnapshotVersion = 1
 
 // Snapshot is the image of a kernel: every tracked prefix state, the
-// cross-day conflict registry, the closed activation spans and the event
+// lifetime conflict records, the closed activation spans and the event
 // accounting. It is typed data — prefixes are bgp.Prefix values, which
 // render as "addr/len" strings only when the image is written as JSON
 // (Encode/DecodeSnapshot); the binary codec (binary.go) never sees text —
@@ -29,9 +30,10 @@ type Snapshot struct {
 	Version int `json:"version"`
 	// Prefixes holds one entry per tracked prefix, in Prefix.Compare order.
 	Prefixes []PrefixSnap `json:"prefixes"`
-	// Conflicts is the registry image, in Prefix.Compare order.
+	// Conflicts holds the lifetime records, in Prefix.Compare order.
 	Conflicts []ConflictSnap `json:"conflicts"`
-	// ClosedSpans are the ended activation spans (order irrelevant).
+	// ClosedSpans are the ended activation spans, one entry per
+	// activation, in (start, end) order.
 	ClosedSpans []SpanSnap `json:"closed_spans,omitempty"`
 	// Events is the lifecycle-event count emitted so far.
 	Events int `json:"events"`
@@ -51,7 +53,7 @@ type PrefixSnap struct {
 	History History    `json:"history,omitempty"`
 }
 
-// ConflictSnap is one registry record's serialized form.
+// ConflictSnap is one lifetime record's (core.Conflict) serialized form.
 type ConflictSnap struct {
 	Prefix       bgp.Prefix `json:"prefix"`
 	FirstDay     int        `json:"first_day"`
@@ -61,7 +63,8 @@ type ConflictSnap struct {
 	ClassDays    []int      `json:"class_days"`
 }
 
-// SpanSnap is one closed activation span.
+// SpanSnap is one ended activation span: what an image lists once per
+// activation and what the kernel counts per distinct value.
 type SpanSnap struct {
 	Start int `json:"start"`
 	End   int `json:"end"`
@@ -117,6 +120,7 @@ func restoreEvents(evs []Event) ([]Event, error) {
 func (k *Kernel) Snapshot() *Snapshot {
 	s := &Snapshot{Version: SnapshotVersion, Events: k.events}
 	s.Prefixes = slices.Grow(s.Prefixes, k.tab.Len())
+	s.Conflicts = slices.Grow(s.Conflicts, k.conflicts)
 	single := make([]bgp.ASN, 0, k.tab.Len())
 	var origins []bgp.ASN
 	// Room for every history's bytes and its count in front of them.
@@ -126,6 +130,16 @@ func (k *Kernel) Snapshot() *Snapshot {
 		switch r := k.tab.At(id); {
 		case r.flags&recExt != 0:
 			st := k.exts.At(r.val)
+			if c := *k.recs.At(r.val); c != nil {
+				s.Conflicts = append(s.Conflicts, ConflictSnap{
+					Prefix:       c.Prefix,
+					FirstDay:     c.FirstDay,
+					LastDay:      c.LastDay,
+					DaysObserved: c.DaysObserved,
+					OriginsEver:  append([]bgp.ASN(nil), c.OriginsEver...),
+					ClassDays:    append([]int(nil), c.ClassDays[:]...),
+				})
+			}
 			ps.Origins = append(carveASNs(&origins, len(st.origins)), st.origins...)
 			ps.Class, ps.Seq, ps.Since = uint8(st.class), st.seq, st.since
 			ps.History = st.history.image(&histories)
@@ -139,20 +153,18 @@ func (k *Kernel) Snapshot() *Snapshot {
 		return true
 	})
 	slices.SortFunc(s.Prefixes, comparePrefixSnaps)
-	s.Conflicts = slices.Grow(s.Conflicts, k.reg.Len())
-	for _, c := range k.reg.Conflicts() { // sorted by prefix
-		s.Conflicts = append(s.Conflicts, ConflictSnap{
-			Prefix:       c.Prefix,
-			FirstDay:     c.FirstDay,
-			LastDay:      c.LastDay,
-			DaysObserved: c.DaysObserved,
-			OriginsEver:  append([]bgp.ASN(nil), c.OriginsEver...),
-			ClassDays:    append([]int(nil), c.ClassDays[:]...),
-		})
+	slices.SortFunc(s.Conflicts, compareConflictSnaps)
+	// Ended activations are listed one by one in (start, end) order, the
+	// order Merge imposes: sorting the distinct spans gives it.
+	ended := 0
+	for _, n := range k.closed {
+		ended += n
 	}
-	s.ClosedSpans = slices.Grow(s.ClosedSpans, len(k.closedSpans))
-	for _, sp := range k.closedSpans {
-		s.ClosedSpans = append(s.ClosedSpans, SpanSnap{Start: int(sp.start), End: int(sp.end)})
+	s.ClosedSpans = slices.Grow(s.ClosedSpans, ended)
+	for _, sp := range slices.SortedFunc(maps.Keys(k.closed), compareSpanSnaps) {
+		for n := k.closed[sp]; n > 0; n-- {
+			s.ClosedSpans = append(s.ClosedSpans, sp)
+		}
 	}
 	s.Log = append(s.Log, k.log...)
 	return s
@@ -174,7 +186,7 @@ func (k *Kernel) RestorePart(s *Snapshot, part, parts int) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("kernel: snapshot version %d, want %d", s.Version, SnapshotVersion)
 	}
-	if k.tab.Len() != 0 || k.reg.Len() != 0 || k.events != 0 {
+	if k.tab.Len() != 0 || k.events != 0 {
 		return fmt.Errorf("kernel: restore into non-empty kernel")
 	}
 	for i := range s.Prefixes {
@@ -192,32 +204,20 @@ func (k *Kernel) RestorePart(s *Snapshot, part, parts int) error {
 		if ptable.Shard(ptable.Hash(cs.Prefix), parts) != part {
 			continue
 		}
-		if err := validPrefix(cs.Prefix); err != nil {
+		if err := k.restoreConflict(cs); err != nil {
 			return err
 		}
-		c := &core.Conflict{
-			Prefix:       cs.Prefix,
-			FirstDay:     cs.FirstDay,
-			LastDay:      cs.LastDay,
-			DaysObserved: cs.DaysObserved,
-			OriginsEver:  append([]bgp.ASN(nil), cs.OriginsEver...),
-		}
-		if len(cs.ClassDays) > len(c.ClassDays) {
-			return fmt.Errorf("kernel: snapshot conflict %v has %d classes, want <= %d",
-				cs.Prefix, len(cs.ClassDays), len(c.ClassDays))
-		}
-		copy(c.ClassDays[:], cs.ClassDays)
-		k.reg.Insert(c)
 	}
 	if part != 0 {
 		return nil
 	}
-	k.closedSpans = slices.Grow(k.closedSpans, len(s.ClosedSpans))
 	for _, sp := range s.ClosedSpans {
+		// No calendar or UTC day number comes near 32 bits, and a bound on
+		// the days bounds the distinct spans a hostile image can plant.
 		if sp.Start != int(int32(sp.Start)) || sp.End != int(int32(sp.End)) {
 			return fmt.Errorf("kernel: snapshot span [%d, %d] outside 32-bit days", sp.Start, sp.End)
 		}
-		k.closedSpans = append(k.closedSpans, closedSpan{int32(sp.Start), int32(sp.End)})
+		k.closed[sp]++
 	}
 	k.events = s.Events
 	if k.opts.KeepLog {
@@ -246,8 +246,7 @@ func (k *Kernel) restorePrefix(ps *PrefixSnap, h uint32) error {
 		r.val, r.flags = uint32(ps.Origins[0]), recOrigin
 		return nil
 	}
-	r.val, r.flags = k.exts.Alloc(), recExt
-	st := k.exts.At(r.val)
+	st := k.promote(r)
 	*st = ext{
 		origins:  append([]bgp.ASN(nil), ps.Origins...),
 		class:    core.Class(ps.Class),
@@ -263,6 +262,42 @@ func (k *Kernel) restorePrefix(ps *PrefixSnap, h uint32) error {
 		st.activeAt = int32(len(k.active))
 		k.active = append(k.active, id)
 	}
+	return nil
+}
+
+// restoreConflict loads one lifetime record under its prefix's ext index,
+// entering a prefix the image gave no state of its own; a repeated prefix
+// keeps its last record.
+func (k *Kernel) restoreConflict(cs *ConflictSnap) error {
+	if err := validPrefix(cs.Prefix); err != nil {
+		return err
+	}
+	c := &core.Conflict{
+		Prefix:       cs.Prefix,
+		FirstDay:     cs.FirstDay,
+		LastDay:      cs.LastDay,
+		DaysObserved: cs.DaysObserved,
+		OriginsEver:  append([]bgp.ASN(nil), cs.OriginsEver...),
+	}
+	if len(cs.ClassDays) > len(c.ClassDays) {
+		return fmt.Errorf("kernel: snapshot conflict %v has %d classes, want <= %d",
+			cs.Prefix, len(cs.ClassDays), len(c.ClassDays))
+	}
+	copy(c.ClassDays[:], cs.ClassDays)
+	h := uint32(ptable.Hash(cs.Prefix))
+	id, ok := k.tab.Find(cs.Prefix, h)
+	if !ok {
+		id = k.tab.Insert(cs.Prefix, h)
+	}
+	r := k.tab.At(id)
+	if r.flags&recExt == 0 {
+		k.promote(r)
+	}
+	slot := k.recs.At(r.val)
+	if *slot == nil {
+		k.conflicts++
+	}
+	*slot = c
 	return nil
 }
 
@@ -284,15 +319,17 @@ func Merge(parts []*Snapshot) *Snapshot {
 		out.Log = append(out.Log, p.Log...)
 	}
 	out.Prefixes = MergeSorted(prefixes, comparePrefixSnaps)
-	slices.SortFunc(out.Conflicts, func(a, b ConflictSnap) int { return a.Prefix.Compare(b.Prefix) })
-	slices.SortFunc(out.ClosedSpans, func(a, b SpanSnap) int {
-		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
-	})
+	slices.SortFunc(out.Conflicts, compareConflictSnaps)
+	slices.SortFunc(out.ClosedSpans, compareSpanSnaps)
 	SortEvents(out.Log)
 	return out
 }
 
-func comparePrefixSnaps(a, b PrefixSnap) int { return a.Prefix.Compare(b.Prefix) }
+func comparePrefixSnaps(a, b PrefixSnap) int     { return a.Prefix.Compare(b.Prefix) }
+func compareConflictSnaps(a, b ConflictSnap) int { return a.Prefix.Compare(b.Prefix) }
+func compareSpanSnaps(a, b SpanSnap) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
+}
 
 // MergeSorted merges slices that are each sorted by cmp into one sorted
 // slice, consuming parts (a single part is returned as it is). Picking

@@ -3,6 +3,7 @@ package kernel
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"moas/internal/bgp"
@@ -26,9 +27,9 @@ func TestCompactStatePointerFree(t *testing.T) {
 
 // TestLifecycleStatePointerFree guards the layout the storm-shaped heap
 // numbers rest on: what the kernel keeps per lifecycle event and per
-// ended activation is bytes the collector never scans — the history
-// buffer and the closed-span list hold no pointers — and the record that
-// owns a history stays within 80 bytes.
+// distinct ended activation is bytes the collector never scans — the
+// history buffer and the closed-span counts hold no pointers — and the
+// record that owns a history stays within 80 bytes.
 func TestLifecycleStatePointerFree(t *testing.T) {
 	h := reflect.TypeOf(history{})
 	for i := 0; i < h.NumField(); i++ {
@@ -40,8 +41,8 @@ func TestLifecycleStatePointerFree(t *testing.T) {
 			t.Errorf("history.%s stores %s, which contains pointers", f.Name, f.Type)
 		}
 	}
-	if typ := reflect.TypeOf(closedSpan{}); !ptabletest.PointerFree(typ) || typ.Size() > 8 {
-		t.Errorf("%s: %d bytes, pointer-free %v; want <= 8 and true", typ, typ.Size(), ptabletest.PointerFree(typ))
+	if typ := reflect.TypeOf(SpanSnap{}); !ptabletest.PointerFree(typ) {
+		t.Errorf("%s, the key ended activations are counted under, contains pointers", typ)
 	}
 	if n := reflect.TypeOf(ext{}).Size(); n > 80 {
 		t.Errorf("ext is %d bytes, want <= 80", n)
@@ -184,5 +185,122 @@ func TestApplyAgainstMapReference(t *testing.T) {
 	}
 	if k.ArenaStates() > len(prefixes) {
 		t.Fatalf("arena carved %d entries for %d prefixes", k.ArenaStates(), len(prefixes))
+	}
+}
+
+// TestRegistryAgainstPlainRegistry drives random Apply/CloseDay scripts —
+// days closed in order, repeated and out of order, conflicts that start
+// and end between two closes (a lifecycle with no lifetime record), and
+// a mid-script Snapshot restored across 1 and 3 partitions — and requires
+// the records the kernels keep under their prefix tables to render the
+// registry a plain core.Registry builds from the same day closes.
+func TestRegistryAgainstPlainRegistry(t *testing.T) {
+	prefixes := make([]bgp.Prefix, 120)
+	for i := range prefixes {
+		if i%4 == 0 {
+			var a [16]byte
+			a[0], a[1], a[7] = 0x20, 0x01, byte(i)
+			prefixes[i] = bgp.PrefixFrom16(a, 48)
+		} else {
+			prefixes[i] = bgp.PrefixFromUint32(uint32(i)<<12, 20)
+		}
+	}
+	// brief only ever conflicts between two day closes.
+	brief := bgp.MustParsePrefix("198.51.100.0/24")
+	for _, parts := range []int{1, 3} {
+		rng := rand.New(rand.NewSource(int64(parts)))
+		ks := []*Kernel{New(Options{HistoryCap: 4})}
+		owner := func(p bgp.Prefix) *Kernel { return ks[ptable.Shard(ptable.Hash(p), len(ks))] }
+		ref := core.NewRegistry()
+		now := make(map[bgp.Prefix]Obs) // the reference's view of who is in conflict
+		day := 0
+		const steps = 20000
+		for step := 0; step < steps; step++ {
+			if step == steps/2 {
+				snap := Merge([]*Snapshot{ks[0].Snapshot()})
+				ks = make([]*Kernel, parts)
+				for i := range ks {
+					ks[i] = New(Options{HistoryCap: 4})
+					if err := ks[i].RestorePart(snap, i, parts); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if rng.Intn(40) == 0 {
+				owner(brief).Apply(Obs{Day: day, Prefix: brief, Origins: []bgp.ASN{7, 8}, Class: core.ClassSplitView})
+				owner(brief).Apply(Obs{Day: day, Prefix: brief, Origins: []bgp.ASN{7}})
+			}
+			if rng.Intn(25) == 0 {
+				closing := day
+				switch rng.Intn(6) {
+				case 0: // the same day again
+				case 1: // a day already behind
+					closing = rng.Intn(day + 1)
+				default:
+					day++
+					closing = day
+				}
+				for _, k := range ks {
+					k.CloseDay(closing)
+				}
+				for p, o := range now {
+					ref.Record(closing, p, o.Origins, o.Class)
+				}
+				continue
+			}
+			o := Obs{Day: day, Prefix: prefixes[rng.Intn(len(prefixes))], Class: core.Class(1 + rng.Intn(core.NumClasses-1))}
+			for a := bgp.ASN(100); a < 104; a++ { // ascending by construction
+				if rng.Intn(3) == 0 {
+					o.Origins = append(o.Origins, a)
+				}
+			}
+			owner(o.Prefix).Apply(o)
+			if len(o.Origins) >= 2 {
+				now[o.Prefix] = o
+			} else {
+				delete(now, o.Prefix)
+			}
+		}
+		var got []*core.Conflict
+		for _, k := range ks {
+			got = append(got, k.Registry().Conflicts()...)
+		}
+		slices.SortFunc(got, func(a, b *core.Conflict) int { return a.Prefix.Compare(b.Prefix) })
+		want := ref.Conflicts()
+		if len(want) < len(prefixes)/2 {
+			t.Fatalf("parts=%d: only %d conflicts recorded: the script proves nothing", parts, len(want))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parts=%d: the kernels render %d records, the plain registry holds %d; or they differ", parts, len(got), len(want))
+		}
+		if v, ok := owner(brief).State(brief); !ok || v.Seq == 0 || v.Conflict != nil {
+			t.Fatalf("parts=%d: %s, never in conflict at a day close: state %+v, %v; want a lifecycle and no record", parts, brief, v, ok)
+		}
+	}
+}
+
+// TestClosedSpansBoundedByDays: what ended activations leave behind is a
+// count per distinct (start, end) pair — 64 prefixes flapping in step
+// for 2000 days leave one entry per day, not one per prefix and day —
+// while AppendSpans still lists every activation.
+func TestClosedSpansBoundedByDays(t *testing.T) {
+	const prefixes, days = 64, 2000
+	k := New(Options{HistoryCap: 4})
+	for day := 0; day < days; day++ {
+		for i := 0; i < prefixes; i++ {
+			p := bgp.PrefixFromUint32(uint32(i)<<8, 24)
+			k.Apply(Obs{Day: day, Prefix: p, Origins: []bgp.ASN{1, 2}, Class: core.ClassDistinctPaths})
+			k.Apply(Obs{Day: day + i%2, Prefix: p, Origins: []bgp.ASN{1}})
+		}
+		k.CloseDay(day)
+	}
+	if len(k.closed) > 2*days {
+		t.Fatalf("%d closed-span entries for %d distinct spans", len(k.closed), 2*days)
+	}
+	if n := len(k.AppendSpans(nil)); n != prefixes*days {
+		t.Fatalf("AppendSpans lists %d activations, want %d", n, prefixes*days)
+	}
+	if n := len(k.Snapshot().ClosedSpans); n != prefixes*days {
+		t.Fatalf("the image lists %d ended activations, want %d", n, prefixes*days)
 	}
 }

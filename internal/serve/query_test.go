@@ -6,9 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"moas/internal/bgp"
 	"moas/internal/core"
+	"moas/internal/stream"
 )
 
 // TestAPIDuringReplay parks a replay halfway through the archive and
@@ -181,5 +184,52 @@ func TestConflictsLimitValidation(t *testing.T) {
 		if resp := getJSON(t, srv.Client(), srv.URL+"/scenarios/idle/conflicts"+ok, nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("/conflicts%s: status %d", ok, resp.StatusCode)
 		}
+	}
+}
+
+// TestHealthzCostIndependentOfState: a liveness probe reads the engine's
+// own counters — it takes no shard lock and builds no Stats — so what it
+// allocates does not depend on how many activations have ended. The
+// engine is storm-shaped: a block of prefixes that a second origin joins
+// and leaves, every activation a span of its own.
+func TestHealthzCostIndependentOfState(t *testing.T) {
+	probe := func(days int) (allocs float64, bytes uint64) {
+		e := stream.New(stream.Config{Shards: 2, DisableEventLog: true, HistoryLimit: 4})
+		defer e.Close()
+		prefixes := make([]bgp.Prefix, 64)
+		for i := range prefixes {
+			prefixes[i] = bgp.PrefixFromUint32(10<<24|uint32(i)<<8, 24)
+		}
+		home, storm := stream.PeerKey{IP: [16]byte{15: 1}, AS: 701}, stream.PeerKey{IP: [16]byte{15: 2}, AS: 3356}
+		e.ApplyUpdate(0, home, &bgp.Update{NLRI: prefixes, Attrs: &bgp.Attrs{ASPath: bgp.Seq(701, 9)}})
+		for day := 0; day < days; day++ {
+			// A start every day, the end a varying number of days later.
+			if day%3 != 2 {
+				e.ApplyUpdate(day, storm, &bgp.Update{NLRI: prefixes[:1+day%64], Attrs: &bgp.Attrs{ASPath: bgp.Seq(3356, 8584)}})
+			} else {
+				e.ApplyUpdate(day, storm, &bgp.Update{Withdrawn: prefixes})
+			}
+			e.CloseDay(day)
+		}
+		e.Sync()
+		if st := e.Stats(); st.Lifecycle.Spans < days/3 {
+			t.Fatalf("%d days left %d activation spans: not a storm", days, st.Lifecycle.Spans)
+		}
+		s := &Scenario{eng: e}
+		serve := func() { serveScenarioHealth(httptest.NewRecorder(), nil, s) }
+		allocs = testing.AllocsPerRun(20, serve)
+		// A span list copied per probe would be one allocation at any
+		// size: the bytes tell.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		serve()
+		runtime.ReadMemStats(&after)
+		return allocs, after.TotalAlloc - before.TotalAlloc
+	}
+	fewAllocs, fewBytes := probe(6)
+	manyAllocs, manyBytes := probe(600)
+	if manyAllocs > fewAllocs || manyBytes > fewBytes+64 {
+		t.Fatalf("healthz costs %v allocations, %d bytes over 6 days of storm; %v, %d over 600",
+			fewAllocs, fewBytes, manyAllocs, manyBytes)
 	}
 }

@@ -127,11 +127,6 @@ func AdvertiseSingle(owner bgp.ASN) []Advertisement {
 	return []Advertisement{{Origin: owner}}
 }
 
-// AdvertiseSingleVia announces through a single provider only.
-func AdvertiseSingleVia(owner, provider bgp.ASN) []Advertisement {
-	return []Advertisement{{Origin: owner, FirstHops: []bgp.ASN{provider}}}
-}
-
 // AdvertiseOrigTranAS models a provider that originates a customer prefix
 // itself (a static-route arrangement, §VI-B) on part of its border while
 // still passing the customer's BGP announcement elsewhere: half the

@@ -63,15 +63,6 @@ func DialScripted(addr string, as bgp.ASN, holdTime uint16) (*ScriptedPeer, erro
 // SendUpdate sends one UPDATE message.
 func (p *ScriptedPeer) SendUpdate(u *bgp.Update) error { return p.SendRaw(u.AppendWire(nil)) }
 
-// SendKeepalive sends a KEEPALIVE (hold-timer refresh).
-func (p *ScriptedPeer) SendKeepalive() error { return p.SendRaw(bgp.AppendKeepalive(nil)) }
-
-// SendNotification sends a NOTIFICATION; real peers follow it with a
-// close, which the caller does via Close.
-func (p *ScriptedPeer) SendNotification(code, sub uint8) error {
-	return p.SendRaw((&bgp.Notification{Code: code, Subcode: sub}).AppendWire(nil))
-}
-
 // SendRaw writes bytes verbatim — the hook for malformed-input scripts.
 func (p *ScriptedPeer) SendRaw(b []byte) error {
 	p.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))

@@ -117,10 +117,6 @@ func (f *Fake) dropped(ws *wsConn) {
 	f.mu.Unlock()
 }
 
-// Subscribes returns how many ris_subscribe messages arrived — one per
-// successful client (re)connect.
-func (f *Fake) Subscribes() int { return int(f.subs.Load()) }
-
 // Connects returns how many websocket upgrades completed — including
 // connections KillOnConnect severed before their subscribe was read.
 func (f *Fake) Connects() int { return int(f.connects.Load()) }

@@ -17,18 +17,8 @@ func benchSamples(n int) []int {
 	return xs
 }
 
-// BenchmarkMedianInts is the per-call copy+sort cost the analysis loops
-// used to pay on every query.
-func BenchmarkMedianInts(b *testing.B) {
-	xs := benchSamples(1279)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = MedianInts(xs)
-	}
-}
-
 // BenchmarkMedianIntsSorted is the sort-once-query-many path the analysis
-// loops use now: the sort is hoisted out of the hot loop.
+// loops use: the sort is hoisted out of the hot loop.
 func BenchmarkMedianIntsSorted(b *testing.B) {
 	xs := benchSamples(1279)
 	sorted := append([]int(nil), xs...)

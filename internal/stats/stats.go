@@ -31,13 +31,6 @@ func MedianSorted(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// MedianInts is Median over ints.
-func MedianInts(xs []int) float64 {
-	s := append([]int(nil), xs...)
-	sort.Ints(s)
-	return MedianIntsSorted(s)
-}
-
 // MedianIntsSorted is MedianSorted over ascending ints, avoiding both the
 // copy and the int→float64 conversion of the whole sample.
 func MedianIntsSorted(xs []int) float64 {
@@ -49,18 +42,6 @@ func MedianIntsSorted(xs []int) float64 {
 		return float64(xs[n/2])
 	}
 	return (float64(xs[n/2-1]) + float64(xs[n/2])) / 2
-}
-
-// Mean returns the arithmetic mean (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // CondExp returns the expectation of the samples strictly greater than

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"moas/internal/bgp"
+	"moas/internal/core"
 	"moas/internal/kernel"
 )
 
@@ -206,6 +207,9 @@ func TestCheckpointHostileInput(t *testing.T) {
 		}
 	}
 
+	orphan := kernel.ConflictSnap{Prefix: bgp.MustParsePrefix("203.0.113.0/24"), FirstDay: 3, LastDay: 9,
+		DaysObserved: 4, OriginsEver: []bgp.ASN{5, 6}, ClassDays: []int{0, 0, 4, 0, 0}}
+
 	const (
 		failsDecode = iota
 		failsRestore
@@ -256,6 +260,36 @@ func TestCheckpointHostileInput(t *testing.T) {
 			mutate: func(ck *Checkpoint) { ck.Kernel.Log[0].PrevClass = 200 }},
 		{name: "closed span day beyond 32 bits", want: failsRestore,
 			mutate: func(ck *Checkpoint) { ck.Kernel.ClosedSpans[0].End = 1 << 40 }},
+		{name: "conflict record for a prefix without a state", want: restores,
+			mutate: func(ck *Checkpoint) { ck.Kernel.Conflicts = append(ck.Kernel.Conflicts, orphan) },
+			check: func(t *testing.T, e *Engine) {
+				want := &core.Conflict{Prefix: orphan.Prefix, FirstDay: 3, LastDay: 9, DaysObserved: 4,
+					OriginsEver: []bgp.ASN{5, 6}, ClassDays: [core.NumClasses]int{2: 4}}
+				if got, _ := e.Registry().Get(orphan.Prefix); !reflect.DeepEqual(got, want) {
+					t.Fatalf("restored as %+v, want %+v", got, want)
+				}
+				if got := e.Prefix(orphan.Prefix); got.Active || !reflect.DeepEqual(got.Conflict, want) {
+					t.Fatalf("prefix query: %+v, want inactive with record %+v", got, want)
+				}
+				saved := e.Checkpoint().Kernel.Conflicts
+				if last := saved[len(saved)-1]; !reflect.DeepEqual(last, orphan) { // 203/8 sorts last
+					t.Fatalf("saved again as %+v, want %+v", last, orphan)
+				}
+			}},
+		{name: "conflict record repeated", want: restores,
+			mutate: func(ck *Checkpoint) {
+				again := ck.Kernel.Conflicts[0]
+				again.DaysObserved = 99
+				ck.Kernel.Conflicts = append(ck.Kernel.Conflicts, again)
+			},
+			check: func(t *testing.T, e *Engine) {
+				if got, _ := e.Registry().Get(base.Kernel.Conflicts[0].Prefix); got == nil || got.DaysObserved != 99 {
+					t.Fatalf("repeated record restored as %+v, want the last entry's 99 days", got)
+				}
+				if n := e.Stats().TotalConflicts; n != len(base.Kernel.Conflicts) {
+					t.Fatalf("%d conflicts, want %d: a repeated record is one", n, len(base.Kernel.Conflicts))
+				}
+			}},
 		{name: "peer repeated under one prefix", want: restores,
 			mutate: func(ck *Checkpoint) {
 				pr := routesOf(ck, pc)
@@ -302,6 +336,13 @@ func TestCheckpointHostileInput(t *testing.T) {
 			t.Run(row.name+"/"+format, func(t *testing.T) {
 				before := runtime.NumGoroutine()
 				defer func() {
+					// Close returns once every shard worker has called
+					// wg.Done, which is a moment before the scheduler
+					// retires its goroutine: give that a deadline.
+					deadline := time.Now().Add(2 * time.Second)
+					for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
+					}
 					if after := runtime.NumGoroutine(); after > before {
 						t.Errorf("%d goroutines before, %d after", before, after)
 					}

@@ -378,16 +378,23 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// Registry merges every shard kernel's conflict records into one
-// registry — after a full archive replay it is identical to what the
-// batch full-table scan (driver.RunFullScan) builds.
+// Closed reports whether Close has been called: the engine is queryable
+// but accepts no more updates (Stats reports it as !Replaying).
+func (e *Engine) Closed() bool { return e.closed.Load() }
+
+// Registry renders every shard kernel's conflict records (copies of
+// them) as one registry — after a full archive replay it is identical to
+// what the batch full-table scan (driver.RunFullScan) builds.
 // Safe to call concurrently with replay, but a mid-day call sees only
 // days closed so far.
 func (e *Engine) Registry() *core.Registry {
 	out := core.NewRegistry()
 	for _, s := range e.shards {
 		s.mu.RLock()
-		out.Absorb(s.k.Registry())
+		s.k.WalkConflicts(func(c *core.Conflict) bool {
+			out.Insert(c.Clone())
+			return true
+		})
 		s.mu.RUnlock()
 	}
 	return out
@@ -418,7 +425,7 @@ func (e *Engine) ActiveConflicts() []ConflictInfo {
 				Class:    v.Class,
 				SinceDay: v.Since,
 			}
-			if c, ok := s.k.Registry().Get(p); ok {
+			if c := v.Conflict; c != nil {
 				ci.FirstDay, ci.LastDay, ci.DaysObserved = c.FirstDay, c.LastDay, c.DaysObserved
 			}
 			out = append(out, ci)
@@ -453,12 +460,12 @@ func (e *Engine) Prefix(p bgp.Prefix) PrefixInfo {
 		info.Origins = append([]bgp.ASN(nil), v.Origins...)
 		info.Class = v.Class
 		info.History = v.History // decoded for this call: ours
+		if v.Conflict != nil {
+			info.Conflict = v.Conflict.Clone()
+		}
 	}
 	if id, ok := s.k.Lookup(p, uint32(h)); ok && int(id) < s.heads.Len() {
 		info.Routes = s.routeCount(*s.heads.At(id))
-	}
-	if c, ok := s.k.Registry().Get(p); ok {
-		info.Conflict = c.Clone()
 	}
 	return info
 }
@@ -487,11 +494,12 @@ func (e *Engine) Involvement(a bgp.ASN) ASInvolvement {
 			}
 			return true
 		})
-		for _, c := range s.k.Registry().Conflicts() {
+		s.k.WalkConflicts(func(c *core.Conflict) bool {
 			if slices.Contains(c.OriginsEver, a) {
 				inv.Ever++
 			}
-		}
+			return true
+		})
 		s.mu.RUnlock()
 	}
 	sort.Slice(inv.ActivePrefixes, func(i, j int) bool {
@@ -552,6 +560,7 @@ func (e *Engine) LastClosedDay() int { return int(e.lastClosed.Load()) }
 
 // Stats snapshots the engine.
 func (e *Engine) Stats() Stats {
+	var spans kernel.Durations
 	st := Stats{
 		Shards:         len(e.shards),
 		Messages:       e.msgs.Load(),
@@ -560,14 +569,14 @@ func (e *Engine) Stats() Stats {
 		DistinctAttrs:  e.DistinctAttrs(),
 		InternerEpochs: e.interner.Epochs(),
 		InternerBytes:  e.interner.Bytes(),
-		Replaying:      !e.closed.Load(),
+		Replaying:      !e.Closed(),
 		Source:         e.SourceStatus(),
 		Peers:          len(e.peers.snapshot()),
 	}
 	for _, s := range e.shards {
 		s.mu.RLock()
 		st.ActiveConflicts += s.k.ActiveCount()
-		st.TotalConflicts += s.k.Registry().Len()
+		st.TotalConflicts += s.k.ConflictCount()
 		st.Events += s.k.EventCount()
 		st.HistoryBytes += s.k.HistoryBytes()
 		st.RouteNodes += max(s.nodes.Len()-1, 0) // node 0 is the reserved "none"
@@ -577,9 +586,10 @@ func (e *Engine) Stats() Stats {
 			st.ByClass[v.Class]++
 			return true
 		})
+		s.k.AddDurations(&spans, st.LastClosedDay)
 		s.mu.RUnlock()
 	}
-	st.Lifecycle = kernel.Lifecycle(e.Spans(), st.LastClosedDay)
+	st.Lifecycle = spans.Stats()
 	st.Decode = e.decodeStats()
 	return st
 }
@@ -609,9 +619,9 @@ func (e *Engine) decodeStats() DecodeStats {
 
 // Spans returns the conflict activation spans — one per contiguous
 // activation (conflict-start through conflict-end, open when no end has
-// been seen). Ended spans are accumulated incrementally at event time, so
-// the cost is O(spans), not O(event log); this is the event-derived
-// duration dataset the /stats endpoint summarizes.
+// been seen), in no particular order. This is the event-derived duration
+// dataset the /stats endpoint summarizes; Stats folds it from the
+// kernels' counts without listing it.
 func (e *Engine) Spans() []kernel.Span {
 	var out []kernel.Span
 	for _, s := range e.shards {

@@ -92,7 +92,7 @@ type shard struct {
 	// origin sets are copied into, so a batch with no lifecycle events —
 	// the warm path — costs the episode log nothing.
 	epLog *epilog.Log
-	epBuf []epilog.Episode
+	epBuf []core.Episode
 	epASN []bgp.ASN
 
 	// Panic containment: onFail reports the first contained panic to
@@ -126,18 +126,11 @@ func newShard(historyCap int, keepLog bool, notify func(Event), recycle func([]o
 // kernel's Origins are only valid during this callback, so they are
 // copied into the shard's reused backing; the three-index slice keeps a
 // later epASN append from writing through an already-staged record.
-func (s *shard) bufferEpisode(ep kernel.Episode) {
+func (s *shard) bufferEpisode(ep core.Episode) {
 	off := len(s.epASN)
 	s.epASN = append(s.epASN, ep.Origins...)
-	s.epBuf = append(s.epBuf, epilog.Episode{
-		Prefix:  ep.Prefix,
-		Origins: s.epASN[off:len(s.epASN):len(s.epASN)],
-		Class:   ep.Class,
-		Seq:     ep.Seq,
-		Start:   ep.Start,
-		End:     ep.End,
-		Open:    ep.Open,
-	})
+	ep.Origins = s.epASN[off:len(s.epASN):len(s.epASN)]
+	s.epBuf = append(s.epBuf, ep)
 }
 
 // run is the shard worker loop; it exits when the channel closes.

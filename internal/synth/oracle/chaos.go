@@ -130,7 +130,7 @@ func RunChaos(cfg synth.Config, opts ChaosOptions) (*ChaosReport, error) {
 		if err != nil {
 			return fmt.Errorf("oracle: %s: episode query: %w", leg, err)
 		}
-		if err := diffTruth(epilogEpisodes(eps), truth); err != nil {
+		if err := diffTruth(eps, truth); err != nil {
 			return fmt.Errorf("%s: %w", leg, err)
 		}
 		if err := diffRegistry(leg, s.Engine().Registry().Conflicts(), expected); err != nil {

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"time"
 
@@ -237,7 +238,7 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("oracle: epilog-replay query: %w", err)
 		}
-		if err := diffTruth(epilogEpisodes(eps), truth); err != nil {
+		if err := diffTruth(eps, truth); err != nil {
 			return nil, fmt.Errorf("epilog-replay: %w", err)
 		}
 		rep.Legs = append(rep.Legs, leg.name)
@@ -282,7 +283,7 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("oracle: epilog-kill query: %w", err)
 		}
-		if err := diffTruth(epilogEpisodes(eps), truth); err != nil {
+		if err := diffTruth(eps, truth); err != nil {
 			return nil, fmt.Errorf("epilog-kill-recover@day%d: %w", killDay, err)
 		}
 		rep.Legs = append(rep.Legs, fmt.Sprintf("epilog-kill-recover@day%d", killDay))
@@ -512,103 +513,69 @@ func checkpointAt(archive []byte, cal stream.Calendar, cfg stream.Config, stopAf
 	return ck, nil
 }
 
-// episode mirrors synth.Episode's observable fields, rebuilt from an
-// engine's event log.
-type episode struct {
-	prefix     bgp.Prefix
-	origins    []bgp.ASN
-	class      core.Class
-	start, end int
-	open       bool
-}
-
-// epilogEpisodes converts a log query readback to the oracle's episode
-// form; the log already sorts (prefix, start), the truth log's order.
-func epilogEpisodes(eps []epilog.Episode) []episode {
-	out := make([]episode, len(eps))
-	for i := range eps {
-		out[i] = episode{
-			prefix:  eps[i].Prefix,
-			origins: eps[i].Origins,
-			class:   eps[i].Class,
-			start:   eps[i].Start,
-			end:     eps[i].End,
-			open:    eps[i].Open,
-		}
-	}
-	return out
-}
-
 // episodesFromEvents folds a sorted event log into conflict episodes:
 // ConflictStart opens one, OriginChange/ClassChange update it (the
 // episode reports its final origin set and class, as the truth log
 // does), ConflictEnd on day d closes it with last active day d-1, and
-// anything still open at the final day stays open through it.
-func episodesFromEvents(evs []stream.Event, lastDay int) []episode {
-	open := make(map[bgp.Prefix]*episode)
-	var out []episode
+// anything still open at the final day stays open through it. The result
+// is in (prefix, start) order — the truth log's, and the episode log's
+// query order.
+func episodesFromEvents(evs []stream.Event, lastDay int) []core.Episode {
+	open := make(map[bgp.Prefix]*core.Episode)
+	var out []core.Episode
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Type {
 		case kernel.EventConflictStart:
-			open[ev.Prefix] = &episode{
-				prefix:  ev.Prefix,
-				origins: append([]bgp.ASN(nil), ev.Origins...),
-				class:   ev.Class,
-				start:   ev.Day,
+			open[ev.Prefix] = &core.Episode{
+				Prefix:  ev.Prefix,
+				Origins: append([]bgp.ASN(nil), ev.Origins...),
+				Class:   ev.Class,
+				Start:   ev.Day,
 			}
 		case kernel.EventOriginChange:
 			if ep := open[ev.Prefix]; ep != nil {
-				ep.origins = append(ep.origins[:0], ev.Origins...)
-				ep.class = ev.Class
+				ep.Origins = append(ep.Origins[:0], ev.Origins...)
+				ep.Class = ev.Class
 			}
 		case kernel.EventClassChange:
 			if ep := open[ev.Prefix]; ep != nil {
-				ep.class = ev.Class
+				ep.Class = ev.Class
 			}
 		case kernel.EventConflictEnd:
 			if ep := open[ev.Prefix]; ep != nil {
-				ep.end = ev.Day - 1
-				if ep.end < ep.start {
-					ep.end = ep.start
-				}
+				ep.End = max(ev.Day-1, ep.Start)
 				out = append(out, *ep)
 				delete(open, ev.Prefix)
 			}
 		}
 	}
 	for _, ep := range open {
-		ep.end, ep.open = lastDay, true
+		ep.End, ep.Open = lastDay, true
 		out = append(out, *ep)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].prefix.Compare(out[j].prefix); c != 0 {
+		if c := out[i].Prefix.Compare(out[j].Prefix); c != 0 {
 			return c < 0
 		}
-		return out[i].start < out[j].start
+		return out[i].Start < out[j].Start
 	})
 	return out
 }
 
-func diffTruth(got []episode, truth []synth.Episode) error {
+// diffTruth compares episodes as a path observed them — folded from an
+// engine's events, or read back from its episode log — with the truth
+// log, one for one.
+func diffTruth(got []core.Episode, truth []synth.Episode) error {
 	if len(got) != len(truth) {
 		return fmt.Errorf("oracle: engine observed %d episodes, truth has %d", len(got), len(truth))
 	}
 	for i := range got {
 		g, w := &got[i], &truth[i]
-		ok := g.prefix == w.Prefix && g.class == w.Class && g.start == w.Start &&
-			g.end == w.End && g.open == w.Open && len(g.origins) == len(w.Origins)
-		if ok {
-			for j := range g.origins {
-				if g.origins[j] != w.Origins[j] {
-					ok = false
-					break
-				}
-			}
-		}
-		if !ok {
+		if g.Prefix != w.Prefix || g.Class != w.Class || g.Start != w.Start ||
+			g.End != w.End || g.Open != w.Open || !slices.Equal(g.Origins, w.Origins) {
 			return fmt.Errorf("oracle: episode %d: engine saw %s o%v class %v [%d,%d] open=%v; truth %s o%v class %v [%d,%d] open=%v (%s)",
-				i, g.prefix, g.origins, g.class, g.start, g.end, g.open,
+				i, g.Prefix, g.Origins, g.Class, g.Start, g.End, g.Open,
 				w.Prefix, w.Origins, w.Class, w.Start, w.End, w.Open, w.Pattern)
 		}
 	}

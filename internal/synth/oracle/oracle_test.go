@@ -3,6 +3,7 @@ package oracle
 import (
 	"testing"
 
+	"moas/internal/core"
 	"moas/internal/scenario"
 	"moas/internal/synth"
 )
@@ -90,10 +91,10 @@ func TestOracleCatchesLies(t *testing.T) {
 	if len(truth) == 0 {
 		t.Fatal("no truth episodes")
 	}
-	view := make([]episode, len(truth))
+	view := make([]core.Episode, len(truth))
 	for i, ep := range truth {
-		view[i] = episode{prefix: ep.Prefix, origins: ep.Origins, class: ep.Class,
-			start: ep.Start, end: ep.End, open: ep.Open}
+		view[i] = core.Episode{Prefix: ep.Prefix, Origins: ep.Origins, Class: ep.Class,
+			Start: ep.Start, End: ep.End, Open: ep.Open}
 	}
 	if err := diffTruth(view, truth); err != nil {
 		t.Fatalf("faithful view rejected: %v", err)
