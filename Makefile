@@ -20,7 +20,9 @@ race:
 # bench prints the stream layer's go-test benchmarks — the ones that
 # carry what moasbench cannot see from outside: allocs/update and
 # distinct-attrs on the replay (with the episode-log-enabled variant),
-# the shard-reassess hot path, and the checkpoint path (phase=snapshot
+# the shards × decode-workers grid on the 1M-prefix table and on the
+# storm corpus (BenchmarkSynthReplay, BenchmarkStormReplay), the
+# shard-reassess hot path, and the checkpoint path (phase=snapshot
 # imaging the engine, codec=json and codec=binary rendering the image
 # with its size as the bytes metric, phase=restore) — and the kernel's
 # per-event ones: a prefix flapping with its history at the cap against
@@ -30,7 +32,7 @@ race:
 # recorded: end-to-end and per-layer numbers, and comparing two commits,
 # are moasbench's job (bench-e2e below, and `moasbench -compare old new`).
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkStreamReplay|BenchmarkSynthReplay|BenchmarkDecodeUpdate|BenchmarkShardReassess|BenchmarkCheckpointEncode' \
+	$(GO) test -run XXX -bench 'BenchmarkStreamReplay|BenchmarkSynthReplay|BenchmarkStormReplay|BenchmarkDecodeUpdate|BenchmarkShardReassess|BenchmarkCheckpointEncode' \
 		-benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) -cpu $(BENCH_CPU) ./internal/stream
 	$(GO) test -run XXX -bench 'BenchmarkFlapAtCap256|BenchmarkFlapBelowCap|BenchmarkStormSnapshot' \
 		-benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) -cpu $(BENCH_CPU) ./internal/kernel

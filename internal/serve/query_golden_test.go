@@ -54,7 +54,7 @@ func parkAt(t *testing.T, s *Scenario, closed int) {
 // clock; the golden pins their presence, not their values.
 var statsVolatile = map[string]bool{
 	"distinct_attrs": true, "interner_bytes": true,
-	"frames": true, "frames_per_sec": true, "ring_occupancy": true, "reorder_buffer": true,
+	"frames": true, "frames_per_sec": true, "ring_occupancy": true,
 }
 
 func scrubVolatile(v any) {

@@ -116,7 +116,7 @@ func TestSteadyStateDecodeDispatchZeroAlloc(t *testing.T) {
 			br.Reset(archive)
 			f.fr.Reset(br)
 			for terminal := false; !terminal; {
-				b.reset(0)
+				b.reset()
 				terminal = f.fill(b)
 				decodeBatch(dec, b)
 				for i := range b.recs {

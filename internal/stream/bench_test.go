@@ -36,9 +36,9 @@ func benchCounts(vals ...int) []int {
 }
 
 // BenchmarkStreamReplay measures full-archive replay throughput across
-// shard counts and decode-worker counts (the same framer → workers →
-// reorder pipeline at one worker and at GOMAXPROCS; on a single-core box
-// only workers=1 runs). The custom updates/s metric is the trajectory
+// shard counts and decode-worker counts (the same framer → workers
+// pipeline at one worker and at GOMAXPROCS; on a single-core box only
+// workers=1 runs). The custom updates/s metric is the trajectory
 // number future PRs track (b.SetBytes additionally reports archive MB/s);
 // allocs/update is the zero-alloc-ingest claim at replay granularity
 // (whole-replay allocations — engine construction, interner misses,

@@ -15,25 +15,27 @@ import (
 )
 
 // The archive producer: Replay's side of the ingest loop (ingest.go). An
-// archive is read, decoded and handed to the loop by a three-stage
-// pipeline, so replay throughput is not capped at one core's decode rate:
+// archive is framed by one goroutine and decoded by N, so replay
+// throughput is not capped at one core's decode rate:
 //
-//	framing ──► decode workers ──► reorder ──► ingest loop
-//	 (1 goroutine)   (N goroutines)   (1 goroutine)
+//	framing ─┬─► decode workers ─► batch.ready ─┐
+//	         │    (N goroutines)                ▼ (waits on it)
+//	         └──────── in framing order ──► ingest loop
 //
-// Stage 1 walks the archive's MRT framing only — length-prefixed header
-// reads, no body decode — accumulating raw frames into sequence-stamped,
-// arena-backed batches. Stage 2 is N workers (Config.DecodeWorkers, 0 =
-// GOMAXPROCS) decoding those frames into the batches' record slots in
-// parallel, interning attribute blocks through the engine's concurrent
-// AttrsInterner. Stage 3 buffers finished batches until their sequence
-// number is next, restoring exact archive order, so the loop sees the
-// same records in the same order at any worker count — error ordering,
-// resume-skip, the record cursor and day-close semantics are byte-for-byte
-// identical. One worker is simply N = 1: the same three stages.
+// The framer walks the archive's MRT framing only — length-prefixed
+// header reads, no body decode — accumulating raw frames into
+// arena-backed batches. It hands each batch to the workers
+// (Config.DecodeWorkers, 0 = GOMAXPROCS), which decode its frames into
+// the batch's record slots in parallel, interning attribute blocks
+// through the engine's concurrent AttrsInterner, and then, in framing
+// order, to the ingest loop, which waits on the batch's ready signal
+// before applying it. The loop therefore sees the same records in the
+// same order at any worker count — error ordering, resume-skip, the
+// record cursor and day-close semantics are byte-for-byte identical. One
+// worker is simply N = 1.
 //
-// Batches travel a channel ring (free -> fill -> decode -> reorder ->
-// out -> drain -> free), so the steady state recycles the same few
+// Batches travel a channel ring (free -> fill -> work and out -> decode
+// -> ready -> drain -> free), so the steady state recycles the same few
 // batches — their frame arenas and their record slots' Withdrawn/NLRI
 // backing arrays — forever: zero allocations per record, per worker.
 // Everything the engine retains from a batch is copied out by value
@@ -69,19 +71,22 @@ type decRec struct {
 }
 
 // decBatch is the unit producers hand the ingest loop, and the archive
-// pipeline's ring element: the framing goroutine fills seq/first/hdrs/
-// offs/buf (raw frames in one arena), a decode worker turns those frames
-// into recs, and the reorder stage releases batches in seq order. A live
-// producer uses only recs, err and flush. The final batch of a feed
-// carries the terminal error (io.EOF for a clean end).
+// pipeline's ring element: the framing goroutine fills first/hdrs/offs/
+// buf (raw frames in one arena), a decode worker turns those frames into
+// recs and signals ready. A live producer uses only recs, err and flush.
+// The final batch of a feed carries the terminal error (io.EOF for a
+// clean end).
 type decBatch struct {
-	seq   uint64       // archive-order batch sequence, stamped by the framer
 	first uint64       // raw archive index of hdrs[0]
 	hdrs  []mrt.Header // frame headers, in order
 	offs  []int        // frame i's body is buf[offs[i-1]:offs[i]] (offs[-1] = 0)
 	buf   []byte       // frame body arena, recycled with the batch
 	recs  []decRec
 	err   error
+	// ready receives once a decode worker has filled recs (capacity 1, so
+	// the worker never waits on the loop); nil for a live batch, which
+	// reaches the loop already decoded.
+	ready chan struct{}
 	// flush makes the loop flush every shard's pending ops after each
 	// record instead of when a batch fills — the live feed's setting.
 	flush bool
@@ -104,26 +109,26 @@ func newDecBatch() *decBatch {
 		recs[i].Upd.Withdrawn = wd[i*wdCap : i*wdCap : (i+1)*wdCap]
 	}
 	return &decBatch{
-		hdrs: make([]mrt.Header, 0, decBatchLen),
-		offs: make([]int, 0, decBatchLen),
-		buf:  make([]byte, 0, decBatchLen*64),
-		recs: recs[:0],
+		hdrs:  make([]mrt.Header, 0, decBatchLen),
+		offs:  make([]int, 0, decBatchLen),
+		buf:   make([]byte, 0, decBatchLen*64),
+		recs:  recs[:0],
+		ready: make(chan struct{}, 1),
 	}
 }
 
 // reset empties a recycled batch, keeping every backing array.
-func (b *decBatch) reset(seq uint64) {
-	b.seq, b.err = seq, nil
+func (b *decBatch) reset() {
+	b.err = nil
 	b.hdrs, b.offs, b.buf, b.recs = b.hdrs[:0], b.offs[:0], b.buf[:0], b.recs[:0]
 }
 
-// framer is stage 1: a single goroutine walking the archive's MRT
-// framing — headers and body bytes, no decode — into sequence-stamped
-// frame batches. It is the only stage that touches the reader, so archive
-// order is defined entirely by the seq stamps it issues.
+// framer is a single goroutine walking the archive's MRT framing —
+// headers and body bytes, no decode — into frame batches. It is the only
+// stage that touches the reader, and the order it hands batches to the
+// ingest loop is archive order.
 type framer struct {
 	fr    *mrt.Framer
-	seq   uint64 // next batch sequence number
 	next  uint64 // raw archive index of the next record to frame
 	stage *decStage
 }
@@ -149,30 +154,26 @@ func (f *framer) fill(b *decBatch) bool {
 }
 
 // run is the framing goroutine body. Every batch — frame batches, skip
-// heartbeats and terminal error batches alike — flows through the work
-// channel with a seq stamp, so the reorder stage releases them to the
-// ingest loop in exactly the order the framer read the archive. Every
-// exit path either delivers a terminal batch or was ordered to quit (done
-// closed), so the loop never waits on a dead producer.
-func (f *framer) run(skip uint64, free, work chan *decBatch, done <-chan struct{}) {
+// heartbeats and terminal error batches alike — goes to the decode
+// workers and then to the ingest loop, in exactly the order the framer
+// read the archive. Both channels hold the whole ring, so neither send
+// blocks; the framer waits only for a free batch. Every exit path either
+// delivers a terminal batch or was ordered to quit (done closed), so the
+// loop never waits on a dead producer.
+func (f *framer) run(skip uint64, free, work, out chan *decBatch, done <-chan struct{}) {
 	take := func() *decBatch {
 		select {
 		case b := <-free:
 			f.stage.occupancy.Store(int64(cap(free) - len(free)))
-			b.reset(f.seq)
-			f.seq++
+			b.reset()
 			return b
 		case <-done:
 			return nil
 		}
 	}
-	send := func(b *decBatch) bool {
-		select {
-		case work <- b:
-			return true
-		case <-done:
-			return false
-		}
+	send := func(b *decBatch) {
+		work <- b
+		out <- b
 	}
 	for ; f.next < skip; f.next++ {
 		// Surface periodically during a deep resume skip: an empty batch
@@ -180,9 +181,11 @@ func (f *framer) run(skip uint64, free, work chan *decBatch, done <-chan struct{
 		// a Pause (operator or auto-checkpoint park) does not wait for a
 		// disk-bound skip of the whole resume cursor to finish.
 		if f.next%4096 == 0 && f.next > 0 {
-			if b := take(); b == nil || !send(b) {
+			b := take()
+			if b == nil {
 				return
 			}
+			send(b)
 		}
 		// Skip discards bodies without copying them.
 		if _, err := f.fr.Skip(); err != nil {
@@ -199,14 +202,15 @@ func (f *framer) run(skip uint64, free, work chan *decBatch, done <-chan struct{
 			return
 		}
 		terminal := f.fill(b)
-		if !send(b) || terminal {
+		send(b)
+		if terminal {
 			return
 		}
 	}
 }
 
-// decodeBatch is stage 2's work on one batch: fill b.recs from b's
-// frames. A record-level decode failure ends the batch at that record
+// decodeBatch is a decode worker's work on one batch: fill b.recs from
+// b's frames. A record-level decode failure ends the batch at that record
 // with its err set — the ingest loop, not the worker, decides what to do
 // with it (run the day closes its timestamp implies, then fail), so error
 // ordering is position-exact.
@@ -232,53 +236,14 @@ func decodeBatch(dec *source.Decoder, b *decBatch) {
 // order, sharing nothing but the channels and the engine's concurrent
 // interner. Workers do not exit on terminal batches — later frames may
 // still be in flight with other workers — only when done closes.
-func decodeRun(dec *source.Decoder, work, decoded chan *decBatch, done <-chan struct{}) {
+func decodeRun(dec *source.Decoder, work <-chan *decBatch, done <-chan struct{}) {
 	for {
-		var b *decBatch
 		select {
-		case b = <-work:
+		case b := <-work:
+			decodeBatch(dec, b)
+			b.ready <- struct{}{}
 		case <-done:
 			return
-		}
-		decodeBatch(dec, b)
-		select {
-		case decoded <- b:
-		case <-done:
-			return
-		}
-	}
-}
-
-// reorderRun is stage 3: buffer decoded batches until the next archive
-// sequence number arrives, then release them in order. The pending map
-// holds at most the ring depth of batches (workers finishing out of
-// order), so the buffer is bounded by construction; depth reports its
-// occupancy for /stats.
-func reorderRun(decoded, out chan *decBatch, done <-chan struct{}, depth *atomic.Int64) {
-	next := uint64(0)
-	pending := make(map[uint64]*decBatch, 8)
-	for {
-		var b *decBatch
-		select {
-		case b = <-decoded:
-		case <-done:
-			return
-		}
-		pending[b.seq] = b
-		depth.Store(int64(len(pending)))
-		for {
-			nb, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			depth.Store(int64(len(pending)))
-			select {
-			case out <- nb:
-			case <-done:
-				return
-			}
-			next++
 		}
 	}
 }
@@ -293,16 +258,16 @@ type decStage struct {
 	start     time.Time
 	frames    atomic.Uint64 // MRT records framed (read ahead of the cursor)
 	occupancy atomic.Int64  // batches out of the free ring, sampled by the framer
-	reorder   atomic.Int64  // batches parked in the reorder buffer
 	end       atomic.Int64  // unix nanos at replay return; 0 while running
 }
 
 // startDecode launches the archive pipeline over r, discarding the first
-// skip records (a resume cursor). Decoded batches arrive on out in archive
-// order and go back on free once drained. The stages own r until shutdown
-// returns, which the caller must invoke before giving r up. Every stage
-// runs under supervise: a panic in one records the engine failure (waking
-// the ingest loop) instead of killing the process.
+// skip records (a resume cursor). Batches arrive on out in archive order,
+// each to be applied once its ready signal has fired, and go back on free
+// once drained. The framer and workers own r until shutdown returns,
+// which the caller must invoke before giving r up. Every goroutine runs
+// under supervise: a panic in one records the engine failure (waking the
+// ingest loop) instead of killing the process.
 func (e *Engine) startDecode(r io.Reader, skip uint64) (out, free chan *decBatch, shutdown func()) {
 	workers := e.cfg.DecodeWorkers
 	if workers <= 0 {
@@ -316,8 +281,8 @@ func (e *Engine) startDecode(r io.Reader, skip uint64) (out, free chan *decBatch
 	for i := 0; i < ring; i++ {
 		free <- newDecBatch()
 	}
-	// Every channel holds the whole ring, so no stage blocks on a send.
-	work, decoded := make(chan *decBatch, ring), make(chan *decBatch, ring)
+	// Every channel holds the whole ring, so no send on one blocks.
+	work := make(chan *decBatch, ring)
 	out = make(chan *decBatch, ring)
 	done := make(chan struct{})
 	stage := &decStage{workers: workers, start: time.Now()}
@@ -332,19 +297,17 @@ func (e *Engine) startDecode(r io.Reader, skip uint64) (out, free chan *decBatch
 		})
 	}
 	spawn("mrt framer", func() {
-		(&framer{fr: mrt.NewFramer(r), stage: stage}).run(skip, free, work, done)
+		(&framer{fr: mrt.NewFramer(r), stage: stage}).run(skip, free, work, out, done)
 	})
 	for i := 0; i < workers; i++ {
 		spawn("decode worker", func() {
-			decodeRun(&source.Decoder{Interner: e.interner}, work, decoded, done)
+			decodeRun(&source.Decoder{Interner: e.interner}, work, done)
 		})
 	}
-	spawn("decode reorder", func() { reorderRun(decoded, out, done, &stage.reorder) })
 	return out, free, func() {
 		close(done)
 		stages.Wait()
 		stage.occupancy.Store(0)
-		stage.reorder.Store(0)
 		stage.end.Store(time.Now().UnixNano())
 	}
 }

@@ -3,10 +3,12 @@ package stream
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"moas/internal/bgp"
 	"moas/internal/mrt"
@@ -164,7 +166,7 @@ func TestFinishedReplayReleasesRing(t *testing.T) {
 	if st.Workers != 8 || st.Frames != e.Records() || st.FramesPerSec <= 0 {
 		t.Fatalf("decode stats after replay: %+v (records %d)", st, e.Records())
 	}
-	if st.RingOccupancy != 0 || st.ReorderBuffer != 0 {
+	if st.RingOccupancy != 0 {
 		t.Fatalf("finished replay reports batches in flight: %+v", st)
 	}
 
@@ -184,9 +186,71 @@ func TestFinishedReplayReleasesRing(t *testing.T) {
 	runtime.KeepAlive(e) // the engine's own state must not count as freed
 }
 
+// TestIngestWaitsOnUndecodedBatch: an archive batch reaches the ingest
+// loop in framing order, possibly before its decode worker is done with
+// it. The loop must not touch it until its ready signal fires, and that
+// wait must still give way to a stop and to a contained worker failure —
+// a worker that panicked never signals, so a loop waiting on ready alone
+// would hang behind it.
+func TestIngestWaitsOnUndecodedBatch(t *testing.T) {
+	errWorker := errors.New("decode worker failed")
+	for _, tc := range []struct {
+		name string
+		end  func(e *Engine, stop chan struct{})
+		want error
+	}{
+		{"stop", func(_ *Engine, stop chan struct{}) { close(stop) }, ErrReplayStopped},
+		{"failure", func(e *Engine, _ chan struct{}) { e.recordFailure(errWorker) }, errWorker},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := New(Config{Shards: 2})
+			// A terminal batch: applied without waiting, it would end the
+			// feed cleanly at once and close day 0.
+			b := newDecBatch()
+			b.err = io.EOF
+			out, free := make(chan *decBatch, 1), make(chan *decBatch, 1)
+			out <- b
+			stop := make(chan struct{})
+			res := make(chan error, 1)
+			go func() {
+				res <- e.ingest(feed{
+					out: out, free: free, stop: stop,
+					clock: &calendarClock{cal: Calendar{Days: []int{0}, Times: []uint32{0}}},
+				})
+			}()
+			select {
+			case err := <-res:
+				t.Fatalf("ingest returned %v before the batch was decoded", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			tc.end(e, stop)
+			select {
+			case err := <-res:
+				if err != tc.want {
+					t.Fatalf("ingest returned %v, want %v", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("ingest still waiting on the undecoded batch")
+			}
+			if d := e.LastClosedDay(); d != -1 {
+				t.Fatalf("day %d closed: the undecoded batch was applied", d)
+			}
+			e.Close()
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%d goroutines before, %d after", before, after)
+			}
+		})
+	}
+}
+
 // TestParallelDecodeCheckpointResume parks a workers=8 replay mid-stream
-// (read-ahead batches in flight through the frame ring and reorder
-// buffer), checkpoints, restores into a different shard and worker
+// (read-ahead batches in flight through the frame ring, some decoded and
+// some not), checkpoints, restores into a different shard and worker
 // layout, finishes the archive, and proves the result byte-identical to
 // an uninterrupted replay — read-ahead past the park point must leave no
 // trace in the checkpoint.

@@ -26,10 +26,10 @@ type Config struct {
 	BatchSize int
 	// DecodeWorkers is the number of parallel MRT decode workers a Replay
 	// runs (0 = GOMAXPROCS): a framing goroutine fans raw record batches
-	// out to the workers and a reorder stage restores archive order, so
-	// results are identical at any setting, 1 included — only throughput
-	// changes. Live sources (Run) decode on their own goroutine and ignore
-	// this.
+	// out to the workers and hands them to the ingest loop in archive
+	// order, so results are identical at any setting, 1 included — only
+	// throughput changes. Live sources (Run) decode on their own goroutine
+	// and ignore this.
 	DecodeWorkers int
 	// HistoryLimit caps lifecycle events retained per prefix (0 = all).
 	HistoryLimit int
@@ -99,12 +99,11 @@ type Engine struct {
 	// health endpoint read its Status through here.
 	src atomic.Value
 
-	// Pause gate. paused is non-nil while a pause is requested and is
-	// closed (then nilled) by Resume; a replay parks on it between records.
+	// Pause gate. paused holds a channel while a pause is requested; Resume
+	// swaps it out and closes it. A replay parks on it between records.
 	// parked flips true once the replay has actually settled and blocked.
-	pauseMu sync.Mutex
-	paused  chan struct{}
-	parked  atomic.Bool
+	paused atomic.Pointer[chan struct{}]
+	parked atomic.Bool
 
 	// First unrecoverable worker failure (a panicked shard or decode
 	// goroutine, contained by supervise). failedCh is closed on the
@@ -302,28 +301,22 @@ func (e *Engine) Sync() {
 // Resume is called. Pausing an engine with no replay in flight simply
 // primes the gate for the next Replay call.
 func (e *Engine) Pause() {
-	e.pauseMu.Lock()
-	defer e.pauseMu.Unlock()
-	if e.paused == nil {
-		e.paused = make(chan struct{})
-	}
+	ch := make(chan struct{})
+	e.paused.CompareAndSwap(nil, &ch)
 }
 
 // Resume releases a paused replay. Safe from any goroutine; a no-op when
 // not paused.
 func (e *Engine) Resume() {
-	e.pauseMu.Lock()
-	defer e.pauseMu.Unlock()
-	if e.paused != nil {
-		close(e.paused)
-		e.paused = nil
+	if ch := e.paused.Swap(nil); ch != nil {
+		close(*ch)
 	}
 }
 
 // Paused reports whether a pause has been requested. The replay may not
 // have parked yet; a settled view is only guaranteed once it has.
 func (e *Engine) Paused() bool {
-	return e.pauseGate() != nil
+	return e.paused.Load() != nil
 }
 
 // Parked reports whether a paused replay has actually settled and
@@ -331,12 +324,6 @@ func (e *Engine) Paused() bool {
 // Checkpointing a mid-replay engine requires it.
 func (e *Engine) Parked() bool {
 	return e.parked.Load()
-}
-
-func (e *Engine) pauseGate() chan struct{} {
-	e.pauseMu.Lock()
-	defer e.pauseMu.Unlock()
-	return e.paused
 }
 
 // Records returns the number of MRT records fully consumed by Replay —
@@ -542,15 +529,14 @@ type Stats struct {
 }
 
 // DecodeStats is the replay decode pipeline's observability view: where
-// the next bottleneck is hiding. RingOccupancy near the ring size with a
-// deep ReorderBuffer means decode is outrunning apply; occupancy near
-// zero means the framer (archive I/O) is the limit.
+// the next bottleneck is hiding. RingOccupancy near the ring size means
+// framing is running ahead of decode and apply; occupancy near zero
+// means the framer (archive I/O) is the limit.
 type DecodeStats struct {
 	Workers       int     `json:"workers"`        // decode workers of the current/last replay
 	Frames        uint64  `json:"frames"`         // MRT records framed (read-ahead of the cursor)
 	FramesPerSec  float64 `json:"frames_per_sec"` // framing rate over the current/last replay
 	RingOccupancy int     `json:"ring_occupancy"` // batches somewhere between framing and apply
-	ReorderBuffer int     `json:"reorder_buffer"` // batches parked waiting for their sequence turn
 }
 
 // LastClosedDay returns the last day close dispatched (-1 before any) —
@@ -605,7 +591,6 @@ func (e *Engine) decodeStats() DecodeStats {
 		Workers:       ds.workers,
 		Frames:        ds.frames.Load(),
 		RingOccupancy: int(ds.occupancy.Load()),
-		ReorderBuffer: int(ds.reorder.Load()),
 	}
 	end := time.Now()
 	if ns := ds.end.Load(); ns != 0 {

@@ -81,14 +81,14 @@ func (e *Engine) gate(stop <-chan struct{}) error {
 	default:
 	}
 	for {
-		ch := e.pauseGate()
+		ch := e.paused.Load()
 		if ch == nil {
 			return nil
 		}
 		e.Sync()
 		e.parked.Store(true)
 		select {
-		case <-ch:
+		case <-*ch:
 			e.parked.Store(false)
 		case <-stop:
 			e.parked.Store(false)
@@ -107,12 +107,12 @@ func (e *Engine) gate(stop <-chan struct{}) error {
 // keep feeding or querying afterwards.
 //
 // Replay is the ingest loop (ingest.go) over the archive producer — a
-// framing goroutine, Config.DecodeWorkers decode goroutines and a reorder
-// stage that restores archive order (decode.go) — and the calendar's
-// clock. The record cursor counts raw MRT records, and only applied ones:
-// decode read-ahead is bounded by the producer's ring and simply discarded
-// if the replay is abandoned, so a parked replay serves a settled view
-// with nothing past the park point reflected in it.
+// framing goroutine that hands each batch to Config.DecodeWorkers decode
+// goroutines and, in archive order, to the loop (decode.go) — and the
+// calendar's clock. The record cursor counts raw MRT records, and only
+// applied ones: decode read-ahead is bounded by the producer's ring and
+// simply discarded if the replay is abandoned, so a parked replay serves
+// a settled view with nothing past the park point reflected in it.
 func (e *Engine) Replay(r io.Reader, cal Calendar, opts *ReplayOptions) error {
 	if len(cal.Days) == 0 {
 		return errors.New("stream: empty calendar")

@@ -1,9 +1,10 @@
 // BenchmarkSynthReplay is the realistic-table stress benchmark the
 // scenario-diversity roadmap item calls for: a synth-generated archive
 // at one million background prefixes and the full 2-octet origin-AS
-// pool, replayed end to end. It lives in package stream_test because
-// internal/synth depends on nothing and the engine must not depend on
-// its own stress generator.
+// pool, replayed end to end. BenchmarkStormReplay is its storm-shaped
+// sibling. They live in package stream_test because internal/synth
+// depends on nothing and the engine must not depend on its own stress
+// generator.
 package stream_test
 
 import (
@@ -17,28 +18,22 @@ import (
 	"moas/internal/synth"
 )
 
-// synthBenchArchive generates the benchmark corpus once per process:
-// ~1M prefixes, the maximum 16-bit origin pool, two vantages, four days
-// with background churn and a mixed episode load.
-var synthBenchArchive []byte
+// benchArchives holds each generated benchmark corpus, built once per
+// process.
+var benchArchives = map[string][]byte{}
 
-func benchArchive(b *testing.B) []byte {
-	if synthBenchArchive != nil {
-		return synthBenchArchive
+// benchArchive generates cfg's archive, or returns the one generated
+// under name before, with the calendar of its days.
+func benchArchive(b *testing.B, name string, cfg synth.Config) ([]byte, stream.Calendar) {
+	days := make([]int, cfg.Days)
+	for d := range days {
+		days[d] = d
 	}
-	gen, err := synth.NewStream(synth.Config{
-		Seed:     1,
-		Days:     4,
-		Prefixes: 1 << 20,
-		ASes:     75000, // clamps to the wire ceiling of 60000
-		Vantages: 2,
-		Patterns: []synth.Pattern{
-			synth.Anycast(256),
-			synth.RouteLeak(256),
-			synth.GradualHijack(256),
-			synth.FlapStorm(128, 256, 2),
-		},
-	})
+	cal := stream.NewCalendar(days, synth.DayTime)
+	if a, ok := benchArchives[name]; ok {
+		return a, cal
+	}
+	gen, err := synth.NewStream(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,8 +41,8 @@ func benchArchive(b *testing.B) []byte {
 	if _, err := io.Copy(&buf, gen); err != nil {
 		b.Fatal(err)
 	}
-	synthBenchArchive = buf.Bytes()
-	return synthBenchArchive
+	benchArchives[name] = buf.Bytes()
+	return buf.Bytes(), cal
 }
 
 // dedupeCounts removes duplicates from a candidate shard/worker list so
@@ -80,55 +75,116 @@ func heapInuse() uint64 {
 	return m.HeapInuse
 }
 
-// BenchmarkSynthReplay reports the same trajectory metrics as
-// BenchmarkStreamReplay (updates/s, allocs/update, distinct-attrs) on
-// the internet-scale corpus, across 1 and GOMAXPROCS shards and 1 and
-// GOMAXPROCS decode workers. The shards=N/workers=N cell is the
-// headline number: full parallel pipeline on an internet-scale table.
-// resident-MB is what the last replay's engine retains — heap in use
-// with the engine alive, over the heap before it was built — and
-// bytes/prefix divides that by the prefix-table entries it holds; B/op
-// over resident-MB is how much the engine allocates to retain a byte.
-func BenchmarkSynthReplay(b *testing.B) {
-	archive := benchArchive(b)
-	cal := stream.NewCalendar([]int{0, 1, 2, 3}, synth.DayTime)
-
+// replayGrid runs body as one sub-benchmark per cell of the 1 and
+// GOMAXPROCS shards × 1 and GOMAXPROCS decode workers grid.
+func replayGrid(b *testing.B, body func(b *testing.B, shards, workers int)) {
 	for _, shards := range dedupeCounts(1, runtime.GOMAXPROCS(0)) {
 		for _, workers := range dedupeCounts(1, runtime.GOMAXPROCS(0)) {
 			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-				b.SetBytes(int64(len(archive)))
-				b.ReportAllocs()
-				var msgs uint64
-				var distinct int
-				var e *stream.Engine
-				var m0, m1 runtime.MemStats
-				base := heapInuse()
-				runtime.ReadMemStats(&m0)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e = stream.New(stream.Config{Shards: shards, DecodeWorkers: workers})
-					if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
-						b.Fatal(err)
-					}
-					e.Close()
-					msgs = e.Stats().Messages
-					distinct = e.DistinctAttrs()
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&m1)
-				resident := float64(heapInuse()) - float64(base)
-				b.ReportMetric(resident/1e6, "resident-MB")
-				if n := e.Stats().KernelStates; n > 0 {
-					b.ReportMetric(resident/float64(n), "bytes/prefix")
-				}
-				if total := msgs * uint64(b.N); total > 0 {
-					b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(total), "allocs/update")
-				}
-				b.ReportMetric(float64(distinct), "distinct-attrs")
-				if sec := b.Elapsed().Seconds(); sec > 0 {
-					b.ReportMetric(float64(msgs)*float64(b.N)/sec, "updates/s")
-				}
+				body(b, shards, workers)
 			})
 		}
 	}
+}
+
+// BenchmarkSynthReplay reports the same trajectory metrics as
+// BenchmarkStreamReplay (updates/s, allocs/update, distinct-attrs) on
+// the internet-scale corpus (~1M prefixes, the maximum 16-bit origin
+// pool, two vantages, four days with background churn and a mixed
+// episode load) across the shards × workers grid. The shards=N/workers=N
+// cell is the headline number: full parallel pipeline on an
+// internet-scale table. resident-MB is what the last replay's engine
+// retains — heap in use with the engine alive, over the heap before it
+// was built — and bytes/prefix divides that by the prefix-table entries
+// it holds; B/op over resident-MB is how much the engine allocates to
+// retain a byte.
+func BenchmarkSynthReplay(b *testing.B) {
+	archive, cal := benchArchive(b, "table", synth.Config{
+		Seed:     1,
+		Days:     4,
+		Prefixes: 1 << 20,
+		ASes:     75000, // clamps to the wire ceiling of 60000
+		Vantages: 2,
+		Patterns: []synth.Pattern{
+			synth.Anycast(256),
+			synth.RouteLeak(256),
+			synth.GradualHijack(256),
+			synth.FlapStorm(128, 256, 2),
+		},
+	})
+	replayGrid(b, func(b *testing.B, shards, workers int) {
+		b.SetBytes(int64(len(archive)))
+		b.ReportAllocs()
+		var msgs uint64
+		var distinct int
+		var e *stream.Engine
+		var m0, m1 runtime.MemStats
+		base := heapInuse()
+		runtime.ReadMemStats(&m0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e = stream.New(stream.Config{Shards: shards, DecodeWorkers: workers})
+			if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
+				b.Fatal(err)
+			}
+			e.Close()
+			msgs = e.Stats().Messages
+			distinct = e.DistinctAttrs()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		resident := float64(heapInuse()) - float64(base)
+		b.ReportMetric(resident/1e6, "resident-MB")
+		if n := e.Stats().KernelStates; n > 0 {
+			b.ReportMetric(resident/float64(n), "bytes/prefix")
+		}
+		if total := msgs * uint64(b.N); total > 0 {
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(total), "allocs/update")
+		}
+		b.ReportMetric(float64(distinct), "distinct-attrs")
+		if sec := b.Elapsed().Seconds(); sec > 0 {
+			b.ReportMetric(float64(msgs)*float64(b.N)/sec, "updates/s")
+		}
+	})
+}
+
+// BenchmarkStormReplay is the storm half of the decode-worker
+// measurement (BenchmarkSynthReplay is the table half): moasbench's
+// storm-replay corpus — a 16k-prefix table under a flap storm for 120
+// days, small enough to stay in cache, so per-update framing and decode
+// weigh most — replayed with the daemon's engine settings (history
+// capped at 256, no global event log) across the shards × workers grid.
+func BenchmarkStormReplay(b *testing.B) {
+	archive, cal := benchArchive(b, "storm", synth.Config{
+		Seed:     1,
+		Days:     120,
+		Prefixes: 1 << 14,
+		ASes:     60000,
+		Vantages: 2,
+		Patterns: []synth.Pattern{
+			synth.Anycast(256),
+			synth.RouteLeak(256),
+			synth.GradualHijack(128),
+			synth.FlapStorm(8192, 4096, 2),
+		},
+	})
+	replayGrid(b, func(b *testing.B, shards, workers int) {
+		b.SetBytes(int64(len(archive)))
+		b.ReportAllocs()
+		var msgs uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e := stream.New(stream.Config{
+				Shards: shards, DecodeWorkers: workers, HistoryLimit: 256, DisableEventLog: true,
+			})
+			if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
+				b.Fatal(err)
+			}
+			e.Close()
+			msgs = e.Stats().Messages
+		}
+		if sec := b.Elapsed().Seconds(); sec > 0 {
+			b.ReportMetric(float64(msgs)*float64(b.N)/sec, "updates/s")
+		}
+	})
 }
