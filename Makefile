@@ -6,7 +6,7 @@ BENCH_COUNT ?= 5
 BENCH_TIME ?= 1s
 BENCH_CPU ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: build test race bench benchall bench-check bench-e2e profile fuzz-smoke soak vet fmt docscheck depcheck ci
+.PHONY: build test race allocs bench benchall bench-check bench-e2e profile fuzz-smoke soak vet fmt docscheck depcheck ci
 
 build:
 	$(GO) build ./...
@@ -17,12 +17,21 @@ test:
 race:
 	$(GO) test -race ./...
 
+# allocs runs the allocation guards without the race detector, which
+# changes allocation counts: TestCheckpointAllocBudget is //go:build
+# !race, so `race` never runs it.
+allocs:
+	$(GO) test -count=1 -run 'TestCheckpointAllocBudget|TestSteadyStateDecodeDispatchZeroAlloc|TestAppendAllocs|TestHealthzCostIndependentOfState' \
+		./internal/stream/ ./internal/epilog/ ./internal/serve/
+
 # bench prints the stream layer's go-test benchmarks — the ones that
 # carry what moasbench cannot see from outside: allocs/update and
 # distinct-attrs on the replay (with the episode-log-enabled variant),
 # the shards × decode-workers grid on the 1M-prefix table and on the
-# storm corpus (BenchmarkSynthReplay, BenchmarkStormReplay), the
-# shard-reassess hot path, and the checkpoint path (phase=snapshot
+# storm corpus (BenchmarkSynthReplay, BenchmarkStormReplay), the storm
+# with an episode log attached and the log's writes per episode
+# (BenchmarkStormReplayEpilog), the shard-reassess hot path, and the
+# checkpoint path (phase=snapshot
 # imaging the engine, codec=json and codec=binary rendering the image
 # with its size as the bytes metric, phase=restore) — and the kernel's
 # per-event ones: a prefix flapping with its history at the cap against
@@ -32,7 +41,7 @@ race:
 # recorded: end-to-end and per-layer numbers, and comparing two commits,
 # are moasbench's job (bench-e2e below, and `moasbench -compare old new`).
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkStreamReplay|BenchmarkSynthReplay|BenchmarkStormReplay|BenchmarkDecodeUpdate|BenchmarkShardReassess|BenchmarkCheckpointEncode' \
+	$(GO) test -run XXX -bench 'BenchmarkStreamReplay|BenchmarkSynthReplay|BenchmarkStormReplay|BenchmarkStormReplayEpilog|BenchmarkDecodeUpdate|BenchmarkShardReassess|BenchmarkCheckpointEncode' \
 		-benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) -cpu $(BENCH_CPU) ./internal/stream
 	$(GO) test -run XXX -bench 'BenchmarkFlapAtCap256|BenchmarkFlapBelowCap|BenchmarkStormSnapshot' \
 		-benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) -cpu $(BENCH_CPU) ./internal/kernel
@@ -124,4 +133,4 @@ depcheck:
 	} ); \
 	if [ -n "$$bad" ]; then echo "$$bad"; exit 1; fi
 
-ci: fmt vet docscheck depcheck build race bench-check
+ci: fmt vet docscheck depcheck build race allocs bench-check

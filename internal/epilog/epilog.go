@@ -14,9 +14,13 @@
 // order-insensitive, which is what makes crash-duplicated appends and
 // interrupted compactions harmless.
 //
-// Durability model: appends go straight to the active segment file with
-// no user-space buffering, so a killed process loses nothing that
-// reached the page cache; fsync happens only on rotation and Close. A
+// Durability model: each Append call encodes its records into one
+// buffer and hands it to the active segment file in one write, with no
+// user-space buffering across calls, so a killed process loses nothing
+// Append returned for: its bytes reached the page cache first. A call
+// is all-or-nothing on disk — a failed or torn write is truncated back
+// to the size before the call, and the call's records wait in the
+// pending queue (below). fsync happens only on rotation and Close. A
 // machine crash can tear the active segment's tail — OpenDir repairs it
 // by truncating at the last whole record — and anything torn away is
 // re-emitted (identically) by the checkpoint-resume path and folded
@@ -99,8 +103,11 @@ var (
 // Options parameterizes a Log.
 type Options struct {
 	// RotateBytes seals the active segment and starts a fresh one once
-	// it reaches this many bytes. 0 means DefaultRotateBytes; negative
-	// disables rotation (one ever-growing segment).
+	// it reaches this many bytes; the check follows each write, so a
+	// segment overruns it by at most one write: one Append call's
+	// records, or the pending queue a heal flushes. 0 means
+	// DefaultRotateBytes; negative disables rotation (one ever-growing
+	// segment).
 	RotateBytes int
 	// CompactEvery triggers a compaction pass whenever a rotation
 	// leaves at least this many sealed segments. 0 means
@@ -146,7 +153,7 @@ type Log struct {
 	retrySkip int       // remaining skips
 
 	payload []byte // record scratch, reused across appends
-	frame   []byte // framed scratch, reused across appends
+	frame   []byte // one write's framed records, reused across appends
 
 	appended    uint64
 	truncated   int64 // torn-tail bytes dropped by OpenDir
@@ -419,17 +426,21 @@ func decodeSegment(b []byte, fn func(*Episode) error) (int, error) {
 	return good, nil
 }
 
-// Append records one episode. The episode (and its Origins) is fully
-// encoded — or cloned into the pending queue — before return, so
-// callers may reuse the backing slice. I/O failures no longer latch
+// Append records a batch of episodes — a stream shard passes what one
+// batch of route ops produced — in one write. The episodes (and their
+// Origins) are fully encoded, or cloned into the pending queue, before
+// return, so callers may reuse the backing slices. An invalid episode
+// is refused and Append returns the first such error, but its valid
+// neighbours are still recorded, in order. I/O failures do not latch
 // the log dead: the first failure flips it into degraded mode, where
 // episodes are buffered in memory (bounded by Options.MaxPending,
 // overflow counted in Health().Lost), durability is retried with a
-// doubling append-count backoff, and a successful retry flushes the
-// queue in order and un-degrades. While degraded, Append returns the
-// current durability error so producers can observe the condition,
-// but the episode has still been accepted into the pending queue.
-func (l *Log) Append(ep Episode) error {
+// doubling backoff counted in Append calls, and a successful retry
+// flushes the queue in order and un-degrades. While degraded, Append
+// returns the current durability error so producers can observe the
+// condition, but the episodes have still been accepted into the
+// pending queue.
+func (l *Log) Append(eps ...Episode) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -438,41 +449,62 @@ func (l *Log) Append(ep Episode) error {
 	if l.dir == "" {
 		return ErrNotOpen
 	}
-	if err := validate(&ep); err != nil {
-		return err
-	}
-	if l.degraded {
-		l.bufferLocked(&ep)
+	eps, verr := validEpisodes(eps)
+	switch {
+	case len(eps) == 0:
+	case l.degraded:
+		l.bufferLocked(eps)
 		if l.shouldRetryLocked() {
 			l.tryHealLocked()
 		}
-		if l.degraded {
-			return l.degErr
+	default:
+		if err := l.writeLocked(eps); err != nil {
+			// The write may be torn; repairLocked cuts it back to the
+			// size before this call, so the whole call waits in the queue.
+			l.degradeLocked(err)
+			l.bufferLocked(eps)
+		} else {
+			l.maybeRotateLocked()
 		}
-		return nil
 	}
-	if err := l.writeEpisodeLocked(&ep); err != nil {
-		l.degradeLocked(err)
-		l.bufferLocked(&ep)
-		return err
-	}
-	l.maybeRotateLocked()
-	if l.degraded {
+	if verr == nil && l.degraded {
 		return l.degErr
 	}
-	return nil
+	return verr
 }
 
-// writeEpisodeLocked encodes and writes one record to the active
-// segment, advancing size/appended on success. On failure the file may
-// hold a torn frame past l.size; dirty marks it for truncate-repair
-// before the next disk write.
-func (l *Log) writeEpisodeLocked(ep *Episode) error {
+// validEpisodes returns eps without its invalid episodes, and the first
+// validation error. Only a batch with an invalid episode is copied.
+func validEpisodes(eps []Episode) ([]Episode, error) {
+	for i := range eps {
+		err := validate(&eps[i])
+		if err == nil {
+			continue
+		}
+		valid := append([]Episode(nil), eps[:i]...)
+		for j := i + 1; j < len(eps); j++ {
+			if validate(&eps[j]) == nil {
+				valid = append(valid, eps[j])
+			}
+		}
+		return valid, err
+	}
+	return eps, nil
+}
+
+// writeLocked encodes eps' records into l.frame and writes them to the
+// active segment in one Write, advancing size/appended on success. On
+// failure the file may hold a torn prefix of them past l.size; dirty
+// marks it for truncate-repair before the next disk write.
+func (l *Log) writeLocked(eps []Episode) error {
 	if l.f == nil {
 		return l.degErr // mid-rotation crash left no active segment
 	}
-	l.payload = appendRecordPayload(l.payload[:0], ep)
-	l.frame = binenc.AppendFrame(l.frame[:0], l.payload)
+	l.frame = l.frame[:0]
+	for i := range eps {
+		l.payload = appendRecordPayload(l.payload[:0], &eps[i])
+		l.frame = binenc.AppendFrame(l.frame, l.payload)
+	}
 	if n, err := l.f.Write(l.frame); err != nil {
 		if n > 0 {
 			l.dirty = true
@@ -480,7 +512,7 @@ func (l *Log) writeEpisodeLocked(ep *Episode) error {
 		return err
 	}
 	l.size += int64(len(l.frame))
-	l.appended++
+	l.appended += uint64(len(eps))
 	return nil
 }
 
@@ -506,14 +538,16 @@ func (l *Log) degradeLocked(err error) {
 	}
 }
 
-// bufferLocked clones the episode into the pending queue, dropping and
-// counting it instead when the queue is full.
-func (l *Log) bufferLocked(ep *Episode) {
-	if l.opts.MaxPending > 0 && len(l.pending) >= l.opts.MaxPending {
-		l.lost++
-		return
+// bufferLocked clones the episodes into the pending queue, in order,
+// dropping and counting each one instead when the queue is full.
+func (l *Log) bufferLocked(eps []Episode) {
+	for i := range eps {
+		if l.opts.MaxPending > 0 && len(l.pending) >= l.opts.MaxPending {
+			l.lost++
+			continue
+		}
+		l.pending = append(l.pending, cloneEpisode(&eps[i]))
 	}
-	l.pending = append(l.pending, cloneEpisode(ep))
 }
 
 // shouldRetryLocked paces durability retries: every firing doubles the
@@ -572,15 +606,14 @@ func (l *Log) tryHealLocked() {
 		l.backoffLocked()
 		return
 	}
-	for len(l.pending) > 0 {
-		if err := l.writeEpisodeLocked(&l.pending[0]); err != nil {
+	if len(l.pending) > 0 {
+		// The queue flushes like one Append call: one write, all or
+		// nothing.
+		if err := l.writeLocked(l.pending); err != nil {
 			l.degErr = err
 			l.backoffLocked()
 			return
 		}
-		l.pending = l.pending[1:]
-	}
-	if len(l.pending) == 0 {
 		l.pending = nil // release the drained queue's backing array
 	}
 	l.degraded = false

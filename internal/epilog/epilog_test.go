@@ -471,4 +471,21 @@ func TestAppendAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("Append allocates %v times per record on the warm path", avg)
 	}
+	// A shard batch's worth in one call: the scratch grows once, then
+	// holds the whole batch.
+	batch := closedBatch(0, 64)
+	if err := l.Append(batch...); err != nil {
+		t.Fatal(err)
+	}
+	avg = testing.AllocsPerRun(100, func() {
+		for i := range batch {
+			batch[i].Seq += uint64(len(batch))
+		}
+		if err := l.Append(batch...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Append of %d episodes allocates %v times on the warm path", len(batch), avg)
+	}
 }

@@ -257,24 +257,29 @@ func TestMalformedUpdateKillsSession(t *testing.T) {
 func TestReconnectCounts(t *testing.T) {
 	var clk atomic.Uint32
 	sp := newSpeaker(t, &clk, Config{})
+	// The dialer's handshake can return before the speaker's session
+	// goroutine registers the peer, so each step waits for its status.
+	waitStatus := func(what string, ok func(source.Status) bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for st := sp.Status(); !ok(st); st = sp.Status() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: status %+v", what, st)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	p1, err := DialScripted(sp.Addr().String(), 65001, 90)
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitStatus("first session established", func(st source.Status) bool { return st.Peers == 1 })
 	p1.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for sp.Status().Peers != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first session never unregistered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitStatus("first session unregistered", func(st source.Status) bool { return st.Peers == 0 })
 	p2, err := DialScripted(sp.Addr().String(), 65001, 90)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if st := sp.Status(); st.Reconnects != 1 || st.Peers != 1 {
-		t.Fatalf("Status after re-accept: %+v", st)
-	}
+	waitStatus("re-accept", func(st source.Status) bool { return st.Reconnects == 1 && st.Peers == 1 })
 }

@@ -202,12 +202,13 @@ func (s *shard) apply(ops []op) {
 	eps := s.epBuf
 	locked = false
 	s.mu.Unlock()
-	// Episode appends land before the event notifications, so an SSE
-	// subscriber reacting to an event finds the log at least as fresh.
-	// Append errors degrade inside the log (surfaced by its Health);
-	// the engine keeps streaming.
-	for i := range eps {
-		_ = s.epLog.Append(eps[i])
+	// The batch's episodes go to the log in one Append — one write —
+	// before the event notifications, so an SSE subscriber reacting to
+	// an event finds the log at least as fresh. Append errors degrade
+	// inside the log (surfaced by its Health); the engine keeps
+	// streaming.
+	if len(eps) > 0 {
+		_ = s.epLog.Append(eps...)
 	}
 	for i := range notes {
 		s.notify(notes[i])

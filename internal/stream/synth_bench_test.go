@@ -11,11 +11,15 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"moas/internal/epilog"
 	"moas/internal/stream"
 	"moas/internal/synth"
+	"moas/internal/vfs"
 )
 
 // benchArchives holds each generated benchmark corpus, built once per
@@ -187,4 +191,94 @@ func BenchmarkStormReplay(b *testing.B) {
 			b.ReportMetric(float64(msgs)*float64(b.N)/sec, "updates/s")
 		}
 	})
+}
+
+// BenchmarkStormReplayEpilog is BenchmarkStormReplay with an episode log
+// attached, at the daemon's default of one decode worker per core: the
+// storm's lifecycle events put the log's write path on the shards'
+// apply path. episodes is what the log recorded, and writes/episode the
+// Write calls made on its files per recorded episode — exact, and the
+// same every run at a given shard count, because the shards' batches
+// are.
+func BenchmarkStormReplayEpilog(b *testing.B) {
+	// BenchmarkStormReplay's corpus: the name shares its cache entry.
+	archive, cal := benchArchive(b, "storm", synth.Config{
+		Seed:     1,
+		Days:     120,
+		Prefixes: 1 << 14,
+		ASes:     60000,
+		Vantages: 2,
+		Patterns: []synth.Pattern{
+			synth.Anycast(256),
+			synth.RouteLeak(256),
+			synth.GradualHijack(128),
+			synth.FlapStorm(8192, 4096, 2),
+		},
+	})
+	for _, shards := range dedupeCounts(1, runtime.GOMAXPROCS(0)) {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.SetBytes(int64(len(archive)))
+			b.ReportAllocs()
+			var msgs, episodes uint64
+			var writes int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fs := &countingFS{FS: vfs.OS{}}
+				lg, err := epilog.Open(b.TempDir(), epilog.Options{FS: fs})
+				if err != nil {
+					b.Fatal(err)
+				}
+				e := stream.New(stream.Config{
+					Shards: shards, HistoryLimit: 256, DisableEventLog: true, EpisodeLog: lg,
+				})
+				if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
+					b.Fatal(err)
+				}
+				e.Close()
+				msgs = e.Stats().Messages
+				if err := lg.Close(); err != nil {
+					b.Fatal(err)
+				}
+				episodes, writes = lg.Stats().Appended, fs.writes.Load()
+			}
+			b.ReportMetric(float64(episodes), "episodes")
+			if episodes > 0 {
+				b.ReportMetric(float64(writes)/float64(episodes), "writes/episode")
+			}
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(float64(msgs)*float64(b.N)/sec, "updates/s")
+			}
+		})
+	}
+}
+
+// countingFS counts the Write calls made on the files it opens.
+type countingFS struct {
+	vfs.FS
+	writes atomic.Int64
+}
+
+func (c *countingFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	return c.count(c.FS.OpenFile(name, flag, perm))
+}
+
+func (c *countingFS) CreateTemp(dir, pattern string) (vfs.File, error) {
+	return c.count(c.FS.CreateTemp(dir, pattern))
+}
+
+func (c *countingFS) count(f vfs.File, err error) (vfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return countingFile{f, &c.writes}, nil
+}
+
+type countingFile struct {
+	vfs.File
+	n *atomic.Int64
+}
+
+func (f countingFile) Write(p []byte) (int, error) {
+	f.n.Add(1)
+	return f.File.Write(p)
 }
