@@ -21,8 +21,8 @@ race:
 # changes allocation counts: TestCheckpointAllocBudget is //go:build
 # !race, so `race` never runs it.
 allocs:
-	$(GO) test -count=1 -run 'TestCheckpointAllocBudget|TestSteadyStateDecodeDispatchZeroAlloc|TestAppendAllocs|TestHealthzCostIndependentOfState' \
-		./internal/stream/ ./internal/epilog/ ./internal/serve/
+	$(GO) test -count=1 -run 'TestCheckpointAllocBudget|TestSteadyStateDecodeDispatchZeroAlloc|TestAppendAllocs|TestHealthzCostIndependentOfState|TestSpeakerNextAllocs' \
+		./internal/stream/ ./internal/epilog/ ./internal/serve/ ./internal/source/bgpd/
 
 # bench prints the stream layer's go-test benchmarks — the ones that
 # carry what moasbench cannot see from outside: allocs/update and
@@ -30,7 +30,9 @@ allocs:
 # the shards × decode-workers grid on the 1M-prefix table and on the
 # storm corpus (BenchmarkSynthReplay, BenchmarkStormReplay), the storm
 # with an episode log attached and the log's writes per episode
-# (BenchmarkStormReplayEpilog), the shard-reassess hot path, and the
+# (BenchmarkStormReplayEpilog), live-serve's table transfer through a
+# BGP speaker into Engine.Run (BenchmarkLiveTransfer: updates/s and
+# allocs/update of the live path), the shard-reassess hot path, and the
 # checkpoint path (phase=snapshot
 # imaging the engine, codec=json and codec=binary rendering the image
 # with its size as the bytes metric, phase=restore) — and the kernel's
@@ -41,7 +43,7 @@ allocs:
 # recorded: end-to-end and per-layer numbers, and comparing two commits,
 # are moasbench's job (bench-e2e below, and `moasbench -compare old new`).
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkStreamReplay|BenchmarkSynthReplay|BenchmarkStormReplay|BenchmarkStormReplayEpilog|BenchmarkDecodeUpdate|BenchmarkShardReassess|BenchmarkCheckpointEncode' \
+	$(GO) test -run XXX -bench 'BenchmarkStreamReplay|BenchmarkSynthReplay|BenchmarkStormReplay|BenchmarkStormReplayEpilog|BenchmarkLiveTransfer|BenchmarkDecodeUpdate|BenchmarkShardReassess|BenchmarkCheckpointEncode' \
 		-benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) -cpu $(BENCH_CPU) ./internal/stream
 	$(GO) test -run XXX -bench 'BenchmarkFlapAtCap256|BenchmarkFlapBelowCap|BenchmarkStormSnapshot' \
 		-benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) -cpu $(BENCH_CPU) ./internal/kernel

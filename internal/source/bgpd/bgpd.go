@@ -2,16 +2,19 @@
 // sessions from real BGP daemons, runs the OPEN/KEEPALIVE handshake and
 // hold-timer bookkeeping of RFC 4271's FSM (the passive half only — it
 // never initiates connections), and surfaces every UPDATE received on
-// an established session as a source.Record. Decoding happens on the
-// Next caller's goroutine through the engine's shared attribute
-// interner, so live sessions feed the same zero-alloc decode path as
-// archive replay. The speaker is a route collector, not a router: it
+// an established session as a source.Record. A session hands Next every
+// UPDATE it has already read as one burst, so a table transfer costs one
+// goroutine handoff per read buffer, not one per UPDATE. Decoding
+// happens on the Next caller's goroutine through the engine's shared
+// attribute interner, so live sessions feed the same zero-alloc decode
+// path as archive replay. The speaker is a route collector, not a router: it
 // advertises nothing, accepts any peer AS, and treats session loss as a
 // data gap to report rather than a routing event to react to.
 package bgpd
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -60,16 +63,33 @@ type Config struct {
 	// wall clock. Tests inject a fake clock for deterministic
 	// day-close behavior.
 	Now func() uint32
-	// QueueDepth bounds UPDATEs buffered between session readers and
-	// Next. Default 1024; sessions block (backpressure) when full.
-	QueueDepth int
 	// OnGap is called when an established session drops — records may
 	// have been lost and the speaker cannot count them (Known=false).
 	OnGap func(source.Gap)
 }
 
-// sessMsg is one UPDATE queued from a session reader toward Next. The
-// body is a private copy: the reader's frame buffer is reused.
+// Session buffering. A session reads through a readBuf-byte buffer and
+// frames every UPDATE already whole in it into one burst, so a burst
+// holds at most the frame whose read refilled the buffer plus what that
+// refill brought: burstCap bytes (a body's 2-byte length prefix is
+// smaller than the 19-byte header it replaces). Each session owns two
+// burst buffers: it fills one while Next walks the other.
+const (
+	readBuf  = 1 << 16
+	burstCap = readBuf + maxFrame
+	// queuedBursts is how many bursts may wait for Next across all
+	// sessions. A session never has more than its two buffers queued,
+	// so up to 32 sessions queue without waiting on each other; more
+	// wait their turn, which only paces them (TCP back-pressures the
+	// peers).
+	queuedBursts = 64
+)
+
+// sessMsg is one burst queued from a session reader toward Next: the
+// bodies of the UPDATEs the session framed back to back, each prefixed
+// by its 2-byte big-endian length, stamped once, when the first was
+// framed. body is one of the session's burst buffers; Next returns it
+// to sess.free once walked, so nothing a Record holds may alias it.
 type sessMsg struct {
 	ts     uint32
 	peerIP [16]byte
@@ -84,6 +104,11 @@ type Speaker struct {
 	ln   net.Listener
 	q    chan sessMsg
 	done chan struct{}
+
+	// The burst Next is walking and its unread bodies; Next's goroutine
+	// only.
+	cur  sessMsg
+	rest []byte
 
 	mu    sync.Mutex
 	sess  map[*session]struct{}
@@ -109,9 +134,6 @@ func Listen(cfg Config) (*Speaker, error) {
 	if cfg.Now == nil {
 		cfg.Now = func() uint32 { return uint32(time.Now().Unix()) }
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
-	}
 	ln := cfg.Listener
 	if ln == nil {
 		var err error
@@ -123,7 +145,7 @@ func Listen(cfg Config) (*Speaker, error) {
 	s := &Speaker{
 		cfg:  cfg,
 		ln:   ln,
-		q:    make(chan sessMsg, cfg.QueueDepth),
+		q:    make(chan sessMsg, queuedBursts),
 		done: make(chan struct{}),
 		sess: make(map[*session]struct{}),
 	}
@@ -145,7 +167,7 @@ func (s *Speaker) accept() {
 			}
 			return
 		}
-		ses := &session{sp: s, conn: conn, br: bufio.NewReaderSize(conn, 1<<16)}
+		ses := &session{sp: s, conn: conn, br: bufio.NewReaderSize(conn, readBuf)}
 		s.mu.Lock()
 		if s.close.Load() {
 			s.mu.Unlock()
@@ -159,33 +181,52 @@ func (s *Speaker) accept() {
 	}
 }
 
-// Next implements source.Source: it delivers the next queued UPDATE,
-// decoding it through the shared interner on this goroutine. A
-// malformed UPDATE kills its session with a NOTIFICATION (update
-// error) but not the source; Next moves on to the next message.
+// Next implements source.Source: it delivers the next UPDATE of the
+// burst in hand, decoding it through the shared interner on this
+// goroutine, and takes the next queued burst only once this one is
+// used up. A malformed UPDATE kills its session with a NOTIFICATION
+// (update error) but not the source: nothing more that session sent is
+// delivered, and Next moves on to the other sessions' bursts.
 func (s *Speaker) Next(rec *source.Record) error {
 	for {
-		var m sessMsg
-		select {
-		case m = <-s.q:
-		case <-s.done:
-			// Drain what sessions queued before shutdown.
+		for len(s.rest) == 0 {
 			select {
-			case m = <-s.q:
-			default:
-				return io.EOF
+			case s.cur = <-s.q:
+			case <-s.done:
+				// Drain what sessions queued before shutdown.
+				select {
+				case s.cur = <-s.q:
+				default:
+					return io.EOF
+				}
+			}
+			s.rest = s.cur.body
+			if s.cur.sess.rejected {
+				s.cur.sess.free <- s.cur.body[:0]
+				s.rest = nil
 			}
 		}
-		if err := bgp.DecodeUpdateBodyInto(&rec.Upd, m.body, s.cfg.Interner); err != nil {
+		m := &s.cur
+		n := int(binary.BigEndian.Uint16(s.rest))
+		body := s.rest[2 : 2+n]
+		s.rest = s.rest[2+n:]
+		err := bgp.DecodeUpdateBodyInto(&rec.Upd, body, s.cfg.Interner)
+		if err != nil {
 			s.lastErr.Store(err.Error())
+			m.sess.rejected = true
 			m.sess.abort(NotifUpdateErr, 0)
-			continue
+			s.rest = nil
 		}
-		rec.TS = m.ts
-		rec.PeerIP = m.peerIP
-		rec.PeerAS = m.peerAS
-		rec.Seq = s.seq.Add(1)
-		return nil
+		if len(s.rest) == 0 {
+			m.sess.free <- m.body[:0] // walked: the session may refill it
+		}
+		if err == nil {
+			rec.TS = m.ts
+			rec.PeerIP = m.peerIP
+			rec.PeerAS = m.peerAS
+			rec.Seq = s.seq.Add(1)
+			return nil
+		}
 	}
 }
 
@@ -211,7 +252,7 @@ func (s *Speaker) Status() source.Status {
 
 // Close implements source.Source: every established session is sent a
 // NOTIFICATION cease, the listener stops, and Next returns io.EOF once
-// the queue drains. Safe to call more than once.
+// it has walked the bursts already queued. Safe to call more than once.
 func (s *Speaker) Close() error {
 	if s.close.Swap(true) {
 		return nil
@@ -232,6 +273,11 @@ type session struct {
 	sp   *Speaker
 	conn net.Conn
 	br   *bufio.Reader
+	// free holds the session's burst buffers not queued or being walked.
+	free chan []byte
+	// rejected is set once Next failed to decode one of the session's
+	// UPDATEs; Next's goroutine only.
+	rejected bool
 
 	wmu     sync.Mutex
 	dead    atomic.Bool
@@ -333,16 +379,32 @@ func (s *session) handshake() error {
 	return s.send(out)
 }
 
-// established is the steady-state read loop. The read deadline is the
-// hold timer: a peer silent for the negotiated hold time gets a
+// established is the steady-state read loop. Frames already whole in the
+// read buffer are framed back to back, their UPDATEs into one burst; the
+// burst goes to Next before any read that could wait on the peer and
+// before the session ends, however it ends, so no received UPDATE is
+// dropped or reordered. The read deadline is the hold timer, armed only
+// before such a read (a frame served from the buffer never touches the
+// socket): a peer silent for the negotiated hold time gets a
 // NOTIFICATION (hold timer expired) and loses the session.
 func (s *session) established() error {
+	s.free = make(chan []byte, 2)
+	for i := 0; i < cap(s.free); i++ {
+		s.free <- make([]byte, 0, burstCap)
+	}
 	var buf [maxFrame]byte
+	m := sessMsg{peerIP: s.peerIP, peerAS: s.peerAS, sess: s}
+	defer s.ship(&m)
 	for {
-		if s.hold > 0 {
-			s.conn.SetReadDeadline(time.Now().Add(s.hold))
-		} else {
-			s.conn.SetReadDeadline(time.Time{})
+		if !frameBuffered(s.br) {
+			if !s.ship(&m) {
+				return nil
+			}
+			if s.hold > 0 {
+				s.conn.SetReadDeadline(time.Now().Add(s.hold))
+			} else {
+				s.conn.SetReadDeadline(time.Time{})
+			}
 		}
 		frame, err := readFrame(s.br, buf[:])
 		if err != nil {
@@ -362,20 +424,18 @@ func (s *session) established() error {
 		}
 		switch msgType {
 		case bgp.MsgKeepalive:
-			// Hold timer already reset by the next deadline.
+			// Hold timer already reset before the read.
 		case bgp.MsgUpdate:
-			m := sessMsg{
-				ts:     s.sp.cfg.Now(),
-				peerIP: s.peerIP,
-				peerAS: s.peerAS,
-				body:   append([]byte(nil), body...),
-				sess:   s,
+			if m.body == nil {
+				m.ts = s.sp.cfg.Now()
+				select {
+				case m.body = <-s.free:
+				case <-s.sp.done:
+					return nil
+				}
 			}
-			select {
-			case s.sp.q <- m:
-			case <-s.sp.done:
-				return nil
-			}
+			m.body = binary.BigEndian.AppendUint16(m.body, uint16(len(body)))
+			m.body = append(m.body, body...)
 		case bgp.MsgNotification:
 			// Peer is closing the session; nothing to answer.
 			return nil
@@ -385,6 +445,22 @@ func (s *session) established() error {
 			s.send((&bgp.Notification{Code: NotifFSMErr}).AppendWire(nil))
 			return fmt.Errorf("bgpd: message type %d in Established", msgType)
 		}
+	}
+}
+
+// ship hands the burst in progress, if any, to Next. It reports false
+// once the speaker is closing: the burst is then dropped, as Close drops
+// whatever a session has not queued.
+func (s *session) ship(m *sessMsg) bool {
+	if m.body == nil {
+		return true
+	}
+	select {
+	case s.sp.q <- *m:
+		m.body = nil
+		return true
+	case <-s.sp.done:
+		return false
 	}
 }
 

@@ -24,7 +24,9 @@ func newSpeaker(t *testing.T, clk *atomic.Uint32, cfg Config) *Speaker {
 	}
 	cfg.BGPID = [4]byte{192, 0, 2, 1}
 	cfg.Addr = "127.0.0.1:0"
-	cfg.Now = clk.Load
+	if cfg.Now == nil {
+		cfg.Now = clk.Load
+	}
 	sp, err := Listen(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -222,17 +224,7 @@ func TestMalformedUpdateKillsSession(t *testing.T) {
 	}
 	defer p.Close()
 
-	// Update body: no withdrawals, a 3-byte attr block carrying an
-	// unknown well-known attribute (code 99) — a decode error.
-	body := []byte{0, 0, 0, 3, 0x40, 99, 0}
-	frame := make([]byte, 0, 32)
-	for i := 0; i < 16; i++ {
-		frame = append(frame, 0xFF)
-	}
-	total := frameHeader + len(body)
-	frame = append(frame, byte(total>>8), byte(total), bgp.MsgUpdate)
-	frame = append(frame, body...)
-	if err := p.SendRaw(frame); err != nil {
+	if err := p.SendRaw(malformedUpdate()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -282,4 +274,237 @@ func TestReconnectCounts(t *testing.T) {
 	}
 	defer p2.Close()
 	waitStatus("re-accept", func(st source.Status) bool { return st.Reconnects == 1 && st.Peers == 1 })
+}
+
+// announceWire appends a single-prefix UPDATE for prefix i (10.0.0.0/24
+// plus i) to dst.
+func announceWire(dst []byte, i int) []byte {
+	u := &bgp.Update{Attrs: testAttrs(), NLRI: []bgp.Prefix{testPrefix(i)}}
+	return u.AppendWire(dst)
+}
+
+func testPrefix(i int) bgp.Prefix { return bgp.PrefixFromUint32(10<<24+uint32(i)<<8, 24) }
+
+// nextN pulls n records from sp, failing the test unless they all arrive
+// within 5 s.
+func nextN(t *testing.T, sp *Speaker, n int) []source.Record {
+	t.Helper()
+	got := make(chan []source.Record, 1)
+	go func() {
+		var recs []source.Record
+		for len(recs) < n {
+			var rec source.Record
+			if err := sp.Next(&rec); err != nil {
+				break
+			}
+			recs = append(recs, rec)
+		}
+		got <- recs
+	}()
+	select {
+	case recs := <-got:
+		if len(recs) != n {
+			t.Fatalf("Next delivered %d records, want %d", len(recs), n)
+		}
+		return recs
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Next did not deliver %d records within 5s", n)
+		return nil
+	}
+}
+
+// TestSpeakerBurstBeforeNotification: UPDATEs followed by a NOTIFICATION
+// in one write all reach Next, in order and under one timestamp, though
+// the session ends on the NOTIFICATION right after framing them.
+func TestSpeakerBurstBeforeNotification(t *testing.T) {
+	var clk atomic.Uint32
+	// A clock that moves on every reading: one burst, one reading.
+	sp := newSpeaker(t, &clk, Config{Now: func() uint32 { return clk.Add(1) }})
+	p, err := DialScripted(sp.Addr().String(), 65001, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	const k = 16
+	var wire []byte
+	for i := 0; i < k; i++ {
+		wire = announceWire(wire, i)
+	}
+	wire = append(wire, (&bgp.Notification{Code: NotifCease}).AppendWire(nil)...)
+	if err := p.SendRaw(wire); err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range nextN(t, sp, k) {
+		if rec.Seq != uint64(i+1) || len(rec.Upd.NLRI) != 1 || rec.Upd.NLRI[0] != testPrefix(i) {
+			t.Fatalf("record %d: Seq=%d NLRI=%v, want Seq=%d NLRI=[%v]", i, rec.Seq, rec.Upd.NLRI, i+1, testPrefix(i))
+		}
+		if rec.TS != 1 {
+			t.Fatalf("record %d: TS=%d, want 1 (the burst's one timestamp)", i, rec.TS)
+		}
+	}
+}
+
+// malformedUpdate is an UPDATE frame with no withdrawals and a 3-byte
+// attribute block carrying an unknown well-known attribute (code 99): a
+// decode error.
+func malformedUpdate() []byte {
+	body := []byte{0, 0, 0, 3, 0x40, 99, 0}
+	frame := make([]byte, 0, frameHeader+len(body))
+	for i := 0; i < 16; i++ {
+		frame = append(frame, 0xFF)
+	}
+	total := frameHeader + len(body)
+	frame = append(frame, byte(total>>8), byte(total), bgp.MsgUpdate)
+	return append(frame, body...)
+}
+
+// TestSpeakerBurstMalformedMidway: a malformed UPDATE in the middle of a
+// burst kills its session (NOTIFICATION update error). The UPDATEs
+// framed before it are delivered in order, none after it, and another
+// session keeps being served.
+func TestSpeakerBurstMalformedMidway(t *testing.T) {
+	var clk atomic.Uint32
+	sp := newSpeaker(t, &clk, Config{})
+	p1, err := DialScripted(sp.Addr().String(), 65001, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p1.Close()
+	p2, err := DialScripted(sp.Addr().String(), 65002, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+
+	const good = 8
+	var wire []byte
+	for i := 0; i < good; i++ {
+		wire = announceWire(wire, i)
+	}
+	wire = append(wire, malformedUpdate()...)
+	for i := good; i < 2*good; i++ {
+		wire = announceWire(wire, i)
+	}
+	if err := p1.SendRaw(wire); err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range nextN(t, sp, good) {
+		if rec.PeerAS != 65001 || rec.Upd.NLRI[0] != testPrefix(i) {
+			t.Fatalf("record %d: AS %d %v, want AS 65001 %v", i, rec.PeerAS, rec.Upd.NLRI, testPrefix(i))
+		}
+	}
+
+	if err := p2.SendRaw(announceWire(nil, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if rec := nextN(t, sp, 1)[0]; rec.PeerAS != 65002 || rec.Upd.NLRI[0] != testPrefix(1000) {
+		t.Fatalf("after the malformed UPDATE: AS %d %v, want the other session's %v", rec.PeerAS, rec.Upd.NLRI, testPrefix(1000))
+	}
+	code, _, err := p1.ReadNotification()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != NotifUpdateErr {
+		t.Fatalf("NOTIFICATION code %d, want update error (%d)", code, NotifUpdateErr)
+	}
+}
+
+// TestSpeakerBurstDrainedOnClose: Close with bursts queued — one being
+// walked, one waiting — and Next still delivers every UPDATE in them, in
+// order, before it returns io.EOF.
+func TestSpeakerBurstDrainedOnClose(t *testing.T) {
+	var clk atomic.Uint32
+	sp := newSpeaker(t, &clk, Config{})
+	p, err := DialScripted(sp.Addr().String(), 65001, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	const k = 8
+	send := func(from int) {
+		t.Helper()
+		var wire []byte
+		for i := from; i < from+k; i++ {
+			wire = announceWire(wire, i)
+		}
+		if err := p.SendRaw(wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(0)
+	nextN(t, sp, 1) // the first burst is in hand, k-1 UPDATEs unread
+	send(k)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(sp.q) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("second burst never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sp.Close()
+
+	var rec source.Record
+	for i := 1; i < 2*k; i++ {
+		if err := sp.Next(&rec); err != nil {
+			t.Fatalf("Next after Close, record %d: %v", i, err)
+		}
+		if rec.Seq != uint64(i+1) || rec.Upd.NLRI[0] != testPrefix(i) {
+			t.Fatalf("record %d: Seq=%d %v, want Seq=%d %v", i, rec.Seq, rec.Upd.NLRI, i+1, testPrefix(i))
+		}
+	}
+	if err := sp.Next(&rec); err != io.EOF {
+		t.Fatalf("Next after the queued bursts: %v, want io.EOF", err)
+	}
+}
+
+// TestSpeakerNextAllocs: a warm session hands its UPDATEs to Next without
+// allocating — no body copy per UPDATE, the burst buffers recycle. The
+// sender, the session reader and Next all run inside the measured
+// window, averaged over 4 096 UPDATEs.
+func TestSpeakerNextAllocs(t *testing.T) {
+	const n = 4096
+	var clk atomic.Uint32
+	sp := newSpeaker(t, &clk, Config{})
+	p, err := DialScripted(sp.Addr().String(), 65001, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	// AllocsPerRun runs the function once to warm up, then once measured.
+	var wire []byte
+	for i := 0; i < 2*n; i++ {
+		wire = announceWire(wire, i)
+	}
+	sent := make(chan error, 1)
+	go func() {
+		var err error
+		for b := wire; len(b) > 0 && err == nil; {
+			k := min(len(b), 1<<16)
+			err = p.SendRaw(b[:k])
+			b = b[k:]
+		}
+		sent <- err
+	}()
+	var rec source.Record
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			if err := sp.Next(&rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if rec.Seq != 2*n {
+		t.Fatalf("delivered %d UPDATEs, want %d", rec.Seq, 2*n)
+	}
+	per := allocs / n
+	t.Logf("%.4f allocs per UPDATE (%.0f over %d)", per, allocs, n)
+	if per > 0.01 {
+		t.Fatalf("%.3f allocs per UPDATE, want <= 0.01", per)
+	}
 }

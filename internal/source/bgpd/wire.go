@@ -44,6 +44,18 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	return buf[:total], nil
 }
 
+// frameBuffered reports whether br already holds the next frame whole,
+// so that readFrame serves it without reading the connection. A header
+// whose length is below the minimum counts as whole: readFrame rejects
+// it without a read.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < frameHeader {
+		return false
+	}
+	hdr, _ := br.Peek(frameHeader)
+	return br.Buffered() >= int(hdr[16])<<8|int(hdr[17])
+}
+
 // notifErr is a handshake rejection that maps to a NOTIFICATION the
 // speaker should send before hanging up.
 type notifErr struct {

@@ -87,8 +87,9 @@ type decBatch struct {
 	// the worker never waits on the loop); nil for a live batch, which
 	// reaches the loop already decoded.
 	ready chan struct{}
-	// flush makes the loop flush every shard's pending ops after each
-	// record instead of when a batch fills — the live feed's setting.
+	// flush makes the loop flush every shard's pending ops once no batch
+	// is queued behind this record, instead of only when a shard batch
+	// fills — the live feed's setting.
 	flush bool
 }
 

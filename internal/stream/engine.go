@@ -265,14 +265,19 @@ func (e *Engine) flushShard(i int) {
 	e.pend[i] = e.takeOps()
 }
 
+// flush hands every shard its pending ops.
+func (e *Engine) flush() {
+	for i := range e.shards {
+		e.flushShard(i)
+	}
+}
+
 // CloseDay flushes pending batches and sends every shard a day-close
 // barrier: each records its active conflicts for the day into its registry
 // slice. FIFO channels guarantee the barrier lands after all of the day's
 // updates.
 func (e *Engine) CloseDay(day int) {
-	for i := range e.shards {
-		e.flushShard(i)
-	}
+	e.flush()
 	for _, s := range e.shards {
 		s.ch <- batch{closeDay: day}
 	}
@@ -283,9 +288,7 @@ func (e *Engine) CloseDay(day int) {
 // work — a fence for callers that need a settled view (tests, pause
 // points). Like the feed methods it belongs to the ingest goroutine.
 func (e *Engine) Sync() {
-	for i := range e.shards {
-		e.flushShard(i)
-	}
+	e.flush()
 	var wg sync.WaitGroup
 	wg.Add(len(e.shards))
 	for _, s := range e.shards {
@@ -356,9 +359,7 @@ func (e *Engine) Close() {
 	if e.closed.Swap(true) {
 		return
 	}
-	for i := range e.shards {
-		e.flushShard(i)
-	}
+	e.flush()
 	for _, s := range e.shards {
 		close(s.ch)
 	}

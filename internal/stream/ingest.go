@@ -138,8 +138,9 @@ func (c *utcClock) today() (int, error) { return c.cur, nil }
 // parking there keeps a paused view exactly at the just-closed day, with
 // the cursor not yet counting the record, so a checkpoint taken at that
 // park re-reads and applies it on resume); the record's own decode error,
-// if any; the update; the cursor. A clean end of feed closes whatever days
-// the clock says the end implies.
+// if any; the update (with a live batch's flush once the queue is empty);
+// the cursor. A clean end of feed closes whatever days the clock says the
+// end implies.
 func (e *Engine) ingest(f feed) error {
 	closeDue := func(ev clockEvent, ts uint32) error {
 		for day, ok := f.clock.due(ev, ts); ok; day, ok = f.clock.due(ev, ts) {
@@ -191,10 +192,11 @@ func (e *Engine) ingest(f feed) error {
 					return true, err
 				}
 				e.ApplyUpdate(day, PeerKey{IP: rec.PeerIP, AS: rec.PeerAS}, &rec.Upd)
-				if b.flush {
-					for i := range e.shards {
-						e.flushShard(i)
-					}
+				// A live feed's ops go to the shards once nothing more is
+				// queued: a burst fills shard batches, and a lone update is
+				// visible as soon as the loop would otherwise wait.
+				if b.flush && len(f.out) == 0 {
+					e.flush()
 				}
 			}
 			e.recs.Store(rec.Seq)

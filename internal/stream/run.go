@@ -37,20 +37,24 @@ type RunOptions struct {
 // Run drains a live source into the engine until the source ends or
 // opts.Stop closes. It is the continuous-operation sibling of Replay —
 // the same ingest loop (ingest.go) over a different producer and clock:
-// updates dispatch as they arrive, one record per batch and flushed to
-// the shards at once (live rates are human-scale: queries see each update
-// as it lands, not after a replay-sized batch fills); observation days are
-// absolute UTC days (timestamp / 86400) and close when either a record's
-// timestamp or the wall clock crosses into a later day. Pause/Resume work
-// exactly as with Replay: the run parks between records with every shard
-// settled. The record cursor (Records) advances by the source's own
-// sequence numbers, so a checkpoint taken mid-run records how far into
-// the feed the engine got.
+// updates dispatch as they arrive, one record per batch, and reach the
+// shards whenever the loop's queue runs dry (a session's table transfer
+// is a burst of a million updates, which fills shard batches; a lone
+// update is flushed as soon as nothing follows it) and before Run
+// returns, whatever ends it. Observation days are absolute UTC days
+// (timestamp / 86400) and close when either a record's timestamp or the
+// wall clock crosses into a later day. Pause/Resume work exactly as with
+// Replay: the run parks between records with every shard settled. The
+// record cursor (Records) advances by the source's own sequence numbers,
+// so a checkpoint taken mid-run records how far into the feed the engine
+// got.
 //
 // The source's Next runs on a dedicated puller goroutine — the single
-// goroutine its interner contract requires. The run owns its transport:
-// it closes the source on return, which is also what unblocks the puller
-// when a Stop lands mid-feed.
+// goroutine its interner contract requires — which may run up to
+// liveRing records ahead of the loop; a paused or stopped run discards
+// that read-ahead. The run owns its transport: it closes the source on
+// return, which is also what unblocks the puller when a Stop lands
+// mid-feed.
 func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 	var o RunOptions
 	if opts != nil {
@@ -71,11 +75,11 @@ func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 	e.src.Store(srcBox{src})
 	defer e.src.Store(srcBox{})
 
-	// Double-buffered handoff: the puller fills one record while the loop
-	// dispatches the other. out is unbuffered and a batch returns to free
-	// only once dispatched, so the puller never reuses a record the loop
-	// still reads (ApplyUpdate copies everything it keeps into ops).
-	out, free := make(chan *decBatch), make(chan *decBatch, 2)
+	// A ring of one-record batches: the puller fills records while the
+	// loop dispatches earlier ones. A batch returns to free only once
+	// dispatched, so the puller never reuses a record the loop still reads
+	// (ApplyUpdate copies everything it keeps into ops).
+	out, free := make(chan *decBatch, liveRing), make(chan *decBatch, liveRing)
 	for i := 0; i < cap(free); i++ {
 		free <- &decBatch{recs: []decRec{{kind: source.KindUpdate}}, flush: true}
 	}
@@ -90,8 +94,20 @@ func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 		}
 	}()
 	clock := &utcClock{cur: -1, now: o.Now, closeFinal: o.CloseFinalDay}
-	return e.ingest(feed{out: out, free: free, clock: clock, ticks: o.Ticks, stop: o.Stop, onDayClose: o.OnDayClose})
+	err := e.ingest(feed{out: out, free: free, clock: clock, ticks: o.Ticks, stop: o.Stop, onDayClose: o.OnDayClose})
+	// The loop flushes only when its queue runs dry, so any exit (end of
+	// feed, source error, stop, failure) may leave the last updates it
+	// applied pending.
+	e.flush()
+	return err
 }
+
+// liveRing is how many one-record batches Run's puller may fill ahead of
+// the loop: deep enough that during a table transfer neither waits on
+// the other at every record (64 records are ≈ 50 µs of a transfer at
+// 1.3 M updates/s), small enough that the read-ahead a stop discards
+// stays negligible.
+const liveRing = 64
 
 // pull is Run's producer: it moves records from src.Next into one-record
 // batches, stamping each with the engine cursor it advances to (base, the

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -302,4 +303,129 @@ func TestRunTickRecordOrdering(t *testing.T) {
 	if len(closes) != 1 || closes[0] != d0 {
 		t.Fatalf("day closes = %v, want exactly [%d]", closes, d0)
 	}
+}
+
+// liveUpdates returns n source records, each announcing its own /24 from
+// one peer on day d0, and the prefixes they announce.
+func liveUpdates(n int, d0 uint32) ([]source.Record, []bgp.Prefix) {
+	attrs := &bgp.Attrs{
+		Origin:  bgp.OriginIGP,
+		ASPath:  bgp.Path{{Type: bgp.SegSequence, ASes: []bgp.ASN{65001, 70}}},
+		NextHop: [4]byte{192, 0, 2, 1},
+	}
+	recs := make([]source.Record, n)
+	prefixes := make([]bgp.Prefix, n)
+	for i := range recs {
+		prefixes[i] = bgp.PrefixFromUint32(10<<24+uint32(i)<<8, 24)
+		recs[i] = source.Record{Seq: uint64(i + 1), TS: d0*86400 + 100, PeerAS: 65001}
+		recs[i].PeerIP[3] = 1
+		recs[i].Upd = bgp.Update{Attrs: attrs, NLRI: prefixes[i : i+1 : i+1]}
+	}
+	return recs, prefixes
+}
+
+// waitRoutes polls the engine's query path until every prefix shows its
+// one route, without settling the engine first (no Sync, no Pause).
+func waitRoutes(t *testing.T, e *Engine, prefixes []bgp.Prefix) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, p := range prefixes {
+		for e.Prefix(p).Routes != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%v never became visible to queries", p)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestRunFlushesWhenIdle: a live run hands the shards its pending ops as
+// soon as its queue runs dry, so every update a stalled feed delivered is
+// visible to queries with no Sync, Pause or day close to settle it.
+func TestRunFlushesWhenIdle(t *testing.T) {
+	const d0, n = 15000, 16
+	src := newChanSource()
+	e := New(Config{Shards: 2})
+	defer e.Close()
+	stop := make(chan struct{})
+	runDone := make(chan error, 1)
+	now := func() uint32 { return d0*86400 + 200 }
+	go func() { runDone <- e.Run(src, &RunOptions{Stop: stop, Now: now}) }()
+
+	recs, prefixes := liveUpdates(n, d0)
+	for _, rec := range recs {
+		src.ch <- rec
+	}
+	waitRoutes(t, e, prefixes)
+	close(stop)
+	if err := <-runDone; err != ErrReplayStopped {
+		t.Fatalf("Run: %v, want ErrReplayStopped", err)
+	}
+}
+
+// sliceSource serves its records, then fails with err; failed closes
+// when it does.
+type sliceSource struct {
+	recs   []source.Record
+	err    error
+	failed chan struct{}
+}
+
+func (s *sliceSource) Next(rec *source.Record) error {
+	if len(s.recs) == 0 {
+		close(s.failed)
+		return s.err
+	}
+	*rec, s.recs = s.recs[0], s.recs[1:]
+	return nil
+}
+
+func (s *sliceSource) Status() source.Status { return source.Status{Kind: "slice"} }
+func (s *sliceSource) Close() error          { return nil }
+
+// TestRunAppliesQueuedBeforeError: a source that fails right behind its
+// last record ends the run with every record applied, counted and
+// visible. The records and the failure are queued back to back, so the
+// queue never runs dry: only the flush on the way out makes the last
+// records' ops reach the shards.
+func TestRunAppliesQueuedBeforeError(t *testing.T) {
+	const d0, n = 16000, 16
+	recs, prefixes := liveUpdates(n, d0)
+	boom := errors.New("feed broke")
+	src := &sliceSource{recs: recs, err: boom, failed: make(chan struct{})}
+	e := New(Config{Shards: 2})
+	defer e.Close()
+
+	// Parked on its first record, the run lets the puller queue the rest
+	// and the failure behind them; resumed, it applies them back to back.
+	// Run must be right in any interleaving; the pause (and the sleep
+	// below) only make sure the queue is never empty behind a record, so
+	// that the flush on the way out is the one this test exercises.
+	e.Pause()
+	runDone := make(chan error, 1)
+	now := func() uint32 { return d0*86400 + 200 }
+	go func() { runDone <- e.Run(src, &RunOptions{Now: now}) }()
+	<-src.failed
+	deadline := time.Now().Add(5 * time.Second)
+	for !e.Parked() {
+		if time.Now().After(deadline) {
+			t.Fatal("run never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // let the puller queue the failure
+	e.Resume()
+
+	select {
+	case err := <-runDone:
+		if !errors.Is(err, boom) {
+			t.Fatalf("Run: %v, want %v", err, boom)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return on the source error")
+	}
+	if got := e.Records(); got != n {
+		t.Fatalf("Records()=%d, want %d", got, n)
+	}
+	waitRoutes(t, e, prefixes)
 }
