@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzTruthLogDecode -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run XXX -fuzz FuzzEpisodeLogDecode -fuzztime $(FUZZTIME) ./internal/epilog
 	$(GO) test -run XXX -fuzz FuzzInternConcurrent -fuzztime $(FUZZTIME) ./internal/bgp
+	$(GO) test -run XXX -fuzz FuzzParsePrefix -fuzztime $(FUZZTIME) ./internal/bgp
 	$(GO) test -run XXX -fuzz FuzzPrefixTable -fuzztime $(FUZZTIME) ./internal/ptable
 
 # soak runs the months-of-days synth flap-storm leak check under the race

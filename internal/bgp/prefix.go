@@ -12,6 +12,7 @@ package bgp
 import (
 	"errors"
 	"fmt"
+	"net/netip"
 	"strconv"
 	"strings"
 )
@@ -122,35 +123,20 @@ func PrefixFromUint32(v uint32, bits uint8) Prefix {
 // ErrBadPrefix reports an unparseable prefix string.
 var ErrBadPrefix = errors.New("bgp: bad prefix")
 
-// ParsePrefix parses "a.b.c.d/len" or an IPv6 "h:h::h/len" form.
+// ParsePrefix parses "a.b.c.d/len" or an IPv6 "h:h::h/len" form, as
+// net/netip spells them: no leading zeros in an octet or a length, no
+// zone. Host bits are cleared. An IPv4-mapped address ("::ffff:a.b.c.d")
+// is the IPv6 prefix it spells.
 func ParsePrefix(s string) (Prefix, error) {
-	slash := strings.LastIndexByte(s, '/')
-	if slash < 0 {
-		return Prefix{}, fmt.Errorf("%w: %q missing '/'", ErrBadPrefix, s)
-	}
-	bits64, err := strconv.ParseUint(s[slash+1:], 10, 8)
+	np, err := netip.ParsePrefix(s)
 	if err != nil {
-		return Prefix{}, fmt.Errorf("%w: %q bad length", ErrBadPrefix, s)
+		return Prefix{}, fmt.Errorf("%w: %v", ErrBadPrefix, err)
 	}
-	host := s[:slash]
-	if strings.Contains(host, ":") {
-		a, err := parseIPv6(host)
-		if err != nil {
-			return Prefix{}, fmt.Errorf("%w: %q: %v", ErrBadPrefix, s, err)
-		}
-		if bits64 > 128 {
-			return Prefix{}, fmt.Errorf("%w: %q length > 128", ErrBadPrefix, s)
-		}
-		return PrefixFrom16(a, uint8(bits64)), nil
+	a, bits := np.Addr(), uint8(np.Bits())
+	if a.Is4() {
+		return PrefixFrom4(a.As4(), bits), nil
 	}
-	a, err := parseIPv4(host)
-	if err != nil {
-		return Prefix{}, fmt.Errorf("%w: %q: %v", ErrBadPrefix, s, err)
-	}
-	if bits64 > 32 {
-		return Prefix{}, fmt.Errorf("%w: %q length > 32", ErrBadPrefix, s)
-	}
-	return PrefixFrom4(a, uint8(bits64)), nil
+	return PrefixFrom16(a.As16(), bits), nil
 }
 
 // MustParsePrefix is ParsePrefix that panics on error, for tests and
@@ -161,71 +147,6 @@ func MustParsePrefix(s string) Prefix {
 		panic(err)
 	}
 	return p
-}
-
-func parseIPv4(s string) ([4]byte, error) {
-	var a [4]byte
-	for i := 0; i < 4; i++ {
-		var j int
-		for j = 0; j < len(s) && s[j] != '.'; j++ {
-		}
-		if i < 3 && j == len(s) || i == 3 && j != len(s) {
-			return a, errors.New("want 4 dotted octets")
-		}
-		v, err := strconv.ParseUint(s[:j], 10, 8)
-		if err != nil {
-			return a, err
-		}
-		a[i] = byte(v)
-		if j < len(s) {
-			s = s[j+1:]
-		}
-	}
-	return a, nil
-}
-
-func parseIPv6(s string) ([16]byte, error) {
-	var a [16]byte
-	// Split on "::" into head and tail groups.
-	head, tail, compressed := s, "", false
-	if i := strings.Index(s, "::"); i >= 0 {
-		head, tail, compressed = s[:i], s[i+2:], true
-	}
-	parse := func(part string) ([]uint16, error) {
-		if part == "" {
-			return nil, nil
-		}
-		fields := strings.Split(part, ":")
-		gs := make([]uint16, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseUint(f, 16, 16)
-			if err != nil {
-				return nil, err
-			}
-			gs[i] = uint16(v)
-		}
-		return gs, nil
-	}
-	hg, err := parse(head)
-	if err != nil {
-		return a, err
-	}
-	tg, err := parse(tail)
-	if err != nil {
-		return a, err
-	}
-	n := len(hg) + len(tg)
-	if !compressed && n != 8 || n > 8 {
-		return a, errors.New("want 8 hextets")
-	}
-	for i, g := range hg {
-		a[2*i], a[2*i+1] = byte(g>>8), byte(g)
-	}
-	for i, g := range tg {
-		j := 8 - len(tg) + i
-		a[2*j], a[2*j+1] = byte(g>>8), byte(g)
-	}
-	return a, nil
 }
 
 // IsValid reports whether p is a constructed (non-zero) prefix.
@@ -258,11 +179,14 @@ func (p Prefix) Uint32() uint32 {
 	return uint32(p.addr[0])<<24 | uint32(p.addr[1])<<16 | uint32(p.addr[2])<<8 | uint32(p.addr[3])
 }
 
-// String renders the canonical "addr/len" form.
+// String renders the canonical "addr/len" form. IPv6 is written with all
+// eight groups and no "::" (checkpoints pin that form), which ParsePrefix
+// reads back.
 func (p Prefix) String() string {
 	switch p.family {
 	case FamilyIPv4:
-		return fmt.Sprintf("%d.%d.%d.%d/%d", p.addr[0], p.addr[1], p.addr[2], p.addr[3], p.bits)
+		var buf [len("255.255.255.255/32")]byte
+		return string(netip.PrefixFrom(netip.AddrFrom4(p.Addr4()), int(p.bits)).AppendTo(buf[:0]))
 	case FamilyIPv6:
 		var b strings.Builder
 		for i := 0; i < 16; i += 2 {

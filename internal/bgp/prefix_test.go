@@ -72,6 +72,60 @@ func TestParsePrefixErrors(t *testing.T) {
 	}
 }
 
+// TestParsePrefixSpelling pins the spellings net/netip decides: leading
+// zeros in an octet or a length, IPv6 groups of more than four digits and
+// zones are refused; a 4-in-6 prefix is the IPv6 prefix it spells.
+func TestParsePrefixSpelling(t *testing.T) {
+	for _, in := range []string{
+		"010.0.0.0/8", "10.0.0.0/08", "2001:00db8::/32", "fe80::1%eth0/64", "::ffff:10.0.0.0/129",
+	} {
+		if p, err := ParsePrefix(in); !errors.Is(err, ErrBadPrefix) {
+			t.Errorf("ParsePrefix(%q) = %v, %v; want ErrBadPrefix", in, p, err)
+		}
+	}
+	for _, c := range []struct {
+		in   string
+		want Prefix
+		text string
+	}{
+		{"::ffff:10.0.0.0/104", PrefixFrom16([16]byte{10: 0xff, 11: 0xff, 12: 10}, 104), "0:0:0:0:0:ffff:a00:0/104"},
+		{"::ffff:10.1.2.3/104", PrefixFrom16([16]byte{10: 0xff, 11: 0xff, 12: 10}, 104), "0:0:0:0:0:ffff:a00:0/104"},
+		{"2001:0db8::/32", PrefixFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8}, 32), "2001:db8:0:0:0:0:0:0/32"},
+		{"10.0.0.0/0", PrefixFrom4([4]byte{}, 0), "0.0.0.0/0"},
+	} {
+		p, err := ParsePrefix(c.in)
+		if err != nil || p != c.want || p.String() != c.text {
+			t.Errorf("ParsePrefix(%q) = %v, %v; want %s", c.in, p, err, c.text)
+		}
+	}
+}
+
+// FuzzParsePrefix: ParsePrefix never panics, refuses with ErrBadPrefix,
+// and whatever it accepts reads back from its own text as the same prefix.
+func FuzzParsePrefix(f *testing.F) {
+	for _, s := range []string{
+		"10.0.0.0/8", "2001:db8:0:0:0:0:0:0/32", "2001:db8::/32", "::ffff:10.0.0.0/104",
+		"192.168.1.7/24", "010.0.0.0/8", "fe80::1%eth0/64", "10.0.0.0/33", "2001:db8::/129",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePrefix(s)
+		if err != nil {
+			if !errors.Is(err, ErrBadPrefix) {
+				t.Fatalf("ParsePrefix(%q): %v is not ErrBadPrefix", s, err)
+			}
+			return
+		}
+		if !p.IsValid() {
+			t.Fatalf("ParsePrefix(%q) returned the zero Prefix", s)
+		}
+		if q, err := ParsePrefix(p.String()); err != nil || q != p {
+			t.Fatalf("ParsePrefix(%q) = %v, whose text reads back as %v, %v", s, p, q, err)
+		}
+	})
+}
+
 // TestPrefixText: a Prefix field is a string in JSON, in the canonical
 // form, in both families; the text method rejects what ParsePrefix
 // rejects plus text no prefix could need, and the zero Prefix — which has

@@ -25,22 +25,6 @@ type DayObservation struct {
 // Count returns the day's MOAS conflict count — the quantity of Fig. 1.
 func (o *DayObservation) Count() int { return len(o.Conflicts) }
 
-// InvolvementOf counts the day's conflicts whose origin set includes a —
-// the spike-attribution measure of §VI-E ("AS 8584 was involved in 11357
-// of 11842 conflicts").
-func (o *DayObservation) InvolvementOf(a bgp.ASN) int {
-	n := 0
-	for _, c := range o.Conflicts {
-		for _, org := range c.Origins {
-			if org == a {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
 // Detector runs per-day MOAS detection and feeds the cross-day registry.
 // The zero value is not usable; call NewDetector.
 type Detector struct {

@@ -40,9 +40,6 @@ func TestObserveViewBasic(t *testing.T) {
 	if obs.Conflicts[0].Prefix.String() != "198.51.100.0/24" {
 		t.Fatalf("conflicts out of order: %v", obs.Conflicts[0].Prefix)
 	}
-	if obs.InvolvementOf(8584) != 1 || obs.InvolvementOf(3002) != 2 || obs.InvolvementOf(9) != 0 {
-		t.Fatal("InvolvementOf wrong")
-	}
 	if d.Registry().Len() != 2 {
 		t.Fatalf("registry has %d conflicts", d.Registry().Len())
 	}

@@ -38,8 +38,8 @@ func TestDegradeBufferHeal(t *testing.T) {
 	if err := lg.Append(degEpisode(2, 1)); !errors.Is(err, vfs.ErrNoSpace) {
 		t.Fatalf("append under fault: %v", err)
 	}
-	if err := lg.Err(); !errors.Is(err, vfs.ErrNoSpace) {
-		t.Fatalf("Err while degraded: %v", err)
+	if h := lg.Health(); !h.Degraded || h.Error != vfs.ErrNoSpace.Error() {
+		t.Fatalf("Health while degraded: %+v", h)
 	}
 	for seq := uint64(3); seq <= 6; seq++ {
 		lg.Append(degEpisode(seq, int(seq)-1))
@@ -67,11 +67,8 @@ func TestDegradeBufferHeal(t *testing.T) {
 		seq++
 	}
 	h = lg.Health()
-	if h.Degraded || h.Pending != 0 || h.Healed != 1 {
+	if h.Degraded || h.Error != "" || h.Pending != 0 || h.Healed != 1 {
 		t.Fatalf("Health after heal: %+v", h)
-	}
-	if err := lg.Err(); err != nil {
-		t.Fatalf("Err after heal: %v", err)
 	}
 	// Everything — including the originally failed episodes — is on
 	// disk: a fresh Log over the same dir sees the full history.

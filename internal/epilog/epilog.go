@@ -749,18 +749,6 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Err returns the current durability failure while the log is
-// degraded, nil once it heals. (Before the degradation rework this was
-// a sticky latch; it now tracks live health.)
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.degraded {
-		return l.degErr
-	}
-	return nil
-}
-
 // Health is the log's durability health, surfaced per scenario under
 // the episode_log subsystem.
 type Health struct {

@@ -66,7 +66,11 @@ func FuzzSnapshotRestore(f *testing.F) {
 			Origins: []bgp.ASN{64500, 64501},
 			Class:   core.ClassDistinctPaths,
 		})
-		k.AppendSpans(nil)
+		var d kernel.Durations
+		k.AddDurations(&d, 1<<20)
+		if st := d.Stats(); st.MaxDays < 0 || st.MeanDays < 0 || st.MedianDays < 0 {
+			t.Fatalf("restored kernel's lifecycle has negative durations: %+v", st)
+		}
 		out := k.Snapshot()
 		if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, out)); err != nil {
 			t.Fatalf("restored kernel's re-encoding does not decode: %v", err)

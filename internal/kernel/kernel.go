@@ -19,29 +19,6 @@ import (
 	"moas/internal/ptable"
 )
 
-// Span is one contiguous activation of a conflict: Start is the day the
-// origin set first held two or more ASes, End the day an observation
-// dissolved it. Open spans have no End yet. Lifecycle (lifecycle.go)
-// summarizes a set of them.
-type Span struct {
-	Start, End int
-	Open       bool
-}
-
-// Len returns the span's length in observation days as of now: ended spans
-// count [Start, End), open spans [Start, now]. A conflict that started and
-// ended within one day counts 1, matching the registry's "lasting less
-// than one day" convention.
-func (s Span) Len(now int) int {
-	if s.Open {
-		return now - s.Start + 1
-	}
-	if s.End <= s.Start {
-		return 1
-	}
-	return s.End - s.Start
-}
-
 // EventType enumerates conflict lifecycle transitions.
 type EventType uint8
 
@@ -535,21 +512,6 @@ func (k *Kernel) WalkActive(fn func(p bgp.Prefix, v View) bool) {
 			return
 		}
 	}
-}
-
-// AppendSpans appends every activation span — closed ones counted at
-// event time, open ones derived from the active set — to dst, in no
-// particular order.
-func (k *Kernel) AppendSpans(dst []Span) []Span {
-	for sp, n := range k.closed {
-		for ; n > 0; n-- {
-			dst = append(dst, Span{Start: sp.Start, End: sp.End})
-		}
-	}
-	for _, id := range k.active {
-		dst = append(dst, Span{Start: k.extOf(id).since, Open: true})
-	}
-	return dst
 }
 
 // SortEvents orders events canonically: (day, prefix, per-prefix seq).

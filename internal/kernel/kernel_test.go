@@ -76,9 +76,8 @@ func TestApplyLifecycle(t *testing.T) {
 		t.Fatal("still active after end")
 	}
 
-	spans := k.AppendSpans(nil)
-	if len(spans) != 1 || spans[0] != (kernel.Span{Start: 3, End: 9}) {
-		t.Fatalf("spans = %v, want one [3,9)", spans)
+	if spans := k.Snapshot().ClosedSpans; !reflect.DeepEqual(spans, []kernel.SpanSnap{{Start: 3, End: 9}}) {
+		t.Fatalf("ended activations = %v, want one [3,9)", spans)
 	}
 	if k.EventCount() != 4 || len(k.Log()) != 4 {
 		t.Fatalf("event count %d, log %d, want 4", k.EventCount(), len(k.Log()))

@@ -28,25 +28,34 @@ type Durations struct {
 	open  int
 }
 
-// add folds in n spans equal to s, measured as of observation day now.
-func (d *Durations) add(s Span, now, n int) {
+// add folds in n activations that began on day start and, unless open,
+// ended on day end, measured as of observation day now (the last day
+// closed). An ended activation counts [start, end), and at least 1 day: a
+// conflict that started and ended within one day lasted 1, matching the
+// registry's "lasting less than one day" convention. An open one counts
+// [start, now], and 0 days while no day close has seen it — a live feed
+// before its first UTC midnight (now = -1), or a replay whose calendar
+// skips days past now.
+func (d *Durations) add(start, end, now, n int, open bool) {
+	days := max(end-start, 1)
+	if open {
+		days = max(now-start+1, 0)
+		d.open += n
+	}
 	if d.byLen == nil {
 		d.byLen = make(map[int]int)
 	}
-	d.byLen[s.Len(now)] += n
-	if s.Open {
-		d.open += n
-	}
+	d.byLen[days] += n
 }
 
-// AddDurations folds every activation span of k — the counted closed
-// ones and the open ones of the active set — into d as of day now.
+// AddDurations folds every activation of k — the counted closed ones and
+// the open ones of the active set — into d as of day now.
 func (k *Kernel) AddDurations(d *Durations, now int) {
 	for sp, n := range k.closed {
-		d.add(Span{Start: sp.Start, End: sp.End}, now, n)
+		d.add(sp.Start, sp.End, now, n, false)
 	}
 	for _, id := range k.active {
-		d.add(Span{Start: k.extOf(id).since, Open: true}, now, 1)
+		d.add(k.extOf(id).since, 0, now, 1, true)
 	}
 }
 
@@ -77,6 +86,6 @@ func (d *Durations) Stats() LifecycleStats {
 	}
 	st.MedianDays /= 2
 	st.MeanDays = float64(sum) / float64(st.Spans)
-	st.MaxDays = max(lens[len(lens)-1], 0)
+	st.MaxDays = lens[len(lens)-1]
 	return st
 }

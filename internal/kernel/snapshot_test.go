@@ -3,7 +3,6 @@ package kernel_test
 import (
 	"bytes"
 	"reflect"
-	"sort"
 	"testing"
 
 	"moas/internal/bgp"
@@ -57,23 +56,16 @@ func drive(k *kernel.Kernel, part []scriptedObs) {
 	}
 }
 
-func sortedSpans(k *kernel.Kernel) []kernel.Span {
-	spans := k.AppendSpans(nil)
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		if spans[i].End != spans[j].End {
-			return spans[i].End < spans[j].End
-		}
-		return !spans[i].Open && spans[j].Open
-	})
-	return spans
+// lifecycleOf is k's activation-duration summary as of day now.
+func lifecycleOf(k *kernel.Kernel, now int) kernel.LifecycleStats {
+	var d kernel.Durations
+	k.AddDurations(&d, now)
+	return d.Stats()
 }
 
 // TestSnapshotRoundTrip: checkpoint a kernel mid-run, serialize through
 // JSON, restore into a fresh kernel, finish the run on both — every
-// observable (snapshot image, registry, spans, actives, event log) must
+// observable (snapshot image, registry, lifecycle, actives, event log) must
 // be identical to the uninterrupted kernel's.
 func TestSnapshotRoundTrip(t *testing.T) {
 	all, splitAt := script()
@@ -103,9 +95,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("final snapshots differ:\nwant %+v\n got %+v", wantSnap, gotSnap)
 	}
 	diffRegistries(t, uninterrupted.Registry(), restored.Registry())
-	// Open spans derive from set iteration, so compare as multisets.
-	if w, g := sortedSpans(uninterrupted), sortedSpans(restored); !reflect.DeepEqual(w, g) {
-		t.Fatalf("spans differ: %v vs %v", w, g)
+	if w, g := lifecycleOf(uninterrupted, 100), lifecycleOf(restored, 100); w != g {
+		t.Fatalf("lifecycles differ: %+v vs %+v", w, g)
 	}
 	if !reflect.DeepEqual(activeSet(uninterrupted), activeSet(restored)) {
 		t.Fatal("active sets differ after restore")

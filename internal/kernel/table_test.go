@@ -282,7 +282,7 @@ func TestRegistryAgainstPlainRegistry(t *testing.T) {
 // TestClosedSpansBoundedByDays: what ended activations leave behind is a
 // count per distinct (start, end) pair — 64 prefixes flapping in step
 // for 2000 days leave one entry per day, not one per prefix and day —
-// while AppendSpans still lists every activation.
+// while the image and the lifecycle still count every activation.
 func TestClosedSpansBoundedByDays(t *testing.T) {
 	const prefixes, days = 64, 2000
 	k := New(Options{HistoryCap: 4})
@@ -297,8 +297,10 @@ func TestClosedSpansBoundedByDays(t *testing.T) {
 	if len(k.closed) > 2*days {
 		t.Fatalf("%d closed-span entries for %d distinct spans", len(k.closed), 2*days)
 	}
-	if n := len(k.AppendSpans(nil)); n != prefixes*days {
-		t.Fatalf("AppendSpans lists %d activations, want %d", n, prefixes*days)
+	var d Durations
+	k.AddDurations(&d, days-1)
+	if st := d.Stats(); st.Spans != prefixes*days || st.Open != 0 {
+		t.Fatalf("the lifecycle counts %d activations (%d open), want %d ended", st.Spans, st.Open, prefixes*days)
 	}
 	if n := len(k.Snapshot().ClosedSpans); n != prefixes*days {
 		t.Fatalf("the image lists %d ended activations, want %d", n, prefixes*days)

@@ -65,7 +65,7 @@ func TestTableViewOriginSet(t *testing.T) {
 	v.Add(PeerRoute{PeerID: 3, PeerAS: 7018, Route: route("10.0.0.0/8", "7018 12")})
 	v.Add(PeerRoute{PeerID: 4, PeerAS: 2914, Route: route("10.0.0.0/8", "2914 {5,6}")}) // AS_SET: excluded
 
-	origins, excluded := v.OriginSet(pfx("10.0.0.0/8"))
+	origins, excluded := OriginsOf(v.Routes(pfx("10.0.0.0/8")))
 	if excluded != 1 {
 		t.Errorf("excluded = %d, want 1", excluded)
 	}
@@ -74,7 +74,7 @@ func TestTableViewOriginSet(t *testing.T) {
 	}
 
 	// A prefix absent from the view has an empty origin set.
-	origins, excluded = v.OriginSet(pfx("99.0.0.0/8"))
+	origins, excluded = OriginsOf(v.Routes(pfx("99.0.0.0/8")))
 	if origins != nil || excluded != 0 {
 		t.Errorf("absent prefix: (%v,%d)", origins, excluded)
 	}
@@ -91,7 +91,7 @@ func TestTableViewFromPeers(t *testing.T) {
 	if v.Len() != 2 {
 		t.Fatalf("view Len = %d", v.Len())
 	}
-	origins, _ := v.OriginSet(pfx("10.0.0.0/8"))
+	origins, _ := OriginsOf(v.Routes(pfx("10.0.0.0/8")))
 	if len(origins) != 2 {
 		t.Fatalf("origins = %v", origins)
 	}

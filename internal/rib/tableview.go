@@ -63,13 +63,6 @@ func (v *TableView) Walk(fn func(bgp.Prefix, []PeerRoute) bool) {
 	}
 }
 
-// OriginSet returns the distinct origin ASes for p in ascending order,
-// excluding routes whose AS path ends in an AS_SET (the paper's §III
-// exclusion). The second result is the number of routes excluded that way.
-func (v *TableView) OriginSet(p bgp.Prefix) ([]bgp.ASN, int) {
-	return OriginsOf(v.routes[p])
-}
-
 // OriginsOf extracts the ascending distinct origin set from a route list,
 // excluding AS_SET-terminated paths; it returns the set and the excluded
 // route count.

@@ -176,13 +176,9 @@ func NewHandler(reg *Registry) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 
-	maxBody := reg.Limits.MaxCreateBytes
-	if maxBody <= 0 {
-		maxBody = DefaultMaxCreateBytes
-	}
 	mux.HandleFunc("POST /scenarios", func(w http.ResponseWriter, r *http.Request) {
 		var cfg ScenarioConfig
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCreateBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&cfg); err != nil {
 			code := http.StatusBadRequest

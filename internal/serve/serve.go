@@ -43,21 +43,18 @@ type Limits struct {
 	// reconnecting SSE client can catch up on via Last-Event-ID without a
 	// full resync (0 = DefaultEventRing).
 	EventRing int
-	// MaxCreateBytes caps the POST /scenarios request body (0 =
-	// DefaultMaxCreateBytes). Create bodies can carry whole engine
-	// checkpoints, so without a cap the decoder would buffer arbitrarily
-	// large uploads before any limit is consulted.
-	MaxCreateBytes int64
 }
 
 // DefaultEventRing is the per-scenario resume buffer used when
 // Limits.EventRing is zero.
 const DefaultEventRing = 1024
 
-// DefaultMaxCreateBytes bounds create bodies when Limits.MaxCreateBytes
-// is zero — generous enough for full-scale checkpoints, small enough
-// that a burst of hostile uploads cannot OOM the daemon.
-const DefaultMaxCreateBytes = 256 << 20
+// maxCreateBytes caps the POST /scenarios request body. Create bodies can
+// carry whole engine checkpoints, so without a cap the decoder would
+// buffer arbitrarily large uploads before any limit is consulted: the
+// cap is generous enough for full-scale checkpoints, small enough that a
+// burst of hostile uploads cannot OOM the daemon.
+const maxCreateBytes = 256 << 20
 
 // ErrTooManyScenarios is returned by Create when Limits.MaxScenarios is
 // reached; the HTTP layer maps it to 429.

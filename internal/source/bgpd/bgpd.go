@@ -44,12 +44,8 @@ const (
 
 // Config configures a Speaker.
 type Config struct {
-	// Addr is the TCP listen address (":179", "127.0.0.1:0"). Ignored
-	// when Listener is set.
+	// Addr is the TCP listen address (":179", "127.0.0.1:0").
 	Addr string
-	// Listener, when non-nil, is used instead of listening on Addr —
-	// tests hand in a net.Pipe-free real listener on a random port.
-	Listener net.Listener
 	// LocalAS and BGPID identify the speaker in its OPEN.
 	LocalAS bgp.ASN
 	BGPID   [4]byte
@@ -122,8 +118,7 @@ type Speaker struct {
 	lastErr atomic.Value // string
 }
 
-// Listen starts a Speaker accepting sessions on cfg.Addr (or
-// cfg.Listener).
+// Listen starts a Speaker accepting sessions on cfg.Addr.
 func Listen(cfg Config) (*Speaker, error) {
 	if cfg.Interner == nil {
 		return nil, fmt.Errorf("bgpd: Config.Interner is required")
@@ -134,13 +129,9 @@ func Listen(cfg Config) (*Speaker, error) {
 	if cfg.Now == nil {
 		cfg.Now = func() uint32 { return uint32(time.Now().Unix()) }
 	}
-	ln := cfg.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", cfg.Addr)
-		if err != nil {
-			return nil, err
-		}
+	ln, err := net.Listen("tcp", cfg.Addr)
+	if err != nil {
+		return nil, err
 	}
 	s := &Speaker{
 		cfg:  cfg,

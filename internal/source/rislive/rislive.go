@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/netip"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -37,11 +38,6 @@ type Config struct {
 	// Backoff bounds the reconnect schedule; zero values use the
 	// source package defaults.
 	Backoff source.Backoff
-	// Subscribe is the JSON subscription sent after each (re)connect.
-	// Default: {"type":"ris_subscribe","data":{}}.
-	Subscribe string
-	// DialTimeout bounds one connection attempt. Default 10s.
-	DialTimeout time.Duration
 	// HealthyAfter is how long a connection must keep delivering before
 	// the reconnect backoff resets (default 30s). Resetting on the dial
 	// itself — the obvious choice — turns a server that accepts and then
@@ -49,6 +45,13 @@ type Config struct {
 	// "succeeds", so every attempt retries at the base delay forever.
 	HealthyAfter time.Duration
 }
+
+const (
+	// subscribe is the JSON subscription sent after each (re)connect.
+	subscribe = `{"type":"ris_subscribe","data":{}}`
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 10 * time.Second
+)
 
 // Client is a connected RIS Live feed. It implements source.Source.
 type Client struct {
@@ -98,27 +101,30 @@ func Dial(cfg Config) (*Client, error) {
 	if cfg.Interner == nil {
 		return nil, fmt.Errorf("rislive: Config.Interner is required")
 	}
-	if cfg.Subscribe == "" {
-		cfg.Subscribe = `{"type":"ris_subscribe","data":{}}`
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
 	if cfg.HealthyAfter <= 0 {
 		cfg.HealthyAfter = 30 * time.Second
 	}
 	c := &Client{cfg: cfg, closeCh: make(chan struct{}), backoff: cfg.Backoff, connectedAt: time.Now()}
-	conn, err := wsDial(cfg.URL, cfg.DialTimeout)
+	conn, err := dialSubscribed(cfg.URL)
 	if err != nil {
-		return nil, err
-	}
-	if err := conn.writeText([]byte(cfg.Subscribe)); err != nil {
-		conn.close()
 		return nil, err
 	}
 	c.conn = conn
 	c.connected.Store(true)
 	return c, nil
+}
+
+// dialSubscribed connects to url and sends the subscription.
+func dialSubscribed(url string) (*wsConn, error) {
+	conn, err := wsDial(url, dialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	if err := conn.writeText([]byte(subscribe)); err != nil {
+		conn.close()
+		return nil, err
+	}
+	return conn, nil
 }
 
 // Next implements source.Source: deliver the next update, reconnecting
@@ -180,14 +186,9 @@ func (c *Client) reconnect() error {
 		case <-c.closeCh:
 			return io.EOF
 		}
-		conn, err := wsDial(c.cfg.URL, c.cfg.DialTimeout)
+		conn, err := dialSubscribed(c.cfg.URL)
 		if err != nil {
 			c.lastErr.Store(err.Error())
-			continue
-		}
-		if err := conn.writeText([]byte(c.cfg.Subscribe)); err != nil {
-			c.lastErr.Store(err.Error())
-			conn.close()
 			continue
 		}
 		c.mu.Lock()
@@ -298,10 +299,13 @@ func (c *Client) ingest(payload []byte) error {
 		c.fresh = false
 	}
 
-	var peerIP [16]byte
-	if err := parsePeerIP(d.Peer, &peerIP); err != nil {
-		return err
+	peer4, err := parseIPv4(d.Peer)
+	if err != nil {
+		return fmt.Errorf("rislive: peer: %w", err)
 	}
+	// BGP4MP's 16-byte peer address: an IPv4 peer fills the first 4.
+	var peerIP [16]byte
+	copy(peerIP[:], peer4[:])
 	peerAS, err := strconv.ParseUint(d.PeerASN, 10, 32)
 	if err != nil {
 		return fmt.Errorf("rislive: peer_asn %q: %w", d.PeerASN, err)
@@ -332,10 +336,11 @@ func (c *Client) ingest(payload []byte) error {
 		if len(nlri) == 0 {
 			continue
 		}
-		c.scratch = bgp.Attrs{Origin: parseOrigin(d.Origin), ASPath: path}
-		if err := parseIPv4(ann.NextHop, &c.scratch.NextHop); err != nil {
-			return err
+		nextHop, err := parseIPv4(ann.NextHop)
+		if err != nil {
+			return fmt.Errorf("rislive: next_hop: %w", err)
 		}
+		c.scratch = bgp.Attrs{Origin: parseOrigin(d.Origin), ASPath: path, NextHop: nextHop}
 		var attrs *bgp.Attrs
 		if maxAS > 0xFFFF && !c.cfg.Interner.ASN4() {
 			// The path cannot round-trip through the interner's 2-octet
@@ -429,45 +434,12 @@ func parsePrefixes(ss []string) ([]bgp.Prefix, error) {
 	return out, nil
 }
 
-// parseIPv4 parses a dotted-quad next hop.
-func parseIPv4(s string, dst *[4]byte) error {
-	var b [4]byte
-	var idx, val, digits int
-	for i := 0; i < len(s); i++ {
-		ch := s[i]
-		switch {
-		case ch >= '0' && ch <= '9':
-			val = val*10 + int(ch-'0')
-			digits++
-			if val > 255 || digits > 3 {
-				return fmt.Errorf("rislive: next_hop %q", s)
-			}
-		case ch == '.':
-			if digits == 0 || idx >= 3 {
-				return fmt.Errorf("rislive: next_hop %q", s)
-			}
-			b[idx] = byte(val)
-			idx++
-			val, digits = 0, 0
-		default:
-			return fmt.Errorf("rislive: next_hop %q", s)
-		}
+// parseIPv4 parses an IPv4 address, a next hop or a peer: the engine is
+// IPv4-only (study-era BGP-4).
+func parseIPv4(s string) ([4]byte, error) {
+	a, err := netip.ParseAddr(s)
+	if err != nil || !a.Is4() {
+		return [4]byte{}, fmt.Errorf("%q is not an IPv4 address", s)
 	}
-	if idx != 3 || digits == 0 {
-		return fmt.Errorf("rislive: next_hop %q", s)
-	}
-	b[3] = byte(val)
-	*dst = b
-	return nil
-}
-
-// parsePeerIP fills the BGP4MP 16-byte peer address convention: an IPv4
-// peer occupies the first 4 bytes.
-func parsePeerIP(s string, dst *[16]byte) error {
-	var v4 [4]byte
-	if err := parseIPv4(s, &v4); err != nil {
-		return fmt.Errorf("rislive: peer %q (IPv4 peers only)", s)
-	}
-	copy(dst[:4], v4[:])
-	return nil
+	return a.As4(), nil
 }

@@ -258,13 +258,29 @@ func TestParsePathSegments(t *testing.T) {
 }
 
 func TestParseIPv4Rejects(t *testing.T) {
-	var b [4]byte
-	for _, s := range []string{"", "1.2.3", "1.2.3.4.5", "256.1.1.1", "a.b.c.d", "1..2.3"} {
-		if err := parseIPv4(s, &b); err == nil {
-			t.Fatalf("parseIPv4(%q) accepted", s)
+	for _, s := range []string{
+		"", "1.2.3", "1.2.3.4.5", "256.1.1.1", "a.b.c.d", "1..2.3",
+		"010.0.0.1",                             // leading zero: refused, as net/netip refuses it
+		"::1", "2001:db8::1", "::ffff:10.0.0.1", // next hops and peers stay IPv4-only
+		"10.0.0.1%eth0", " 10.0.0.1",
+	} {
+		if b, err := parseIPv4(s); err == nil {
+			t.Fatalf("parseIPv4(%q) accepted as %v", s, b)
 		}
 	}
-	if err := parseIPv4("10.255.0.1", &b); err != nil || b != [4]byte{10, 255, 0, 1} {
+	if b, err := parseIPv4("10.255.0.1"); err != nil || b != [4]byte{10, 255, 0, 1} {
 		t.Fatalf("parseIPv4 valid: %v %v", b, err)
+	}
+}
+
+// TestParsePrefixesKeepsIPv4: IPv6 prefixes, a 4-in-6 one included, are
+// dropped from a message, not an error; text no family spells is.
+func TestParsePrefixesKeepsIPv4(t *testing.T) {
+	got, err := parsePrefixes([]string{"2001:db8::/32", "10.0.0.0/8", "::ffff:10.0.0.0/104"})
+	if err != nil || len(got) != 1 || got[0] != bgp.MustParsePrefix("10.0.0.0/8") {
+		t.Fatalf("parsePrefixes = %v, %v; want [10.0.0.0/8]", got, err)
+	}
+	if _, err := parsePrefixes([]string{"10.0.0.0/8", "010.0.0.0/8"}); err == nil {
+		t.Fatal("parsePrefixes accepted a leading-zero octet")
 	}
 }

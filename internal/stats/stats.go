@@ -5,34 +5,11 @@ package stats
 
 import "sort"
 
-// Median returns the median of xs (mean of the middle pair for even n,
-// matching the paper's fractional yearly medians such as 810.5).
-// It returns 0 for an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return MedianSorted(s)
-}
-
-// MedianSorted is Median over a slice already in ascending order. It does
-// no copy and no sort — the form the hot analysis loops use for samples
-// they sort once and query repeatedly.
-func MedianSorted(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
-}
-
-// MedianIntsSorted is MedianSorted over ascending ints, avoiding both the
-// copy and the int→float64 conversion of the whole sample.
+// MedianIntsSorted returns the median of xs, which must be in ascending
+// order (mean of the middle pair for even n, matching the paper's
+// fractional yearly medians such as 810.5). It returns 0 for an empty
+// slice. It does no copy and no sort — the form the analysis loops use
+// for samples they sort once and query repeatedly.
 func MedianIntsSorted(xs []int) float64 {
 	n := len(xs)
 	if n == 0 {

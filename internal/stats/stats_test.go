@@ -9,42 +9,49 @@ import (
 
 func TestMedian(t *testing.T) {
 	cases := []struct {
-		in   []float64
+		in   []int
 		want float64
 	}{
 		{nil, 0},
-		{[]float64{5}, 5},
-		{[]float64{1, 3}, 2},
-		{[]float64{3, 1, 2}, 2},
-		{[]float64{810, 811}, 810.5}, // the paper's fractional median
-		{[]float64{4, 1, 3, 2}, 2.5},
+		{[]int{5}, 5},
+		{[]int{1, 3}, 2},
+		{[]int{1, 2, 3}, 2},
+		{[]int{810, 811}, 810.5}, // the paper's fractional median
+		{[]int{1, 2, 3, 4}, 2.5},
 	}
 	for _, c := range cases {
-		if got := Median(c.in); got != c.want {
-			t.Errorf("Median(%v) = %v, want %v", c.in, got, c.want)
+		if got := MedianIntsSorted(c.in); got != c.want {
+			t.Errorf("MedianIntsSorted(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
 
-func TestMedianDoesNotMutate(t *testing.T) {
-	in := []float64{3, 1, 2}
-	Median(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Fatal("Median mutated its input")
-	}
-}
-
+// TestMedianSortedAgreesWithMedian: MedianIntsSorted agrees with the
+// median read off by counting — the least value with at least half the
+// sample at or below it, averaged with its even-count partner.
 func TestMedianSortedAgreesWithMedian(t *testing.T) {
 	f := func(raw []uint8) bool {
-		xs := make([]float64, len(raw))
+		if len(raw) == 0 {
+			return MedianIntsSorted(nil) == 0
+		}
+		var count [256]int
 		is := make([]int, len(raw))
 		for i, v := range raw {
-			xs[i], is[i] = float64(v), int(v)
+			count[v]++
+			is[i] = int(v)
 		}
-		want := Median(xs)
-		sort.Float64s(xs)
+		// kth returns the k-th smallest sample (0-based).
+		kth := func(k int) float64 {
+			for v, seen := 0, 0; ; v++ {
+				if seen += count[v]; seen > k {
+					return float64(v)
+				}
+			}
+		}
+		n := len(raw)
+		want := (kth((n-1)/2) + kth(n/2)) / 2
 		sort.Ints(is)
-		return MedianSorted(xs) == want && MedianIntsSorted(is) == want
+		return MedianIntsSorted(is) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -52,7 +59,7 @@ func TestMedianSortedAgreesWithMedian(t *testing.T) {
 }
 
 func TestMedianSortedEdges(t *testing.T) {
-	if MedianSorted(nil) != 0 || MedianIntsSorted(nil) != 0 {
+	if MedianIntsSorted(nil) != 0 {
 		t.Fatal("empty median != 0")
 	}
 	if got := MedianIntsSorted([]int{810, 811}); got != 810.5 {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,21 +13,6 @@ import (
 	"moas/internal/core"
 	"moas/internal/kernel"
 )
-
-// sortSpans orders spans for multiset comparison (shard iteration order
-// is not deterministic).
-func sortSpans(spans []kernel.Span) []kernel.Span {
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		if spans[i].End != spans[j].End {
-			return spans[i].End < spans[j].End
-		}
-		return !spans[i].Open && spans[j].Open
-	})
-	return spans
-}
 
 // checkpointAtDay replays the fixture archive until the given observed
 // day closes, pauses there, waits for the park, checkpoints, and aborts
@@ -74,9 +58,9 @@ func checkpointAtDay(t testing.TB, cfg Config, stopAfterDays int) (*Checkpoint, 
 // TestCheckpointResumeMatchesUninterrupted is the persistence acceptance
 // test: an engine restored from a mid-archive checkpoint — even with a
 // different shard count — and fed the rest of the archive ends in exactly
-// the state of an uninterrupted replay: registry, event log, spans,
-// active conflicts and counters. The checkpoint crosses JSON to prove the
-// codec round-trips.
+// the state of an uninterrupted replay: registry, event log, ended
+// activations, active conflicts and counters. The checkpoint crosses JSON
+// to prove the codec round-trips.
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	sc, archive, _ := fixtures(t)
 	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
@@ -117,8 +101,8 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if w, g := want.Events(), restored.Events(); !reflect.DeepEqual(w, g) {
 		t.Fatalf("event logs differ: %d vs %d events", len(w), len(g))
 	}
-	if w, g := sortSpans(want.Spans()), sortSpans(restored.Spans()); !reflect.DeepEqual(w, g) {
-		t.Fatalf("spans differ:\nwant %v\n got %v", w, g)
+	if w, g := want.Checkpoint().Kernel.ClosedSpans, restored.Checkpoint().Kernel.ClosedSpans; !reflect.DeepEqual(w, g) {
+		t.Fatalf("ended activations differ:\nwant %v\n got %v", w, g)
 	}
 	if w, g := want.ActiveConflicts(), restored.ActiveConflicts(); !reflect.DeepEqual(w, g) {
 		t.Fatalf("active conflicts differ: %d vs %d", len(w), len(g))

@@ -603,21 +603,6 @@ func (e *Engine) decodeStats() DecodeStats {
 	return st
 }
 
-// Spans returns the conflict activation spans — one per contiguous
-// activation (conflict-start through conflict-end, open when no end has
-// been seen), in no particular order. This is the event-derived duration
-// dataset the /stats endpoint summarizes; Stats folds it from the
-// kernels' counts without listing it.
-func (e *Engine) Spans() []kernel.Span {
-	var out []kernel.Span
-	for _, s := range e.shards {
-		s.mu.RLock()
-		out = s.k.AppendSpans(out)
-		s.mu.RUnlock()
-	}
-	return out
-}
-
 // Events returns every lifecycle event emitted so far, in canonical order
 // (day, prefix, per-prefix seq) — deterministic for a given input stream
 // regardless of shard count, which the sharding-invariance test asserts.

@@ -60,7 +60,7 @@ func TestEpisodeLogBoundedMemory(t *testing.T) {
 	}
 
 	// The run was long enough to exercise rotation and compaction, and
-	// the log's sticky error never latched.
+	// the log never degraded.
 	st := lg.Stats()
 	if st.Appended != 2*days {
 		t.Fatalf("Appended=%d, want %d (an open and a close record per day)", st.Appended, 2*days)
@@ -68,8 +68,8 @@ func TestEpisodeLogBoundedMemory(t *testing.T) {
 	if st.Segments < 2 || st.Compactions == 0 {
 		t.Fatalf("Segments=%d Compactions=%d: rotation/compaction never ran", st.Segments, st.Compactions)
 	}
-	if err := lg.Err(); err != nil {
-		t.Fatalf("log error latched: %v", err)
+	if h := lg.Health(); h.Degraded {
+		t.Fatalf("log degraded: %+v", h)
 	}
 
 	// Meanwhile the engine's in-memory history held the cap, not the

@@ -143,7 +143,7 @@ func TestCrossSourceEquivalence(t *testing.T) {
 	risStop := make(chan struct{})
 	risDone := make(chan error, 1)
 	go func() {
-		risDone <- eRIS.Run(cl, &RunOptions{Stop: risStop, Now: eqNow, Tick: time.Millisecond})
+		risDone <- eRIS.Run(cl, &RunOptions{Stop: risStop, Now: eqNow, Ticks: msTicks(t)})
 	}()
 	if err := fake.WaitConnected(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestCrossSourceEquivalence(t *testing.T) {
 	bgpStop := make(chan struct{})
 	bgpDone := make(chan error, 1)
 	go func() {
-		bgpDone <- eBGP.Run(sp, &RunOptions{Stop: bgpStop, Now: eqNow, Tick: time.Millisecond})
+		bgpDone <- eBGP.Run(sp, &RunOptions{Stop: bgpStop, Now: eqNow, Ticks: msTicks(t)})
 	}()
 	peers := map[bgp.ASN]*bgpd.ScriptedPeer{}
 	for _, as := range []bgp.ASN{65001, 65002} {

@@ -46,8 +46,9 @@ func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 // FuzzCheckpointRestore is the checkpoint surface's robustness claim:
 // any byte string fed to the sniffing decoder either errors or yields a
 // checkpoint that NewFromCheckpoint restores into a fully usable engine
-// (queries, spans, a re-checkpoint in both codecs) — or rejects, without
-// panicking or leaking shard goroutines either way.
+// (queries, a lifecycle with no negative duration, a re-checkpoint in
+// both codecs) — or rejects, without panicking or leaking shard
+// goroutines either way.
 func FuzzCheckpointRestore(f *testing.F) {
 	for _, seed := range checkpointCorpusSeeds(f) {
 		f.Add(seed)
@@ -62,9 +63,10 @@ func FuzzCheckpointRestore(f *testing.F) {
 			return
 		}
 		defer e.Close()
-		e.Stats()
+		if st := e.Stats().Lifecycle; st.MaxDays < 0 || st.MeanDays < 0 || st.MedianDays < 0 {
+			t.Fatalf("restored engine's lifecycle has negative durations: %+v", st)
+		}
 		e.ActiveConflicts()
-		e.Spans()
 		out := e.Checkpoint()
 		if _, err := AppendCheckpointBinary(nil, out); err != nil {
 			t.Fatalf("restored engine re-encodes with error: %v", err)

@@ -73,7 +73,7 @@ func TestRunSourcePanicContained(t *testing.T) {
 	e := New(Config{Shards: 1})
 	defer e.Close()
 	runDone := make(chan error, 1)
-	go func() { runDone <- e.Run(src, &RunOptions{Tick: time.Millisecond}) }()
+	go func() { runDone <- e.Run(src, &RunOptions{Ticks: msTicks(t)}) }()
 
 	p := bgp.MustParsePrefix("10.0.0.0/8")
 	var rec source.Record

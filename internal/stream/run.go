@@ -19,14 +19,11 @@ type RunOptions struct {
 	// Now supplies wall-clock seconds for idle day closes; nil uses the
 	// system clock. Tests inject a fake clock here.
 	Now func() uint32
-	// Tick is how often the run checks the wall clock while the feed is
-	// quiet (0 = 1s). A day whose updates have stopped still closes when
-	// the clock crosses midnight, so conflict durations keep extending
-	// through silence exactly as the paper's daily snapshots do.
-	Tick time.Duration
-	// Ticks overrides the internal ticker when non-nil: each receive
-	// triggers one wall-clock check. Tests inject a channel here to
-	// sequence ticks against records deterministically; Tick is ignored.
+	// Ticks triggers one wall-clock check per receive; nil checks once a
+	// second. A day whose updates have stopped still closes when the
+	// clock crosses midnight, so conflict durations keep extending
+	// through silence exactly as the paper's daily snapshots do. Tests
+	// inject a channel here to sequence ticks against records.
 	Ticks <-chan time.Time
 	// CloseFinalDay closes the day in flight when the source ends on its
 	// own (io.EOF). Live transports never legitimately EOF — only Close
@@ -64,10 +61,7 @@ func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 		o.Now = func() uint32 { return uint32(time.Now().Unix()) }
 	}
 	if o.Ticks == nil {
-		if o.Tick <= 0 {
-			o.Tick = time.Second
-		}
-		ticker := time.NewTicker(o.Tick)
+		ticker := time.NewTicker(time.Second)
 		defer ticker.Stop()
 		o.Ticks = ticker.C
 	}

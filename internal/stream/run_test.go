@@ -128,6 +128,14 @@ func (s *chanSource) Close() error {
 	return nil
 }
 
+// msTicks returns a 1 ms ticker's channel for RunOptions.Ticks, stopped
+// when the test ends.
+func msTicks(t *testing.T) <-chan time.Time {
+	tk := time.NewTicker(time.Millisecond)
+	t.Cleanup(tk.Stop)
+	return tk.C
+}
+
 // TestRunWallClockDayClose: on a quiet feed, the day in flight closes
 // when the wall clock crosses midnight — continuous operation does not
 // wait for the next update to extend conflict durations.
@@ -141,7 +149,7 @@ func TestRunWallClockDayClose(t *testing.T) {
 	defer e.Close()
 	runDone := make(chan error, 1)
 	stop := make(chan struct{})
-	go func() { runDone <- e.Run(src, &RunOptions{Stop: stop, Now: clk.Load, Tick: time.Millisecond}) }()
+	go func() { runDone <- e.Run(src, &RunOptions{Stop: stop, Now: clk.Load, Ticks: msTicks(t)}) }()
 
 	p := bgp.MustParsePrefix("10.0.0.0/8")
 	attrs := &bgp.Attrs{

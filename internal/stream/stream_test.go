@@ -10,6 +10,7 @@ import (
 	"moas/internal/collector"
 	"moas/internal/core"
 	"moas/internal/driver"
+	"moas/internal/kernel"
 	"moas/internal/scenario"
 )
 
@@ -244,6 +245,37 @@ func TestInvolvementSeesStorm(t *testing.T) {
 	st := e.Stats()
 	if st.Lifecycle.Spans == 0 || st.Lifecycle.MaxDays == 0 {
 		t.Fatalf("lifecycle stats empty: %+v", st.Lifecycle)
+	}
+}
+
+// TestLifecycleOpenBeforeDayClose: Stats never reports a negative
+// duration for an open activation no day close has seen — a live feed
+// before its first UTC midnight (no close at all, the conflict on absolute
+// day 20000) and a replay whose calendar skips from a close on day 5 to a
+// conflict starting on day 9. Either lasts 0 days.
+func TestLifecycleOpenBeforeDayClose(t *testing.T) {
+	p := bgp.MustParsePrefix("10.0.0.0/8")
+	for _, c := range []struct {
+		name   string
+		closes []int
+		start  int
+	}{
+		{"live-before-first-midnight", nil, 20000},
+		{"calendar-gap", []int{4, 5}, 9},
+	} {
+		e := New(Config{Shards: 2})
+		for _, day := range c.closes {
+			e.CloseDay(day)
+		}
+		for _, origin := range []bgp.ASN{70, 71} {
+			peer := PeerKey{IP: [16]byte{3: byte(origin)}, AS: 65000 + origin}
+			e.ApplyUpdate(c.start, peer, &bgp.Update{Attrs: &bgp.Attrs{ASPath: bgp.Seq(peer.AS, origin)}, NLRI: []bgp.Prefix{p}})
+		}
+		e.Sync()
+		if st := e.Stats().Lifecycle; st != (kernel.LifecycleStats{Spans: 1, Open: 1}) {
+			t.Errorf("%s: lifecycle %+v, want one open activation of 0 days", c.name, st)
+		}
+		e.Close()
 	}
 }
 

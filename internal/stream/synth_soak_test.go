@@ -69,10 +69,10 @@ func soakFlapStorm(t *testing.T, maxDistinctAttrs, historyLimit int) {
 	src := source.NewFileReader(gen, "synth-soak", e.Interner())
 	err = e.Run(src, &stream.RunOptions{
 		CloseFinalDay: true,
-		// The archive is epoch-anchored; pin the wall clock to the epoch
-		// so the idle-tick day close can never outrun the data.
-		Now:  func() uint32 { return 0 },
-		Tick: time.Hour,
+		// The archive is epoch-anchored; pin the wall clock to the epoch,
+		// and never tick, so the idle day close can never outrun the data.
+		Now:   func() uint32 { return 0 },
+		Ticks: make(chan time.Time),
 		OnDayClose: func(day int) {
 			st := e.Stats()
 			samples = append(samples, sample{day, st.RouteNodes, st.KernelStates, st.AttrHandles, st.Peers, st.InternerBytes, st.Events, st.HistoryBytes})

@@ -132,16 +132,17 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 	}
 
 	// File-source leg: the same bytes through internal/source and
-	// Engine.Run's live day logic. Now is pinned to the epoch so the
-	// wall-clock ticker cannot close the generator's epoch-anchored days
-	// early; CloseFinalDay gives EOF the same final close replay performs.
+	// Engine.Run's live day logic. Now is pinned to the epoch and the
+	// ticks never fire, so the wall clock cannot close the generator's
+	// epoch-anchored days early; CloseFinalDay gives EOF the same final
+	// close replay performs.
 	{
 		e := stream.New(stream.Config{Shards: 4})
 		src := source.NewFileReader(bytes.NewReader(archive), "synth", e.Interner())
 		err := e.Run(src, &stream.RunOptions{
 			CloseFinalDay: true,
 			Now:           func() uint32 { return 0 },
-			Tick:          time.Hour,
+			Ticks:         make(chan time.Time),
 		})
 		if err != nil {
 			e.Close()
