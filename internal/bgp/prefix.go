@@ -228,11 +228,6 @@ func (p *Prefix) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// bitAt returns bit i (0 = most significant) of the address.
-func (p Prefix) bitAt(i uint8) byte {
-	return (p.addr[i/8] >> (7 - i%8)) & 1
-}
-
 // Covers reports whether p contains q: same family, p.bits <= q.bits, and
 // q's address agrees with p on p's first bits.
 func (p Prefix) Covers(q Prefix) bool {

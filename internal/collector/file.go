@@ -5,16 +5,12 @@ import (
 	"compress/gzip"
 	"io"
 	"os"
-	"strings"
-
-	"moas/internal/scenario"
 )
 
 // File-backed archives. Real collector archives live on disk (Route Views
 // publishes BGP4MP update files, usually gzipped); this file is the bridge
 // between those files and the streaming engine: open an archive for
-// replay, or persist a synthesized one so later runs (and other tools)
-// skip the scenario build.
+// replay.
 
 // OpenUpdateArchive opens an MRT BGP4MP update archive on disk for
 // streaming. Gzip compression is detected by content (the 0x1f 0x8b magic
@@ -59,36 +55,4 @@ func (a *archiveFile) Close() error {
 		}
 	}
 	return first
-}
-
-// SaveUpdateArchive writes a scenario's complete BGP4MP update archive to
-// path, gzipped when the name ends in ".gz" — the on-disk form moasd's
-// MRT-file scenario source (and any MRT tool) can consume.
-func SaveUpdateArchive(path string, sc *scenario.Scenario) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	var w io.Writer = bw
-	var zw *gzip.Writer
-	if strings.HasSuffix(path, ".gz") {
-		zw = gzip.NewWriter(bw)
-		w = zw
-	}
-	if err := WriteUpdateArchive(w, sc); err != nil {
-		f.Close()
-		return err
-	}
-	if zw != nil {
-		if err := zw.Close(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -2,7 +2,9 @@ package collector
 
 import (
 	"bytes"
+	"compress/gzip"
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -27,9 +29,17 @@ func TestSaveAndOpenUpdateArchive(t *testing.T) {
 	// The gzipped copy deliberately lacks a .gz-ish read hint beyond its
 	// write-side suffix; OpenUpdateArchive must sniff content.
 	gzipped := filepath.Join(dir, "updates.mrt.gz")
-	for _, path := range []string{plain, gzipped} {
-		if err := SaveUpdateArchive(path, sc); err != nil {
-			t.Fatalf("SaveUpdateArchive(%s): %v", path, err)
+	var zipped bytes.Buffer
+	zw := gzip.NewWriter(&zipped)
+	if _, err := zw.Write(want.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for path, data := range map[string][]byte{plain: want.Bytes(), gzipped: zipped.Bytes()} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 		f, err := OpenUpdateArchive(path)
 		if err != nil {

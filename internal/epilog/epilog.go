@@ -21,7 +21,7 @@
 // is all-or-nothing on disk — a failed or torn write is truncated back
 // to the size before the call, and the call's records wait in the
 // pending queue (below). fsync happens only on rotation and Close. A
-// machine crash can tear the active segment's tail — OpenDir repairs it
+// machine crash can tear the active segment's tail — Open repairs it
 // by truncating at the last whole record — and anything torn away is
 // re-emitted (identically) by the checkpoint-resume path and folded
 // back in by seq dedup.
@@ -92,8 +92,6 @@ const (
 const maxRetryGap = 256
 
 var (
-	// ErrNotOpen reports an operation on a Log before OpenDir.
-	ErrNotOpen = errors.New("epilog: log not open")
 	// ErrClosed reports an operation on a closed Log.
 	ErrClosed = errors.New("epilog: log closed")
 
@@ -106,34 +104,29 @@ type Options struct {
 	// it reaches this many bytes; the check follows each write, so a
 	// segment overruns it by at most one write: one Append call's
 	// records, or the pending queue a heal flushes. 0 means
-	// DefaultRotateBytes; negative disables rotation (one ever-growing
-	// segment).
+	// DefaultRotateBytes.
 	RotateBytes int
 	// CompactEvery triggers a compaction pass whenever a rotation
 	// leaves at least this many sealed segments. 0 means
-	// DefaultCompactEvery; negative disables auto-compaction (Compact
-	// can still be called explicitly).
+	// DefaultCompactEvery; negative disables compaction.
 	CompactEvery int
 	// FS is the filesystem the log writes through. Nil means the real
 	// disk; tests and the chaos oracle inject a vfs.Faulty.
 	FS vfs.FS
 	// MaxPending bounds the in-memory episode queue held while the log
 	// is degraded. Overflow drops the newest episodes and counts them
-	// in Health().Lost. 0 means DefaultMaxPending; negative means
-	// unbounded.
+	// in Health().Lost. 0 means DefaultMaxPending.
 	MaxPending int
 }
 
 // Log is the append-only episode log over one directory. All methods
-// are safe for concurrent use. A Log is constructed unopened (New) so
-// producers can hold the pointer before the directory is committed;
-// every operation but OpenDir fails with ErrNotOpen until then.
+// are safe for concurrent use.
 type Log struct {
 	mu   sync.Mutex
 	opts Options
 	fs   vfs.FS
 	dir  string
-	f    vfs.File // active segment; nil before OpenDir / after Close
+	f    vfs.File // active segment; nil after Close or a failed rotation
 	seq  uint64   // active segment sequence
 	size int64    // active segment durable bytes
 	seal []uint64 // sealed segment sequences, ascending
@@ -156,32 +149,8 @@ type Log struct {
 	frame   []byte // one write's framed records, reused across appends
 
 	appended    uint64
-	truncated   int64 // torn-tail bytes dropped by OpenDir
+	truncated   int64 // torn-tail bytes dropped by Open
 	compactions int
-	compactErr  error // last auto-compaction failure, informational
-}
-
-// New returns an unopened Log; call OpenDir to bind it to a directory.
-func New(opts Options) *Log {
-	if opts.RotateBytes == 0 {
-		opts.RotateBytes = DefaultRotateBytes
-	}
-	if opts.CompactEvery == 0 {
-		opts.CompactEvery = DefaultCompactEvery
-	}
-	if opts.MaxPending == 0 {
-		opts.MaxPending = DefaultMaxPending
-	}
-	return &Log{opts: opts, fs: vfs.Default(opts.FS)}
-}
-
-// Open is New followed by OpenDir.
-func Open(dir string, opts Options) (*Log, error) {
-	l := New(opts)
-	if err := l.OpenDir(dir); err != nil {
-		return nil, err
-	}
-	return l, nil
 }
 
 func segName(seq uint64) string { return fmt.Sprintf("seg-%010d.mepl", seq) }
@@ -201,52 +170,51 @@ func appendHeader(dst []byte) []byte {
 	return binary.AppendUvarint(dst, version)
 }
 
-// OpenDir binds the Log to dir, creating it if needed, and recovers
-// from any crash the directory witnessed: interrupted-compaction temp
-// files (`.tmp-*`) are deleted, and a torn tail on the newest segment —
-// a machine crash mid-write — is truncated at the last whole record.
-func (l *Log) OpenDir(dir string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+// Open opens the log over dir, creating the directory if needed, and
+// recovers from any crash the directory witnessed: interrupted-compaction
+// temp files (`.tmp-*`) are deleted, and a torn tail on the newest
+// segment — a machine crash mid-write — is truncated at the last whole
+// record.
+func Open(dir string, opts Options) (*Log, error) {
+	if opts.RotateBytes <= 0 {
+		opts.RotateBytes = DefaultRotateBytes
 	}
-	if l.f != nil {
-		return fmt.Errorf("epilog: already open on %s", l.dir)
+	if opts.CompactEvery == 0 {
+		opts.CompactEvery = DefaultCompactEvery
 	}
+	if opts.MaxPending <= 0 {
+		opts.MaxPending = DefaultMaxPending
+	}
+	l := &Log{opts: opts, fs: vfs.Default(opts.FS), dir: dir}
 	if err := l.fs.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return nil, err
+	}
+	// A crash-stranded compaction temp was never reachable, so deleting
+	// it is always safe.
+	if _, err := vfs.RemoveTemps(l.fs, dir, ".tmp-"); err != nil {
+		return nil, err
 	}
 	ents, err := l.fs.ReadDir(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var seqs []uint64
 	for _, ent := range ents {
-		if ent.IsDir() {
-			continue
-		}
-		name := ent.Name()
-		if strings.HasPrefix(name, ".tmp-") {
-			// Crash-stranded compaction temp; its content was never
-			// reachable, so deleting it is always safe.
-			if err := l.fs.Remove(filepath.Join(dir, name)); err != nil {
-				return err
-			}
-			continue
-		}
-		if seq, ok := parseSegName(name); ok {
+		if seq, ok := parseSegName(ent.Name()); ok && !ent.IsDir() {
 			seqs = append(seqs, seq)
 		}
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	l.dir = dir
 	if len(seqs) == 0 {
-		return l.startSegmentLocked(1)
+		err = l.startSegmentLocked(1)
+	} else {
+		l.seal = seqs[:len(seqs)-1]
+		err = l.reopenSegmentLocked(seqs[len(seqs)-1])
 	}
-	newest := seqs[len(seqs)-1]
-	l.seal = seqs[:len(seqs)-1]
-	return l.reopenSegmentLocked(newest)
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 // startSegmentLocked creates segment seq with a fresh header and makes
@@ -446,9 +414,6 @@ func (l *Log) Append(eps ...Episode) error {
 	if l.closed {
 		return ErrClosed
 	}
-	if l.dir == "" {
-		return ErrNotOpen
-	}
 	eps, verr := validEpisodes(eps)
 	switch {
 	case len(eps) == 0:
@@ -520,7 +485,7 @@ func (l *Log) writeLocked(eps []Episode) error {
 // A rotation failure degrades the log but loses nothing: the appended
 // records are on disk, and the rotation is retried by the heal path.
 func (l *Log) maybeRotateLocked() {
-	if l.opts.RotateBytes > 0 && l.f != nil && l.size >= int64(l.opts.RotateBytes) {
+	if l.f != nil && l.size >= int64(l.opts.RotateBytes) {
 		if err := l.rotateLocked(); err != nil {
 			l.degradeLocked(err)
 		}
@@ -542,7 +507,7 @@ func (l *Log) degradeLocked(err error) {
 // dropping and counting each one instead when the queue is full.
 func (l *Log) bufferLocked(eps []Episode) {
 	for i := range eps {
-		if l.opts.MaxPending > 0 && len(l.pending) >= l.opts.MaxPending {
+		if len(l.pending) >= l.opts.MaxPending {
 			l.lost++
 			continue
 		}
@@ -625,7 +590,7 @@ func (l *Log) tryHealLocked() {
 
 // rotateLocked seals the active segment (fsync + close) and starts the
 // next one, then runs auto-compaction when enough sealed segments have
-// piled up. A compaction failure is recorded but does not fail the
+// piled up. A compaction failure does not fail the
 // append that triggered it — the log remains appendable and the fold
 // remains correct over uncompacted segments. A sync failure leaves the
 // segment active (nothing sealed, nothing lost); a failure after the
@@ -634,42 +599,28 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	if err := l.f.Close(); err != nil {
-		// The data is synced; the close failure only taints the fd.
-		// Seal the segment anyway and move on.
-		l.compactErr = err
-	}
+	// The data is synced; a close failure only taints the fd, so the
+	// segment is sealed anyway.
+	_ = l.f.Close()
 	l.seal = append(l.seal, l.seq)
 	l.f = nil
 	if err := l.startSegmentLocked(l.seq + 1); err != nil {
 		return err
 	}
 	if l.opts.CompactEvery > 0 && len(l.seal) >= l.opts.CompactEvery {
-		l.compactErr = l.compactLocked()
+		_ = l.compactLocked()
 	}
 	return nil
 }
 
-// Compact merges all sealed segments into one: closed records
+// compactLocked merges all sealed segments into one: closed records
 // deduplicate by (prefix, seq) and open records superseded within the
 // merged set — by a newer open record or any closed record at an equal
-// or higher seq for the prefix — are dropped. The merged segment is
-// written to a temp file, fsynced, and renamed over the lowest merged
-// name before the others are removed, so a crash at any point leaves
+// or higher seq for the prefix — are dropped. The merged segment
+// replaces the lowest merged name atomically (vfs.WriteFileAtomic)
+// before the others are removed, so a crash at any point leaves
 // either the old segments or the new one plus stale duplicates — both
 // of which the read fold resolves. The active segment is not touched.
-func (l *Log) Compact() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.dir == "" {
-		return ErrNotOpen
-	}
-	return l.compactLocked()
-}
-
 func (l *Log) compactLocked() error {
 	if len(l.seal) < 2 {
 		return nil
@@ -691,27 +642,10 @@ func (l *Log) compactLocked() error {
 		payload = appendRecordPayload(payload[:0], &out[i])
 		buf = binenc.AppendFrame(buf, payload)
 	}
-	tmp, err := l.fs.CreateTemp(l.dir, ".tmp-mepl-*")
-	if err != nil {
-		return err
-	}
-	defer l.fs.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
 	keep := l.seal[0]
-	if err := l.fs.Rename(tmp.Name(), l.path(keep)); err != nil {
+	if err := vfs.WriteFileAtomic(l.fs, l.path(keep), ".tmp-mepl-*", buf); err != nil {
 		return err
 	}
-	l.fs.SyncDir(l.dir)
 	for _, seq := range l.seal[1:] {
 		if err := l.fs.Remove(l.path(seq)); err != nil {
 			return err
@@ -731,7 +665,7 @@ func (l *Log) Close() error {
 	if l.closed {
 		return nil
 	}
-	if l.degraded && l.dir != "" {
+	if l.degraded {
 		l.tryHealLocked()
 	}
 	l.closed = true
@@ -798,9 +732,6 @@ func (l *Log) Stats() Stats {
 		Appended:    l.appended,
 		Truncated:   l.truncated,
 		Compactions: l.compactions,
-	}
-	if l.dir == "" {
-		return s
 	}
 	s.Segments = len(l.seal) + 1
 	s.Bytes = l.size
@@ -946,9 +877,6 @@ func (f *fold) episodes(render func(*Episode) bool) []Episode {
 func (l *Log) queryLocked(q Query) ([]Episode, error) {
 	if l.closed {
 		return nil, ErrClosed
-	}
-	if l.dir == "" {
-		return nil, ErrNotOpen
 	}
 	f := fold{keep: q.matches, aggs: make(map[bgp.Prefix]*pfxAgg)}
 	segs := append(append([]uint64(nil), l.seal...), l.seq)

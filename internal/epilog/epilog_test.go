@@ -269,7 +269,10 @@ func TestCompactDropsSupersededAndDuplicates(t *testing.T) {
 		ep("10.1.0.0/16", 9, 2, 2, true, 5, 6),
 	)
 	before := mustQuery(t, l, Query{Class: -1, AsOf: 7})
-	if err := l.Compact(); err != nil {
+	l.mu.Lock()
+	err = l.compactLocked()
+	l.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := mustQuery(t, l, Query{Class: -1, AsOf: 7})
@@ -398,7 +401,7 @@ func TestFutureVersionRefused(t *testing.T) {
 	}
 }
 
-func TestOpenDirRemovesStrayTemps(t *testing.T) {
+func TestOpenRemovesStrayTemps(t *testing.T) {
 	dir := t.TempDir()
 	stray := filepath.Join(dir, ".tmp-mepl-12345")
 	if err := os.WriteFile(stray, []byte("half a compaction"), 0o644); err != nil {
@@ -410,23 +413,14 @@ func TestOpenDirRemovesStrayTemps(t *testing.T) {
 	}
 	defer l.Close()
 	if _, err := os.Stat(stray); !os.IsNotExist(err) {
-		t.Fatalf("stray temp survived OpenDir: %v", err)
+		t.Fatalf("stray temp survived Open: %v", err)
 	}
 }
 
 func TestLifecycleErrors(t *testing.T) {
-	l := New(Options{})
-	if err := l.Append(ep("10.0.0.0/8", 1, 0, 0, true, 1, 2)); !errors.Is(err, ErrNotOpen) {
-		t.Fatalf("unopened append: %v", err)
-	}
-	if _, err := l.Query(Query{}); !errors.Is(err, ErrNotOpen) {
-		t.Fatalf("unopened query: %v", err)
-	}
-	if err := l.OpenDir(t.TempDir()); err != nil {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
 		t.Fatal(err)
-	}
-	if err := l.OpenDir(t.TempDir()); err == nil {
-		t.Fatal("double OpenDir succeeded")
 	}
 	// Invalid episodes are rejected without poisoning the log.
 	if err := l.Append(ep("10.0.0.0/8", 1, 0, 0, true, 9)); err == nil {

@@ -54,14 +54,14 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	}
 
 	var js bytes.Buffer
-	if err := kernel.EncodeSnapshot(&js, snap); err != nil {
+	if err := json.NewEncoder(&js).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
 	if len(bin) >= js.Len() {
 		t.Fatalf("binary encoding (%d bytes) not smaller than JSON (%d bytes)", len(bin), js.Len())
 	}
-	fromJSON, err := kernel.DecodeSnapshot(&js)
-	if err != nil {
+	fromJSON := new(kernel.Snapshot)
+	if err := json.Unmarshal(js.Bytes(), fromJSON); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snap, fromJSON) {

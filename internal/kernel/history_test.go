@@ -2,6 +2,7 @@ package kernel_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -104,11 +105,11 @@ func TestHistoryAgainstModel(t *testing.T) {
 				}
 				snap := kernels[0].k.Snapshot()
 				var js bytes.Buffer
-				if err := kernel.EncodeSnapshot(&js, snap); err != nil {
+				if err := json.NewEncoder(&js).Encode(snap); err != nil {
 					t.Fatal(err)
 				}
-				fromJSON, err := kernel.DecodeSnapshot(&js)
-				if err != nil {
+				fromJSON := new(kernel.Snapshot)
+				if err := json.Unmarshal(js.Bytes(), fromJSON); err != nil {
 					t.Fatal(err)
 				}
 				fromBinary, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap))

@@ -3,9 +3,7 @@ package kernel
 import (
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"maps"
 	"slices"
 
@@ -23,7 +21,7 @@ const SnapshotVersion = 1
 // lifetime conflict records, the closed activation spans and the event
 // accounting. It is typed data — prefixes are bgp.Prefix values, which
 // render as "addr/len" strings only when the image is written as JSON
-// (Encode/DecodeSnapshot); the binary codec (binary.go) never sees text —
+// (encoding/json); the binary codec (binary.go) never sees text —
 // and is prefix-disjoint mergeable (Merge), which is how the sharded
 // engine composes one engine-wide snapshot out of its per-shard kernels.
 type Snapshot struct {
@@ -356,22 +354,4 @@ func MergeSorted[T any](parts [][]T, cmp func(a, b T) int) []T {
 		parts[least] = parts[least][1:]
 	}
 	return out
-}
-
-// EncodeSnapshot writes the snapshot as JSON.
-func EncodeSnapshot(w io.Writer, s *Snapshot) error {
-	return json.NewEncoder(w).Encode(s)
-}
-
-// DecodeSnapshot reads a JSON snapshot and validates its version. A
-// prefix that does not parse fails here, not at Restore.
-func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("kernel: decode snapshot: %w", err)
-	}
-	if s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("kernel: snapshot version %d, want %d", s.Version, SnapshotVersion)
-	}
-	return &s, nil
 }

@@ -149,10 +149,6 @@ type checkpointStore struct {
 	fs   vfs.FS
 }
 
-// vfs returns the store's filesystem, defaulting a zero-value store
-// (tests build them as bare literals) to the real disk.
-func (st checkpointStore) vfs() vfs.FS { return vfs.Default(st.fs) }
-
 const (
 	checkpointFilePrefix = "ck-"
 	checkpointFileExt    = ".mckpt"
@@ -163,7 +159,7 @@ const (
 // name sort is newest-first; hand-dropped files sort wherever their
 // names land and are still considered.
 func (st checkpointStore) files() []string {
-	ents, err := st.vfs().ReadDir(st.dir)
+	ents, err := st.fs.ReadDir(st.dir)
 	if err != nil {
 		return nil
 	}
@@ -192,20 +188,12 @@ func (st checkpointStore) latest() (string, bool) {
 // otherwise accumulate forever. Called from Registry.Recover, the one
 // moment no writer can be mid-flight.
 func (st checkpointStore) cleanTemps(logf func(string, ...any)) {
-	ents, err := st.vfs().ReadDir(st.dir)
-	if err != nil {
-		return
+	removed, err := vfs.RemoveTemps(st.fs, st.dir, ".tmp-")
+	for _, path := range removed {
+		logf("recover: removed stale temp %s", path)
 	}
-	for _, e := range ents {
-		if !e.Type().IsRegular() || !strings.HasPrefix(e.Name(), ".tmp-") {
-			continue
-		}
-		path := filepath.Join(st.dir, e.Name())
-		if err := st.vfs().Remove(path); err != nil {
-			logf("recover: removing stale temp %s: %v", path, err)
-		} else {
-			logf("recover: removed stale temp %s", path)
-		}
+	if err != nil {
+		logf("recover: removing stale temps in %s: %v", st.dir, err)
 	}
 }
 
@@ -221,41 +209,22 @@ func (st checkpointStore) nextSeq() uint64 {
 	return max + 1
 }
 
-// write persists ck atomically — encode to a dot-hidden temp file in the
-// same directory, fsync, rename into place — then rotates old files out.
-// A crash mid-write leaves only a temp file recovery ignores; the
+// write persists ck atomically — vfs.WriteFileAtomic through a
+// dot-hidden temp file in the same directory — then rotates old files
+// out. A crash mid-write leaves only a temp file recovery ignores; the
 // previous checkpoint is never the thing being overwritten.
 func (st checkpointStore) write(ck *ScenarioCheckpoint) (string, error) {
-	if err := st.vfs().MkdirAll(st.dir, 0o755); err != nil {
+	if err := st.fs.MkdirAll(st.dir, 0o755); err != nil {
 		return "", err
 	}
 	blob, err := AppendScenarioCheckpointBinary(nil, ck)
 	if err != nil {
 		return "", err
 	}
-	tmp, err := st.vfs().CreateTemp(st.dir, ".tmp-ck-*")
-	if err != nil {
-		return "", err
-	}
-	defer st.vfs().Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		return "", err
-	}
 	final := filepath.Join(st.dir, fmt.Sprintf("%s%010d%s", checkpointFilePrefix, st.nextSeq(), checkpointFileExt))
-	if err := st.vfs().Rename(tmp.Name(), final); err != nil {
+	if err := vfs.WriteFileAtomic(st.fs, final, ".tmp-ck-*", blob); err != nil {
 		return "", err
 	}
-	// Make the rename durable too; not all platforms support syncing a
-	// directory, so this is best-effort.
-	_ = st.vfs().SyncDir(st.dir)
 	st.prune()
 	return final, nil
 }
@@ -270,7 +239,7 @@ func (st checkpointStore) prune() {
 		}
 	}
 	for _, name := range owned[min(st.keep, len(owned)):] {
-		_ = st.vfs().Remove(filepath.Join(st.dir, name))
+		_ = st.fs.Remove(filepath.Join(st.dir, name))
 	}
 }
 
@@ -282,7 +251,7 @@ func (st checkpointStore) prune() {
 func (st checkpointStore) recoverNewest(logf func(string, ...any)) (*ScenarioCheckpoint, string, bool) {
 	for _, name := range st.files() {
 		path := filepath.Join(st.dir, name)
-		data, err := st.vfs().ReadFile(path) // one buffer, sized from the file
+		data, err := st.fs.ReadFile(path) // one buffer, sized from the file
 		if err != nil {
 			logf("recover: %s: %v", path, err)
 			continue

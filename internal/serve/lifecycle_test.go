@@ -21,7 +21,6 @@ func TestScenarioTransitions(t *testing.T) {
 		verbStart: "start", verbPause: "pause", verbResume: "resume",
 		verbCheckpoint: "checkpoint", verbAutoCheckpoint: "auto-checkpoint",
 		verbRunOK: "run-ok", verbRunFailed: "run-failed", verbRunStopped: "run-stopped",
-		verbShutdown: "shutdown",
 	}
 	type move struct {
 		from State
@@ -37,9 +36,6 @@ func TestScenarioTransitions(t *testing.T) {
 		{StatePaused, verbRunFailed}:  StateFailed,
 	}
 	// Verbs that are legal somewhere without moving the state.
-	for _, st := range states {
-		legal[move{st, verbShutdown}] = st
-	}
 	for _, st := range []State{StateCreated, StatePaused, StateDone} {
 		legal[move{st, verbCheckpoint}] = st
 	}
@@ -52,7 +48,7 @@ func TestScenarioTransitions(t *testing.T) {
 	if len(verbs) != len(transitions) {
 		t.Fatalf("the table has %d verbs, the test knows %d", len(transitions), len(verbs))
 	}
-	wakes := map[verb]bool{verbStart: true, verbResume: true, verbShutdown: true}
+	wakes := map[verb]bool{verbStart: true, verbResume: true}
 
 	for _, from := range states {
 		for v, name := range verbs {
@@ -107,6 +103,7 @@ func TestScenarioTransitionsLive(t *testing.T) {
 	hold := func(n int) {
 		s.mu.Lock()
 		s.checkpointing += n
+		s.imaged.Broadcast()
 		s.mu.Unlock()
 	}
 	hold(1)

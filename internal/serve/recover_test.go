@@ -15,6 +15,7 @@ import (
 
 	"moas/internal/binenc"
 	"moas/internal/stream"
+	"moas/internal/vfs"
 )
 
 // pausedCheckpoint runs a small scenario a few days in, pauses it, and
@@ -98,7 +99,7 @@ func TestScenarioCheckpointFileCodec(t *testing.T) {
 // — and prune to the configured depth, newest last by name.
 func TestCheckpointStoreRotation(t *testing.T) {
 	ck := pausedCheckpoint(t, NewRegistry())
-	st := checkpointStore{dir: filepath.Join(t.TempDir(), "s1"), keep: 2}
+	st := checkpointStore{dir: filepath.Join(t.TempDir(), "s1"), keep: 2, fs: vfs.OS{}}
 	var paths []string
 	for i := 0; i < 4; i++ {
 		p, err := st.write(ck)

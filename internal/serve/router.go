@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -266,18 +267,20 @@ func NewHandler(reg *Registry) http.Handler {
 			httpError(w, http.StatusNotFound, "no on-disk checkpoint (durability off or none written yet)")
 			return
 		}
-		f, err := os.Open(path)
-		if err != nil {
+		fsys := reg.Durability.fs()
+		f, err := fsys.Open(path)
+		if errors.Is(err, os.ErrNotExist) {
 			httpError(w, http.StatusNotFound, "checkpoint file vanished: "+err.Error())
 			return
 		}
-		defer f.Close()
-		var first [1]byte
-		if _, err := io.ReadFull(f, first[:]); err != nil {
+		if err != nil {
 			httpError(w, http.StatusInternalServerError, "read checkpoint: "+err.Error())
 			return
 		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
+		defer f.Close()
+		br := bufio.NewReader(f)
+		first, err := br.Peek(1)
+		if err != nil {
 			httpError(w, http.StatusInternalServerError, "read checkpoint: "+err.Error())
 			return
 		}
@@ -286,11 +289,11 @@ func NewHandler(reg *Registry) http.Handler {
 			ctype = "application/json"
 		}
 		w.Header().Set("Content-Type", ctype)
-		if fi, err := f.Stat(); err == nil {
+		if fi, err := fsys.Stat(path); err == nil {
 			w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
 		}
 		w.WriteHeader(http.StatusOK)
-		_, _ = io.Copy(w, f)
+		_, _ = io.Copy(w, br)
 	}))
 
 	mux.HandleFunc("DELETE /scenarios/{id}", func(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,13 +64,13 @@ const (
 	verbRunOK
 	verbRunFailed
 	verbRunStopped
-	verbShutdown
 )
 
 // transitions is the whole lifecycle: transitions[verb][state] is the
 // state the verb leaves a scenario in, and a missing entry is a refused
-// move. Checkpoints and shutdown change no state; their rows say where
-// they are legal.
+// move. Checkpoints change no state; their rows say where they are legal.
+// Shutdown is legal in every state and is not a verb: it waits out
+// checkpoints instead (shutdown).
 var transitions = map[verb]map[State]State{
 	verbStart:          {StateCreated: StateRunning},
 	verbPause:          {StateRunning: StatePaused},
@@ -79,8 +80,6 @@ var transitions = map[verb]map[State]State{
 	verbRunOK:          {StateRunning: StateDone, StatePaused: StateDone},
 	verbRunFailed:      {StateRunning: StateFailed, StatePaused: StateFailed},
 	verbRunStopped:     {StateRunning: StateRunning, StatePaused: StatePaused},
-	verbShutdown: {StateCreated: StateCreated, StateRunning: StateRunning, StatePaused: StatePaused,
-		StateDone: StateDone, StateFailed: StateFailed},
 }
 
 // Scenario is one hosted replay: an engine, its event hub, and the replay
@@ -92,15 +91,10 @@ type Scenario struct {
 	cfg ScenarioConfig
 	// restored marks a scenario created from a checkpoint.
 	restored bool
-	// resume positions the replay mid-archive for restored scenarios
-	// (finite sources only; a restored live scenario reconnects instead).
-	resume *stream.ReplayPosition
-	eng    *stream.Engine
-	hub    *Hub
-	// epi is the scenario's append-only episode log (nil when the
-	// registry's EpisodeDir is unset). Created pending in newScenario and
-	// opened by Registry.Create once the ID — and so the directory — is
-	// resolved.
+	eng      *stream.Engine
+	hub      *Hub
+	// epi is the scenario's append-only episode log under
+	// EpisodeDir/<id>/ (nil when the registry's EpisodeDir is unset).
 	epi  *epilog.Log
 	logf func(format string, args ...any)
 
@@ -129,32 +123,36 @@ type Scenario struct {
 	// the imaging itself runs outside s.mu. A counter, not a bool:
 	// concurrent checkpoints must each hold the exclusion to the end.
 	checkpointing int
-	stop          chan struct{}
-	stopped       bool
-	done          chan struct{} // closed when the replay goroutine exits
+	// imaged is signalled (on s.mu) whenever a checkpoint stops imaging;
+	// shutdown waits on it until checkpointing is zero.
+	imaged  sync.Cond
+	stop    chan struct{}
+	stopped bool
+	done    chan struct{} // closed when the replay goroutine exits
 	// ckLoopDone, when non-nil, is closed by the auto-checkpoint loop on
 	// exit; shutdown waits on it so a loop iteration cannot write a
 	// checkpoint file after Delete removed the scenario's directory.
 	ckLoopDone chan struct{}
 }
 
-// newScenario builds a scenario for registry r, not yet registered, from
-// a normalized config. One that still carries a checkpoint is a restore:
-// the engine starts from the image, the hub continues its id-space and
-// the replay resumes mid-archive.
+// newScenario builds a scenario for registry r, not yet published, from
+// a normalized config whose ID the registry has reserved. One that still
+// carries a checkpoint is a restore: the engine starts from the image,
+// the hub continues its id-space and the replay resumes mid-archive at
+// the engine's own cursor.
 func newScenario(cfg ScenarioConfig, r *Registry) (*Scenario, error) {
+	var epi *epilog.Log
+	if r.EpisodeDir != "" {
+		var err error
+		if epi, err = epilog.Open(filepath.Join(r.EpisodeDir, cfg.ID), epilog.Options{FS: r.EpisodeFS}); err != nil {
+			return nil, fmt.Errorf("serve: open episode log: %w", err)
+		}
+	}
 	ring := r.Limits.EventRing
 	if ring <= 0 {
 		ring = DefaultEventRing
 	}
 	hub := NewHub(ring, r.Limits.MaxSubscribers)
-	// The log starts pending (no directory yet: the ID that names it is
-	// resolved by the registry); appends before OpenDir fail harmlessly
-	// and nothing feeds the engine until Start anyway.
-	var epi *epilog.Log
-	if r.EpisodeDir != "" {
-		epi = epilog.New(epilog.Options{FS: r.EpisodeFS})
-	}
 	live := sourceKinds[cfg.Source].live()
 	maxAttrs := cfg.MaxAttrs
 	switch {
@@ -187,19 +185,18 @@ func newScenario(cfg ScenarioConfig, r *Registry) (*Scenario, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	s.imaged.L = &s.mu
 	if ck != nil {
 		hub.startFrom(ck.LastEventID)
 		eng, err := stream.NewFromCheckpoint(engCfg, ck.Engine)
 		if err != nil {
 			hub.Close()
+			if epi != nil {
+				epi.Close()
+			}
 			return nil, fmt.Errorf("restore checkpoint: %w", err)
 		}
 		s.eng = eng
-		if !live {
-			// Live feeds cannot be seeked: the restored engine keeps its
-			// state and the run reconnects instead of resuming a cursor.
-			s.resume = &stream.ReplayPosition{Records: ck.Engine.Records, DaysClosed: ck.DaysClosed}
-		}
 		s.totalDays.Store(int64(ck.TotalDays))
 		s.closedDays.Store(int64(ck.DaysClosed))
 	} else {
@@ -208,9 +205,8 @@ func newScenario(cfg ScenarioConfig, r *Registry) (*Scenario, error) {
 	return s, nil
 }
 
-// ID returns the scenario's registry key. Registry.Create stamps the
-// resolved ID into cfg exactly once, under the registry lock, before the
-// scenario becomes reachable.
+// ID returns the scenario's registry key, reserved by Registry.Create
+// before the scenario was built.
 func (s *Scenario) ID() string { return s.cfg.ID }
 
 // Engine exposes the live engine (queries only; the replay goroutine owns
@@ -230,7 +226,7 @@ func (s *Scenario) EpisodeLog() *epilog.Log { return s.epi }
 // checkpoint is imaging the engine without s.mu, which waking would
 // tear. Every lifecycle change goes through it. Callers hold s.mu.
 func (s *Scenario) move(v verb) error {
-	if s.checkpointing > 0 && (v == verbStart || v == verbResume || v == verbShutdown) {
+	if s.checkpointing > 0 && (v == verbStart || v == verbResume) {
 		return fmt.Errorf("scenario %s: checkpoint in progress", s.ID())
 	}
 	to, ok := transitions[v][s.state]
@@ -310,26 +306,23 @@ func (s *Scenario) AutoCheckpoint() (*ScenarioCheckpoint, error) {
 	return s.settleAndImage(verbAutoCheckpoint)
 }
 
-// How often a checkpoint polls for the replay to park, and how long it
-// waits before giving up.
-const (
-	parkPoll     = 2 * time.Millisecond
-	parkDeadline = 5 * time.Second
-)
+// parkDeadline bounds how long a checkpoint waits for the replay to park.
+const parkDeadline = 5 * time.Second
 
 // settleAndImage is the one checkpoint path: wait until the engine is
 // settled — no replay in flight (created; done: run closed and drained
 // the engine) or the replay parked, which means every shard is drained —
 // and image it. Under verbAutoCheckpoint a running replay is asked to
 // park first; the gate is engine-level, so the lifecycle state is
-// untouched. The state is re-read on every poll: a scenario that is
-// paused, finishes or fails while the wait is on is judged by its new
-// state.
+// untouched. The wait ends when the engine signals its park, the replay
+// goroutine exits or the deadline passes, and the state is judged again
+// after it: a scenario that is paused, finishes or fails while the wait
+// is on is judged by its new state.
 func (s *Scenario) settleAndImage(v verb) (*ScenarioCheckpoint, error) {
-	deadline := time.Now().Add(parkDeadline)
+	deadline := time.After(parkDeadline)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
+	for late := false; ; {
 		if err := s.move(v); err != nil {
 			if v == verbAutoCheckpoint {
 				err = nil // created, failed: nothing worth persisting
@@ -351,16 +344,23 @@ func (s *Scenario) settleAndImage(v verb) (*ScenarioCheckpoint, error) {
 			ck := s.image()
 			s.mu.Lock()
 			s.checkpointing--
+			s.imaged.Broadcast()
 			s.release()
 			return ck, nil
-		case time.Now().After(deadline):
+		case late:
 			s.release()
 			return nil, fmt.Errorf("scenario %s: replay did not park in time", s.ID())
-		case s.state == StateRunning:
-			s.eng.Pause()
 		}
+		// Running or paused, not parked yet: a paused scenario's request
+		// is already pending, and Pause returns its channel.
+		parked := s.eng.Pause()
 		s.mu.Unlock()
-		time.Sleep(parkPoll)
+		select {
+		case <-parked:
+		case <-s.done:
+		case <-deadline:
+			late = true
+		}
 		s.mu.Lock()
 	}
 }
@@ -395,12 +395,10 @@ func (s *Scenario) image() *ScenarioCheckpoint {
 // Called by Registry.Delete.
 func (s *Scenario) shutdown() {
 	s.mu.Lock()
-	// Shutdown is legal in every state; what refuses it is a checkpoint
-	// in flight. Checkpoints are bounded, so wait them out.
-	for s.move(verbShutdown) != nil {
-		s.mu.Unlock()
-		time.Sleep(parkPoll)
-		s.mu.Lock()
+	// Shutdown is legal in every state, but must not wake an engine a
+	// checkpoint is imaging. Checkpoints are bounded, so wait them out.
+	for s.checkpointing > 0 {
+		s.imaged.Wait()
 	}
 	if !s.stopped {
 		s.stopped = true
@@ -468,7 +466,7 @@ func (s *Scenario) run() {
 
 // replay opens the scenario's source through its kind and feeds it
 // through the engine: a live feed runs continuously, an archive replays
-// its calendar, resuming mid-archive when a checkpoint position is set.
+// its calendar from the engine's cursor — mid-archive for a restore.
 func (s *Scenario) replay() error {
 	kind := sourceKinds[s.cfg.Source]
 	if kind.live() {
@@ -502,8 +500,7 @@ func (s *Scenario) replay() error {
 		interval = time.Duration(float64(time.Second) / s.cfg.DaysPerSec)
 	}
 	opts := &stream.ReplayOptions{
-		Stop:   s.stop,
-		Resume: s.resume,
+		Stop: s.stop,
 		OnDayClose: func(day int) {
 			s.closedDays.Add(1)
 			// The pacing sleep must wake early on stop (the gate aborts at

@@ -122,8 +122,11 @@ type Registry struct {
 
 	mu        sync.RWMutex
 	scenarios map[string]*Scenario
-	autoID    int
-	closing   bool
+	// building holds the IDs reserved by creates still building their
+	// scenario, each keyed to its create's config.
+	building map[string]*ScenarioConfig
+	autoID   int
+	closing  bool
 	// restarts tracks per-scenario supervised-restart state (count and
 	// backoff); cleared by Delete.
 	restarts map[string]*restartState
@@ -139,6 +142,7 @@ type restartState struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		scenarios: make(map[string]*Scenario),
+		building:  make(map[string]*ScenarioConfig),
 		restarts:  make(map[string]*restartState),
 	}
 }
@@ -152,64 +156,39 @@ func (r *Registry) logf(format string, args ...any) {
 // Create validates cfg, fills defaults (including a derived ID when none
 // is given) and registers a new scenario in state created. It does not
 // start the replay; Scenario.Start does.
+//
+// The scenario is named before it is built: the limit and ID checks run
+// first and reserve the ID, so a refused create builds nothing — no
+// engine, no restored checkpoint, no episode log. The build runs outside
+// the registry lock (a restore decodes a whole engine image), and the
+// scenario is published only if its reservation survived it: a Delete or
+// Close meanwhile makes the create shut down what it built and fail.
 func (r *Registry) Create(cfg ScenarioConfig) (*Scenario, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	// Cheap admission check before doing any expensive work, so a burst
-	// of over-limit creates is refused without building engines first.
-	// Racy by design; the authoritative re-check happens at insert.
-	if max := r.Limits.MaxScenarios; max > 0 {
-		r.mu.RLock()
-		n := len(r.scenarios)
-		r.mu.RUnlock()
-		if n >= max {
-			return nil, fmt.Errorf("%w: %d scenarios hosted (max %d)", ErrTooManyScenarios, n, max)
-		}
+	if err := r.reserve(&cfg); err != nil {
+		return nil, err
 	}
-	// Build the scenario before taking the registry lock: a checkpoint
-	// restore decodes a whole engine image, and holding the write lock
-	// across it would stall every lookup. The limit and ID checks are
-	// re-done authoritatively at insert time below.
 	s, err := newScenario(cfg, r)
+	r.mu.Lock()
+	// The reservation is keyed to this call's cfg, so one a Delete removed
+	// and another create re-made is not mistaken for this one.
+	if r.building[cfg.ID] == &cfg {
+		delete(r.building, cfg.ID)
+	} else if err == nil {
+		r.mu.Unlock()
+		s.shutdown()
+		return nil, fmt.Errorf("serve: scenario %q was deleted while it was being created", cfg.ID)
+	}
 	if err != nil {
+		r.mu.Unlock()
 		return nil, err
 	}
 	if r.RestartPolicy.Enabled && r.Durability.enabled() {
 		// Wired before the scenario is reachable; runs on its own
 		// goroutine after a terminal failure.
 		s.onFailure = r.maybeRestart
-	}
-	r.mu.Lock()
-	if max := r.Limits.MaxScenarios; max > 0 && len(r.scenarios) >= max {
-		n := len(r.scenarios)
-		r.mu.Unlock()
-		s.shutdown()
-		return nil, fmt.Errorf("%w: %d scenarios hosted (max %d)", ErrTooManyScenarios, n, max)
-	}
-	if cfg.ID == "" {
-		cfg.ID = cfg.DefaultID()
-		for _, taken := r.scenarios[cfg.ID]; taken; _, taken = r.scenarios[cfg.ID] {
-			r.autoID++
-			cfg.ID = fmt.Sprintf("%s-%d", cfg.DefaultID(), r.autoID)
-		}
-	}
-	if _, taken := r.scenarios[cfg.ID]; taken {
-		r.mu.Unlock()
-		s.shutdown()
-		return nil, fmt.Errorf("%w: %q", ErrScenarioExists, cfg.ID)
-	}
-	s.cfg.ID = cfg.ID
-	if s.epi != nil {
-		// The log's directory is named by the resolved ID, so the open
-		// happens here — under the lock, before the scenario is reachable,
-		// so no append can race the recovery scan. A fresh directory opens
-		// in microseconds; a recovered one pays one torn-tail check.
-		if err := s.epi.OpenDir(filepath.Join(r.EpisodeDir, cfg.ID)); err != nil {
-			r.mu.Unlock()
-			s.shutdown()
-			return nil, fmt.Errorf("serve: open episode log: %w", err)
-		}
 	}
 	if r.Durability.enabled() {
 		// Assign before the scenario becomes reachable: shutdown() reads
@@ -231,6 +210,37 @@ func (r *Registry) Create(cfg ScenarioConfig) (*Scenario, error) {
 	}
 	r.logf("scenario %s: created (%s)", s.ID(), desc)
 	return s, nil
+}
+
+// reserve claims cfg's ID for the create that owns cfg: it refuses a
+// create over the scenario limit (reservations count) or under a taken
+// ID, and derives a free ID when cfg has none.
+func (r *Registry) reserve(cfg *ScenarioConfig) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n, max := len(r.scenarios)+len(r.building), r.Limits.MaxScenarios; max > 0 && n >= max {
+		return fmt.Errorf("%w: %d scenarios hosted (max %d)", ErrTooManyScenarios, n, max)
+	}
+	if cfg.ID == "" {
+		cfg.ID = cfg.DefaultID()
+		for r.taken(cfg.ID) {
+			r.autoID++
+			cfg.ID = fmt.Sprintf("%s-%d", cfg.DefaultID(), r.autoID)
+		}
+	}
+	if r.taken(cfg.ID) {
+		return fmt.Errorf("%w: %q", ErrScenarioExists, cfg.ID)
+	}
+	r.building[cfg.ID] = cfg
+	return nil
+}
+
+// taken reports whether id names a hosted scenario or one being built.
+// Callers hold r.mu.
+func (r *Registry) taken(id string) bool {
+	_, hosted := r.scenarios[id]
+	_, building := r.building[id]
+	return hosted || building
 }
 
 // storeFor returns the scenario's on-disk checkpoint store.
@@ -412,7 +422,7 @@ func (r *Registry) maybeRestart(id string) {
 // the meantime, the newcomer wins.
 func (r *Registry) reinsert(id string, s *Scenario) {
 	r.mu.Lock()
-	if _, taken := r.scenarios[id]; !taken && !r.closing {
+	if !r.taken(id) && !r.closing {
 		r.scenarios[id] = s
 	}
 	r.mu.Unlock()
@@ -451,19 +461,24 @@ func (r *Registry) List() []*Scenario {
 // (a paused replay is woken to abort) and closing its event hub so SSE
 // handlers end. With durability on, the scenario's checkpoint directory
 // is removed too — a deleted scenario must not resurrect at the next
-// boot's Recover. Returns false when no such scenario exists.
+// boot's Recover. Deleting an ID whose create is still building makes
+// that create fail. Returns false when no such scenario exists.
 func (r *Registry) Delete(id string) bool {
 	r.mu.Lock()
 	s := r.scenarios[id]
+	_, building := r.building[id]
 	delete(r.scenarios, id)
+	delete(r.building, id)
 	// A deleted scenario's crash-loop history dies with it: re-creating
 	// the ID starts with a fresh restart budget.
 	delete(r.restarts, id)
 	r.mu.Unlock()
-	if s == nil {
+	if s == nil && !building {
 		return false
 	}
-	s.shutdown()
+	if s != nil {
+		s.shutdown()
+	}
 	if r.Durability.enabled() {
 		if err := r.Durability.fs().RemoveAll(r.storeFor(id).dir); err != nil {
 			r.logf("scenario %s: removing checkpoint dir: %v", id, err)
@@ -498,6 +513,7 @@ func (r *Registry) Close() {
 		scs = append(scs, s)
 		delete(r.scenarios, id)
 	}
+	clear(r.building) // creates still building fail
 	r.mu.Unlock()
 	for _, s := range scs {
 		// The final checkpoint must land before shutdown: a stopped run

@@ -3,11 +3,13 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -37,8 +39,16 @@ func smallScenario(t *testing.T) *scenario.Scenario {
 
 func writeArchiveFile(t *testing.T) string {
 	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if err := collector.WriteUpdateArchive(zw, smallScenario(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "updates.mrt.gz")
-	if err := collector.SaveUpdateArchive(path, smallScenario(t)); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

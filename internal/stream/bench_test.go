@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -253,7 +254,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 		{"phase=snapshot", func() (int64, error) { eng.Checkpoint(); return 0, nil }},
 		{"codec=json", func() (int64, error) {
 			var w countWriter
-			err := EncodeCheckpointJSON(&w, ck)
+			err := json.NewEncoder(&w).Encode(ck)
 			return w.n, err
 		}},
 		{"codec=binary", func() (int64, error) {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"slices"
 
 	"moas/internal/bgp"
@@ -130,12 +129,6 @@ func AppendCheckpointBinary(dst []byte, ck *Checkpoint) ([]byte, error) {
 		}
 	}
 	return binenc.EndFrame(dst, start), nil
-}
-
-// EncodeCheckpointJSON writes the checkpoint as compact JSON — the
-// portable, inspectable form the HTTP checkpoint endpoint also serves.
-func EncodeCheckpointJSON(w io.Writer, ck *Checkpoint) error {
-	return json.NewEncoder(w).Encode(ck)
 }
 
 // DecodeCheckpointBinary parses a binary checkpoint — either container

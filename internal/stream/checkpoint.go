@@ -32,7 +32,7 @@ type Checkpoint struct {
 	Messages      uint64 `json:"messages"`
 	Ops           uint64 `json:"ops"`
 	// Records counts MRT records fully consumed by the replay — the exact
-	// skip count for ReplayOptions.Resume.
+	// number a restored engine's Replay skips.
 	Records uint64           `json:"records"`
 	Kernel  *kernel.Snapshot `json:"kernel"`
 	// Routes holds one entry per prefix with routes, in Prefix.Compare
@@ -174,10 +174,10 @@ func (s *shard) routesImage(peers []PeerKey) []PrefixRoutes {
 // NewFromCheckpoint starts an engine primed with a checkpoint's state:
 // kernel partitions and route tables are redistributed across cfg.Shards
 // by prefix hash, and the replay counters resume where the checkpointed
-// engine stopped. Continue feeding it with Replay and
-// ReplayOptions.Resume{Records: ck.Records, ...} over a fresh open of the
-// same archive. The engine keeps no reference into ck (or into the bytes
-// a decoded ck aliases): the image can be dropped once this returns.
+// engine stopped. Continue feeding it with Replay over a fresh open of
+// the same archive: the replay resumes at the restored cursor. The engine
+// keeps no reference into ck (or into the bytes a decoded ck aliases):
+// the image can be dropped once this returns.
 func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 	if ck.Version != CheckpointVersion {
 		return nil, fmt.Errorf("stream: checkpoint version %d, want %d", ck.Version, CheckpointVersion)

@@ -27,6 +27,7 @@ func checkpointAtDay(t testing.TB, cfg Config, stopAfterDays int) (*Checkpoint, 
 	closed := 0
 	stop := make(chan struct{})
 	done := make(chan error, 1)
+	paused := make(chan struct{})
 	go func() {
 		done <- e.Replay(bytes.NewReader(archive), cal, &ReplayOptions{
 			Stop: stop,
@@ -34,17 +35,21 @@ func checkpointAtDay(t testing.TB, cfg Config, stopAfterDays int) (*Checkpoint, 
 				closed++
 				if closed == stopAfterDays {
 					e.Pause()
+					close(paused)
 				}
 			},
 		})
 	}()
-
-	deadline := time.Now().Add(30 * time.Second)
-	for !e.Parked() {
-		if time.Now().After(deadline) {
-			t.Fatal("replay never parked")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-paused:
+	case err := <-done:
+		t.Fatalf("replay ended before pausing: %v", err)
+	}
+	// The request is still pending, so Pause hands back its channel.
+	select {
+	case <-e.Pause():
+	case <-time.After(30 * time.Second):
+		t.Fatal("replay never parked")
 	}
 	ck := e.Checkpoint()
 	close(stop)
@@ -88,9 +93,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = restored.Replay(bytes.NewReader(archive), cal, &ReplayOptions{
-		Resume: &ReplayPosition{Records: thawed.Records, DaysClosed: daysClosed},
-	})
+	err = restored.Replay(bytes.NewReader(archive), cal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +131,7 @@ func TestCheckpointOfFinishedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = restored.Replay(bytes.NewReader(archive), cal, &ReplayOptions{
-		Resume: &ReplayPosition{Records: ck.Records, DaysClosed: len(cal.Days)},
-	})
+	err = restored.Replay(bytes.NewReader(archive), cal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestCheckpointHostileInput(t *testing.T) {
 			row.mutate(ck)
 		}
 		var js bytes.Buffer
-		if err := EncodeCheckpointJSON(&js, ck); err != nil {
+		if err := json.NewEncoder(&js).Encode(ck); err != nil {
 			t.Fatal(err)
 		}
 		bin, err := AppendCheckpointBinary(nil, ck)

@@ -68,6 +68,44 @@ func TestPauseResume(t *testing.T) {
 	diffRegistries(t, want, e.Registry())
 }
 
+// TestPauseSignalsPark: the channel Pause returns closes once the replay
+// has parked (Parked is true by then), a Pause while that request is
+// pending returns the same channel, and after Resume the replay runs on
+// unparked to the full-scan registry.
+func TestPauseSignalsPark(t *testing.T) {
+	sc, archive, want := fixtures(t)
+	e := New(Config{Shards: 2})
+	park := e.Pause() // primes the gate: the replay parks at its first record
+	done := make(chan error, 1)
+	go func() {
+		done <- e.Replay(bytes.NewReader(archive), NewCalendar(sc.ObservedDays, sc.DayStamp), nil)
+	}()
+	select {
+	case <-park:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Pause's channel never closed")
+	}
+	if !e.Parked() {
+		t.Fatal("Pause's channel closed before Parked() turned true")
+	}
+	if again := e.Pause(); again != park {
+		t.Fatal("a second Pause returned a new channel")
+	}
+	e.Resume()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if e.Parked() {
+		t.Fatal("Parked() true after Resume")
+	}
+	if next := e.Pause(); next == park {
+		t.Fatal("a Pause after Resume returned the released request's channel")
+	}
+	e.Resume()
+	e.Close()
+	diffRegistries(t, want, e.Registry())
+}
+
 // TestReplayStop: closing ReplayOptions.Stop aborts the replay at the next
 // record boundary with ErrReplayStopped, leaving the engine queryable at
 // the day the stop landed on.
@@ -314,9 +352,7 @@ func TestPauseBeforeQuietDays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = restored.Replay(bytes.NewReader(archive), cal, &ReplayOptions{
-		Resume: &ReplayPosition{Records: ck.Records, DaysClosed: 1},
-	})
+	err = restored.Replay(bytes.NewReader(archive), cal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

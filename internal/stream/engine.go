@@ -59,8 +59,7 @@ type Config struct {
 	// kernels emit (an open restatement per lifecycle event, a closing
 	// record per conflict end). Appends happen on the shard worker
 	// goroutines outside the shard lock; the eventless warm path never
-	// touches the log. The log may still be unopened at New time — serve
-	// binds it to its directory before the engine is reachable.
+	// touches the log.
 	EpisodeLog *epilog.Log
 }
 
@@ -99,10 +98,10 @@ type Engine struct {
 	// health endpoint read its Status through here.
 	src atomic.Value
 
-	// Pause gate. paused holds a channel while a pause is requested; Resume
-	// swaps it out and closes it. A replay parks on it between records.
-	// parked flips true once the replay has actually settled and blocked.
-	paused atomic.Pointer[chan struct{}]
+	// Pause gate. paused holds the pending pause request; Resume swaps it
+	// out and releases it. A replay parks on it between records. parked
+	// flips true once the replay has actually settled and blocked.
+	paused atomic.Pointer[pauseReq]
 	parked atomic.Bool
 
 	// First unrecoverable worker failure (a panicked shard or decode
@@ -297,22 +296,37 @@ func (e *Engine) Sync() {
 	wg.Wait()
 }
 
-// Pause asks the engine's replay to park at its next record boundary.
-// Safe from any goroutine (serve's pause endpoint calls it while a replay
-// is in flight). The replay settles all shards (Sync) before parking, so
-// once it has parked, queries see a stable view; feeding resumes when
-// Resume is called. Pausing an engine with no replay in flight simply
-// primes the gate for the next Replay call.
-func (e *Engine) Pause() {
-	ch := make(chan struct{})
-	e.paused.CompareAndSwap(nil, &ch)
+// pauseReq is one pause request: the gate closes parked once the replay
+// has settled and blocked on it, and Resume closes release.
+type pauseReq struct {
+	parked, release chan struct{}
+}
+
+// Pause asks the engine's replay to park at its next record boundary and
+// returns a channel that closes once it has. Safe from any goroutine
+// (serve's pause endpoint calls it while a replay is in flight); a Pause
+// while one is already pending returns that request's channel. The
+// replay settles all shards (Sync) before parking, so once it has
+// parked, queries see a stable view; feeding resumes when Resume is
+// called. Pausing an engine with no replay in flight simply primes the
+// gate for the next Replay call.
+func (e *Engine) Pause() <-chan struct{} {
+	for {
+		if req := e.paused.Load(); req != nil {
+			return req.parked
+		}
+		req := &pauseReq{parked: make(chan struct{}), release: make(chan struct{})}
+		if e.paused.CompareAndSwap(nil, req) {
+			return req.parked
+		}
+	}
 }
 
 // Resume releases a paused replay. Safe from any goroutine; a no-op when
 // not paused.
 func (e *Engine) Resume() {
-	if ch := e.paused.Swap(nil); ch != nil {
-		close(*ch)
+	if req := e.paused.Swap(nil); req != nil {
+		close(req.release)
 	}
 }
 

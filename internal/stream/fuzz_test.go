@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,7 +24,7 @@ func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	}
 	binV1 := goldenV1(t)
 	var js bytes.Buffer
-	if err := EncodeCheckpointJSON(&js, ck); err != nil {
+	if err := json.NewEncoder(&js).Encode(ck); err != nil {
 		t.Fatal(err)
 	}
 	flipped := bytes.Clone(bin)
@@ -71,7 +72,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		if _, err := AppendCheckpointBinary(nil, out); err != nil {
 			t.Fatalf("restored engine re-encodes with error: %v", err)
 		}
-		if err := EncodeCheckpointJSON(&bytes.Buffer{}, out); err != nil {
+		if err := json.NewEncoder(&bytes.Buffer{}).Encode(out); err != nil {
 			t.Fatalf("restored engine re-encodes to JSON with error: %v", err)
 		}
 	})

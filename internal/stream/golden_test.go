@@ -122,7 +122,7 @@ func TestGoldenCheckpointsRestore(t *testing.T) {
 			t.Errorf("%s re-saves to different MCKP v2 bytes than %s", path, goldenBinaryV2)
 		}
 		var js bytes.Buffer
-		if err := EncodeCheckpointJSON(&js, ck); err != nil {
+		if err := json.NewEncoder(&js).Encode(ck); err != nil {
 			t.Fatal(err)
 		}
 		if doc, _ := os.ReadFile(goldenJSON); !bytes.Equal(js.Bytes(), doc) {
@@ -185,7 +185,7 @@ func TestCheckpointJSONWireShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := EncodeCheckpointJSON(&got, tinyCheckpoint(t)); err != nil {
+	if err := json.NewEncoder(&got).Encode(tinyCheckpoint(t)); err != nil {
 		t.Fatal(err)
 	}
 	if w, g := jsonShape(t, want), jsonShape(t, got.Bytes()); !reflect.DeepEqual(w, g) {
@@ -205,7 +205,7 @@ func TestGenerateGoldenCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	var js bytes.Buffer
-	if err := EncodeCheckpointJSON(&js, ck); err != nil {
+	if err := json.NewEncoder(&js).Encode(ck); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(goldenJSON, js.Bytes(), 0o644); err != nil {

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"sort"
 
@@ -38,23 +37,6 @@ type ReplayOptions struct {
 	// ErrReplayStopped at the next record boundary (waking a paused replay
 	// if necessary). serve closes it when a scenario is deleted mid-replay.
 	Stop <-chan struct{}
-	// Resume, when non-nil, positions the replay mid-archive: the first
-	// Records MRT records are read and discarded (they are already
-	// reflected in the engine, restored from a Checkpoint) and the
-	// calendar cursor starts DaysClosed days in. The reader must be a
-	// fresh open of the same archive the checkpointed replay consumed.
-	Resume *ReplayPosition
-}
-
-// ReplayPosition is a replay cursor, taken from a Checkpoint (Records)
-// plus the caller's day accounting.
-type ReplayPosition struct {
-	// Records is the number of MRT records the checkpointed replay fully
-	// consumed (Checkpoint.Records).
-	Records uint64 `json:"records"`
-	// DaysClosed is the number of observation days the checkpointed
-	// replay closed — the calendar position updates resume at.
-	DaysClosed int `json:"days_closed"`
 }
 
 // ErrReplayStopped is returned by Replay when its ReplayOptions.Stop
@@ -81,14 +63,19 @@ func (e *Engine) gate(stop <-chan struct{}) error {
 	default:
 	}
 	for {
-		ch := e.paused.Load()
-		if ch == nil {
+		req := e.paused.Load()
+		if req == nil {
 			return nil
 		}
 		e.Sync()
 		e.parked.Store(true)
 		select {
-		case <-*ch:
+		case <-req.parked: // parked on by an earlier, stopped replay
+		default:
+			close(req.parked)
+		}
+		select {
+		case <-req.release:
 			e.parked.Store(false)
 		case <-stop:
 			e.parked.Store(false)
@@ -113,6 +100,10 @@ func (e *Engine) gate(stop <-chan struct{}) error {
 // applied ones: decode read-ahead is bounded by the producer's ring and
 // simply discarded if the replay is abandoned, so a parked replay serves
 // a settled view with nothing past the park point reflected in it.
+//
+// A replay starts at the engine's own cursor. A fresh engine reads the
+// archive from its first record; one restored by NewFromCheckpoint resumes
+// mid-archive, given a fresh open of the archive its image was taken from.
 func (e *Engine) Replay(r io.Reader, cal Calendar, opts *ReplayOptions) error {
 	if len(cal.Days) == 0 {
 		return errors.New("stream: empty calendar")
@@ -121,19 +112,11 @@ func (e *Engine) Replay(r io.Reader, cal Calendar, opts *ReplayOptions) error {
 	if opts != nil {
 		o = *opts
 	}
-	clock := &calendarClock{cal: cal}
-	var skip uint64
-	if o.Resume != nil {
-		// The skipped records' effects (including their day closes) are
-		// restored engine state, so the producer discards them undecoded.
-		if o.Resume.DaysClosed < 0 || o.Resume.DaysClosed > len(cal.Days) {
-			return fmt.Errorf("stream: resume at day %d of a %d-day calendar",
-				o.Resume.DaysClosed, len(cal.Days))
-		}
-		skip, clock.idx = o.Resume.Records, o.Resume.DaysClosed
-		e.recs.Store(skip)
-	}
-	out, free, shutdown := e.startDecode(r, skip)
+	// The engine's own cursor says where to start: the producer discards
+	// the records it has already applied undecoded, and the calendar
+	// skips the days it has already closed.
+	clock := &calendarClock{cal: cal, idx: sort.SearchInts(cal.Days, e.LastClosedDay()+1)}
+	out, free, shutdown := e.startDecode(r, e.recs.Load())
 	// The producer owns r until it exits; Replay must not return while it
 	// might still read (callers close the file right after).
 	defer shutdown()

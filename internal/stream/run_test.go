@@ -256,13 +256,12 @@ func TestRunTickRecordOrdering(t *testing.T) {
 	}
 
 	// Park the run inside the tick branch's gate.
-	e.Pause()
+	park := e.Pause()
 	ticks <- time.Time{}
-	for !e.Parked() {
-		if time.Now().After(deadline) {
-			t.Fatal("run never parked on the tick gate")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-park:
+	case <-time.After(5 * time.Second):
+		t.Fatal("run never parked on the tick gate")
 	}
 
 	// While parked: a second record, still timestamped in d0, reaches
@@ -409,17 +408,15 @@ func TestRunAppliesQueuedBeforeError(t *testing.T) {
 	// Run must be right in any interleaving; the pause (and the sleep
 	// below) only make sure the queue is never empty behind a record, so
 	// that the flush on the way out is the one this test exercises.
-	e.Pause()
+	park := e.Pause()
 	runDone := make(chan error, 1)
 	now := func() uint32 { return d0*86400 + 200 }
 	go func() { runDone <- e.Run(src, &RunOptions{Now: now}) }()
 	<-src.failed
-	deadline := time.Now().Add(5 * time.Second)
-	for !e.Parked() {
-		if time.Now().After(deadline) {
-			t.Fatal("run never parked")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-park:
+	case <-time.After(5 * time.Second):
+		t.Fatal("run never parked")
 	}
 	time.Sleep(20 * time.Millisecond) // let the puller queue the failure
 	e.Resume()

@@ -181,10 +181,7 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("oracle: restore: %w", err)
 		}
-		err = e.Replay(bytes.NewReader(archive), cal, &stream.ReplayOptions{
-			Resume: &stream.ReplayPosition{Records: ck.Records, DaysClosed: killDay},
-		})
-		if err != nil {
+		if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 			e.Close()
 			return nil, fmt.Errorf("oracle: resumed replay: %w", err)
 		}
@@ -268,10 +265,7 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 			lg2.Close()
 			return nil, fmt.Errorf("oracle: epilog-kill restore: %w", err)
 		}
-		err = e.Replay(bytes.NewReader(archive), cal, &stream.ReplayOptions{
-			Resume: &stream.ReplayPosition{Records: ck.Records, DaysClosed: killDay},
-		})
-		if err != nil {
+		if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 			e.Close()
 			lg2.Close()
 			return nil, fmt.Errorf("oracle: epilog-kill resumed replay: %w", err)
@@ -482,6 +476,7 @@ func checkpointAt(archive []byte, cal stream.Calendar, cfg stream.Config, stopAf
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	closed := 0
+	paused := make(chan struct{})
 	go func() {
 		done <- e.Replay(bytes.NewReader(archive), cal, &stream.ReplayOptions{
 			Stop: stop,
@@ -489,21 +484,21 @@ func checkpointAt(archive []byte, cal stream.Calendar, cfg stream.Config, stopAf
 				closed++
 				if closed == stopAfterDays {
 					e.Pause()
+					close(paused)
 				}
 			},
 		})
 	}()
-	deadline := time.Now().Add(60 * time.Second)
-	for !e.Parked() {
-		select {
-		case err := <-done:
-			return nil, fmt.Errorf("oracle: kill leg: replay ended before parking: %v", err)
-		default:
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("oracle: kill leg: replay never parked")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-paused:
+	case err := <-done:
+		return nil, fmt.Errorf("oracle: kill leg: replay ended before parking: %v", err)
+	}
+	// The request is still pending, so Pause hands back its channel.
+	select {
+	case <-e.Pause():
+	case <-time.After(60 * time.Second):
+		return nil, fmt.Errorf("oracle: kill leg: replay never parked")
 	}
 	ck := e.Checkpoint()
 	close(stop)

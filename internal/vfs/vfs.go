@@ -6,12 +6,16 @@
 // crash-safety and graceful-degradation claims can be proven instead
 // of asserted. The interface is deliberately minimal: exactly the
 // operations serve's checkpoint store and the episode log perform.
+// Both write whole files through WriteFileAtomic and sweep what a crash
+// stranded with RemoveTemps.
 package vfs
 
 import (
 	"errors"
 	"io"
 	"os"
+	"path/filepath"
+	"strings"
 )
 
 // ErrNoSpace is the canonical injected out-of-disk error. It wraps
@@ -101,4 +105,59 @@ func Default(fs FS) FS {
 		return OS{}
 	}
 	return fs
+}
+
+// WriteFileAtomic puts data at path so that a crash leaves either the
+// old file or the whole new one: it writes a temp file in path's
+// directory (named from pattern, as CreateTemp takes it), fsyncs and
+// closes it, renames it into place and syncs the directory. The temp
+// file is removed on any failure; a crash can still strand it, which is
+// what RemoveTemps sweeps.
+func WriteFileAtomic(fs FS, path, pattern string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := fs.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = fs.Remove(tmp.Name())
+		return err
+	}
+	// Makes the rename durable; best-effort, as SyncDir itself is.
+	_ = fs.SyncDir(dir)
+	return nil
+}
+
+// RemoveTemps deletes the regular files in dir whose names start with
+// prefix — temp files a crash stranded mid-WriteFileAtomic, whose
+// content was never reachable — and returns the paths it removed. A
+// failed removal does not stop the sweep; the failures are returned
+// joined.
+func RemoveTemps(fs FS, dir, prefix string) (removed []string, err error) {
+	ents, err := fs.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range ents {
+		if !e.Type().IsRegular() || !strings.HasPrefix(e.Name(), prefix) {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
+		if rerr := fs.Remove(path); rerr != nil {
+			err = errors.Join(err, rerr)
+			continue
+		}
+		removed = append(removed, path)
+	}
+	return removed, err
 }

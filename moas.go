@@ -139,24 +139,6 @@ func (s *Study) Run() (*Report, error) {
 	return &Report{Result: res, watch: s.Watch, watchSeqs: s.WatchSeqs}, nil
 }
 
-// RunFullScan executes the literal full-table methodology (every day's
-// complete snapshot assembled and scanned by the per-day detector; it
-// shares no state machine with Run's kernel, which is what makes it the
-// reference). Equivalent output, much slower; exposed for fidelity
-// experiments.
-func (s *Study) RunFullScan() (*Report, error) {
-	res, err := driver.RunFullScan(driver.Config{
-		Spec:      s.spec,
-		Watch:     s.Watch,
-		WatchSeqs: s.WatchSeqs,
-		Progress:  s.Progress,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Report{Result: res, watch: s.Watch, watchSeqs: s.WatchSeqs}, nil
-}
-
 // Date is a convenience constructor for UTC civil dates.
 func Date(year int, month time.Month, day int) time.Time {
 	return time.Date(year, month, day, 0, 0, 0, 0, time.UTC)
