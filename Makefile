@@ -18,10 +18,10 @@ race:
 	$(GO) test -race ./...
 
 # allocs runs the allocation guards without the race detector, which
-# changes allocation counts: TestCheckpointAllocBudget is //go:build
-# !race, so `race` never runs it.
+# changes allocation counts: TestCheckpointAllocBudget and
+# TestRunBurstAllocs are //go:build !race, so `race` never runs them.
 allocs:
-	$(GO) test -count=1 -run 'TestCheckpointAllocBudget|TestSteadyStateDecodeDispatchZeroAlloc|TestAppendAllocs|TestHealthzCostIndependentOfState|TestSpeakerNextAllocs' \
+	$(GO) test -count=1 -run 'TestCheckpointAllocBudget|TestSteadyStateDecodeDispatchZeroAlloc|TestAppendAllocs|TestHealthzCostIndependentOfState|TestSpeakerNextAllocs|TestRunBurstAllocs' \
 		./internal/stream/ ./internal/epilog/ ./internal/serve/ ./internal/source/bgpd/
 
 # bench prints the stream layer's go-test benchmarks — the ones that

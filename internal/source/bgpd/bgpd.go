@@ -221,6 +221,14 @@ func (s *Speaker) Next(rec *source.Record) error {
 	}
 }
 
+// Buffered implements source.Source: Next returns without blocking
+// while the burst in hand has bodies left or another burst is queued.
+// The one exception is a session rejected for a malformed UPDATE: Next
+// drops what is left of its bursts and may then wait for the next
+// UPDATE, so the records the puller already holds reach the engine with
+// that one (or at Close).
+func (s *Speaker) Buffered() bool { return len(s.rest) > 0 || len(s.q) > 0 }
+
 // Status implements source.Source.
 func (s *Speaker) Status() source.Status {
 	peers := int(s.peers.Load())

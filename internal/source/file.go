@@ -64,6 +64,9 @@ func (s *File) Next(rec *Record) error {
 	}
 }
 
+// Buffered implements Source: a file never waits on a peer.
+func (s *File) Buffered() bool { return true }
+
 // Status implements Source.
 func (s *File) Status() Status {
 	st := Status{

@@ -169,6 +169,11 @@ func (c *Client) Next(rec *source.Record) error {
 	}
 }
 
+// Buffered implements source.Source: true while records expanded from
+// the last message are still pending — a message announcing several
+// prefix groups reaches the engine as one batch.
+func (c *Client) Buffered() bool { return c.pi < len(c.pending) }
+
 // reconnect redials with jittered exponential backoff until it succeeds
 // or the client is closed. It never gives up: a live monitor's answer
 // to a dead feed is patience, not exit.

@@ -19,9 +19,10 @@ import (
 	"moas/internal/bgp"
 )
 
-// Record is one update delivered by a source. The engine run loop owns
-// one Record and passes it to Next repeatedly; implementations decode
-// into it, reusing the Upd slices' backing arrays, so a steady feed
+// Record is one update delivered by a source. The engine's puller owns a
+// ring of record slots and passes them to Next in turn, filling a batch
+// with consecutive records; implementations decode into the slot they
+// are given, reusing the Upd slices' backing arrays, so a steady feed
 // allocates nothing per record beyond what the transport itself needs.
 // Everything the engine retains is copied out by value or canonical by
 // construction (interned attrs), exactly as the archive decode stage
@@ -86,12 +87,17 @@ type Status struct {
 // is available, filling rec in place, and returns io.EOF when the
 // source is exhausted (file) or closed; any other error is fatal to the
 // stream (sources with recoverable transports reconnect internally and
-// never surface transient errors). Next is single-goroutine — the
-// engine run loop is the one caller, which is also what makes sharing
-// the engine's attrs interner sound. Status and Close are safe from any
+// never surface transient errors). Buffered reports whether Next would
+// return without blocking — a record already read from the transport,
+// or an end already known — so the engine's puller can hand the loop
+// everything in hand as one batch and ship it the moment more would
+// mean waiting. Next and Buffered are single-goroutine — the engine's
+// puller is the one caller, which is also what makes sharing the
+// engine's attrs interner sound. Status and Close are safe from any
 // goroutine; Close unblocks a pending Next.
 type Source interface {
 	Next(rec *Record) error
+	Buffered() bool
 	Status() Status
 	Close() error
 }

@@ -111,7 +111,7 @@ func TestSteadyStateDecodeDispatchZeroAlloc(t *testing.T) {
 		br := bytes.NewReader(archive)
 		f := &framer{fr: mrt.NewFramer(br), stage: new(decStage)}
 		dec := &source.Decoder{Interner: e.interner}
-		b := newDecBatch()
+		b := newDecBatch(decBatchLen)
 		gate(t, e, func() {
 			br.Reset(archive)
 			f.fr.Reset(br)

@@ -106,6 +106,25 @@ func TestPauseSignalsPark(t *testing.T) {
 	diffRegistries(t, want, e.Registry())
 }
 
+// TestResumeWakesPauseWaiter: a pause request withdrawn before any feed
+// parked on it still closes its channel, so a waiter wakes at once and
+// re-judges (Parked is false) instead of waiting out its deadline.
+func TestResumeWakesPauseWaiter(t *testing.T) {
+	e := New(Config{Shards: 1})
+	defer e.Close()
+	park := e.Pause()
+	e.Resume()
+	select {
+	case <-park:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Resume withdrew the pause but never closed its channel")
+	}
+	if e.Parked() {
+		t.Fatal("Parked() true on an engine that never ran")
+	}
+	e.Resume() // withdrawing nothing is still a no-op
+}
+
 // TestReplayStop: closing ReplayOptions.Stop aborts the replay at the next
 // record boundary with ErrReplayStopped, leaving the engine queryable at
 // the day the stop landed on.

@@ -73,7 +73,8 @@ type decRec struct {
 // decBatch is the unit producers hand the ingest loop, and the archive
 // pipeline's ring element: the framing goroutine fills first/hdrs/offs/
 // buf (raw frames in one arena), a decode worker turns those frames into
-// recs and signals ready. A live producer uses only recs, err and flush.
+// recs and signals ready. A live producer uses only recs, err and flush,
+// and clears ready.
 // The final batch of a feed carries the terminal error (io.EOF for a
 // clean end).
 type decBatch struct {
@@ -88,31 +89,32 @@ type decBatch struct {
 	// reaches the loop already decoded.
 	ready chan struct{}
 	// flush makes the loop flush every shard's pending ops once no batch
-	// is queued behind this record, instead of only when a shard batch
+	// is queued behind this one, instead of only when a shard batch
 	// fills — the live feed's setting.
 	flush bool
 }
 
-// newDecBatch builds a batch with every slot's NLRI and Withdrawn slices
-// pre-carved from two shared arrays (full-capacity sub-slices, so a long
-// update that outgrows its slot reallocates privately without bleeding
-// into a neighbor). Pre-carving replaces ~2 first-use allocations per
-// slot per replay with 3 per batch. The frame index arrays are sized for
-// a full batch up front and the body arena for a typical one, so the
-// first trip around the ring does not grow them step by step.
-func newDecBatch() *decBatch {
+// newDecBatch builds a batch of n record slots, every slot's NLRI and
+// Withdrawn slices pre-carved from two shared arrays (full-capacity
+// sub-slices, so a long update that outgrows its slot reallocates
+// privately without bleeding into a neighbor). Pre-carving replaces ~2
+// first-use allocations per slot per replay with 3 per batch. The frame
+// index arrays are sized for a full batch up front and the body arena for
+// a typical one, so the first trip around the ring does not grow them
+// step by step.
+func newDecBatch(n int) *decBatch {
 	const nlriCap, wdCap = 24, 8
-	recs := make([]decRec, decBatchLen)
-	nlri := make([]bgp.Prefix, decBatchLen*nlriCap)
-	wd := make([]bgp.Prefix, decBatchLen*wdCap)
+	recs := make([]decRec, n)
+	nlri := make([]bgp.Prefix, n*nlriCap)
+	wd := make([]bgp.Prefix, n*wdCap)
 	for i := range recs {
 		recs[i].Upd.NLRI = nlri[i*nlriCap : i*nlriCap : (i+1)*nlriCap]
 		recs[i].Upd.Withdrawn = wd[i*wdCap : i*wdCap : (i+1)*wdCap]
 	}
 	return &decBatch{
-		hdrs:  make([]mrt.Header, 0, decBatchLen),
-		offs:  make([]int, 0, decBatchLen),
-		buf:   make([]byte, 0, decBatchLen*64),
+		hdrs:  make([]mrt.Header, 0, n),
+		offs:  make([]int, 0, n),
+		buf:   make([]byte, 0, n*64),
 		recs:  recs[:0],
 		ready: make(chan struct{}, 1),
 	}
@@ -280,7 +282,7 @@ func (e *Engine) startDecode(r io.Reader, skip uint64) (out, free chan *decBatch
 	ring := 2*workers + 2
 	free = make(chan *decBatch, ring)
 	for i := 0; i < ring; i++ {
-		free <- newDecBatch()
+		free <- newDecBatch(decBatchLen)
 	}
 	// Every channel holds the whole ring, so no send on one blocks.
 	work := make(chan *decBatch, ring)

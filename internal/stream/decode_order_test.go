@@ -207,7 +207,7 @@ func TestIngestWaitsOnUndecodedBatch(t *testing.T) {
 			e := New(Config{Shards: 2})
 			// A terminal batch: applied without waiting, it would end the
 			// feed cleanly at once and close day 0.
-			b := newDecBatch()
+			b := newDecBatch(decBatchLen)
 			b.err = io.EOF
 			out, free := make(chan *decBatch, 1), make(chan *decBatch, 1)
 			out <- b

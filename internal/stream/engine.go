@@ -296,20 +296,27 @@ func (e *Engine) Sync() {
 	wg.Wait()
 }
 
-// pauseReq is one pause request: the gate closes parked once the replay
-// has settled and blocked on it, and Resume closes release.
+// pauseReq is one pause request: parked closes once the replay has
+// settled and blocked on it or once Resume withdraws it, whichever comes
+// first (the gate and Resume race, hence the once); Resume closes
+// release.
 type pauseReq struct {
 	parked, release chan struct{}
+	signal          sync.Once
 }
 
+// wake closes parked; the first call does, later ones are no-ops.
+func (r *pauseReq) wake() { r.signal.Do(func() { close(r.parked) }) }
+
 // Pause asks the engine's replay to park at its next record boundary and
-// returns a channel that closes once it has. Safe from any goroutine
-// (serve's pause endpoint calls it while a replay is in flight); a Pause
-// while one is already pending returns that request's channel. The
-// replay settles all shards (Sync) before parking, so once it has
-// parked, queries see a stable view; feeding resumes when Resume is
-// called. Pausing an engine with no replay in flight simply primes the
-// gate for the next Replay call.
+// returns a channel that closes once the replay has parked or the
+// request was withdrawn (Resume) — a waiter re-checks Parked() after it
+// wakes. Safe from any goroutine (serve's pause endpoint calls it while a
+// replay is in flight); a Pause while one is already pending returns that
+// request's channel. The replay settles all shards (Sync) before parking,
+// so once it has parked, queries see a stable view; feeding resumes when
+// Resume is called. Pausing an engine with no replay in flight simply
+// primes the gate for the next Replay call.
 func (e *Engine) Pause() <-chan struct{} {
 	for {
 		if req := e.paused.Load(); req != nil {
@@ -322,10 +329,11 @@ func (e *Engine) Pause() <-chan struct{} {
 	}
 }
 
-// Resume releases a paused replay. Safe from any goroutine; a no-op when
-// not paused.
+// Resume releases a paused replay and wakes any waiter on the request's
+// Pause channel. Safe from any goroutine; a no-op when not paused.
 func (e *Engine) Resume() {
 	if req := e.paused.Swap(nil); req != nil {
+		req.wake()
 		close(req.release)
 	}
 }

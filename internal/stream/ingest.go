@@ -138,9 +138,9 @@ func (c *utcClock) today() (int, error) { return c.cur, nil }
 // parking there keeps a paused view exactly at the just-closed day, with
 // the cursor not yet counting the record, so a checkpoint taken at that
 // park re-reads and applies it on resume); the record's own decode error,
-// if any; the update (with a live batch's flush once the queue is empty);
-// the cursor. A clean end of feed closes whatever days the clock says the
-// end implies.
+// if any; the update; the cursor. After a live batch, the flush if no
+// batch is queued behind it. A clean end of feed closes whatever days the
+// clock says the end implies.
 func (e *Engine) ingest(f feed) error {
 	closeDue := func(ev clockEvent, ts uint32) error {
 		for day, ok := f.clock.due(ev, ts); ok; day, ok = f.clock.due(ev, ts) {
@@ -192,17 +192,18 @@ func (e *Engine) ingest(f feed) error {
 					return true, err
 				}
 				e.ApplyUpdate(day, PeerKey{IP: rec.PeerIP, AS: rec.PeerAS}, &rec.Upd)
-				// A live feed's ops go to the shards once nothing more is
-				// queued: a burst fills shard batches, and a lone update is
-				// visible as soon as the loop would otherwise wait.
-				if b.flush && len(f.out) == 0 {
-					e.flush()
-				}
 			}
 			e.recs.Store(rec.Seq)
 		}
 		switch b.err {
 		case nil:
+			// A live feed's ops go to the shards once nothing more is
+			// queued: a burst fills shard batches, and a lone update is
+			// visible as soon as the loop would otherwise wait. (A terminal
+			// batch ends the run, and Run flushes on the way out.)
+			if b.flush && len(f.out) == 0 {
+				e.flush()
+			}
 			f.free <- b
 			return false, nil
 		case io.EOF:

@@ -63,6 +63,7 @@ func (s *panicSource) Next(rec *source.Record) error {
 	return s.inner.Next(rec)
 }
 
+func (s *panicSource) Buffered() bool        { return s.inner.Buffered() }
 func (s *panicSource) Status() source.Status { return s.inner.Status() }
 func (s *panicSource) Close() error          { return s.inner.Close() }
 

@@ -69,11 +69,7 @@ func (e *Engine) gate(stop <-chan struct{}) error {
 		}
 		e.Sync()
 		e.parked.Store(true)
-		select {
-		case <-req.parked: // parked on by an earlier, stopped replay
-		default:
-			close(req.parked)
-		}
+		req.wake()
 		select {
 		case <-req.release:
 			e.parked.Store(false)

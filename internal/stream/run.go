@@ -34,24 +34,26 @@ type RunOptions struct {
 // Run drains a live source into the engine until the source ends or
 // opts.Stop closes. It is the continuous-operation sibling of Replay —
 // the same ingest loop (ingest.go) over a different producer and clock:
-// updates dispatch as they arrive, one record per batch, and reach the
-// shards whenever the loop's queue runs dry (a session's table transfer
-// is a burst of a million updates, which fills shard batches; a lone
-// update is flushed as soon as nothing follows it) and before Run
-// returns, whatever ends it. Observation days are absolute UTC days
-// (timestamp / 86400) and close when either a record's timestamp or the
-// wall clock crosses into a later day. Pause/Resume work exactly as with
-// Replay: the run parks between records with every shard settled. The
-// record cursor (Records) advances by the source's own sequence numbers,
-// so a checkpoint taken mid-run records how far into the feed the engine
-// got.
+// the puller hands the loop every record the source already holds as one
+// batch, updates dispatch as they arrive, and they reach the shards
+// whenever the loop's queue runs dry (a session's table transfer is a
+// burst of a million updates, which fills record and shard batches; a
+// lone update travels alone and is flushed as soon as nothing follows
+// it) and before Run returns, whatever ends it. Observation days are
+// absolute UTC days (timestamp / 86400) and close when either a record's
+// timestamp or the wall clock crosses into a later day. Pause/Resume
+// work exactly as with Replay: the run parks between records with every
+// shard settled. The record cursor (Records) advances by the source's own
+// sequence numbers, so a checkpoint taken mid-run records how far into
+// the feed the engine got.
 //
 // The source's Next runs on a dedicated puller goroutine — the single
 // goroutine its interner contract requires — which may run up to
-// liveRing records ahead of the loop; a paused or stopped run discards
-// that read-ahead. The run owns its transport: it closes the source on
-// return, which is also what unblocks the puller when a Stop lands
-// mid-feed.
+// liveRing batches of liveBatchLen records ahead of the loop; a paused
+// run parks at a record boundary inside its batch, and a stopped run
+// discards that read-ahead. The run owns its transport: it closes the
+// source on return, which is also what unblocks the puller when a Stop
+// lands mid-feed.
 func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 	var o RunOptions
 	if opts != nil {
@@ -69,13 +71,17 @@ func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 	e.src.Store(srcBox{src})
 	defer e.src.Store(srcBox{})
 
-	// A ring of one-record batches: the puller fills records while the
-	// loop dispatches earlier ones. A batch returns to free only once
+	// A ring of record batches: the puller fills one while the loop
+	// dispatches earlier ones. A batch returns to free only once
 	// dispatched, so the puller never reuses a record the loop still reads
-	// (ApplyUpdate copies everything it keeps into ops).
+	// (ApplyUpdate copies everything it keeps into ops). A live batch
+	// arrives decoded: with a ready channel the loop would wait on a
+	// signal no worker sends.
 	out, free := make(chan *decBatch, liveRing), make(chan *decBatch, liveRing)
 	for i := 0; i < cap(free); i++ {
-		free <- &decBatch{recs: []decRec{{kind: source.KindUpdate}}, flush: true}
+		b := newDecBatch(liveBatchLen)
+		b.ready, b.flush = nil, true
+		free <- b
 	}
 	go pull(src, e.recs.Load(), free, out)
 	// The puller owns the source until it exits: closing the source fails
@@ -96,36 +102,50 @@ func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 	return err
 }
 
-// liveRing is how many one-record batches Run's puller may fill ahead of
-// the loop: deep enough that during a table transfer neither waits on
-// the other at every record (64 records are ≈ 50 µs of a transfer at
-// 1.3 M updates/s), small enough that the read-ahead a stop discards
-// stays negligible.
-const liveRing = 64
+// The live ring: liveRing batches of up to liveBatchLen records each.
+// During a table transfer the puller fills whole batches, so the loop
+// takes one channel hop per 64 records instead of one per record; a
+// quiet feed's batches carry what one read delivered, often a single
+// record. Read-ahead — what a stop discards — is at most 1 024 records
+// (≈ 0.5–1 ms of a transfer), the bound a bgpd session queue once had.
+const (
+	liveRing     = 16
+	liveBatchLen = 64
+)
 
-// pull is Run's producer: it moves records from src.Next into one-record
-// batches, stamping each with the engine cursor it advances to (base, the
-// cursor Run started at, plus the source's own sequence number), until
-// Next fails — the error, io.EOF included, goes out as the terminal batch
-// — or free closes. A panicking source (a malformed feed tripping a
-// decoder bug) is contained to this scenario: the panic surfaces as the
-// run's terminal error instead of killing the daemon.
+// pull is Run's producer: it fills each free batch with consecutive
+// records from src.Next — until the batch is full or src.Buffered says
+// the next record would mean waiting — and ships it, stamping each record
+// with the engine cursor it advances to (base, the cursor Run started at,
+// plus the source's own sequence number). When Next fails, the batch in
+// hand goes out with the records read so far and the error (io.EOF
+// included) as the terminal batch; the loop applies its records first.
+// The puller also ends when free closes. A panicking source (a malformed
+// feed tripping a decoder bug) is contained to this scenario: the panic
+// surfaces as the run's terminal error instead of killing the daemon.
 func pull(src source.Source, base uint64, free <-chan *decBatch, out chan<- *decBatch) {
 	defer close(out)
 	var b *decBatch // the batch in hand
 	err := supervise.Run("source puller", func() error {
 		for b = range free {
-			rec := &b.recs[0]
-			if err := src.Next(&rec.Record); err != nil {
-				return err
+			b.recs = b.recs[:0]
+			for more := true; more && len(b.recs) < cap(b.recs); more = src.Buffered() {
+				// The slot joins the batch only once Next has filled it.
+				n := len(b.recs)
+				rec := &b.recs[:n+1][n]
+				if err := src.Next(&rec.Record); err != nil {
+					return err
+				}
+				rec.Seq += base
+				rec.kind = source.KindUpdate
+				b.recs = b.recs[:n+1]
 			}
-			rec.Seq += base
 			out <- b
 		}
 		return nil
 	})
 	if err != nil {
-		b.recs, b.err = nil, err
+		b.err = err
 		out <- b
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"moas/internal/bgp"
 	"moas/internal/mrt"
 	"moas/internal/source"
+	"moas/internal/source/rislive"
 )
 
 // runArchive builds a two-day BGP4MP archive with a MOAS conflict on day
@@ -117,6 +118,9 @@ func (s *chanSource) Next(rec *source.Record) error {
 		return io.EOF
 	}
 }
+
+// Buffered is false: a record exists only once the test sends it.
+func (s *chanSource) Buffered() bool { return false }
 
 func (s *chanSource) Status() source.Status {
 	return source.Status{Kind: "chan", Connected: !s.closed.Load()}
@@ -387,14 +391,17 @@ func (s *sliceSource) Next(rec *source.Record) error {
 	return nil
 }
 
+// Buffered is true: the records and the failure are all in hand.
+func (s *sliceSource) Buffered() bool        { return true }
 func (s *sliceSource) Status() source.Status { return source.Status{Kind: "slice"} }
 func (s *sliceSource) Close() error          { return nil }
 
 // TestRunAppliesQueuedBeforeError: a source that fails right behind its
 // last record ends the run with every record applied, counted and
-// visible. The records and the failure are queued back to back, so the
-// queue never runs dry: only the flush on the way out makes the last
-// records' ops reach the shards.
+// visible. The source holds the records and the failure at once, so the
+// puller ships them as one terminal batch, which the loop applies without
+// flushing: only the flush on the way out makes the records' ops reach
+// the shards.
 func TestRunAppliesQueuedBeforeError(t *testing.T) {
 	const d0, n = 16000, 16
 	recs, prefixes := liveUpdates(n, d0)
@@ -403,16 +410,21 @@ func TestRunAppliesQueuedBeforeError(t *testing.T) {
 	e := New(Config{Shards: 2})
 	defer e.Close()
 
-	// Parked on its first record, the run lets the puller queue the rest
-	// and the failure behind them; resumed, it applies them back to back.
-	// Run must be right in any interleaving; the pause (and the sleep
-	// below) only make sure the queue is never empty behind a record, so
-	// that the flush on the way out is the one this test exercises.
+	// Parked before its first record, the run lets the puller read every
+	// record and the failure; resumed, it applies them back to back. Run
+	// must be right in any interleaving; the pause (and the sleep below)
+	// only make sure everything is queued before the loop applies
+	// anything, so that the flush on the way out is the one this test
+	// exercises.
 	park := e.Pause()
 	runDone := make(chan error, 1)
 	now := func() uint32 { return d0*86400 + 200 }
 	go func() { runDone <- e.Run(src, &RunOptions{Now: now}) }()
-	<-src.failed
+	select {
+	case <-src.failed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("source never reached its failure")
+	}
 	select {
 	case <-park:
 	case <-time.After(5 * time.Second):
@@ -433,4 +445,282 @@ func TestRunAppliesQueuedBeforeError(t *testing.T) {
 		t.Fatalf("Records()=%d, want %d", got, n)
 	}
 	waitRoutes(t, e, prefixes)
+}
+
+// stepSource is a sliceSource that never reports a record buffered, like
+// a feed whose every record is the last one its transport has delivered.
+type stepSource struct{ *sliceSource }
+
+func (stepSource) Buffered() bool { return false }
+
+// startPull runs pull over src with a ring shaped like Run's and returns
+// the ring's ends.
+func startPull(src source.Source, base uint64) (free chan<- *decBatch, out <-chan *decBatch) {
+	f, o := make(chan *decBatch, liveRing), make(chan *decBatch, liveRing)
+	for i := 0; i < cap(f); i++ {
+		f <- newDecBatch(liveBatchLen)
+	}
+	go pull(src, base, f, o)
+	return f, o
+}
+
+// pullBatches runs pull over src and returns the records' cursors batch
+// by batch, recycling each batch as the loop would, until the terminal
+// batch; it fails unless that batch ends the feed with io.EOF.
+func pullBatches(t *testing.T, src source.Source, base uint64) [][]uint64 {
+	t.Helper()
+	free, out := startPull(src, base)
+	var batches [][]uint64
+	for b := range out {
+		seqs := make([]uint64, len(b.recs))
+		for i, rec := range b.recs {
+			if rec.kind != source.KindUpdate {
+				t.Fatalf("batch %d record %d: kind %d, want an update", len(batches), i, rec.kind)
+			}
+			seqs[i] = rec.Seq
+		}
+		batches = append(batches, seqs)
+		if b.err != nil {
+			if b.err != io.EOF {
+				t.Fatalf("terminal batch error %v, want io.EOF", b.err)
+			}
+			return batches
+		}
+		free <- b
+	}
+	t.Fatal("pull closed its output without a terminal batch")
+	return nil
+}
+
+// TestPullBatchesBufferedRecords: the puller hands the loop every record
+// its source holds as one batch — 1 000 buffered records arrive in
+// ⌈1000/64⌉ full batches, in order, each stamped with the engine cursor
+// it advances to — and ships a batch the moment another record would
+// mean waiting: a source with nothing buffered behind each record yields
+// one record per batch, and a record on a blocking source reaches the
+// loop without a second one behind it.
+func TestPullBatchesBufferedRecords(t *testing.T) {
+	const n, base = 1000, 7
+	recs, _ := liveUpdates(n, 17000)
+	checkSeqs := func(batches [][]uint64) {
+		t.Helper()
+		want := uint64(base)
+		for _, b := range batches {
+			for _, seq := range b {
+				if want++; seq != want {
+					t.Fatalf("cursor %d, want %d", seq, want)
+				}
+			}
+		}
+		if want != base+n {
+			t.Fatalf("records end at cursor %d, want %d", want, base+n)
+		}
+	}
+
+	batches := pullBatches(t, &sliceSource{recs: recs, err: io.EOF, failed: make(chan struct{})}, base)
+	if want := (n + liveBatchLen - 1) / liveBatchLen; len(batches) != want {
+		t.Fatalf("%d batches, want %d", len(batches), want)
+	}
+	for i, b := range batches[:len(batches)-1] {
+		if len(b) != liveBatchLen {
+			t.Fatalf("batch %d holds %d records, want a full %d", i, len(b), liveBatchLen)
+		}
+	}
+	checkSeqs(batches)
+
+	batches = pullBatches(t, stepSource{&sliceSource{recs: recs, err: io.EOF, failed: make(chan struct{})}}, base)
+	if len(batches) != n+1 {
+		t.Fatalf("%d batches, want %d one-record batches and the terminal one", len(batches), n)
+	}
+	for i, b := range batches[:n] {
+		if len(b) != 1 {
+			t.Fatalf("batch %d holds %d records, want 1", i, len(b))
+		}
+	}
+	checkSeqs(batches)
+
+	src := newChanSource()
+	free, out := startPull(src, base)
+	for i := range 3 {
+		src.ch <- recs[i]
+		select {
+		case b := <-out:
+			if len(b.recs) != 1 || b.recs[0].Seq != base+uint64(i)+1 {
+				t.Fatalf("batch %d: %d records", i, len(b.recs))
+			}
+			free <- b
+		case <-time.After(5 * time.Second):
+			t.Fatalf("record %d never shipped: the puller waited to fill its batch", i)
+		}
+	}
+	src.Close()
+	for range out {
+	}
+}
+
+// TestPullRISMessageOneBatch: a RIS Live message with several
+// announcement groups expands into one record per group, and the puller
+// hands all of them to the loop as one batch.
+func TestPullRISMessageOneBatch(t *testing.T) {
+	fake, err := rislive.NewFake()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fake.Close()
+	cl, err := rislive.Dial(rislive.Config{URL: fake.URL(), Interner: bgp.NewAttrsInterner(false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fake.WaitConnected(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	_, out := startPull(cl, 0)
+	defer func() {
+		cl.Close()
+		for range out {
+		}
+	}()
+
+	groups := []rislive.Announcement{
+		{NextHop: "192.0.2.9", Prefixes: []string{"10.0.0.0/8", "10.1.0.0/16"}},
+		{NextHop: "192.0.2.10", Prefixes: []string{"10.2.0.0/16"}},
+		{NextHop: "192.0.2.11", Prefixes: []string{"10.3.0.0/16"}},
+	}
+	if err := fake.Send(rislive.Msg{
+		Timestamp:     86400,
+		Peer:          "192.0.2.9",
+		PeerASN:       65001,
+		Path:          []any{uint32(65001), uint32(65002)},
+		Announcements: groups,
+		Withdrawals:   []string{"10.4.0.0/16"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case b := <-out:
+		if len(b.recs) != len(groups) {
+			t.Fatalf("first batch holds %d records, want the message's %d", len(b.recs), len(groups))
+		}
+		for i, rec := range b.recs {
+			if rec.Seq != uint64(i+1) || len(rec.Upd.NLRI) != len(groups[i].Prefixes) {
+				t.Fatalf("record %d: Seq=%d NLRI=%v", i, rec.Seq, rec.Upd.NLRI)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the message never reached the loop")
+	}
+}
+
+// pauseFeed returns n records from two peers originating the same eight
+// prefixes from different ASes (MOAS conflicts), the first k on day d0
+// and the rest on day d0+1.
+func pauseFeed(n, k int, d0 uint32) []source.Record {
+	attrs := func(origin bgp.ASN) *bgp.Attrs {
+		return &bgp.Attrs{
+			Origin:  bgp.OriginIGP,
+			ASPath:  bgp.Path{{Type: bgp.SegSequence, ASes: []bgp.ASN{65001, origin}}},
+			NextHop: [4]byte{192, 0, 2, 1},
+		}
+	}
+	a := [2]*bgp.Attrs{attrs(70), attrs(71)}
+	recs := make([]source.Record, n)
+	for i := range recs {
+		peer := i % 2
+		p := bgp.PrefixFromUint32(10<<24+uint32(i/2%8)<<8, 24)
+		ts := d0*86400 + 100
+		if i >= k {
+			ts += 86400
+		}
+		recs[i] = source.Record{Seq: uint64(i + 1), TS: ts, PeerAS: bgp.ASN(65001 + peer)}
+		recs[i].PeerIP[3] = byte(1 + peer)
+		if i >= k && i%5 == 0 {
+			recs[i].Upd = bgp.Update{Withdrawn: []bgp.Prefix{p}}
+		} else {
+			recs[i].Upd = bgp.Update{Attrs: a[peer], NLRI: []bgp.Prefix{p}}
+		}
+	}
+	return recs
+}
+
+// TestRunPauseInsideBatch: a source holding its whole feed hands it to
+// the loop as one batch, and a pause requested where record k closes the
+// first day parks inside that batch at a record boundary — Records() and
+// the applied-update count both k, the record that closed the day not yet
+// applied. Resumed, the run finishes in the state of an uninterrupted
+// run, and so does an engine restored from a checkpoint taken at the park
+// and fed the rest of the feed.
+func TestRunPauseInsideBatch(t *testing.T) {
+	const d0, n, k = 18000, 48, 20
+	feed := pauseFeed(n, k, d0)
+	now := func() uint32 { return d0*86400 + 200 }
+	run := func(e *Engine, recs []source.Record, onDayClose func(int)) error {
+		src := &sliceSource{recs: recs, err: io.EOF, failed: make(chan struct{})}
+		return e.Run(src, &RunOptions{CloseFinalDay: true, Now: now, OnDayClose: onDayClose})
+	}
+
+	want := New(Config{Shards: 2})
+	if err := run(want, feed, nil); err != nil {
+		t.Fatal(err)
+	}
+	wantCk := eqCheckpoint(t, want)
+
+	e := New(Config{Shards: 2})
+	parks := make(chan (<-chan struct{}), 1)
+	runDone := make(chan error, 1)
+	go func() {
+		runDone <- run(e, feed, func(day int) {
+			if day == d0 {
+				parks <- e.Pause()
+			}
+		})
+	}()
+	select {
+	case park := <-parks:
+		select {
+		case <-park:
+		case <-time.After(5 * time.Second):
+			t.Fatal("run never parked")
+		}
+	case err := <-runDone:
+		t.Fatalf("Run returned %v before the day closed", err)
+	}
+	if !e.Parked() {
+		t.Fatal("Pause's channel closed with the run not parked")
+	}
+	if got := e.Records(); got != k {
+		t.Fatalf("parked at Records()=%d, want %d", got, k)
+	}
+	if got := e.Stats().Messages; got != k {
+		t.Fatalf("parked with %d updates applied, want %d", got, k)
+	}
+	ck := e.Checkpoint()
+	e.Resume()
+	select {
+	case err := <-runDone:
+		if err != nil {
+			t.Fatalf("Run after Resume: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not finish after Resume")
+	}
+	if got := eqCheckpoint(t, e); !bytes.Equal(got, wantCk) {
+		t.Fatalf("paused and resumed run differs from the uninterrupted one:\nwant %s\n got %s", wantCk, got)
+	}
+
+	// The rest of the feed, numbered by a fresh source from 1: the
+	// restored cursor is the base Run adds.
+	rest := append([]source.Record(nil), feed[k:]...)
+	for i := range rest {
+		rest[i].Seq = uint64(i + 1)
+	}
+	restored, err := NewFromCheckpoint(Config{Shards: 2}, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(restored, rest, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := eqCheckpoint(t, restored); !bytes.Equal(got, wantCk) {
+		t.Fatalf("run restored at the park differs from the uninterrupted one:\nwant %s\n got %s", wantCk, got)
+	}
 }
