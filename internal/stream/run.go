@@ -106,10 +106,14 @@ func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 // During a table transfer the puller fills whole batches, so the loop
 // takes one channel hop per 64 records instead of one per record; a
 // quiet feed's batches carry what one read delivered, often a single
-// record. Read-ahead — what a stop discards — is at most 1 024 records
-// (≈ 0.5–1 ms of a transfer), the bound a bgpd session queue once had.
+// record. Four batches keep the puller at most three ahead of the loop:
+// a deeper ring lets the puller decode on a core of its own while the
+// loop and shards share the other, which doubles a transfer's rate when
+// the host leaves both cores free and halves it when it does not, so
+// the rate would swing from run to run with the host. Read-ahead — what
+// a stop discards — is at most 256 records.
 const (
-	liveRing     = 16
+	liveRing     = 4
 	liveBatchLen = 64
 )
 
