@@ -29,7 +29,12 @@ import (
 // where a prefix is binenc.AppendPrefix's compact form, an origin set is
 // a uvarint count followed by uvarint ASNs, and an event is: type byte,
 // varint day, uvarint seq, prefix, origin set, previous origin set,
-// class byte, previous class byte. Every section is length-prefixed
+// class byte, previous class byte. A history event (version 2) is the
+// compact form a kernel retains (history.go: header byte of type and
+// classes, varint day, origin set, previous origin set), its prefix and
+// seq those of the entry it belongs to; version 1 wrote history events
+// in full, and its reader checks them against their entry and compacts
+// them. Every section is length-prefixed
 // (binenc.BeginFrame/EndFrame: written in place, no per-section buffer)
 // and every count is validated against the bytes remaining, so truncated
 // or fuzzed input fails cleanly. The codec moves values only: a prefix is
@@ -78,9 +83,10 @@ func readASNs(r *binenc.Reader, arena *[]bgp.ASN) []bgp.ASN {
 	return out
 }
 
-// appendEvent and readEvent are the one encoding of a lifecycle event:
-// what a checkpoint writes per event and what the kernel keeps per event
-// of a prefix's history (history.go).
+// appendEvent and readEvent are the full encoding of a lifecycle event,
+// what a snapshot writes per event of the retained log (and version 1 per
+// history event). A prefix's history keeps the compact form instead
+// (history.go), which leaves out what the prefix's state already holds.
 func appendEvent(dst []byte, ev *Event) []byte {
 	dst = append(dst, byte(ev.Type))
 	dst = binary.AppendVarint(dst, int64(ev.Day))
@@ -192,18 +198,21 @@ func AppendSnapshotBinary(dst []byte, s *Snapshot) []byte {
 	return binenc.EndFrame(dst, start)
 }
 
-// DecodeSnapshotBinary parses a binary snapshot and validates its
-// version. Hostile input errors; it never panics or over-allocates. The
-// result shares no memory with data.
+// DecodeSnapshotBinary parses a binary snapshot of either version.
+// Hostile input errors; it never panics or over-allocates. The result is
+// in the current form — a version-1 image's histories are checked and
+// compacted, and its Version is SnapshotVersion — and shares no memory
+// with data.
 func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 	if !bytes.HasPrefix(data, snapshotMagic) {
 		return nil, fmt.Errorf("kernel: not a binary snapshot (bad magic)")
 	}
 	r := binenc.NewReader(data[len(snapshotMagic):])
-	s := &Snapshot{Version: int(r.Uvarint())}
-	if r.Err() == nil && s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("kernel: snapshot version %d, want %d", s.Version, SnapshotVersion)
+	version := int(r.Uvarint())
+	if r.Err() == nil && version != 1 && version != SnapshotVersion {
+		return nil, fmt.Errorf("kernel: snapshot version %d, want 1 or %d", version, SnapshotVersion)
 	}
+	s := &Snapshot{Version: SnapshotVersion}
 
 	meta := r.Frame()
 	s.Events = int(meta.Uvarint())
@@ -211,7 +220,8 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("kernel: decode binary snapshot meta: %w", err)
 	}
 
-	// The prefixes frame stays in hand: histories are cut from it whole.
+	// The prefixes frame stays in hand: version-2 histories are cut from
+	// it whole.
 	frame := r.Bytes(r.Count(1))
 	sec := binenc.NewReader(frame)
 	// A prefix entry is at least 7 bytes (2-byte prefix, empty origin
@@ -225,7 +235,10 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		ps.Class = sec.Byte()
 		ps.Seq = sec.Uvarint()
 		ps.Since = sec.Int()
-		ps.History = readHistory(sec, frame)
+		var err error
+		if ps.History, err = readHistory(sec, frame, &ps, version); err != nil {
+			return nil, err
+		}
 		s.Prefixes = append(s.Prefixes, ps)
 	}
 	if err := binenc.FirstErr(sec, r); err != nil {

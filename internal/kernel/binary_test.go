@@ -21,23 +21,9 @@ func midRunSnapshot(t testing.TB) *kernel.Snapshot {
 	return k.Snapshot()
 }
 
-// historyOf builds a snapshot history out of events the way a JSON image
-// does, checks and all left to Restore.
-func historyOf(t testing.TB, evs []kernel.Event) kernel.History {
-	t.Helper()
-	doc, err := json.Marshal(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var h kernel.History
-	if err := h.UnmarshalJSON(doc); err != nil {
-		t.Fatal(err)
-	}
-	return h
-}
-
 // TestBinarySnapshotRoundTrip: both codecs must reproduce the exact
-// snapshot image, the binary one in fewer bytes.
+// snapshot image, the binary one in fewer bytes, and a version-1 binary
+// image of it, its history events in full, must decode to it too.
 func TestBinarySnapshotRoundTrip(t *testing.T) {
 	snap := midRunSnapshot(t)
 	if len(snap.Prefixes) == 0 || len(snap.Conflicts) == 0 || len(snap.Log) == 0 {
@@ -51,6 +37,17 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(snap, decoded) {
 		t.Fatalf("binary round trip changed the snapshot:\nwant %+v\n got %+v", snap, decoded)
+	}
+	v1 := kernel.AppendSnapshotBinaryV1(nil, snap)
+	fromV1, err := kernel.DecodeSnapshotBinary(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, fromV1) {
+		t.Fatalf("version-1 image decodes to a different snapshot:\nwant %+v\n got %+v", snap, fromV1)
+	}
+	if len(bin) >= len(v1) {
+		t.Fatalf("version 2 (%d bytes) not smaller than version 1 (%d bytes)", len(bin), len(v1))
 	}
 
 	var js bytes.Buffer
@@ -143,11 +140,12 @@ func TestRestoreRejectsBogusClass(t *testing.T) {
 	for name, damage := range map[string]func(s *kernel.Snapshot){
 		"prefix class 200":    func(s *kernel.Snapshot) { s.Prefixes[0].Class = 200 },
 		"log event class 200": func(s *kernel.Snapshot) { s.Log[0].PrevClass = 200 },
-		"history event class 200": func(s *kernel.Snapshot) {
+		"history event class 7": func(s *kernel.Snapshot) {
+			// A compact header has three bits per class; the first
+			// event's header follows the one-byte count.
 			ps := withHistory(s)
-			evs := ps.History.Events()
-			evs[0].Class = 200
-			ps.History = historyOf(t, evs)
+			ps.History = bytes.Clone(ps.History)
+			ps.History[1] |= 7 << 2
 		},
 		"prefix repeated":         func(s *kernel.Snapshot) { s.Prefixes = append(s.Prefixes, s.Prefixes[0]) },
 		"conflict without prefix": func(s *kernel.Snapshot) { s.Conflicts[0].Prefix = bgp.Prefix{} },

@@ -14,9 +14,11 @@ import (
 )
 
 // corpusSeeds returns the fuzz seed inputs: real snapshots in both
-// encodings plus damaged variants of each. The same bytes are committed
-// under testdata/fuzz/FuzzSnapshotRestore (see TestGenerateFuzzCorpus),
-// so `go test` and the CI fuzz-smoke step always exercise them.
+// encodings plus damaged variants of each, at the current version. The
+// same bytes are committed under testdata/fuzz/FuzzSnapshotRestore (see
+// TestGenerateFuzzCorpus) as the "v2-" seeds, beside the seeds of the
+// same names that version 1 wrote, which stay committed as they were;
+// `go test` and the CI fuzz-smoke step always exercise both.
 func corpusSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	snap := midRunSnapshot(t)
@@ -28,12 +30,12 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	flipped := bytes.Clone(bin)
 	flipped[len(flipped)/2] ^= 0x40
 	return map[string][]byte{
-		"binary":           bin,
-		"json":             js.Bytes(),
-		"binary-truncated": bin[:len(bin)/2],
-		"json-truncated":   js.Bytes()[:js.Len()/2],
-		"binary-flipped":   flipped,
-		"empty":            {},
+		"v2-binary":           bin,
+		"v2-json":             js.Bytes(),
+		"v2-binary-truncated": bin[:len(bin)/2],
+		"v2-json-truncated":   js.Bytes()[:js.Len()/2],
+		"v2-binary-flipped":   flipped,
+		"empty":               {},
 	}
 }
 

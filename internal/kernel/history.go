@@ -1,21 +1,26 @@
 package kernel
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 
 	"moas/internal/bgp"
 	"moas/internal/binenc"
+	"moas/internal/core"
 )
 
-// history is one prefix's retained lifecycle events, oldest first, in the
-// form a checkpoint writes them (appendEvent), back to back in
-// buf[head:]. A running monitor accumulates events, not table, and as an
-// Event struct each one is 104 bytes plus two origin arrays the collector
-// traces on every cycle; encoded, a start or end event is some 23 bytes
-// the collector never looks at, and the snapshot carries them as they
-// are. Only a reader of one prefix's history (Kernel.State) decodes.
+// history is one prefix's retained lifecycle events, oldest first, in
+// their compact form (appendCompact), back to back in buf[head:]. A
+// running monitor accumulates events, not table, and as an Event struct
+// each one is 104 bytes plus two origin arrays the collector traces on
+// every cycle; compact, a start or end event is some 11 bytes the
+// collector never looks at, and the snapshot carries them as they are.
+// An event leaves out what its owner already holds: the prefix is the
+// table's key, and the ordinal of event i of n is the prefix's seq minus
+// n-1-i, because every emitted event takes the next one. Only a reader of
+// one prefix's history (Kernel.State) decodes.
 type history struct {
 	buf []byte
 	// head is where the oldest retained event starts: eviction at
@@ -31,7 +36,7 @@ func (h *history) live() []byte { return h.buf[h.head:] }
 // push appends ev and returns the bytes it took.
 func (h *history) push(ev *Event) int {
 	before := len(h.buf)
-	h.buf = appendEvent(h.buf, ev)
+	h.buf = appendCompact(h.buf, ev)
 	h.n++
 	return len(h.buf) - before
 }
@@ -40,7 +45,7 @@ func (h *history) push(ev *Event) int {
 func (h *history) evict() int {
 	live := h.live()
 	r := binenc.NewReader(live)
-	scanEvents(r, 1)
+	scanCompact(r, 1)
 	size := len(live) - r.Len()
 	h.head += uint32(size)
 	h.n--
@@ -62,15 +67,19 @@ func (h *history) image(arena *[]byte) History {
 	return History((*arena)[off:len(*arena):len(*arena)])
 }
 
-// restore loads img's most recent limit events (all of them when limit is
-// zero) into an empty history, each checked and re-encoded: whatever
-// bytes the image arrived in, the kernel retains the canonical ones and
-// no claim on the image.
-func (h *history) restore(img History, limit int) error {
+// restore loads img, the history of a prefix whose ordinal is seq, into
+// an empty history: its most recent limit events (all of them when limit
+// is zero), checked and re-encoded, so whatever bytes the image arrived
+// in, the kernel retains the canonical ones and no claim on the image.
+func (h *history) restore(img History, seq uint64, limit int) error {
+	n, err := img.check(seq)
+	if err != nil {
+		return err
+	}
 	r := binenc.NewReader(img)
-	n := r.Count(minEventBytes)
+	r.Count(minCompactBytes)
 	if limit > 0 && n > limit {
-		scanEvents(r, n-limit)
+		scanCompact(r, n-limit)
 		n = limit
 	}
 	if n > 0 {
@@ -80,61 +89,100 @@ func (h *history) restore(img History, limit int) error {
 	var scratch [32]bgp.ASN
 	for i := 0; i < n; i++ {
 		arena := scratch[:0]
-		ev := readEvent(r, &arena)
-		if r.Err() != nil {
-			break
-		}
-		if err := validEvent(&ev); err != nil {
-			return err
-		}
+		ev := readCompact(r, &arena)
 		h.push(&ev)
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("kernel: snapshot history: %w", err)
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("kernel: snapshot history: %d bytes past its events", r.Len())
 	}
 	return nil
 }
 
-// scanEvents decodes n events off r for their extent alone and returns
-// how many origins their sets hold between them.
-func scanEvents(r *binenc.Reader, n int) (asns int) {
-	var scratch [32]bgp.ASN
-	for i := 0; i < n && r.Err() == nil; i++ {
-		arena := scratch[:0]
-		ev := readEvent(r, &arena)
-		asns += len(ev.Origins) + len(ev.PrevOrigins)
-	}
-	return asns
+// appendCompact and readCompact are the form of an event in a prefix's
+// history: a header byte — type-1 in bits 0-1, class in bits 2-4, the
+// previous class in bits 5-7 — then the varint day, the origin set and
+// the previous origin set. The prefix and the ordinal are the owner's to
+// supply (see history).
+func appendCompact(dst []byte, ev *Event) []byte {
+	dst = append(dst, byte(ev.Type-1)|byte(ev.Class)<<2|byte(ev.PrevClass)<<5)
+	dst = binary.AppendVarint(dst, int64(ev.Day))
+	dst = appendASNs(dst, ev.Origins)
+	return appendASNs(dst, ev.PrevOrigins)
 }
 
-// decodeEvents materializes the n events encoded in b in two
-// allocations, whatever n is: the events, and one array all their origin
-// sets are carved from, sized by a first pass over the bytes.
-func decodeEvents(b []byte, n int) ([]Event, error) {
+// readCompact decodes one compact event but its prefix and ordinal, its
+// origin sets carved from *arena.
+func readCompact(r *binenc.Reader, arena *[]bgp.ASN) (ev Event) {
+	hdr := r.Byte()
+	ev.Type, ev.Class, ev.PrevClass = EventType(hdr&3+1), core.Class(hdr>>2&7), core.Class(hdr>>5)
+	ev.Day = r.Int()
+	ev.Origins = readASNs(r, arena)
+	ev.PrevOrigins = readASNs(r, arena)
+	return ev
+}
+
+// minCompactBytes is the shortest compact event: header, day, two empty
+// origin sets.
+const minCompactBytes = 4
+
+// scanCompact walks n compact events off r for their extent alone and
+// returns how many origins their sets hold between them, or an error for
+// the first header that names a class past the known ones (two bits
+// always name a valid type). Truncation latches in r.
+func scanCompact(r *binenc.Reader, n int) (asns int, err error) {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		if hdr := r.Byte(); err == nil {
+			err = cmp.Or(validClass(hdr>>2&7), validClass(hdr>>5))
+		}
+		r.Varint()
+		for set := 0; set < 2; set++ {
+			c := r.Count(1)
+			asns += c
+			for ; c > 0; c-- {
+				r.Uvarint()
+			}
+		}
+	}
+	return asns, err
+}
+
+// tooMany rejects a history of n events under a prefix whose ordinal is
+// seq: each event took one of the ordinals 1..seq.
+func tooMany(n int, seq uint64) error {
+	if uint64(n) > seq {
+		return fmt.Errorf("kernel: snapshot history holds %d events, but its prefix's ordinal is %d", n, seq)
+	}
+	return nil
+}
+
+// decodeCompact materializes the n compact events in b, the history of
+// prefix p whose newest event is ordinal seq, in two allocations,
+// whatever n is: the events, and one array all their origin sets are
+// carved from, sized by a first pass over the bytes.
+func decodeCompact(b []byte, n int, p bgp.Prefix, seq uint64) ([]Event, error) {
 	r := binenc.NewReader(b)
-	asns := scanEvents(r, n)
-	if err := r.Err(); err != nil {
+	asns, err := scanCompact(r, n)
+	if err == nil {
+		err = r.Err()
+	}
+	if err != nil {
 		return nil, err
 	}
 	out := make([]Event, n)
 	arena := make([]bgp.ASN, 0, asns)
 	r = binenc.NewReader(b)
 	for i := range out {
-		out[i] = readEvent(r, &arena)
+		out[i] = readCompact(r, &arena)
+		out[i].Prefix, out[i].Seq = p, seq-uint64(n-1-i)
 	}
 	return out, nil
 }
 
 // History is one prefix's retained events as a Snapshot carries them: a
-// uvarint count, then that many events in their wire encoding — the
+// uvarint count, then that many events in their compact form — the
 // kernel's own bytes, and byte for byte the history field of the binary
-// snapshot, so imaging and encoding a kernel do no per-event work. As
-// JSON it is the array of event objects. The zero value is the empty
+// snapshot, so imaging and encoding a kernel do no per-event work. An
+// event holds neither its prefix nor its ordinal: they are its
+// PrefixSnap's (PrefixSnap.HistoryEvents). The zero value is the empty
 // history. Restore checks every event and keeps a canonical re-encoding,
-// so an image may hold any bytes that decode.
+// so an image may hold any bytes that decode to a possible history.
 type History []byte
 
 // Len returns the number of events.
@@ -142,56 +190,131 @@ func (h History) Len() int {
 	if len(h) == 0 {
 		return 0
 	}
-	return binenc.NewReader(h).Count(minEventBytes)
+	return binenc.NewReader(h).Count(minCompactBytes)
 }
 
-// Events decodes the history; nil when it is empty or does not decode.
-func (h History) Events() []Event {
-	evs, _ := h.events()
-	return evs
-}
-
-func (h History) events() ([]Event, error) {
-	r := binenc.NewReader(h)
-	n := r.Count(minEventBytes)
-	if n == 0 {
-		return nil, r.Err()
+// check walks the history of a prefix whose ordinal is seq and returns
+// its event count; it errors unless every event decodes, nothing follows
+// them, and there are no more of them than seq has ordinals for.
+func (h History) check(seq uint64) (int, error) {
+	if len(h) == 0 {
+		return 0, nil
 	}
-	return decodeEvents(h[len(h)-r.Len():], n)
+	r := binenc.NewReader(h)
+	n := r.Count(minCompactBytes)
+	_, err := scanCompact(r, n)
+	switch {
+	case r.Err() != nil:
+		err = r.Err()
+	case err != nil:
+	case r.Len() != 0:
+		err = fmt.Errorf("%d bytes past its events", r.Len())
+	}
+	if err != nil {
+		return 0, fmt.Errorf("kernel: snapshot history: %w", err)
+	}
+	return n, tooMany(n, seq)
 }
 
-// MarshalJSON renders the events as a JSON array.
-func (h History) MarshalJSON() ([]byte, error) {
-	evs, err := h.events()
+// HistoryEvents decodes the prefix's retained events, each given the
+// prefix and the ordinal its position implies; nil when there are none.
+func (ps *PrefixSnap) HistoryEvents() ([]Event, error) {
+	n, err := ps.History.check(ps.Seq)
+	if n == 0 || err != nil {
+		return nil, err
+	}
+	r := binenc.NewReader(ps.History)
+	r.Count(minCompactBytes)
+	return decodeCompact(ps.History[len(ps.History)-r.Len():], n, ps.Prefix, ps.Seq)
+}
+
+// compactHistory checks the events of a version-1 image's history —
+// each in full — against the prefix state ps that owns them, and returns
+// them in the compact form. Every event must be of a known type and
+// class, name ps's prefix, and carry the next ordinal, the last of them
+// ps.Seq: an image that lists anything else was never a kernel's.
+func compactHistory(ps *PrefixSnap, evs []Event) (History, error) {
+	if len(evs) == 0 {
+		return nil, nil
+	}
+	if err := tooMany(len(evs), ps.Seq); err != nil {
+		return nil, err
+	}
+	first := ps.Seq - uint64(len(evs)-1)
+	h := binary.AppendUvarint(nil, uint64(len(evs)))
+	for i := range evs {
+		ev := &evs[i]
+		if err := validEvent(ev); err != nil {
+			return nil, err
+		}
+		if ev.Prefix != ps.Prefix {
+			return nil, fmt.Errorf("kernel: snapshot history of %v holds an event of %v", ps.Prefix, ev.Prefix)
+		}
+		if ev.Seq != first+uint64(i) {
+			return nil, fmt.Errorf("kernel: snapshot history of %v (ordinal %d) has event %d at ordinal %d, want %d",
+				ps.Prefix, ps.Seq, i, ev.Seq, first+uint64(i))
+		}
+		h = appendCompact(h, ev)
+	}
+	return h, nil
+}
+
+// prefixSnapJSON is PrefixSnap's JSON form: its history as the array of
+// event objects, each with its prefix and ordinal spelled out.
+type prefixSnapJSON struct {
+	Prefix  bgp.Prefix `json:"prefix"`
+	Origins []bgp.ASN  `json:"origins,omitempty"`
+	Class   uint8      `json:"class,omitempty"`
+	Seq     uint64     `json:"seq,omitempty"`
+	Since   int        `json:"since,omitempty"`
+	History []Event    `json:"history,omitempty"`
+}
+
+// MarshalJSON renders the prefix state, its history as event objects.
+func (ps PrefixSnap) MarshalJSON() ([]byte, error) {
+	evs, err := ps.HistoryEvents()
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(evs)
+	return json.Marshal(prefixSnapJSON{ps.Prefix, ps.Origins, ps.Class, ps.Seq, ps.Since, evs})
 }
 
-// UnmarshalJSON encodes a JSON array of events.
-func (h *History) UnmarshalJSON(data []byte) error {
-	var evs []Event
-	if err := json.Unmarshal(data, &evs); err != nil {
+// UnmarshalJSON reads the prefix state and compacts its history, which
+// must be one this prefix's kernel could have retained (compactHistory).
+// Both snapshot versions share this form.
+func (ps *PrefixSnap) UnmarshalJSON(data []byte) error {
+	var doc prefixSnapJSON
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return err
 	}
-	*h = nil
-	if len(evs) > 0 {
-		*h = appendEvents(nil, evs)
-	}
-	return nil
+	*ps = PrefixSnap{Prefix: doc.Prefix, Origins: doc.Origins, Class: doc.Class, Seq: doc.Seq, Since: doc.Since}
+	var err error
+	ps.History, err = compactHistory(ps, doc.History)
+	return err
 }
 
-// readHistory cuts one history out of raw, the bytes r reads, after
-// walking its events for their extent.
-func readHistory(r *binenc.Reader, raw []byte) History {
-	start := len(raw) - r.Len()
-	n := r.Count(minEventBytes)
-	scanEvents(r, n)
-	if n == 0 || r.Err() != nil {
-		return nil
+// readHistory cuts the history of ps out of raw, the bytes r reads: in a
+// version-2 image, the compact bytes as they are, after one scan that
+// checks them; in a version-1 image, the events in full, checked and
+// compacted.
+func readHistory(r *binenc.Reader, raw []byte, ps *PrefixSnap, version int) (History, error) {
+	if version == 1 {
+		evs := readEvents(r)
+		if r.Err() != nil {
+			return nil, nil // the caller reports the latched error
+		}
+		return compactHistory(ps, evs)
 	}
-	return append(History(nil), raw[start:len(raw)-r.Len()]...)
+	start := len(raw) - r.Len()
+	n := r.Count(minCompactBytes)
+	_, err := scanCompact(r, n)
+	if err == nil {
+		err = tooMany(n, ps.Seq)
+	}
+	if n == 0 || r.Err() != nil || err != nil {
+		return nil, err
+	}
+	return append(History(nil), raw[start:len(raw)-r.Len()]...), nil
 }
 
 // appendHistory writes h as the binary snapshot carries it.

@@ -103,7 +103,7 @@ const (
 
 // ext is the full conflict state of a prefix that has (or, restored from
 // a snapshot, claims) a lifecycle: origin set, class, event ordinal,
-// activation day and history (in its wire form, see history). Its index
+// activation day and history (in its compact form, see history). Its index
 // also addresses the prefix's lifetime record (Kernel.recs). Ext records
 // are never recycled — a lifecycle is worth keeping for as long as the
 // kernel lives.
@@ -432,7 +432,7 @@ func (k *Kernel) ActiveCount() int { return len(k.active) }
 func (k *Kernel) EventCount() int { return k.events }
 
 // HistoryBytes returns the encoded size of the per-prefix histories the
-// kernel retains — what Options.HistoryCap bounds, some 23 bytes per
+// kernel retains — what Options.HistoryCap bounds, some 11 bytes per
 // start or end event.
 func (k *Kernel) HistoryBytes() int { return k.historyBytes }
 
@@ -485,7 +485,7 @@ func (k *Kernel) view(id uint32, withHistory bool) (View, bool) {
 		}
 		if h := &st.history; withHistory && h.n > 0 {
 			// The kernel wrote these bytes itself: they decode.
-			v.History, _ = decodeEvents(h.live(), int(h.n))
+			v.History, _ = decodeCompact(h.live(), int(h.n), k.tab.Prefix(id), st.seq)
 		}
 		return v, true
 	case r.flags&recOrigin != 0:

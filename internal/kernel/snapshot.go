@@ -3,6 +3,7 @@ package kernel
 import (
 	"cmp"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
@@ -12,10 +13,12 @@ import (
 	"moas/internal/ptable"
 )
 
-// SnapshotVersion is the current snapshot format version. Decoders reject
-// snapshots from a different major format; bump it on incompatible
-// changes to the wire structs below.
-const SnapshotVersion = 1
+// SnapshotVersion is the current snapshot format version; bump it on
+// incompatible changes to the wire structs below. Version 2 carries a
+// prefix's history in the compact form the kernel retains (History);
+// version 1 spelled every history event out in full. Both decoders read
+// either version into the current form, and Restore takes only that.
+const SnapshotVersion = 2
 
 // Snapshot is the image of a kernel: every tracked prefix state, the
 // lifetime conflict records, the closed activation spans and the event
@@ -40,8 +43,25 @@ type Snapshot struct {
 	Log []Event `json:"log,omitempty"`
 }
 
+// UnmarshalJSON reads a snapshot of either version: their JSON documents
+// differ in the version number alone (a history is always the array of
+// event objects, see PrefixSnap.UnmarshalJSON), so a version-1 document
+// reads as the current version.
+func (s *Snapshot) UnmarshalJSON(data []byte) error {
+	type plain Snapshot // the fields without this method
+	if err := json.Unmarshal(data, (*plain)(s)); err != nil {
+		return err
+	}
+	if s.Version == 1 {
+		s.Version = SnapshotVersion
+	}
+	return nil
+}
+
 // PrefixSnap is one prefix's serialized state. Class values are the
-// core.Class constants, which are version-stable by construction.
+// core.Class constants, which are version-stable by construction. History
+// events take their prefix and ordinals from the entry (History); its
+// JSON form spells them out (MarshalJSON).
 type PrefixSnap struct {
 	Prefix  bgp.Prefix `json:"prefix"`
 	Origins []bgp.ASN  `json:"origins,omitempty"`
@@ -88,8 +108,16 @@ func validPrefix(p bgp.Prefix) error {
 	return nil
 }
 
+// validType rejects an event type the state machine never emits.
+func validType(t EventType) error {
+	if t < EventConflictStart || t > EventConflictEnd {
+		return fmt.Errorf("kernel: snapshot event type %d, want %d-%d", t, EventConflictStart, EventConflictEnd)
+	}
+	return nil
+}
+
 func validEvent(ev *Event) error {
-	return cmp.Or(validPrefix(ev.Prefix), validClass(uint8(ev.Class)), validClass(uint8(ev.PrevClass)))
+	return cmp.Or(validType(ev.Type), validPrefix(ev.Prefix), validClass(uint8(ev.Class)), validClass(uint8(ev.PrevClass)))
 }
 
 // restoreEvents returns the image's events, checked and with origin sets
@@ -252,7 +280,7 @@ func (k *Kernel) restorePrefix(ps *PrefixSnap, h uint32) error {
 		seq:      ps.Seq,
 		since:    ps.Since,
 	}
-	if err := st.history.restore(ps.History, k.opts.HistoryCap); err != nil {
+	if err := st.history.restore(ps.History, ps.Seq, k.opts.HistoryCap); err != nil {
 		return err
 	}
 	k.historyBytes += len(st.history.buf)

@@ -51,8 +51,9 @@ func tinyCheckpoint(t testing.TB) *Checkpoint {
 // TestBinaryCheckpointRoundTrip: the binary and JSON codecs must
 // reproduce the exact checkpoint image through the sniffing decoder, the
 // binary form must be smaller than the JSON it replaces on disk (the
-// reason it exists), and the frozen legacy-v1 fixture — an image of the
-// scripted engine — must still decode to exactly that engine's image.
+// reason it exists), and every frozen fixture of an earlier form — each
+// an image of the scripted engine — must still decode to exactly that
+// engine's image.
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	sc, _, _ := fixtures(t)
 	ck, _ := checkpointAtDay(t, Config{Shards: 2}, len(sc.ObservedDays)/2)
@@ -81,12 +82,15 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 
-	fromV1, err := DecodeCheckpoint(goldenV1(t))
-	if err != nil {
-		t.Fatalf("sniffing decode of the v1 fixture: %v", err)
-	}
-	if want := tinyCheckpoint(t); !reflect.DeepEqual(want, fromV1) {
-		t.Fatalf("v1 fixture decodes to a different image:\nwant %+v\n got %+v", want, fromV1)
+	want := tinyCheckpoint(t)
+	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenJSON} {
+		got, err := DecodeCheckpoint(frozen(t, path))
+		if err != nil {
+			t.Fatalf("sniffing decode of %s: %v", path, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s decodes to a different image:\nwant %+v\n got %+v", path, want, got)
+		}
 	}
 }
 
@@ -136,8 +140,10 @@ func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 
 // TestBinaryCheckpointRejectsDamage: truncation at every byte boundary,
 // magic corruption, trailing garbage and version skew must error — never
-// panic — in both binary containers. The v1 bytes are the frozen
-// fixture's; its version slot is the byte after the magic.
+// panic — in both binary containers, and in the v2 container with a
+// kernel section of snapshot version 1. Those two are frozen fixtures;
+// the v1 container's version slot is the byte after the magic, the v2
+// container's the byte after that.
 func TestBinaryCheckpointRejectsDamage(t *testing.T) {
 	ck := tinyCheckpoint(t)
 	v2, err := AppendCheckpointBinary(nil, ck)
@@ -150,14 +156,17 @@ func TestBinaryCheckpointRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := goldenV1(t)
+	v1 := frozen(t, frozenBinaryV1)
 	futureV1 := bytes.Clone(v1)
 	futureV1[len(checkpointMagic)] = 99
+	snap1 := frozen(t, frozenBinaryV2)
+	futureSnap1 := bytes.Clone(snap1)
+	futureSnap1[len(checkpointMagic)+1] = 99
 
 	for _, tc := range []struct {
 		name        string
 		bin, future []byte
-	}{{"v2", v2, futureV2}, {"v1", v1, futureV1}} {
+	}{{"v2", v2, futureV2}, {"v1", v1, futureV1}, {"v2-snap1", snap1, futureSnap1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			bin := tc.bin
 			if decoded, err := DecodeCheckpointBinary(bin); err != nil || !reflect.DeepEqual(ck, decoded) {

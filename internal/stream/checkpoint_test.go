@@ -182,6 +182,14 @@ func TestCheckpointHostileInput(t *testing.T) {
 			return bytes.Replace(doc, []byte(old), []byte(new), 1)
 		}
 	}
+	replaceBin := func(old, new []byte) func([]byte) []byte {
+		return func(bin []byte) []byte {
+			if !bytes.Contains(bin, old) {
+				t.Fatalf("fixture binary has no % x", old)
+			}
+			return bytes.Replace(bin, old, new, 1)
+		}
+	}
 	const peer1 = `"peer_ip":"00000000000000000000000000000001"`
 	base := tinyCheckpoint(t)
 	otherAttrs := routesOf(base, pa).Routes[0].Attrs
@@ -205,8 +213,11 @@ func TestCheckpointHostileInput(t *testing.T) {
 		mutate   func(ck *Checkpoint)
 		editJSON func(doc []byte) []byte
 		editBin  func(bin []byte) []byte
-		want     int
-		check    func(t *testing.T, e *Engine)
+		// editSnap1 edits the frozen container-v2 fixture, whose kernel
+		// section is snapshot version 1.
+		editSnap1 func(bin []byte) []byte
+		want      int
+		check     func(t *testing.T, e *Engine)
 	}{
 		{name: "prefix longer than its family", want: failsDecode,
 			editJSON: replaceJSON(`"prefix":"10.0.0.0/8"`, `"prefix":"10.0.0.0/33"`),
@@ -243,6 +254,27 @@ func TestCheckpointHostileInput(t *testing.T) {
 			mutate: func(ck *Checkpoint) { ck.Kernel.Prefixes[0].Class = 200 }},
 		{name: "class byte 200 in a logged event", want: failsRestore,
 			mutate: func(ck *Checkpoint) { ck.Kernel.Log[0].PrevClass = 200 }},
+		// Histories no kernel could have retained. 10.0.0.0/8 holds two
+		// events, ordinals 1 and 2. JSON and a version-1 kernel section
+		// spell each event in full — the latter opens 10.0.0.0/8's first
+		// with type 1, day 0, seq 1, then the prefix (1, 8, 10); the
+		// prefix's entry opens with the prefix, its origins (3, 7, 9,
+		// 11), class 3, seq 2, since 0 and the history count 2.
+		{name: "history event of type 7", want: failsDecode,
+			editJSON:  replaceJSON(`{"type":1,"day":0,"seq":1,"prefix":"10.0.0.0/8"`, `{"type":7,"day":0,"seq":1,"prefix":"10.0.0.0/8"`),
+			editSnap1: replaceBin([]byte{1, 0, 1, 1, 8, 10}, []byte{7, 0, 1, 1, 8, 10})},
+		{name: "history event of another prefix", want: failsDecode,
+			editJSON:  replaceJSON(`"seq":1,"prefix":"10.0.0.0/8"`, `"seq":1,"prefix":"11.0.0.0/8"`),
+			editSnap1: replaceBin([]byte{1, 0, 1, 1, 8, 10}, []byte{1, 0, 1, 1, 8, 11})},
+		{name: "history ordinals that skip", want: failsDecode,
+			editJSON:  replaceJSON(`"seq":1,"prefix":"10.0.0.0/8"`, `"seq":0,"prefix":"10.0.0.0/8"`),
+			editSnap1: replaceBin([]byte{1, 0, 1, 1, 8, 10}, []byte{1, 0, 0, 1, 8, 10})},
+		{name: "history that does not end at its prefix's ordinal", want: failsDecode,
+			editJSON:  replaceJSON(`"class":3,"seq":2,"history"`, `"class":3,"seq":3,"history"`),
+			editSnap1: replaceBin([]byte{1, 8, 10, 3, 7, 9, 11, 3, 2, 0, 2}, []byte{1, 8, 10, 3, 7, 9, 11, 3, 3, 0, 2}),
+			// A compact history has no ordinals of its own: the one it
+			// cannot end at is one below its event count.
+			editBin: replaceBin([]byte{1, 8, 10, 3, 7, 9, 11, 3, 2, 0, 2}, []byte{1, 8, 10, 3, 7, 9, 11, 3, 1, 0, 2})},
 		{name: "closed span day beyond 32 bits", want: failsRestore,
 			mutate: func(ck *Checkpoint) { ck.Kernel.ClosedSpans[0].End = 1 << 40 }},
 		{name: "conflict record for a prefix without a state", want: restores,
@@ -316,6 +348,9 @@ func TestCheckpointHostileInput(t *testing.T) {
 		}
 		if row.editBin != nil {
 			inputs["binary"] = row.editBin(inputs["binary"])
+		}
+		if row.editSnap1 != nil {
+			inputs["binary-snap1"] = row.editSnap1(bytes.Clone(frozen(t, frozenBinaryV2)))
 		}
 		for format, data := range inputs {
 			t.Run(row.name+"/"+format, func(t *testing.T) {

@@ -6,14 +6,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // checkpointCorpusSeeds returns the fuzz seed inputs: the scripted
-// checkpoint in every encoding (JSON, binary container v2 with the
-// shared attrs table, and the frozen legacy v1 fixture, which images the
-// same engine) plus damaged variants. Seeds of the same names are
-// committed under testdata/fuzz/FuzzCheckpointRestore (see
+// checkpoint in every encoding — as written now (JSON and binary
+// container v2, both with kernel snapshot v2: the "-snap2" seeds) and as
+// the frozen fixtures of the earlier forms hold it (container v1, and
+// container v2 and JSON with kernel snapshot v1) — plus damaged variants.
+// Seeds of the same names are committed under
+// testdata/fuzz/FuzzCheckpointRestore (see
 // TestGenerateCheckpointFuzzCorpus).
 func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
@@ -22,26 +25,27 @@ func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binV1 := goldenV1(t)
 	var js bytes.Buffer
 	if err := json.NewEncoder(&js).Encode(ck); err != nil {
 		t.Fatal(err)
 	}
-	flipped := bytes.Clone(bin)
-	flipped[len(flipped)/3] ^= 0x10
-	flippedV1 := bytes.Clone(binV1)
-	flippedV1[len(flippedV1)/3] ^= 0x10
-	return map[string][]byte{
-		"binary":              bin,
-		"binary-v1":           binV1,
-		"json":                js.Bytes(),
-		"binary-truncated":    bin[:len(bin)/2],
-		"binary-v1-truncated": binV1[:len(binV1)/2],
-		"json-truncated":      js.Bytes()[:js.Len()/2],
-		"binary-flipped":      flipped,
-		"binary-v1-flipped":   flippedV1,
-		"empty":               {},
+	seeds := map[string][]byte{"empty": {}}
+	for name, blob := range map[string][]byte{
+		"binary-snap2": bin,
+		"json-snap2":   js.Bytes(),
+		"binary":       frozen(t, frozenBinaryV2),
+		"binary-v1":    frozen(t, frozenBinaryV1),
+		"json":         frozen(t, frozenJSON),
+	} {
+		seeds[name] = blob
+		seeds[name+"-truncated"] = blob[:len(blob)/2]
+		if strings.HasPrefix(name, "binary") {
+			flipped := bytes.Clone(blob)
+			flipped[len(flipped)/3] ^= 0x10
+			seeds[name+"-flipped"] = flipped
+		}
 	}
+	return seeds
 }
 
 // FuzzCheckpointRestore is the checkpoint surface's robustness claim:

@@ -16,16 +16,26 @@ import (
 // checkpoint committed in every encoding plus the state summary it must
 // restore to. Future codec changes that can't read these bytes — or
 // read them into different state — fail here instead of silently
-// orphaning every archived checkpoint. Regenerate (only after a
-// deliberate, version-bumped format change) with MOAS_GEN_GOLDEN=1 —
-// except the legacy v1 container, which has no writer any more: its
-// committed bytes are frozen, and they are what every test of the v1
-// reader decodes.
+// orphaning every archived checkpoint. Regenerate the written forms
+// (only after a deliberate, version-bumped format change) with
+// MOAS_GEN_GOLDEN=1, under new names; the files they replace stay
+// committed as frozen fixtures of the forms that came before, which no
+// writer produces any more and every reader test decodes:
+//
+//	checkpoint_v1.mckpt  container v1, kernel snapshot v1
+//	checkpoint_v2.mckpt  container v2, kernel snapshot v1
+//	checkpoint_v1.json   JSON, kernel snapshot v1
+//
+// and the written forms carry kernel snapshot v2, whose histories are
+// compact (the _snap2 files).
 const (
-	goldenJSON     = "testdata/checkpoint_v1.json"
-	goldenBinary   = "testdata/checkpoint_v1.mckpt"
-	goldenBinaryV2 = "testdata/checkpoint_v2.mckpt"
+	goldenJSON     = "testdata/checkpoint_v1_snap2.json"
+	goldenBinaryV2 = "testdata/checkpoint_v2_snap2.mckpt"
 	goldenExpect   = "testdata/checkpoint_v1.expect.json"
+
+	frozenBinaryV1 = "testdata/checkpoint_v1.mckpt"
+	frozenBinaryV2 = "testdata/checkpoint_v2.mckpt"
+	frozenJSON     = "testdata/checkpoint_v1.json"
 )
 
 // goldenSummary is the restored-state image the fixtures are compared
@@ -88,17 +98,17 @@ func marshalSummary(t testing.TB, sum *goldenSummary) []byte {
 	return append(blob, '\n')
 }
 
-// TestGoldenCheckpointsRestore is the compatibility battery: the
-// committed v1 fixtures (JSON and legacy binary container) and the v2
-// binary fixture must all still decode — through the sniffing entry
-// point — and restore to exactly the same committed state summary. All
-// three fixtures image the same engine, so one expectation serves.
+// TestGoldenCheckpointsRestore is the compatibility battery: the frozen
+// fixtures of every earlier form and the written forms must all still
+// decode — through the sniffing entry point — and restore to exactly the
+// same committed state summary. All five fixtures image the same engine,
+// so one expectation serves.
 func TestGoldenCheckpointsRestore(t *testing.T) {
 	want, err := os.ReadFile(goldenExpect)
 	if err != nil {
 		t.Fatalf("missing golden expectation (regenerate with MOAS_GEN_GOLDEN=1): %v", err)
 	}
-	for _, path := range []string{goldenJSON, goldenBinary, goldenBinaryV2} {
+	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenJSON, goldenJSON, goldenBinaryV2} {
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("missing golden fixture (regenerate with MOAS_GEN_GOLDEN=1): %v", err)
@@ -111,7 +121,7 @@ func TestGoldenCheckpointsRestore(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Fatalf("%s restores to different state than committed:\nwant %s\n got %s", path, want, got)
 		}
-		// All three are images of one engine, so whichever was read
+		// All five are images of one engine, so whichever was read
 		// re-saves as the committed bytes of either written form: the
 		// codecs are stable to the byte, not only to the state.
 		bin, err := AppendCheckpointBinary(nil, ck)
@@ -131,12 +141,12 @@ func TestGoldenCheckpointsRestore(t *testing.T) {
 	}
 }
 
-// goldenV1 returns the frozen legacy-container fixture.
-func goldenV1(t testing.TB) []byte {
+// frozen returns the committed bytes of a frozen fixture.
+func frozen(t testing.TB, path string) []byte {
 	t.Helper()
-	blob, err := os.ReadFile(goldenBinary)
+	blob, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing frozen v1 fixture: %v", err)
+		t.Fatalf("missing frozen fixture: %v", err)
 	}
 	return blob
 }
@@ -177,8 +187,10 @@ func jsonShape(t testing.TB, doc []byte) any {
 
 // TestCheckpointJSONWireShape pins the JSON document — every field name
 // and every text form (prefixes as "addr/len", peer addresses and
-// attribute blocks as hex) — against the committed checkpoint_v1.json,
-// without pinning the order of entries, which no reader depends on.
+// attribute blocks as hex) — against the committed written form, without
+// pinning the order of entries, which no reader depends on. Kernel
+// snapshot v2 changed no more of it than its version number: the frozen
+// v1 document differs in that alone.
 func TestCheckpointJSONWireShape(t *testing.T) {
 	want, err := os.ReadFile(goldenJSON)
 	if err != nil {
@@ -191,11 +203,15 @@ func TestCheckpointJSONWireShape(t *testing.T) {
 	if w, g := jsonShape(t, want), jsonShape(t, got.Bytes()); !reflect.DeepEqual(w, g) {
 		t.Fatalf("JSON checkpoint changed shape:\nwant %s\n got %s", want, got.Bytes())
 	}
+	v1 := bytes.Replace(frozen(t, frozenJSON), []byte(`"kernel":{"version":1,`), []byte(`"kernel":{"version":2,`), 1)
+	if !bytes.Equal(v1, want) {
+		t.Fatalf("the written JSON differs from the frozen v1 document beyond the kernel version:\nv1  %s\nnow %s", v1, want)
+	}
 }
 
-// TestGenerateGoldenCheckpoints rewrites the JSON, v2 and expectation
-// fixtures from the current codecs (never the frozen v1 container); a
-// skip unless MOAS_GEN_GOLDEN=1.
+// TestGenerateGoldenCheckpoints rewrites the written forms and the
+// expectation from the current codecs (never a frozen fixture); a skip
+// unless MOAS_GEN_GOLDEN=1.
 func TestGenerateGoldenCheckpoints(t *testing.T) {
 	if os.Getenv("MOAS_GEN_GOLDEN") == "" {
 		t.Skip("set MOAS_GEN_GOLDEN=1 to regenerate golden checkpoints")
