@@ -284,14 +284,22 @@ func BenchmarkIncrementalVsFullScanDay(b *testing.B) {
 	spec := scenario.TestSpec()
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := driver.Run(driver.Config{Spec: spec}); err != nil {
+			sc, err := scenario.Build(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := driver.RunScenario(sc, driver.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("fullscan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := driver.RunFullScan(driver.Config{Spec: spec}); err != nil {
+			sc, err := scenario.Build(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := driver.RunFullScanScenario(sc, driver.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}

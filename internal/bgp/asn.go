@@ -7,28 +7,5 @@ import "strconv"
 // type is uint32 so the library remains usable with modern data.
 type ASN uint32
 
-// Well-known ASN boundaries (RFC 1930, RFC 6996).
-const (
-	// ASNPrivateMin is the first 16-bit private-use ASN.
-	ASNPrivateMin ASN = 64512
-	// ASNPrivateMax is the last 16-bit private-use ASN.
-	ASNPrivateMax ASN = 65534
-	// ASNReserved is the reserved ASN 0.
-	ASNReserved ASN = 0
-	// ASNTrans is AS_TRANS (RFC 6793), never a real origin.
-	ASNTrans ASN = 23456
-)
-
-// IsPrivate reports whether a falls in the 16-bit private-use range used by
-// the "AS number substitution on egress" multihoming technique (§VI-C of
-// the paper).
-func (a ASN) IsPrivate() bool { return a >= ASNPrivateMin && a <= ASNPrivateMax }
-
-// IsReserved reports whether a is reserved and must not originate routes.
-func (a ASN) IsReserved() bool { return a == ASNReserved || a == 65535 }
-
-// Fits16 reports whether a is representable in the 2-octet wire encoding.
-func (a ASN) Fits16() bool { return a <= 0xFFFF }
-
 // String renders the conventional "AS8584" form.
 func (a ASN) String() string { return "AS" + strconv.FormatUint(uint64(a), 10) }

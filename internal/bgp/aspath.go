@@ -97,36 +97,6 @@ func (p Path) Penultimate() (ASN, bool) {
 	return prev.ASes[len(prev.ASes)-1], true
 }
 
-// First returns the neighbor-most AS (the first AS of the path) and true,
-// or false for an empty path or one starting with a set.
-func (p Path) First() (ASN, bool) {
-	if len(p) == 0 {
-		return 0, false
-	}
-	first := p[0]
-	if first.Type != SegSequence || len(first.ASes) == 0 {
-		return 0, false
-	}
-	return first.ASes[0], true
-}
-
-// HopCount returns the BGP path-selection length: each AS in a sequence
-// counts 1, each entire set counts 1 (RFC 4271 §9.1.2.2 a).
-func (p Path) HopCount() int {
-	n := 0
-	for _, s := range p {
-		switch s.Type {
-		case SegSequence:
-			n += len(s.ASes)
-		case SegSet:
-			if len(s.ASes) > 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Contains reports whether a appears anywhere in the path.
 func (p Path) Contains(a ASN) bool {
 	for _, s := range p {
@@ -187,23 +157,6 @@ func (p Path) AllASes() []ASN {
 		out = append(out, s.ASes...)
 	}
 	return out
-}
-
-// Prepend returns a new path with a prepended to the leading sequence,
-// allocating a fresh leading segment (the tail segments are shared).
-func (p Path) Prepend(a ASN) Path {
-	if len(p) > 0 && p[0].Type == SegSequence {
-		head := make([]ASN, 0, len(p[0].ASes)+1)
-		head = append(head, a)
-		head = append(head, p[0].ASes...)
-		out := make(Path, len(p))
-		copy(out, p)
-		out[0] = Segment{Type: SegSequence, ASes: head}
-		return out
-	}
-	out := make(Path, 0, len(p)+1)
-	out = append(out, Segment{Type: SegSequence, ASes: []ASN{a}})
-	return append(out, p...)
 }
 
 // Clone returns a deep copy of the path.

@@ -38,33 +38,6 @@ func TestPathEndsInSet(t *testing.T) {
 	}
 }
 
-func TestPathFirst(t *testing.T) {
-	p := MustParsePath("701 1239 8584")
-	if first, ok := p.First(); !ok || first != 701 {
-		t.Errorf("First = (%v, %v), want (701, true)", first, ok)
-	}
-	if _, ok := (Path{}).First(); ok {
-		t.Error("First on empty path: ok = true")
-	}
-}
-
-func TestPathHopCount(t *testing.T) {
-	cases := []struct {
-		path string
-		want int
-	}{
-		{"701 1239 8584", 3},
-		{"701 701 701 8584", 4}, // prepending counts
-		{"701 {7018,3356}", 2},  // whole set counts 1
-		{"", 0},
-	}
-	for _, c := range cases {
-		if got := MustParsePath(c.path).HopCount(); got != c.want {
-			t.Errorf("HopCount(%q) = %d, want %d", c.path, got, c.want)
-		}
-	}
-}
-
 func TestPathTransitASes(t *testing.T) {
 	p := MustParsePath("701 1239 8584")
 	tr := p.TransitASes()
@@ -76,23 +49,6 @@ func TestPathTransitASes(t *testing.T) {
 	tr = p.TransitASes()
 	if len(tr) != 3 {
 		t.Errorf("TransitASes = %v, want 3 entries", tr)
-	}
-}
-
-func TestPathPrepend(t *testing.T) {
-	p := MustParsePath("1239 8584")
-	q := p.Prepend(701)
-	if q.String() != "701 1239 8584" {
-		t.Errorf("Prepend = %q", q.String())
-	}
-	if p.String() != "1239 8584" {
-		t.Errorf("Prepend mutated receiver: %q", p.String())
-	}
-	// Prepending to a set-headed path creates a new leading sequence.
-	setHead := Path{{Type: SegSet, ASes: []ASN{7018}}}
-	q = setHead.Prepend(701)
-	if q.String() != "701 {7018}" {
-		t.Errorf("Prepend to set-headed = %q", q.String())
 	}
 }
 
@@ -181,8 +137,8 @@ func TestPathWireLongSegmentSplit(t *testing.T) {
 	if len(q) != 2 || len(q[0].ASes) != 255 || len(q[1].ASes) != 45 {
 		t.Fatalf("split segments = %d/%v", len(q), q)
 	}
-	if q.HopCount() != 300 {
-		t.Fatalf("HopCount after split = %d", q.HopCount())
+	if n := len(q[0].ASes) + len(q[1].ASes); n != 300 {
+		t.Fatalf("%d ASes after split, want 300", n)
 	}
 	if origin, ok := q.Origin(); !ok || origin != 300 {
 		t.Fatalf("Origin after split = %v %v", origin, ok)
@@ -268,21 +224,9 @@ func TestQuickOriginNeverInTransit(t *testing.T) {
 	}
 }
 
-func TestASNPredicates(t *testing.T) {
-	if !ASN(64512).IsPrivate() || !ASN(65534).IsPrivate() {
-		t.Error("private ASN range boundaries misclassified")
-	}
-	if ASN(64511).IsPrivate() || ASN(65535).IsPrivate() {
-		t.Error("non-private ASN classified private")
-	}
-	if !ASN(0).IsReserved() || !ASN(65535).IsReserved() {
-		t.Error("reserved ASNs misclassified")
-	}
+func TestASNString(t *testing.T) {
 	if got := ASN(8584).String(); got != "AS8584" {
 		t.Errorf("ASN.String = %q", got)
-	}
-	if !ASN(65535).Fits16() || ASN(65536).Fits16() {
-		t.Error("Fits16 boundary wrong")
 	}
 }
 

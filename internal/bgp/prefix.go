@@ -237,11 +237,6 @@ func (p Prefix) Covers(q Prefix) bool {
 	return prefixMatch(&p.addr, &q.addr, p.bits)
 }
 
-// Overlaps reports whether p and q share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.Covers(q) || q.Covers(p)
-}
-
 // prefixMatch reports whether a and b agree on their first bits bits.
 func prefixMatch(a, b *[16]byte, bits uint8) bool {
 	i := uint8(0)

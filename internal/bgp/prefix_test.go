@@ -194,17 +194,6 @@ func TestPrefixCoversCrossFamily(t *testing.T) {
 	if v4.Covers(v6) || v6.Covers(v4) {
 		t.Error("cross-family Covers must be false")
 	}
-	if v4.Overlaps(v6) {
-		t.Error("cross-family Overlaps must be false")
-	}
-}
-
-func TestPrefixOverlapsSymmetric(t *testing.T) {
-	p := MustParsePrefix("10.0.0.0/8")
-	q := MustParsePrefix("10.2.0.0/16")
-	if !p.Overlaps(q) || !q.Overlaps(p) {
-		t.Error("Overlaps must be symmetric for nested prefixes")
-	}
 }
 
 func TestPrefixCompare(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"moas/internal/bgp"
 	"moas/internal/mrt"
 	"moas/internal/rib"
-	"moas/internal/scenario"
 )
 
 // Update traces. Besides daily snapshots, real collectors archive the BGP
@@ -96,17 +95,10 @@ func diffViews(oldView, newView *rib.TableView) []peerDelta {
 // 4096-byte BGP limit with room for attributes.
 const maxNLRIPerUpdate = 200
 
-// WriteUpdates derives the UPDATE stream transforming the scenario's table
-// from calendar day oldDay to newDay and writes it as BGP4MP_MESSAGE
-// records with the new day's timestamp. Withdrawals are batched;
-// announcements are grouped by identical attribute content.
-func WriteUpdates(w io.Writer, sc *scenario.Scenario, oldDay, newDay int) error {
-	oldView := sc.TableViewAt(oldDay)
-	newView := sc.TableViewAt(newDay)
-	return WriteViewUpdates(w, oldView, newView, sc.DayStamp(newDay))
-}
-
-// WriteViewUpdates is WriteUpdates over explicit views.
+// WriteViewUpdates derives the UPDATE stream transforming oldView into
+// newView and writes it as BGP4MP_MESSAGE records stamped timestamp.
+// Withdrawals are batched; announcements are grouped by identical
+// attribute content.
 func WriteViewUpdates(w io.Writer, oldView, newView *rib.TableView, timestamp uint32) error {
 	mw := mrt.NewWriter(w)
 	for _, d := range diffViews(oldView, newView) {

@@ -73,7 +73,7 @@ func TestUpdateReplayReconstructsNextDay(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteUpdates(&buf, sc, d1, d2); err != nil {
+	if err := WriteViewUpdates(&buf, sc.TableViewAt(d1), sc.TableViewAt(d2), sc.DayStamp(d2)); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
@@ -100,7 +100,7 @@ func TestUpdateReplayQuietDay(t *testing.T) {
 	// background churn from episode starts/ends is expected).
 	d1, d2 := sc.ObservedDays[2], sc.ObservedDays[3]
 	var buf bytes.Buffer
-	if err := WriteUpdates(&buf, sc, d1, d2); err != nil {
+	if err := WriteViewUpdates(&buf, sc.TableViewAt(d1), sc.TableViewAt(d2), sc.DayStamp(d2)); err != nil {
 		t.Fatal(err)
 	}
 	replayed, err := ReplayUpdates(sc.TableViewAt(d1), &buf)
@@ -248,7 +248,7 @@ func BenchmarkWriteUpdates(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := WriteUpdates(&buf, sc, d1, d2); err != nil {
+		if err := WriteViewUpdates(&buf, sc.TableViewAt(d1), sc.TableViewAt(d2), sc.DayStamp(d2)); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(buf.Len()))

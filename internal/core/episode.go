@@ -2,8 +2,8 @@ package core
 
 import "moas/internal/bgp"
 
-// Episode is one conflict activation — the record the kernel reports per
-// lifecycle event and the episode log stores. Closed episodes span
+// Episode is one conflict activation — the record the kernel derives from
+// each lifecycle event and the episode log stores. Closed episodes span
 // [Start, End] observation days inclusive; an open episode restates the
 // still-running activation after its latest lifecycle event, with End
 // holding that event's day (readers render it against an as-of day). Seq

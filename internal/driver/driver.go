@@ -2,16 +2,16 @@
 // collects the per-day statistics the analysis layer turns into the
 // paper's tables and figures.
 //
-// Two drivers are provided, and they share no state machine. Run is the
-// incremental multi-year driver, a thin adapter over the conflict-state
-// kernel (internal/kernel) the streaming engine also drives: it walks the
-// observation calendar with a cursor and assesses each episode exactly
-// once (an episode's advertisement set — hence its origin set and
-// classification — is constant for its lifetime, and non-conflicted
-// background prefixes cannot enter conflict without an episode).
-// RunFullScan is the independent reference: it materializes every day's
-// complete multi-peer table and runs the paper's full-table methodology
-// over it with core.Detector — no kernel, no lifecycle events, only "two
+// Two drivers are provided, and they share no state machine. RunScenario
+// is the incremental multi-year driver, a thin adapter over the
+// conflict-state kernel (internal/kernel) the streaming engine also
+// drives: it walks the observation calendar with a cursor and assesses
+// each episode exactly once (an episode's advertisement set — hence its
+// origin set and classification — is constant for its lifetime, and
+// non-conflicted background prefixes cannot enter conflict without an
+// episode). RunFullScanScenario is the independent reference: it
+// materializes every day's complete multi-peer table and runs the paper's
+// full-table methodology over it with core.Detector — no kernel, no lifecycle events, only "two
 // or more origins today". The equivalence tests (here, in internal/kernel
 // and in internal/stream) hold every kernel-driven path to that
 // reference, which is what licenses the fast paths.
@@ -28,10 +28,8 @@ import (
 	"moas/internal/scenario"
 )
 
-// Config parameterizes a run.
+// Config parameterizes a run over a built scenario.
 type Config struct {
-	Spec scenario.Spec
-
 	// Watch lists ASes whose per-day conflict involvement is tracked
 	// (spike attribution, §VI-E).
 	Watch []bgp.ASN
@@ -118,16 +116,7 @@ func newDay(sc *scenario.Scenario, cfg Config, day int) analysis.DayStats {
 	}
 }
 
-// Run executes the incremental driver.
-func Run(cfg Config) (*Result, error) {
-	sc, err := scenario.Build(cfg.Spec)
-	if err != nil {
-		return nil, err
-	}
-	return RunScenario(sc, cfg)
-}
-
-// RunScenario executes the incremental driver over a pre-built scenario
+// RunScenario executes the incremental driver over a built scenario
 // (callers reuse one scenario across experiments; builds are expensive).
 // It drives the kernel with episode-granular observations: one Apply when
 // a visible episode's prefix enters or changes hands, one empty Apply
@@ -217,21 +206,12 @@ func hasSeq(p bgp.Path, seq [2]bgp.ASN) bool {
 	return false
 }
 
-// RunFullScan executes the paper's methodology literally: for every
-// observed day it assembles the complete multi-peer table (background,
-// episodes, AS_SET aggregates) and full-scans it. It is O(table) per day —
-// used for fidelity tests and archive generation, not the 1279-day run.
-func RunFullScan(cfg Config) (*Result, error) {
-	sc, err := scenario.Build(cfg.Spec)
-	if err != nil {
-		return nil, err
-	}
-	return RunFullScanScenario(sc, cfg)
-}
-
-// RunFullScanScenario is RunFullScan over a pre-built scenario: every
-// observed day's table goes through core.Detector.ObserveView, which
-// records each prefix announced with two or more origins that day. The
+// RunFullScanScenario executes the paper's methodology literally: for
+// every observed day it assembles the complete multi-peer table
+// (background, episodes, AS_SET aggregates) and full-scans it with
+// core.Detector.ObserveView, which records each prefix announced with two
+// or more origins that day. It is O(table) per day — used for fidelity
+// tests and archive generation, not the 1279-day run. The
 // registry is the detector's and the day's statistics are tallied from
 // the day's observation, so nothing here shares a state machine with the
 // kernel-driven paths it is the reference for.

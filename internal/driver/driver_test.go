@@ -10,17 +10,27 @@ import (
 
 func testConfig() Config {
 	return Config{
-		Spec:      scenario.TestSpec(),
 		Watch:     []bgp.ASN{8584},
 		WatchSeqs: [][2]bgp.ASN{{3561, 15412}},
 	}
 }
 
-func TestRunBasics(t *testing.T) {
-	res, err := Run(testConfig())
+// runTest builds the test scenario and runs the incremental driver on it.
+func runTest(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	sc, err := scenario.Build(scenario.TestSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := RunScenario(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestRunBasics(t *testing.T) {
+	res := runTest(t, testConfig())
 	if len(res.Days) != len(res.Scenario.ObservedDays) {
 		t.Fatalf("days = %d, want %d", len(res.Days), len(res.Scenario.ObservedDays))
 	}
@@ -60,7 +70,7 @@ func TestIncrementalMatchesFullScan(t *testing.T) {
 		t.Skip("full-scan comparison is slow")
 	}
 	cfg := testConfig()
-	sc1, err := scenario.Build(cfg.Spec)
+	sc1, err := scenario.Build(scenario.TestSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +78,7 @@ func TestIncrementalMatchesFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc2, err := scenario.Build(cfg.Spec)
+	sc2, err := scenario.Build(scenario.TestSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +136,7 @@ func TestIncrementalMatchesFullScan(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := runTest(t, testConfig()), runTest(t, testConfig())
 	if a.Registry.Len() != b.Registry.Len() || len(a.Days) != len(b.Days) {
 		t.Fatal("runs differ in size")
 	}
@@ -199,9 +202,7 @@ func TestProgressCallback(t *testing.T) {
 	cfg := testConfig()
 	var lines []string
 	cfg.Progress = func(s string) { lines = append(lines, s) }
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
+	runTest(t, cfg)
 	if len(lines) == 0 {
 		t.Fatal("no progress lines")
 	}

@@ -11,14 +11,18 @@ import (
 )
 
 // midRunSnapshot drives the shared script to its split point and returns
-// the kernel's snapshot — the populated image (active and dissolved
-// conflicts, history, spans, registry, log) the codec tests encode.
+// the kernel's snapshot with the events it emitted as the log, as the
+// engine's checkpoint carries them — the populated image (active and
+// dissolved conflicts, history, spans, registry, log) the codec tests
+// encode.
 func midRunSnapshot(t testing.TB) *kernel.Snapshot {
 	t.Helper()
 	all, splitAt := script()
-	k := kernel.New(kernel.Options{KeepLog: true})
-	drive(k, all[:splitAt])
-	return k.Snapshot()
+	k := kernel.New(kernel.Options{})
+	log := drive(k, all[:splitAt])
+	snap := k.Snapshot()
+	snap.Log = log
+	return snap
 }
 
 // TestBinarySnapshotRoundTrip: both codecs must reproduce the exact
@@ -71,23 +75,27 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 // same guarantee the JSON round-trip test proves.
 func TestBinarySnapshotRestoreEquivalence(t *testing.T) {
 	all, splitAt := script()
-	opts := kernel.Options{KeepLog: true}
+	opts := kernel.Options{}
 
 	uninterrupted := kernel.New(opts)
-	drive(uninterrupted, all)
+	wantLog := drive(uninterrupted, all)
 
 	snap, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, midRunSnapshot(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	restored := kernel.New(opts)
-	if err := restored.Restore(snap); err != nil {
+	gotLog, err := restoreAll(restored, snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	drive(restored, all[splitAt:])
+	gotLog = append(gotLog, drive(restored, all[splitAt:])...)
 
 	if w, g := uninterrupted.Snapshot(), restored.Snapshot(); !reflect.DeepEqual(w, g) {
 		t.Fatalf("final snapshots differ:\nwant %+v\n got %+v", w, g)
+	}
+	if !reflect.DeepEqual(wantLog, gotLog) {
+		t.Fatal("event logs differ after restore")
 	}
 	diffRegistries(t, uninterrupted.Registry(), restored.Registry())
 }
@@ -152,14 +160,14 @@ func TestRestoreRejectsBogusClass(t *testing.T) {
 	} {
 		snap := midRunSnapshot(t)
 		damage(snap)
-		if err := kernel.New(kernel.Options{KeepLog: true}).Restore(snap); err == nil {
+		if _, err := restoreAll(kernel.New(kernel.Options{}), snap); err == nil {
 			t.Errorf("restore accepted %s", name)
 		}
 		decoded, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap))
 		if err != nil {
 			continue // the zero prefix has no binary form: rejected a step earlier
 		}
-		if err := kernel.New(kernel.Options{KeepLog: true}).Restore(decoded); err == nil {
+		if _, err := restoreAll(kernel.New(kernel.Options{}), decoded); err == nil {
 			t.Errorf("restore accepted %s after a binary round trip", name)
 		}
 	}

@@ -58,8 +58,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 		if err != nil {
 			return
 		}
-		k := kernel.New(kernel.Options{KeepLog: true, HistoryCap: 8})
-		if err := k.Restore(s); err != nil {
+		k := kernel.New(kernel.Options{HistoryCap: 8})
+		if _, err := restoreAll(k, s); err != nil {
 			return
 		}
 		// A restore that succeeded must leave a working state machine.

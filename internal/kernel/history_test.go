@@ -198,8 +198,8 @@ func TestRestoreCanonicalizesHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, snap := range map[string]*kernel.Snapshot{"as built": &asBuilt, "binary": viaBinary, "version-1 binary": viaV1} {
-		k := kernel.New(kernel.Options{KeepLog: true})
-		if err := k.Restore(snap); err != nil {
+		k := kernel.New(kernel.Options{})
+		if _, err := restoreAll(k, snap); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got := k.Snapshot().Prefixes[at].History; !bytes.Equal(got, canonical) {
@@ -257,7 +257,11 @@ func TestRestoreRejectsImpossibleHistory(t *testing.T) {
 	v1 := kernel.SnapshotV1(base)
 	restores := func(decode func() (*kernel.Snapshot, error)) bool {
 		s, err := decode()
-		return err == nil && kernel.New(kernel.Options{KeepLog: true}).Restore(s) == nil
+		if err != nil {
+			return false
+		}
+		_, err = restoreAll(kernel.New(kernel.Options{}), s)
+		return err == nil
 	}
 	for name, forge := range map[string]func(evs []kernel.Event){
 		"as written":              func([]kernel.Event) {},
@@ -319,8 +323,9 @@ func TestHistoryRoundTripProperty(t *testing.T) {
 	for _, limit := range []int{0, 1, 3, 256} {
 		for trial := 0; trial < 20; trial++ {
 			rng := rand.New(rand.NewSource(int64(1000*limit + trial)))
-			opts := kernel.Options{HistoryCap: limit, KeepLog: true}
+			opts := kernel.Options{HistoryCap: limit}
 			k := kernel.New(opts)
+			emitted := make(map[bgp.Prefix][]kernel.Event)
 			steps := 50 + rng.Intn(400)
 			for step := 0; step < steps; step++ {
 				o := kernel.Obs{Day: step / 5, Prefix: prefixes[rng.Intn(len(prefixes))]}
@@ -333,13 +338,11 @@ func TestHistoryRoundTripProperty(t *testing.T) {
 					o.Origins = []bgp.ASN{64500}
 				}
 				o.Class = core.Class(1 + rng.Intn(core.NumClasses-1))
-				k.Apply(o)
+				for _, ev := range k.Apply(o) {
+					emitted[ev.Prefix] = append(emitted[ev.Prefix], own(ev))
+				}
 			}
 
-			emitted := make(map[bgp.Prefix][]kernel.Event)
-			for _, ev := range k.Log() {
-				emitted[ev.Prefix] = append(emitted[ev.Prefix], own(ev))
-			}
 			chain := []*kernel.Kernel{k}
 			for _, encode := range []func(*kernel.Snapshot) []byte{
 				func(s *kernel.Snapshot) []byte { return kernel.AppendSnapshotBinaryV1(nil, s) },

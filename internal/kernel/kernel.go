@@ -127,19 +127,14 @@ type ext struct {
 type Options struct {
 	// HistoryCap caps lifecycle events retained per prefix (0 = all).
 	HistoryCap int
-	// KeepLog retains the full event record behind Log().
-	KeepLog bool
-	// OnEpisode, when set, observes the episode effect of every emitted
-	// lifecycle event: a conflict-end closes the activation, any other
-	// event (re)states it as open. The Episode's Origins alias kernel
-	// state and are only valid during the call. The callback must not
-	// call back into the kernel.
-	OnEpisode func(core.Episode)
 }
 
 // Kernel is the conflict-episode state machine. It is deliberately
 // single-threaded: concurrent users (the sharded streaming engine) own
-// one kernel per shard and serialize access through the shard lock.
+// one kernel per shard and serialize access through the shard lock. Its
+// only output is what its methods return: the events Apply and ApplyAt
+// return are the whole lifecycle record, and the caller decides where
+// they go (Episode derives each one's episode record).
 type Kernel struct {
 	opts Options
 	// tab is the prefix index: prefix → dense id → rec. The kernel owns
@@ -159,8 +154,7 @@ type Kernel struct {
 	// (ext.activeAt is each one's position), so a day close costs
 	// O(active conflicts) whatever the table size.
 	active []uint32
-	events int     // lifecycle events emitted
-	log    []Event // full event record, kept only when opts.KeepLog
+	events int // lifecycle events emitted
 	// closed counts ended activations per distinct (start, end) pair, so
 	// what a month of flapping leaves behind is bounded by days squared,
 	// not by events; open spans are derived from the active set
@@ -316,9 +310,6 @@ func (k *Kernel) applyExt(id uint32, st *ext, o Obs) []Event {
 		return nil // sub-conflict origin churn (e.g. one origin to another)
 	}
 	k.emit(st, &ev)
-	if k.opts.OnEpisode != nil {
-		k.fireEpisode(st, &ev, prevOrigins, prevClass)
-	}
 	k.evBuf = append(k.evBuf[:0], ev)
 	return k.evBuf
 }
@@ -336,27 +327,24 @@ func (k *Kernel) deactivate(st *ext) {
 // extOf returns the ext record of an id known to have one.
 func (k *Kernel) extOf(id uint32) *ext { return k.exts.At(k.tab.At(id).val) }
 
-// fireEpisode reports the observation's episode effect. An end event
-// closes the activation: it was last active at the close of the day
-// before the dissolving observation (clamped so a same-day start+end
-// still spans its one day), described by the pre-transition origin set
-// and class. Every other lifecycle event restates the activation as
-// open through the event's own day with the post-transition set. The
-// event's Seq carries over, giving durable consumers a per-prefix total
-// order shared with the event stream.
-func (k *Kernel) fireEpisode(st *ext, ev *Event, prevOrigins []bgp.ASN, prevClass core.Class) {
-	ep := core.Episode{Prefix: ev.Prefix, Seq: ev.Seq, Start: st.since, Open: ev.Type != EventConflictEnd}
-	if ev.Type == EventConflictEnd {
-		ep.Origins, ep.Class = prevOrigins, prevClass
-		ep.End = ev.Day - 1
-		if ep.End < ep.Start {
-			ep.End = ep.Start
-		}
-	} else {
-		ep.Origins, ep.Class = st.origins, st.class
-		ep.End = ev.Day
+// Episode derives the episode record of ev, an event ApplyAt(id, ...)
+// just returned. An end event closes the activation: it was last active
+// at the close of the day before the dissolving observation (clamped so a
+// same-day start+end still spans its one day), described by the
+// pre-transition origin set and class. Every other lifecycle event
+// restates the activation as open through the event's own day with the
+// post-transition set. The event's Seq carries over, giving durable
+// consumers a per-prefix total order shared with the event stream. The
+// record's Origins alias the event's, which the kernel never writes again.
+func (k *Kernel) Episode(id uint32, ev *Event) core.Episode {
+	since := k.extOf(id).since
+	ep := core.Episode{Prefix: ev.Prefix, Seq: ev.Seq, Start: since, End: ev.Day,
+		Origins: ev.Origins, Class: ev.Class, Open: ev.Type != EventConflictEnd}
+	if !ep.Open {
+		ep.Origins, ep.Class = ev.PrevOrigins, ev.PrevClass
+		ep.End = max(ev.Day-1, since)
 	}
-	k.opts.OnEpisode(ep)
+	return ep
 }
 
 // ArenaStates returns the number of table ids carved over the kernel's
@@ -376,9 +364,6 @@ func (k *Kernel) emit(st *ext, ev *Event) {
 	}
 	k.historyBytes += st.history.push(ev)
 	k.events++
-	if k.opts.KeepLog {
-		k.log = append(k.log, *ev)
-	}
 }
 
 // CloseDay accounts the day in the lifetime record of every active
@@ -435,10 +420,6 @@ func (k *Kernel) EventCount() int { return k.events }
 // kernel retains — what Options.HistoryCap bounds, some 11 bytes per
 // start or end event.
 func (k *Kernel) HistoryBytes() int { return k.historyBytes }
-
-// Log returns the retained event record (nil unless Options.KeepLog).
-// The slice is the kernel's own; callers must copy before mutating.
-func (k *Kernel) Log() []Event { return k.log }
 
 // View is one prefix's assessed conflict state as exposed to queries.
 // Origins and Conflict are borrowed from kernel state: copy them before

@@ -38,8 +38,10 @@ type Snapshot struct {
 	ClosedSpans []SpanSnap `json:"closed_spans,omitempty"`
 	// Events is the lifecycle-event count emitted so far.
 	Events int `json:"events"`
-	// Log is the retained global event record (present only when the
-	// kernel ran with Options.KeepLog); Merge puts it in SortEvents order.
+	// Log is the retained global event record. The kernel neither fills
+	// nor restores it: a caller that keeps the events Apply returns puts
+	// them here (the engine's checkpoint) and checks them back out with
+	// RestoreEvents. Merge puts it in SortEvents order.
 	Log []Event `json:"log,omitempty"`
 }
 
@@ -120,9 +122,9 @@ func validEvent(ev *Event) error {
 	return cmp.Or(validType(ev.Type), validPrefix(ev.Prefix), validClass(uint8(ev.Class)), validClass(uint8(ev.PrevClass)))
 }
 
-// restoreEvents returns the image's events, checked and with origin sets
-// of their own: the image keeps no claim on what the kernel retains.
-func restoreEvents(evs []Event) ([]Event, error) {
+// RestoreEvents returns an image's logged events, checked and with origin
+// sets of their own: the image keeps no claim on what the caller retains.
+func RestoreEvents(evs []Event) ([]Event, error) {
 	dst := slices.Grow([]Event(nil), len(evs))
 	for i := range evs {
 		ev := evs[i]
@@ -135,14 +137,14 @@ func restoreEvents(evs []Event) ([]Event, error) {
 	return dst, nil
 }
 
-// Snapshot images the kernel's complete state. The result shares no
-// mutable memory with the kernel (origin sets and history bytes are
-// copied; a logged event's own origin sets are immutable once emitted),
-// so it stays valid while the kernel keeps running. It allocates by the
-// table, not by the event: slices are sized from the table's counts, the
-// one-origin sets of lifecycle-free prefixes — nearly all of a real
-// table — are carved from a single array, the origin sets of the rest
-// from a few, and every history is copied, as the bytes it is, into one.
+// Snapshot images the kernel's complete state, without a Log (the
+// kernel keeps none). The result shares no mutable memory with the
+// kernel (origin sets and history bytes are copied), so it stays valid
+// while the kernel keeps running. It allocates by the table, not by the
+// event: slices are sized from the table's counts, the one-origin sets of
+// lifecycle-free prefixes — nearly all of a real table — are carved from
+// a single array, the origin sets of the rest from a few, and every
+// history is copied, as the bytes it is, into one.
 func (k *Kernel) Snapshot() *Snapshot {
 	s := &Snapshot{Version: SnapshotVersion, Events: k.events}
 	s.Prefixes = slices.Grow(s.Prefixes, k.tab.Len())
@@ -192,7 +194,6 @@ func (k *Kernel) Snapshot() *Snapshot {
 			s.ClosedSpans = append(s.ClosedSpans, sp)
 		}
 	}
-	s.Log = append(s.Log, k.log...)
 	return s
 }
 
@@ -204,10 +205,11 @@ func (k *Kernel) Restore(s *Snapshot) error { return k.RestorePart(s, 0, 1) }
 
 // RestorePart is Restore for one kernel of a sharded set, the inverse of
 // Merge: it loads the prefix states and conflicts ptable.Shard assigns
-// to partition part of parts. Spans, the event count and the log are not
+// to partition part of parts. Spans and the event count are not
 // prefix-keyed state machines — they only ever feed engine-wide
-// concatenations — so they land on partition 0 wholesale. Nothing the
-// kernel retains aliases the snapshot.
+// concatenations — so they land on partition 0 wholesale. The log is the
+// caller's (RestoreEvents). Nothing the kernel retains aliases the
+// snapshot.
 func (k *Kernel) RestorePart(s *Snapshot, part, parts int) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("kernel: snapshot version %d, want %d", s.Version, SnapshotVersion)
@@ -246,11 +248,6 @@ func (k *Kernel) RestorePart(s *Snapshot, part, parts int) error {
 		k.closed[sp]++
 	}
 	k.events = s.Events
-	if k.opts.KeepLog {
-		var err error
-		k.log, err = restoreEvents(s.Log)
-		return err
-	}
 	return nil
 }
 

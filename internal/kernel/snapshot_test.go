@@ -47,14 +47,26 @@ func script() (all []scriptedObs, splitAt int) {
 	return all, 8
 }
 
-func drive(k *kernel.Kernel, part []scriptedObs) {
+// drive feeds part to k and returns the events it emitted, in order.
+func drive(k *kernel.Kernel, part []scriptedObs) []kernel.Event {
+	var log []kernel.Event
 	for _, s := range part {
 		if s.closeDay >= 0 {
 			k.CloseDay(s.closeDay)
 		} else {
-			k.Apply(s.obs)
+			log = append(log, k.Apply(s.obs)...)
 		}
 	}
+	return log
+}
+
+// restoreAll restores s the way the engine does: the kernel state into k,
+// and the retained log out of the image for the caller.
+func restoreAll(k *kernel.Kernel, s *kernel.Snapshot) ([]kernel.Event, error) {
+	if err := k.Restore(s); err != nil {
+		return nil, err
+	}
+	return kernel.RestoreEvents(s.Log)
 }
 
 // lifecycleOf is k's activation-duration summary as of day now.
@@ -70,15 +82,17 @@ func lifecycleOf(k *kernel.Kernel, now int) kernel.LifecycleStats {
 // be identical to the uninterrupted kernel's.
 func TestSnapshotRoundTrip(t *testing.T) {
 	all, splitAt := script()
-	opts := kernel.Options{KeepLog: true, HistoryCap: 8}
+	opts := kernel.Options{HistoryCap: 8}
 
 	uninterrupted := kernel.New(opts)
-	drive(uninterrupted, all)
+	wantLog := drive(uninterrupted, all)
 
 	first := kernel.New(opts)
-	drive(first, all[:splitAt])
+	firstLog := drive(first, all[:splitAt])
+	firstSnap := first.Snapshot()
+	firstSnap.Log = firstLog
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(first.Snapshot()); err != nil {
+	if err := json.NewEncoder(&buf).Encode(firstSnap); err != nil {
 		t.Fatal(err)
 	}
 	snap := new(kernel.Snapshot)
@@ -86,10 +100,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := kernel.New(opts)
-	if err := restored.Restore(snap); err != nil {
+	gotLog, err := restoreAll(restored, snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	drive(restored, all[splitAt:])
+	gotLog = append(gotLog, drive(restored, all[splitAt:])...)
 
 	wantSnap, gotSnap := uninterrupted.Snapshot(), restored.Snapshot()
 	if !reflect.DeepEqual(wantSnap, gotSnap) {
@@ -102,7 +117,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(activeSet(uninterrupted), activeSet(restored)) {
 		t.Fatal("active sets differ after restore")
 	}
-	if !reflect.DeepEqual(uninterrupted.Log(), restored.Log()) {
+	if !reflect.DeepEqual(wantLog, gotLog) {
 		t.Fatal("event logs differ after restore")
 	}
 	if uninterrupted.EventCount() != restored.EventCount() {

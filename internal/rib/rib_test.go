@@ -50,7 +50,7 @@ func TestAdjRIBInAnnounceReplace(t *testing.T) {
 		t.Fatalf("Len = %d", a.Len())
 	}
 	r, _ := a.Lookup(pfx("10.0.0.0/8"))
-	if r.Path().HopCount() != 3 {
+	if r.Path().String() != "701 1239 9" {
 		t.Error("replacement announce did not take effect")
 	}
 	if !a.Withdraw(pfx("10.0.0.0/8")) || a.Withdraw(pfx("10.0.0.0/8")) {

@@ -126,7 +126,7 @@ func ReadScenarioCheckpoint(data []byte) (*ScenarioCheckpoint, error) {
 		if err := json.Unmarshal(meta, &ck); err != nil {
 			return nil, fmt.Errorf("serve: decode checkpoint envelope: %w", err)
 		}
-		eng, err := stream.DecodeCheckpoint(engBytes) // in place: no copy of the frame
+		eng, err := stream.DecodeCheckpointBinary(engBytes) // in place: no copy of the frame
 		if err != nil {
 			return nil, err
 		}

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"moas/internal/bgp"
+	"moas/internal/core"
 )
 
 type episodesResp struct {
@@ -134,5 +138,62 @@ func TestEpisodeEndpoints(t *testing.T) {
 	}
 	if r := getJSON(t, srv2.Client(), srv2.URL+"/scenarios/nolog/episodes", nil); r.StatusCode != http.StatusNotFound {
 		t.Fatalf("episodes without EpisodeDir: %d, want 404", r.StatusCode)
+	}
+}
+
+// idleEpisodeServer serves a created, never-started scenario "idle" whose
+// episode log holds one closed episode.
+func idleEpisodeServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	reg := NewRegistry()
+	reg.EpisodeDir = t.TempDir()
+	t.Cleanup(reg.Close)
+	s, err := reg.Create(ScenarioConfig{ID: "idle", Source: SourceSynth, Scale: "small"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EpisodeLog().Append(core.Episode{
+		Prefix: bgp.MustParsePrefix("192.0.2.0/24"), Origins: []bgp.ASN{64500, 64501},
+		Class: core.ClassDistinctPaths, Seq: 2, Start: 3, End: 5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(reg))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestEpisodesToZero: a present to=0 is refused on both episode endpoints
+// with a 400 that says why. The log reads a zero upper bound as none,
+// which only an absent to means, so serving it would answer a question
+// nobody asked.
+func TestEpisodesToZero(t *testing.T) {
+	srv := idleEpisodeServer(t)
+	want := "{\"error\":\"bad to \\\"0\\\": want a day after 0 (omit to for no upper bound)\"}\n"
+	for _, endpoint := range []string{"/episodes", "/episodes/summary"} {
+		resp, err := srv.Client().Get(srv.URL + "/scenarios/idle" + endpoint + "?to=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || string(body) != want {
+			t.Fatalf("%s?to=0: %d %q, want 400 %q", endpoint, resp.StatusCode, body, want)
+		}
+	}
+}
+
+// TestEpisodesLimitZero: a present limit=0 returns no episodes, as
+// /conflicts?limit=0 does; only an absent limit means the default cap.
+func TestEpisodesLimitZero(t *testing.T) {
+	srv := idleEpisodeServer(t)
+	for query, want := range map[string]int{"": 1, "?limit=0": 0, "?limit=1": 1} {
+		var got episodesResp
+		if r := getJSON(t, srv.Client(), srv.URL+"/scenarios/idle/episodes"+query, &got); r.StatusCode != http.StatusOK {
+			t.Fatalf("/episodes%s: status %d", query, r.StatusCode)
+		}
+		if got.Count != want || len(got.Episodes) != want {
+			t.Fatalf("/episodes%s: count %d, %d episodes, want %d", query, got.Count, len(got.Episodes), want)
+		}
 	}
 }

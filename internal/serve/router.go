@@ -46,9 +46,10 @@ func episodeToJSON(ep *epilog.Episode) episodeJSON {
 }
 
 // episodeQuery parses the /episodes filter parameters. Class accepts the
-// paper's legend names (case-insensitive) or a numeric core.Class.
+// paper's legend names (case-insensitive) or a numeric core.Class. An
+// absent limit is DefaultEpisodeLimit, so Limit 0 is an explicit limit=0.
 func episodeQuery(r *http.Request) (epilog.Query, error) {
-	q := epilog.Query{Class: -1}
+	q := epilog.Query{Class: -1, Limit: DefaultEpisodeLimit}
 	get := r.URL.Query()
 	for name, dst := range map[string]*int{
 		"from": &q.From, "to": &q.To, "min_days": &q.MinDays, "limit": &q.Limit,
@@ -60,6 +61,10 @@ func episodeQuery(r *http.Request) (epilog.Query, error) {
 			}
 			*dst = n
 		}
+	}
+	// The log reads To 0 as no upper bound, which only an absent to means.
+	if v := get.Get("to"); v != "" && q.To == 0 {
+		return q, fmt.Errorf("bad to %q: want a day after 0 (omit to for no upper bound)", v)
 	}
 	if v := get.Get("prefix"); v != "" {
 		p, err := bgp.ParsePrefix(v)
@@ -339,13 +344,15 @@ func NewHandler(reg *Registry) http.Handler {
 	}
 
 	mux.HandleFunc("GET /scenarios/{id}/episodes", episodes(func(w http.ResponseWriter, lg *epilog.Log, q epilog.Query) {
-		if q.Limit == 0 {
-			q.Limit = DefaultEpisodeLimit
-		}
-		eps, err := lg.Query(q)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
+		// The log reads Limit 0 as no cap; here it is limit=0, which asks
+		// for none.
+		var eps []epilog.Episode
+		if q.Limit > 0 {
+			var err error
+			if eps, err = lg.Query(q); err != nil {
+				httpError(w, http.StatusInternalServerError, err.Error())
+				return
+			}
 		}
 		out := struct {
 			Count    int           `json:"count"`

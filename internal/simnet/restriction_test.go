@@ -79,7 +79,7 @@ func TestQuickValleyFreeOnGeneratedTopology(t *testing.T) {
 			if o, ok := p.Origin(); !ok || o != origin {
 				t.Fatalf("path %q does not end at origin %v", p, origin)
 			}
-			if first, ok := p.First(); !ok || first != v {
+			if len(p) == 0 || p[0].Type != bgp.SegSequence || p[0].ASes[0] != v {
 				t.Fatalf("path %q does not start at vantage %v", p, v)
 			}
 			if p.ContainsLoop() {

@@ -94,16 +94,6 @@ func (n *Net) Routes(root bgp.ASN, firstHops []bgp.ASN) *RouteTable {
 	return t
 }
 
-// InvalidateCache drops all cached route state; callers must invalidate
-// after mutating the topology.
-func (n *Net) InvalidateCache() {
-	n.cache = make(map[string]*RouteTable)
-	n.pathCache = make(map[pathKey]bgp.Path)
-	if n.vsCache != nil {
-		n.vsCache = make(map[string]*vantageSummary)
-	}
-}
-
 // propagate runs the three-stage valley-free computation:
 //
 //	stage A   customer routes climb provider links from the root;

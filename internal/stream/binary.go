@@ -3,7 +3,6 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"slices"
 
@@ -47,11 +46,10 @@ import (
 // written once and routes reference it by index — most of a v1
 // checkpoint's bytes were those blocks repeated per route. The v1 value
 // in the version slot can never be 2 (it was the struct version, fixed at
-// 1), so one uvarint read disambiguates the containers, and
-// DecodeCheckpoint still sniffs binary apart from JSON by the magic —
-// archives mixing JSON, v1 and v2 files all restore. Readers insert entry
-// by entry, so none depends on the order of entries inside a section;
-// the writer's order is the image's (Prefix.Compare).
+// 1), so one uvarint read disambiguates the containers: archives mixing
+// v1 and v2 files all restore. Readers insert entry by entry, so none
+// depends on the order of entries inside a section; the writer's order is
+// the image's (Prefix.Compare).
 
 // checkpointMagic introduces a binary engine checkpoint. Like the kernel
 // snapshot magic, its first byte can never open a JSON document.
@@ -214,25 +212,4 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("stream: %d trailing bytes after binary checkpoint", r.Len())
 	}
 	return ck, nil
-}
-
-// DecodeCheckpoint decodes an engine checkpoint in either format,
-// sniffing the content: the binary magic selects the binary codec (both
-// container versions), anything else parses as JSON — where malformed
-// prefix, peer-address or attribute text fails, through the fields' text
-// methods. Restore-side sniffing is what lets checkpoint archives mix
-// generations — a directory of old JSON or v1 binary checkpoints keeps
-// working after the writer moves on.
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if bytes.HasPrefix(data, checkpointMagic) {
-		return DecodeCheckpointBinary(data)
-	}
-	var ck Checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("stream: decode checkpoint: %w", err)
-	}
-	if ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("stream: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
-	}
-	return &ck, nil
 }

@@ -109,6 +109,7 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		// after its peer entered the table.
 		peers := e.peers.snapshot()
 		parts[i] = s.k.Snapshot()
+		parts[i].Log = s.log // Merge copies it
 		routes[i] = s.routesImage(peers)
 		s.mu.RUnlock()
 	}
@@ -204,6 +205,17 @@ func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 		if err != nil {
 			return fail(err)
 		}
+	}
+	// The retained log feeds only engine-wide reads (Events, Checkpoint),
+	// which merge every shard's, so it lands on shard 0 whole.
+	if s := e.shards[0]; s.keepLog {
+		log, err := kernel.RestoreEvents(ck.Kernel.Log)
+		if err != nil {
+			return fail(err)
+		}
+		s.mu.Lock()
+		s.log = log
+		s.mu.Unlock()
 	}
 
 	// Rebuild the per-peer route tables, re-sharing identical attribute

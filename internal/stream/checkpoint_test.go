@@ -367,7 +367,7 @@ func TestCheckpointHostileInput(t *testing.T) {
 						t.Errorf("%d goroutines before, %d after", before, after)
 					}
 				}()
-				decoded, err := DecodeCheckpoint(data)
+				decoded, err := decodeByMagic(data)
 				if err != nil {
 					if row.want != failsDecode {
 						t.Fatalf("decode failed: %v", err)

@@ -55,11 +55,10 @@ type Config struct {
 	// per-subscriber channels and drops slow subscribers instead of
 	// blocking here.
 	OnEvent func(Event)
-	// EpisodeLog, when non-nil, receives every episode record the shard
-	// kernels emit (an open restatement per lifecycle event, a closing
-	// record per conflict end). Appends happen on the shard worker
-	// goroutines outside the shard lock; the eventless warm path never
-	// touches the log.
+	// EpisodeLog, when non-nil, receives the episode record of every
+	// lifecycle event (an open restatement per event, a closing record per
+	// conflict end). Appends happen on the shard worker goroutines outside
+	// the shard lock; the eventless warm path never touches the log.
 	EpisodeLog *epilog.Log
 }
 
@@ -394,7 +393,7 @@ func (e *Engine) Closed() bool { return e.closed.Load() }
 
 // Registry renders every shard kernel's conflict records (copies of
 // them) as one registry — after a full archive replay it is identical to
-// what the batch full-table scan (driver.RunFullScan) builds.
+// what the batch full-table scan (driver.RunFullScanScenario) builds.
 // Safe to call concurrently with replay, but a mid-day call sees only
 // days closed so far.
 func (e *Engine) Registry() *core.Registry {
@@ -633,7 +632,7 @@ func (e *Engine) Events() []Event {
 	var out []Event
 	for _, s := range e.shards {
 		s.mu.RLock()
-		out = append(out, s.k.Log()...)
+		out = append(out, s.log...)
 		s.mu.RUnlock()
 	}
 	kernel.SortEvents(out)

@@ -49,7 +49,7 @@ func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 }
 
 // FuzzCheckpointRestore is the checkpoint surface's robustness claim:
-// any byte string fed to the sniffing decoder either errors or yields a
+// any byte string fed to the decoder its magic picks either errors or yields a
 // checkpoint that NewFromCheckpoint restores into a fully usable engine
 // (queries, a lifecycle with no negative duration, a re-checkpoint in
 // both codecs) — or rejects, without panicking or leaking shard
@@ -59,7 +59,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := DecodeCheckpoint(data)
+		ck, err := decodeByMagic(data)
 		if err != nil {
 			return
 		}

@@ -100,7 +100,7 @@ func marshalSummary(t testing.TB, sum *goldenSummary) []byte {
 
 // TestGoldenCheckpointsRestore is the compatibility battery: the frozen
 // fixtures of every earlier form and the written forms must all still
-// decode — through the sniffing entry point — and restore to exactly the
+// decode — each through its codec — and restore to exactly the
 // same committed state summary. All five fixtures image the same engine,
 // so one expectation serves.
 func TestGoldenCheckpointsRestore(t *testing.T) {
@@ -113,7 +113,7 @@ func TestGoldenCheckpointsRestore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("missing golden fixture (regenerate with MOAS_GEN_GOLDEN=1): %v", err)
 		}
-		ck, err := DecodeCheckpoint(blob)
+		ck, err := decodeByMagic(blob)
 		if err != nil {
 			t.Fatalf("%s no longer decodes: %v", path, err)
 		}

@@ -87,13 +87,14 @@ type shard struct {
 	recycle     func([]op)  // returns drained batch slices to the engine pool
 	ch          chan batch
 
-	// epLog receives episode records outside the lock; epBuf stages the
-	// batch's records and epASN is the reused backing their borrowed
-	// origin sets are copied into, so a batch with no lifecycle events —
-	// the warm path — costs the episode log nothing.
-	epLog *epilog.Log
-	epBuf []core.Episode
-	epASN []bgp.ASN
+	// log is the shard's retained event record behind Engine.Events, kept
+	// unless Config.DisableEventLog. epLog receives episode records outside
+	// the lock; epBuf stages the batch's records, so a batch with no
+	// lifecycle events — the warm path — costs the episode log nothing.
+	keepLog bool
+	log     []Event
+	epLog   *epilog.Log
+	epBuf   []core.Episode
 
 	// Panic containment: onFail reports the first contained panic to
 	// the engine; dead (worker-goroutine-local) flips the shard into
@@ -108,29 +109,14 @@ type shard struct {
 const shardQueue = 8
 
 func newShard(historyCap int, keepLog bool, notify func(Event), recycle func([]op), epLog *epilog.Log) *shard {
-	s := &shard{
+	return &shard{
+		k:       kernel.New(kernel.Options{HistoryCap: historyCap}),
 		notify:  notify,
 		recycle: recycle,
 		ch:      make(chan batch, shardQueue),
+		keepLog: keepLog,
 		epLog:   epLog,
 	}
-	opts := kernel.Options{HistoryCap: historyCap, KeepLog: keepLog}
-	if epLog != nil {
-		opts.OnEpisode = s.bufferEpisode
-	}
-	s.k = kernel.New(opts)
-	return s
-}
-
-// bufferEpisode stages one kernel episode for the post-lock flush. The
-// kernel's Origins are only valid during this callback, so they are
-// copied into the shard's reused backing; the three-index slice keeps a
-// later epASN append from writing through an already-staged record.
-func (s *shard) bufferEpisode(ep core.Episode) {
-	off := len(s.epASN)
-	s.epASN = append(s.epASN, ep.Origins...)
-	ep.Origins = s.epASN[off:len(s.epASN):len(s.epASN)]
-	s.epBuf = append(s.epBuf, ep)
 }
 
 // run is the shard worker loop; it exits when the channel closes.
@@ -215,7 +201,6 @@ func (s *shard) apply(ops []op) {
 	}
 	s.notifyBuf = s.notifyBuf[:0]
 	s.epBuf = s.epBuf[:0]
-	s.epASN = s.epASN[:0]
 }
 
 // allocNode returns a free node index, recycling before growing the arena.
@@ -333,13 +318,16 @@ func (s *shard) routeCount(head uint32) int {
 }
 
 // reassess recomputes the prefix's origin set and classification after a
-// route change and drives the observation through the kernel, which emits
-// the lifecycle event the change implies, if any. The origins come from
-// the nodes' cached copies and land in the shard's reusable scratch; the
-// kernel commits a fresh copy only when the set actually changed, so the
-// common case — an update that does not flip the origin set — performs
-// zero allocations (BenchmarkShardReassess's claim) and touches no
-// attribute block.
+// route change and drives the observation through the kernel, then routes
+// the lifecycle event the change implies, if any, to each of the shard's
+// sinks: its retained log, the episode log (as the record the kernel
+// derives from it) and the OnEvent subscriber. A staged record's origin
+// sets alias the event's, which the kernel never writes again once
+// emitted, so nothing is copied. The origins come from the nodes' cached
+// copies and land in the shard's reusable scratch; the kernel commits a
+// fresh copy only when the set actually changed, so the common case — an
+// update that does not flip the origin set — performs zero allocations
+// (BenchmarkShardReassess's claim) and touches no attribute block.
 func (s *shard) reassess(id, head uint32, p bgp.Prefix, day int) {
 	// Origin-set insertion and ClassifyPaths are order-independent, so
 	// the list order cannot leak into events or the registry.
@@ -365,6 +353,12 @@ func (s *shard) reassess(id, head uint32, p bgp.Prefix, day int) {
 	}
 	obs := kernel.Obs{Day: day, Prefix: p, Origins: origins, Class: class}
 	for _, ev := range s.k.ApplyAt(id, obs, head != 0) {
+		if s.keepLog {
+			s.log = append(s.log, ev)
+		}
+		if s.epLog != nil {
+			s.epBuf = append(s.epBuf, s.k.Episode(id, &ev))
+		}
 		if s.notify != nil {
 			s.notifyBuf = append(s.notifyBuf, ev)
 		}

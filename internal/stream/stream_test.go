@@ -101,8 +101,8 @@ func diffRegistries(t *testing.T, want, got *core.Registry) {
 
 // TestReplayMatchesFullScan is the subsystem's equivalence claim: replaying
 // the SmallScale scenario's complete BGP4MP update stream through the
-// sharded engine yields the identical conflict registry driver.RunFullScan
-// builds from daily table snapshots.
+// sharded engine yields the identical conflict registry
+// driver.RunFullScanScenario builds from daily table snapshots.
 func TestReplayMatchesFullScan(t *testing.T) {
 	_, _, want := fixtures(t)
 	e := replayAll(t, Config{Shards: 4})

@@ -385,7 +385,8 @@ func conflictKey(c *core.Conflict) string {
 // route-level operation — exactly the observation order the stream
 // shards see, with none of their code.
 func runBatch(archive []byte, days int) ([]kernel.Event, *core.Registry, uint64, error) {
-	k := kernel.New(kernel.Options{KeepLog: true})
+	k := kernel.New(kernel.Options{})
+	var events []kernel.Event
 	type peerKey struct {
 		ip [16]byte
 		as bgp.ASN
@@ -404,7 +405,7 @@ func runBatch(archive []byte, days int) ([]kernel.Event, *core.Registry, uint64,
 		if len(origins) >= 2 {
 			class = core.ClassifyRoutes(routes)
 		}
-		k.Apply(kernel.Obs{Day: day, Prefix: p, Origins: origins, Class: class})
+		events = append(events, k.Apply(kernel.Obs{Day: day, Prefix: p, Origins: origins, Class: class})...)
 	}
 
 	var updates uint64
@@ -464,7 +465,6 @@ func runBatch(archive []byte, days int) ([]kernel.Event, *core.Registry, uint64,
 	for ; curDay < days; curDay++ {
 		k.CloseDay(curDay)
 	}
-	events := append([]kernel.Event(nil), k.Log()...)
 	kernel.SortEvents(events)
 	return events, k.Registry(), updates, nil
 }

@@ -127,8 +127,11 @@ func (s *Study) Spec() Spec { return s.spec }
 
 // Run builds the scenario and executes the incremental detection driver.
 func (s *Study) Run() (*Report, error) {
-	res, err := driver.Run(driver.Config{
-		Spec:      s.spec,
+	sc, err := scenario.Build(s.spec)
+	if err != nil {
+		return nil, err
+	}
+	res, err := driver.RunScenario(sc, driver.Config{
 		Watch:     s.Watch,
 		WatchSeqs: s.WatchSeqs,
 		Progress:  s.Progress,
