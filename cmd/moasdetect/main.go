@@ -6,16 +6,21 @@
 //
 //	moasdetect -in DIR [-csv FILE]
 //
-// Files are processed in name order; each file is one observation day.
-// The summary goes to stdout; -csv additionally writes one line per
-// conflict: prefix, first day, last day, days observed, origins, class.
+// Files are processed in name order; each file is one observation day,
+// a TABLE_DUMP or TABLE_DUMP_V2 dump. Records it takes no routes from
+// (IPv6 RIBs, BGP4MP, ...) are counted per file, and each non-zero
+// count is printed with its reason. The summary goes to stdout; -csv
+// additionally writes one line per conflict: prefix, first day, last
+// day, days observed, origins, class.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -56,7 +61,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "moasdetect: %v\n", err)
 			os.Exit(1)
 		}
-		view, err := collector.ReadDay(f)
+		view, skipped, err := collector.ReadDay(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "moasdetect: %s: %v\n", name, err)
@@ -65,6 +70,9 @@ func main() {
 		obs := det.ObserveView(day, view)
 		fmt.Printf("%s: %d prefixes, %d MOAS conflicts, %d AS_SET routes excluded\n",
 			filepath.Base(name), obs.TotalPrefixes, obs.Count(), obs.ExcludedASSet)
+		for _, reason := range slices.Sorted(maps.Keys(skipped)) {
+			fmt.Printf("%s: skipped %d records: %s\n", filepath.Base(name), skipped[reason], reason)
+		}
 	}
 
 	reg := det.Registry()

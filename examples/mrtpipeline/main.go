@@ -38,7 +38,7 @@ func main() {
 	if _, err := f.Seek(0, 0); err != nil {
 		log.Fatal(err)
 	}
-	view, err := collector.ReadDay(f)
+	view, _, err := collector.ReadDay(f)
 	if err != nil {
 		log.Fatal(err)
 	}

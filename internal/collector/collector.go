@@ -83,18 +83,31 @@ func attrsHaveNextHop(a *bgp.Attrs) bool {
 	return a.NextHop != [4]byte{}
 }
 
-// ReadDay parses a TABLE_DUMP stream back into a table view, mapping each
-// distinct (peer IP, peer AS) to a stable peer ID in order of first
-// appearance — exactly how the paper's tooling reconstructed per-peer
-// tables from archive files. Gzip-compressed input (the NLANR archives
-// shipped as oix-full-snapshot-*.gz) is detected and decompressed
-// transparently. Unknown record types are skipped.
-func ReadDay(r io.Reader) (*rib.TableView, error) {
+// Skipped counts the records ReadDay took no routes from, by reason:
+// TABLE_DUMP_V2 IPv6 RIBs (SkippedIPv6RIB), which nothing downstream
+// stores yet, and records of any type that carries no table, by type and
+// subtype ("BGP4MP subtype 1").
+type Skipped map[string]int
+
+// SkippedIPv6RIB is the reason a TABLE_DUMP_V2 RIB_IPV6_UNICAST record
+// is skipped.
+const SkippedIPv6RIB = "TABLE_DUMP_V2 RIB_IPV6_UNICAST (IPv6 not stored)"
+
+// ReadDay parses a table dump — TABLE_DUMP records, or a TABLE_DUMP_V2
+// PEER_INDEX_TABLE and the RIB_IPV4_UNICAST records that follow it — back
+// into a table view, mapping each distinct (peer IP, peer AS) to a stable
+// peer ID in order of first appearance — exactly how the paper's tooling
+// reconstructed per-peer tables from archive files. Gzip-compressed input
+// (the NLANR archives shipped as oix-full-snapshot-*.gz) is detected and
+// decompressed transparently. Every other record is skipped and counted
+// by reason; a record that does not decode fails the read with its
+// ordinal (records count from 1).
+func ReadDay(r io.Reader) (*rib.TableView, Skipped, error) {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 		gz, err := gzip.NewReader(br)
 		if err != nil {
-			return nil, fmt.Errorf("collector: gzip: %w", err)
+			return nil, nil, fmt.Errorf("collector: gzip: %w", err)
 		}
 		defer gz.Close()
 		return readDayMRT(gz)
@@ -102,39 +115,61 @@ func ReadDay(r io.Reader) (*rib.TableView, error) {
 	return readDayMRT(br)
 }
 
-func readDayMRT(r io.Reader) (*rib.TableView, error) {
+func readDayMRT(r io.Reader) (*rib.TableView, Skipped, error) {
 	mr := mrt.NewReader(r)
 	view := rib.NewTableView()
+	skipped := Skipped{}
 	type peerKey struct {
 		ip [16]byte
 		as bgp.ASN
 	}
 	peerIDs := map[peerKey]uint16{}
-	var td mrt.TableDump
-	for {
-		rec, err := mr.Next()
-		if err == io.EOF {
-			return view, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if rec.Type != mrt.TypeTableDump {
-			continue
-		}
-		if err := td.DecodeTableDump(rec.Body, rec.Subtype); err != nil {
-			return nil, fmt.Errorf("collector: record %d: %w", view.Len(), err)
-		}
-		key := peerKey{ip: td.PeerIP, as: td.PeerAS}
+	add := func(ip [16]byte, as bgp.ASN, p bgp.Prefix, attrs *bgp.Attrs) {
+		key := peerKey{ip: ip, as: as}
 		id, ok := peerIDs[key]
 		if !ok {
 			id = uint16(len(peerIDs))
 			peerIDs[key] = id
 		}
-		view.Add(rib.PeerRoute{
-			PeerID: id,
-			PeerAS: td.PeerAS,
-			Route:  bgp.Route{Prefix: td.Prefix, Attrs: td.Attrs.Clone()},
-		})
+		view.Add(rib.PeerRoute{PeerID: id, PeerAS: as, Route: bgp.Route{Prefix: p, Attrs: attrs}})
+	}
+	var td mrt.TableDump
+	var index mrt.PeerIndexTable
+	var rt mrt.RIB
+	for n := 1; ; n++ {
+		rec, err := mr.Next()
+		if err == io.EOF {
+			return view, skipped, nil
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		switch {
+		case rec.Type == mrt.TypeTableDump:
+			if err = td.DecodeTableDump(rec.Body, rec.Subtype); err == nil {
+				add(td.PeerIP, td.PeerAS, td.Prefix, td.Attrs.Clone())
+			}
+		case rec.Type == mrt.TypeTableDumpV2 && rec.Subtype == mrt.SubtypePeerIndexTable:
+			err = index.DecodePeerIndexTable(rec.Body)
+		case rec.Type == mrt.TypeTableDumpV2 && rec.Subtype == mrt.SubtypeRIBIPv4Unicast:
+			if err = rt.DecodeRIB(rec.Body, rec.Subtype); err != nil {
+				break
+			}
+			for _, e := range rt.Entries {
+				if int(e.PeerIndex) >= len(index.Peers) {
+					err = fmt.Errorf("RIB entry for peer %d of a %d-peer index", e.PeerIndex, len(index.Peers))
+					break
+				}
+				peer := &index.Peers[e.PeerIndex]
+				add(peer.IP, peer.AS, rt.Prefix, e.Attrs) // DecodeRIB allocates each entry's Attrs
+			}
+		case rec.Type == mrt.TypeTableDumpV2 && rec.Subtype == mrt.SubtypeRIBIPv6Unicast:
+			skipped[SkippedIPv6RIB]++
+		default:
+			skipped[fmt.Sprintf("%s subtype %d", rec.Type, rec.Subtype)]++
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("collector: record %d: %w", n, err)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package collector
 import (
 	"bytes"
 	"compress/gzip"
+	"reflect"
+	"strings"
 	"testing"
 
 	"moas/internal/bgp"
@@ -43,9 +45,12 @@ func TestWriteReadRoundTripPreservesDetection(t *testing.T) {
 		t.Fatal("empty archive")
 	}
 
-	parsed, err := ReadDay(&buf)
+	parsed, skipped, err := ReadDay(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(skipped) != 0 {
+		t.Fatalf("a written day skipped records: %v", skipped)
 	}
 	direct := sc.TableViewAt(day)
 	if parsed.Len() != direct.Len() {
@@ -132,12 +137,62 @@ func TestReadDaySkipsUnknownRecords(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	view, err := ReadDay(&buf)
+	view, skipped, err := ReadDay(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if view.Len() != 1 {
 		t.Fatalf("view has %d prefixes", view.Len())
+	}
+	if want := (Skipped{"BGP4MP subtype 0": 1}); !reflect.DeepEqual(skipped, want) {
+		t.Fatalf("skipped %v, want %v", skipped, want)
+	}
+}
+
+// TestReadDayTableDumpV2: a TABLE_DUMP_V2 day — the PEER_INDEX_TABLE, a
+// RIB_IPV4_UNICAST whose two peers see 10.0.0.0/8 from different origins,
+// and an IPv6 RIB — reads as one prefix in MOAS conflict, each route
+// under its peer's identity, and the IPv6 RIB is counted, not dropped
+// silently.
+func TestReadDayTableDumpV2(t *testing.T) {
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	index := &mrt.PeerIndexTable{ViewName: "rv", Peers: []mrt.Peer{
+		{IP: [16]byte{10, 0, 0, 1}, Family: bgp.FamilyIPv4, AS: 701},
+		{IP: [16]byte{10, 0, 0, 2}, Family: bgp.FamilyIPv4, AS: 3356, AS4: true},
+	}}
+	route := func(peer uint16, path ...bgp.ASN) mrt.RIBEntry {
+		return mrt.RIBEntry{PeerIndex: peer, Attrs: &bgp.Attrs{ASPath: bgp.Seq(path...), NextHop: [4]byte{10, 0, 0, byte(peer + 1)}}}
+	}
+	p := bgp.MustParsePrefix("10.0.0.0/8")
+	for _, write := range []func() error{
+		func() error { return w.WritePeerIndexTable(1, index) },
+		func() error {
+			return w.WriteRIB(1, &mrt.RIB{Prefix: p, Entries: []mrt.RIBEntry{route(0, 701, 9), route(1, 3356, 7)}})
+		},
+		func() error {
+			return w.WriteRIB(1, &mrt.RIB{Seq: 1, Prefix: bgp.MustParsePrefix("2001:db8::/32"), Entries: []mrt.RIBEntry{route(0, 701, 9)}})
+		},
+		w.Flush,
+	} {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view, skipped, err := ReadDay(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := core.NewDetector().ObserveView(0, view)
+	if view.Len() != 1 || obs.Count() != 1 || obs.Conflicts[0].Prefix != p {
+		t.Fatalf("%d prefixes, conflicts %+v: want 10.0.0.0/8 in one MOAS conflict", view.Len(), obs.Conflicts)
+	}
+	routes := view.Routes(p)
+	if len(routes) != 2 || routes[0].PeerAS != 701 || routes[1].PeerAS != 3356 || routes[0].PeerID == routes[1].PeerID {
+		t.Fatalf("routes %+v, want one per peer of the index", routes)
+	}
+	if want := (Skipped{SkippedIPv6RIB: 1}); !reflect.DeepEqual(skipped, want) {
+		t.Fatalf("skipped %v, want %v", skipped, want)
 	}
 }
 
@@ -164,7 +219,7 @@ func TestReadDayPeerIdentity(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	view, err := ReadDay(&buf)
+	view, _, err := ReadDay(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +248,11 @@ func TestReadDayGzip(t *testing.T) {
 	if err := gz.Close(); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ReadDay(bytes.NewReader(raw.Bytes()))
+	plain, _, err := ReadDay(bytes.NewReader(raw.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	zipped, err := ReadDay(&gzbuf)
+	zipped, _, err := ReadDay(&gzbuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +260,27 @@ func TestReadDayGzip(t *testing.T) {
 		t.Fatalf("gzip round trip lost prefixes: %d vs %d", plain.Len(), zipped.Len())
 	}
 	// Corrupt gzip header after magic bytes must error cleanly.
-	if _, err := ReadDay(bytes.NewReader([]byte{0x1f, 0x8b, 0xff, 0xff})); err == nil {
+	if _, _, err := ReadDay(bytes.NewReader([]byte{0x1f, 0x8b, 0xff, 0xff})); err == nil {
 		t.Fatal("corrupt gzip accepted")
 	}
 }
 
+// TestReadDayCorruptRecord: a record that does not decode fails the read
+// with its own ordinal — here the third, after two good records of one
+// prefix, which is one distinct prefix read so far.
 func TestReadDayCorruptRecord(t *testing.T) {
 	var buf bytes.Buffer
 	w := mrt.NewWriter(&buf)
+	for _, peerAS := range []bgp.ASN{701, 3356} {
+		td := &mrt.TableDump{
+			Prefix: bgp.MustParsePrefix("10.0.0.0/8"),
+			PeerAS: peerAS,
+			Attrs:  &bgp.Attrs{ASPath: bgp.Seq(peerAS, 9), NextHop: [4]byte{1, 2, 3, 4}},
+		}
+		if err := w.WriteTableDump(1, td); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Hand-write a TABLE_DUMP record with a garbage body.
 	if err := w.WriteRecord(1, mrt.TypeTableDump, mrt.SubtypeAFIIPv4, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
@@ -220,8 +288,12 @@ func TestReadDayCorruptRecord(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadDay(&buf); err == nil {
+	_, _, err := ReadDay(&buf)
+	if err == nil {
 		t.Fatal("corrupt record accepted")
+	}
+	if !strings.HasPrefix(err.Error(), "collector: record 3: ") {
+		t.Fatalf("error %q, want it to name record 3", err)
 	}
 }
 
@@ -265,7 +337,7 @@ func BenchmarkReadDay(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadDay(bytes.NewReader(data)); err != nil {
+		if _, _, err := ReadDay(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -24,17 +25,18 @@ import (
 //	                   prefix, varint first/last/daysObserved,
 //	                   origin set, uvarint class count + varint days
 //	frame: spans     — uvarint count, then varint start, varint end
-//	frame: log       — uvarint count + events
 //
-// where a prefix is binenc.AppendPrefix's compact form, an origin set is
-// a uvarint count followed by uvarint ASNs, and an event is: type byte,
-// varint day, uvarint seq, prefix, origin set, previous origin set,
-// class byte, previous class byte. A history event (version 2) is the
-// compact form a kernel retains (history.go: header byte of type and
-// classes, varint day, origin set, previous origin set), its prefix and
-// seq those of the entry it belongs to; version 1 wrote history events
-// in full, and its reader checks them against their entry and compacts
-// them. Every section is length-prefixed
+// where a prefix is binenc.AppendPrefix's compact form and an origin set
+// is a uvarint count followed by uvarint ASNs. A history event (since
+// version 2) is the compact form a kernel retains (history.go: header
+// byte of type and classes, varint day, origin set, previous origin set),
+// its prefix and seq those of the entry it belongs to. Version 1 wrote
+// history events in full — type byte, varint day, uvarint seq, prefix,
+// origin set, previous origin set, class byte, previous class byte — and
+// its reader checks them against their entry and compacts them. Versions
+// 1 and 2 also ended with a frame of the retained event log (a uvarint
+// count and events in full), which their reader checks and drops.
+// Every section is length-prefixed
 // (binenc.BeginFrame/EndFrame: written in place, no per-section buffer)
 // and every count is validated against the bytes remaining, so truncated
 // or fuzzed input fails cleanly. The codec moves values only: a prefix is
@@ -83,23 +85,12 @@ func readASNs(r *binenc.Reader, arena *[]bgp.ASN) []bgp.ASN {
 	return out
 }
 
-// appendEvent and readEvent are the full encoding of a lifecycle event,
-// what a snapshot writes per event of the retained log (and version 1 per
-// history event). A prefix's history keeps the compact form instead
-// (history.go), which leaves out what the prefix's state already holds.
-func appendEvent(dst []byte, ev *Event) []byte {
-	dst = append(dst, byte(ev.Type))
-	dst = binary.AppendVarint(dst, int64(ev.Day))
-	dst = binary.AppendUvarint(dst, ev.Seq)
-	dst = binenc.AppendPrefix(dst, ev.Prefix)
-	dst = appendASNs(dst, ev.Origins)
-	dst = appendASNs(dst, ev.PrevOrigins)
-	return append(dst, byte(ev.Class), byte(ev.PrevClass))
-}
-
-// readEvent decodes one event, its origin sets carved from *arena. (It
-// returns the event instead of filling one in so that a caller's scratch
-// arena can stay on its stack.)
+// readEvent decodes one event in full, the form versions 1 and 2 wrote
+// per event of the retained log (and version 1 per history event), its
+// origin sets carved from *arena. A prefix's history keeps the compact
+// form instead (history.go), which leaves out what the prefix's state
+// already holds. (It returns the event instead of filling one in so that
+// a caller's scratch arena can stay on its stack.)
 func readEvent(r *binenc.Reader, arena *[]bgp.ASN) (ev Event) {
 	ev.Type, ev.Day, ev.Seq = EventType(r.Byte()), r.Int(), r.Uvarint()
 	ev.Prefix = r.Prefix()
@@ -112,14 +103,6 @@ func readEvent(r *binenc.Reader, arena *[]bgp.ASN) (ev Event) {
 // minEventBytes is the shortest event: type, day, seq, a 2-byte /0
 // prefix, two empty origin sets, two classes.
 const minEventBytes = 9
-
-func appendEvents(dst []byte, evs []Event) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(evs)))
-	for i := range evs {
-		dst = appendEvent(dst, &evs[i])
-	}
-	return dst
-}
 
 func readEvents(r *binenc.Reader) []Event {
 	n := r.Count(minEventBytes)
@@ -139,8 +122,8 @@ func readEvents(r *binenc.Reader) []Event {
 // is sized once instead of growing its way up (at full-scan scale the
 // growth copies and the GC pressure they cause dominate the encode).
 func (s *Snapshot) BinarySizeHint() int {
-	const evBytes = 48 // an event or a conflict with a handful of origins
-	n := 64 + (len(s.Conflicts)+len(s.Log))*evBytes + len(s.ClosedSpans)*6
+	const conflictBytes = 48 // a conflict with a handful of origins
+	n := 64 + len(s.Conflicts)*conflictBytes + len(s.ClosedSpans)*6
 	for i := range s.Prefixes {
 		ps := &s.Prefixes[i]
 		n += 10 + int(ps.Prefix.Bits()+7)/8 + 4*len(ps.Origins) + len(ps.History)
@@ -191,26 +174,22 @@ func AppendSnapshotBinary(dst []byte, s *Snapshot) []byte {
 		dst = binary.AppendVarint(dst, int64(sp.Start))
 		dst = binary.AppendVarint(dst, int64(sp.End))
 	}
-	dst = binenc.EndFrame(dst, start)
-
-	start = len(dst)
-	dst = appendEvents(binenc.BeginFrame(dst), s.Log)
 	return binenc.EndFrame(dst, start)
 }
 
-// DecodeSnapshotBinary parses a binary snapshot of either version.
-// Hostile input errors; it never panics or over-allocates. The result is
-// in the current form — a version-1 image's histories are checked and
-// compacted, and its Version is SnapshotVersion — and shares no memory
-// with data.
+// DecodeSnapshotBinary parses a binary snapshot of any version. Hostile
+// input errors; it never panics or over-allocates. The result is in the
+// current form — a version-1 image's histories are checked and
+// compacted, an older image's event log is checked and dropped, and its
+// Version is SnapshotVersion — and shares no memory with data.
 func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 	if !bytes.HasPrefix(data, snapshotMagic) {
 		return nil, fmt.Errorf("kernel: not a binary snapshot (bad magic)")
 	}
 	r := binenc.NewReader(data[len(snapshotMagic):])
 	version := int(r.Uvarint())
-	if r.Err() == nil && version != 1 && version != SnapshotVersion {
-		return nil, fmt.Errorf("kernel: snapshot version %d, want 1 or %d", version, SnapshotVersion)
+	if r.Err() == nil && (version < 1 || version > SnapshotVersion) {
+		return nil, fmt.Errorf("kernel: snapshot version %d, want 1-%d", version, SnapshotVersion)
 	}
 	s := &Snapshot{Version: SnapshotVersion}
 
@@ -274,10 +253,12 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("kernel: decode binary snapshot spans: %w", err)
 	}
 
-	sec = r.Frame()
-	s.Log = readEvents(sec)
-	if err := binenc.FirstErr(sec, r); err != nil {
-		return nil, fmt.Errorf("kernel: decode binary snapshot log: %w", err)
+	if version < 3 {
+		sec = r.Frame()
+		log := readEvents(sec)
+		if err := cmp.Or(binenc.FirstErr(sec, r), checkLog(log)); err != nil {
+			return nil, fmt.Errorf("kernel: decode binary snapshot log: %w", err)
+		}
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("kernel: %d trailing bytes after binary snapshot", r.Len())

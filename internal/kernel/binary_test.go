@@ -10,27 +10,42 @@ import (
 	"moas/internal/kernel"
 )
 
-// midRunSnapshot drives the shared script to its split point and returns
-// the kernel's snapshot with the events it emitted as the log, as the
-// engine's checkpoint carries them — the populated image (active and
-// dissolved conflicts, history, spans, registry, log) the codec tests
-// encode.
-func midRunSnapshot(t testing.TB) *kernel.Snapshot {
+// midRun drives the shared script to its split point and returns the
+// kernel's snapshot — the populated image (active and dissolved
+// conflicts, history, spans, registry) the codec tests encode — and the
+// events the kernel returned on the way, the log a version-1 or 2 image
+// carried beside it.
+func midRun(t testing.TB) (*kernel.Snapshot, []kernel.Event) {
 	t.Helper()
 	all, splitAt := script()
 	k := kernel.New(kernel.Options{})
 	log := drive(k, all[:splitAt])
-	snap := k.Snapshot()
-	snap.Log = log
+	return k.Snapshot(), log
+}
+
+// midRunSnapshot is midRun's snapshot alone.
+func midRunSnapshot(t testing.TB) *kernel.Snapshot {
+	t.Helper()
+	snap, _ := midRun(t)
 	return snap
 }
 
+// asVersion2 is s as a version-2 image holds it: the current sections
+// under the older number (AppendSnapshotBinaryOld adds the log).
+func asVersion2(s *kernel.Snapshot) *kernel.Snapshot {
+	v2 := *s
+	v2.Version = 2
+	return &v2
+}
+
 // TestBinarySnapshotRoundTrip: both codecs must reproduce the exact
-// snapshot image, the binary one in fewer bytes, and a version-1 binary
-// image of it, its history events in full, must decode to it too.
+// snapshot image, the binary one in fewer bytes, and the images of it
+// the earlier versions wrote — version 1 with its history events in
+// full, versions 1 and 2 with the event log they ended with, in both
+// codecs — must decode to it too, the log dropped.
 func TestBinarySnapshotRoundTrip(t *testing.T) {
-	snap := midRunSnapshot(t)
-	if len(snap.Prefixes) == 0 || len(snap.Conflicts) == 0 || len(snap.Log) == 0 {
+	snap, log := midRun(t)
+	if len(snap.Prefixes) == 0 || len(snap.Conflicts) == 0 || len(log) == 0 {
 		t.Fatalf("fixture snapshot too empty to prove anything: %+v", snap)
 	}
 
@@ -42,16 +57,32 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(snap, decoded) {
 		t.Fatalf("binary round trip changed the snapshot:\nwant %+v\n got %+v", snap, decoded)
 	}
-	v1 := kernel.AppendSnapshotBinaryV1(nil, snap)
-	fromV1, err := kernel.DecodeSnapshotBinary(v1)
-	if err != nil {
-		t.Fatal(err)
+	v1 := kernel.AppendSnapshotBinaryOld(nil, kernel.SnapshotV1(snap), log)
+	v2 := kernel.AppendSnapshotBinaryOld(nil, asVersion2(snap), log)
+	for name, old := range map[string][]byte{"version-1": v1, "version-2": v2} {
+		decoded, err := kernel.DecodeSnapshotBinary(old)
+		if err != nil {
+			t.Fatalf("%s image: %v", name, err)
+		}
+		if !reflect.DeepEqual(snap, decoded) {
+			t.Fatalf("%s image decodes to a different snapshot:\nwant %+v\n got %+v", name, snap, decoded)
+		}
 	}
-	if !reflect.DeepEqual(snap, fromV1) {
-		t.Fatalf("version-1 image decodes to a different snapshot:\nwant %+v\n got %+v", snap, fromV1)
+	if len(bin) >= len(v2) || len(v2) >= len(v1) {
+		t.Fatalf("image sizes by version 3, 2, 1: %d, %d, %d bytes, want each smaller than the one before", len(bin), len(v2), len(v1))
 	}
-	if len(bin) >= len(v1) {
-		t.Fatalf("version 2 (%d bytes) not smaller than version 1 (%d bytes)", len(bin), len(v1))
+	for _, version := range []int{1, 2} {
+		doc, err := kernel.SnapshotJSONOld(snap, version, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded := new(kernel.Snapshot)
+		if err := json.Unmarshal(doc, decoded); err != nil {
+			t.Fatalf("version-%d JSON: %v", version, err)
+		}
+		if !reflect.DeepEqual(snap, decoded) {
+			t.Fatalf("version-%d JSON decodes to a different snapshot:\nwant %+v\n got %+v", version, snap, decoded)
+		}
 	}
 
 	var js bytes.Buffer
@@ -85,11 +116,10 @@ func TestBinarySnapshotRestoreEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := kernel.New(opts)
-	gotLog, err := restoreAll(restored, snap)
-	if err != nil {
+	if err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	gotLog = append(gotLog, drive(restored, all[splitAt:])...)
+	gotLog := append(drive(kernel.New(opts), all[:splitAt]), drive(restored, all[splitAt:])...)
 
 	if w, g := uninterrupted.Snapshot(), restored.Snapshot(); !reflect.DeepEqual(w, g) {
 		t.Fatalf("final snapshots differ:\nwant %+v\n got %+v", w, g)
@@ -101,10 +131,10 @@ func TestBinarySnapshotRestoreEquivalence(t *testing.T) {
 }
 
 // TestBinarySnapshotRejectsDamage: version skew, truncation at every
-// byte boundary, magic corruption and trailing garbage must error — and
-// never panic.
+// byte boundary, magic corruption, trailing garbage and an event log in a
+// current image must error — and never panic.
 func TestBinarySnapshotRejectsDamage(t *testing.T) {
-	snap := midRunSnapshot(t)
+	snap, log := midRun(t)
 	bin := kernel.AppendSnapshotBinary(nil, snap)
 
 	if _, err := kernel.DecodeSnapshotBinary(append(bytes.Clone(bin), 0xFF)); err == nil {
@@ -122,6 +152,20 @@ func TestBinarySnapshotRejectsDamage(t *testing.T) {
 		t.Fatal("corrupt magic accepted")
 	}
 
+	// A current image that goes on with the log frame versions 1 and 2
+	// ended with, or a "log" member, is refused: no writer of this
+	// version puts one there.
+	if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, snap, nil)); err == nil {
+		t.Fatal("version-3 binary snapshot with a log frame accepted")
+	}
+	doc, err := kernel.SnapshotJSONOld(snap, kernel.SnapshotVersion, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc, new(kernel.Snapshot)); err == nil {
+		t.Fatal("version-3 JSON snapshot with a log member accepted")
+	}
+
 	snap.Version = 99
 	if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap)); err == nil {
 		t.Fatal("version-99 binary snapshot accepted")
@@ -129,12 +173,15 @@ func TestBinarySnapshotRejectsDamage(t *testing.T) {
 }
 
 // TestRestoreRejectsBogusClass: a snapshot carrying a class byte past the
-// known classes — in a prefix state, a history event or the retained log
-// — must fail restore up front (deferring it would panic in the first
-// CloseDay's ClassDays indexing), and so must the other images only
-// outside input can produce: a prefix repeated, an entry with no prefix
-// at all. Each is restored as built and again after crossing the binary
-// codec, which moves values and must not launder them.
+// known classes — in a prefix state or a history event — must fail
+// restore up front (deferring it would panic in the first CloseDay's
+// ClassDays indexing), and so must the other images only outside input
+// can produce: a prefix repeated, an entry with no prefix at all. Each is
+// refused as built, and again after crossing each codec in the current
+// version and in version 2, which moves values and must not launder
+// them. A class past the known ones in the event log that versions 1 and
+// 2 carried is refused by their readers, which check the log before they
+// drop it.
 func TestRestoreRejectsBogusClass(t *testing.T) {
 	withHistory := func(s *kernel.Snapshot) *kernel.PrefixSnap {
 		for i := range s.Prefixes {
@@ -145,30 +192,48 @@ func TestRestoreRejectsBogusClass(t *testing.T) {
 		t.Fatal("fixture snapshot has no history")
 		return nil
 	}
-	for name, damage := range map[string]func(s *kernel.Snapshot){
-		"prefix class 200":    func(s *kernel.Snapshot) { s.Prefixes[0].Class = 200 },
-		"log event class 200": func(s *kernel.Snapshot) { s.Log[0].PrevClass = 200 },
-		"history event class 7": func(s *kernel.Snapshot) {
+	refused := func(decode func() (*kernel.Snapshot, error)) bool {
+		s, err := decode()
+		return err != nil || kernel.New(kernel.Options{}).Restore(s) != nil
+	}
+	for name, damage := range map[string]func(s *kernel.Snapshot, log []kernel.Event){
+		"prefix class 200":    func(s *kernel.Snapshot, _ []kernel.Event) { s.Prefixes[0].Class = 200 },
+		"log event class 200": func(_ *kernel.Snapshot, log []kernel.Event) { log[0].PrevClass = 200 },
+		"history event class 7": func(s *kernel.Snapshot, _ []kernel.Event) {
 			// A compact header has three bits per class; the first
 			// event's header follows the one-byte count.
 			ps := withHistory(s)
 			ps.History = bytes.Clone(ps.History)
 			ps.History[1] |= 7 << 2
 		},
-		"prefix repeated":         func(s *kernel.Snapshot) { s.Prefixes = append(s.Prefixes, s.Prefixes[0]) },
-		"conflict without prefix": func(s *kernel.Snapshot) { s.Conflicts[0].Prefix = bgp.Prefix{} },
+		"prefix repeated": func(s *kernel.Snapshot, _ []kernel.Event) {
+			s.Prefixes = append(s.Prefixes, s.Prefixes[0])
+		},
+		"conflict without prefix": func(s *kernel.Snapshot, _ []kernel.Event) { s.Conflicts[0].Prefix = bgp.Prefix{} },
 	} {
-		snap := midRunSnapshot(t)
-		damage(snap)
-		if _, err := restoreAll(kernel.New(kernel.Options{}), snap); err == nil {
-			t.Errorf("restore accepted %s", name)
+		snap, log := midRun(t)
+		damage(snap, log)
+		images := map[string]func() (*kernel.Snapshot, error){
+			"version-2 binary": func() (*kernel.Snapshot, error) {
+				return kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, asVersion2(snap), log))
+			},
 		}
-		decoded, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap))
-		if err != nil {
-			continue // the zero prefix has no binary form: rejected a step earlier
+		if doc, err := kernel.SnapshotJSONOld(snap, 2, log); err == nil { // the zero prefix has no text form
+			images["version-2 JSON"] = func() (*kernel.Snapshot, error) {
+				s := new(kernel.Snapshot)
+				return s, json.Unmarshal(doc, s)
+			}
 		}
-		if _, err := restoreAll(kernel.New(kernel.Options{}), decoded); err == nil {
-			t.Errorf("restore accepted %s after a binary round trip", name)
+		if name != "log event class 200" { // the current version carries no log to damage
+			images["as built"] = func() (*kernel.Snapshot, error) { return snap, nil }
+			images["binary"] = func() (*kernel.Snapshot, error) {
+				return kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap))
+			}
+		}
+		for image, decode := range images {
+			if !refused(decode) {
+				t.Errorf("%s: restore accepted %s", image, name)
+			}
 		}
 	}
 }

@@ -1,12 +1,17 @@
 package kernel
 
-import "slices"
+import (
+	"encoding/binary"
+	"encoding/json"
+	"slices"
+
+	"moas/internal/binenc"
+)
 
 // SnapshotV1 returns s as a version-1 image holds it — every history
 // event in full (FullHistory) — for the tests of the version-1 readers:
-// AppendSnapshotBinary writes it as version 1 did, the two versions
-// differing in the version number and the history bytes alone. The
-// kernel itself writes only the current version.
+// AppendSnapshotBinaryOld writes it as version 1 did. The kernel itself
+// writes only the current version.
 func SnapshotV1(s *Snapshot) *Snapshot {
 	v1 := *s
 	v1.Version = 1
@@ -22,9 +27,35 @@ func SnapshotV1(s *Snapshot) *Snapshot {
 	return &v1
 }
 
-// AppendSnapshotBinaryV1 appends s's version-1 binary encoding.
+// AppendSnapshotBinaryOld appends s's binary encoding as version 1 or 2
+// wrote it: the sections of the current version — s must already be in
+// its version's form, SnapshotV1's for version 1 — followed by the frame
+// of the retained event log those versions ended with, holding log. After
+// a current-version image, that frame is the trailing section its reader
+// refuses.
+func AppendSnapshotBinaryOld(dst []byte, s *Snapshot, log []Event) []byte {
+	dst = AppendSnapshotBinary(dst, s)
+	start := len(dst)
+	dst = appendEvents(binenc.BeginFrame(dst), log)
+	return binenc.EndFrame(dst, start)
+}
+
+// AppendSnapshotBinaryV1 appends s's version-1 binary encoding, with an
+// empty event log.
 func AppendSnapshotBinaryV1(dst []byte, s *Snapshot) []byte {
-	return AppendSnapshotBinary(dst, SnapshotV1(s))
+	return AppendSnapshotBinaryOld(dst, SnapshotV1(s), nil)
+}
+
+// SnapshotJSONOld renders s as a JSON document of the given version with
+// log as its "log" member, the one versions 1 and 2 carried (the two
+// spell histories alike, in full).
+func SnapshotJSONOld(s *Snapshot, version int, log []Event) ([]byte, error) {
+	old := *s
+	old.Version = version
+	return json.Marshal(struct {
+		*Snapshot
+		Log []Event `json:"log,omitempty"`
+	}{&old, log})
 }
 
 // FullHistory is evs as a version-1 binary image carries a history: the
@@ -34,4 +65,26 @@ func FullHistory(evs []Event) History {
 		return nil
 	}
 	return appendEvents(nil, evs)
+}
+
+// appendEvent is readEvent's inverse: a lifecycle event in full, as
+// versions 1 and 2 wrote each event of the retained log and version 1
+// each history event.
+func appendEvent(dst []byte, ev *Event) []byte {
+	dst = append(dst, byte(ev.Type))
+	dst = binary.AppendVarint(dst, int64(ev.Day))
+	dst = binary.AppendUvarint(dst, ev.Seq)
+	dst = binenc.AppendPrefix(dst, ev.Prefix)
+	dst = appendASNs(dst, ev.Origins)
+	dst = appendASNs(dst, ev.PrevOrigins)
+	return append(dst, byte(ev.Class), byte(ev.PrevClass))
+}
+
+// appendEvents is readEvents' inverse: a uvarint count, then the events.
+func appendEvents(dst []byte, evs []Event) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(evs)))
+	for i := range evs {
+		dst = appendEvent(dst, &evs[i])
+	}
+	return dst
 }

@@ -16,9 +16,10 @@ import (
 // corpusSeeds returns the fuzz seed inputs: real snapshots in both
 // encodings plus damaged variants of each, at the current version. The
 // same bytes are committed under testdata/fuzz/FuzzSnapshotRestore (see
-// TestGenerateFuzzCorpus) as the "v2-" seeds, beside the seeds of the
-// same names that version 1 wrote, which stay committed as they were;
-// `go test` and the CI fuzz-smoke step always exercise both.
+// TestGenerateFuzzCorpus) as the "v3-" seeds, beside the "v2-" seeds
+// version 2 wrote and the unprefixed ones version 1 wrote, which stay
+// committed as they were; `go test` and the CI fuzz-smoke step always
+// exercise all three.
 func corpusSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	snap := midRunSnapshot(t)
@@ -30,11 +31,11 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	flipped := bytes.Clone(bin)
 	flipped[len(flipped)/2] ^= 0x40
 	return map[string][]byte{
-		"v2-binary":           bin,
-		"v2-json":             js.Bytes(),
-		"v2-binary-truncated": bin[:len(bin)/2],
-		"v2-json-truncated":   js.Bytes()[:js.Len()/2],
-		"v2-binary-flipped":   flipped,
+		"v3-binary":           bin,
+		"v3-json":             js.Bytes(),
+		"v3-binary-truncated": bin[:len(bin)/2],
+		"v3-json-truncated":   js.Bytes()[:js.Len()/2],
+		"v3-binary-flipped":   flipped,
 		"empty":               {},
 	}
 }
@@ -59,7 +60,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 			return
 		}
 		k := kernel.New(kernel.Options{HistoryCap: 8})
-		if _, err := restoreAll(k, s); err != nil {
+		if err := k.Restore(s); err != nil {
 			return
 		}
 		// A restore that succeeded must leave a working state machine.

@@ -173,7 +173,7 @@ func busiest(t testing.TB, s *kernel.Snapshot) (int, []kernel.Event) {
 
 // TestRestoreCanonicalizesHistory: an image may spell a history's
 // varints long, which no encoder here does — in the compact bytes of a
-// version-2 image or the full events of a version-1 one — and it still
+// current image or the full events of a version-1 one — and it still
 // holds the history it spells. Restore keeps the canonical compact
 // bytes: the re-snapshot is exactly the kernel's own.
 func TestRestoreCanonicalizesHistory(t *testing.T) {
@@ -193,13 +193,13 @@ func TestRestoreCanonicalizesHistory(t *testing.T) {
 	}
 	v1 := kernel.SnapshotV1(base)
 	v1.Prefixes[at].History = long(v1.Prefixes[at].History)
-	viaV1, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, v1))
+	viaV1, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, v1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, snap := range map[string]*kernel.Snapshot{"as built": &asBuilt, "binary": viaBinary, "version-1 binary": viaV1} {
 		k := kernel.New(kernel.Options{})
-		if _, err := restoreAll(k, snap); err != nil {
+		if err := k.Restore(snap); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got := k.Snapshot().Prefixes[at].History; !bytes.Equal(got, canonical) {
@@ -227,8 +227,8 @@ func TestRestoreCanonicalizesHistory(t *testing.T) {
 // TestRestoreRejectsImpossibleHistory: a history no kernel could have
 // retained — an event of no known type, an event naming another prefix,
 // ordinals that skip or that do not end at the prefix's own — is refused
-// by every reader of a form that can spell it: JSON of either version and
-// version-1 binary. The version-2 forms can spell one impossible history
+// by every reader of a form that can spell it: JSON of every version and
+// version-1 binary. The compact forms can spell one impossible history
 // alone, more events than the prefix has ordinals; the binary reader and
 // Restore refuse that one. The unforged history passes every reader, so
 // the forgery is what each refuses.
@@ -260,8 +260,7 @@ func TestRestoreRejectsImpossibleHistory(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, err = restoreAll(kernel.New(kernel.Options{}), s)
-		return err == nil
+		return kernel.New(kernel.Options{}).Restore(s) == nil
 	}
 	for name, forge := range map[string]func(evs []kernel.Event){
 		"as written":              func([]kernel.Event) {},
@@ -278,7 +277,7 @@ func TestRestoreRejectsImpossibleHistory(t *testing.T) {
 		forged := slices.Clone(evs)
 		forge(forged)
 		want := name == "as written"
-		for _, version := range []int{1, 2} {
+		for _, version := range []int{1, 2, kernel.SnapshotVersion} {
 			doc := withJSONHistory(version, forged)
 			if got := restores(func() (*kernel.Snapshot, error) {
 				s := new(kernel.Snapshot)
@@ -288,7 +287,7 @@ func TestRestoreRejectsImpossibleHistory(t *testing.T) {
 			}
 		}
 		v1.Prefixes[at].History = kernel.FullHistory(forged)
-		bin := kernel.AppendSnapshotBinary(nil, v1)
+		bin := kernel.AppendSnapshotBinaryOld(nil, v1, nil)
 		if got := restores(func() (*kernel.Snapshot, error) { return kernel.DecodeSnapshotBinary(bin) }); got != want {
 			t.Errorf("%s: version-1 binary restores: %v, want %v", name, got, want)
 		}
@@ -310,9 +309,9 @@ func TestRestoreRejectsImpossibleHistory(t *testing.T) {
 // kernels at caps that evict on nearly every event and at caps that
 // never do, and holds every prefix's history to what the kernel emitted
 // (its log) through the whole chain of images a deployment meets: a
-// version-1 image restored, imaged in version 2 and restored again must
-// give the same State, and the JSON history arrays of the last image are
-// the events in full, as the version-1 JSON spelled them.
+// version-1 image restored, imaged in the current version and restored
+// again must give the same State, and the JSON history arrays of the
+// last image are the events in full, as the version-1 JSON spelled them.
 func TestHistoryRoundTripProperty(t *testing.T) {
 	prefixes := []bgp.Prefix{
 		bgp.MustParsePrefix("10.0.0.0/8"),

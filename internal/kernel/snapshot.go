@@ -14,11 +14,14 @@ import (
 )
 
 // SnapshotVersion is the current snapshot format version; bump it on
-// incompatible changes to the wire structs below. Version 2 carries a
+// incompatible changes to the wire structs below. Version 3 drops the
+// retained event log that versions 1 and 2 carried after the spans: the
+// events a kernel emits are its caller's to keep. Version 2 carries a
 // prefix's history in the compact form the kernel retains (History);
 // version 1 spelled every history event out in full. Both decoders read
-// either version into the current form, and Restore takes only that.
-const SnapshotVersion = 2
+// any of the three into the current form — an older image's log is
+// checked event by event and dropped — and Restore takes only that.
+const SnapshotVersion = 3
 
 // Snapshot is the image of a kernel: every tracked prefix state, the
 // lifetime conflict records, the closed activation spans and the event
@@ -38,26 +41,30 @@ type Snapshot struct {
 	ClosedSpans []SpanSnap `json:"closed_spans,omitempty"`
 	// Events is the lifecycle-event count emitted so far.
 	Events int `json:"events"`
-	// Log is the retained global event record. The kernel neither fills
-	// nor restores it: a caller that keeps the events Apply returns puts
-	// them here (the engine's checkpoint) and checks them back out with
-	// RestoreEvents. Merge puts it in SortEvents order.
-	Log []Event `json:"log,omitempty"`
 }
 
-// UnmarshalJSON reads a snapshot of either version: their JSON documents
-// differ in the version number alone (a history is always the array of
-// event objects, see PrefixSnap.UnmarshalJSON), so a version-1 document
-// reads as the current version.
+// UnmarshalJSON reads a snapshot of any version: their JSON documents
+// differ in the version number and the "log" member versions 1 and 2
+// carried (a history is always the array of event objects, see
+// PrefixSnap.UnmarshalJSON). An older document's log is checked and
+// dropped, and the document reads as the current version; a current one
+// that carries a log is refused.
 func (s *Snapshot) UnmarshalJSON(data []byte) error {
 	type plain Snapshot // the fields without this method
-	if err := json.Unmarshal(data, (*plain)(s)); err != nil {
+	doc := struct {
+		*plain
+		Log []Event `json:"log"`
+	}{plain: (*plain)(s)}
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return err
 	}
-	if s.Version == 1 {
+	if s.Version == SnapshotVersion && doc.Log != nil {
+		return fmt.Errorf("kernel: version-%d snapshot carries an event log", SnapshotVersion)
+	}
+	if s.Version == 1 || s.Version == 2 {
 		s.Version = SnapshotVersion
 	}
-	return nil
+	return checkLog(doc.Log)
 }
 
 // PrefixSnap is one prefix's serialized state. Class values are the
@@ -122,29 +129,26 @@ func validEvent(ev *Event) error {
 	return cmp.Or(validType(ev.Type), validPrefix(ev.Prefix), validClass(uint8(ev.Class)), validClass(uint8(ev.PrevClass)))
 }
 
-// RestoreEvents returns an image's logged events, checked and with origin
-// sets of their own: the image keeps no claim on what the caller retains.
-func RestoreEvents(evs []Event) ([]Event, error) {
-	dst := slices.Grow([]Event(nil), len(evs))
+// checkLog checks the event log a version-1 or version-2 image carries,
+// which its reader then drops: the image is refused for an event no
+// kernel emits, as it was when the log was restored.
+func checkLog(evs []Event) error {
 	for i := range evs {
-		ev := evs[i]
-		if err := validEvent(&ev); err != nil {
-			return nil, err
+		if err := validEvent(&evs[i]); err != nil {
+			return err
 		}
-		ev.Origins, ev.PrevOrigins = slices.Clone(ev.Origins), slices.Clone(ev.PrevOrigins)
-		dst = append(dst, ev)
 	}
-	return dst, nil
+	return nil
 }
 
-// Snapshot images the kernel's complete state, without a Log (the
-// kernel keeps none). The result shares no mutable memory with the
-// kernel (origin sets and history bytes are copied), so it stays valid
-// while the kernel keeps running. It allocates by the table, not by the
-// event: slices are sized from the table's counts, the one-origin sets of
-// lifecycle-free prefixes — nearly all of a real table — are carved from
-// a single array, the origin sets of the rest from a few, and every
-// history is copied, as the bytes it is, into one.
+// Snapshot images the kernel's complete state. The result shares no
+// mutable memory with the kernel (origin sets and history bytes are
+// copied), so it stays valid while the kernel keeps running. It
+// allocates by the table, not by the event: slices are sized from the
+// table's counts, the one-origin sets of lifecycle-free prefixes — nearly
+// all of a real table — are carved from a single array, the origin sets
+// of the rest from a few, and every history is copied, as the bytes it
+// is, into one.
 func (k *Kernel) Snapshot() *Snapshot {
 	s := &Snapshot{Version: SnapshotVersion, Events: k.events}
 	s.Prefixes = slices.Grow(s.Prefixes, k.tab.Len())
@@ -207,9 +211,8 @@ func (k *Kernel) Restore(s *Snapshot) error { return k.RestorePart(s, 0, 1) }
 // Merge: it loads the prefix states and conflicts ptable.Shard assigns
 // to partition part of parts. Spans and the event count are not
 // prefix-keyed state machines — they only ever feed engine-wide
-// concatenations — so they land on partition 0 wholesale. The log is the
-// caller's (RestoreEvents). Nothing the kernel retains aliases the
-// snapshot.
+// concatenations — so they land on partition 0 wholesale. Nothing the
+// kernel retains aliases the snapshot.
 func (k *Kernel) RestorePart(s *Snapshot, part, parts int) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("kernel: snapshot version %d, want %d", s.Version, SnapshotVersion)
@@ -327,10 +330,9 @@ func (k *Kernel) restoreConflict(cs *ConflictSnap) error {
 // Merge combines prefix-disjoint snapshots (the sharded engine's case,
 // where each shard's kernel owns a hash partition of the prefix space)
 // into one. Prefix states merge in order, conflicts and spans
-// concatenate, event counts add and logs merge; every section ends in
-// its one canonical order — Prefix.Compare, SortEvents for the log — so
-// the merged image, and with it checkpoint bytes, do not depend on how
-// the prefix space was partitioned.
+// concatenate and event counts add; every section ends in its one
+// canonical order, so the merged image, and with it checkpoint bytes, do
+// not depend on how the prefix space was partitioned.
 func Merge(parts []*Snapshot) *Snapshot {
 	out := &Snapshot{Version: SnapshotVersion}
 	prefixes := make([][]PrefixSnap, len(parts))
@@ -339,12 +341,10 @@ func Merge(parts []*Snapshot) *Snapshot {
 		out.Conflicts = append(out.Conflicts, p.Conflicts...)
 		out.ClosedSpans = append(out.ClosedSpans, p.ClosedSpans...)
 		out.Events += p.Events
-		out.Log = append(out.Log, p.Log...)
 	}
 	out.Prefixes = MergeSorted(prefixes, comparePrefixSnaps)
 	slices.SortFunc(out.Conflicts, compareConflictSnaps)
 	slices.SortFunc(out.ClosedSpans, compareSpanSnaps)
-	SortEvents(out.Log)
 	return out
 }
 

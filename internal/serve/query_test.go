@@ -194,7 +194,7 @@ func TestConflictsLimitValidation(t *testing.T) {
 // and leaves, every activation a span of its own.
 func TestHealthzCostIndependentOfState(t *testing.T) {
 	probe := func(days int) (allocs, bytes float64) {
-		e := stream.New(stream.Config{Shards: 2, DisableEventLog: true, HistoryLimit: 4})
+		e := stream.New(stream.Config{Shards: 2, HistoryLimit: 4})
 		defer e.Close()
 		prefixes := make([]bgp.Prefix, 64)
 		for i := range prefixes {

@@ -166,11 +166,8 @@ func newScenario(cfg ScenarioConfig, r *Registry) (*Scenario, error) {
 		DecodeWorkers:    cfg.DecodeWorkers,
 		HistoryLimit:     cfg.History,
 		MaxDistinctAttrs: maxAttrs,
-		// The daemon bounds memory: the global event log is off; event
-		// consumers subscribe through the hub instead.
-		DisableEventLog: true,
-		OnEvent:         hub.Publish,
-		EpisodeLog:      epi,
+		OnEvent:          hub.Publish,
+		EpisodeLog:       epi,
 	}
 	// The engine will hold the live state; keeping the decoded image in
 	// the config would double a restored scenario's resident memory.

@@ -75,7 +75,7 @@ func tinyCheckpoint(t testing.TB) *Checkpoint {
 // engine's image.
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	sc, _, _ := fixtures(t)
-	ck, _ := checkpointAtDay(t, Config{Shards: 2}, len(sc.ObservedDays)/2)
+	ck, _, _ := checkpointAtDay(t, Config{Shards: 2}, len(sc.ObservedDays)/2)
 	if len(ck.Routes) == 0 || len(ck.Kernel.Prefixes) == 0 {
 		t.Fatalf("fixture checkpoint too empty to prove anything")
 	}
@@ -102,7 +102,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	}
 
 	want := tinyCheckpoint(t)
-	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenJSON} {
+	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenJSON, frozenBinarySnap2, frozenJSONSnap2} {
 		got, err := decodeByMagic(frozen(t, path))
 		if err != nil {
 			t.Fatalf("decode of %s: %v", path, err)
@@ -121,7 +121,7 @@ func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	sc, archive, _ := fixtures(t)
 	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 
-	ck, _ := checkpointAtDay(t, Config{Shards: 4}, len(cal.Days)/3)
+	ck, _, before := checkpointAtDay(t, Config{Shards: 4}, len(cal.Days)/3)
 	bin, err := AppendCheckpointBinary(nil, ck)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,8 @@ func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := NewFromCheckpoint(Config{Shards: 2}, thawed)
+	var after eventSink
+	restored, err := NewFromCheckpoint(Config{Shards: 2, OnEvent: after.add}, thawed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +142,10 @@ func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 	restored.Close()
 
-	want := replayAll(t, Config{Shards: 3})
+	want, wantEvents := replayEvents(t, Config{Shards: 3})
 	diffRegistries(t, want.Registry(), restored.Registry())
-	if w, g := want.Events(), restored.Events(); !reflect.DeepEqual(w, g) {
-		t.Fatalf("event logs differ: %d vs %d events", len(w), len(g))
+	if g := acrossCut(before, after.sorted()); !reflect.DeepEqual(wantEvents, g) {
+		t.Fatalf("events differ: %d vs %d", len(wantEvents), len(g))
 	}
 	if w, g := want.Checkpoint().Kernel.ClosedSpans, restored.Checkpoint().Kernel.ClosedSpans; !reflect.DeepEqual(w, g) {
 		t.Fatalf("ended activations differ:\nwant %v\n got %v", w, g)
@@ -160,9 +161,9 @@ func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 // TestBinaryCheckpointRejectsDamage: truncation at every byte boundary,
 // magic corruption, trailing garbage and version skew must error — never
 // panic — in both binary containers, and in the v2 container with a
-// kernel section of snapshot version 1. Those two are frozen fixtures;
-// the v1 container's version slot is the byte after the magic, the v2
-// container's the byte after that.
+// kernel section of snapshot version 1 or 2. Those three are frozen
+// fixtures; the v1 container's version slot is the byte after the magic,
+// the v2 container's the byte after that.
 func TestBinaryCheckpointRejectsDamage(t *testing.T) {
 	ck := tinyCheckpoint(t)
 	v2, err := AppendCheckpointBinary(nil, ck)
@@ -181,11 +182,14 @@ func TestBinaryCheckpointRejectsDamage(t *testing.T) {
 	snap1 := frozen(t, frozenBinaryV2)
 	futureSnap1 := bytes.Clone(snap1)
 	futureSnap1[len(checkpointMagic)+1] = 99
+	snap2 := frozen(t, frozenBinarySnap2)
+	futureSnap2 := bytes.Clone(snap2)
+	futureSnap2[len(checkpointMagic)+1] = 99
 
 	for _, tc := range []struct {
 		name        string
 		bin, future []byte
-	}{{"v2", v2, futureV2}, {"v1", v1, futureV1}, {"v2-snap1", snap1, futureSnap1}} {
+	}{{"v2", v2, futureV2}, {"v1", v1, futureV1}, {"v2-snap1", snap1, futureSnap1}, {"v2-snap2", snap2, futureSnap2}} {
 		t.Run(tc.name, func(t *testing.T) {
 			bin := tc.bin
 			if decoded, err := DecodeCheckpointBinary(bin); err != nil || !reflect.DeepEqual(ck, decoded) {

@@ -18,7 +18,7 @@ import (
 const CheckpointVersion = 1
 
 // Checkpoint is the image of a settled engine: the merged kernel snapshot
-// (episodes, registry, spans, event log), the per-peer route tables the
+// (episodes, registry, spans, event count), the per-peer route tables the
 // kernel's observations are assessed from, and the replay cursor (records
 // consumed), so a replay can resume mid-archive. It is shard-count
 // independent: restoring into an engine with a different Config.Shards
@@ -109,7 +109,6 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		// after its peer entered the table.
 		peers := e.peers.snapshot()
 		parts[i] = s.k.Snapshot()
-		parts[i].Log = s.log // Merge copies it
 		routes[i] = s.routesImage(peers)
 		s.mu.RUnlock()
 	}
@@ -205,17 +204,6 @@ func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 		if err != nil {
 			return fail(err)
 		}
-	}
-	// The retained log feeds only engine-wide reads (Events, Checkpoint),
-	// which merge every shard's, so it lands on shard 0 whole.
-	if s := e.shards[0]; s.keepLog {
-		log, err := kernel.RestoreEvents(ck.Kernel.Log)
-		if err != nil {
-			return fail(err)
-		}
-		s.mu.Lock()
-		s.log = log
-		s.mu.Unlock()
 	}
 
 	// Rebuild the per-peer route tables, re-sharing identical attribute

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,12 +17,16 @@ import (
 
 // checkpointAtDay replays the fixture archive until the given observed
 // day closes, pauses there, waits for the park, checkpoints, and aborts
-// the rest of the replay. It returns the checkpoint and the number of
-// days closed.
-func checkpointAtDay(t testing.TB, cfg Config, stopAfterDays int) (*Checkpoint, int) {
+// the rest of the replay. It returns the checkpoint, the number of days
+// closed and the events OnEvent delivered before the park, in canonical
+// order; an event delivered after the park, before the aborted replay
+// returns and the engine closes, fails the test.
+func checkpointAtDay(t testing.TB, cfg Config, stopAfterDays int) (*Checkpoint, int, []Event) {
 	t.Helper()
 	sc, archive, _ := fixtures(t)
 	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
+	var evs eventSink
+	cfg.OnEvent = evs.add
 	e := New(cfg)
 
 	closed := 0
@@ -51,26 +56,83 @@ func checkpointAtDay(t testing.TB, cfg Config, stopAfterDays int) (*Checkpoint, 
 	case <-time.After(30 * time.Second):
 		t.Fatal("replay never parked")
 	}
+	before := evs.sorted()
 	ck := e.Checkpoint()
 	close(stop)
 	if err := <-done; err != ErrReplayStopped {
 		t.Fatalf("aborted replay returned %v", err)
 	}
 	e.Close()
-	return ck, closed
+	if n := evs.len(); n != len(before) {
+		t.Fatalf("%d events delivered after the park", n-len(before))
+	}
+	return ck, closed, before
+}
+
+// acrossCut is the event record of a run cut by a checkpoint: the events
+// delivered before the park, then the restored engine's, in canonical
+// order.
+func acrossCut(before, after []Event) []Event {
+	evs := slices.Concat(before, after)
+	kernel.SortEvents(evs)
+	return evs
+}
+
+// TestEventsCutAtPark: OnEvent is the engine's one record of lifecycle
+// events, and a checkpoint cuts it cleanly. Every event of what was
+// applied is delivered by the time Pause's channel closes, none arrives
+// between the park and the aborted replay's return, and the restored
+// engine — at another shard count — delivers exactly the rest: together
+// they are the uninterrupted run's events, none lost and none twice. The
+// cut is tried early and late, and the image crosses the binary codec as
+// a recovered checkpoint does.
+func TestEventsCutAtPark(t *testing.T) {
+	sc, archive, _ := fixtures(t)
+	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
+	_, want := replayEvents(t, Config{Shards: 2})
+	for _, c := range []struct{ day, from, to int }{
+		{1, 1, 4}, {2 * len(cal.Days) / 3, 3, 2},
+	} {
+		ck, _, before := checkpointAtDay(t, Config{Shards: c.from}, c.day)
+		bin, err := AppendCheckpointBinary(nil, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		thawed, err := DecodeCheckpointBinary(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var after eventSink
+		restored, err := NewFromCheckpoint(Config{Shards: c.to, OnEvent: after.add}, thawed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Replay(bytes.NewReader(archive), cal, nil); err != nil {
+			t.Fatal(err)
+		}
+		restored.Close()
+		rest := after.sorted()
+		if len(before) == 0 || len(rest) == 0 {
+			t.Fatalf("cut after day close %d: %d events before, %d after: not a cut between events", c.day, len(before), len(rest))
+		}
+		if got := acrossCut(before, rest); !reflect.DeepEqual(want, got) {
+			t.Fatalf("cut after day close %d (%d → %d shards): %d + %d events, uninterrupted %d",
+				c.day, c.from, c.to, len(before), len(rest), len(want))
+		}
+	}
 }
 
 // TestCheckpointResumeMatchesUninterrupted is the persistence acceptance
 // test: an engine restored from a mid-archive checkpoint — even with a
 // different shard count — and fed the rest of the archive ends in exactly
-// the state of an uninterrupted replay: registry, event log, ended
-// activations, active conflicts and counters. The checkpoint crosses JSON
-// to prove the codec round-trips.
+// the state of an uninterrupted replay: registry, events delivered across
+// the cut, ended activations, active conflicts and counters. The
+// checkpoint crosses JSON to prove the codec round-trips.
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	sc, archive, _ := fixtures(t)
 	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 
-	ck, daysClosed := checkpointAtDay(t, Config{Shards: 3}, len(cal.Days)/2)
+	ck, daysClosed, before := checkpointAtDay(t, Config{Shards: 3}, len(cal.Days)/2)
 	if daysClosed != len(cal.Days)/2 {
 		t.Fatalf("paused after %d day closes, want %d", daysClosed, len(cal.Days)/2)
 	}
@@ -89,7 +151,8 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 
 	// Restore into a different shard layout and finish the archive.
-	restored, err := NewFromCheckpoint(Config{Shards: 5}, &thawed)
+	var after eventSink
+	restored, err := NewFromCheckpoint(Config{Shards: 5, OnEvent: after.add}, &thawed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +162,10 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 	restored.Close()
 
-	want := replayAll(t, Config{Shards: 4})
+	want, wantEvents := replayEvents(t, Config{Shards: 4})
 	diffRegistries(t, want.Registry(), restored.Registry())
-	if w, g := want.Events(), restored.Events(); !reflect.DeepEqual(w, g) {
-		t.Fatalf("event logs differ: %d vs %d events", len(w), len(g))
+	if g := acrossCut(before, after.sorted()); !reflect.DeepEqual(wantEvents, g) {
+		t.Fatalf("events differ: %d vs %d", len(wantEvents), len(g))
 	}
 	if w, g := want.Checkpoint().Kernel.ClosedSpans, restored.Checkpoint().Kernel.ClosedSpans; !reflect.DeepEqual(w, g) {
 		t.Fatalf("ended activations differ:\nwant %v\n got %v", w, g)
@@ -120,14 +183,15 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 
 // TestCheckpointOfFinishedEngine: checkpointing after a complete replay
 // and restoring yields the same queryable state, and resuming the replay
-// is a no-op that ends cleanly.
+// is a no-op that ends cleanly: it delivers no event.
 func TestCheckpointOfFinishedEngine(t *testing.T) {
 	sc, archive, _ := fixtures(t)
 	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 	want := replayAll(t, Config{Shards: 2})
 	ck := want.Checkpoint()
 
-	restored, err := NewFromCheckpoint(Config{Shards: 2}, ck)
+	var after eventSink
+	restored, err := NewFromCheckpoint(Config{Shards: 2, OnEvent: after.add}, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +201,11 @@ func TestCheckpointOfFinishedEngine(t *testing.T) {
 	}
 	restored.Close()
 	diffRegistries(t, want.Registry(), restored.Registry())
-	if w, g := want.Events(), restored.Events(); !reflect.DeepEqual(w, g) {
-		t.Fatalf("event logs differ: %d vs %d events", len(w), len(g))
+	if n := after.len(); n != 0 {
+		t.Fatalf("resuming a finished replay delivered %d events", n)
+	}
+	if w, g := want.Stats().Events, restored.Stats().Events; w != g {
+		t.Fatalf("event counts differ: %d vs %d", w, g)
 	}
 }
 
@@ -156,12 +223,13 @@ func TestCheckpointVersionRejected(t *testing.T) {
 
 // TestCheckpointHostileInput feeds both decoders the malformed and
 // adversarial images a hand-edited JSON document or a corrupted file can
-// carry. Each row starts from the scripted checkpoint and damages it —
-// as an image (mutate: both renderings then carry the damage), as JSON
-// text, or as MCKP v2 bytes, whichever can express it — and must end as
-// its want says, at decode or at restore, without a panic and without
-// leaking the shard goroutines NewFromCheckpoint starts before it can
-// know the image is bad.
+// carry. Each row starts from the scripted checkpoint (the rows about an
+// event log from its frozen images with kernel snapshot version 2, the
+// last to carry one) and damages it — as an image (mutate: both
+// renderings then carry the damage), as JSON text, or as MCKP v2 bytes,
+// whichever can express it — and must end as its want says, at decode or
+// at restore, without a panic and without leaking the shard goroutines
+// NewFromCheckpoint starts before it can know the image is bad.
 func TestCheckpointHostileInput(t *testing.T) {
 	pa := bgp.MustParsePrefix("10.0.0.0/8")
 	pc := bgp.MustParsePrefix("2001:db8::/32")
@@ -190,6 +258,17 @@ func TestCheckpointHostileInput(t *testing.T) {
 			return bytes.Replace(bin, old, new, 1)
 		}
 	}
+	// replaceInLog edits the "log" member a kernel snapshot v2 document
+	// carries, which repeats the events of the histories before it.
+	replaceInLog := func(old, new string) func([]byte) []byte {
+		return func(doc []byte) []byte {
+			at := bytes.Index(doc, []byte(`"log":`))
+			if at < 0 || !bytes.Contains(doc[at:], []byte(old)) {
+				t.Fatalf("fixture JSON has no %s in a log", old)
+			}
+			return slices.Concat(doc[:at], bytes.Replace(doc[at:], []byte(old), []byte(new), 1))
+		}
+	}
 	const peer1 = `"peer_ip":"00000000000000000000000000000001"`
 	base := tinyCheckpoint(t)
 	otherAttrs := routesOf(base, pa).Routes[0].Attrs
@@ -216,8 +295,12 @@ func TestCheckpointHostileInput(t *testing.T) {
 		// editSnap1 edits the frozen container-v2 fixture, whose kernel
 		// section is snapshot version 1.
 		editSnap1 func(bin []byte) []byte
-		want      int
-		check     func(t *testing.T, e *Engine)
+		// snap2: editJSON and editBin edit the frozen fixtures whose
+		// kernel section is snapshot version 2, which carries an event
+		// log, instead of the current image.
+		snap2 bool
+		want  int
+		check func(t *testing.T, e *Engine)
 	}{
 		{name: "prefix longer than its family", want: failsDecode,
 			editJSON: replaceJSON(`"prefix":"10.0.0.0/8"`, `"prefix":"10.0.0.0/33"`),
@@ -252,8 +335,18 @@ func TestCheckpointHostileInput(t *testing.T) {
 			mutate: func(ck *Checkpoint) { ck.Kernel.Prefixes = append(ck.Kernel.Prefixes, ck.Kernel.Prefixes[0]) }},
 		{name: "class byte 200 in a prefix state", want: failsRestore,
 			mutate: func(ck *Checkpoint) { ck.Kernel.Prefixes[0].Class = 200 }},
-		{name: "class byte 200 in a logged event", want: failsRestore,
-			mutate: func(ck *Checkpoint) { ck.Kernel.Log[0].PrevClass = 200 }},
+		// The event log of a version-2 kernel section is checked before it
+		// is dropped. Its last event ends 192.0.2.0/24's conflict: type 4,
+		// day 2, seq 2, the prefix (1, 24, 192, 0, 2), no origins, the
+		// previous ones (2, 42, 43), class 0 and previous class 3.
+		{name: "class byte 200 in a logged event", want: failsDecode, snap2: true,
+			editJSON: replaceInLog(`"prev_origins":[42,43],"prev_class":3}`, `"prev_origins":[42,43],"prev_class":200}`),
+			editBin:  replaceBin([]byte{4, 4, 2, 1, 24, 192, 0, 2, 0, 2, 42, 43, 0, 3}, []byte{4, 4, 2, 1, 24, 192, 0, 2, 0, 2, 42, 43, 0, 200})},
+		// A current kernel section carries no log; one that does — a
+		// version-2 section renumbered — is refused.
+		{name: "event log in a current kernel snapshot", want: failsDecode, snap2: true,
+			editJSON: replaceJSON(`"kernel":{"version":2,`, `"kernel":{"version":3,`),
+			editBin:  replaceBin([]byte("MSNP\x02"), []byte("MSNP\x03"))},
 		// Histories no kernel could have retained. 10.0.0.0/8 holds two
 		// events, ordinals 1 and 2. JSON and a version-1 kernel section
 		// spell each event in full — the latter opens 10.0.0.0/8's first
@@ -342,6 +435,10 @@ func TestCheckpointHostileInput(t *testing.T) {
 		}
 		if row.mutate != nil || row.editBin != nil {
 			inputs["binary"] = bin
+		}
+		if row.snap2 {
+			inputs["json"] = bytes.Clone(frozen(t, frozenJSONSnap2))
+			inputs["binary"] = bytes.Clone(frozen(t, frozenBinarySnap2))
 		}
 		if row.editJSON != nil {
 			inputs["json"] = row.editJSON(inputs["json"])

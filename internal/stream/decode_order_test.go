@@ -72,7 +72,8 @@ func TestDecodeErrorOrderingAcrossWorkers(t *testing.T) {
 
 	var wantEvents []Event
 	for _, workers := range []int{1, 4, 8} {
-		e := New(Config{Shards: 2, DecodeWorkers: workers})
+		var evs eventSink
+		e := New(Config{Shards: 2, DecodeWorkers: workers, OnEvent: evs.add})
 		err := e.Replay(bytes.NewReader(archive), cal, nil)
 		e.Close()
 		if err == nil || err.Error() != wantErr {
@@ -89,9 +90,9 @@ func TestDecodeErrorOrderingAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: last closed day %d, want 2 (closes implied by the corrupt record's own timestamp)", workers, st.LastClosedDay)
 		}
 		if wantEvents == nil {
-			wantEvents = e.Events()
-		} else if got := e.Events(); !reflect.DeepEqual(got, wantEvents) {
-			t.Fatalf("workers=%d event log diverged: %d vs %d events", workers, len(got), len(wantEvents))
+			wantEvents = evs.sorted()
+		} else if got := evs.sorted(); !reflect.DeepEqual(got, wantEvents) {
+			t.Fatalf("workers=%d events diverged: %d vs %d", workers, len(got), len(wantEvents))
 		}
 	}
 }
@@ -122,30 +123,26 @@ func TestDecodeTruncationAcrossWorkers(t *testing.T) {
 // TestDecodeWorkerInvariance is the pipeline's equivalence claim: a full
 // fixture replay at workers ∈ {1, 4, 8} produces the batch full scan's
 // registry (driver.RunFullScanScenario over the same scenario) and one
-// event log and binary checkpoint, byte for byte, across worker counts.
+// set of delivered events and binary checkpoint, byte for byte, across
+// worker counts.
 func TestDecodeWorkerInvariance(t *testing.T) {
-	sc, archive, want := fixtures(t)
-	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
+	_, _, want := fixtures(t)
 
 	var wantEvents []Event
 	var wantCk []byte
 	for _, workers := range []int{1, 4, 8} {
-		e := New(Config{Shards: 3, DecodeWorkers: workers})
-		if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		e.Close()
+		e, events := replayEvents(t, Config{Shards: 3, DecodeWorkers: workers})
 		if st := e.Stats(); st.Decode.Workers != workers {
 			t.Fatalf("stats report %d workers, want %d", st.Decode.Workers, workers)
 		}
 		diffRegistries(t, want, e.Registry())
 		ck := checkpointBytes(t, e)
 		if wantEvents == nil {
-			wantEvents, wantCk = e.Events(), ck
+			wantEvents, wantCk = events, ck
 			continue
 		}
-		if got := e.Events(); !reflect.DeepEqual(wantEvents, got) {
-			t.Fatalf("workers=%d event logs differ: %d vs %d events", workers, len(wantEvents), len(got))
+		if !reflect.DeepEqual(wantEvents, events) {
+			t.Fatalf("workers=%d events differ: %d vs %d", workers, len(wantEvents), len(events))
 		}
 		if !bytes.Equal(wantCk, ck) {
 			t.Fatalf("workers=%d binary checkpoint differs (%d vs %d bytes)", workers, len(wantCk), len(ck))
@@ -258,7 +255,7 @@ func TestParallelDecodeCheckpointResume(t *testing.T) {
 	sc, archive, _ := fixtures(t)
 	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 
-	ck, _ := checkpointAtDay(t, Config{Shards: 3, DecodeWorkers: 8}, len(cal.Days)/2)
+	ck, _, before := checkpointAtDay(t, Config{Shards: 3, DecodeWorkers: 8}, len(cal.Days)/2)
 	if ck.Records == 0 {
 		t.Fatalf("checkpoint cursor empty: %+v", ck)
 	}
@@ -273,7 +270,8 @@ func TestParallelDecodeCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := NewFromCheckpoint(Config{Shards: 5, DecodeWorkers: 4}, &thawed)
+	var after eventSink
+	restored, err := NewFromCheckpoint(Config{Shards: 5, DecodeWorkers: 4, OnEvent: after.add}, &thawed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +281,10 @@ func TestParallelDecodeCheckpointResume(t *testing.T) {
 	}
 	restored.Close()
 
-	want := replayAll(t, Config{Shards: 4, DecodeWorkers: 1})
+	want, wantEvents := replayEvents(t, Config{Shards: 4, DecodeWorkers: 1})
 	diffRegistries(t, want.Registry(), restored.Registry())
-	if w, g := want.Events(), restored.Events(); !reflect.DeepEqual(w, g) {
-		t.Fatalf("event logs differ: %d vs %d events", len(w), len(g))
+	if g := acrossCut(before, after.sorted()); !reflect.DeepEqual(wantEvents, g) {
+		t.Fatalf("events differ: %d vs %d", len(wantEvents), len(g))
 	}
 	if !bytes.Equal(checkpointBytes(t, want), checkpointBytes(t, restored)) {
 		t.Fatal("resumed checkpoint differs byte-for-byte from uninterrupted")

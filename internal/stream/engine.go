@@ -40,20 +40,23 @@ type Config struct {
 	// growing with every attrs block ever seen. 0 = unbounded (the replay
 	// default: an archive's distinct-attrs population is finite).
 	MaxDistinctAttrs int
-	// DisableEventLog drops the global per-shard event record that backs
-	// Events(). Long-running daemons set it so memory stays bounded by the
-	// live table plus HistoryLimit; duration stats are unaffected (spans
-	// are tracked incrementally, not derived from the log).
+	// Deprecated: no effect; the engine keeps no event log.
 	DisableEventLog bool
 	// OnEvent, when non-nil, receives every lifecycle event as it is
-	// emitted. Calls come from the shard worker goroutines after the shard
-	// lock is released, so a prefix's events arrive in order but events of
-	// different prefixes interleave arbitrarily. The callback must be fast
-	// and must not block (a blocked callback stalls that shard's worker)
-	// and must not call back into the engine's feed methods. serve's SSE
-	// hub is the intended consumer: it fans events out through buffered
-	// per-subscriber channels and drops slow subscribers instead of
-	// blocking here.
+	// emitted; with EpisodeLog it is the engine's one record of them (the
+	// engine retains none, and a checkpoint carries none). Calls come from
+	// the shard worker goroutines after the shard lock is released, so a
+	// prefix's events arrive in order but events of different prefixes
+	// interleave arbitrarily; kernel.SortEvents puts a collection in its
+	// canonical order. Every event of the updates the engine has taken in
+	// is delivered before a Sync returns or a Pause's channel closes on a
+	// parked replay, and none arrives while the replay stays parked. The
+	// callback must be fast and must not block (a blocked callback stalls
+	// that shard's worker) and must not call back into the engine's feed
+	// methods. Its consumers are serve's SSE hub, which fans events out
+	// through buffered per-subscriber channels and drops slow subscribers
+	// instead of blocking here, and the synth oracle and the tests, which
+	// collect them.
 	OnEvent func(Event)
 	// EpisodeLog, when non-nil, receives the episode record of every
 	// lifecycle event (an open restatement per event, a closing record per
@@ -137,7 +140,7 @@ func New(cfg Config) *Engine {
 	}
 	e.lastClosed.Store(-1)
 	for i := 0; i < cfg.Shards; i++ {
-		s := newShard(cfg.HistoryLimit, !cfg.DisableEventLog, cfg.OnEvent, e.putOps, cfg.EpisodeLog)
+		s := newShard(cfg.HistoryLimit, cfg.OnEvent, e.putOps, cfg.EpisodeLog)
 		s.onFail = e.recordFailure
 		e.shards = append(e.shards, s)
 		e.wg.Add(1)
@@ -313,9 +316,10 @@ func (r *pauseReq) wake() { r.signal.Do(func() { close(r.parked) }) }
 // wakes. Safe from any goroutine (serve's pause endpoint calls it while a
 // replay is in flight); a Pause while one is already pending returns that
 // request's channel. The replay settles all shards (Sync) before parking,
-// so once it has parked, queries see a stable view; feeding resumes when
-// Resume is called. Pausing an engine with no replay in flight simply
-// primes the gate for the next Replay call.
+// so once it has parked, queries see a stable view and OnEvent has
+// delivered every event of what was applied; no event follows until
+// Resume is called and feeding resumes. Pausing an engine with no replay
+// in flight simply primes the gate for the next Replay call.
 func (e *Engine) Pause() <-chan struct{} {
 	for {
 		if req := e.paused.Load(); req != nil {
@@ -542,8 +546,8 @@ type Stats struct {
 	// Source is the live source's connection state when a Run loop is
 	// draining one; nil for replay-fed or idle engines.
 	Source *source.Status `json:"source,omitempty"`
-	// Lifecycle summarizes activation-span durations derived from the
-	// event log (conflict-start/-end pairs), as of the last closed day.
+	// Lifecycle summarizes activation-span durations (each conflict start
+	// to its end, or to the last closed day while open).
 	Lifecycle kernel.LifecycleStats `json:"lifecycle"`
 	// Decode describes the replay decode pipeline; zero-valued (and
 	// omitted) until the engine's first Replay.
@@ -622,19 +626,4 @@ func (e *Engine) decodeStats() DecodeStats {
 		st.FramesPerSec = float64(st.Frames) / sec
 	}
 	return st
-}
-
-// Events returns every lifecycle event emitted so far, in canonical order
-// (day, prefix, per-prefix seq) — deterministic for a given input stream
-// regardless of shard count, which the sharding-invariance test asserts.
-// Empty when the engine runs with DisableEventLog.
-func (e *Engine) Events() []Event {
-	var out []Event
-	for _, s := range e.shards {
-		s.mu.RLock()
-		out = append(out, s.log...)
-		s.mu.RUnlock()
-	}
-	kernel.SortEvents(out)
-	return out
 }

@@ -24,7 +24,7 @@ func TestEpisodeLogBoundedMemory(t *testing.T) {
 	}
 	defer lg.Close()
 
-	e := New(Config{Shards: 1, HistoryLimit: historyCap, DisableEventLog: true, EpisodeLog: lg})
+	e := New(Config{Shards: 1, HistoryLimit: historyCap, EpisodeLog: lg})
 	p := bgp.MustParsePrefix("10.0.0.0/8")
 	peerA := PeerKey{IP: [16]byte{1}, AS: 65001}
 	peerB := PeerKey{IP: [16]byte{2}, AS: 65002}

@@ -12,10 +12,11 @@ import (
 
 // checkpointCorpusSeeds returns the fuzz seed inputs: the scripted
 // checkpoint in every encoding — as written now (JSON and binary
-// container v2, both with kernel snapshot v2: the "-snap2" seeds) and as
-// the frozen fixtures of the earlier forms hold it (container v1, and
-// container v2 and JSON with kernel snapshot v1) — plus damaged variants.
-// Seeds of the same names are committed under
+// container v2, both with kernel snapshot v3: the "-snap3" seeds) and as
+// the frozen fixtures of the earlier forms hold it (container v1;
+// container v2 and JSON with kernel snapshot v1, and with v2: the
+// "-snap2" seeds, written as these forms when they were current) — plus
+// damaged variants. Seeds of the same names are committed under
 // testdata/fuzz/FuzzCheckpointRestore (see
 // TestGenerateCheckpointFuzzCorpus).
 func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
@@ -31,8 +32,10 @@ func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	}
 	seeds := map[string][]byte{"empty": {}}
 	for name, blob := range map[string][]byte{
-		"binary-snap2": bin,
-		"json-snap2":   js.Bytes(),
+		"binary-snap3": bin,
+		"json-snap3":   js.Bytes(),
+		"binary-snap2": frozen(t, frozenBinarySnap2),
+		"json-snap2":   frozen(t, frozenJSONSnap2),
 		"binary":       frozen(t, frozenBinaryV2),
 		"binary-v1":    frozen(t, frozenBinaryV1),
 		"json":         frozen(t, frozenJSON),

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -22,20 +23,26 @@ import (
 // committed as frozen fixtures of the forms that came before, which no
 // writer produces any more and every reader test decodes:
 //
-//	checkpoint_v1.mckpt  container v1, kernel snapshot v1
-//	checkpoint_v2.mckpt  container v2, kernel snapshot v1
-//	checkpoint_v1.json   JSON, kernel snapshot v1
+//	checkpoint_v1.mckpt        container v1, kernel snapshot v1
+//	checkpoint_v2.mckpt        container v2, kernel snapshot v1
+//	checkpoint_v1.json         JSON, kernel snapshot v1
+//	checkpoint_v2_snap2.mckpt  container v2, kernel snapshot v2
+//	checkpoint_v1_snap2.json   JSON, kernel snapshot v2
 //
-// and the written forms carry kernel snapshot v2, whose histories are
-// compact (the _snap2 files).
+// Kernel snapshot v2 made histories compact; the written forms carry
+// kernel snapshot v3 (the _snap3 files), which drops the event log the
+// earlier ones carry — the log a test engine retained then, which every
+// reader checks and drops.
 const (
-	goldenJSON     = "testdata/checkpoint_v1_snap2.json"
-	goldenBinaryV2 = "testdata/checkpoint_v2_snap2.mckpt"
+	goldenJSON     = "testdata/checkpoint_v1_snap3.json"
+	goldenBinaryV2 = "testdata/checkpoint_v2_snap3.mckpt"
 	goldenExpect   = "testdata/checkpoint_v1.expect.json"
 
-	frozenBinaryV1 = "testdata/checkpoint_v1.mckpt"
-	frozenBinaryV2 = "testdata/checkpoint_v2.mckpt"
-	frozenJSON     = "testdata/checkpoint_v1.json"
+	frozenBinaryV1    = "testdata/checkpoint_v1.mckpt"
+	frozenBinaryV2    = "testdata/checkpoint_v2.mckpt"
+	frozenJSON        = "testdata/checkpoint_v1.json"
+	frozenBinarySnap2 = "testdata/checkpoint_v2_snap2.mckpt"
+	frozenJSONSnap2   = "testdata/checkpoint_v1_snap2.json"
 )
 
 // goldenSummary is the restored-state image the fixtures are compared
@@ -101,14 +108,14 @@ func marshalSummary(t testing.TB, sum *goldenSummary) []byte {
 // TestGoldenCheckpointsRestore is the compatibility battery: the frozen
 // fixtures of every earlier form and the written forms must all still
 // decode — each through its codec — and restore to exactly the
-// same committed state summary. All five fixtures image the same engine,
+// same committed state summary. All seven fixtures image the same engine,
 // so one expectation serves.
 func TestGoldenCheckpointsRestore(t *testing.T) {
 	want, err := os.ReadFile(goldenExpect)
 	if err != nil {
 		t.Fatalf("missing golden expectation (regenerate with MOAS_GEN_GOLDEN=1): %v", err)
 	}
-	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenJSON, goldenJSON, goldenBinaryV2} {
+	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenJSON, frozenBinarySnap2, frozenJSONSnap2, goldenJSON, goldenBinaryV2} {
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("missing golden fixture (regenerate with MOAS_GEN_GOLDEN=1): %v", err)
@@ -121,7 +128,7 @@ func TestGoldenCheckpointsRestore(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Fatalf("%s restores to different state than committed:\nwant %s\n got %s", path, want, got)
 		}
-		// All five are images of one engine, so whichever was read
+		// All seven are images of one engine, so whichever was read
 		// re-saves as the committed bytes of either written form: the
 		// codecs are stable to the byte, not only to the state.
 		bin, err := AppendCheckpointBinary(nil, ck)
@@ -189,8 +196,9 @@ func jsonShape(t testing.TB, doc []byte) any {
 // and every text form (prefixes as "addr/len", peer addresses and
 // attribute blocks as hex) — against the committed written form, without
 // pinning the order of entries, which no reader depends on. Kernel
-// snapshot v2 changed no more of it than its version number: the frozen
-// v1 document differs in that alone.
+// snapshot v2 changed no more of it than its version number, and v3 no
+// more than that and the "log" member it drops: the frozen documents
+// differ in those alone.
 func TestCheckpointJSONWireShape(t *testing.T) {
 	want, err := os.ReadFile(goldenJSON)
 	if err != nil {
@@ -204,8 +212,30 @@ func TestCheckpointJSONWireShape(t *testing.T) {
 		t.Fatalf("JSON checkpoint changed shape:\nwant %s\n got %s", want, got.Bytes())
 	}
 	v1 := bytes.Replace(frozen(t, frozenJSON), []byte(`"kernel":{"version":1,`), []byte(`"kernel":{"version":2,`), 1)
-	if !bytes.Equal(v1, want) {
-		t.Fatalf("the written JSON differs from the frozen v1 document beyond the kernel version:\nv1  %s\nnow %s", v1, want)
+	snap2 := frozen(t, frozenJSONSnap2)
+	if !bytes.Equal(v1, snap2) {
+		t.Fatalf("the frozen v2 JSON differs from the frozen v1 document beyond the kernel version:\nv1 %s\nv2 %s", v1, snap2)
+	}
+	// Cut the "log" member, the last of the kernel object, out of the v2
+	// document: from its comma to the bracket that closes its array.
+	at := bytes.Index(snap2, []byte(`,"log":[`))
+	if at < 0 {
+		t.Fatal("the frozen v2 JSON carries no event log")
+	}
+	end, depth := at+len(`,"log":`), 0
+	for ; end < len(snap2); end++ {
+		if snap2[end] == '[' {
+			depth++
+		} else if snap2[end] == ']' {
+			if depth--; depth == 0 {
+				break
+			}
+		}
+	}
+	v3 := slices.Concat(snap2[:at], snap2[end+1:])
+	v3 = bytes.Replace(v3, []byte(`"kernel":{"version":2,`), []byte(`"kernel":{"version":3,`), 1)
+	if !bytes.Equal(v3, want) {
+		t.Fatalf("the written JSON differs from the frozen v2 document beyond the kernel version and log:\nv2  %s\nnow %s", snap2, want)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 // change finally happens.
 func TestUpsertAcrossInternerEpoch(t *testing.T) {
 	const capN = 8
-	e := New(Config{Shards: 1, MaxDistinctAttrs: capN})
+	var delivered eventSink
+	e := New(Config{Shards: 1, MaxDistinctAttrs: capN, OnEvent: delivered.add})
 	defer e.Close()
 	in := e.Interner()
 
@@ -88,7 +89,7 @@ func TestUpsertAcrossInternerEpoch(t *testing.T) {
 	}
 
 	var evs []Event
-	for _, ev := range e.Events() {
+	for _, ev := range delivered.sorted() {
 		if ev.Prefix == p {
 			evs = append(evs, ev)
 		}

@@ -217,7 +217,8 @@ func TestRunTickRecordOrdering(t *testing.T) {
 	clk.Store(d0*86400 + 100)
 
 	src := newChanSource()
-	e := New(Config{Shards: 1})
+	var delivered eventSink
+	e := New(Config{Shards: 1, OnEvent: delivered.add})
 	defer e.Close()
 	ticks := make(chan time.Time)
 	stop := make(chan struct{})
@@ -298,7 +299,7 @@ func TestRunTickRecordOrdering(t *testing.T) {
 
 	// The conflict-start event is stamped with the record's own day.
 	var started bool
-	for _, ev := range e.Events() {
+	for _, ev := range delivered.sorted() {
 		if ev.Type == EventConflictStart {
 			started = true
 			if ev.Day != d0 {

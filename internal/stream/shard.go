@@ -87,14 +87,11 @@ type shard struct {
 	recycle     func([]op)  // returns drained batch slices to the engine pool
 	ch          chan batch
 
-	// log is the shard's retained event record behind Engine.Events, kept
-	// unless Config.DisableEventLog. epLog receives episode records outside
-	// the lock; epBuf stages the batch's records, so a batch with no
-	// lifecycle events — the warm path — costs the episode log nothing.
-	keepLog bool
-	log     []Event
-	epLog   *epilog.Log
-	epBuf   []core.Episode
+	// epLog receives episode records outside the lock; epBuf stages the
+	// batch's records, so a batch with no lifecycle events — the warm
+	// path — costs the episode log nothing.
+	epLog *epilog.Log
+	epBuf []core.Episode
 
 	// Panic containment: onFail reports the first contained panic to
 	// the engine; dead (worker-goroutine-local) flips the shard into
@@ -108,13 +105,12 @@ type shard struct {
 // backpressure on the ingest goroutine.
 const shardQueue = 8
 
-func newShard(historyCap int, keepLog bool, notify func(Event), recycle func([]op), epLog *epilog.Log) *shard {
+func newShard(historyCap int, notify func(Event), recycle func([]op), epLog *epilog.Log) *shard {
 	return &shard{
 		k:       kernel.New(kernel.Options{HistoryCap: historyCap}),
 		notify:  notify,
 		recycle: recycle,
 		ch:      make(chan batch, shardQueue),
-		keepLog: keepLog,
 		epLog:   epLog,
 	}
 }
@@ -320,10 +316,10 @@ func (s *shard) routeCount(head uint32) int {
 // reassess recomputes the prefix's origin set and classification after a
 // route change and drives the observation through the kernel, then routes
 // the lifecycle event the change implies, if any, to each of the shard's
-// sinks: its retained log, the episode log (as the record the kernel
-// derives from it) and the OnEvent subscriber. A staged record's origin
-// sets alias the event's, which the kernel never writes again once
-// emitted, so nothing is copied. The origins come from the nodes' cached
+// sinks: the episode log (as the record the kernel derives from it) and
+// the OnEvent subscriber. A staged record's origin sets alias the
+// event's, which the kernel never writes again once emitted, so nothing
+// is copied. The origins come from the nodes' cached
 // copies and land in the shard's reusable scratch; the kernel commits a
 // fresh copy only when the set actually changed, so the common case — an
 // update that does not flip the origin set — performs zero allocations
@@ -353,9 +349,6 @@ func (s *shard) reassess(id, head uint32, p bgp.Prefix, day int) {
 	}
 	obs := kernel.Obs{Day: day, Prefix: p, Origins: origins, Class: class}
 	for _, ev := range s.k.ApplyAt(id, obs, head != 0) {
-		if s.keepLog {
-			s.log = append(s.log, ev)
-		}
 		if s.epLog != nil {
 			s.epBuf = append(s.epBuf, s.k.Episode(id, &ev))
 		}

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -54,13 +55,51 @@ func fixtures(t testing.TB) (*scenario.Scenario, []byte, *core.Registry) {
 // replayAll runs a full archive replay through a fresh engine and closes it.
 func replayAll(t testing.TB, cfg Config) *Engine {
 	t.Helper()
+	e, _ := replayEvents(t, cfg)
+	return e
+}
+
+// replayEvents is replayAll that also returns the lifecycle events the
+// engine published through OnEvent, in canonical order.
+func replayEvents(t testing.TB, cfg Config) (*Engine, []Event) {
+	t.Helper()
 	sc, archive, _ := fixtures(t)
+	var evs eventSink
+	cfg.OnEvent = evs.add
 	e := New(cfg)
 	if err := e.Replay(bytes.NewReader(archive), NewCalendar(sc.ObservedDays, sc.DayStamp), nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
-	return e
+	return e, evs.sorted()
+}
+
+// eventSink collects the events an engine publishes through
+// Config.OnEvent, which the shard workers call concurrently.
+type eventSink struct {
+	mu  sync.Mutex
+	evs []Event
+}
+
+func (s *eventSink) add(ev Event) {
+	s.mu.Lock()
+	s.evs = append(s.evs, ev)
+	s.mu.Unlock()
+}
+
+func (s *eventSink) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.evs)
+}
+
+// sorted returns the events collected so far in kernel.SortEvents order.
+func (s *eventSink) sorted() []Event {
+	s.mu.Lock()
+	evs := slices.Clone(s.evs)
+	s.mu.Unlock()
+	kernel.SortEvents(evs)
+	return evs
 }
 
 // checkpointBytes returns the engine's binary checkpoint — the strictest
@@ -128,8 +167,8 @@ func TestShardCountInvariance(t *testing.T) {
 		{Shards: 3, BatchSize: 7},
 		{Shards: 8, BatchSize: 1},
 	} {
-		e := replayAll(t, cfg)
-		events, reg := e.Events(), e.Registry()
+		e, events := replayEvents(t, cfg)
+		reg := e.Registry()
 		if baseEvents == nil {
 			baseEvents, baseReg = events, reg
 			if len(baseEvents) == 0 {
@@ -154,10 +193,10 @@ func TestShardCountInvariance(t *testing.T) {
 // contiguous from 1, starts and ends alternate, and only active conflicts
 // change origins or class.
 func TestLifecycleEventsWellFormed(t *testing.T) {
-	e := replayAll(t, Config{Shards: 4})
+	e, events := replayEvents(t, Config{Shards: 4})
 	lastSeq := map[bgp.Prefix]uint64{}
 	inConflict := map[bgp.Prefix]bool{}
-	for _, ev := range e.Events() {
+	for _, ev := range events {
 		if ev.Seq != lastSeq[ev.Prefix]+1 {
 			t.Fatalf("%s: seq %d follows %d", ev.Prefix, ev.Seq, lastSeq[ev.Prefix])
 		}
@@ -219,7 +258,6 @@ func TestConcurrentQueriesDuringReplay(t *testing.T) {
 				e.Involvement(8584)
 				e.Prefix(somePrefix)
 				e.Registry()
-				e.Events()
 			}
 		}()
 	}
@@ -279,12 +317,11 @@ func TestLifecycleOpenBeforeDayClose(t *testing.T) {
 	}
 }
 
-// TestDisableEventLog: the daemon configuration (bounded history, no
-// global log) must not change the registry, span stats or event counts —
-// only Events() goes empty.
-func TestDisableEventLog(t *testing.T) {
+// TestHistoryLimitKeepsRegistry: the daemon configuration (bounded
+// history) must not change the registry, span stats or event counts.
+func TestHistoryLimitKeepsRegistry(t *testing.T) {
 	full := replayAll(t, Config{Shards: 2})
-	lean := replayAll(t, Config{Shards: 2, HistoryLimit: 4, DisableEventLog: true})
+	lean := replayAll(t, Config{Shards: 2, HistoryLimit: 4})
 	diffRegistries(t, full.Registry(), lean.Registry())
 	fs, ls := full.Stats(), lean.Stats()
 	if fs.Events != ls.Events {
@@ -292,11 +329,5 @@ func TestDisableEventLog(t *testing.T) {
 	}
 	if fs.Lifecycle != ls.Lifecycle {
 		t.Fatalf("lifecycle stats differ:\n full %+v\n lean %+v", fs.Lifecycle, ls.Lifecycle)
-	}
-	if len(lean.Events()) != 0 {
-		t.Fatal("Events() should be empty with DisableEventLog")
-	}
-	if len(full.Events()) == 0 {
-		t.Fatal("Events() should be populated by default")
 	}
 }

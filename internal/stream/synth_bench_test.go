@@ -179,7 +179,7 @@ func BenchmarkStormReplay(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e := stream.New(stream.Config{
-				Shards: shards, DecodeWorkers: workers, HistoryLimit: 256, DisableEventLog: true,
+				Shards: shards, DecodeWorkers: workers, HistoryLimit: 256,
 			})
 			if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 				b.Fatal(err)
@@ -229,7 +229,7 @@ func BenchmarkStormReplayEpilog(b *testing.B) {
 					b.Fatal(err)
 				}
 				e := stream.New(stream.Config{
-					Shards: shards, HistoryLimit: 256, DisableEventLog: true, EpisodeLog: lg,
+					Shards: shards, HistoryLimit: 256, EpisodeLog: lg,
 				})
 				if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 					b.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"moas/internal/bgp"
@@ -113,13 +114,14 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 	// same events, registry and checkpoint bytes as the first.
 	var ref *legResult
 	for _, n := range opts.ShardCounts {
-		e := stream.New(stream.Config{Shards: n})
+		var evs collector
+		e := stream.New(stream.Config{Shards: n, OnEvent: evs.add})
 		if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 			e.Close()
 			return nil, fmt.Errorf("oracle: replay %d shards: %w", n, err)
 		}
 		e.Close()
-		leg, err := engineResult(fmt.Sprintf("stream-%dshard", n), e)
+		leg, err := engineResult(fmt.Sprintf("stream-%dshard", n), e, evs.sorted())
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +139,8 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 	// epoch-anchored days early; CloseFinalDay gives EOF the same final
 	// close replay performs.
 	{
-		e := stream.New(stream.Config{Shards: 4})
+		var evs collector
+		e := stream.New(stream.Config{Shards: 4, OnEvent: evs.add})
 		src := source.NewFileReader(bytes.NewReader(archive), "synth", e.Interner())
 		err := e.Run(src, &stream.RunOptions{
 			CloseFinalDay: true,
@@ -149,7 +152,7 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 			return nil, fmt.Errorf("oracle: file-source run: %w", err)
 		}
 		e.Close()
-		leg, err := engineResult("file-source", e)
+		leg, err := engineResult("file-source", e, evs.sorted())
 		if err != nil {
 			return nil, err
 		}
@@ -171,13 +174,17 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 	}
 
 	// Kill/resume leg: checkpoint mid-run, abort, restore at a different
-	// shard count, finish the archive. Crash recovery must be invisible.
+	// shard count, finish the archive. Crash recovery must be invisible:
+	// the events the killed engine published up to its park, followed by
+	// the restored engine's, are the uninterrupted run's — none lost at
+	// the cut and none published twice.
 	{
-		ck, err := checkpointAt(archive, cal, stream.Config{Shards: 2}, killDay)
+		var evs collector
+		ck, err := checkpointAt(archive, cal, stream.Config{Shards: 2}, killDay, &evs)
 		if err != nil {
 			return nil, err
 		}
-		e, err := stream.NewFromCheckpoint(stream.Config{Shards: 3}, ck)
+		e, err := stream.NewFromCheckpoint(stream.Config{Shards: 3, OnEvent: evs.add}, ck)
 		if err != nil {
 			return nil, fmt.Errorf("oracle: restore: %w", err)
 		}
@@ -186,7 +193,7 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 			return nil, fmt.Errorf("oracle: resumed replay: %w", err)
 		}
 		e.Close()
-		leg, err := engineResult(fmt.Sprintf("kill-resume@day%d", killDay), e)
+		leg, err := engineResult(fmt.Sprintf("kill-resume@day%d", killDay), e, evs.sorted())
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +221,8 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("oracle: epilog-replay open: %w", err)
 		}
-		e := stream.New(stream.Config{Shards: 4, EpisodeLog: lg})
+		var evs collector
+		e := stream.New(stream.Config{Shards: 4, EpisodeLog: lg, OnEvent: evs.add})
 		if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 			e.Close()
 			return nil, fmt.Errorf("oracle: epilog-replay: %w", err)
@@ -222,7 +230,7 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 		e.Close()
 		// The log rides along without perturbing the engine: this leg must
 		// still byte-match the reference checkpoint.
-		leg, err := engineResult("epilog-replay", e)
+		leg, err := engineResult("epilog-replay", e, evs.sorted())
 		if err != nil {
 			return nil, err
 		}
@@ -249,7 +257,7 @@ func Run(cfg synth.Config, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("oracle: epilog-kill open: %w", err)
 		}
-		ck, err := checkpointAt(archive, cal, stream.Config{Shards: 2, EpisodeLog: lg}, killDay)
+		ck, err := checkpointAt(archive, cal, stream.Config{Shards: 2, EpisodeLog: lg}, killDay, new(collector))
 		if cerr := lg.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("oracle: epilog-kill close: %w", cerr)
 		}
@@ -328,12 +336,36 @@ type legResult struct {
 	reg    []*core.Conflict
 }
 
-func engineResult(name string, e *stream.Engine) (*legResult, error) {
+// engineResult is a finished engine's leg: its checkpoint, its registry
+// and events, the ones its OnEvent published in canonical order.
+func engineResult(name string, e *stream.Engine, events []stream.Event) (*legResult, error) {
 	ck, err := stream.AppendCheckpointBinary(nil, e.Checkpoint())
 	if err != nil {
 		return nil, fmt.Errorf("oracle: %s: encode checkpoint: %w", name, err)
 	}
-	return &legResult{name: name, ck: ck, events: e.Events(), reg: e.Registry().Conflicts()}, nil
+	return &legResult{name: name, ck: ck, events: events, reg: e.Registry().Conflicts()}, nil
+}
+
+// collector keeps the events an engine publishes through Config.OnEvent,
+// which the shard workers call concurrently.
+type collector struct {
+	mu  sync.Mutex
+	evs []stream.Event
+}
+
+func (c *collector) add(ev stream.Event) {
+	c.mu.Lock()
+	c.evs = append(c.evs, ev)
+	c.mu.Unlock()
+}
+
+// sorted returns the events collected so far in kernel.SortEvents order.
+func (c *collector) sorted() []stream.Event {
+	c.mu.Lock()
+	evs := slices.Clone(c.evs)
+	c.mu.Unlock()
+	kernel.SortEvents(evs)
+	return evs
 }
 
 func (l *legResult) diff(ref *legResult) error {
@@ -470,8 +502,12 @@ func runBatch(archive []byte, days int) ([]kernel.Event, *core.Registry, uint64,
 }
 
 // checkpointAt replays until stopAfterDays day closes, pauses, takes a
-// checkpoint and aborts — the oracle's simulated crash.
-func checkpointAt(archive []byte, cal stream.Calendar, cfg stream.Config, stopAfterDays int) (*stream.Checkpoint, error) {
+// checkpoint and aborts — the oracle's simulated crash. The events the
+// engine published go to evs, and checkpointAt fails if one is published
+// after the park: the park is the cut a restored engine's events
+// continue from.
+func checkpointAt(archive []byte, cal stream.Calendar, cfg stream.Config, stopAfterDays int, evs *collector) (*stream.Checkpoint, error) {
+	cfg.OnEvent = evs.add
 	e := stream.New(cfg)
 	stop := make(chan struct{})
 	done := make(chan error, 1)
@@ -500,12 +536,16 @@ func checkpointAt(archive []byte, cal stream.Calendar, cfg stream.Config, stopAf
 	case <-time.After(60 * time.Second):
 		return nil, fmt.Errorf("oracle: kill leg: replay never parked")
 	}
+	parked := len(evs.sorted())
 	ck := e.Checkpoint()
 	close(stop)
 	if err := <-done; err != stream.ErrReplayStopped {
 		return nil, fmt.Errorf("oracle: kill leg: aborted replay returned %v", err)
 	}
 	e.Close()
+	if n := len(evs.sorted()); n != parked {
+		return nil, fmt.Errorf("oracle: kill leg: %d events published after the park", n-parked)
+	}
 	return ck, nil
 }
 
