@@ -27,8 +27,8 @@ allocs:
 # bench prints the stream layer's go-test benchmarks — the ones that
 # carry what moasbench cannot see from outside: allocs/update and
 # distinct-attrs on the replay (with the episode-log-enabled variant),
-# the shards × decode-workers grid on the 1M-prefix table and on the
-# storm corpus (BenchmarkSynthReplay, BenchmarkStormReplay), the storm
+# 1 and GOMAXPROCS shards on the 1M-prefix table and on the storm
+# corpus (BenchmarkSynthReplay, BenchmarkStormReplay), the storm
 # with an episode log attached and the log's writes per episode
 # (BenchmarkStormReplayEpilog), live-serve's table transfer through a
 # BGP speaker into Engine.Run (BenchmarkLiveTransfer: updates/s and
@@ -91,7 +91,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzBGPSessionMessages -fuzztime $(FUZZTIME) ./internal/source/bgpd
 	$(GO) test -run XXX -fuzz FuzzTruthLogDecode -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run XXX -fuzz FuzzEpisodeLogDecode -fuzztime $(FUZZTIME) ./internal/epilog
-	$(GO) test -run XXX -fuzz FuzzInternConcurrent -fuzztime $(FUZZTIME) ./internal/bgp
+	$(GO) test -run XXX -fuzz FuzzIntern -fuzztime $(FUZZTIME) ./internal/bgp
 	$(GO) test -run XXX -fuzz FuzzParsePrefix -fuzztime $(FUZZTIME) ./internal/bgp
 	$(GO) test -run XXX -fuzz FuzzPrefixTable -fuzztime $(FUZZTIME) ./internal/ptable
 

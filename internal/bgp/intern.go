@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"bytes"
-	"sync"
 	"sync/atomic"
 )
 
@@ -43,54 +42,26 @@ import (
 // Interned Attrs values are shared and must be treated as immutable by
 // every holder.
 //
-// Intern is safe for concurrent use: the table is striped by hash into
-// independently locked buckets, each with its own chain table, scratch
-// decode value and arenas, so parallel decode workers interning disjoint
-// blocks rarely contend and workers interning the same block serialize
-// only on that block's stripe. The one-canonical-pointer-per-wire-block
-// invariant holds across goroutines within an epoch: a block's stripe is
-// a pure function of its bytes, and that stripe's mutex makes each
-// insert a read-check-commit critical section. Cap-triggered epoch
-// rebuilds take a writer lock that excludes every in-flight Intern, so
-// an epoch flip is globally atomic; under concurrency the cap is
-// enforced to within the number of simultaneously committing workers
-// (each checks the cap before its own commit).
+// An interner has one writer: Intern and SetCap must not run
+// concurrently with each other. In the engine that writer is the
+// goroutine feeding it — Replay's framer or Run's source puller, which
+// never run at once — and a checkpoint restore decodes through a private
+// interner of its own. Len, Epochs and Bytes are safe to call from any
+// goroutine while the writer runs.
 type AttrsInterner struct {
 	asn4 bool
 	// capN bounds the distinct blocks held per epoch; 0 = unbounded.
-	capN   atomic.Int64
+	capN int64
+	// Read by other goroutines (/stats), so atomic.
 	n      atomic.Int64 // distinct blocks in the current epoch
 	epochs atomic.Int64 // rebuilds performed (0 until the first cap hit)
 	bytes  atomic.Int64 // approximate arena bytes committed this epoch
 
-	// epochMu coordinates cap rebuilds with in-flight interning: Intern
-	// holds the read side while it probes and commits into a stripe, the
-	// rebuild takes the write side and resets every stripe at once. Lock
-	// order is epochMu before stripe.mu, always.
-	epochMu sync.RWMutex
-	stripes [internStripes]internStripe
-}
-
-// internStripes is the lock-striping factor: a power of two at or above
-// the decode-worker counts the replay pipeline runs (GOMAXPROCS), so two
-// workers interning different blocks rarely share a mutex. Higher counts
-// buy little — the hit-path critical section is a single hash probe —
-// and cost per-stripe arena and table overhead on every engine.
-const internStripes = 16
-
-// internStripe is one independently locked slice of the table. Each
-// stripe owns a full copy of the interner's machinery — chain map, entry
-// table, scratch decode value and arenas — so stripes never share
-// mutable state and a stripe's mutex is the only synchronization a
-// probe or commit needs (beyond the epoch read lock).
-type internStripe struct {
-	mu sync.Mutex
 	// m maps an FNV-1a hash of the wire bytes to the head of a chain of
 	// entries (collisions resolved by byte comparison). Indexing entries
 	// by position keeps the table pointer-free and the probe alloc-free.
-	// Created lazily on the stripe's first commit (probing a nil map is
-	// a miss), so constructing an interner allocates nothing per stripe
-	// and stripes an archive never hashes into stay empty.
+	// Created lazily on the first commit of an epoch (probing a nil map is
+	// a miss), so constructing an interner allocates nothing.
 	m       map[uint64]int32
 	entries []internEntry
 
@@ -131,23 +102,20 @@ func (in *AttrsInterner) ASN4() bool { return in.asn4 }
 // SetCap bounds the distinct blocks held per epoch: once Intern has
 // committed n blocks, the next miss drops the whole table and arenas and
 // starts a fresh epoch (see the type comment for why that is sound and
-// what it bounds). n <= 0 removes the cap. Safe to call concurrently
-// with Intern; the live daemon sets it once at engine construction.
+// what it bounds). n <= 0 removes the cap. The engine sets it once at
+// construction.
 func (in *AttrsInterner) SetCap(n int) {
-	if n < 0 {
-		n = 0
-	}
-	in.capN.Store(int64(n))
+	in.capN = int64(max(n, 0))
 }
 
-// Epochs returns the number of cap-triggered rebuilds so far. Safe to
-// call concurrently with Intern.
+// Epochs returns the number of cap-triggered rebuilds so far. Safe from
+// any goroutine.
 func (in *AttrsInterner) Epochs() int { return int(in.epochs.Load()) }
 
 // Bytes returns the approximate arena bytes committed in the current
 // epoch — the tunable half of the interner's footprint (old epochs'
-// chunks survive only through still-referenced blocks). Safe to call
-// concurrently with Intern.
+// chunks survive only through still-referenced blocks). Safe from any
+// goroutine.
 func (in *AttrsInterner) Bytes() int64 { return in.bytes.Load() }
 
 // Per-block byte estimates for Bytes accounting. Exact sizes depend on
@@ -158,115 +126,71 @@ const (
 	internEntryBytes   = 48 // one table entry + map slot
 )
 
-// rebuildAtCap starts a fresh epoch: under the epoch writer lock (which
-// excludes every in-flight Intern) each stripe's table and arenas are
-// released to the GC (kept alive only by still-referenced blocks) and
-// interning restarts empty. The cap is re-checked under the lock so
-// that when several workers hit it together only the first rebuilds —
-// the rest see the already-reset table and retry into the new epoch.
-func (in *AttrsInterner) rebuildAtCap() {
-	in.epochMu.Lock()
-	defer in.epochMu.Unlock()
-	c := in.capN.Load()
-	if c <= 0 || in.n.Load() < c {
-		return
-	}
-	for i := range in.stripes {
-		s := &in.stripes[i]
-		s.m = nil
-		s.entries = nil
-		s.attrsArena = nil
-		s.aggArena = nil
-		s.segArena = nil
-		s.asnArena = nil
-		s.u32Arena = nil
-		s.keyArena = nil
-	}
-	in.n.Store(0)
-	in.bytes.Store(0)
-	in.epochs.Add(1)
-}
-
 // Intern returns the canonical *Attrs for the attribute block wire,
 // decoding and caching it on first sight. A hit performs zero
 // allocations; a miss amortizes to near zero through the arenas. The
-// returned value is shared: callers must not mutate it. Safe for
-// concurrent use (see the type comment).
+// returned value is shared: callers must not mutate it.
 func (in *AttrsInterner) Intern(wire []byte) (*Attrs, error) {
 	h := hashBytes(wire)
-	// The top hash bits pick the stripe; the chain map consumes the rest.
-	s := &in.stripes[(h>>57)&(internStripes-1)]
-	for {
-		in.epochMu.RLock()
-		s.mu.Lock()
-		head, ok := s.m[h]
-		if ok {
-			for i := head; i >= 0; i = s.entries[i].next {
-				if bytes.Equal(s.entries[i].wire, wire) {
-					a := s.entries[i].attrs
-					s.mu.Unlock()
-					in.epochMu.RUnlock()
-					return a, nil
-				}
-			}
-		} else {
-			head = -1
-		}
-		if err := s.scratch.decodeAttrsInto(wire, in.asn4); err != nil {
-			s.mu.Unlock()
-			in.epochMu.RUnlock()
-			return nil, err
-		}
-		if c := in.capN.Load(); c > 0 && in.n.Load() >= c {
-			// Cap hit: this commit must land in a fresh epoch. Release
-			// both locks (the rebuild needs the epoch writer side), flip
-			// the epoch, and retry from the top — the re-probe misses in
-			// the empty table and the re-decode is the rare-path cost of
-			// keeping the hit path lock-cheap.
-			s.mu.Unlock()
-			in.epochMu.RUnlock()
-			in.rebuildAtCap()
-			continue
-		}
-		a := s.commit(wire, h, head)
-		sz := internAttrsBytes + internEntryBytes + len(wire)
-		for _, seg := range a.ASPath {
-			sz += internSegmentBytes + 4*len(seg.ASes)
-		}
-		sz += 4 * len(a.Communities)
-		in.n.Add(1)
-		in.bytes.Add(int64(sz))
-		s.mu.Unlock()
-		in.epochMu.RUnlock()
-		return a, nil
+	head, ok := in.m[h]
+	if !ok {
+		head = -1
 	}
+	for i := head; i >= 0; i = in.entries[i].next {
+		if bytes.Equal(in.entries[i].wire, wire) {
+			return in.entries[i].attrs, nil
+		}
+	}
+	if err := in.scratch.decodeAttrsInto(wire, in.asn4); err != nil {
+		return nil, err
+	}
+	if in.capN > 0 && in.n.Load() >= in.capN {
+		// Cap hit: this commit lands in a fresh epoch. The table and
+		// arenas go to the GC, kept alive only by still-referenced blocks.
+		in.m, in.entries = nil, nil
+		in.attrsArena, in.aggArena, in.segArena = nil, nil, nil
+		in.asnArena, in.u32Arena, in.keyArena = nil, nil, nil
+		in.n.Store(0)
+		in.bytes.Store(0)
+		in.epochs.Add(1)
+		head = -1
+	}
+	a := in.commit(wire, h, head)
+	sz := internAttrsBytes + internEntryBytes + len(wire)
+	for _, seg := range a.ASPath {
+		sz += internSegmentBytes + 4*len(seg.ASes)
+	}
+	sz += 4 * len(a.Communities)
+	in.n.Add(1)
+	in.bytes.Add(int64(sz))
+	return a, nil
 }
 
-// commit copies the stripe's scratch decode into the stripe arenas and
-// links the new entry. Caller holds s.mu (and the epoch read lock).
-func (s *internStripe) commit(wire []byte, h uint64, head int32) *Attrs {
-	if s.m == nil {
-		// First commit into this stripe (or this epoch): size for the
-		// typical per-stripe share of a feed's distinct blocks so the
-		// table reaches steady state without growth re-allocations.
-		s.m = make(map[uint64]int32, 256)
-		s.entries = make([]internEntry, 0, 256)
+// commit copies the scratch decode into the arenas and links the new
+// entry at the head of hash h's chain.
+func (in *AttrsInterner) commit(wire []byte, h uint64, head int32) *Attrs {
+	if in.m == nil {
+		// First commit of this epoch: size for a typical feed's distinct
+		// blocks so the table reaches steady state without growth
+		// re-allocations.
+		in.m = make(map[uint64]int32, 4096)
+		in.entries = make([]internEntry, 0, 4096)
 	}
-	a := s.allocAttrs()
-	*a = s.scratch
-	a.ASPath = s.copyPath(s.scratch.ASPath)
-	a.Communities = s.copyU32(s.scratch.Communities)
-	if s.scratch.Aggregator != nil {
-		a.Aggregator = s.allocAgg(*s.scratch.Aggregator)
+	a := in.allocAttrs()
+	*a = in.scratch
+	a.ASPath = in.copyPath(in.scratch.ASPath)
+	a.Communities = in.copyU32(in.scratch.Communities)
+	if in.scratch.Aggregator != nil {
+		a.Aggregator = in.allocAgg(*in.scratch.Aggregator)
 	}
-	s.entries = append(s.entries, internEntry{wire: s.copyKey(wire), attrs: a, next: head})
-	s.m[h] = int32(len(s.entries) - 1)
+	in.entries = append(in.entries, internEntry{wire: in.copyKey(wire), attrs: a, next: head})
+	in.m[h] = int32(len(in.entries) - 1)
 	return a
 }
 
 // Len returns the number of distinct attribute blocks held in the
-// current epoch (all blocks ever seen when no cap is set). Safe to call
-// concurrently with Intern.
+// current epoch (all blocks ever seen when no cap is set). Safe from any
+// goroutine.
 func (in *AttrsInterner) Len() int {
 	return int(in.n.Load())
 }
@@ -280,71 +204,71 @@ func hashBytes(b []byte) uint64 {
 	return h
 }
 
-func (s *internStripe) allocAttrs() *Attrs {
-	if len(s.attrsArena) == cap(s.attrsArena) {
-		s.attrsArena = make([]Attrs, 0, 512)
+func (in *AttrsInterner) allocAttrs() *Attrs {
+	if len(in.attrsArena) == cap(in.attrsArena) {
+		in.attrsArena = make([]Attrs, 0, 512)
 	}
-	s.attrsArena = append(s.attrsArena, Attrs{})
-	return &s.attrsArena[len(s.attrsArena)-1]
+	in.attrsArena = append(in.attrsArena, Attrs{})
+	return &in.attrsArena[len(in.attrsArena)-1]
 }
 
-func (s *internStripe) allocAgg(v Aggregator) *Aggregator {
-	if len(s.aggArena) == cap(s.aggArena) {
-		s.aggArena = make([]Aggregator, 0, 64)
+func (in *AttrsInterner) allocAgg(v Aggregator) *Aggregator {
+	if len(in.aggArena) == cap(in.aggArena) {
+		in.aggArena = make([]Aggregator, 0, 64)
 	}
-	s.aggArena = append(s.aggArena, v)
-	return &s.aggArena[len(s.aggArena)-1]
+	in.aggArena = append(in.aggArena, v)
+	return &in.aggArena[len(in.aggArena)-1]
 }
 
 // copyPath deep-copies p into the segment and ASN arenas. The segments of
 // one path are contiguous, so the Path itself is an arena sub-slice too.
-func (s *internStripe) copyPath(p Path) Path {
+func (in *AttrsInterner) copyPath(p Path) Path {
 	if p == nil {
 		return nil
 	}
-	if len(s.segArena)+len(p) > cap(s.segArena) {
-		s.segArena = make([]Segment, 0, max(512, len(p)))
+	if len(in.segArena)+len(p) > cap(in.segArena) {
+		in.segArena = make([]Segment, 0, max(512, len(p)))
 	}
-	off := len(s.segArena)
+	off := len(in.segArena)
 	for _, seg := range p {
-		s.segArena = append(s.segArena, Segment{Type: seg.Type, ASes: s.copyASNs(seg.ASes)})
+		in.segArena = append(in.segArena, Segment{Type: seg.Type, ASes: in.copyASNs(seg.ASes)})
 	}
-	end := len(s.segArena)
-	return Path(s.segArena[off:end:end])
+	end := len(in.segArena)
+	return Path(in.segArena[off:end:end])
 }
 
-func (s *internStripe) copyASNs(v []ASN) []ASN {
+func (in *AttrsInterner) copyASNs(v []ASN) []ASN {
 	if v == nil {
 		return nil
 	}
-	if len(s.asnArena)+len(v) > cap(s.asnArena) {
-		s.asnArena = make([]ASN, 0, max(4096, len(v)))
+	if len(in.asnArena)+len(v) > cap(in.asnArena) {
+		in.asnArena = make([]ASN, 0, max(4096, len(v)))
 	}
-	off := len(s.asnArena)
-	s.asnArena = append(s.asnArena, v...)
-	end := len(s.asnArena)
-	return s.asnArena[off:end:end]
+	off := len(in.asnArena)
+	in.asnArena = append(in.asnArena, v...)
+	end := len(in.asnArena)
+	return in.asnArena[off:end:end]
 }
 
-func (s *internStripe) copyU32(v []uint32) []uint32 {
+func (in *AttrsInterner) copyU32(v []uint32) []uint32 {
 	if v == nil {
 		return nil
 	}
-	if len(s.u32Arena)+len(v) > cap(s.u32Arena) {
-		s.u32Arena = make([]uint32, 0, max(1024, len(v)))
+	if len(in.u32Arena)+len(v) > cap(in.u32Arena) {
+		in.u32Arena = make([]uint32, 0, max(1024, len(v)))
 	}
-	off := len(s.u32Arena)
-	s.u32Arena = append(s.u32Arena, v...)
-	end := len(s.u32Arena)
-	return s.u32Arena[off:end:end]
+	off := len(in.u32Arena)
+	in.u32Arena = append(in.u32Arena, v...)
+	end := len(in.u32Arena)
+	return in.u32Arena[off:end:end]
 }
 
-func (s *internStripe) copyKey(b []byte) []byte {
-	if len(s.keyArena)+len(b) > cap(s.keyArena) {
-		s.keyArena = make([]byte, 0, max(1<<16, len(b)))
+func (in *AttrsInterner) copyKey(b []byte) []byte {
+	if len(in.keyArena)+len(b) > cap(in.keyArena) {
+		in.keyArena = make([]byte, 0, max(1<<16, len(b)))
 	}
-	off := len(s.keyArena)
-	s.keyArena = append(s.keyArena, b...)
-	end := len(s.keyArena)
-	return s.keyArena[off:end:end]
+	off := len(in.keyArena)
+	in.keyArena = append(in.keyArena, b...)
+	end := len(in.keyArena)
+	return in.keyArena[off:end:end]
 }

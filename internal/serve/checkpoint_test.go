@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -194,4 +196,56 @@ func TestCheckpointConfigValidation(t *testing.T) {
 	if err := nested.normalize(); err == nil {
 		t.Fatal("nested checkpoint source accepted")
 	}
+}
+
+// TestDecodeWorkersIgnored: decode_workers, the knob of the decode
+// workers replays no longer have, is accepted in a create body and in a
+// checkpoint's config, so saved bodies and checkpoints that carry it
+// still load, and no scenario stores it: a checkpoint taken afterwards
+// does not carry it.
+func TestDecodeWorkersIgnored(t *testing.T) {
+	reg := NewRegistry()
+	defer reg.Close()
+	srv := httptest.NewServer(NewHandler(reg))
+	defer srv.Close()
+	client := srv.Client()
+
+	checkpoint := func(id string) ScenarioCheckpoint {
+		t.Helper()
+		resp, err := client.Post(srv.URL+"/scenarios/"+id+"/checkpoint", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("checkpoint %s: %d %s", id, resp.StatusCode, raw)
+		}
+		if bytes.Contains(raw, []byte("decode_workers")) {
+			t.Fatalf("checkpoint of %s stores decode_workers", id)
+		}
+		var ck ScenarioCheckpoint
+		if err := json.Unmarshal(raw, &ck); err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+
+	resp, body := postJSON(t, client, srv.URL+"/scenarios",
+		map[string]any{"id": "w", "source": "synth", "scale": "small", "decode_workers": 2})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create with decode_workers: %d %v", resp.StatusCode, body)
+	}
+	ck := checkpoint("w")
+	// As a checkpoint written while the knob was live would carry it.
+	ck.Config.DecodeWorkers = 2
+	resp, body = postJSON(t, client, srv.URL+"/scenarios",
+		map[string]any{"id": "w2", "source": "checkpoint", "checkpoint": ck})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("restore of a checkpoint config with decode_workers: %d %v", resp.StatusCode, body)
+	}
+	checkpoint("w2")
 }

@@ -38,9 +38,9 @@ type ScenarioConfig struct {
 	MaxAttrs int `json:"max_attrs,omitempty"`
 	// Shards is the engine's worker count (0 = GOMAXPROCS).
 	Shards int `json:"shards,omitempty"`
-	// DecodeWorkers is the replay's parallel MRT decode worker count
-	// (0 = GOMAXPROCS). Replay sources only; live sources decode on
-	// their feed goroutine and ignore it.
+	// Deprecated: accepted and ignored, so that a create body or a
+	// checkpoint config written while replays had decode workers still
+	// loads; normalize zeroes it, so it is never stored or echoed.
 	DecodeWorkers int `json:"decode_workers,omitempty"`
 	// DaysPerSec paces the replay in observed days per second (0 = as
 	// fast as possible).
@@ -56,7 +56,7 @@ type ScenarioConfig struct {
 	Start bool `json:"start,omitempty"`
 	// Checkpoint is the state to restore. Source "checkpoint" only; the
 	// source comes from the checkpointed scenario, and so do the knobs
-	// (shards, decode workers, pacing, history, event buffer, max attrs)
+	// (shards, pacing, history, event buffer, max attrs)
 	// the request leaves unset.
 	Checkpoint *ScenarioCheckpoint `json:"checkpoint,omitempty"`
 }
@@ -128,10 +128,9 @@ func validateID(id string) error {
 // are far above any sensible setting, small enough that one create
 // cannot exhaust the process).
 const (
-	MaxShards        = 1024
-	MaxDecodeWorkers = 256
-	MaxHistory       = 1 << 20
-	MaxEventBuffer   = 1 << 20
+	MaxShards      = 1024
+	MaxHistory     = 1 << 20
+	MaxEventBuffer = 1 << 20
 )
 
 // DefaultLiveMaxAttrs is the interner cap applied to live-source
@@ -190,6 +189,7 @@ func (c *ScenarioConfig) normalize() error {
 	} else if ck != nil {
 		return errors.New(`"checkpoint" is only valid with source "checkpoint"`)
 	}
+	c.DecodeWorkers = 0
 	kind := sourceKinds[c.Source]
 	if kind == nil {
 		return fmt.Errorf("%sunknown source %q (want %q, %q, %q, %q or %q)",
@@ -210,6 +210,15 @@ func (c *ScenarioConfig) normalize() error {
 	if c.MaxAttrs < -1 {
 		return errors.New("max_attrs must be >= -1")
 	}
+	if c.Shards < 0 {
+		return errors.New("shards must be >= 0")
+	}
+	if c.History < -1 {
+		return errors.New("history must be >= -1")
+	}
+	if c.EventBuffer < 0 {
+		return errors.New("event_buffer must be >= 0")
+	}
 	// Bound the allocation-driving knobs: these come from untrusted
 	// request bodies, and a single huge value would defeat the
 	// deployment limits (shards allocates goroutines+channels,
@@ -217,24 +226,19 @@ func (c *ScenarioConfig) normalize() error {
 	if c.Shards > MaxShards {
 		return fmt.Errorf("shards must be <= %d", MaxShards)
 	}
-	if c.DecodeWorkers < 0 {
-		return errors.New("decode_workers must be >= 0")
-	}
-	if c.DecodeWorkers > MaxDecodeWorkers {
-		return fmt.Errorf("decode_workers must be <= %d", MaxDecodeWorkers)
-	}
 	if c.History > MaxHistory {
 		return fmt.Errorf("history must be <= %d", MaxHistory)
 	}
 	if c.EventBuffer > MaxEventBuffer {
 		return fmt.Errorf("event_buffer must be <= %d", MaxEventBuffer)
 	}
-	if c.History == 0 {
+	switch c.History {
+	case 0:
 		c.History = 256
-	} else if c.History < 0 {
+	case -1:
 		c.History = 0 // engine convention: 0 = unlimited
 	}
-	if c.EventBuffer <= 0 {
+	if c.EventBuffer == 0 {
 		c.EventBuffer = 1024
 	}
 	return nil
@@ -246,9 +250,6 @@ func (c ScenarioConfig) overlaid(req ScenarioConfig) ScenarioConfig {
 	c.ID, c.Start, c.Checkpoint = req.ID, req.Start, req.Checkpoint
 	if req.Shards != 0 {
 		c.Shards = req.Shards
-	}
-	if req.DecodeWorkers != 0 {
-		c.DecodeWorkers = req.DecodeWorkers
 	}
 	if req.DaysPerSec != 0 {
 		c.DaysPerSec = req.DaysPerSec

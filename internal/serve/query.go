@@ -94,9 +94,14 @@ func nonNegative(name, v string) (int, error) {
 	return n, nil
 }
 
-func parseASN(s string) (bgp.ASN, error) {
-	v, err := strconv.ParseUint(s, 10, 32)
-	return bgp.ASN(v), err
+// parseASN parses an AS number given as a query parameter or a path
+// segment: a decimal uint32 other than 0, which no route originates.
+func parseASN(v string) (bgp.ASN, error) {
+	n, err := strconv.ParseUint(v, 10, 32)
+	if err != nil || n == 0 {
+		return 0, fmt.Errorf("bad as %q: want a positive AS number", v)
+	}
+	return bgp.ASN(n), nil
 }
 
 // serveConflicts is GET /scenarios/{id}/conflicts: the current conflict
@@ -107,7 +112,7 @@ func serveConflicts(w http.ResponseWriter, r *http.Request, s *Scenario) {
 	if v := get.Get("as"); v != "" {
 		a, err := parseASN(v)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad as parameter")
+			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		conflicts = slices.DeleteFunc(conflicts, func(c stream.ConflictInfo) bool {
@@ -173,7 +178,7 @@ func servePrefix(w http.ResponseWriter, r *http.Request, s *Scenario) {
 func serveAS(w http.ResponseWriter, r *http.Request, s *Scenario) {
 	a, err := parseASN(r.PathValue("asn"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad asn")
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, s.Engine().Involvement(a))

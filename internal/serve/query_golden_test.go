@@ -81,7 +81,7 @@ func TestQueryDocumentsGolden(t *testing.T) {
 	const golden = "testdata/query_golden.txt"
 	reg := NewRegistry()
 	defer reg.Close()
-	s, err := reg.Create(ScenarioConfig{ID: "q", Source: SourceSynth, Scale: "small", Shards: 2, DecodeWorkers: 2, DaysPerSec: 0.001})
+	s, err := reg.Create(ScenarioConfig{ID: "q", Source: SourceSynth, Scale: "small", Shards: 2, DaysPerSec: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,13 @@ func TestQueryDocumentsGolden(t *testing.T) {
 		"/conflicts?as=8584&limit=2",
 		"/conflicts?limit=1",
 		"/conflicts?as=x",
+		"/conflicts?as=0",
 		"/prefix/24.10.4.0/23",
 		"/prefix/203.0.113.0/24",
 		"/prefix/not-a-cidr",
 		"/as/8584",
 		"/as/xyz",
+		"/as/0",
 		"/healthz",
 	} {
 		got.Write(fetch(path))

@@ -74,11 +74,11 @@ func episodeQuery(r *http.Request) (epilog.Query, error) {
 		q.Prefix = &p
 	}
 	if v := get.Get("as"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 32)
-		if err != nil || n == 0 {
-			return q, fmt.Errorf("bad as %q: want a positive AS number", v)
+		a, err := parseASN(v)
+		if err != nil {
+			return q, err
 		}
-		q.Origin = bgp.ASN(n)
+		q.Origin = a
 	}
 	if v := get.Get("class"); v != "" {
 		found := false

@@ -163,7 +163,6 @@ func newScenario(cfg ScenarioConfig, r *Registry) (*Scenario, error) {
 	}
 	engCfg := stream.Config{
 		Shards:           cfg.Shards,
-		DecodeWorkers:    cfg.DecodeWorkers,
 		HistoryLimit:     cfg.History,
 		MaxDistinctAttrs: maxAttrs,
 		OnEvent:          hub.Publish,

@@ -412,6 +412,9 @@ func TestScenarioConfigValidation(t *testing.T) {
 		{Source: SourceSynth, DaysPerSec: -1},
 		{Source: SourceSynth, Shards: MaxShards + 1},
 		{Source: SourceSynth, MaxAttrs: -2},
+		{Source: SourceSynth, Shards: -3},
+		{Source: SourceSynth, EventBuffer: -1},
+		{Source: SourceSynth, History: -5},
 	}
 	for _, cfg := range bad {
 		if err := cfg.normalize(); err == nil {

@@ -24,9 +24,10 @@ const (
 
 // Decoder turns framed MRT records into Records — the one BGP4MP record →
 // UPDATE decode sequence in the repository, shared by the archive replay's
-// decode workers (stream) and the File source, so a malformed archive
-// fails identically on either path. A Decoder holds private scratch and is
-// single-goroutine; the interner may be shared (it is concurrent).
+// framer (stream) and the File source, so a malformed archive fails
+// identically on either path. A Decoder holds private scratch and is
+// single-goroutine, and so is its interner: an interner has one writer
+// at a time (see bgp.AttrsInterner).
 type Decoder struct {
 	// Interner canonicalizes decoded attribute blocks; nil decodes
 	// private copies.

@@ -14,7 +14,7 @@ import (
 // the equivalence tests can treat an archive exactly like a feed. Each
 // delivered record is one BGP UPDATE; non-message records and
 // non-update message kinds are skipped (through the Decoder the replay
-// decode workers use, so a malformed archive fails identically). Seq
+// framer uses, so a malformed archive fails identically). Seq
 // counts delivered updates only — the cursor a live checkpoint stores —
 // which deliberately differs from the raw-record cursor Replay keeps for
 // ReplayOptions.Resume.

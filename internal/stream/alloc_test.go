@@ -75,12 +75,12 @@ func (r *loopReader) Read(p []byte) (int, error) {
 // path over the archive — MRT framing, BGP4MP borrow-decode, UPDATE
 // decode through the interner, per-op shard routing — must perform
 // exactly zero allocations per pass, hence 0 allocs/update. Both routes
-// into source.Decoder are gated: the replay pipeline's frame-then-decode
-// pair (the work one framer and one decode worker perform on a warm
-// batch) and the File source's Next. Shard flush/apply is kept out of the
-// measured function (worker timing would make the measurement
-// nondeterministic); its steady state is pinned at 0 allocs/op separately
-// by BenchmarkShardReassess and the pool-recycling test below.
+// into source.Decoder are gated: the replay framer's fill of a warm
+// batch (the "worker" subtest, named for the decode workers the framer
+// replaced) and the File source's Next. Shard flush/apply is kept out of
+// the measured function (worker timing would make the measurement
+// nondeterministic); its steady state is pinned at 0 allocs/op
+// separately by BenchmarkShardReassess and the pool-recycling test below.
 func TestSteadyStateDecodeDispatchZeroAlloc(t *testing.T) {
 	archive := allocGateArchive(t)
 
@@ -109,8 +109,7 @@ func TestSteadyStateDecodeDispatchZeroAlloc(t *testing.T) {
 		e := New(cfg)
 		defer e.Close()
 		br := bytes.NewReader(archive)
-		f := &framer{fr: mrt.NewFramer(br), stage: new(decStage)}
-		dec := &source.Decoder{Interner: e.interner}
+		f := &framer{fr: mrt.NewFramer(br), dec: source.Decoder{Interner: e.interner}, stage: new(decStage)}
 		b := newDecBatch(decBatchLen)
 		gate(t, e, func() {
 			br.Reset(archive)
@@ -118,7 +117,6 @@ func TestSteadyStateDecodeDispatchZeroAlloc(t *testing.T) {
 			for terminal := false; !terminal; {
 				b.reset()
 				terminal = f.fill(b)
-				decodeBatch(dec, b)
 				for i := range b.recs {
 					rec := &b.recs[i]
 					if rec.err != nil {

@@ -15,7 +15,7 @@ import (
 	"moas/internal/ptable"
 )
 
-// benchCounts dedupes a candidate list of shard/worker counts in place
+// benchCounts dedupes a candidate list of shard counts in place
 // of the old hardcoded {1, 4, GOMAXPROCS} — on a single-core box that
 // list emitted shards=1 twice, and benchstat reads the #01 duplicate
 // rows as a second configuration.
@@ -37,9 +37,7 @@ func benchCounts(vals ...int) []int {
 }
 
 // BenchmarkStreamReplay measures full-archive replay throughput across
-// shard counts and decode-worker counts (the same framer → workers
-// pipeline at one worker and at GOMAXPROCS; on a single-core box only
-// workers=1 runs). The custom updates/s metric is the trajectory
+// shard counts. The custom updates/s metric is the trajectory
 // number future PRs track (b.SetBytes additionally reports archive MB/s);
 // allocs/update is the zero-alloc-ingest claim at replay granularity
 // (whole-replay allocations — engine construction, interner misses,
@@ -51,35 +49,33 @@ func BenchmarkStreamReplay(b *testing.B) {
 	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 
 	for _, shards := range benchCounts(1, 4, runtime.GOMAXPROCS(0)) {
-		for _, workers := range benchCounts(1, runtime.GOMAXPROCS(0)) {
-			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-				b.SetBytes(int64(len(archive)))
-				b.ReportAllocs()
-				var msgs uint64
-				var distinct int
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e := New(Config{Shards: shards, DecodeWorkers: workers})
-					if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
-						b.Fatal(err)
-					}
-					e.Close()
-					msgs = e.Stats().Messages
-					distinct = e.DistinctAttrs()
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.SetBytes(int64(len(archive)))
+			b.ReportAllocs()
+			var msgs uint64
+			var distinct int
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := New(Config{Shards: shards})
+				if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				runtime.ReadMemStats(&m1)
-				if total := msgs * uint64(b.N); total > 0 {
-					b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(total), "allocs/update")
-				}
-				b.ReportMetric(float64(distinct), "distinct-attrs")
-				if sec := b.Elapsed().Seconds(); sec > 0 {
-					b.ReportMetric(float64(msgs)*float64(b.N)/sec, "updates/s")
-				}
-			})
-		}
+				e.Close()
+				msgs = e.Stats().Messages
+				distinct = e.DistinctAttrs()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			if total := msgs * uint64(b.N); total > 0 {
+				b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(total), "allocs/update")
+			}
+			b.ReportMetric(float64(distinct), "distinct-attrs")
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(float64(msgs)*float64(b.N)/sec, "updates/s")
+			}
+		})
 	}
 }
 
@@ -101,7 +97,7 @@ func BenchmarkStreamReplayEpilog(b *testing.B) {
 	dir := b.TempDir()
 
 	for _, shards := range benchCounts(1, 4) {
-		b.Run(fmt.Sprintf("shards=%d/workers=1", shards), func(b *testing.B) {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.SetBytes(int64(len(archive)))
 			b.ReportAllocs()
 			var msgs, appended uint64
@@ -117,7 +113,7 @@ func BenchmarkStreamReplayEpilog(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				e := New(Config{Shards: shards, DecodeWorkers: 1, EpisodeLog: lg})
+				e := New(Config{Shards: shards, EpisodeLog: lg})
 				if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 					b.Fatal(err)
 				}

@@ -24,12 +24,7 @@ type Config struct {
 	// BatchSize is the number of route ops buffered per shard before a
 	// dispatch (0 = 256).
 	BatchSize int
-	// DecodeWorkers is the number of parallel MRT decode workers a Replay
-	// runs (0 = GOMAXPROCS): a framing goroutine fans raw record batches
-	// out to the workers and hands them to the ingest loop in archive
-	// order, so results are identical at any setting, 1 included — only
-	// throughput changes. Live sources (Run) decode on their own goroutine
-	// and ignore this.
+	// Deprecated: no effect; a replay decodes on its framing goroutine.
 	DecodeWorkers int
 	// HistoryLimit caps lifecycle events retained per prefix (0 = all).
 	HistoryLimit int
@@ -372,8 +367,11 @@ func (e *Engine) DistinctAttrs() int {
 // Interner exposes the engine's attrs interner for sources that decode
 // on the feed goroutine (Run's puller): sharing it is what makes a
 // JSON-derived or wire-decoded attrs block land on the same canonical
-// pointer a file replay produces. The interner is safe for concurrent
-// use (Replay's decode workers intern through it in parallel).
+// pointer a file replay produces. The interner has one writer at a time
+// (see bgp.AttrsInterner): Replay's framer or the source Run pulls from,
+// and a Replay and a Run on one engine must not overlap. Nothing else may
+// intern through it while either runs; its counters (Len, Epochs, Bytes)
+// are safe to read from any goroutine.
 func (e *Engine) Interner() *bgp.AttrsInterner {
 	return e.interner
 }
@@ -549,17 +547,16 @@ type Stats struct {
 	// Lifecycle summarizes activation-span durations (each conflict start
 	// to its end, or to the last closed day while open).
 	Lifecycle kernel.LifecycleStats `json:"lifecycle"`
-	// Decode describes the replay decode pipeline; zero-valued (and
-	// omitted) until the engine's first Replay.
+	// Decode describes the replay producer; zero-valued (and omitted)
+	// until the engine's first Replay.
 	Decode DecodeStats `json:"decode,omitzero"`
 }
 
-// DecodeStats is the replay decode pipeline's observability view: where
-// the next bottleneck is hiding. RingOccupancy near the ring size means
-// framing is running ahead of decode and apply; occupancy near zero
-// means the framer (archive I/O) is the limit.
+// DecodeStats is the replay producer's observability view: where the
+// next bottleneck is hiding. RingOccupancy near the ring size means the
+// framer (framing and decode) is running ahead of apply; occupancy near
+// zero means the framer is the limit.
 type DecodeStats struct {
-	Workers       int     `json:"workers"`        // decode workers of the current/last replay
 	Frames        uint64  `json:"frames"`         // MRT records framed (read-ahead of the cursor)
 	FramesPerSec  float64 `json:"frames_per_sec"` // framing rate over the current/last replay
 	RingOccupancy int     `json:"ring_occupancy"` // batches somewhere between framing and apply
@@ -606,7 +603,7 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// decodeStats snapshots the decode pipeline from the stage handle the
+// decodeStats snapshots the replay producer from the stage handle the
 // current (or last finished) Replay published.
 func (e *Engine) decodeStats() DecodeStats {
 	ds := e.dec.Load()
@@ -614,7 +611,6 @@ func (e *Engine) decodeStats() DecodeStats {
 		return DecodeStats{}
 	}
 	st := DecodeStats{
-		Workers:       ds.workers,
 		Frames:        ds.frames.Load(),
 		RingOccupancy: int(ds.occupancy.Load()),
 	}

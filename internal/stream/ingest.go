@@ -16,11 +16,10 @@ import (
 
 // feed is everything the ingest loop is parameterized by.
 type feed struct {
-	// out delivers record batches in feed order, the last one carrying the
-	// terminal error; a batch with a ready channel is applied only once
-	// that receives (its decode worker is done). Drained batches go back
-	// to the producer on free, which never blocks (it holds every batch
-	// the producer owns).
+	// out delivers decoded record batches in feed order, the last one
+	// carrying the terminal error. Drained batches go back to the
+	// producer on free, which never blocks (it holds every batch the
+	// producer owns).
 	out  <-chan *decBatch
 	free chan<- *decBatch
 	// clock maps timestamps to observation days.
@@ -156,17 +155,6 @@ func (e *Engine) ingest(f feed) error {
 	}
 	// apply consumes one batch; done reports that ingest should return err.
 	apply := func(b *decBatch) (done bool, err error) {
-		// A worker that panicked never signals ready: stop and failure
-		// must still end the wait.
-		if b.ready != nil {
-			select {
-			case <-b.ready:
-			case <-f.stop:
-				return true, ErrReplayStopped
-			case <-e.failed():
-				return true, e.Err()
-			}
-		}
 		// Gate per batch as well as per record: a resuming archive
 		// producer emits empty batches while it skips the cursor, and this
 		// is where a pause or stop lands during that disk-bound stretch.

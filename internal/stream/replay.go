@@ -89,10 +89,9 @@ func (e *Engine) gate(stop <-chan struct{}) error {
 // collector consumer must. Replay does not Close the engine — callers may
 // keep feeding or querying afterwards.
 //
-// Replay is the ingest loop (ingest.go) over the archive producer — a
-// framing goroutine that hands each batch to Config.DecodeWorkers decode
-// goroutines and, in archive order, to the loop (decode.go) — and the
-// calendar's clock. The record cursor counts raw MRT records, and only
+// Replay is the ingest loop (ingest.go) over the archive producer — one
+// goroutine that frames and decodes the archive into batches, in archive
+// order (decode.go) — and the calendar's clock. The record cursor counts raw MRT records, and only
 // applied ones: decode read-ahead is bounded by the producer's ring and
 // simply discarded if the replay is abandoned, so a parked replay serves
 // a settled view with nothing past the park point reflected in it.

@@ -49,7 +49,7 @@ type RunOptions struct {
 //
 // The source's Next runs on a dedicated puller goroutine — the single
 // goroutine its interner contract requires — which may run up to
-// liveRing batches of liveBatchLen records ahead of the loop; a paused
+// ringBatches batches of liveBatchLen records ahead of the loop; a paused
 // run parks at a record boundary inside its batch, and a stopped run
 // discards that read-ahead. The run owns its transport: it closes the
 // source on return, which is also what unblocks the puller when a Stop
@@ -74,13 +74,11 @@ func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 	// A ring of record batches: the puller fills one while the loop
 	// dispatches earlier ones. A batch returns to free only once
 	// dispatched, so the puller never reuses a record the loop still reads
-	// (ApplyUpdate copies everything it keeps into ops). A live batch
-	// arrives decoded: with a ready channel the loop would wait on a
-	// signal no worker sends.
-	out, free := make(chan *decBatch, liveRing), make(chan *decBatch, liveRing)
+	// (ApplyUpdate copies everything it keeps into ops).
+	out, free := make(chan *decBatch, ringBatches), make(chan *decBatch, ringBatches)
 	for i := 0; i < cap(free); i++ {
 		b := newDecBatch(liveBatchLen)
-		b.ready, b.flush = nil, true
+		b.flush = true
 		free <- b
 	}
 	go pull(src, e.recs.Load(), free, out)
@@ -102,20 +100,12 @@ func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 	return err
 }
 
-// The live ring: liveRing batches of up to liveBatchLen records each.
-// During a table transfer the puller fills whole batches, so the loop
-// takes one channel hop per 64 records instead of one per record; a
-// quiet feed's batches carry what one read delivered, often a single
-// record. Four batches keep the puller at most three ahead of the loop:
-// a deeper ring lets the puller decode on a core of its own while the
-// loop and shards share the other, which doubles a transfer's rate when
-// the host leaves both cores free and halves it when it does not, so
-// the rate would swing from run to run with the host. Read-ahead — what
-// a stop discards — is at most 256 records.
-const (
-	liveRing     = 4
-	liveBatchLen = 64
-)
+// liveBatchLen caps a live batch. During a table transfer the puller
+// fills whole batches, so the loop takes one channel hop per 64 records
+// instead of one per record; a quiet feed's batches carry what one read
+// delivered, often a single record. With ringBatches in the ring,
+// read-ahead — what a stop discards — is at most 256 records.
+const liveBatchLen = 64
 
 // pull is Run's producer: it fills each free batch with consecutive
 // records from src.Next — until the batch is full or src.Buffered says

@@ -457,7 +457,7 @@ func (stepSource) Buffered() bool { return false }
 // startPull runs pull over src with a ring shaped like Run's and returns
 // the ring's ends.
 func startPull(src source.Source, base uint64) (free chan<- *decBatch, out <-chan *decBatch) {
-	f, o := make(chan *decBatch, liveRing), make(chan *decBatch, liveRing)
+	f, o := make(chan *decBatch, ringBatches), make(chan *decBatch, ringBatches)
 	for i := 0; i < cap(f); i++ {
 		f <- newDecBatch(liveBatchLen)
 	}
@@ -723,5 +723,57 @@ func TestRunPauseInsideBatch(t *testing.T) {
 	}
 	if got := eqCheckpoint(t, restored); !bytes.Equal(got, wantCk) {
 		t.Fatalf("run restored at the park differs from the uninterrupted one:\nwant %s\n got %s", wantCk, got)
+	}
+}
+
+// TestReplayThenRunShareInterner: Replay's framer and Run's puller take
+// turns as the engine interner's one writer. Under -race this checks the
+// single-writer contract on one engine: the Run that follows a Replay
+// interns on its own goroutine once the framer has exited, and it hits
+// the blocks the replay interned (the same wire bytes, the same table),
+// while a reader polls the interner's counters through Stats beside both.
+func TestReplayThenRunShareInterner(t *testing.T) {
+	archive := runArchive(t, 12000)
+	cal, err := ArchiveCalendar(bytes.NewReader(archive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Shards: 2})
+	defer e.Close()
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+				_ = e.Stats()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		reader.Wait()
+	}()
+
+	if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
+		t.Fatal(err)
+	}
+	distinct := e.DistinctAttrs()
+	if distinct != 2 {
+		t.Fatalf("replay interned %d attrs blocks, want 2", distinct)
+	}
+	src := source.NewFileReader(bytes.NewReader(archive), "mem", e.Interner())
+	if err := e.Run(src, &RunOptions{Now: func() uint32 { return 0 }}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.DistinctAttrs(); got != distinct {
+		t.Fatalf("run after replay interned %d attrs blocks, want the replay's %d", got, distinct)
+	}
+	if got := e.Stats().Messages; got != 6 {
+		t.Fatalf("%d messages applied, want 3 by the replay and 3 by the run", got)
 	}
 }

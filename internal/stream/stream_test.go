@@ -157,20 +157,23 @@ func TestReplayMatchesFullScan(t *testing.T) {
 }
 
 // TestShardCountInvariance: the engine must be deterministic in its worker
-// layout — same registry and same lifecycle event sequence whether the
-// prefix space runs on one shard or many, with any batch size.
+// layout — the batch full scan's registry, the same lifecycle event
+// sequence and a byte-identical binary checkpoint whether the prefix
+// space runs on one shard or many, with any batch size.
 func TestShardCountInvariance(t *testing.T) {
+	_, _, want := fixtures(t)
 	var baseEvents []Event
-	var baseReg *core.Registry
+	var baseCk []byte
 	for _, cfg := range []Config{
 		{Shards: 1},
 		{Shards: 3, BatchSize: 7},
 		{Shards: 8, BatchSize: 1},
 	} {
 		e, events := replayEvents(t, cfg)
-		reg := e.Registry()
+		diffRegistries(t, want, e.Registry())
+		ck := checkpointBytes(t, e)
 		if baseEvents == nil {
-			baseEvents, baseReg = events, reg
+			baseEvents, baseCk = events, ck
 			if len(baseEvents) == 0 {
 				t.Fatal("replay emitted no lifecycle events")
 			}
@@ -185,7 +188,9 @@ func TestShardCountInvariance(t *testing.T) {
 					cfg.Shards, i, events[i], baseEvents[i])
 			}
 		}
-		diffRegistries(t, baseReg, reg)
+		if !bytes.Equal(ck, baseCk) {
+			t.Fatalf("shards=%d: binary checkpoint differs (%d vs %d bytes)", cfg.Shards, len(ck), len(baseCk))
+		}
 	}
 }
 

@@ -49,7 +49,7 @@ func benchArchive(b *testing.B, name string, cfg synth.Config) ([]byte, stream.C
 	return buf.Bytes(), cal
 }
 
-// dedupeCounts removes duplicates from a candidate shard/worker list so
+// dedupeCounts removes duplicates from a candidate shard list so
 // single-core boxes (where GOMAXPROCS collapses onto 1) don't emit the
 // same sub-benchmark twice with a #01 suffix.
 func dedupeCounts(vals ...int) []int {
@@ -79,15 +79,13 @@ func heapInuse() uint64 {
 	return m.HeapInuse
 }
 
-// replayGrid runs body as one sub-benchmark per cell of the 1 and
-// GOMAXPROCS shards × 1 and GOMAXPROCS decode workers grid.
-func replayGrid(b *testing.B, body func(b *testing.B, shards, workers int)) {
+// replayShards runs body as one sub-benchmark at 1 and at GOMAXPROCS
+// shards.
+func replayShards(b *testing.B, body func(b *testing.B, shards int)) {
 	for _, shards := range dedupeCounts(1, runtime.GOMAXPROCS(0)) {
-		for _, workers := range dedupeCounts(1, runtime.GOMAXPROCS(0)) {
-			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-				body(b, shards, workers)
-			})
-		}
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			body(b, shards)
+		})
 	}
 }
 
@@ -95,9 +93,8 @@ func replayGrid(b *testing.B, body func(b *testing.B, shards, workers int)) {
 // BenchmarkStreamReplay (updates/s, allocs/update, distinct-attrs) on
 // the internet-scale corpus (~1M prefixes, the maximum 16-bit origin
 // pool, two vantages, four days with background churn and a mixed
-// episode load) across the shards × workers grid. The shards=N/workers=N
-// cell is the headline number: full parallel pipeline on an
-// internet-scale table. resident-MB is what the last replay's engine
+// episode load) at 1 and GOMAXPROCS shards. The shards=N cell is the
+// headline number: the full pipeline on an internet-scale table. resident-MB is what the last replay's engine
 // retains — heap in use with the engine alive, over the heap before it
 // was built — and bytes/prefix divides that by the prefix-table entries
 // it holds; B/op over resident-MB is how much the engine allocates to
@@ -116,7 +113,7 @@ func BenchmarkSynthReplay(b *testing.B) {
 			synth.FlapStorm(128, 256, 2),
 		},
 	})
-	replayGrid(b, func(b *testing.B, shards, workers int) {
+	replayShards(b, func(b *testing.B, shards int) {
 		b.SetBytes(int64(len(archive)))
 		b.ReportAllocs()
 		var msgs uint64
@@ -127,7 +124,7 @@ func BenchmarkSynthReplay(b *testing.B) {
 		runtime.ReadMemStats(&m0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e = stream.New(stream.Config{Shards: shards, DecodeWorkers: workers})
+			e = stream.New(stream.Config{Shards: shards})
 			if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 				b.Fatal(err)
 			}
@@ -152,12 +149,12 @@ func BenchmarkSynthReplay(b *testing.B) {
 	})
 }
 
-// BenchmarkStormReplay is the storm half of the decode-worker
-// measurement (BenchmarkSynthReplay is the table half): moasbench's
-// storm-replay corpus — a 16k-prefix table under a flap storm for 120
-// days, small enough to stay in cache, so per-update framing and decode
-// weigh most — replayed with the daemon's engine settings (history
-// capped at 256, no global event log) across the shards × workers grid.
+// BenchmarkStormReplay is the storm-shaped sibling of
+// BenchmarkSynthReplay: moasbench's storm-replay corpus — a 16k-prefix
+// table under a flap storm for 120 days, small enough to stay in cache,
+// so per-update framing and decode weigh most — replayed with the
+// daemon's engine settings (history capped at 256) at 1 and GOMAXPROCS
+// shards.
 func BenchmarkStormReplay(b *testing.B) {
 	archive, cal := benchArchive(b, "storm", synth.Config{
 		Seed:     1,
@@ -172,15 +169,13 @@ func BenchmarkStormReplay(b *testing.B) {
 			synth.FlapStorm(8192, 4096, 2),
 		},
 	})
-	replayGrid(b, func(b *testing.B, shards, workers int) {
+	replayShards(b, func(b *testing.B, shards int) {
 		b.SetBytes(int64(len(archive)))
 		b.ReportAllocs()
 		var msgs uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e := stream.New(stream.Config{
-				Shards: shards, DecodeWorkers: workers, HistoryLimit: 256,
-			})
+			e := stream.New(stream.Config{Shards: shards, HistoryLimit: 256})
 			if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 				b.Fatal(err)
 			}
@@ -194,12 +189,11 @@ func BenchmarkStormReplay(b *testing.B) {
 }
 
 // BenchmarkStormReplayEpilog is BenchmarkStormReplay with an episode log
-// attached, at the daemon's default of one decode worker per core: the
-// storm's lifecycle events put the log's write path on the shards'
-// apply path. episodes is what the log recorded, and writes/episode the
-// Write calls made on its files per recorded episode — exact, and the
-// same every run at a given shard count, because the shards' batches
-// are.
+// attached: the storm's lifecycle events put the log's write path on the
+// shards' apply path. episodes is what the log recorded, and
+// writes/episode the Write calls made on its files per recorded episode —
+// exact, and the same every run at a given shard count, because the
+// shards' batches are.
 func BenchmarkStormReplayEpilog(b *testing.B) {
 	// BenchmarkStormReplay's corpus: the name shares its cache entry.
 	archive, cal := benchArchive(b, "storm", synth.Config{

@@ -1,6 +1,6 @@
 // Package supervise contains panics so one sick goroutine cannot take
-// down the whole daemon. Every scenario-owned goroutine (replay/run
-// pullers, decode workers, shard workers, the auto-checkpoint loop)
+// down the whole daemon. Every scenario-owned goroutine (the replay
+// framer, the run puller, shard workers, the auto-checkpoint loop)
 // runs its work under Run or Recover, which convert a panic into a
 // *PanicError carrying the goroutine's name, the panic value and a
 // trimmed stack. The owning scenario then transitions to failed — the
