@@ -257,7 +257,7 @@ func (c ScenarioConfig) overlaid(req ScenarioConfig) ScenarioConfig {
 	if req.MaxAttrs != 0 {
 		c.MaxAttrs = req.MaxAttrs
 	}
-	if req.EventBuffer > 0 {
+	if req.EventBuffer != 0 {
 		c.EventBuffer = req.EventBuffer
 	}
 	if req.History != 0 {

@@ -288,6 +288,13 @@ func TestSourceKinds(t *testing.T) {
 				t.Errorf("%s: restore request setting %+v passed validation", k.source, over)
 			}
 		}
+		// A restore request's knobs are range-checked like a create's.
+		for _, over := range []ScenarioConfig{{Shards: -1}, {History: -5}, {MaxAttrs: -7}, {EventBuffer: -1}} {
+			r := restoreOf(good, over)
+			if err := r.normalize(); err == nil {
+				t.Errorf("%s: restore request setting %+v passed validation", k.source, over)
+			}
+		}
 		// Pacing is a replay knob whichever way the scenario is created.
 		paced := restoreOf(good, ScenarioConfig{DaysPerSec: 4})
 		if err := paced.normalize(); (err != nil) != k.live {

@@ -198,3 +198,41 @@ func TestSSEResume(t *testing.T) {
 	}
 	reg.Delete("ev")
 }
+
+// TestEventTypesFilterValidation: ?types= names event types, and a name
+// no event carries is a 400 naming the four types — it used to filter
+// out every event, so a typo gave an empty stream forever.
+func TestEventTypesFilterValidation(t *testing.T) {
+	reg := NewRegistry()
+	srv := httptest.NewServer(NewHandler(reg))
+	t.Cleanup(srv.Close) // after sseConnect's cleanups close the streams
+	client := srv.Client()
+	if resp, body := postJSON(t, client, srv.URL+"/scenarios",
+		map[string]any{"id": "ev", "source": "synth", "scale": "small"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %v", resp.StatusCode, body)
+	}
+	for _, types := range []string{"conflict-strat", "conflict-start,bogus", "conflict-start,"} {
+		resp, br := sseConnect(t, client, srv.URL+"/scenarios/ev/events?types="+types, "")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("types=%s: %d, want 400", types, resp.StatusCode)
+		}
+		var body struct{ Error string }
+		if err := json.NewDecoder(br).Decode(&body); err != nil {
+			t.Fatalf("types=%s: body not JSON: %v", types, err)
+		}
+		for _, name := range []string{"conflict-start", "origin-change", "class-change", "conflict-end"} {
+			if !strings.Contains(body.Error, name) {
+				t.Fatalf("types=%s: error %q does not name %s", types, body.Error, name)
+			}
+		}
+	}
+	resp, br := sseConnect(t, client, srv.URL+"/scenarios/ev/events?types=conflict-start,%20class-change", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid filter: %d, want 200", resp.StatusCode)
+	}
+	if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, ": subscribed") {
+		t.Fatalf("valid filter: first line %q, %v", line, err)
+	}
+	resp.Body.Close()
+	reg.Delete("ev")
+}

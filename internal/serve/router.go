@@ -14,6 +14,7 @@ import (
 	"moas/internal/bgp"
 	"moas/internal/core"
 	"moas/internal/epilog"
+	"moas/internal/stream"
 )
 
 // DefaultEpisodeLimit caps /episodes responses when no ?limit= is given:
@@ -382,6 +383,15 @@ func NewHandler(reg *Registry) http.Handler {
 	return mux
 }
 
+// eventTypeNames are the names ?types= may filter on: a name no event
+// carries would silently filter out the whole stream.
+var eventTypeNames = map[string]bool{
+	stream.EventConflictStart.String(): true,
+	stream.EventOriginChange.String():  true,
+	stream.EventClassChange.String():   true,
+	stream.EventConflictEnd.String():   true,
+}
+
 // serveEvents streams conflict lifecycle events as Server-Sent Events:
 // one "event: <type>" block per lifecycle transition, with a JSON body
 // and the scenario-wide monotonic event ID on the "id:" line. A
@@ -399,8 +409,9 @@ func NewHandler(reg *Registry) http.Handler {
 // stream ends with "event: dropped" — reconnect with Last-Event-ID to
 // catch up. An optional ?types=conflict-start,conflict-end filters by
 // event type (filtering happens after buffering: a filtered subscriber
-// still has to keep up with the full event rate). When the scenario's
-// subscriber limit is reached the request fails with 429.
+// still has to keep up with the full event rate); a name that is not an
+// event type is a 400. When the scenario's subscriber limit is reached
+// the request fails with 429.
 func serveEvents(w http.ResponseWriter, r *http.Request, s *Scenario) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -411,7 +422,13 @@ func serveEvents(w http.ResponseWriter, r *http.Request, s *Scenario) {
 	if tp := r.URL.Query().Get("types"); tp != "" {
 		want = make(map[string]bool)
 		for _, t := range strings.Split(tp, ",") {
-			want[strings.TrimSpace(t)] = true
+			t = strings.TrimSpace(t)
+			if !eventTypeNames[t] {
+				httpError(w, http.StatusBadRequest, fmt.Sprintf(
+					"unknown event type %q in types (want conflict-start, origin-change, class-change or conflict-end)", t))
+				return
+			}
+			want[t] = true
 		}
 	}
 	var afterID uint64

@@ -16,8 +16,8 @@ import (
 // non-update message kinds are skipped (through the Decoder the replay
 // framer uses, so a malformed archive fails identically). Seq
 // counts delivered updates only — the cursor a live checkpoint stores —
-// which deliberately differs from the raw-record cursor Replay keeps for
-// ReplayOptions.Resume.
+// which deliberately differs from the raw-record cursor Replay keeps and
+// resumes a restored engine from.
 type File struct {
 	path   string
 	mr     *mrt.Reader

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -12,18 +11,20 @@ import (
 	"moas/internal/supervise"
 )
 
-// The archive producer: Replay's side of the ingest loop (ingest.go). One
-// goroutine walks the archive's MRT framing and decodes each record as it
-// frames it, straight into the next record slot of a batch, and hands the
-// batches to the ingest loop in archive order:
+// The producer side of the ingest loop (ingest.go), for Replay and Run
+// alike. One producer goroutine fills record batches and hands them to the
+// ingest loop in feed order over a ring of ringBatches batches:
 //
-//	framer (frame + decode) ──► batch ring ──► ingest loop ──► shard workers
+//	producer (framer | puller) ──► batch ring ──► ingest loop ──► shard workers
 //
-// A replay batch thus holds decoded records only, like a live batch, and
-// the framer is the only goroutine that interns attribute blocks while a
-// replay runs. Decode overlaps apply on a second core; it is not split
-// across cores, because a second decode goroutine did not pay on
-// measured hosts (docs/OPERATIONS.md, "Decode workers").
+// Only the fill differs. The archive's framer frames each MRT record and
+// decodes it as it frames it, straight into the next record slot of a
+// batch; a live feed's puller (run.go) takes the records its source has
+// already decoded. A batch thus holds decoded records only, whatever the
+// feed, and the producer is the only goroutine that interns attribute
+// blocks while a feed runs. Decode overlaps apply on a second core; it is
+// not split across cores, because a second decode goroutine did not pay
+// on measured hosts (docs/OPERATIONS.md, "Decode workers").
 //
 // Batches travel a channel ring (free -> fill -> out -> drain -> free), so
 // the steady state recycles the same few batches — their record slots'
@@ -72,7 +73,7 @@ type decBatch struct {
 	err  error
 	// flush makes the loop flush every shard's pending ops once no batch
 	// is queued behind this one, instead of only when a shard batch
-	// fills — the live feed's setting.
+	// fills — the live feed's setting, which its puller sets.
 	flush bool
 }
 
@@ -98,25 +99,110 @@ func (b *decBatch) reset() {
 	b.err, b.recs = nil, b.recs[:0]
 }
 
-// framer is the archive producer: the only goroutine that touches the
-// reader, the decoder and (while the replay runs) the engine's interner,
-// and the order it hands batches to the ingest loop is archive order.
+// producer is a feed's side of the ring: the archive's framer or a live
+// feed's puller (run.go). Its goroutine (produce) is the only one that
+// reads the feed — and, while the feed runs, the engine's interner.
+type producer interface {
+	// fill appends records to the empty batch b, in feed order, and
+	// reports whether b is the feed's last batch: the end of the feed
+	// (b.err set, io.EOF for a clean end) or a record that failed to
+	// decode (the batch ends at that record, its err set). The ingest
+	// loop, not the producer, decides what to do with a failed record
+	// (run the day closes its timestamp implies, then fail), so error
+	// ordering is position-exact.
+	fill(b *decBatch) (last bool)
+}
+
+// startProducer runs p on its goroutine over a fresh ring of ringBatches
+// batches of n record slots, for Replay and Run alike. Batches arrive on
+// out in feed order and go back on free once applied; the ring also
+// bounds read-ahead, and the memory parked in it. stage, nil for a live
+// feed, receives the ring's occupancy and the producer's end time.
+//
+// The producer owns the feed until shutdown returns, so a front end
+// calls shutdown before it gives the feed up. A live front end closes its
+// source first, so that a pending Next returns; shutdown then ends the
+// producer's wait for a free batch and drains what it was handing over.
+func startProducer(p producer, n int, stage *decStage) (out <-chan *decBatch, free chan<- *decBatch, shutdown func()) {
+	o, f := make(chan *decBatch, ringBatches), make(chan *decBatch, ringBatches)
+	for range ringBatches {
+		f <- newDecBatch(n)
+	}
+	go produce(p, f, o, stage)
+	return o, f, func() {
+		close(f)
+		for range o {
+		}
+		if stage != nil {
+			stage.occupancy.Store(0)
+			stage.end.Store(time.Now().UnixNano())
+		}
+	}
+}
+
+// produce is the producer goroutine body. It fills each free batch and
+// ships it, in feed order, until it has shipped the feed's last batch or
+// free closes; out holds the whole ring, so no send blocks. A panic in
+// fill — a malformed feed tripping a decoder bug — ships as the terminal
+// error of the batch in hand, behind the records fill had completed, so
+// it fails this feed instead of killing the daemon.
+func produce(p producer, free <-chan *decBatch, out chan<- *decBatch, stage *decStage) {
+	defer close(out)
+	var b *decBatch // the batch in hand
+	err := supervise.Run("feed producer", func() error {
+		for b = range free {
+			if stage != nil {
+				stage.occupancy.Store(int64(cap(free) - len(free)))
+			}
+			b.reset()
+			last := p.fill(b)
+			out <- b
+			if last {
+				return nil
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.err = err
+		out <- b
+	}
+}
+
+// resumeHeartbeat is how many already-applied records one fill discards
+// during a resume skip. Each such fill ships an empty batch, on which the
+// ingest loop runs its gate, so a Stop (scenario delete) or a Pause
+// (operator or auto-checkpoint park) does not wait for a disk-bound skip
+// of the whole resume cursor to finish.
+const resumeHeartbeat = 4096
+
+// framer is the archive producer. It frames each record into one reused
+// frame buffer and decodes it straight into the batch's next record slot.
 type framer struct {
 	fr    *mrt.Framer
 	dec   source.Decoder
 	buf   []byte // the frame body in hand, reused for every record
 	next  uint64 // raw archive index of the next record to frame
+	skip  uint64 // records below this index were applied before a resume
 	stage *decStage
 }
 
-// fill frames and decodes records into b's slots until the batch is full
-// or the feed ends; it returns true when the batch is the feed's last.
-// That is the end of the stream (b.err set, io.EOF for a clean end) or a
-// record that fails to decode: the batch ends at that record with its err
-// set, and the ingest loop, not the framer, decides what to do with it
-// (run the day closes its timestamp implies, then fail), so error
-// ordering is position-exact.
 func (f *framer) fill(b *decBatch) bool {
+	if f.next < f.skip {
+		for end := min(f.skip, f.next+resumeHeartbeat); f.next < end; f.next++ {
+			// Skip discards bodies without copying them.
+			if _, err := f.fr.Skip(); err != nil {
+				b.err = fmt.Errorf("stream: resume skip at record %d: %w", f.next, err)
+				return true
+			}
+		}
+		return false
+	}
+	// The framing rate counts from the first framed record, not from a
+	// resume skip before it.
+	if f.stage.start.Load() == 0 {
+		f.stage.start.Store(time.Now().UnixNano())
+	}
 	// A reslice, never a grow: growing would lose newDecBatch's pre-carved
 	// slots.
 	for n := len(b.recs); n < cap(b.recs); n++ {
@@ -128,66 +214,17 @@ func (f *framer) fill(b *decBatch) bool {
 		f.buf = buf
 		f.next++
 		f.stage.frames.Add(1)
-		b.recs = b.recs[:n+1]
-		r := &b.recs[n]
+		// The slot joins the batch only once Decode has filled it.
+		r := &b.recs[:n+1][n]
 		r.Seq = f.next
-		if r.kind, r.err = f.dec.Decode(&r.Record, h, buf); r.err != nil {
+		r.kind, r.err = f.dec.Decode(&r.Record, h, buf)
+		b.recs = b.recs[:n+1]
+		if r.err != nil {
 			r.err = fmt.Errorf("stream: %w", r.err)
 			return true
 		}
 	}
 	return false
-}
-
-// run is the framing goroutine body. Every batch — record batches, skip
-// heartbeats and terminal batches alike — goes to the ingest loop in
-// exactly the order the framer read the archive. out holds the whole
-// ring, so no send blocks; the framer waits only for a free batch. Every
-// exit path either delivers a terminal batch or was ordered to quit (done
-// closed), so the loop never waits on a dead producer.
-func (f *framer) run(skip uint64, free, out chan *decBatch, done <-chan struct{}) {
-	take := func() *decBatch {
-		select {
-		case b := <-free:
-			f.stage.occupancy.Store(int64(cap(free) - len(free)))
-			b.reset()
-			return b
-		case <-done:
-			return nil
-		}
-	}
-	for ; f.next < skip; f.next++ {
-		// Surface periodically during a deep resume skip: an empty batch
-		// lets the ingest loop run its gate, so a Stop (scenario delete) or
-		// a Pause (operator or auto-checkpoint park) does not wait for a
-		// disk-bound skip of the whole resume cursor to finish.
-		if f.next%4096 == 0 && f.next > 0 {
-			b := take()
-			if b == nil {
-				return
-			}
-			out <- b
-		}
-		// Skip discards bodies without copying them.
-		if _, err := f.fr.Skip(); err != nil {
-			if b := take(); b != nil {
-				b.err = fmt.Errorf("stream: resume skip at record %d: %w", f.next, err)
-				out <- b
-			}
-			return
-		}
-	}
-	for {
-		b := take()
-		if b == nil {
-			return
-		}
-		terminal := f.fill(b)
-		out <- b
-		if terminal {
-			return
-		}
-	}
 }
 
 // decStage is the archive producer's observability handle, published on
@@ -196,37 +233,8 @@ func (f *framer) run(skip uint64, free, out chan *decBatch, done <-chan struct{}
 // never a batch or a ring channel — so a finished replay's ring is
 // garbage the moment Replay returns.
 type decStage struct {
-	start     time.Time
+	start     atomic.Int64  // unix nanos at the first framed record; 0 before
 	frames    atomic.Uint64 // MRT records framed (read ahead of the cursor)
-	occupancy atomic.Int64  // batches out of the free ring, sampled by the framer
+	occupancy atomic.Int64  // batches out of the free ring, sampled by the producer
 	end       atomic.Int64  // unix nanos at replay return; 0 while running
-}
-
-// startDecode launches the archive producer over r, discarding the first
-// skip records (a resume cursor). Batches arrive on out in archive order
-// and go back on free once drained. The framer owns r until shutdown
-// returns, which the caller must invoke before giving r up. It runs under
-// supervise: a panic records the engine failure (waking the ingest loop)
-// instead of killing the process.
-func (e *Engine) startDecode(r io.Reader, skip uint64) (out, free chan *decBatch, shutdown func()) {
-	// The ring also bounds decode read-ahead (and the memory parked in it).
-	free = make(chan *decBatch, ringBatches)
-	for i := 0; i < ringBatches; i++ {
-		free <- newDecBatch(decBatchLen)
-	}
-	out = make(chan *decBatch, ringBatches)
-	done, exited := make(chan struct{}), make(chan struct{})
-	stage := &decStage{start: time.Now()}
-	e.dec.Store(stage)
-	f := &framer{fr: mrt.NewFramer(r), dec: source.Decoder{Interner: e.interner}, stage: stage}
-	supervise.Go("mrt framer", func() error { f.run(skip, free, out, done); return nil }, func(err error) {
-		e.recordFailure(err)
-		close(exited)
-	})
-	return out, free, func() {
-		close(done)
-		<-exited
-		stage.occupancy.Store(0)
-		stage.end.Store(time.Now().UnixNano())
-	}
 }

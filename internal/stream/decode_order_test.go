@@ -6,7 +6,9 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"moas/internal/bgp"
 	"moas/internal/mrt"
@@ -209,5 +211,146 @@ func TestParallelDecodeCheckpointResume(t *testing.T) {
 	}
 	if !bytes.Equal(checkpointBytes(t, want), checkpointBytes(t, restored)) {
 		t.Fatal("resumed checkpoint differs byte-for-byte from uninterrupted")
+	}
+}
+
+// deepResumeArchive is a 2-day archive of same-sized records, deep
+// enough that a checkpoint at its first day close leaves a resume skip
+// of more than three heartbeats: 13 000 announcements on day 0, then
+// 2 000 from a second peer with other origins on day 1, which put those
+// prefixes in conflict. It returns day 0's record count.
+func deepResumeArchive(t testing.TB) ([]byte, Calendar, int) {
+	t.Helper()
+	const daySecs, day0, day1 = 86400, 13000, 2000
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	announce := func(ts uint32, peer bgp.ASN, i int, origin bgp.ASN) {
+		u := &bgp.Update{
+			NLRI:  []bgp.Prefix{bgp.PrefixFromUint32(uint32(10<<24|i<<8), 24)},
+			Attrs: &bgp.Attrs{ASPath: bgp.Seq(peer, 1239, origin)},
+		}
+		msg := &mrt.BGP4MPMessage{PeerAS: peer, LocalAS: 65000, Family: bgp.FamilyIPv4, Data: u.AppendWire(nil)}
+		msg.PeerIP[15] = byte(peer)
+		if err := w.WriteBGP4MPMessage(ts, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range day0 {
+		announce(0, 64500, i, bgp.ASN(65000+i%7))
+	}
+	for i := range day1 {
+		announce(daySecs, 64501, i, bgp.ASN(65100+i%5))
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len()%(day0+day1) != 0 {
+		t.Fatalf("records differ in size: %d bytes for %d records", buf.Len(), day0+day1)
+	}
+	return buf.Bytes(), Calendar{Days: []int{0, 1}, Times: []uint32{0, daySecs}}, day0
+}
+
+// gatedReader serves r's first gate bytes, then blocks until release
+// closes.
+type gatedReader struct {
+	r       io.Reader
+	gate    int
+	release chan struct{}
+}
+
+func (g *gatedReader) Read(p []byte) (int, error) {
+	if g.gate == 0 {
+		<-g.release
+		return g.r.Read(p)
+	}
+	n, err := g.r.Read(p[:min(len(p), g.gate)])
+	g.gate -= n
+	return n, err
+}
+
+// TestPauseDuringDeepResumeSkip: a resumed replay discards the records
+// its cursor has applied before it frames any, and a Pause lands inside
+// that skip — at its first heartbeat, while the archive still blocks
+// short of the cursor — rather than after it. Resumed, the replay matches
+// the uninterrupted run byte for byte, and its framing rate counts from
+// its first framed record, not from the skip and the park before it.
+func TestPauseDuringDeepResumeSkip(t *testing.T) {
+	archive, cal, day0 := deepResumeArchive(t)
+	whole := New(Config{Shards: 2})
+	if err := whole.Replay(bytes.NewReader(archive), cal, nil); err != nil {
+		t.Fatal(err)
+	}
+	whole.Close()
+	total := int(whole.Records())
+	if n := whole.Stats().TotalConflicts; n != 2000 {
+		t.Fatalf("%d conflicts, want day 1's 2000", n)
+	}
+
+	// Checkpoint at the first day close, with day 0's records applied.
+	first := New(Config{Shards: 2})
+	stop, done := make(chan struct{}), make(chan error, 1)
+	var once sync.Once
+	pausing := make(chan struct{})
+	go func() {
+		done <- first.Replay(bytes.NewReader(archive), cal, &ReplayOptions{Stop: stop, OnDayClose: func(int) {
+			once.Do(func() { first.Pause(); close(pausing) })
+		}})
+	}()
+	select {
+	case <-pausing:
+	case err := <-done:
+		t.Fatalf("replay ended before pausing: %v", err)
+	}
+	<-first.Pause()
+	ck := first.Checkpoint()
+	close(stop)
+	if err := <-done; err != ErrReplayStopped {
+		t.Fatalf("stopped replay returned %v", err)
+	}
+	first.Close()
+	if ck.Records != uint64(day0) {
+		t.Fatalf("checkpoint cursor %d, want %d", ck.Records, day0)
+	}
+
+	resumed, err := NewFromCheckpoint(Config{Shards: 3}, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := resumed.Pause()
+	release := make(chan struct{})
+	r := &gatedReader{r: bytes.NewReader(archive), gate: len(archive) / total * (resumeHeartbeat * 3 / 2), release: release}
+	go func() { done <- resumed.Replay(r, cal, nil) }()
+	select {
+	case <-parked:
+	case err := <-done:
+		t.Fatalf("resumed replay ended before parking: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pause never landed inside the resume skip")
+	}
+	if st := resumed.Stats().Decode; resumed.Records() != uint64(day0) || st.Frames != 0 {
+		t.Fatalf("parked at cursor %d with %d records framed, want %d and none", resumed.Records(), st.Frames, day0)
+	}
+	// Not a wait for an event: it makes the park long enough that a rate
+	// counting it would read visibly low.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	resumedAt := time.Now()
+	resumed.Resume()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(resumedAt)
+	resumed.Close()
+
+	diffRegistries(t, whole.Registry(), resumed.Registry())
+	if !bytes.Equal(checkpointBytes(t, whole), checkpointBytes(t, resumed)) {
+		t.Fatal("resumed checkpoint differs byte for byte from the uninterrupted run's")
+	}
+	st := resumed.Stats().Decode
+	if st.Frames != uint64(total-day0) {
+		t.Fatalf("%d records framed, want %d", st.Frames, total-day0)
+	}
+	if floor := float64(st.Frames) / elapsed.Seconds(); st.FramesPerSec < floor {
+		t.Fatalf("frames_per_sec %.0f, below %.0f since Resume: the rate counts the skip or the park", st.FramesPerSec, floor)
 	}
 }

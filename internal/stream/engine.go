@@ -74,9 +74,10 @@ type Engine struct {
 	// fresh batch per flush, so steady-state dispatch allocates nothing.
 	opFree chan []op
 	// interner canonicalizes decoded path-attribute blocks by wire bytes
-	// for the replay decode stage; one pointer per distinct block is what
-	// makes applyOne's pointer-equality fast path hit and keeps the
-	// steady-state heap proportional to distinct attrs, not routes.
+	// for the feed's producer, an archive's or a live one; one pointer per
+	// distinct block is what makes applyOne's pointer-equality fast path
+	// hit and keeps the steady-state heap proportional to distinct attrs,
+	// not routes.
 	interner *bgp.AttrsInterner
 	wg       sync.WaitGroup
 	closed   atomic.Bool // set by Close; Stats reports it as !Replaying
@@ -101,11 +102,11 @@ type Engine struct {
 	paused atomic.Pointer[pauseReq]
 	parked atomic.Bool
 
-	// First unrecoverable worker failure (a panicked shard or decode
-	// goroutine, contained by supervise). failedCh is closed on the
-	// first recordFailure so Replay/Run loops blocked on a channel can
-	// wake up and abort; the dead worker itself switches to drain mode
-	// so producers never block on its queue.
+	// First unrecoverable worker failure (a panicked shard, contained by
+	// supervise). failedCh is closed on the first recordFailure so
+	// Replay/Run loops blocked on a channel can wake up and abort; the
+	// dead worker itself switches to drain mode so producers never block
+	// on its queue.
 	failMu   sync.Mutex
 	failErr  error
 	failedCh chan struct{}
@@ -349,29 +350,31 @@ func (e *Engine) Parked() bool {
 	return e.parked.Load()
 }
 
-// Records returns the number of MRT records fully consumed by Replay —
-// the checkpoint cursor (Checkpoint.Records). The auto-checkpoint loop
-// reads it as a cheap progress probe to skip writes when nothing moved.
+// Records returns the record cursor — the checkpoint cursor
+// (Checkpoint.Records): the raw MRT records Replay has fully consumed, or
+// for a live feed the cursor Run started at plus the source's sequence
+// number of the last record applied. The auto-checkpoint loop reads it
+// as a cheap progress probe to skip writes when nothing moved.
 func (e *Engine) Records() uint64 {
 	return e.recs.Load()
 }
 
 // DistinctAttrs returns the number of distinct path-attribute blocks the
-// replay decode stage has interned — the live measure of how repetitive
-// the feed is (and of the interner's memory footprint). Safe to call
-// concurrently with a replay.
+// feed's producer has interned, Replay's framer or the source Run pulls
+// from — the live measure of how repetitive the feed is (and of the
+// interner's memory footprint). Safe to call concurrently with either.
 func (e *Engine) DistinctAttrs() int {
 	return e.interner.Len()
 }
 
-// Interner exposes the engine's attrs interner for sources that decode
-// on the feed goroutine (Run's puller): sharing it is what makes a
-// JSON-derived or wire-decoded attrs block land on the same canonical
-// pointer a file replay produces. The interner has one writer at a time
-// (see bgp.AttrsInterner): Replay's framer or the source Run pulls from,
-// and a Replay and a Run on one engine must not overlap. Nothing else may
-// intern through it while either runs; its counters (Len, Epochs, Bytes)
-// are safe to read from any goroutine.
+// Interner exposes the engine's attrs interner for live sources, whose
+// Next decodes on the producer goroutine Run starts: sharing it is what
+// makes a JSON-derived or wire-decoded attrs block land on the same
+// canonical pointer a file replay produces. The interner has one writer
+// at a time (see bgp.AttrsInterner): Replay's framer or the source Run
+// pulls from, and a Replay and a Run on one engine must not overlap.
+// Nothing else may intern through it while either runs; its counters
+// (Len, Epochs, Bytes) are safe to read from any goroutine.
 func (e *Engine) Interner() *bgp.AttrsInterner {
 	return e.interner
 }
@@ -527,7 +530,7 @@ type Stats struct {
 	Messages        uint64               `json:"messages"`        // UPDATE messages ingested
 	Ops             uint64               `json:"ops"`             // route-level operations dispatched
 	LastClosedDay   int                  `json:"last_closed_day"` // -1 before the first day close
-	DistinctAttrs   int                  `json:"distinct_attrs"`  // attrs blocks interned by the replay decode stage
+	DistinctAttrs   int                  `json:"distinct_attrs"`  // attrs blocks interned by the feed's producer (Replay or Run)
 	InternerEpochs  int                  `json:"interner_epochs"` // cap-triggered interner rebuilds (0 = never capped)
 	InternerBytes   int64                `json:"interner_bytes"`  // approximate retained interner memory
 	RouteNodes      int                  `json:"route_nodes"`     // route-node arena entries carved across all shards
@@ -558,7 +561,7 @@ type Stats struct {
 // zero means the framer is the limit.
 type DecodeStats struct {
 	Frames        uint64  `json:"frames"`         // MRT records framed (read-ahead of the cursor)
-	FramesPerSec  float64 `json:"frames_per_sec"` // framing rate over the current/last replay
+	FramesPerSec  float64 `json:"frames_per_sec"` // current/last replay's framing rate since its first framed record
 	RingOccupancy int     `json:"ring_occupancy"` // batches somewhere between framing and apply
 }
 
@@ -614,12 +617,12 @@ func (e *Engine) decodeStats() DecodeStats {
 		Frames:        ds.frames.Load(),
 		RingOccupancy: int(ds.occupancy.Load()),
 	}
-	end := time.Now()
-	if ns := ds.end.Load(); ns != 0 {
-		end = time.Unix(0, ns)
+	start, end := ds.start.Load(), ds.end.Load()
+	if end == 0 {
+		end = time.Now().UnixNano()
 	}
-	if sec := end.Sub(ds.start).Seconds(); sec > 0 {
-		st.FramesPerSec = float64(st.Frames) / sec
+	if start != 0 && end > start {
+		st.FramesPerSec = float64(st.Frames) / time.Duration(end-start).Seconds()
 	}
 	return st
 }

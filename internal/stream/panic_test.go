@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -92,7 +93,7 @@ func TestRunSourcePanicContained(t *testing.T) {
 		if !errors.As(err, &pe) {
 			t.Fatalf("run error %T %v, want *supervise.PanicError", err, err)
 		}
-		if pe.Name != "source puller" || pe.Value != "feed decoder exploded" {
+		if pe.Name != "feed producer" || pe.Value != "feed decoder exploded" {
 			t.Fatalf("PanicError %+v", pe)
 		}
 	case <-time.After(5 * time.Second):
@@ -101,4 +102,50 @@ func TestRunSourcePanicContained(t *testing.T) {
 	if got := e.Records(); got != 1 {
 		t.Fatalf("Records()=%d, want 1 (the delivered record)", got)
 	}
+}
+
+// panicReader serves r's first n bytes, then panics.
+type panicReader struct {
+	r io.Reader
+	n int
+}
+
+func (p *panicReader) Read(b []byte) (int, error) {
+	if p.n <= 0 {
+		panic("archive reader exploded")
+	}
+	n, err := p.r.Read(b[:min(len(b), p.n)])
+	p.n -= n
+	return n, err
+}
+
+// A panic on the archive producer's goroutine — here in the reader under
+// the framer — is the replay's terminal error, as a panicking live source
+// is the run's: every record framed before it applies, Replay returns the
+// captured panic, and the engine stays queryable and closable. It is not
+// a worker failure, so Err stays nil.
+func TestReplayProducerPanicContained(t *testing.T) {
+	sc, archive, _ := fixtures(t)
+	e := New(Config{Shards: 2})
+	defer e.Close()
+	err := e.Replay(&panicReader{r: bytes.NewReader(archive), n: len(archive) / 2},
+		NewCalendar(sc.ObservedDays, sc.DayStamp), nil)
+	var pe *supervise.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("replay error %T %v, want *supervise.PanicError", err, err)
+	}
+	if pe.Name != "feed producer" || pe.Value != "archive reader exploded" {
+		t.Fatalf("PanicError %+v", pe)
+	}
+	if err := e.Err(); err != nil {
+		t.Fatalf("Engine.Err() = %v, want nil: no worker failed", err)
+	}
+	st := e.Stats()
+	if n := e.Records(); n == 0 || n != st.Decode.Frames || st.Decode.RingOccupancy != 0 {
+		t.Fatalf("cursor %d after the panic, decode stats %+v: want every framed record applied", n, st.Decode)
+	}
+	_ = e.Registry()
+	_ = e.ActiveConflicts()
+	e.Sync()
+	e.Close()
 }

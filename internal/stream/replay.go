@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"moas/internal/mrt"
+	"moas/internal/source"
 )
 
 // Calendar maps BGP4MP record timestamps back to observation days: Times[i]
@@ -89,9 +90,11 @@ func (e *Engine) gate(stop <-chan struct{}) error {
 // collector consumer must. Replay does not Close the engine — callers may
 // keep feeding or querying afterwards.
 //
-// Replay is the ingest loop (ingest.go) over the archive producer — one
-// goroutine that frames and decodes the archive into batches, in archive
-// order (decode.go) — and the calendar's clock. The record cursor counts raw MRT records, and only
+// Replay is the ingest loop (ingest.go) over the archive producer — the
+// framer, on the producer goroutine Run's puller also runs on, which
+// frames and decodes the archive into batches in archive order
+// (decode.go) — and the calendar's clock. A panic in the producer is the
+// replay's error. The record cursor counts raw MRT records, and only
 // applied ones: decode read-ahead is bounded by the producer's ring and
 // simply discarded if the replay is abandoned, so a parked replay serves
 // a settled view with nothing past the park point reflected in it.
@@ -111,7 +114,10 @@ func (e *Engine) Replay(r io.Reader, cal Calendar, opts *ReplayOptions) error {
 	// the records it has already applied undecoded, and the calendar
 	// skips the days it has already closed.
 	clock := &calendarClock{cal: cal, idx: sort.SearchInts(cal.Days, e.LastClosedDay()+1)}
-	out, free, shutdown := e.startDecode(r, e.recs.Load())
+	stage := new(decStage)
+	e.dec.Store(stage)
+	f := &framer{fr: mrt.NewFramer(r), dec: source.Decoder{Interner: e.interner}, skip: e.recs.Load(), stage: stage}
+	out, free, shutdown := startProducer(f, decBatchLen, stage)
 	// The producer owns r until it exits; Replay must not return while it
 	// might still read (callers close the file right after).
 	defer shutdown()

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"moas/internal/source"
-	"moas/internal/supervise"
 )
 
 // RunOptions tunes a live source run.
@@ -47,13 +46,14 @@ type RunOptions struct {
 // sequence numbers, so a checkpoint taken mid-run records how far into
 // the feed the engine got.
 //
-// The source's Next runs on a dedicated puller goroutine — the single
-// goroutine its interner contract requires — which may run up to
-// ringBatches batches of liveBatchLen records ahead of the loop; a paused
-// run parks at a record boundary inside its batch, and a stopped run
-// discards that read-ahead. The run owns its transport: it closes the
-// source on return, which is also what unblocks the puller when a Stop
-// lands mid-feed.
+// The source's Next runs on the feed's producer goroutine (decode.go),
+// the one Replay's framer runs on — the single goroutine its interner
+// contract requires — which may run up to ringBatches batches of
+// liveBatchLen records ahead of the loop; a paused run parks at a record
+// boundary inside its batch, and a stopped run discards that read-ahead.
+// A panicking source is the run's terminal error. The run owns its
+// transport: it closes the source on return, which is also what unblocks
+// the producer when a Stop lands mid-feed.
 func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 	var o RunOptions
 	if opts != nil {
@@ -71,25 +71,10 @@ func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 	e.src.Store(srcBox{src})
 	defer e.src.Store(srcBox{})
 
-	// A ring of record batches: the puller fills one while the loop
-	// dispatches earlier ones. A batch returns to free only once
-	// dispatched, so the puller never reuses a record the loop still reads
-	// (ApplyUpdate copies everything it keeps into ops).
-	out, free := make(chan *decBatch, ringBatches), make(chan *decBatch, ringBatches)
-	for i := 0; i < cap(free); i++ {
-		b := newDecBatch(liveBatchLen)
-		b.flush = true
-		free <- b
-	}
-	go pull(src, e.recs.Load(), free, out)
-	// The puller owns the source until it exits: closing the source fails
-	// a pending Next, closing free ends its wait for a batch, and draining
-	// out (which it closes on exit) takes whatever it was handing over.
+	out, free, shutdown := startProducer(&puller{src: src, base: e.recs.Load()}, liveBatchLen, nil)
 	defer func() {
-		src.Close()
-		close(free)
-		for range out {
-		}
+		src.Close() // a pending Next returns, so the producer can exit
+		shutdown()
 	}()
 	clock := &utcClock{cur: -1, now: o.Now, closeFinal: o.CloseFinalDay}
 	err := e.ingest(feed{out: out, free: free, clock: clock, ticks: o.Ticks, stop: o.Stop, onDayClose: o.OnDayClose})
@@ -107,41 +92,33 @@ func (e *Engine) Run(src source.Source, opts *RunOptions) error {
 // read-ahead — what a stop discards — is at most 256 records.
 const liveBatchLen = 64
 
-// pull is Run's producer: it fills each free batch with consecutive
-// records from src.Next — until the batch is full or src.Buffered says
-// the next record would mean waiting — and ships it, stamping each record
-// with the engine cursor it advances to (base, the cursor Run started at,
-// plus the source's own sequence number). When Next fails, the batch in
-// hand goes out with the records read so far and the error (io.EOF
-// included) as the terminal batch; the loop applies its records first.
-// The puller also ends when free closes. A panicking source (a malformed
-// feed tripping a decoder bug) is contained to this scenario: the panic
-// surfaces as the run's terminal error instead of killing the daemon.
-func pull(src source.Source, base uint64, free <-chan *decBatch, out chan<- *decBatch) {
-	defer close(out)
-	var b *decBatch // the batch in hand
-	err := supervise.Run("source puller", func() error {
-		for b = range free {
-			b.recs = b.recs[:0]
-			for more := true; more && len(b.recs) < cap(b.recs); more = src.Buffered() {
-				// The slot joins the batch only once Next has filled it.
-				n := len(b.recs)
-				rec := &b.recs[:n+1][n]
-				if err := src.Next(&rec.Record); err != nil {
-					return err
-				}
-				rec.Seq += base
-				rec.kind = source.KindUpdate
-				b.recs = b.recs[:n+1]
-			}
-			out <- b
+// puller is a live feed's producer: it fills a batch with consecutive
+// records from src.Next — until the batch is full or src.Buffered says the
+// next record would mean waiting — stamping each with the engine cursor it
+// advances to (base, the cursor Run started at, plus the source's own
+// sequence number). When Next fails, the batch ends the feed with the
+// records read so far and the error (io.EOF included); the loop applies
+// its records first.
+type puller struct {
+	src  source.Source
+	base uint64
+}
+
+func (p *puller) fill(b *decBatch) bool {
+	b.flush = true
+	for more := true; more && len(b.recs) < cap(b.recs); more = p.src.Buffered() {
+		// The slot joins the batch only once Next has filled it.
+		n := len(b.recs)
+		rec := &b.recs[:n+1][n]
+		if err := p.src.Next(&rec.Record); err != nil {
+			b.err = err
+			return true
 		}
-		return nil
-	})
-	if err != nil {
-		b.err = err
-		out <- b
+		rec.Seq += p.base
+		rec.kind = source.KindUpdate
+		b.recs = b.recs[:n+1]
 	}
+	return false
 }
 
 // srcBox wraps a source for the engine's atomic src slot: atomic.Value

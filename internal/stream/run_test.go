@@ -454,20 +454,16 @@ type stepSource struct{ *sliceSource }
 
 func (stepSource) Buffered() bool { return false }
 
-// startPull runs pull over src with a ring shaped like Run's and returns
-// the ring's ends.
+// startPull runs Run's producer over src and returns the ring's ends.
 func startPull(src source.Source, base uint64) (free chan<- *decBatch, out <-chan *decBatch) {
-	f, o := make(chan *decBatch, ringBatches), make(chan *decBatch, ringBatches)
-	for i := 0; i < cap(f); i++ {
-		f <- newDecBatch(liveBatchLen)
-	}
-	go pull(src, base, f, o)
-	return f, o
+	out, free, _ = startProducer(&puller{src: src, base: base}, liveBatchLen, nil)
+	return free, out
 }
 
-// pullBatches runs pull over src and returns the records' cursors batch
-// by batch, recycling each batch as the loop would, until the terminal
-// batch; it fails unless that batch ends the feed with io.EOF.
+// pullBatches runs Run's producer over src and returns the records'
+// cursors batch by batch, recycling each batch as the loop would, until
+// the terminal batch; it fails unless that batch ends the feed with
+// io.EOF.
 func pullBatches(t *testing.T, src source.Source, base uint64) [][]uint64 {
 	t.Helper()
 	free, out := startPull(src, base)

@@ -1,11 +1,14 @@
 // Package supervise contains panics so one sick goroutine cannot take
-// down the whole daemon. Every scenario-owned goroutine (the replay
-// framer, the run puller, shard workers, the auto-checkpoint loop)
-// runs its work under Run or Recover, which convert a panic into a
-// *PanicError carrying the goroutine's name, the panic value and a
-// trimmed stack. The owning scenario then transitions to failed — the
-// process never exits — and serve's restart policy decides whether to
-// resurrect it from the latest checkpoint.
+// down the whole daemon. Every scenario-owned goroutine runs its work
+// under Run, or calls AsError in its own deferred recover, which convert
+// a panic into a *PanicError carrying the goroutine's name, the panic
+// value and a trimmed stack: the feed producer (the one goroutine that
+// reads a scenario's feed, an archive's framer or a live source's
+// puller; its panic is the feed's terminal error), the shard workers,
+// the scenario's replay goroutine and the auto-checkpoint loop. The
+// owning scenario then transitions to failed — the process never exits —
+// and serve's restart policy decides whether to resurrect it from the
+// latest checkpoint.
 package supervise
 
 import (
@@ -20,7 +23,7 @@ const maxStack = 4 << 10
 // PanicError is a recovered panic promoted to an error.
 type PanicError struct {
 	// Name identifies the goroutine that panicked ("shard worker",
-	// "source puller", "auto-checkpoint", ...).
+	// "feed producer", "auto-checkpoint", ...).
 	Name string
 	// Value is the original panic value.
 	Value any
@@ -57,13 +60,4 @@ func Run(name string, fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// Go spawns fn on its own goroutine under Run and delivers the
-// outcome (nil, fn's error, or a *PanicError) to done, which must be
-// non-nil.
-func Go(name string, fn func() error, done func(error)) {
-	go func() {
-		done(Run(name, fn))
-	}()
 }

@@ -60,17 +60,3 @@ func TestAsErrorNil(t *testing.T) {
 		t.Fatal("AsError(nil) != nil")
 	}
 }
-
-func TestGoDeliversOutcome(t *testing.T) {
-	ch := make(chan error, 1)
-	Go("bg", func() error { panic(42) }, func(err error) { ch <- err })
-	err := <-ch
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Value != 42 {
-		t.Fatalf("Go outcome: %v", err)
-	}
-	Go("bg2", func() error { return nil }, func(err error) { ch <- err })
-	if err := <-ch; err != nil {
-		t.Fatal(err)
-	}
-}
