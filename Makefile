@@ -93,6 +93,8 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEpisodeLogDecode -fuzztime $(FUZZTIME) ./internal/epilog
 	$(GO) test -run XXX -fuzz FuzzIntern -fuzztime $(FUZZTIME) ./internal/bgp
 	$(GO) test -run XXX -fuzz FuzzParsePrefix -fuzztime $(FUZZTIME) ./internal/bgp
+	$(GO) test -run XXX -fuzz FuzzUpdateBody -fuzztime $(FUZZTIME) ./internal/bgp
+	$(GO) test -run XXX -fuzz FuzzMRTFramer -fuzztime $(FUZZTIME) ./internal/source
 	$(GO) test -run XXX -fuzz FuzzPrefixTable -fuzztime $(FUZZTIME) ./internal/ptable
 
 # soak runs the months-of-days synth flap-storm leak check under the race
@@ -125,7 +127,9 @@ docscheck:
 # (internal/analysis) is arithmetic over detection output: no simulator,
 # no driver, no engine. The kernel and the episode log know nothing of
 # each other: the records they exchange (Episode, Class) are declared
-# once, in internal/core. `go list -deps` excludes test imports,
+# once, in internal/core. The MRT edge stays a leaf: internal/mrt links
+# no moas package but internal/bgp, and mrtdump none of the simulator,
+# collector, engine or daemon. `go list -deps` excludes test imports,
 # so the stream tests may still replay scenario archives.
 depcheck:
 	@bad=$$( { \
@@ -133,6 +137,8 @@ depcheck:
 		$(GO) list -deps ./internal/analysis | grep -xE 'moas/internal/(driver|scenario|simnet|topology|kernel|stream)' | sed 's|^|internal/analysis links |'; \
 		$(GO) list -deps ./internal/kernel | grep -xE 'moas/internal/epilog' | sed 's|^|internal/kernel links |'; \
 		$(GO) list -deps ./internal/epilog | grep -xE 'moas/internal/kernel' | sed 's|^|internal/epilog links |'; \
+		$(GO) list -deps ./internal/mrt | grep -E '^moas(/|$$)' | grep -vxE 'moas/internal/(mrt|bgp)' | sed 's|^|internal/mrt links |'; \
+		$(GO) list -deps ./cmd/mrtdump | grep -xE 'moas/internal/(scenario|simnet|topology|collector|stream|serve)' | sed 's|^|cmd/mrtdump links |'; \
 	} ); \
 	if [ -n "$$bad" ]; then echo "$$bad"; exit 1; fi
 

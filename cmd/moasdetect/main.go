@@ -7,8 +7,9 @@
 //	moasdetect -in DIR [-csv FILE]
 //
 // Files are processed in name order; each file is one observation day,
-// a TABLE_DUMP or TABLE_DUMP_V2 dump. Records it takes no routes from
-// (IPv6 RIBs, BGP4MP, ...) are counted per file, and each non-zero
+// a TABLE_DUMP or TABLE_DUMP_V2 dump of either address family, plain or
+// gzipped (detected by content, not by the .gz suffix). Records it takes
+// no routes from (BGP4MP, ...) are counted per file, and each non-zero
 // count is printed with its reason. The summary goes to stdout; -csv
 // additionally writes one line per conflict: prefix, first day, last
 // day, days observed, origins, class.
@@ -26,6 +27,7 @@ import (
 
 	"moas/internal/collector"
 	"moas/internal/core"
+	"moas/internal/mrt"
 )
 
 func main() {
@@ -56,7 +58,7 @@ func main() {
 
 	det := core.NewDetector()
 	for day, name := range files {
-		f, err := os.Open(name)
+		f, err := mrt.Open(name)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "moasdetect: %v\n", err)
 			os.Exit(1)

@@ -1,6 +1,7 @@
 // Command mrtdump pretty-prints MRT files record by record, in the spirit
 // of bgpdump: TABLE_DUMP and TABLE_DUMP_V2 RIB entries, BGP4MP messages
-// and state changes.
+// and state changes. A gzipped file is decompressed as it is read (gzip
+// detected by content, as in moasdetect and moasd).
 //
 // Usage:
 //
@@ -33,16 +34,16 @@ func main() {
 }
 
 func dumpFile(name string) error {
-	f, err := os.Open(name)
+	f, err := mrt.Open(name)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 
-	r := mrt.NewReader(f)
-	n := 0
-	for {
-		rec, err := r.Next()
+	fr := mrt.NewFramer(f)
+	var body []byte
+	for n := 0; ; n++ {
+		h, b, err := fr.NextInto(body[:0])
 		if err == io.EOF {
 			fmt.Printf("%s: %d records\n", name, n)
 			return nil
@@ -50,11 +51,11 @@ func dumpFile(name string) error {
 		if err != nil {
 			return err
 		}
-		n++
-		ts := time.Unix(int64(rec.Timestamp), 0).UTC().Format("2006-01-02 15:04:05")
-		dec, err := mrt.DecodeRecord(rec)
+		body = b
+		ts := time.Unix(int64(h.Timestamp), 0).UTC().Format("2006-01-02 15:04:05")
+		dec, err := mrt.DecodeRecord(h, body)
 		if err != nil {
-			fmt.Printf("%s %v/%d (%d bytes): %v\n", ts, rec.Type, rec.Subtype, rec.Length, err)
+			fmt.Printf("%s %v/%d (%d bytes): %v\n", ts, h.Type, h.Subtype, h.Length, err)
 			continue
 		}
 		switch d := dec.(type) {

@@ -19,8 +19,17 @@ const (
 	maxMsgLen = 4096
 )
 
-// ErrBadMessage reports a malformed BGP message.
+// ErrBadMessage reports a malformed BGP message. Every decode error of a
+// message wraps it, including those of the NLRI and path attributes
+// inside an UPDATE, which keep their own text and sentinel.
 var ErrBadMessage = errors.New("bgp: bad message")
+
+// badPart is the error of a malformed part of a message: its text is the
+// part's own, and errors.Is matches ErrBadMessage as well as the part's
+// sentinel.
+type badPart struct{ error }
+
+func (e badPart) Unwrap() []error { return []error{ErrBadMessage, e.error} }
 
 // Open is a BGP OPEN message.
 type Open struct {
@@ -200,7 +209,7 @@ func DecodeUpdateBodyInto(u *Update, body []byte, in *AttrsInterner) error {
 	for len(wd) > 0 {
 		p, n, err := DecodeNLRI(wd, FamilyIPv4)
 		if err != nil {
-			return err
+			return badPart{err}
 		}
 		u.Withdrawn = append(u.Withdrawn, p)
 		wd = wd[n:]
@@ -214,13 +223,13 @@ func DecodeUpdateBodyInto(u *Update, body []byte, in *AttrsInterner) error {
 		if in != nil {
 			a, err := in.Intern(rest[2 : 2+attrLen])
 			if err != nil {
-				return err
+				return badPart{err}
 			}
 			u.Attrs = a
 		} else {
 			u.Attrs = new(Attrs)
 			if err := u.Attrs.DecodeAttrs(rest[2 : 2+attrLen]); err != nil {
-				return err
+				return badPart{err}
 			}
 		}
 	}
@@ -228,7 +237,7 @@ func DecodeUpdateBodyInto(u *Update, body []byte, in *AttrsInterner) error {
 	for len(nlri) > 0 {
 		p, n, err := DecodeNLRI(nlri, FamilyIPv4)
 		if err != nil {
-			return err
+			return badPart{err}
 		}
 		u.NLRI = append(u.NLRI, p)
 		nlri = nlri[n:]

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -119,14 +120,27 @@ func TestDecodeMessageErrors(t *testing.T) {
 
 func TestDecodeUpdateBodyErrors(t *testing.T) {
 	bad := [][]byte{
-		{0},                // too short
-		{0, 5, 1, 2},       // withdrawn block overruns
-		{0, 0, 0, 5, 1, 2}, // attr block overruns
+		{0},                   // too short
+		{0, 5, 1, 2},          // withdrawn block overruns
+		{0, 0, 0, 5, 1, 2},    // attr block overruns
+		{0, 1, 33, 0, 0},      // withdrawn NLRI length 33
+		{0, 0, 0, 3, 0, 9, 0}, // unknown well-known attribute
+		{0, 0, 0, 0, 16, 10},  // NLRI truncated
 	}
 	for _, b := range bad {
-		if err := DecodeUpdateBodyInto(new(Update), b, nil); err == nil {
-			t.Errorf("DecodeUpdateBodyInto(% x) succeeded", b)
+		for _, in := range []*AttrsInterner{nil, NewAttrsInterner(false)} {
+			err := DecodeUpdateBodyInto(new(Update), b, in)
+			if err == nil {
+				t.Errorf("DecodeUpdateBodyInto(% x) succeeded", b)
+			} else if !errors.Is(err, ErrBadMessage) {
+				t.Errorf("DecodeUpdateBodyInto(% x): %q does not wrap ErrBadMessage", b, err)
+			}
 		}
+	}
+	// A bad part keeps its own text and sentinel.
+	err := DecodeUpdateBodyInto(new(Update), []byte{0, 0, 0, 3, 0, 9, 0}, nil)
+	if !errors.Is(err, ErrBadAttrs) || err.Error() != "bgp: bad path attributes: unknown well-known attribute 9" {
+		t.Errorf("bad attribute block: %q", err)
 	}
 }
 

@@ -29,17 +29,6 @@ const (
 	FamilyIPv6
 )
 
-// AFI returns the IANA address family identifier used in MRT records.
-func (f Family) AFI() uint16 {
-	switch f {
-	case FamilyIPv4:
-		return 1
-	case FamilyIPv6:
-		return 2
-	}
-	return 0
-}
-
 // String returns "ipv4", "ipv6" or "none".
 func (f Family) String() string {
 	switch f {

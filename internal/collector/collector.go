@@ -6,8 +6,6 @@
 package collector
 
 import (
-	"bufio"
-	"compress/gzip"
 	"fmt"
 	"io"
 
@@ -84,39 +82,23 @@ func attrsHaveNextHop(a *bgp.Attrs) bool {
 }
 
 // Skipped counts the records ReadDay took no routes from, by reason:
-// TABLE_DUMP_V2 IPv6 RIBs (SkippedIPv6RIB), which nothing downstream
-// stores yet, and records of any type that carries no table, by type and
-// subtype ("BGP4MP subtype 1").
+// records of any type that carries no table, by type and subtype
+// ("BGP4MP subtype 1").
 type Skipped map[string]int
 
-// SkippedIPv6RIB is the reason a TABLE_DUMP_V2 RIB_IPV6_UNICAST record
-// is skipped.
-const SkippedIPv6RIB = "TABLE_DUMP_V2 RIB_IPV6_UNICAST (IPv6 not stored)"
-
-// ReadDay parses a table dump — TABLE_DUMP records, or a TABLE_DUMP_V2
-// PEER_INDEX_TABLE and the RIB_IPV4_UNICAST records that follow it — back
-// into a table view, mapping each distinct (peer IP, peer AS) to a stable
-// peer ID in order of first appearance — exactly how the paper's tooling
-// reconstructed per-peer tables from archive files. Gzip-compressed input
-// (the NLANR archives shipped as oix-full-snapshot-*.gz) is detected and
-// decompressed transparently. Every other record is skipped and counted
-// by reason; a record that does not decode fails the read with its
-// ordinal (records count from 1).
+// ReadDay parses a plain MRT table dump — TABLE_DUMP records, or a
+// TABLE_DUMP_V2 PEER_INDEX_TABLE and the RIB_IPV4_UNICAST and
+// RIB_IPV6_UNICAST records that follow it — back into a table view,
+// mapping each distinct (peer IP, peer AS) to a stable peer ID in order
+// of first appearance — exactly how the paper's tooling reconstructed
+// per-peer tables from archive files. Both formats keep routes of either
+// family. mrt.Open decompresses a gzipped file (the NLANR archives
+// shipped as oix-full-snapshot-*.gz) for it. Every other record is
+// skipped and counted by reason; a record that does not decode fails the
+// read with its ordinal (records count from 1).
 func ReadDay(r io.Reader) (*rib.TableView, Skipped, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, nil, fmt.Errorf("collector: gzip: %w", err)
-		}
-		defer gz.Close()
-		return readDayMRT(gz)
-	}
-	return readDayMRT(br)
-}
-
-func readDayMRT(r io.Reader) (*rib.TableView, Skipped, error) {
-	mr := mrt.NewReader(r)
+	fr := mrt.NewFramer(r)
+	var body []byte
 	view := rib.NewTableView()
 	skipped := Skipped{}
 	type peerKey struct {
@@ -137,22 +119,23 @@ func readDayMRT(r io.Reader) (*rib.TableView, Skipped, error) {
 	var index mrt.PeerIndexTable
 	var rt mrt.RIB
 	for n := 1; ; n++ {
-		rec, err := mr.Next()
+		h, b, err := fr.NextInto(body[:0])
 		if err == io.EOF {
 			return view, skipped, nil
 		}
 		if err != nil {
 			return nil, nil, err
 		}
+		body = b
 		switch {
-		case rec.Type == mrt.TypeTableDump:
-			if err = td.DecodeTableDump(rec.Body, rec.Subtype); err == nil {
+		case h.Type == mrt.TypeTableDump:
+			if err = td.DecodeTableDump(body, h.Subtype); err == nil {
 				add(td.PeerIP, td.PeerAS, td.Prefix, td.Attrs.Clone())
 			}
-		case rec.Type == mrt.TypeTableDumpV2 && rec.Subtype == mrt.SubtypePeerIndexTable:
-			err = index.DecodePeerIndexTable(rec.Body)
-		case rec.Type == mrt.TypeTableDumpV2 && rec.Subtype == mrt.SubtypeRIBIPv4Unicast:
-			if err = rt.DecodeRIB(rec.Body, rec.Subtype); err != nil {
+		case h.Type == mrt.TypeTableDumpV2 && h.Subtype == mrt.SubtypePeerIndexTable:
+			err = index.DecodePeerIndexTable(body)
+		case h.Type == mrt.TypeTableDumpV2 && (h.Subtype == mrt.SubtypeRIBIPv4Unicast || h.Subtype == mrt.SubtypeRIBIPv6Unicast):
+			if err = rt.DecodeRIB(body, h.Subtype); err != nil {
 				break
 			}
 			for _, e := range rt.Entries {
@@ -163,10 +146,8 @@ func readDayMRT(r io.Reader) (*rib.TableView, Skipped, error) {
 				peer := &index.Peers[e.PeerIndex]
 				add(peer.IP, peer.AS, rt.Prefix, e.Attrs) // DecodeRIB allocates each entry's Attrs
 			}
-		case rec.Type == mrt.TypeTableDumpV2 && rec.Subtype == mrt.SubtypeRIBIPv6Unicast:
-			skipped[SkippedIPv6RIB]++
 		default:
-			skipped[fmt.Sprintf("%s subtype %d", rec.Type, rec.Subtype)]++
+			skipped[fmt.Sprintf("%s subtype %d", h.Type, h.Subtype)]++
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("collector: record %d: %w", n, err)

@@ -3,6 +3,8 @@ package collector
 import (
 	"bytes"
 	"compress/gzip"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -89,22 +91,24 @@ func TestWriteDayRecordShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantTS := uint32(sc.DayDate(day).Unix())
-	r := mrt.NewReader(&buf)
+	f := mrt.NewFramer(&buf)
+	var body []byte
 	records := 0
 	var td mrt.TableDump
 	for {
-		rec, err := r.Next()
+		h, b, err := f.NextInto(body[:0])
 		if err != nil {
 			break
 		}
+		body = b
 		records++
-		if rec.Type != mrt.TypeTableDump {
-			t.Fatalf("record type %v", rec.Type)
+		if h.Type != mrt.TypeTableDump {
+			t.Fatalf("record type %v", h.Type)
 		}
-		if rec.Timestamp != wantTS {
-			t.Fatalf("timestamp %d, want %d", rec.Timestamp, wantTS)
+		if h.Timestamp != wantTS {
+			t.Fatalf("timestamp %d, want %d", h.Timestamp, wantTS)
 		}
-		if err := td.DecodeTableDump(rec.Body, rec.Subtype); err != nil {
+		if err := td.DecodeTableDump(body, h.Subtype); err != nil {
 			t.Fatal(err)
 		}
 		if td.Attrs.NextHop == ([4]byte{}) {
@@ -152,8 +156,8 @@ func TestReadDaySkipsUnknownRecords(t *testing.T) {
 // TestReadDayTableDumpV2: a TABLE_DUMP_V2 day — the PEER_INDEX_TABLE, a
 // RIB_IPV4_UNICAST whose two peers see 10.0.0.0/8 from different origins,
 // and an IPv6 RIB — reads as one prefix in MOAS conflict, each route
-// under its peer's identity, and the IPv6 RIB is counted, not dropped
-// silently.
+// under its peer's identity, and the IPv6 RIB's route is kept, as a
+// TABLE_DUMP IPv6 entry's is: nothing is skipped.
 func TestReadDayTableDumpV2(t *testing.T) {
 	var buf bytes.Buffer
 	w := mrt.NewWriter(&buf)
@@ -184,15 +188,19 @@ func TestReadDayTableDumpV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := core.NewDetector().ObserveView(0, view)
-	if view.Len() != 1 || obs.Count() != 1 || obs.Conflicts[0].Prefix != p {
-		t.Fatalf("%d prefixes, conflicts %+v: want 10.0.0.0/8 in one MOAS conflict", view.Len(), obs.Conflicts)
+	if view.Len() != 2 || obs.Count() != 1 || obs.Conflicts[0].Prefix != p {
+		t.Fatalf("%d prefixes, conflicts %+v: want 10.0.0.0/8 in one MOAS conflict beside 2001:db8::/32", view.Len(), obs.Conflicts)
 	}
 	routes := view.Routes(p)
 	if len(routes) != 2 || routes[0].PeerAS != 701 || routes[1].PeerAS != 3356 || routes[0].PeerID == routes[1].PeerID {
 		t.Fatalf("routes %+v, want one per peer of the index", routes)
 	}
-	if want := (Skipped{SkippedIPv6RIB: 1}); !reflect.DeepEqual(skipped, want) {
-		t.Fatalf("skipped %v, want %v", skipped, want)
+	v6 := view.Routes(bgp.MustParsePrefix("2001:db8::/32"))
+	if len(v6) != 1 || v6[0].PeerID != routes[0].PeerID || !v6[0].Route.Attrs.ASPath.Equal(bgp.Seq(701, 9)) {
+		t.Fatalf("IPv6 routes %+v, want peer 0's 701 9", v6)
+	}
+	if len(skipped) != 0 {
+		t.Fatalf("skipped %v, want nothing", skipped)
 	}
 }
 
@@ -233,6 +241,9 @@ func TestReadDayPeerIdentity(t *testing.T) {
 	}
 }
 
+// TestReadDayGzip: a gzipped day on disk, opened through mrt.Open, reads
+// to the same view as the plain bytes; a corrupt gzip header fails at the
+// open.
 func TestReadDayGzip(t *testing.T) {
 	sc := smallScenario(t)
 	day := sc.ObservedDays[0]
@@ -248,11 +259,21 @@ func TestReadDayGzip(t *testing.T) {
 	if err := gz.Close(); err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "day.mrt.gz")
+	if err := os.WriteFile(path, gzbuf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	plain, _, err := ReadDay(bytes.NewReader(raw.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	zipped, _, err := ReadDay(&gzbuf)
+	f, err := mrt.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zipped, _, err := ReadDay(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +281,11 @@ func TestReadDayGzip(t *testing.T) {
 		t.Fatalf("gzip round trip lost prefixes: %d vs %d", plain.Len(), zipped.Len())
 	}
 	// Corrupt gzip header after magic bytes must error cleanly.
-	if _, _, err := ReadDay(bytes.NewReader([]byte{0x1f, 0x8b, 0xff, 0xff})); err == nil {
+	corrupt := filepath.Join(dir, "corrupt.mrt.gz")
+	if err := os.WriteFile(corrupt, []byte{0x1f, 0x8b, 0xff, 0xff}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mrt.Open(corrupt); err == nil {
 		t.Fatal("corrupt gzip accepted")
 	}
 }

@@ -8,12 +8,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"moas/internal/mrt"
 	"moas/internal/scenario"
 )
 
-// TestSaveAndOpenUpdateArchive round-trips a scenario archive through
-// disk, plain and gzipped, and checks both open to byte-identical streams
-// (gzip detected by magic bytes, not file name).
+// TestSaveAndOpenUpdateArchive round-trips a scenario's update archive
+// through disk, plain and gzipped, and checks both open through mrt.Open
+// to byte-identical streams (gzip detected by magic bytes, not file
+// name).
 func TestSaveAndOpenUpdateArchive(t *testing.T) {
 	sc, err := scenario.Build(scenario.TestSpec())
 	if err != nil {
@@ -27,7 +29,7 @@ func TestSaveAndOpenUpdateArchive(t *testing.T) {
 	dir := t.TempDir()
 	plain := filepath.Join(dir, "updates.mrt")
 	// The gzipped copy deliberately lacks a .gz-ish read hint beyond its
-	// write-side suffix; OpenUpdateArchive must sniff content.
+	// write-side suffix; mrt.Open must sniff content.
 	gzipped := filepath.Join(dir, "updates.mrt.gz")
 	var zipped bytes.Buffer
 	zw := gzip.NewWriter(&zipped)
@@ -41,9 +43,9 @@ func TestSaveAndOpenUpdateArchive(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		f, err := OpenUpdateArchive(path)
+		f, err := mrt.Open(path)
 		if err != nil {
-			t.Fatalf("OpenUpdateArchive(%s): %v", path, err)
+			t.Fatalf("mrt.Open(%s): %v", path, err)
 		}
 		got, err := io.ReadAll(f)
 		if err != nil {
@@ -58,7 +60,7 @@ func TestSaveAndOpenUpdateArchive(t *testing.T) {
 		}
 	}
 
-	if _, err := OpenUpdateArchive(filepath.Join(dir, "missing.mrt")); err == nil {
-		t.Fatal("OpenUpdateArchive of a missing file did not error")
+	if _, err := mrt.Open(filepath.Join(dir, "missing.mrt")); err == nil {
+		t.Fatal("mrt.Open of a missing file did not error")
 	}
 }

@@ -176,20 +176,22 @@ func ReplayUpdates(base *rib.TableView, r io.Reader) (*rib.TableView, error) {
 		return true
 	})
 
-	mr := mrt.NewReader(r)
+	fr := mrt.NewFramer(r)
+	var body []byte
 	var msg mrt.BGP4MPMessage
 	for {
-		rec, err := mr.Next()
+		h, b, err := fr.NextInto(body[:0])
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		if rec.Type != mrt.TypeBGP4MP || rec.Subtype != mrt.SubtypeMessage {
+		body = b
+		if !h.CarriesMessage() {
 			continue
 		}
-		if err := msg.DecodeBGP4MPMessage(rec.Body); err != nil {
+		if err := msg.DecodeBGP4MPMessageBorrow(body); err != nil {
 			return nil, err
 		}
 		decoded, err := msg.Message()

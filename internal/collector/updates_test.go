@@ -176,18 +176,20 @@ func TestWriteViewUpdatesBatching(t *testing.T) {
 	if err := WriteViewUpdates(&buf, oldV, newV, 1); err != nil {
 		t.Fatal(err)
 	}
-	r := mrt.NewReader(&buf)
+	f := mrt.NewFramer(&buf)
+	var body []byte
 	msgs := 0
 	var m mrt.BGP4MPMessage
 	for {
-		rec, err := r.Next()
+		_, b, err := f.NextInto(body[:0])
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.DecodeBGP4MPMessage(rec.Body); err != nil {
+		body = b
+		if err := m.DecodeBGP4MPMessageBorrow(body); err != nil {
 			t.Fatal(err)
 		}
 		decoded, err := m.Message()

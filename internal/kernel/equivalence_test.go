@@ -87,24 +87,26 @@ func driveStream(t *testing.T, k *kernel.Kernel, sc *scenario.Scenario, archive 
 	}
 
 	idx := 0
-	mr := mrt.NewReader(bytes.NewReader(archive))
+	fr := mrt.NewFramer(bytes.NewReader(archive))
+	var body []byte
 	var msg mrt.BGP4MPMessage
 	for {
-		rec, err := mr.Next()
+		h, b, err := fr.NextInto(body[:0])
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Type != mrt.TypeBGP4MP || rec.Subtype != mrt.SubtypeMessage {
+		body = b
+		if !h.CarriesMessage() {
 			continue
 		}
-		for idx+1 < len(days) && rec.Timestamp >= times[idx+1] {
+		for idx+1 < len(days) && h.Timestamp >= times[idx+1] {
 			k.CloseDay(days[idx])
 			idx++
 		}
-		if err := msg.DecodeBGP4MPMessage(rec.Body); err != nil {
+		if err := msg.DecodeBGP4MPMessageBorrow(body); err != nil {
 			t.Fatal(err)
 		}
 		decoded, err := msg.Message()

@@ -32,54 +32,33 @@ func (m *BGP4MPMessage) AppendBody(dst []byte) []byte {
 	return append(dst, m.Data...)
 }
 
-// DecodeBGP4MPMessage decodes a BGP4MP_MESSAGE body into m. m.Data is
-// copied into m's reusable buffer, so it stays valid after the source
-// record is recycled.
-func (m *BGP4MPMessage) DecodeBGP4MPMessage(b []byte) error {
-	rest, err := m.decodeBGP4MPHeader(b)
-	if err != nil {
-		return err
-	}
-	m.Data = append(m.Data[:0], rest...)
-	return nil
-}
-
-// DecodeBGP4MPMessageBorrow decodes like DecodeBGP4MPMessage but borrows
-// b for m.Data instead of copying — zero allocations, zero copies. The
-// decoded message is valid only as long as b is (for a Reader record,
-// until the next Next call); callers that retain nothing past that window
-// — the streaming decode stage extracts prefixes by value and interns
-// attribute blocks — use this form.
+// DecodeBGP4MPMessageBorrow decodes a BGP4MP_MESSAGE body into m,
+// borrowing b for m.Data instead of copying it — zero allocations, zero
+// copies. The decoded message is valid only as long as b is (for a
+// framed record, until its buffer is reused); callers that retain nothing
+// past that window — the streaming decode stage extracts prefixes by
+// value and interns attribute blocks — use it as is, and DecodeRecord
+// copies Data for the value it returns.
 func (m *BGP4MPMessage) DecodeBGP4MPMessageBorrow(b []byte) error {
-	rest, err := m.decodeBGP4MPHeader(b)
-	if err != nil {
-		return err
-	}
-	m.Data = rest
-	return nil
-}
-
-// decodeBGP4MPHeader decodes the shared BGP4MP_MESSAGE addressing header
-// and returns the embedded BGP message bytes (borrowed from b).
-func (m *BGP4MPMessage) decodeBGP4MPHeader(b []byte) ([]byte, error) {
 	if len(b) < 8 {
-		return nil, fmt.Errorf("%w: short BGP4MP_MESSAGE", ErrBadRecord)
+		return fmt.Errorf("%w: short BGP4MP_MESSAGE", ErrBadRecord)
 	}
 	m.PeerAS = bgp.ASN(u16(b))
 	m.LocalAS = bgp.ASN(u16(b[2:]))
 	m.IfIndex = u16(b[4:])
 	n, fam, err := afiAddrBytes(u16(b[6:]))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Family = fam
 	if len(b) < 8+2*n {
-		return nil, fmt.Errorf("%w: BGP4MP_MESSAGE addresses truncated", ErrBadRecord)
+		return fmt.Errorf("%w: BGP4MP_MESSAGE addresses truncated", ErrBadRecord)
 	}
 	m.PeerIP, m.LocalIP = [16]byte{}, [16]byte{}
 	copy(m.PeerIP[:], b[8:8+n])
 	copy(m.LocalIP[:], b[8+n:8+2*n])
-	return b[8+2*n:], nil
+	m.Data = b[8+2*n:]
+	return nil
 }
 
 // Message decodes the embedded BGP message (see bgp.DecodeMessage).

@@ -7,12 +7,12 @@ import (
 )
 
 // Framer splits an MRT stream into raw record frames: a walk of the
-// length-prefixed common headers that hands out undecoded bodies. It is
-// the cheap front half of a parallel decode pipeline — one goroutine
-// frames the archive in order while body decode happens elsewhere — and
-// the one place header and body reads (and their error forms) live:
-// Reader is a Framer plus a body buffer. It buffers internally; do not
-// mix reads of the underlying reader with Framer calls.
+// length-prefixed common headers that hands out undecoded bodies into a
+// buffer the caller owns. It is the package's one reading API and the
+// one place header and body reads (and their error forms) live; a caller
+// reading record by record keeps one buffer and passes buf[:0] to each
+// NextInto. It buffers internally; do not mix reads of the underlying
+// reader with Framer calls.
 type Framer struct {
 	br  *bufio.Reader
 	hdr [headerLen]byte
@@ -24,7 +24,7 @@ func NewFramer(r io.Reader) *Framer {
 }
 
 // Reset repoints the Framer at a new source, keeping its 64 KiB
-// read-ahead buffer — the archive-reuse analogue of Reader.Reset.
+// read-ahead buffer, so re-reading an archive allocates nothing new.
 func (f *Framer) Reset(src io.Reader) {
 	f.br.Reset(src)
 }

@@ -3,9 +3,11 @@
 // analyzed: TABLE_DUMP (the 1997-2001-era daily snapshot format),
 // TABLE_DUMP_V2 (the modern replacement) and BGP4MP update traces.
 //
-// The package provides a streaming Reader and Writer over raw records plus
-// typed encode/decode for each record kind, in the gopacket style: decode
-// into preallocated values, serialize by appending to buffers.
+// The package provides the one way in for an archive — Open, which
+// decompresses gzip by content, and a streaming Framer over raw records —
+// a streaming Writer, and typed encode/decode for each record kind, in
+// the gopacket style: decode into preallocated values, serialize by
+// appending to buffers.
 package mrt
 
 import (
@@ -65,18 +67,20 @@ type Header struct {
 	Length    uint32 // body length, excluding the header
 }
 
+// CarriesMessage reports whether a record with header h holds a BGP
+// message — today a BGP4MP_MESSAGE. It is the one such test: every
+// update-stream consumer (the replay's decoder, the archive calendar)
+// asks it, so a new message subtype is added here once.
+func (h Header) CarriesMessage() bool {
+	return h.Type == TypeBGP4MP && h.Subtype == SubtypeMessage
+}
+
 // headerLen is the encoded size of the common header.
 const headerLen = 12
 
 // maxRecordLen bounds a record body; real table dumps stay far below it and
 // the cap keeps a corrupt length field from driving huge allocations.
 const maxRecordLen = 1 << 24
-
-// Record is a raw MRT record: header plus undecoded body.
-type Record struct {
-	Header
-	Body []byte
-}
 
 // ErrBadRecord reports a structurally invalid MRT record.
 var ErrBadRecord = errors.New("mrt: bad record")
@@ -117,7 +121,8 @@ func decodeHeader(b []byte) (Header, error) {
 	return h, nil
 }
 
-// addrBytes returns the encoded address size for an AFI subtype.
+// afiAddrBytes returns the encoded address size and family for an AFI
+// subtype.
 func afiAddrBytes(afi uint16) (int, bgp.Family, error) {
 	switch afi {
 	case SubtypeAFIIPv4:
@@ -127,3 +132,58 @@ func afiAddrBytes(afi uint16) (int, bgp.Family, error) {
 	}
 	return 0, bgp.FamilyNone, fmt.Errorf("%w: AFI %d", ErrBadRecord, afi)
 }
+
+// Decoded is any typed MRT record value returned by DecodeRecord.
+type Decoded any
+
+// DecodeRecord decodes one framed record — its header and body — into
+// its typed form: *TableDump, *PeerIndexTable, *RIB, *BGP4MPMessage or
+// *BGP4MPStateChange. The value owns its data: body may be reused as soon
+// as DecodeRecord returns. Unknown types and subtypes return
+// ErrUnknownRecord so callers can skip them, as archive consumers must.
+func DecodeRecord(h Header, body []byte) (Decoded, error) {
+	switch h.Type {
+	case TypeTableDump:
+		d := new(TableDump)
+		if err := d.DecodeTableDump(body, h.Subtype); err != nil {
+			return nil, err
+		}
+		return d, nil
+	case TypeTableDumpV2:
+		switch h.Subtype {
+		case SubtypePeerIndexTable:
+			t := new(PeerIndexTable)
+			if err := t.DecodePeerIndexTable(body); err != nil {
+				return nil, err
+			}
+			return t, nil
+		case SubtypeRIBIPv4Unicast, SubtypeRIBIPv6Unicast:
+			rr := new(RIB)
+			if err := rr.DecodeRIB(body, h.Subtype); err != nil {
+				return nil, err
+			}
+			return rr, nil
+		}
+	case TypeBGP4MP:
+		switch h.Subtype {
+		case SubtypeMessage:
+			m := new(BGP4MPMessage)
+			if err := m.DecodeBGP4MPMessageBorrow(body); err != nil {
+				return nil, err
+			}
+			m.Data = append([]byte(nil), m.Data...)
+			return m, nil
+		case SubtypeStateChange:
+			m := new(BGP4MPStateChange)
+			if err := m.DecodeBGP4MPStateChange(body); err != nil {
+				return nil, err
+			}
+			return m, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: %v subtype %d", ErrUnknownRecord, h.Type, h.Subtype)
+}
+
+// ErrUnknownRecord reports a record type/subtype this library does not
+// decode; archive readers should skip such records rather than abort.
+var ErrUnknownRecord = fmt.Errorf("mrt: unknown record")

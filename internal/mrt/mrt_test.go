@@ -210,7 +210,7 @@ func TestBGP4MPMessageRoundTrip(t *testing.T) {
 		Data:    upd.AppendWire(nil),
 	}
 	var got BGP4MPMessage
-	if err := got.DecodeBGP4MPMessage(m.AppendBody(nil)); err != nil {
+	if err := got.DecodeBGP4MPMessageBorrow(m.AppendBody(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got.PeerAS != 701 || got.LocalAS != 6447 || got.PeerIP != m.PeerIP {
@@ -242,7 +242,7 @@ func TestBGP4MPStateChangeRoundTrip(t *testing.T) {
 }
 
 func TestBGP4MPDecodeErrors(t *testing.T) {
-	if err := new(BGP4MPMessage).DecodeBGP4MPMessage([]byte{1}); err == nil {
+	if err := new(BGP4MPMessage).DecodeBGP4MPMessageBorrow([]byte{1}); err == nil {
 		t.Error("short message accepted")
 	}
 	if err := new(BGP4MPStateChange).DecodeBGP4MPStateChange([]byte{1}); err == nil {
@@ -250,7 +250,7 @@ func TestBGP4MPDecodeErrors(t *testing.T) {
 	}
 	// bad AFI
 	b := []byte{0, 1, 0, 2, 0, 0, 0, 9, 1, 2, 3, 4, 5, 6, 7, 8}
-	if err := new(BGP4MPMessage).DecodeBGP4MPMessage(b); err == nil {
+	if err := new(BGP4MPMessage).DecodeBGP4MPMessageBorrow(b); err == nil {
 		t.Error("bad AFI accepted")
 	}
 }
@@ -277,19 +277,21 @@ func TestReaderWriterStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewReader(&buf)
+	f := NewFramer(&buf)
+	var body []byte
 	var kinds []string
 	var stamps []uint32
 	for {
-		rec, err := r.Next()
+		h, b, err := f.NextInto(body[:0])
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		stamps = append(stamps, rec.Timestamp)
-		dec, err := DecodeRecord(rec)
+		body = b
+		stamps = append(stamps, h.Timestamp)
+		dec, err := DecodeRecord(h, body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,36 +329,36 @@ func TestReaderTruncation(t *testing.T) {
 	full := buf.Bytes()
 
 	// Truncated header: bad record, not clean EOF.
-	r := NewReader(bytes.NewReader(full[:6]))
-	if _, err := r.Next(); !errors.Is(err, ErrBadRecord) {
+	f := NewFramer(bytes.NewReader(full[:6]))
+	if _, _, err := f.NextInto(nil); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("truncated header: err = %v, want ErrBadRecord", err)
 	}
 	// Truncated body.
-	r = NewReader(bytes.NewReader(full[:len(full)-3]))
-	if _, err := r.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+	f = NewFramer(bytes.NewReader(full[:len(full)-3]))
+	if _, _, err := f.NextInto(nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated body: err = %v, want ErrUnexpectedEOF", err)
 	}
 	// Empty stream: clean EOF.
-	r = NewReader(bytes.NewReader(nil))
-	if _, err := r.Next(); err != io.EOF {
+	f = NewFramer(bytes.NewReader(nil))
+	if _, _, err := f.NextInto(nil); err != io.EOF {
 		t.Errorf("empty stream: err = %v, want io.EOF", err)
 	}
 }
 
 func TestReaderRejectsHugeLength(t *testing.T) {
 	h := Header{Timestamp: 1, Type: TypeTableDump, Subtype: 1, Length: maxRecordLen + 1}
-	r := NewReader(bytes.NewReader(h.AppendHeader(nil)))
-	if _, err := r.Next(); !errors.Is(err, ErrBadRecord) {
+	f := NewFramer(bytes.NewReader(h.AppendHeader(nil)))
+	if _, _, err := f.NextInto(nil); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("huge length: err = %v, want ErrBadRecord", err)
 	}
 }
 
 func TestDecodeRecordUnknown(t *testing.T) {
-	_, err := DecodeRecord(Record{Header: Header{Type: 99}})
+	_, err := DecodeRecord(Header{Type: 99}, nil)
 	if !errors.Is(err, ErrUnknownRecord) {
 		t.Errorf("unknown type: err = %v", err)
 	}
-	_, err = DecodeRecord(Record{Header: Header{Type: TypeTableDumpV2, Subtype: 77}})
+	_, err = DecodeRecord(Header{Type: TypeTableDumpV2, Subtype: 77}, nil)
 	if !errors.Is(err, ErrUnknownRecord) {
 		t.Errorf("unknown subtype: err = %v", err)
 	}
@@ -418,7 +420,7 @@ func BenchmarkTableDumpDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkReaderThroughput(b *testing.B) {
+func BenchmarkFramerThroughput(b *testing.B) {
 	// A 10k-record dump, read end to end per iteration.
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -436,19 +438,21 @@ func BenchmarkReaderThroughput(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
+	var body []byte
 	for i := 0; i < b.N; i++ {
-		r := NewReader(bytes.NewReader(data))
+		f := NewFramer(bytes.NewReader(data))
 		n := 0
 		for {
-			rec, err := r.Next()
+			h, nb, err := f.NextInto(body[:0])
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				b.Fatal(err)
 			}
+			body = nb
 			var td TableDump
-			if err := td.DecodeTableDump(rec.Body, rec.Subtype); err != nil {
+			if err := td.DecodeTableDump(body, h.Subtype); err != nil {
 				b.Fatal(err)
 			}
 			n++

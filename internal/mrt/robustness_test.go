@@ -2,14 +2,13 @@ package mrt
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"testing"
 )
 
 // Robustness: the MRT layer parses whatever an archive contains; random
 // and corrupted record bodies must produce errors, never panics, and the
-// stream reader must always terminate.
+// framer must always terminate.
 
 func TestDecodeRecordNeverPanicsOnRandomBodies(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
@@ -20,15 +19,12 @@ func TestDecodeRecordNeverPanicsOnRandomBodies(t *testing.T) {
 		for j := range body {
 			body[j] = byte(r.Intn(256))
 		}
-		rec := Record{
-			Header: Header{
-				Type:    types[r.Intn(len(types))],
-				Subtype: subs[r.Intn(len(subs))],
-				Length:  uint32(len(body)),
-			},
-			Body: body,
+		h := Header{
+			Type:    types[r.Intn(len(types))],
+			Subtype: subs[r.Intn(len(subs))],
+			Length:  uint32(len(body)),
 		}
-		_, _ = DecodeRecord(rec)
+		_, _ = DecodeRecord(h, body)
 	}
 }
 
@@ -39,9 +35,11 @@ func TestReaderTerminatesOnGarbageStreams(t *testing.T) {
 		for j := range garbage {
 			garbage[j] = byte(r.Intn(256))
 		}
-		reader := NewReader(bytes.NewReader(garbage))
+		f := NewFramer(bytes.NewReader(garbage))
+		var body []byte
 		for steps := 0; steps < 10000; steps++ {
-			_, err := reader.Next()
+			var err error
+			_, body, err = f.NextInto(body[:0])
 			if err != nil {
 				break // io.EOF, ErrBadRecord or ErrUnexpectedEOF: all fine
 			}
@@ -69,13 +67,15 @@ func TestReaderMutatedValidStream(t *testing.T) {
 		for j := 1 + r.Intn(8); j > 0; j-- {
 			b[r.Intn(len(b))] = byte(r.Intn(256))
 		}
-		reader := NewReader(bytes.NewReader(b))
+		f := NewFramer(bytes.NewReader(b))
+		var body []byte
 		for {
-			rec, err := reader.Next()
-			if err == io.EOF || err != nil {
+			h, nb, err := f.NextInto(body[:0])
+			if err != nil {
 				break
 			}
-			_, _ = DecodeRecord(rec) // must not panic
+			body = nb
+			_, _ = DecodeRecord(h, body) // must not panic
 		}
 	}
 }

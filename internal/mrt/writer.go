@@ -13,8 +13,9 @@ type bodyAppender interface {
 // Writer streams MRT records to an io.Writer with internal buffering.
 // Call Flush before using the underlying writer's contents.
 type Writer struct {
-	bw  *bufio.Writer
-	buf []byte
+	bw   *bufio.Writer
+	hdr  [headerLen]byte
+	body []byte // typed records encode here
 }
 
 // NewWriter returns a buffering MRT writer.
@@ -26,8 +27,7 @@ func NewWriter(w io.Writer) *Writer {
 // field is computed from the body.
 func (w *Writer) WriteRecord(timestamp uint32, typ Type, subtype uint16, body []byte) error {
 	h := Header{Timestamp: timestamp, Type: typ, Subtype: subtype, Length: uint32(len(body))}
-	w.buf = h.AppendHeader(w.buf[:0])
-	if _, err := w.bw.Write(w.buf); err != nil {
+	if _, err := w.bw.Write(h.AppendHeader(w.hdr[:0])); err != nil {
 		return err
 	}
 	_, err := w.bw.Write(body)
@@ -36,14 +36,8 @@ func (w *Writer) WriteRecord(timestamp uint32, typ Type, subtype uint16, body []
 
 // writeTyped encodes rec and writes it with the given header fields.
 func (w *Writer) writeTyped(timestamp uint32, typ Type, subtype uint16, rec bodyAppender) error {
-	w.buf = rec.AppendBody(w.buf[:0])
-	h := Header{Timestamp: timestamp, Type: typ, Subtype: subtype, Length: uint32(len(w.buf))}
-	var hdr [headerLen]byte
-	if _, err := w.bw.Write(h.AppendHeader(hdr[:0])); err != nil {
-		return err
-	}
-	_, err := w.bw.Write(w.buf)
-	return err
+	w.body = rec.AppendBody(w.body[:0])
+	return w.WriteRecord(timestamp, typ, subtype, w.body)
 }
 
 // WriteTableDump writes one TABLE_DUMP record.

@@ -10,6 +10,7 @@ import (
 
 	"moas/internal/bgp"
 	"moas/internal/collector"
+	"moas/internal/mrt"
 	"moas/internal/scenario"
 	"moas/internal/source"
 	"moas/internal/source/bgpd"
@@ -107,7 +108,7 @@ var sourceKinds = map[string]*sourceKind{
 		},
 		describe: func(c *ScenarioConfig) string { return "mrt file " + c.Path },
 		openArchive: func(c *ScenarioConfig) (io.ReadCloser, stream.Calendar, error) {
-			f, err := collector.OpenUpdateArchive(c.Path)
+			f, err := mrt.Open(c.Path)
 			if err != nil {
 				return nil, stream.Calendar{}, err
 			}
@@ -116,7 +117,7 @@ var sourceKinds = map[string]*sourceKind{
 			if err != nil {
 				return nil, stream.Calendar{}, err
 			}
-			f, err = collector.OpenUpdateArchive(c.Path)
+			f, err = mrt.Open(c.Path)
 			return f, cal, err
 		},
 	},

@@ -11,8 +11,9 @@ import (
 type Kind uint8
 
 const (
-	// KindSkip is anything but a BGP4MP message record (a state change, a
-	// table dump, ...): an update-stream consumer passes over it.
+	// KindSkip is any record that carries no BGP message (a state change,
+	// a table dump, ...; see mrt.Header.CarriesMessage): an update-stream
+	// consumer passes over it.
 	KindSkip Kind = iota
 	// KindMessage is a BGP message other than UPDATE (open, keepalive,
 	// notification), validated. It carries no routes, but its timestamp
@@ -41,7 +42,7 @@ type Decoder struct {
 // returned, so a consumer can still run the day closes the corrupt
 // record's own timestamp implies before failing.
 func (d *Decoder) Decode(rec *Record, h mrt.Header, body []byte) (Kind, error) {
-	if h.Type != mrt.TypeBGP4MP || h.Subtype != mrt.SubtypeMessage {
+	if !h.CarriesMessage() {
 		return KindSkip, nil
 	}
 	rec.TS = h.Timestamp

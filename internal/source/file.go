@@ -20,7 +20,8 @@ import (
 // resumes a restored engine from.
 type File struct {
 	path   string
-	mr     *mrt.Reader
+	fr     *mrt.Framer
+	body   []byte // the record in hand, reused across Next calls
 	dec    Decoder
 	seq    atomic.Uint64
 	closed atomic.Bool
@@ -32,7 +33,7 @@ type File struct {
 // decoding with in. endpoint is a label for Status. The interner is
 // shared with the engine the source feeds.
 func NewFileReader(r io.Reader, endpoint string, in *bgp.AttrsInterner) *File {
-	return &File{path: endpoint, mr: mrt.NewReader(r), dec: Decoder{Interner: in}}
+	return &File{path: endpoint, fr: mrt.NewFramer(r), dec: Decoder{Interner: in}}
 }
 
 // Next delivers the next UPDATE in archive order.
@@ -41,7 +42,8 @@ func (s *File) Next(rec *Record) error {
 		return io.EOF
 	}
 	for {
-		mrec, err := s.mr.Next()
+		h, body, err := s.fr.NextInto(s.body[:0])
+		s.body = body
 		if err == io.EOF || (err != nil && s.closed.Load()) {
 			// A read failing after Close is the caller tearing the stream
 			// down: a clean shutdown, not an archive error.
@@ -50,7 +52,7 @@ func (s *File) Next(rec *Record) error {
 		}
 		var kind Kind
 		if err == nil {
-			kind, err = s.dec.Decode(rec, mrec.Header, mrec.Body)
+			kind, err = s.dec.Decode(rec, h, body)
 		}
 		if err != nil {
 			s.done.Store(true)

@@ -315,6 +315,12 @@ func (c *Client) ingest(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("rislive: peer_asn %q: %w", d.PeerASN, err)
 	}
+	// A record timestamp is a uint32 of Unix seconds; a value outside
+	// that range has no conversion, and wrapping it would move the live
+	// clock decades away.
+	if !(d.Timestamp >= 0 && d.Timestamp < 1<<32) {
+		return fmt.Errorf("rislive: timestamp %v out of range", d.Timestamp)
+	}
 	ts := uint32(d.Timestamp)
 
 	withdrawn, err := parsePrefixes(d.Withdrawals)
@@ -380,7 +386,8 @@ func parseOrigin(s string) bgp.Origin {
 }
 
 // parsePath decodes the heterogeneous RIS path array: numbers are
-// sequence hops (merged into runs), nested arrays are AS_SETs.
+// sequence hops (merged into runs), nested arrays are AS_SETs. A hop or
+// member that is no 32-bit AS number is refused, as a bad peer_asn is.
 func parsePath(raw []json.RawMessage) (bgp.Path, uint64, error) {
 	if len(raw) == 0 {
 		return nil, 0, nil
@@ -396,28 +403,24 @@ func parsePath(raw []json.RawMessage) (bgp.Path, uint64, error) {
 	}
 	for _, el := range raw {
 		if len(el) > 0 && el[0] == '[' {
-			var set []uint64
+			var set []uint32
 			if err := json.Unmarshal(el, &set); err != nil {
 				return nil, 0, fmt.Errorf("rislive: path set: %w", err)
 			}
 			flush()
 			ases := make([]bgp.ASN, len(set))
 			for i, as := range set {
-				if as > maxAS {
-					maxAS = as
-				}
+				maxAS = max(maxAS, uint64(as))
 				ases[i] = bgp.ASN(as)
 			}
 			path = append(path, bgp.Segment{Type: bgp.SegSet, ASes: ases})
 			continue
 		}
-		var as uint64
+		var as uint32
 		if err := json.Unmarshal(el, &as); err != nil {
 			return nil, 0, fmt.Errorf("rislive: path hop: %w", err)
 		}
-		if as > maxAS {
-			maxAS = as
-		}
+		maxAS = max(maxAS, uint64(as))
 		run = append(run, bgp.ASN(as))
 	}
 	flush()

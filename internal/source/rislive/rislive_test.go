@@ -255,6 +255,49 @@ func TestParsePathSegments(t *testing.T) {
 	if maxAS != 8 {
 		t.Fatalf("maxAS=%d", maxAS)
 	}
+
+	// A hop or AS_SET member past 2^32-1 is no AS number: refused, not
+	// truncated to its low 32 bits.
+	for _, raw := range [][]any{
+		{uint64(3356), uint64(1) << 32},
+		{uint64(3356), []uint64{7, 1<<32 + 2}},
+		{uint64(3356), uint64(1<<32 + 1), []uint64{1<<32 + 2}},
+		{-1},
+	} {
+		if path, _, err := parsePath(toRaw(t, raw)); err == nil {
+			t.Fatalf("parsePath(%v) accepted as %v", raw, path)
+		}
+	}
+	if path, maxAS, err := parsePath(toRaw(t, []any{uint64(1<<32 - 1)})); err != nil || maxAS != 1<<32-1 || path[0].ASes[0] != 1<<32-1 {
+		t.Fatalf("parsePath of 2^32-1: %v, max %d, %v", path, maxAS, err)
+	}
+}
+
+// TestIngestRefusesTimestampOutOfRange: a record timestamp is uint32 Unix
+// seconds, so a message stamped before 1970 or past 2106 is refused, not
+// wrapped into a date decades away; the bounds themselves are accepted.
+func TestIngestRefusesTimestampOutOfRange(t *testing.T) {
+	msg := func(ts string) []byte {
+		return []byte(`{"type":"ris_message","data":{"timestamp":` + ts +
+			`,"peer":"192.0.2.9","peer_asn":"65001","withdrawals":["10.0.0.0/8"]}}`)
+	}
+	c := &Client{cfg: Config{Interner: bgp.NewAttrsInterner(false)}}
+	for _, ts := range []string{"-5", "-0.5", "1e12", "4294967296"} {
+		if err := c.ingest(msg(ts)); err == nil {
+			t.Fatalf("timestamp %s accepted as %d", ts, c.pending[len(c.pending)-1].ts)
+		}
+	}
+	if len(c.pending) != 0 {
+		t.Fatalf("refused messages left %d pending records", len(c.pending))
+	}
+	for _, ts := range []string{"0", "86400.75", "4294967295"} {
+		if err := c.ingest(msg(ts)); err != nil {
+			t.Fatalf("timestamp %s refused: %v", ts, err)
+		}
+	}
+	if got := c.pending; len(got) != 3 || got[0].ts != 0 || got[1].ts != 86400 || got[2].ts != 4294967295 {
+		t.Fatalf("pending %+v, want timestamps 0, 86400 and 4294967295", got)
+	}
 }
 
 func TestParseIPv4Rejects(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // testArchive builds a tiny BGP4MP update archive: two announcements
 // from distinct peers, one keepalive (skipped), one state change
 // (skipped), one withdrawal.
-func testArchive(t *testing.T) []byte {
+func testArchive(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := mrt.NewWriter(&buf)

@@ -127,7 +127,8 @@ func (e *Engine) Replay(r io.Reader, cal Calendar, opts *ReplayOptions) error {
 // ArchiveCalendar derives a replay calendar from a BGP4MP update archive
 // itself — the path for real MRT files on disk, where no scenario object
 // knows the observation days. Each distinct UTC day carrying at least one
-// BGP4MP message becomes an observed day; days are numbered relative to
+// BGP message record (mrt.Header.CarriesMessage, the test the replay's
+// decoder applies) becomes an observed day; days are numbered relative to
 // the first (day 0), preserving calendar gaps so duration arithmetic
 // matches the synthesized-archive path. The reader is consumed; callers
 // replaying a file open it once to scan and again to replay.
@@ -144,7 +145,7 @@ func ArchiveCalendar(r io.Reader) (Calendar, error) {
 		if err != nil {
 			return Calendar{}, err
 		}
-		if h.Type != mrt.TypeBGP4MP || h.Subtype != mrt.SubtypeMessage {
+		if !h.CarriesMessage() {
 			continue
 		}
 		seen[h.Timestamp/daySecs] = struct{}{}

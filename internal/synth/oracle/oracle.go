@@ -443,20 +443,22 @@ func runBatch(archive []byte, days int) ([]kernel.Event, *core.Registry, uint64,
 	var updates uint64
 	var upd bgp.Update // reused: each decode allocates a fresh Attrs, which the table keeps
 	curDay := 0
-	r := mrt.NewReader(bytes.NewReader(archive))
+	fr := mrt.NewFramer(bytes.NewReader(archive))
+	var body []byte
 	for {
-		rec, err := r.Next()
+		h, b, err := fr.NextInto(body[:0])
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("oracle: batch mrt decode: %w", err)
 		}
-		if rec.Type != mrt.TypeBGP4MP || rec.Subtype != mrt.SubtypeMessage {
-			return nil, nil, 0, fmt.Errorf("oracle: batch: unexpected record %d/%d", rec.Type, rec.Subtype)
+		body = b
+		if !h.CarriesMessage() {
+			return nil, nil, 0, fmt.Errorf("oracle: batch: unexpected record %d/%d", h.Type, h.Subtype)
 		}
 		var msg mrt.BGP4MPMessage
-		if err := msg.DecodeBGP4MPMessageBorrow(rec.Body); err != nil {
+		if err := msg.DecodeBGP4MPMessageBorrow(body); err != nil {
 			return nil, nil, 0, fmt.Errorf("oracle: batch bgp4mp decode: %w", err)
 		}
 		typ, body, err := bgp.MessageBody(msg.Data)
@@ -467,7 +469,7 @@ func runBatch(archive []byte, days int) ([]kernel.Event, *core.Registry, uint64,
 			return nil, nil, 0, fmt.Errorf("oracle: batch update decode: %w", err)
 		}
 		updates++
-		for day := int(rec.Timestamp / 86400); curDay < day; curDay++ {
+		for day := int(h.Timestamp / 86400); curDay < day; curDay++ {
 			k.CloseDay(curDay)
 		}
 		peer := peerKey{msg.PeerIP, msg.PeerAS}

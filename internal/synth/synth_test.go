@@ -138,22 +138,22 @@ func TestArchiveDayAxis(t *testing.T) {
 	}
 	archive := drain(t, s)
 	days := map[int]bool{}
-	r := mrt.NewReader(bytes.NewReader(archive))
+	f := mrt.NewFramer(bytes.NewReader(archive))
 	for {
-		rec, err := r.Next()
+		h, err := f.Skip()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Type != mrt.TypeBGP4MP || rec.Subtype != mrt.SubtypeMessage {
-			t.Fatalf("non-UPDATE record type %d/%d in archive", rec.Type, rec.Subtype)
+		if !h.CarriesMessage() {
+			t.Fatalf("non-UPDATE record type %d/%d in archive", h.Type, h.Subtype)
 		}
-		if rec.Timestamp%86400 != 0 {
-			t.Fatalf("timestamp %d not day-aligned", rec.Timestamp)
+		if h.Timestamp%86400 != 0 {
+			t.Fatalf("timestamp %d not day-aligned", h.Timestamp)
 		}
-		days[int(rec.Timestamp/86400)] = true
+		days[int(h.Timestamp/86400)] = true
 	}
 	for d := 0; d < s.Days(); d++ {
 		if !days[d] {
