@@ -34,8 +34,8 @@ allocs:
 # BGP speaker into Engine.Run (BenchmarkLiveTransfer: updates/s and
 # allocs/update of the live path), the shard-reassess hot path, and the
 # checkpoint path (phase=snapshot
-# imaging the engine, codec=json and codec=binary rendering the image
-# with its size as the bytes metric, phase=restore) — and the kernel's
+# imaging the engine, codec=binary encoding the image with its size as
+# the bytes metric, phase=restore) — and the kernel's
 # per-event ones: a prefix flapping with its history at the cap against
 # one below it (eviction must cost about what an append costs), and
 # imaging an event-heavy kernel (time, bytes and objects by the table,
@@ -129,13 +129,16 @@ docscheck:
 # each other: the records they exchange (Episode, Class) are declared
 # once, in internal/core. The MRT edge stays a leaf: internal/mrt links
 # no moas package but internal/bgp, and mrtdump none of the simulator,
-# collector, engine or daemon. `go list -deps` excludes test imports,
+# collector, engine or daemon. serve is the one layer that speaks JSON:
+# the kernel and the engine link no encoding/json, so their images have
+# one encoding, the binary one. `go list -deps` excludes test imports,
 # so the stream tests may still replay scenario archives.
 depcheck:
 	@bad=$$( { \
 		$(GO) list -deps ./internal/stream | grep -xE 'net/http|moas/internal/(analysis|driver|scenario|simnet|topology|collector|serve)' | sed 's|^|internal/stream links |'; \
+		$(GO) list -deps ./internal/stream | grep -xE 'encoding/json' | sed 's|^|internal/stream links |'; \
 		$(GO) list -deps ./internal/analysis | grep -xE 'moas/internal/(driver|scenario|simnet|topology|kernel|stream)' | sed 's|^|internal/analysis links |'; \
-		$(GO) list -deps ./internal/kernel | grep -xE 'moas/internal/epilog' | sed 's|^|internal/kernel links |'; \
+		$(GO) list -deps ./internal/kernel | grep -xE 'moas/internal/epilog|encoding/json' | sed 's|^|internal/kernel links |'; \
 		$(GO) list -deps ./internal/epilog | grep -xE 'moas/internal/kernel' | sed 's|^|internal/epilog links |'; \
 		$(GO) list -deps ./internal/mrt | grep -E '^moas(/|$$)' | grep -vxE 'moas/internal/(mrt|bgp)' | sed 's|^|internal/mrt links |'; \
 		$(GO) list -deps ./cmd/mrtdump | grep -xE 'moas/internal/(scenario|simnet|topology|collector|stream|serve)' | sed 's|^|cmd/mrtdump links |'; \

@@ -12,9 +12,7 @@ import (
 	"moas/internal/core"
 )
 
-// The binary snapshot format. JSON (snapshot.go) is the portable,
-// inspectable form; this is the compact one that scales to full-archive
-// state. Layout:
+// The binary snapshot format, the one encoding of a Snapshot. Layout:
 //
 //	magic "MSNP" | uvarint version
 //	frame: meta      — uvarint event count
@@ -42,9 +40,7 @@ import (
 // or fuzzed input fails cleanly. The codec moves values only: a prefix is
 // never rendered or parsed on the way through.
 
-// snapshotMagic introduces a binary kernel snapshot. The first byte can
-// never open a JSON document, so a reader holding either encoding can
-// tell them apart by content.
+// snapshotMagic introduces a binary kernel snapshot.
 var snapshotMagic = []byte("MSNP")
 
 func appendASNs(dst []byte, asns []bgp.ASN) []byte {

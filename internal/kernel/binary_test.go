@@ -2,7 +2,6 @@ package kernel_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -38,11 +37,11 @@ func asVersion2(s *kernel.Snapshot) *kernel.Snapshot {
 	return &v2
 }
 
-// TestBinarySnapshotRoundTrip: both codecs must reproduce the exact
-// snapshot image, the binary one in fewer bytes, and the images of it
-// the earlier versions wrote — version 1 with its history events in
-// full, versions 1 and 2 with the event log they ended with, in both
-// codecs — must decode to it too, the log dropped.
+// TestBinarySnapshotRoundTrip: the codec must reproduce the exact
+// snapshot image, and the images of it the earlier versions wrote —
+// version 1 with its history events in full, versions 1 and 2 with the
+// event log they ended with — must decode to it too, the log dropped,
+// each version's image smaller than the one before.
 func TestBinarySnapshotRoundTrip(t *testing.T) {
 	snap, log := midRun(t)
 	if len(snap.Prefixes) == 0 || len(snap.Conflicts) == 0 || len(log) == 0 {
@@ -71,39 +70,11 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	if len(bin) >= len(v2) || len(v2) >= len(v1) {
 		t.Fatalf("image sizes by version 3, 2, 1: %d, %d, %d bytes, want each smaller than the one before", len(bin), len(v2), len(v1))
 	}
-	for _, version := range []int{1, 2} {
-		doc, err := kernel.SnapshotJSONOld(snap, version, log)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded := new(kernel.Snapshot)
-		if err := json.Unmarshal(doc, decoded); err != nil {
-			t.Fatalf("version-%d JSON: %v", version, err)
-		}
-		if !reflect.DeepEqual(snap, decoded) {
-			t.Fatalf("version-%d JSON decodes to a different snapshot:\nwant %+v\n got %+v", version, snap, decoded)
-		}
-	}
-
-	var js bytes.Buffer
-	if err := json.NewEncoder(&js).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(bin) >= js.Len() {
-		t.Fatalf("binary encoding (%d bytes) not smaller than JSON (%d bytes)", len(bin), js.Len())
-	}
-	fromJSON := new(kernel.Snapshot)
-	if err := json.Unmarshal(js.Bytes(), fromJSON); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(snap, fromJSON) {
-		t.Fatalf("JSON round trip changed the snapshot:\nwant %+v\n got %+v", snap, fromJSON)
-	}
 }
 
 // TestBinarySnapshotRestoreEquivalence: restoring from the binary form
-// mid-run and finishing the script matches the uninterrupted kernel, the
-// same guarantee the JSON round-trip test proves.
+// mid-run and finishing the script matches the uninterrupted kernel at
+// the default history cap (TestSnapshotRoundTrip holds a capped one).
 func TestBinarySnapshotRestoreEquivalence(t *testing.T) {
 	all, splitAt := script()
 	opts := kernel.Options{}
@@ -134,7 +105,7 @@ func TestBinarySnapshotRestoreEquivalence(t *testing.T) {
 // byte boundary, magic corruption, trailing garbage and an event log in a
 // current image must error — and never panic.
 func TestBinarySnapshotRejectsDamage(t *testing.T) {
-	snap, log := midRun(t)
+	snap := midRunSnapshot(t)
 	bin := kernel.AppendSnapshotBinary(nil, snap)
 
 	if _, err := kernel.DecodeSnapshotBinary(append(bytes.Clone(bin), 0xFF)); err == nil {
@@ -153,17 +124,9 @@ func TestBinarySnapshotRejectsDamage(t *testing.T) {
 	}
 
 	// A current image that goes on with the log frame versions 1 and 2
-	// ended with, or a "log" member, is refused: no writer of this
-	// version puts one there.
+	// ended with is refused: no writer of this version puts one there.
 	if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, snap, nil)); err == nil {
 		t.Fatal("version-3 binary snapshot with a log frame accepted")
-	}
-	doc, err := kernel.SnapshotJSONOld(snap, kernel.SnapshotVersion, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(doc, new(kernel.Snapshot)); err == nil {
-		t.Fatal("version-3 JSON snapshot with a log member accepted")
 	}
 
 	snap.Version = 99
@@ -177,7 +140,7 @@ func TestBinarySnapshotRejectsDamage(t *testing.T) {
 // restore up front (deferring it would panic in the first CloseDay's
 // ClassDays indexing), and so must the other images only outside input
 // can produce: a prefix repeated, an entry with no prefix at all. Each is
-// refused as built, and again after crossing each codec in the current
+// refused as built, and again after crossing the codec in the current
 // version and in version 2, which moves values and must not launder
 // them. A class past the known ones in the event log that versions 1 and
 // 2 carried is refused by their readers, which check the log before they
@@ -217,12 +180,6 @@ func TestRestoreRejectsBogusClass(t *testing.T) {
 			"version-2 binary": func() (*kernel.Snapshot, error) {
 				return kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, asVersion2(snap), log))
 			},
-		}
-		if doc, err := kernel.SnapshotJSONOld(snap, 2, log); err == nil { // the zero prefix has no text form
-			images["version-2 JSON"] = func() (*kernel.Snapshot, error) {
-				s := new(kernel.Snapshot)
-				return s, json.Unmarshal(doc, s)
-			}
 		}
 		if name != "log event class 200" { // the current version carries no log to damage
 			images["as built"] = func() (*kernel.Snapshot, error) { return snap, nil }

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"slices"
 
 	"moas/internal/binenc"
@@ -44,18 +43,6 @@ func AppendSnapshotBinaryOld(dst []byte, s *Snapshot, log []Event) []byte {
 // empty event log.
 func AppendSnapshotBinaryV1(dst []byte, s *Snapshot) []byte {
 	return AppendSnapshotBinaryOld(dst, SnapshotV1(s), nil)
-}
-
-// SnapshotJSONOld renders s as a JSON document of the given version with
-// log as its "log" member, the one versions 1 and 2 carried (the two
-// spell histories alike, in full).
-func SnapshotJSONOld(s *Snapshot, version int, log []Event) ([]byte, error) {
-	old := *s
-	old.Version = version
-	return json.Marshal(struct {
-		*Snapshot
-		Log []Event `json:"log,omitempty"`
-	}{&old, log})
 }
 
 // FullHistory is evs as a version-1 binary image carries a history: the

@@ -2,7 +2,6 @@ package kernel_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,49 +12,38 @@ import (
 	"moas/internal/kernel"
 )
 
-// corpusSeeds returns the fuzz seed inputs: real snapshots in both
-// encodings plus damaged variants of each, at the current version. The
-// same bytes are committed under testdata/fuzz/FuzzSnapshotRestore (see
-// TestGenerateFuzzCorpus) as the "v3-" seeds, beside the "v2-" seeds
-// version 2 wrote and the unprefixed ones version 1 wrote, which stay
-// committed as they were; `go test` and the CI fuzz-smoke step always
-// exercise all three.
+// corpusSeeds returns the fuzz seed inputs: a real snapshot and damaged
+// variants of it, at the current version. The same bytes are committed
+// under testdata/fuzz/FuzzSnapshotRestore (see TestGenerateFuzzCorpus)
+// as the "v3-" seeds, beside the "v2-" seeds version 2 wrote and the
+// unprefixed ones version 1 wrote, which stay committed as they were;
+// `go test` and the CI fuzz-smoke step always exercise all three. The
+// committed "json" seeds are JSON documents, which the decoder must
+// refuse cleanly.
 func corpusSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	snap := midRunSnapshot(t)
 	bin := kernel.AppendSnapshotBinary(nil, snap)
-	var js bytes.Buffer
-	if err := json.NewEncoder(&js).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
 	flipped := bytes.Clone(bin)
 	flipped[len(flipped)/2] ^= 0x40
 	return map[string][]byte{
 		"v3-binary":           bin,
-		"v3-json":             js.Bytes(),
 		"v3-binary-truncated": bin[:len(bin)/2],
-		"v3-json-truncated":   js.Bytes()[:js.Len()/2],
 		"v3-binary-flipped":   flipped,
 		"empty":               {},
 	}
 }
 
 // FuzzSnapshotRestore is the snapshot surface's robustness claim: any
-// byte string fed to the decoder its first bytes select (binary behind
-// the MSNP magic, JSON otherwise — the choice a reader holding either
-// encoding makes) either errors or yields a snapshot that restores into a
-// fully usable kernel — no panic, no deferred crash in
-// CloseDay/Apply/Snapshot, and a re-encode that succeeds in both codecs.
+// byte string fed to the decoder either errors or yields a snapshot that
+// restores into a fully usable kernel — no panic, no deferred crash in
+// CloseDay/Apply/Snapshot, and a re-encode that decodes.
 func FuzzSnapshotRestore(f *testing.F) {
 	for _, seed := range corpusSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := new(kernel.Snapshot)
-		err := json.NewDecoder(bytes.NewReader(data)).Decode(s)
-		if bytes.HasPrefix(data, []byte("MSNP")) {
-			s, err = kernel.DecodeSnapshotBinary(data)
-		}
+		s, err := kernel.DecodeSnapshotBinary(data)
 		if err != nil {
 			return
 		}
@@ -79,9 +67,6 @@ func FuzzSnapshotRestore(f *testing.F) {
 		out := k.Snapshot()
 		if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, out)); err != nil {
 			t.Fatalf("restored kernel's re-encoding does not decode: %v", err)
-		}
-		if _, err := json.Marshal(out); err != nil {
-			t.Fatalf("restored kernel re-encodes to JSON with error: %v", err)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package kernel
 import (
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"moas/internal/bgp"
@@ -257,40 +256,6 @@ func compactHistory(ps *PrefixSnap, evs []Event) (History, error) {
 		h = appendCompact(h, ev)
 	}
 	return h, nil
-}
-
-// prefixSnapJSON is PrefixSnap's JSON form: its history as the array of
-// event objects, each with its prefix and ordinal spelled out.
-type prefixSnapJSON struct {
-	Prefix  bgp.Prefix `json:"prefix"`
-	Origins []bgp.ASN  `json:"origins,omitempty"`
-	Class   uint8      `json:"class,omitempty"`
-	Seq     uint64     `json:"seq,omitempty"`
-	Since   int        `json:"since,omitempty"`
-	History []Event    `json:"history,omitempty"`
-}
-
-// MarshalJSON renders the prefix state, its history as event objects.
-func (ps PrefixSnap) MarshalJSON() ([]byte, error) {
-	evs, err := ps.HistoryEvents()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(prefixSnapJSON{ps.Prefix, ps.Origins, ps.Class, ps.Seq, ps.Since, evs})
-}
-
-// UnmarshalJSON reads the prefix state and compacts its history, which
-// must be one this prefix's kernel could have retained (compactHistory).
-// Both snapshot versions share this form.
-func (ps *PrefixSnap) UnmarshalJSON(data []byte) error {
-	var doc prefixSnapJSON
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return err
-	}
-	*ps = PrefixSnap{Prefix: doc.Prefix, Origins: doc.Origins, Class: doc.Class, Seq: doc.Seq, Since: doc.Since}
-	var err error
-	ps.History, err = compactHistory(ps, doc.History)
-	return err
 }
 
 // readHistory cuts the history of ps out of raw, the bytes r reads: in a

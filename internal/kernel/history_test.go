@@ -2,7 +2,6 @@ package kernel_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -104,14 +103,6 @@ func TestHistoryAgainstModel(t *testing.T) {
 					continue
 				}
 				snap := kernels[0].k.Snapshot()
-				var js bytes.Buffer
-				if err := json.NewEncoder(&js).Encode(snap); err != nil {
-					t.Fatal(err)
-				}
-				fromJSON := new(kernel.Snapshot)
-				if err := json.Unmarshal(js.Bytes(), fromJSON); err != nil {
-					t.Fatal(err)
-				}
 				fromBinary, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap))
 				if err != nil {
 					t.Fatal(err)
@@ -121,7 +112,7 @@ func TestHistoryAgainstModel(t *testing.T) {
 					name  string
 					snap  *kernel.Snapshot
 					limit int
-				}{{"json", fromJSON, limit}, {"binary", fromBinary, limit}, {"smaller-cap", fromBinary, smaller}} {
+				}{{"binary", fromBinary, limit}, {"smaller-cap", fromBinary, smaller}} {
 					k := kernel.New(kernel.Options{HistoryCap: c.limit})
 					if err := k.Restore(c.snap); err != nil {
 						t.Fatalf("restore %s: %v", c.name, err)
@@ -227,33 +218,14 @@ func TestRestoreCanonicalizesHistory(t *testing.T) {
 // TestRestoreRejectsImpossibleHistory: a history no kernel could have
 // retained — an event of no known type, an event naming another prefix,
 // ordinals that skip or that do not end at the prefix's own — is refused
-// by every reader of a form that can spell it: JSON of every version and
-// version-1 binary. The compact forms can spell one impossible history
-// alone, more events than the prefix has ordinals; the binary reader and
-// Restore refuse that one. The unforged history passes every reader, so
+// by the reader of the one form that can spell it, version-1 binary. The
+// compact forms can spell one impossible history alone, more events than
+// the prefix has ordinals; the binary reader and Restore refuse that one. The unforged history passes every reader, so
 // the forgery is what each refuses.
 func TestRestoreRejectsImpossibleHistory(t *testing.T) {
 	base := midRunSnapshot(t)
 	at, evs := busiest(t, base)
 	other := bgp.MustParsePrefix("198.51.100.0/24")
-	// withJSONHistory is base's JSON document at version, the history of
-	// prefix at replaced by hist.
-	withJSONHistory := func(version int, hist []kernel.Event) []byte {
-		doc, err := json.Marshal(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m map[string]any
-		if err := json.Unmarshal(doc, &m); err != nil {
-			t.Fatal(err)
-		}
-		m["version"] = version
-		m["prefixes"].([]any)[at].(map[string]any)["history"] = hist
-		if doc, err = json.Marshal(m); err != nil {
-			t.Fatal(err)
-		}
-		return doc
-	}
 	v1 := kernel.SnapshotV1(base)
 	restores := func(decode func() (*kernel.Snapshot, error)) bool {
 		s, err := decode()
@@ -277,15 +249,6 @@ func TestRestoreRejectsImpossibleHistory(t *testing.T) {
 		forged := slices.Clone(evs)
 		forge(forged)
 		want := name == "as written"
-		for _, version := range []int{1, 2, kernel.SnapshotVersion} {
-			doc := withJSONHistory(version, forged)
-			if got := restores(func() (*kernel.Snapshot, error) {
-				s := new(kernel.Snapshot)
-				return s, json.Unmarshal(doc, s)
-			}); got != want {
-				t.Errorf("%s: version-%d JSON restores: %v, want %v", name, version, got, want)
-			}
-		}
 		v1.Prefixes[at].History = kernel.FullHistory(forged)
 		bin := kernel.AppendSnapshotBinaryOld(nil, v1, nil)
 		if got := restores(func() (*kernel.Snapshot, error) { return kernel.DecodeSnapshotBinary(bin) }); got != want {
@@ -310,8 +273,8 @@ func TestRestoreRejectsImpossibleHistory(t *testing.T) {
 // never do, and holds every prefix's history to what the kernel emitted
 // (its log) through the whole chain of images a deployment meets: a
 // version-1 image restored, imaged in the current version and restored
-// again must give the same State, and the JSON history arrays of the
-// last image are the events in full, as the version-1 JSON spelled them.
+// again must give the same State, and each history of the last image
+// decodes to the events in full.
 func TestHistoryRoundTripProperty(t *testing.T) {
 	prefixes := []bgp.Prefix{
 		bgp.MustParsePrefix("10.0.0.0/8"),
@@ -358,18 +321,6 @@ func TestHistoryRoundTripProperty(t *testing.T) {
 				chain = append(chain, next)
 			}
 			last := chain[len(chain)-1].Snapshot()
-			doc, err := json.Marshal(last)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var js struct {
-				Prefixes []struct {
-					History json.RawMessage `json:"history"`
-				} `json:"prefixes"`
-			}
-			if err := json.Unmarshal(doc, &js); err != nil {
-				t.Fatal(err)
-			}
 			for _, p := range prefixes {
 				want := lastN(emitted[p], limit)
 				for i, c := range chain {
@@ -383,15 +334,12 @@ func TestHistoryRoundTripProperty(t *testing.T) {
 			}
 			for i := range last.Prefixes {
 				ps := &last.Prefixes[i]
-				want, err := json.Marshal(lastN(emitted[ps.Prefix], limit))
+				got, err := ps.HistoryEvents()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(emitted[ps.Prefix]) == 0 {
-					want = nil
-				}
-				if got := js.Prefixes[i].History; !bytes.Equal(got, want) {
-					t.Fatalf("cap %d trial %d, %v: JSON history\n got %s\nwant %s", limit, trial, ps.Prefix, got, want)
+				if want := lastN(emitted[ps.Prefix], limit); !reflect.DeepEqual(got, want) {
+					t.Fatalf("cap %d trial %d, %v: imaged history\n got %+v\nwant %+v", limit, trial, ps.Prefix, got, want)
 				}
 			}
 		}

@@ -52,21 +52,20 @@ func (t EventType) String() string {
 
 // Event is one conflict lifecycle transition. For a given observation
 // sequence the event stream per prefix is deterministic: observations of
-// one prefix are applied in order, wherever they come from. The JSON tags
-// are the event's form inside a Snapshot (per-prefix history, retained
-// log); the query APIs render events themselves.
+// one prefix are applied in order, wherever they come from. The query
+// APIs render events themselves.
 type Event struct {
-	Type   EventType  `json:"type"`
-	Day    int        `json:"day"` // observation day of the triggering observation
-	Seq    uint64     `json:"seq"` // per-prefix ordinal; orders one prefix's lifecycle
-	Prefix bgp.Prefix `json:"prefix"`
+	Type   EventType
+	Day    int    // observation day of the triggering observation
+	Seq    uint64 // per-prefix ordinal; orders one prefix's lifecycle
+	Prefix bgp.Prefix
 
 	// Origins and Class describe the state after the transition, the Prev
 	// fields the state before it. Origins is empty after EventConflictEnd.
-	Origins     []bgp.ASN  `json:"origins,omitempty"`
-	PrevOrigins []bgp.ASN  `json:"prev_origins,omitempty"`
-	Class       core.Class `json:"class,omitempty"`
-	PrevClass   core.Class `json:"prev_class,omitempty"`
+	Origins     []bgp.ASN
+	PrevOrigins []bgp.ASN
+	Class       core.Class
+	PrevClass   core.Class
 }
 
 // Obs is one observation driven into the kernel: prefix p's assessed

@@ -3,7 +3,6 @@ package kernel
 import (
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
@@ -18,83 +17,57 @@ import (
 // retained event log that versions 1 and 2 carried after the spans: the
 // events a kernel emits are its caller's to keep. Version 2 carries a
 // prefix's history in the compact form the kernel retains (History);
-// version 1 spelled every history event out in full. Both decoders read
+// version 1 spelled every history event out in full. The decoder reads
 // any of the three into the current form — an older image's log is
 // checked event by event and dropped — and Restore takes only that.
 const SnapshotVersion = 3
 
 // Snapshot is the image of a kernel: every tracked prefix state, the
 // lifetime conflict records, the closed activation spans and the event
-// accounting. It is typed data — prefixes are bgp.Prefix values, which
-// render as "addr/len" strings only when the image is written as JSON
-// (encoding/json); the binary codec (binary.go) never sees text —
-// and is prefix-disjoint mergeable (Merge), which is how the sharded
-// engine composes one engine-wide snapshot out of its per-shard kernels.
+// accounting. It is typed data — prefixes are bgp.Prefix values, and its
+// one encoding, the binary codec (binary.go), never sees text — and is
+// prefix-disjoint mergeable (Merge), which is how the sharded engine
+// composes one engine-wide snapshot out of its per-shard kernels.
 type Snapshot struct {
-	Version int `json:"version"`
+	Version int
 	// Prefixes holds one entry per tracked prefix, in Prefix.Compare order.
-	Prefixes []PrefixSnap `json:"prefixes"`
+	Prefixes []PrefixSnap
 	// Conflicts holds the lifetime records, in Prefix.Compare order.
-	Conflicts []ConflictSnap `json:"conflicts"`
+	Conflicts []ConflictSnap
 	// ClosedSpans are the ended activation spans, one entry per
 	// activation, in (start, end) order.
-	ClosedSpans []SpanSnap `json:"closed_spans,omitempty"`
+	ClosedSpans []SpanSnap
 	// Events is the lifecycle-event count emitted so far.
-	Events int `json:"events"`
-}
-
-// UnmarshalJSON reads a snapshot of any version: their JSON documents
-// differ in the version number and the "log" member versions 1 and 2
-// carried (a history is always the array of event objects, see
-// PrefixSnap.UnmarshalJSON). An older document's log is checked and
-// dropped, and the document reads as the current version; a current one
-// that carries a log is refused.
-func (s *Snapshot) UnmarshalJSON(data []byte) error {
-	type plain Snapshot // the fields without this method
-	doc := struct {
-		*plain
-		Log []Event `json:"log"`
-	}{plain: (*plain)(s)}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return err
-	}
-	if s.Version == SnapshotVersion && doc.Log != nil {
-		return fmt.Errorf("kernel: version-%d snapshot carries an event log", SnapshotVersion)
-	}
-	if s.Version == 1 || s.Version == 2 {
-		s.Version = SnapshotVersion
-	}
-	return checkLog(doc.Log)
+	Events int
 }
 
 // PrefixSnap is one prefix's serialized state. Class values are the
 // core.Class constants, which are version-stable by construction. History
-// events take their prefix and ordinals from the entry (History); its
-// JSON form spells them out (MarshalJSON).
+// events take their prefix and ordinals from the entry (History).
 type PrefixSnap struct {
-	Prefix  bgp.Prefix `json:"prefix"`
-	Origins []bgp.ASN  `json:"origins,omitempty"`
-	Class   uint8      `json:"class,omitempty"`
-	Seq     uint64     `json:"seq,omitempty"`
-	Since   int        `json:"since,omitempty"`
-	History History    `json:"history,omitempty"`
+	Prefix  bgp.Prefix
+	Origins []bgp.ASN
+	Class   uint8
+	Seq     uint64
+	Since   int
+	History History
 }
 
 // ConflictSnap is one lifetime record's (core.Conflict) serialized form.
 type ConflictSnap struct {
-	Prefix       bgp.Prefix `json:"prefix"`
-	FirstDay     int        `json:"first_day"`
-	LastDay      int        `json:"last_day"`
-	DaysObserved int        `json:"days_observed"`
-	OriginsEver  []bgp.ASN  `json:"origins_ever"`
-	ClassDays    []int      `json:"class_days"`
+	Prefix       bgp.Prefix
+	FirstDay     int
+	LastDay      int
+	DaysObserved int
+	OriginsEver  []bgp.ASN
+	ClassDays    []int
 }
 
 // SpanSnap is one ended activation span: what an image lists once per
 // activation and what the kernel counts per distinct value.
 type SpanSnap struct {
-	Start int `json:"start"`
-	End   int `json:"end"`
+	Start int
+	End   int
 }
 
 // validClass bounds snapshot class bytes: anything past the known
@@ -107,9 +80,8 @@ func validClass(c uint8) error {
 	return nil
 }
 
-// validPrefix rejects the zero Prefix, which a JSON image yields for an
-// entry without a "prefix" member: it would re-encode to bytes no decoder
-// accepts.
+// validPrefix rejects the zero Prefix, which an image built in memory can
+// carry: it would encode to bytes no decoder accepts.
 func validPrefix(p bgp.Prefix) error {
 	if !p.IsValid() {
 		return fmt.Errorf("kernel: snapshot entry without a prefix")

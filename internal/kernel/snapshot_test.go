@@ -1,8 +1,6 @@
 package kernel_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -68,7 +66,7 @@ func lifecycleOf(k *kernel.Kernel, now int) kernel.LifecycleStats {
 }
 
 // TestSnapshotRoundTrip: checkpoint a kernel mid-run, serialize through
-// JSON, restore into a fresh kernel, finish the run on both — every
+// the binary codec, restore into a fresh kernel, finish the run on both — every
 // observable (snapshot image, registry, lifecycle, actives) must be
 // identical to the uninterrupted kernel's, and the events the first
 // kernel returned up to the cut, followed by the restored kernel's, must
@@ -82,13 +80,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	first := kernel.New(opts)
 	firstLog := drive(first, all[:splitAt])
-	firstSnap := first.Snapshot()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(firstSnap); err != nil {
-		t.Fatal(err)
-	}
-	snap := new(kernel.Snapshot)
-	if err := json.Unmarshal(buf.Bytes(), snap); err != nil {
+	snap, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, first.Snapshot()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	restored := kernel.New(opts)

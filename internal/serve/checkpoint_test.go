@@ -3,10 +3,15 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,6 +26,144 @@ type scenarioStats struct {
 	ActiveConflicts int             `json:"active_conflicts"`
 	Events          int             `json:"events"`
 	Lifecycle       json.RawMessage `json:"lifecycle"`
+}
+
+// postCheckpoint takes the checkpoint of scenario id over the API and
+// returns the file it answers with.
+func postCheckpoint(t *testing.T, client *http.Client, base, id string) []byte {
+	t.Helper()
+	resp, err := client.Post(base+"/scenarios/"+id+"/checkpoint", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint %s: %d %s", id, resp.StatusCode, blob)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("checkpoint %s: content type %q, want application/octet-stream", id, ct)
+	}
+	return blob
+}
+
+// TestCheckpointOneFile: a checkpoint has one form wherever it leaves or
+// enters the daemon. On one paused scenario, the file POST /checkpoint
+// answers with is byte for byte the one the store writes and GET serves;
+// it restores through a create body (base64) and, dropped into another
+// daemon's checkpoint directory, through Recover. A checkpoint in the
+// JSON form the API once answered with is refused by a create with a 400
+// that says so, and skipped by Recover for the next older file.
+func TestCheckpointOneFile(t *testing.T) {
+	reg := NewRegistry()
+	reg.Durability = Durability{Dir: t.TempDir(), Interval: time.Hour}
+	defer reg.Close()
+	srv := httptest.NewServer(NewHandler(reg))
+	defer srv.Close()
+	client := srv.Client()
+
+	resp, body := postJSON(t, client, srv.URL+"/scenarios",
+		map[string]any{"id": "orig", "source": "synth", "scale": "small", "shards": 2, "days_per_sec": 200, "start": true})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create orig: %d %v", resp.StatusCode, body)
+	}
+	orig := reg.Get("orig")
+	deadline := time.Now().Add(60 * time.Second)
+	for orig.Status().ClosedDays < 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("scenario never reached day 5: %+v", orig.Status())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := orig.Pause(); err != nil {
+		t.Fatal(err)
+	}
+
+	posted := postCheckpoint(t, client, srv.URL, "orig")
+	path, err := reg.CheckpointNow("orig")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	getResp, err := client.Get(srv.URL + "/scenarios/orig/checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := io.ReadAll(getResp.Body)
+	getResp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if getResp.StatusCode != http.StatusOK || !bytes.Equal(posted, stored) || !bytes.Equal(posted, served) {
+		t.Fatalf("GET %d: POST answered %d bytes, the store wrote %d, GET served %d; want one file",
+			getResp.StatusCode, len(posted), len(stored), len(served))
+	}
+	ck, err := ReadScenarioCheckpoint(posted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.DaysClosed < 5 || ck.DaysClosed >= ck.TotalDays {
+		t.Fatalf("checkpoint not mid-archive: %d/%d days", ck.DaysClosed, ck.TotalDays)
+	}
+
+	resp, body = postJSON(t, client, srv.URL+"/scenarios",
+		map[string]any{"id": "viacreate", "source": "checkpoint", "checkpoint": posted})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create from the posted file: %d %v", resp.StatusCode, body)
+	}
+	if got := reg.Get("viacreate").Status().ClosedDays; got != ck.DaysClosed {
+		t.Fatalf("created at day %d, checkpoint was day %d", got, ck.DaysClosed)
+	}
+
+	// The JSON form: what the parent API answered, an object with the
+	// envelope's members and the engine image.
+	legacy := []byte(`{"version":1,"config":{"source":"synth","scale":"small"},"total_days":60,"days_closed":5,"last_event_id":9,"engine":{"version":1}}`)
+	resp, body = postJSON(t, client, srv.URL+"/scenarios",
+		map[string]any{"id": "legacy", "source": "checkpoint", "checkpoint": json.RawMessage(legacy)})
+	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "JSON checkpoints are no longer read") {
+		t.Fatalf("create from a JSON checkpoint: %d %v", resp.StatusCode, body)
+	}
+
+	// Another daemon's checkpoint directory: the posted file, and a newer
+	// JSON one.
+	dir := t.TempDir()
+	moved := filepath.Join(dir, "moved")
+	if err := os.MkdirAll(moved, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(moved, "ck-0000000001.mckpt"), posted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(moved, "ck-0000000002.mckpt"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logs strings.Builder
+	var logMu sync.Mutex
+	other := NewRegistry()
+	other.Durability = Durability{Dir: dir, Interval: time.Hour}
+	other.Logf = func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		fmt.Fprintf(&logs, format+"\n", args...)
+	}
+	defer other.Close()
+	if n, err := other.Recover(); err != nil || n != 1 {
+		t.Fatalf("recovered %d scenarios (%v), want 1", n, err)
+	}
+	if got := other.Get("moved").Status().ClosedDays; got != ck.DaysClosed {
+		t.Fatalf("recovered at day %d, checkpoint was day %d", got, ck.DaysClosed)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if !strings.Contains(logs.String(), "ck-0000000002.mckpt: skipping corrupt checkpoint: serve: JSON checkpoints are no longer read") {
+		t.Fatalf("recover did not log the JSON file it skipped:\n%s", logs.String())
+	}
 }
 
 // TestCheckpointRestoreHTTP is the persistence acceptance test at the
@@ -66,22 +209,11 @@ func TestCheckpointRestoreHTTP(t *testing.T) {
 		t.Fatalf("pause: %d %v", resp.StatusCode, body)
 	}
 
-	// Checkpoint the paused scenario and verify the payload is portable
-	// JSON describing a mid-archive position.
-	req, err := http.NewRequest("POST", srv.URL+"/scenarios/orig/checkpoint", nil)
+	// Checkpoint the paused scenario and verify the payload is a
+	// checkpoint file describing a mid-archive position.
+	blob := postCheckpoint(t, client, srv.URL, "orig")
+	ck, err := ReadScenarioCheckpoint(blob)
 	if err != nil {
-		t.Fatal(err)
-	}
-	ckResp, err := client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ckResp.Body.Close()
-	if ckResp.StatusCode != http.StatusOK {
-		t.Fatalf("checkpoint: %d", ckResp.StatusCode)
-	}
-	var ck ScenarioCheckpoint
-	if err := json.NewDecoder(ckResp.Body).Decode(&ck); err != nil {
 		t.Fatal(err)
 	}
 	if ck.Version != ScenarioCheckpointVersion || ck.Engine == nil ||
@@ -108,7 +240,7 @@ func TestCheckpointRestoreHTTP(t *testing.T) {
 	// layout-independent) and run the rest of the archive.
 	resp, body := postJSON(t, client, srv.URL+"/scenarios", map[string]any{
 		"id": "restored", "source": "checkpoint", "shards": 3, "start": true,
-		"checkpoint": ck,
+		"checkpoint": blob,
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create restored: %d %v", resp.StatusCode, body)
@@ -210,25 +342,14 @@ func TestDecodeWorkersIgnored(t *testing.T) {
 	defer srv.Close()
 	client := srv.Client()
 
-	checkpoint := func(id string) ScenarioCheckpoint {
+	checkpoint := func(id string) *ScenarioCheckpoint {
 		t.Helper()
-		resp, err := client.Post(srv.URL+"/scenarios/"+id+"/checkpoint", "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("checkpoint %s: %d %s", id, resp.StatusCode, raw)
-		}
+		raw := postCheckpoint(t, client, srv.URL, id)
 		if bytes.Contains(raw, []byte("decode_workers")) {
 			t.Fatalf("checkpoint of %s stores decode_workers", id)
 		}
-		var ck ScenarioCheckpoint
-		if err := json.Unmarshal(raw, &ck); err != nil {
+		ck, err := ReadScenarioCheckpoint(raw)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return ck
@@ -242,8 +363,12 @@ func TestDecodeWorkersIgnored(t *testing.T) {
 	ck := checkpoint("w")
 	// As a checkpoint written while the knob was live would carry it.
 	ck.Config.DecodeWorkers = 2
+	blob, err := AppendScenarioCheckpointBinary(nil, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
 	resp, body = postJSON(t, client, srv.URL+"/scenarios",
-		map[string]any{"id": "w2", "source": "checkpoint", "checkpoint": ck})
+		map[string]any{"id": "w2", "source": "checkpoint", "checkpoint": blob})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("restore of a checkpoint config with decode_workers: %d %v", resp.StatusCode, body)
 	}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -57,7 +59,8 @@ type ScenarioConfig struct {
 	// Checkpoint is the state to restore. Source "checkpoint" only; the
 	// source comes from the checkpointed scenario, and so do the knobs
 	// (shards, pacing, history, event buffer, max attrs)
-	// the request leaves unset.
+	// the request leaves unset. In a request body it is the checkpoint
+	// file's bytes as a base64 string (ScenarioCheckpoint.UnmarshalJSON).
 	Checkpoint *ScenarioCheckpoint `json:"checkpoint,omitempty"`
 }
 
@@ -68,9 +71,9 @@ const ScenarioCheckpointVersion = 1
 // ScenarioCheckpoint is a paused (or finished) scenario's portable image:
 // the original source configuration, the replay's calendar position, and
 // the engine checkpoint (kernel snapshot + route tables + record cursor).
-// It round-trips through JSON; POST /scenarios with source "checkpoint"
-// resumes it, in the same process or another one with access to the same
-// source.
+// Its one encoding is the checkpoint file (AppendScenarioCheckpointBinary);
+// POST /scenarios with source "checkpoint" resumes it, in the same
+// process or another one with access to the same source.
 type ScenarioCheckpoint struct {
 	Version int `json:"version"`
 	// Config is the checkpointed scenario's effective config (never
@@ -90,6 +93,25 @@ type ScenarioCheckpoint struct {
 	LastEventID uint64 `json:"last_event_id"`
 	// Engine is the serialized engine state.
 	Engine *stream.Checkpoint `json:"engine"`
+}
+
+// UnmarshalJSON reads a checkpoint given as a JSON string: its file's
+// bytes (AppendScenarioCheckpointBinary), base64-encoded. A JSON object —
+// the form the checkpoint field once took — is refused as such.
+func (ck *ScenarioCheckpoint) UnmarshalJSON(data []byte) error {
+	if bytes.HasPrefix(data, []byte("{")) {
+		return errJSONCheckpoint
+	}
+	var blob []byte
+	if err := json.Unmarshal(data, &blob); err != nil {
+		return fmt.Errorf("serve: checkpoint: %w", err)
+	}
+	read, err := ReadScenarioCheckpoint(blob)
+	if err != nil {
+		return err
+	}
+	*ck = *read
+	return nil
 }
 
 // isIDRune bounds the scenario-ID alphabet (IDs appear raw in URL paths

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -63,13 +64,16 @@ func (d Durability) keep() int {
 
 func (d Durability) fs() vfs.FS { return vfs.Default(d.FS) }
 
-// scenarioCheckpointMagic introduces a binary scenario checkpoint file.
-// Like the inner codecs' magics, its first byte can never open a JSON
-// document, so on-disk formats sniff apart unambiguously.
+// scenarioCheckpointMagic introduces a scenario checkpoint file.
 var scenarioCheckpointMagic = []byte("MSCK")
 
-// AppendScenarioCheckpointBinary appends ck's binary file encoding: the
-// magic and version, a JSON frame carrying the envelope (source config,
+// envelope is ScenarioCheckpoint without its JSON methods: the form of
+// the file's envelope frame, whose engine member is always null.
+type envelope ScenarioCheckpoint
+
+// AppendScenarioCheckpointBinary appends ck's file encoding, the one
+// form a scenario checkpoint takes on disk and over the API: the magic
+// and version, a JSON frame carrying the envelope (source config,
 // calendar position, SSE cursor — small and worth keeping inspectable),
 // and a frame with the engine checkpoint in stream's binary format,
 // which is where full-archive-scale state lives.
@@ -77,7 +81,7 @@ func AppendScenarioCheckpointBinary(dst []byte, ck *ScenarioCheckpoint) ([]byte,
 	if ck.Engine == nil {
 		return nil, fmt.Errorf("serve: checkpoint has no engine state")
 	}
-	meta := *ck
+	meta := envelope(*ck)
 	meta.Engine = nil
 	metaJSON, err := json.Marshal(&meta)
 	if err != nil {
@@ -95,50 +99,51 @@ func AppendScenarioCheckpointBinary(dst []byte, ck *ScenarioCheckpoint) ([]byte,
 	return binenc.EndFrame(dst, start), nil
 }
 
-// ReadScenarioCheckpoint decodes a scenario checkpoint file's bytes in
-// either format, sniffing the content: the binary envelope by its magic,
-// anything else as the JSON form — which is byte-for-byte what POST
-// /scenarios/{id}/checkpoint returns, so an operator can drop a saved
-// API response into the checkpoint directory and boot from it. The
-// result's engine image aliases data.
+// errJSONCheckpoint refuses a checkpoint in the JSON form the API and
+// the checkpoint directory once also took.
+var errJSONCheckpoint = errors.New("serve: JSON checkpoints are no longer read; restore it with the moasd that wrote it and take a new checkpoint")
+
+// ReadScenarioCheckpoint decodes a scenario checkpoint file's bytes — what
+// the store writes, POST /scenarios/{id}/checkpoint returns and GET
+// serves, so a saved API response dropped into the checkpoint directory
+// boots, and a download restores through a create. The envelope is read
+// leniently: a member it does not know is skipped. The result's engine
+// image aliases data.
 func ReadScenarioCheckpoint(data []byte) (*ScenarioCheckpoint, error) {
-	var ck ScenarioCheckpoint
 	if !bytes.HasPrefix(data, scenarioCheckpointMagic) {
-		if err := json.Unmarshal(data, &ck); err != nil {
-			return nil, fmt.Errorf("serve: decode checkpoint: %w", err)
+		if bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("{")) {
+			return nil, errJSONCheckpoint
 		}
-	} else {
-		rd := binenc.NewReader(data[len(scenarioCheckpointMagic):])
-		version := rd.Uvarint()
-		if rd.Err() == nil && version != ScenarioCheckpointVersion {
-			return nil, fmt.Errorf("serve: checkpoint version %d, want %d", version, ScenarioCheckpointVersion)
-		}
-		metaJSON := rd.Frame()
-		meta := metaJSON.Bytes(metaJSON.Len())
-		engFrame := rd.Frame()
-		engBytes := engFrame.Bytes(engFrame.Len())
-		if err := rd.Err(); err != nil {
-			return nil, fmt.Errorf("serve: decode binary checkpoint: %w", err)
-		}
-		if rd.Len() != 0 {
-			return nil, fmt.Errorf("serve: %d trailing bytes after binary checkpoint", rd.Len())
-		}
-		if err := json.Unmarshal(meta, &ck); err != nil {
-			return nil, fmt.Errorf("serve: decode checkpoint envelope: %w", err)
-		}
-		eng, err := stream.DecodeCheckpointBinary(engBytes) // in place: no copy of the frame
-		if err != nil {
-			return nil, err
-		}
-		ck.Engine = eng
+		return nil, fmt.Errorf("serve: not a checkpoint: no %q magic", scenarioCheckpointMagic)
 	}
+	rd := binenc.NewReader(data[len(scenarioCheckpointMagic):])
+	version := rd.Uvarint()
+	if rd.Err() == nil && version != ScenarioCheckpointVersion {
+		return nil, fmt.Errorf("serve: checkpoint version %d, want %d", version, ScenarioCheckpointVersion)
+	}
+	metaJSON := rd.Frame()
+	meta := metaJSON.Bytes(metaJSON.Len())
+	engFrame := rd.Frame()
+	engBytes := engFrame.Bytes(engFrame.Len())
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("serve: decode binary checkpoint: %w", err)
+	}
+	if rd.Len() != 0 {
+		return nil, fmt.Errorf("serve: %d trailing bytes after binary checkpoint", rd.Len())
+	}
+	var ck envelope
+	if err := json.Unmarshal(meta, &ck); err != nil {
+		return nil, fmt.Errorf("serve: decode checkpoint envelope: %w", err)
+	}
+	eng, err := stream.DecodeCheckpointBinary(engBytes) // in place: no copy of the frame
+	if err != nil {
+		return nil, err
+	}
+	ck.Engine = eng
 	if ck.Version != ScenarioCheckpointVersion {
 		return nil, fmt.Errorf("serve: checkpoint version %d, want %d", ck.Version, ScenarioCheckpointVersion)
 	}
-	if ck.Engine == nil {
-		return nil, fmt.Errorf("serve: checkpoint has no engine state")
-	}
-	return &ck, nil
+	return (*ScenarioCheckpoint)(&ck), nil
 }
 
 // checkpointStore is one scenario's on-disk checkpoint directory:

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"moas/internal/bgp"
@@ -115,6 +117,33 @@ func TestEpisodeEndpoints(t *testing.T) {
 	}
 	if r := getJSON(t, client, srv.URL+"/scenarios/hist/episodes?class=bogus", nil); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad class value: %d, want 400", r.StatusCode)
+	}
+	errorOf := func(path string) string {
+		t.Helper()
+		var body struct {
+			Error string `json:"error"`
+		}
+		resp, err := client.Get(srv.URL + "/scenarios/hist" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %d (%v), want a 400 error document", path, resp.StatusCode, err)
+		}
+		return body.Error
+	}
+	// Several bad values are refused for the first in a fixed order.
+	for _, endpoint := range []string{"/episodes", "/episodes/summary"} {
+		for i := 0; i < 20; i++ {
+			if got := errorOf(endpoint + "?from=a&limit=b&min_days=c"); !strings.HasPrefix(got, `bad from "a"`) {
+				t.Fatalf("%s with three bad values, call %d: %q, want the bad from", endpoint, i, got)
+			}
+		}
+	}
+	// A bad prefix reads the same in a query parameter and in a path.
+	if q, p := errorOf("/episodes?prefix=not-a-cidr"), errorOf("/prefix/not-a-cidr"); q != p || !strings.HasPrefix(q, `bad prefix "not-a-cidr": `) {
+		t.Fatalf("bad prefix: /episodes says %q, /prefix says %q", q, p)
 	}
 
 	// DELETE removes the scenario's episode directory with it.

@@ -94,6 +94,16 @@ func nonNegative(name, v string) (int, error) {
 	return n, nil
 }
 
+// parsePrefix parses a prefix given as a query parameter or a path
+// segment.
+func parsePrefix(v string) (bgp.Prefix, error) {
+	p, err := bgp.ParsePrefix(v)
+	if err != nil {
+		return p, fmt.Errorf("bad prefix %q: %v", v, err)
+	}
+	return p, nil
+}
+
 // parseASN parses an AS number given as a query parameter or a path
 // segment: a decimal uint32 other than 0, which no route originates.
 func parseASN(v string) (bgp.ASN, error) {
@@ -148,9 +158,9 @@ func serveConflicts(w http.ResponseWriter, r *http.Request, s *Scenario) {
 
 // servePrefix is GET /scenarios/{id}/prefix/{cidr...}.
 func servePrefix(w http.ResponseWriter, r *http.Request, s *Scenario) {
-	p, err := bgp.ParsePrefix(r.PathValue("cidr"))
+	p, err := parsePrefix(r.PathValue("cidr"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad prefix")
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	info := s.Engine().Prefix(p)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -50,22 +51,14 @@ func pausedCheckpoint(t *testing.T, reg *Registry) *ScenarioCheckpoint {
 	return ck
 }
 
-// TestScenarioCheckpointFileCodec: the binary file envelope round-trips
-// a real mid-archive scenario checkpoint exactly, the sniffing reader
-// accepts both on-disk forms (binary envelope and the raw JSON the HTTP
-// checkpoint endpoint emits), and damage is rejected.
+// TestScenarioCheckpointFileCodec: the checkpoint file round-trips a
+// real mid-archive scenario checkpoint exactly, and damage, a file
+// without the magic and a JSON document are rejected, the last as such.
 func TestScenarioCheckpointFileCodec(t *testing.T) {
 	ck := pausedCheckpoint(t, NewRegistry())
 	bin, err := AppendScenarioCheckpointBinary(nil, ck)
 	if err != nil {
 		t.Fatal(err)
-	}
-	js, err := json.Marshal(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bin) >= len(js) {
-		t.Fatalf("binary scenario checkpoint (%d bytes) not smaller than JSON (%d bytes)", len(bin), len(js))
 	}
 	// The engine frame is encoded in place; it must still be exactly the
 	// engine's own encoding behind a length prefix.
@@ -76,14 +69,12 @@ func TestScenarioCheckpointFileCodec(t *testing.T) {
 	if !bytes.HasSuffix(bin, binenc.AppendFrame(nil, eng)) {
 		t.Fatal("engine frame differs from the framed engine checkpoint")
 	}
-	for name, blob := range map[string][]byte{"binary": bin, "json": js} {
-		got, err := ReadScenarioCheckpoint(blob)
-		if err != nil {
-			t.Fatalf("read %s scenario checkpoint: %v", name, err)
-		}
-		if !reflect.DeepEqual(ck, got) {
-			t.Fatalf("%s file round trip changed the checkpoint", name)
-		}
+	got, err := ReadScenarioCheckpoint(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ck, got) {
+		t.Fatal("file round trip changed the checkpoint")
 	}
 	for _, cut := range []int{0, 2, len(bin) / 4, len(bin) / 2, len(bin) - 1} {
 		if _, err := ReadScenarioCheckpoint(bin[:cut]); err == nil {
@@ -92,6 +83,12 @@ func TestScenarioCheckpointFileCodec(t *testing.T) {
 	}
 	if _, err := ReadScenarioCheckpoint(append(bytes.Clone(bin), 7)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+	if _, err := ReadScenarioCheckpoint(bin[len(scenarioCheckpointMagic):]); err == nil || errors.Is(err, errJSONCheckpoint) {
+		t.Fatalf("a file without the magic: %v", err)
+	}
+	if _, err := ReadScenarioCheckpoint([]byte(` {"version":1}`)); !errors.Is(err, errJSONCheckpoint) {
+		t.Fatalf("a JSON checkpoint: %v, want %v", err, errJSONCheckpoint)
 	}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -52,15 +51,18 @@ func episodeToJSON(ep *epilog.Episode) episodeJSON {
 func episodeQuery(r *http.Request) (epilog.Query, error) {
 	q := epilog.Query{Class: -1, Limit: DefaultEpisodeLimit}
 	get := r.URL.Query()
-	for name, dst := range map[string]*int{
-		"from": &q.From, "to": &q.To, "min_days": &q.MinDays, "limit": &q.Limit,
-	} {
-		if v := get.Get(name); v != "" {
-			n, err := nonNegative(name, v)
+	// In a fixed order, so that a request with several bad values is
+	// always refused for the same one.
+	for _, p := range []struct {
+		name string
+		dst  *int
+	}{{"from", &q.From}, {"to", &q.To}, {"min_days", &q.MinDays}, {"limit", &q.Limit}} {
+		if v := get.Get(p.name); v != "" {
+			n, err := nonNegative(p.name, v)
 			if err != nil {
 				return q, err
 			}
-			*dst = n
+			*p.dst = n
 		}
 	}
 	// The log reads To 0 as no upper bound, which only an absent to means.
@@ -68,9 +70,9 @@ func episodeQuery(r *http.Request) (epilog.Query, error) {
 		return q, fmt.Errorf("bad to %q: want a day after 0 (omit to for no upper bound)", v)
 	}
 	if v := get.Get("prefix"); v != "" {
-		p, err := bgp.ParsePrefix(v)
+		p, err := parsePrefix(v)
 		if err != nil {
-			return q, fmt.Errorf("bad prefix %q: %v", v, err)
+			return q, err
 		}
 		q.Prefix = &p
 	}
@@ -253,20 +255,22 @@ func NewHandler(reg *Registry) http.Handler {
 			httpError(w, http.StatusConflict, err.Error())
 			return
 		}
-		// Compact, not pretty-printed: the payload carries whole engine
-		// state, and indentation would roughly double the transfer (and
-		// could push a round-trippable checkpoint past the create-body
-		// cap).
-		w.Header().Set("Content-Type", "application/json")
+		blob, err := AppendScenarioCheckpointBinary(nil, ck)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "encode checkpoint: "+err.Error())
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 		w.WriteHeader(http.StatusOK)
-		_ = json.NewEncoder(w).Encode(ck)
+		_, _ = w.Write(blob)
 	}))
 
 	// The read half of durability: download the newest auto-checkpoint
-	// exactly as it sits on disk (binary envelope, or JSON if an operator
-	// dropped an API payload into the directory). The bytes feed off-host
-	// backup — saved elsewhere, they boot a standby daemon by landing in
-	// its checkpoint directory.
+	// exactly as it sits on disk, the same file POST returns. The bytes
+	// feed off-host backup — saved elsewhere, they boot a standby daemon
+	// by landing in its checkpoint directory, or restore through a
+	// create.
 	mux.HandleFunc("GET /scenarios/{id}/checkpoint", scenario(func(w http.ResponseWriter, r *http.Request, s *Scenario) {
 		path, ok := reg.LatestCheckpoint(s.ID())
 		if !ok {
@@ -284,22 +288,12 @@ func NewHandler(reg *Registry) http.Handler {
 			return
 		}
 		defer f.Close()
-		br := bufio.NewReader(f)
-		first, err := br.Peek(1)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "read checkpoint: "+err.Error())
-			return
-		}
-		ctype := "application/octet-stream"
-		if first[0] == '{' {
-			ctype = "application/json"
-		}
-		w.Header().Set("Content-Type", ctype)
+		w.Header().Set("Content-Type", "application/octet-stream")
 		if fi, err := fsys.Stat(path); err == nil {
 			w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
 		}
 		w.WriteHeader(http.StatusOK)
-		_, _ = io.Copy(w, br)
+		_, _ = io.Copy(w, f)
 	}))
 
 	mux.HandleFunc("DELETE /scenarios/{id}", func(w http.ResponseWriter, r *http.Request) {

@@ -50,10 +50,11 @@ type Limits struct {
 const DefaultEventRing = 1024
 
 // maxCreateBytes caps the POST /scenarios request body. Create bodies can
-// carry whole engine checkpoints, so without a cap the decoder would
-// buffer arbitrarily large uploads before any limit is consulted: the
-// cap is generous enough for full-scale checkpoints, small enough that a
-// burst of hostile uploads cannot OOM the daemon.
+// carry whole checkpoint files, base64-encoded, so without a cap the
+// decoder would buffer arbitrarily large uploads before any limit is
+// consulted: the cap is generous enough for full-scale checkpoints (a
+// 1M-prefix, 2-vantage table's file is about 66 MiB, 88 MiB as base64),
+// small enough that a burst of hostile uploads cannot OOM the daemon.
 const maxCreateBytes = 256 << 20
 
 // ErrTooManyScenarios is returned by Create when Limits.MaxScenarios is

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -228,19 +227,10 @@ func bigCheckpoint(tb testing.TB) (*Engine, *Checkpoint) {
 	return bigEng, bigCk
 }
 
-type countWriter struct{ n int64 }
-
-func (w *countWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
 // BenchmarkCheckpointEncode times the checkpoint path at full-scan-scale
-// state: imaging the engine (phase=snapshot, what parks ingest), the two
-// renderings of the image (codec=json, codec=binary — encoded size via
-// the bytes metric, MB/s via SetBytes: the recorded evidence that the
-// binary form earns its keep) and rebuilding an engine from the image
-// (phase=restore).
+// state: imaging the engine (phase=snapshot, what parks ingest), encoding
+// the image (codec=binary — encoded size via the bytes metric, MB/s via
+// SetBytes) and rebuilding an engine from the image (phase=restore).
 func BenchmarkCheckpointEncode(b *testing.B) {
 	eng, ck := bigCheckpoint(b)
 	rows := []struct {
@@ -248,11 +238,6 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 		run  func() (size int64, err error)
 	}{
 		{"phase=snapshot", func() (int64, error) { eng.Checkpoint(); return 0, nil }},
-		{"codec=json", func() (int64, error) {
-			var w countWriter
-			err := json.NewEncoder(&w).Encode(ck)
-			return w.n, err
-		}},
 		{"codec=binary", func() (int64, error) {
 			out, err := AppendCheckpointBinary(nil, ck)
 			return int64(len(out)), err

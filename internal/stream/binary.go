@@ -11,11 +11,8 @@ import (
 	"moas/internal/kernel"
 )
 
-// The binary checkpoint format — the full-archive-scale encoding of
-// Checkpoint. JSON stays the portable API form (the /checkpoint
-// endpoint's payload); this is what the auto-checkpoint loop writes to
-// disk, where route attribute blocks dominate and hex-in-JSON would
-// double them.
+// The binary checkpoint format — the one encoding of Checkpoint, which
+// the daemon writes to disk and serves over its API alike.
 //
 // The container carries its own format version after the magic, separate
 // from the Checkpoint struct version it stores:
@@ -51,8 +48,7 @@ import (
 // depends on the order of entries inside a section; the writer's order is
 // the image's (Prefix.Compare).
 
-// checkpointMagic introduces a binary engine checkpoint. Like the kernel
-// snapshot magic, its first byte can never open a JSON document.
+// checkpointMagic introduces a binary engine checkpoint.
 var checkpointMagic = []byte("MCKP")
 
 // checkpointContainerV2 is the container format version introduced with

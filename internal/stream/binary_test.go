@@ -2,31 +2,11 @@ package stream
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"reflect"
 	"testing"
 
 	"moas/internal/bgp"
 )
-
-// decodeByMagic decodes an engine checkpoint in either codec, choosing by
-// the binary magic — what a test holding images of both forms needs. The
-// program decodes binary images alone (DecodeCheckpointBinary); a JSON
-// image only travels inside a JSON document that encoding/json reads.
-func decodeByMagic(data []byte) (*Checkpoint, error) {
-	if bytes.HasPrefix(data, checkpointMagic) {
-		return DecodeCheckpointBinary(data)
-	}
-	var ck Checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("stream: decode checkpoint: %w", err)
-	}
-	if ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("stream: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
-	}
-	return &ck, nil
-}
 
 // tinyCheckpoint builds a small, fully deterministic engine checkpoint
 // by scripting updates directly instead of replaying an archive: three
@@ -67,11 +47,9 @@ func tinyCheckpoint(t testing.TB) *Checkpoint {
 	return e.Checkpoint()
 }
 
-// TestBinaryCheckpointRoundTrip: the binary and JSON codecs must
-// reproduce the exact checkpoint image through either decoder, the
-// binary form must be smaller than the JSON it replaces on disk (the
-// reason it exists), and every frozen fixture of an earlier form — each
-// an image of the scripted engine — must still decode to exactly that
+// TestBinaryCheckpointRoundTrip: the codec must reproduce the exact
+// checkpoint image, and every frozen fixture of an earlier form — each an
+// image of the scripted engine — must still decode to exactly that
 // engine's image.
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	sc, _, _ := fixtures(t)
@@ -84,26 +62,17 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var js bytes.Buffer
-	if err := json.NewEncoder(&js).Encode(ck); err != nil {
+	decoded, err := DecodeCheckpointBinary(bin)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bin) >= js.Len() {
-		t.Fatalf("binary checkpoint (%d bytes) not smaller than JSON (%d bytes)", len(bin), js.Len())
-	}
-	for name, blob := range map[string][]byte{"binary": bin, "json": js.Bytes()} {
-		decoded, err := decodeByMagic(blob)
-		if err != nil {
-			t.Fatalf("decode of %s: %v", name, err)
-		}
-		if !reflect.DeepEqual(ck, decoded) {
-			t.Fatalf("decode of %s changed the checkpoint", name)
-		}
+	if !reflect.DeepEqual(ck, decoded) {
+		t.Fatal("the round trip changed the checkpoint")
 	}
 
 	want := tinyCheckpoint(t)
-	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenJSON, frozenBinarySnap2, frozenJSONSnap2} {
-		got, err := decodeByMagic(frozen(t, path))
+	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenBinarySnap2} {
+		got, err := DecodeCheckpointBinary(frozen(t, path))
 		if err != nil {
 			t.Fatalf("decode of %s: %v", path, err)
 		}
@@ -114,48 +83,26 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestBinaryCheckpointResumeMatchesUninterrupted: a mid-archive
-// checkpoint crossing the binary codec and restored into a different
-// shard layout finishes the archive in exactly the uninterrupted
-// engine's state — the binary counterpart of the JSON resume test.
+// checkpoint that crosses the binary codec, restored into a different
+// shard count and fed the rest of the archive, ends in exactly the state
+// of an uninterrupted replay. The cut is tried a third and half way
+// through, into a layout with fewer and with more shards.
 func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
-	sc, archive, _ := fixtures(t)
+	sc, _, _ := fixtures(t)
 	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
-
-	ck, _, before := checkpointAtDay(t, Config{Shards: 4}, len(cal.Days)/3)
-	bin, err := AppendCheckpointBinary(nil, ck)
-	if err != nil {
-		t.Fatal(err)
+	thaw := func(ck *Checkpoint) *Checkpoint {
+		bin, err := AppendCheckpointBinary(nil, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		thawed, err := DecodeCheckpointBinary(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return thawed
 	}
-	thawed, err := decodeByMagic(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var after eventSink
-	restored, err := NewFromCheckpoint(Config{Shards: 2, OnEvent: after.add}, thawed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = restored.Replay(bytes.NewReader(archive), cal, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored.Close()
-
-	want, wantEvents := replayEvents(t, Config{Shards: 3})
-	diffRegistries(t, want.Registry(), restored.Registry())
-	if g := acrossCut(before, after.sorted()); !reflect.DeepEqual(wantEvents, g) {
-		t.Fatalf("events differ: %d vs %d", len(wantEvents), len(g))
-	}
-	if w, g := want.Checkpoint().Kernel.ClosedSpans, restored.Checkpoint().Kernel.ClosedSpans; !reflect.DeepEqual(w, g) {
-		t.Fatalf("ended activations differ:\nwant %v\n got %v", w, g)
-	}
-	ws, gs := want.Stats(), restored.Stats()
-	if ws.Messages != gs.Messages || ws.Ops != gs.Ops || ws.Events != gs.Events ||
-		ws.LastClosedDay != gs.LastClosedDay || ws.ActiveConflicts != gs.ActiveConflicts ||
-		ws.TotalConflicts != gs.TotalConflicts || ws.Lifecycle != gs.Lifecycle {
-		t.Fatalf("stats differ:\nwant %+v\n got %+v", ws, gs)
-	}
+	resumeMatchesUninterrupted(t, len(cal.Days)/3, 4, 2, thaw)
+	resumeMatchesUninterrupted(t, len(cal.Days)/2, 3, 5, thaw)
 }
 
 // TestBinaryCheckpointRejectsDamage: truncation at every byte boundary,

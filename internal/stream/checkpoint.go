@@ -3,7 +3,6 @@ package stream
 import (
 	"bytes"
 	"cmp"
-	"encoding/hex"
 	"fmt"
 	"slices"
 
@@ -23,71 +22,45 @@ const CheckpointVersion = 1
 // consumed), so a replay can resume mid-archive. It is shard-count
 // independent: restoring into an engine with a different Config.Shards
 // redistributes state by prefix hash. The image is typed — prefixes, peer
-// addresses and attribute blocks are values, and only their JSON rendering
-// (the text methods below and bgp.Prefix's) ever turns them into strings;
-// the binary codec and NewFromCheckpoint move the values as they are.
+// addresses and attribute blocks are values, which its one encoding, the
+// binary codec (binary.go), and NewFromCheckpoint move as they are.
 type Checkpoint struct {
-	Version       int    `json:"version"`
-	LastClosedDay int    `json:"last_closed_day"` // -1 before the first day close
-	Messages      uint64 `json:"messages"`
-	Ops           uint64 `json:"ops"`
+	Version       int
+	LastClosedDay int // -1 before the first day close
+	Messages      uint64
+	Ops           uint64
 	// Records counts MRT records fully consumed by the replay — the exact
 	// number a restored engine's Replay skips.
-	Records uint64           `json:"records"`
-	Kernel  *kernel.Snapshot `json:"kernel"`
+	Records uint64
+	Kernel  *kernel.Snapshot
 	// Routes holds one entry per prefix with routes, in Prefix.Compare
 	// order; each entry's routes are ordered by peer address, then peer AS.
-	Routes []PrefixRoutes `json:"routes"`
+	Routes []PrefixRoutes
 }
 
 // PrefixRoutes is one prefix's per-peer Adj-RIB-In image.
 type PrefixRoutes struct {
-	Prefix bgp.Prefix      `json:"prefix"`
-	Routes []PeerRouteSnap `json:"routes"`
+	Prefix bgp.Prefix
+	Routes []PeerRouteSnap
 }
 
 // PeerRouteSnap is one peer's route for a prefix.
 type PeerRouteSnap struct {
-	PeerIP PeerIP    `json:"peer_ip"`
-	PeerAS bgp.ASN   `json:"peer_as"`
-	Attrs  WireAttrs `json:"attrs"`
+	PeerIP PeerIP
+	PeerAS bgp.ASN
+	Attrs  WireAttrs
 }
 
 // PeerIP is the raw 16-byte BGP4MP peer address (collector convention,
-// not an IP literal). Its text form is 32 hex digits.
+// not an IP literal).
 type PeerIP [16]byte
 
-// MarshalText renders the address as hex.
-func (ip PeerIP) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, ip[:]), nil }
-
-// UnmarshalText accepts exactly 32 hex digits.
-func (ip *PeerIP) UnmarshalText(text []byte) error {
-	if len(text) != 2*len(ip) {
-		return fmt.Errorf("stream: peer ip of %d hex digits, want %d", len(text), 2*len(ip))
-	}
-	_, err := hex.Decode(ip[:], text)
-	return err
-}
-
-// WireAttrs is a path-attribute block in 4-octet-AS wire form; its text
-// form is hex. In an image the routes that carry one attribute set alias
-// one block — Checkpoint serializes each block once, the binary decoder
-// slices them out of its input — so a table's two million routes cost as
-// many slice headers, not as many copies.
+// WireAttrs is a path-attribute block in 4-octet-AS wire form. In an
+// image the routes that carry one attribute set alias one block —
+// Checkpoint serializes each block once, the binary decoder slices them
+// out of its input — so a table's two million routes cost as many slice
+// headers, not as many copies.
 type WireAttrs []byte
-
-// MarshalText renders the block as hex.
-func (a WireAttrs) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, a), nil }
-
-// UnmarshalText parses hex into a block of its own.
-func (a *WireAttrs) UnmarshalText(text []byte) error {
-	b, err := hex.AppendDecode(nil, text)
-	if err != nil {
-		return fmt.Errorf("stream: attrs block: %w", err)
-	}
-	*a = b
-	return nil
-}
 
 // Checkpoint images the engine. The engine must be settled — parked
 // after a Pause (Parked), fully replayed, or Closed — so that no batches

@@ -2,11 +2,9 @@ package stream
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -122,42 +120,28 @@ func TestEventsCutAtPark(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeMatchesUninterrupted is the persistence acceptance
-// test: an engine restored from a mid-archive checkpoint — even with a
-// different shard count — and fed the rest of the archive ends in exactly
-// the state of an uninterrupted replay: registry, events delivered across
-// the cut, ended activations, active conflicts and counters. The
-// checkpoint crosses JSON to prove the codec round-trips.
-func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
+// resumeMatchesUninterrupted checkpoints a replay at `from` shards after
+// day close `cut`, passes the image through thaw, restores it at `to`
+// shards, feeds it the rest of the archive and holds the result to an
+// uninterrupted replay: registry, events delivered across the cut, ended
+// activations, active conflicts and counters.
+func resumeMatchesUninterrupted(t *testing.T, cut, from, to int, thaw func(*Checkpoint) *Checkpoint) {
+	t.Helper()
 	sc, archive, _ := fixtures(t)
 	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
 
-	ck, daysClosed, before := checkpointAtDay(t, Config{Shards: 3}, len(cal.Days)/2)
-	if daysClosed != len(cal.Days)/2 {
-		t.Fatalf("paused after %d day closes, want %d", daysClosed, len(cal.Days)/2)
-	}
-	if ck.Records == 0 || ck.LastClosedDay < 0 {
-		t.Fatalf("checkpoint cursor empty: %+v", ck)
+	ck, daysClosed, before := checkpointAtDay(t, Config{Shards: from}, cut)
+	if daysClosed != cut || ck.Records == 0 || ck.LastClosedDay < 0 {
+		t.Fatalf("cut %d: paused after %d day closes with cursor %d records, day %d",
+			cut, daysClosed, ck.Records, ck.LastClosedDay)
 	}
 
-	// Round-trip the checkpoint through its JSON form.
-	blob, err := json.Marshal(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var thawed Checkpoint
-	if err := json.Unmarshal(blob, &thawed); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restore into a different shard layout and finish the archive.
 	var after eventSink
-	restored, err := NewFromCheckpoint(Config{Shards: 5, OnEvent: after.add}, &thawed)
+	restored, err := NewFromCheckpoint(Config{Shards: to, OnEvent: after.add}, thaw(ck))
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = restored.Replay(bytes.NewReader(archive), cal, nil)
-	if err != nil {
+	if err := restored.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 		t.Fatal(err)
 	}
 	restored.Close()
@@ -165,20 +149,31 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	want, wantEvents := replayEvents(t, Config{Shards: 4})
 	diffRegistries(t, want.Registry(), restored.Registry())
 	if g := acrossCut(before, after.sorted()); !reflect.DeepEqual(wantEvents, g) {
-		t.Fatalf("events differ: %d vs %d", len(wantEvents), len(g))
+		t.Fatalf("cut %d: events differ: %d vs %d", cut, len(wantEvents), len(g))
 	}
 	if w, g := want.Checkpoint().Kernel.ClosedSpans, restored.Checkpoint().Kernel.ClosedSpans; !reflect.DeepEqual(w, g) {
-		t.Fatalf("ended activations differ:\nwant %v\n got %v", w, g)
+		t.Fatalf("cut %d: ended activations differ:\nwant %v\n got %v", cut, w, g)
 	}
 	if w, g := want.ActiveConflicts(), restored.ActiveConflicts(); !reflect.DeepEqual(w, g) {
-		t.Fatalf("active conflicts differ: %d vs %d", len(w), len(g))
+		t.Fatalf("cut %d: active conflicts differ: %d vs %d", cut, len(w), len(g))
 	}
 	ws, gs := want.Stats(), restored.Stats()
 	if ws.Messages != gs.Messages || ws.Ops != gs.Ops || ws.Events != gs.Events ||
 		ws.LastClosedDay != gs.LastClosedDay || ws.ActiveConflicts != gs.ActiveConflicts ||
 		ws.TotalConflicts != gs.TotalConflicts || ws.Lifecycle != gs.Lifecycle {
-		t.Fatalf("stats differ:\nwant %+v\n got %+v", ws, gs)
+		t.Fatalf("cut %d: stats differ:\nwant %+v\n got %+v", cut, ws, gs)
 	}
+}
+
+// TestCheckpointResumeMatchesUninterrupted is the persistence acceptance
+// test for the engine image itself: a mid-archive checkpoint restored as
+// taken — no codec in between — into a different shard count and fed the
+// rest of the archive ends in exactly the state of an uninterrupted
+// replay. TestBinaryCheckpointResumeMatchesUninterrupted adds the codec.
+func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
+	sc, _, _ := fixtures(t)
+	cal := NewCalendar(sc.ObservedDays, sc.DayStamp)
+	resumeMatchesUninterrupted(t, len(cal.Days)/2, 3, 5, func(ck *Checkpoint) *Checkpoint { return ck })
 }
 
 // TestCheckpointOfFinishedEngine: checkpointing after a complete replay
@@ -221,15 +216,15 @@ func TestCheckpointVersionRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointHostileInput feeds both decoders the malformed and
-// adversarial images a hand-edited JSON document or a corrupted file can
-// carry. Each row starts from the scripted checkpoint (the rows about an
-// event log from its frozen images with kernel snapshot version 2, the
-// last to carry one) and damages it — as an image (mutate: both
-// renderings then carry the damage), as JSON text, or as MCKP v2 bytes,
-// whichever can express it — and must end as its want says, at decode or
-// at restore, without a panic and without leaking the shard goroutines
-// NewFromCheckpoint starts before it can know the image is bad.
+// TestCheckpointHostileInput feeds the decoder the malformed and
+// adversarial images a corrupted or forged file can carry. Each row
+// starts from the scripted checkpoint (the rows about an event log from
+// its frozen image with kernel snapshot version 2, the last to carry one)
+// and damages it — as an image (mutate: its encoding then carries the
+// damage) or as MCKP v2 bytes, whichever can express it — and must end
+// as its want says, at decode or at restore, without a panic and without
+// leaking the shard goroutines NewFromCheckpoint starts before it can
+// know the image is bad.
 func TestCheckpointHostileInput(t *testing.T) {
 	pa := bgp.MustParsePrefix("10.0.0.0/8")
 	pc := bgp.MustParsePrefix("2001:db8::/32")
@@ -242,14 +237,6 @@ func TestCheckpointHostileInput(t *testing.T) {
 		t.Fatalf("fixture has no routes for %v", p)
 		return nil
 	}
-	replaceJSON := func(old, new string) func([]byte) []byte {
-		return func(doc []byte) []byte {
-			if !bytes.Contains(doc, []byte(old)) {
-				t.Fatalf("fixture JSON has no %s", old)
-			}
-			return bytes.Replace(doc, []byte(old), []byte(new), 1)
-		}
-	}
 	replaceBin := func(old, new []byte) func([]byte) []byte {
 		return func(bin []byte) []byte {
 			if !bytes.Contains(bin, old) {
@@ -258,18 +245,6 @@ func TestCheckpointHostileInput(t *testing.T) {
 			return bytes.Replace(bin, old, new, 1)
 		}
 	}
-	// replaceInLog edits the "log" member a kernel snapshot v2 document
-	// carries, which repeats the events of the histories before it.
-	replaceInLog := func(old, new string) func([]byte) []byte {
-		return func(doc []byte) []byte {
-			at := bytes.Index(doc, []byte(`"log":`))
-			if at < 0 || !bytes.Contains(doc[at:], []byte(old)) {
-				t.Fatalf("fixture JSON has no %s in a log", old)
-			}
-			return slices.Concat(doc[:at], bytes.Replace(doc[at:], []byte(old), []byte(new), 1))
-		}
-	}
-	const peer1 = `"peer_ip":"00000000000000000000000000000001"`
 	base := tinyCheckpoint(t)
 	otherAttrs := routesOf(base, pa).Routes[0].Attrs
 	blocks := map[string]bool{}
@@ -288,43 +263,24 @@ func TestCheckpointHostileInput(t *testing.T) {
 		restores
 	)
 	rows := []struct {
-		name     string
-		mutate   func(ck *Checkpoint)
-		editJSON func(doc []byte) []byte
-		editBin  func(bin []byte) []byte
+		name    string
+		mutate  func(ck *Checkpoint)
+		editBin func(bin []byte) []byte
 		// editSnap1 edits the frozen container-v2 fixture, whose kernel
 		// section is snapshot version 1.
 		editSnap1 func(bin []byte) []byte
-		// snap2: editJSON and editBin edit the frozen fixtures whose
-		// kernel section is snapshot version 2, which carries an event
-		// log, instead of the current image.
+		// snap2: editBin edits the frozen fixture whose kernel section
+		// is snapshot version 2, which carries an event log, instead of
+		// the current image.
 		snap2 bool
 		want  int
 		check func(t *testing.T, e *Engine)
 	}{
 		{name: "prefix longer than its family", want: failsDecode,
-			editJSON: replaceJSON(`"prefix":"10.0.0.0/8"`, `"prefix":"10.0.0.0/33"`),
 			// Compact form of 10.0.0.0/8: family 1, 8 bits, one address byte.
 			editBin: func(bin []byte) []byte { return bytes.Replace(bin, []byte{1, 8, 10}, []byte{1, 33, 10}, 1) }},
-		{name: "prefix with trailing garbage", want: failsDecode,
-			editJSON: replaceJSON(`"prefix":"10.0.0.0/8"`, `"prefix":"10.0.0.0/8 "`)},
 		{name: "prefix empty", want: failsDecode,
-			editJSON: replaceJSON(`"prefix":"10.0.0.0/8"`, `"prefix":""`),
-			editBin:  func(bin []byte) []byte { return bytes.Replace(bin, []byte{1, 8, 10}, []byte{0, 8, 10}, 1) }},
-		{name: "prefix text over-long", want: failsDecode,
-			editJSON: replaceJSON(`"prefix":"10.0.0.0/8"`, `"prefix":"`+strings.Repeat("0", 100)+`10.0.0.0/8"`)},
-		{name: "prefix missing", want: failsRestore,
-			editJSON: replaceJSON(`{"prefix":"10.0.0.0/8","routes"`, `{"routes"`)},
-		{name: "peer ip of 15 bytes", want: failsDecode,
-			editJSON: replaceJSON(peer1, `"peer_ip":"000000000000000000000000000001"`)},
-		{name: "peer ip of 17 bytes", want: failsDecode,
-			editJSON: replaceJSON(peer1, `"peer_ip":"0000000000000000000000000000000001"`)},
-		{name: "peer ip not hex", want: failsDecode,
-			editJSON: replaceJSON(peer1, `"peer_ip":"0000000000000000000000000000000g"`)},
-		{name: "attrs of odd length", want: failsDecode,
-			editJSON: replaceJSON(`"attrs":"4`, `"attrs":"`)},
-		{name: "attrs not hex", want: failsDecode,
-			editJSON: replaceJSON(`"attrs":"4`, `"attrs":"x`)},
+			editBin: func(bin []byte) []byte { return bytes.Replace(bin, []byte{1, 8, 10}, []byte{0, 8, 10}, 1) }},
 		{name: "attrs index equal to the block table length", want: failsDecode,
 			// The file ends with the last route's block index, one byte
 			// for a table this small.
@@ -340,30 +296,24 @@ func TestCheckpointHostileInput(t *testing.T) {
 		// day 2, seq 2, the prefix (1, 24, 192, 0, 2), no origins, the
 		// previous ones (2, 42, 43), class 0 and previous class 3.
 		{name: "class byte 200 in a logged event", want: failsDecode, snap2: true,
-			editJSON: replaceInLog(`"prev_origins":[42,43],"prev_class":3}`, `"prev_origins":[42,43],"prev_class":200}`),
-			editBin:  replaceBin([]byte{4, 4, 2, 1, 24, 192, 0, 2, 0, 2, 42, 43, 0, 3}, []byte{4, 4, 2, 1, 24, 192, 0, 2, 0, 2, 42, 43, 0, 200})},
+			editBin: replaceBin([]byte{4, 4, 2, 1, 24, 192, 0, 2, 0, 2, 42, 43, 0, 3}, []byte{4, 4, 2, 1, 24, 192, 0, 2, 0, 2, 42, 43, 0, 200})},
 		// A current kernel section carries no log; one that does — a
 		// version-2 section renumbered — is refused.
 		{name: "event log in a current kernel snapshot", want: failsDecode, snap2: true,
-			editJSON: replaceJSON(`"kernel":{"version":2,`, `"kernel":{"version":3,`),
-			editBin:  replaceBin([]byte("MSNP\x02"), []byte("MSNP\x03"))},
+			editBin: replaceBin([]byte("MSNP\x02"), []byte("MSNP\x03"))},
 		// Histories no kernel could have retained. 10.0.0.0/8 holds two
-		// events, ordinals 1 and 2. JSON and a version-1 kernel section
-		// spell each event in full — the latter opens 10.0.0.0/8's first
-		// with type 1, day 0, seq 1, then the prefix (1, 8, 10); the
+		// events, ordinals 1 and 2. A version-1 kernel section spells
+		// each event in full — it opens 10.0.0.0/8's first with type 1,
+		// day 0, seq 1, then the prefix (1, 8, 10); the
 		// prefix's entry opens with the prefix, its origins (3, 7, 9,
 		// 11), class 3, seq 2, since 0 and the history count 2.
 		{name: "history event of type 7", want: failsDecode,
-			editJSON:  replaceJSON(`{"type":1,"day":0,"seq":1,"prefix":"10.0.0.0/8"`, `{"type":7,"day":0,"seq":1,"prefix":"10.0.0.0/8"`),
 			editSnap1: replaceBin([]byte{1, 0, 1, 1, 8, 10}, []byte{7, 0, 1, 1, 8, 10})},
 		{name: "history event of another prefix", want: failsDecode,
-			editJSON:  replaceJSON(`"seq":1,"prefix":"10.0.0.0/8"`, `"seq":1,"prefix":"11.0.0.0/8"`),
 			editSnap1: replaceBin([]byte{1, 0, 1, 1, 8, 10}, []byte{1, 0, 1, 1, 8, 11})},
 		{name: "history ordinals that skip", want: failsDecode,
-			editJSON:  replaceJSON(`"seq":1,"prefix":"10.0.0.0/8"`, `"seq":0,"prefix":"10.0.0.0/8"`),
 			editSnap1: replaceBin([]byte{1, 0, 1, 1, 8, 10}, []byte{1, 0, 0, 1, 8, 10})},
 		{name: "history that does not end at its prefix's ordinal", want: failsDecode,
-			editJSON:  replaceJSON(`"class":3,"seq":2,"history"`, `"class":3,"seq":3,"history"`),
 			editSnap1: replaceBin([]byte{1, 8, 10, 3, 7, 9, 11, 3, 2, 0, 2}, []byte{1, 8, 10, 3, 7, 9, 11, 3, 3, 0, 2}),
 			// A compact history has no ordinals of its own: the one it
 			// cannot end at is one below its event count.
@@ -421,27 +371,16 @@ func TestCheckpointHostileInput(t *testing.T) {
 		if row.mutate != nil {
 			row.mutate(ck)
 		}
-		var js bytes.Buffer
-		if err := json.NewEncoder(&js).Encode(ck); err != nil {
-			t.Fatal(err)
-		}
 		bin, err := AppendCheckpointBinary(nil, ck)
 		if err != nil {
 			t.Fatal(err)
 		}
 		inputs := map[string][]byte{}
-		if row.mutate != nil || row.editJSON != nil {
-			inputs["json"] = js.Bytes()
-		}
 		if row.mutate != nil || row.editBin != nil {
 			inputs["binary"] = bin
 		}
 		if row.snap2 {
-			inputs["json"] = bytes.Clone(frozen(t, frozenJSONSnap2))
 			inputs["binary"] = bytes.Clone(frozen(t, frozenBinarySnap2))
-		}
-		if row.editJSON != nil {
-			inputs["json"] = row.editJSON(inputs["json"])
 		}
 		if row.editBin != nil {
 			inputs["binary"] = row.editBin(inputs["binary"])
@@ -464,7 +403,7 @@ func TestCheckpointHostileInput(t *testing.T) {
 						t.Errorf("%d goroutines before, %d after", before, after)
 					}
 				}()
-				decoded, err := decodeByMagic(data)
+				decoded, err := DecodeCheckpointBinary(data)
 				if err != nil {
 					if row.want != failsDecode {
 						t.Fatalf("decode failed: %v", err)

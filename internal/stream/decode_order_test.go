@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"reflect"
 	"runtime"
@@ -183,18 +182,19 @@ func TestParallelDecodeCheckpointResume(t *testing.T) {
 		t.Fatalf("checkpoint cursor empty: %+v", ck)
 	}
 
-	// Round-trip the checkpoint through JSON, as the durable store does.
-	blob, err := json.Marshal(ck)
+	// Round-trip the checkpoint through its encoding, as the durable store
+	// does.
+	blob, err := AppendCheckpointBinary(nil, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var thawed Checkpoint
-	if err := json.Unmarshal(blob, &thawed); err != nil {
+	thawed, err := DecodeCheckpointBinary(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	var after eventSink
-	restored, err := NewFromCheckpoint(Config{Shards: 5, OnEvent: after.add}, &thawed)
+	restored, err := NewFromCheckpoint(Config{Shards: 5, OnEvent: after.add}, thawed)
 	if err != nil {
 		t.Fatal(err)
 	}

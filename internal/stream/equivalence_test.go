@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"encoding/json"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,11 +91,7 @@ func waitMessages(t *testing.T, e *Engine, n uint64) {
 func eqCheckpoint(t *testing.T, e *Engine) []byte {
 	t.Helper()
 	e.Close()
-	b, err := json.Marshal(e.Checkpoint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return checkpointBytes(t, e)
 }
 
 // TestCrossSourceEquivalence feeds the identical update sequence through

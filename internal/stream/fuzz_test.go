@@ -2,23 +2,20 @@ package stream
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
 // checkpointCorpusSeeds returns the fuzz seed inputs: the scripted
-// checkpoint in every encoding — as written now (JSON and binary
-// container v2, both with kernel snapshot v3: the "-snap3" seeds) and as
-// the frozen fixtures of the earlier forms hold it (container v1;
-// container v2 and JSON with kernel snapshot v1, and with v2: the
-// "-snap2" seeds, written as these forms when they were current) — plus
-// damaged variants. Seeds of the same names are committed under
-// testdata/fuzz/FuzzCheckpointRestore (see
-// TestGenerateCheckpointFuzzCorpus).
+// checkpoint in every form — as written now (container v2 with kernel
+// snapshot v3: the "-snap3" seeds) and as the frozen fixtures of the
+// earlier forms hold it (container v1; container v2 with kernel snapshot
+// v1, and with v2: the "-snap2" seeds) — plus damaged variants. Seeds of
+// the same names are committed under testdata/fuzz/FuzzCheckpointRestore
+// (see TestGenerateCheckpointFuzzCorpus), beside the "json" seeds: JSON
+// documents, which the decoder must refuse cleanly.
 func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	ck := tinyCheckpoint(t)
@@ -26,43 +23,33 @@ func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var js bytes.Buffer
-	if err := json.NewEncoder(&js).Encode(ck); err != nil {
-		t.Fatal(err)
-	}
 	seeds := map[string][]byte{"empty": {}}
 	for name, blob := range map[string][]byte{
 		"binary-snap3": bin,
-		"json-snap3":   js.Bytes(),
 		"binary-snap2": frozen(t, frozenBinarySnap2),
-		"json-snap2":   frozen(t, frozenJSONSnap2),
 		"binary":       frozen(t, frozenBinaryV2),
 		"binary-v1":    frozen(t, frozenBinaryV1),
-		"json":         frozen(t, frozenJSON),
 	} {
 		seeds[name] = blob
 		seeds[name+"-truncated"] = blob[:len(blob)/2]
-		if strings.HasPrefix(name, "binary") {
-			flipped := bytes.Clone(blob)
-			flipped[len(flipped)/3] ^= 0x10
-			seeds[name+"-flipped"] = flipped
-		}
+		flipped := bytes.Clone(blob)
+		flipped[len(flipped)/3] ^= 0x10
+		seeds[name+"-flipped"] = flipped
 	}
 	return seeds
 }
 
 // FuzzCheckpointRestore is the checkpoint surface's robustness claim:
-// any byte string fed to the decoder its magic picks either errors or yields a
-// checkpoint that NewFromCheckpoint restores into a fully usable engine
-// (queries, a lifecycle with no negative duration, a re-checkpoint in
-// both codecs) — or rejects, without panicking or leaking shard
-// goroutines either way.
+// any byte string fed to the decoder either errors or yields a checkpoint
+// that NewFromCheckpoint restores into a fully usable engine (queries, a
+// lifecycle with no negative duration, a re-checkpoint that encodes) —
+// or rejects, without panicking or leaking shard goroutines either way.
 func FuzzCheckpointRestore(f *testing.F) {
 	for _, seed := range checkpointCorpusSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := decodeByMagic(data)
+		ck, err := DecodeCheckpointBinary(data)
 		if err != nil {
 			return
 		}
@@ -78,9 +65,6 @@ func FuzzCheckpointRestore(f *testing.F) {
 		out := e.Checkpoint()
 		if _, err := AppendCheckpointBinary(nil, out); err != nil {
 			t.Fatalf("restored engine re-encodes with error: %v", err)
-		}
-		if err := json.NewEncoder(&bytes.Buffer{}).Encode(out); err != nil {
-			t.Fatalf("restored engine re-encodes to JSON with error: %v", err)
 		}
 	})
 }
