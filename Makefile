@@ -35,17 +35,15 @@ allocs:
 # allocs/update of the live path), the shard-reassess hot path, and the
 # checkpoint path (phase=snapshot
 # imaging the engine, codec=binary encoding the image with its size as
-# the bytes metric, phase=restore) — and the kernel's
-# per-event ones: a prefix flapping with its history at the cap against
-# one below it (eviction must cost about what an append costs), and
-# imaging an event-heavy kernel (time, bytes and objects by the table,
-# not by the event). All in the text format benchstat reads. Nothing is
+# the bytes metric, phase=restore) — and the kernel's imaging of an
+# event-heavy kernel (time, bytes and objects by the table, not by the
+# event). All in the text format benchstat reads. Nothing is
 # recorded: end-to-end and per-layer numbers, and comparing two commits,
 # are moasbench's job (bench-e2e below, and `moasbench -compare old new`).
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkStreamReplay|BenchmarkSynthReplay|BenchmarkStormReplay|BenchmarkStormReplayEpilog|BenchmarkLiveTransfer|BenchmarkDecodeUpdate|BenchmarkShardReassess|BenchmarkCheckpointEncode' \
 		-benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) -cpu $(BENCH_CPU) ./internal/stream
-	$(GO) test -run XXX -bench 'BenchmarkFlapAtCap256|BenchmarkFlapBelowCap|BenchmarkStormSnapshot' \
+	$(GO) test -run XXX -bench 'BenchmarkStormSnapshot' \
 		-benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) -cpu $(BENCH_CPU) ./internal/kernel
 
 benchall:
@@ -67,8 +65,7 @@ bench-e2e:
 # profiler and prints the top-10 cumulative functions — the quickest
 # answer to "where does replay time actually go". PROFILE_KIND=mem takes
 # the heap profile instead and prints the top-10 lines by bytes still in
-# use — "what is all this memory" (the question that found the kernel's
-# per-prefix history at 128 of storm-replay's 171 MB). The profile
+# use — "what is all this memory". The profile
 # (cpu.pprof or mem.pprof) and the test binary stay on disk for
 # interactive `go tool pprof stream.test cpu.pprof`; PROFILE.txt is the
 # text summary CI appends to the job summary.

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	_ "net/http/pprof" // registered on DefaultServeMux, served by -pprof only
 	"os"
@@ -47,10 +48,9 @@ func main() {
 		mrtPath   = flag.String("mrt", "", "create and start a scenario replaying this MRT BGP4MP file (plain or gzipped)")
 		risURL    = flag.String("rislive", "", "create and start a live scenario subscribed to this RIS Live-style ws:// feed")
 		bgpListen = flag.String("bgp-listen", "", "create and start a live scenario running a passive BGP speaker on this TCP address (e.g. :179)")
-		bgpAS     = flag.Uint("bgp-as", 64512, "local AS the BGP speaker answers OPEN with")
+		bgpAS     = flag.Uint64("bgp-as", 64512, "local AS the BGP speaker answers OPEN with (1-4294967295)")
 		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "prefix-space worker shards per scenario")
 		rate      = flag.Float64("days-per-sec", 0, "replay pacing in observed days per second (0 = as fast as possible)")
-		history   = flag.Int("history", 256, "lifecycle events retained per prefix (0 or -1 = unlimited)")
 		maxScen   = flag.Int("max-scenarios", 0, "maximum concurrently hosted scenarios; further creates get 429 (0 = unlimited)")
 		maxSubs   = flag.Int("max-subscribers", 0, "maximum SSE subscribers per scenario; further subscribes get 429 (0 = unlimited)")
 		ringSize  = flag.Int("event-ring", serve.DefaultEventRing, "per-scenario resume buffer: events a reconnecting SSE client can catch up on via Last-Event-ID")
@@ -64,6 +64,11 @@ func main() {
 	flag.Parse()
 
 	restartPolicy, err := parseRestartPolicy(*restarts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "moasd: %v\n", err)
+		os.Exit(2)
+	}
+	localAS, err := parseLocalAS(*bgpAS)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "moasd: %v\n", err)
 		os.Exit(2)
@@ -120,12 +125,6 @@ func main() {
 			// the config rejects the combination.
 			cfg.DaysPerSec = *rate
 		}
-		cfg.History = *history
-		if *history == 0 {
-			// PR 1's flag used 0 for unlimited; keep that meaning (the
-			// serve config uses 0 for "daemon default").
-			cfg.History = -1
-		}
 		s, err := reg.Create(cfg)
 		if errors.Is(err, serve.ErrScenarioExists) {
 			log.Printf("moasd: %v (already recovered from checkpoint; skipping boot flag)", err)
@@ -150,7 +149,7 @@ func main() {
 		boot(serve.ScenarioConfig{Source: serve.SourceRISLive, URL: *risURL})
 	}
 	if *bgpListen != "" {
-		boot(serve.ScenarioConfig{Source: serve.SourceBGP, Listen: *bgpListen, LocalAS: uint32(*bgpAS)})
+		boot(serve.ScenarioConfig{Source: serve.SourceBGP, Listen: *bgpListen, LocalAS: localAS})
 	}
 
 	srv := &http.Server{Addr: *listen, Handler: serve.NewHandler(reg)}
@@ -203,6 +202,16 @@ func parseRestartPolicy(v string) (serve.RestartPolicy, error) {
 		return serve.RestartPolicy{}, fmt.Errorf(`-restart-policy %q: want "on", "off" or a positive restart cap`, v)
 	}
 	return serve.RestartPolicy{Enabled: true, Max: n}, nil
+}
+
+// parseLocalAS checks the -bgp-as value: an AS number is 1-4294967295.
+// Cast, a wider value would wrap (4294967297 to AS 1), and 0 would be
+// replaced by the speaker's default without a word.
+func parseLocalAS(v uint64) (uint32, error) {
+	if v < 1 || v > math.MaxUint32 {
+		return 0, fmt.Errorf("-bgp-as %d: want an AS number in 1-%d", v, uint32(math.MaxUint32))
+	}
+	return uint32(v), nil
 }
 
 // exitCode maps the registry's aggregate health to the process exit

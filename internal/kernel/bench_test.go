@@ -8,8 +8,7 @@ import (
 	"moas/internal/kernel"
 )
 
-// Storm-shaped fixture: the event-heavy state a flap storm leaves, where
-// per-prefix history is nearly all a kernel holds.
+// Storm-shaped fixture: the event-heavy state a flap storm leaves.
 const (
 	stormPrefixes = 8192
 	stormEvents   = 118 // per prefix: 59 start/end cycles
@@ -31,8 +30,8 @@ func stormPrefix(i int) bgp.Prefix { return bgp.PrefixFromUint32(uint32(i)<<8, 2
 
 // stormKernel builds the fixture, events interleaved across prefixes the
 // way a storm delivers them.
-func stormKernel(opts kernel.Options) *kernel.Kernel {
-	k := kernel.New(opts)
+func stormKernel() *kernel.Kernel {
+	k := kernel.New(kernel.Options{})
 	for ev := 0; ev < stormEvents; ev++ {
 		for i := 0; i < stormPrefixes; i++ {
 			flap(k, stormPrefix(i), ev)
@@ -41,47 +40,12 @@ func stormKernel(opts kernel.Options) *kernel.Kernel {
 	return k
 }
 
-// BenchmarkFlapAtCap256 is one prefix flapping with its history full at
-// the default cap: every event evicts the oldest. It must cost what an
-// append costs (BenchmarkFlapBelowCap), not a shift of the whole history.
-// The days wrap where BelowCap starts its kernel over, so both count
-// their ended activations under as many distinct spans: b.N distinct
-// days — millennia of them — would time those counts growing instead.
-func BenchmarkFlapAtCap256(b *testing.B) {
-	k := kernel.New(kernel.Options{HistoryCap: 256})
-	p := stormPrefix(1)
-	for i := 0; i < 512; i++ {
-		flap(k, p, i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		flap(k, p, i%4096)
-	}
-}
-
-// BenchmarkFlapBelowCap is the same flap into histories that only grow
-// (each from empty to 4096 events, then a fresh kernel, so the run's
-// memory does not scale with b.N).
-func BenchmarkFlapBelowCap(b *testing.B) {
-	k := kernel.New(kernel.Options{})
-	p := stormPrefix(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%4096 == 0 {
-			k = kernel.New(kernel.Options{})
-		}
-		flap(k, p, i)
-	}
-}
-
 var snapshotSink *kernel.Snapshot
 
 // BenchmarkStormSnapshot images the storm fixture: time, bytes and
 // objects must follow the table's size, not its event count.
 func BenchmarkStormSnapshot(b *testing.B) {
-	k := stormKernel(kernel.Options{HistoryCap: 256})
+	k := stormKernel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -18,23 +18,20 @@ import (
 //	frame: meta      — uvarint event count
 //	frame: prefixes  — uvarint count, then per prefix:
 //	                   prefix, origin set, class, uvarint seq,
-//	                   varint since, uvarint history count + events
+//	                   varint since
 //	frame: conflicts — uvarint count, then per conflict:
 //	                   prefix, varint first/last/daysObserved,
 //	                   origin set, uvarint class count + varint days
 //	frame: spans     — uvarint count, then varint start, varint end
 //
 // where a prefix is binenc.AppendPrefix's compact form and an origin set
-// is a uvarint count followed by uvarint ASNs. A history event (since
-// version 2) is the compact form a kernel retains (history.go: header
-// byte of type and classes, varint day, origin set, previous origin set),
-// its prefix and seq those of the entry it belongs to. Version 1 wrote
-// history events in full — type byte, varint day, uvarint seq, prefix,
-// origin set, previous origin set, class byte, previous class byte — and
-// its reader checks them against their entry and compacts them. Versions
-// 1 and 2 also ended with a frame of the retained event log (a uvarint
-// count and events in full), which their reader checks and drops.
-// Every section is length-prefixed
+// is a uvarint count followed by uvarint ASNs. Versions 1-3 went on, in
+// each prefix entry, with the prefix's retained events: a uvarint count,
+// then each event — in version 1 in full (readEvent), in versions 2 and 3
+// compact (scanCompact), its prefix and seq those of the entry it belongs
+// to. Versions 1 and 2 also ended with a frame of the retained event log
+// (a uvarint count and events in full). Their reader checks both and
+// drops them (skipHistory, checkLog). Every section is length-prefixed
 // (binenc.BeginFrame/EndFrame: written in place, no per-section buffer)
 // and every count is validated against the bytes remaining, so truncated
 // or fuzzed input fails cleanly. The codec moves values only: a prefix is
@@ -83,10 +80,9 @@ func readASNs(r *binenc.Reader, arena *[]bgp.ASN) []bgp.ASN {
 
 // readEvent decodes one event in full, the form versions 1 and 2 wrote
 // per event of the retained log (and version 1 per history event), its
-// origin sets carved from *arena. A prefix's history keeps the compact
-// form instead (history.go), which leaves out what the prefix's state
-// already holds. (It returns the event instead of filling one in so that
-// a caller's scratch arena can stay on its stack.)
+// origin sets carved from *arena. (It returns the event instead of
+// filling one in so that a caller's scratch arena can stay on its
+// stack.)
 func readEvent(r *binenc.Reader, arena *[]bgp.ASN) (ev Event) {
 	ev.Type, ev.Day, ev.Seq = EventType(r.Byte()), r.Int(), r.Uvarint()
 	ev.Prefix = r.Prefix()
@@ -113,6 +109,83 @@ func readEvents(r *binenc.Reader) []Event {
 	return out
 }
 
+// checkLog checks the event log a version-1 or version-2 image carries,
+// which its reader then drops: the image is refused for an event no
+// kernel emits, as it was when the log was restored.
+func checkLog(evs []Event) error {
+	for i := range evs {
+		if err := validEvent(&evs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// minCompactBytes is the shortest compact history event of a version-2
+// or 3 image: header, day, two empty origin sets.
+const minCompactBytes = 4
+
+// scanCompact walks n compact history events off r — each a header byte
+// (type-1 in bits 0-1, class in bits 2-4, the previous class in bits
+// 5-7), the varint day, the origin set and the previous origin set — and
+// errors for the first header that names a class past the known ones
+// (two bits always name a valid type). Truncation latches in r.
+func scanCompact(r *binenc.Reader, n int) (err error) {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		if hdr := r.Byte(); err == nil {
+			err = cmp.Or(validClass(hdr>>2&7), validClass(hdr>>5))
+		}
+		r.Varint()
+		for set := 0; set < 2; set++ {
+			for c := r.Count(1); c > 0; c-- {
+				r.Uvarint()
+			}
+		}
+	}
+	return err
+}
+
+// tooMany rejects a history of n events under a prefix whose ordinal is
+// seq: each event took one of the ordinals 1..seq.
+func tooMany(n int, seq uint64) error {
+	if uint64(n) > seq {
+		return fmt.Errorf("kernel: snapshot history holds %d events, but its prefix's ordinal is %d", n, seq)
+	}
+	return nil
+}
+
+// skipHistory reads the history that closes ps's entry in an image of
+// version 1-3, checks it and drops it. It errors for a history no kernel
+// could have retained: more events than ps has ordinals, a class past the
+// known ones, and in version 1, whose events are spelled in full, an
+// event of an unknown type, of another prefix, or off the run of
+// ordinals that ends at ps.Seq. Truncation latches in r.
+func skipHistory(r *binenc.Reader, ps *PrefixSnap, version int) error {
+	if version > 1 {
+		n := r.Count(minCompactBytes)
+		return cmp.Or(scanCompact(r, n), tooMany(n, ps.Seq))
+	}
+	evs := readEvents(r)
+	if err := tooMany(len(evs), ps.Seq); r.Err() != nil || err != nil {
+		return err // a latched error is the caller's to report
+	}
+	first := ps.Seq - uint64(len(evs)) + 1
+	for i := range evs {
+		ev := &evs[i]
+		if err := validEvent(ev); err != nil {
+			return err
+		}
+		if ev.Prefix != ps.Prefix {
+			return fmt.Errorf("kernel: snapshot history of %v holds an event of %v", ps.Prefix, ev.Prefix)
+		}
+		if ev.Seq != first+uint64(i) {
+			return fmt.Errorf("kernel: snapshot history of %v (ordinal %d) has event %d at ordinal %d, want %d",
+				ps.Prefix, ps.Seq, i, ev.Seq, first+uint64(i))
+		}
+	}
+	return nil
+}
+
 // BinarySizeHint estimates s's encoded size — closely from above for the
 // AS numbers, days and ordinals of a real table — so an encoder's buffer
 // is sized once instead of growing its way up (at full-scan scale the
@@ -122,7 +195,7 @@ func (s *Snapshot) BinarySizeHint() int {
 	n := 64 + len(s.Conflicts)*conflictBytes + len(s.ClosedSpans)*6
 	for i := range s.Prefixes {
 		ps := &s.Prefixes[i]
-		n += 10 + int(ps.Prefix.Bits()+7)/8 + 4*len(ps.Origins) + len(ps.History)
+		n += 9 + int(ps.Prefix.Bits()+7)/8 + 4*len(ps.Origins)
 	}
 	return n
 }
@@ -138,13 +211,7 @@ func AppendSnapshotBinary(dst []byte, s *Snapshot) []byte {
 	start := len(dst)
 	dst = binary.AppendUvarint(binenc.BeginFrame(dst), uint64(len(s.Prefixes)))
 	for i := range s.Prefixes {
-		ps := &s.Prefixes[i]
-		dst = binenc.AppendPrefix(dst, ps.Prefix)
-		dst = appendASNs(dst, ps.Origins)
-		dst = append(dst, ps.Class)
-		dst = binary.AppendUvarint(dst, ps.Seq)
-		dst = binary.AppendVarint(dst, int64(ps.Since))
-		dst = appendHistory(dst, ps.History)
+		dst = appendPrefixSnap(dst, &s.Prefixes[i])
 	}
 	dst = binenc.EndFrame(dst, start)
 
@@ -173,11 +240,20 @@ func AppendSnapshotBinary(dst []byte, s *Snapshot) []byte {
 	return binenc.EndFrame(dst, start)
 }
 
+// appendPrefixSnap appends one prefix entry.
+func appendPrefixSnap(dst []byte, ps *PrefixSnap) []byte {
+	dst = binenc.AppendPrefix(dst, ps.Prefix)
+	dst = appendASNs(dst, ps.Origins)
+	dst = append(dst, ps.Class)
+	dst = binary.AppendUvarint(dst, ps.Seq)
+	return binary.AppendVarint(dst, int64(ps.Since))
+}
+
 // DecodeSnapshotBinary parses a binary snapshot of any version. Hostile
 // input errors; it never panics or over-allocates. The result is in the
-// current form — a version-1 image's histories are checked and
-// compacted, an older image's event log is checked and dropped, and its
-// Version is SnapshotVersion — and shares no memory with data.
+// current form — an older image's histories and event log are checked
+// and dropped, and its Version is SnapshotVersion — and shares no memory
+// with data.
 func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 	if !bytes.HasPrefix(data, snapshotMagic) {
 		return nil, fmt.Errorf("kernel: not a binary snapshot (bad magic)")
@@ -195,13 +271,10 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("kernel: decode binary snapshot meta: %w", err)
 	}
 
-	// The prefixes frame stays in hand: version-2 histories are cut from
-	// it whole.
-	frame := r.Bytes(r.Count(1))
-	sec := binenc.NewReader(frame)
-	// A prefix entry is at least 7 bytes (2-byte prefix, empty origin
-	// set, class, seq, since, empty history).
-	n := sec.Count(7)
+	sec := r.Frame()
+	// A prefix entry is at least 6 bytes (2-byte prefix, empty origin
+	// set, class, seq, since).
+	n := sec.Count(6)
 	s.Prefixes = slices.Grow(s.Prefixes, n)
 	var origins []bgp.ASN
 	for i := 0; i < n; i++ {
@@ -210,14 +283,20 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		ps.Class = sec.Byte()
 		ps.Seq = sec.Uvarint()
 		ps.Since = sec.Int()
-		var err error
-		if ps.History, err = readHistory(sec, frame, &ps, version); err != nil {
-			return nil, err
+		if version < 4 {
+			if err := skipHistory(sec, &ps, version); err != nil {
+				return nil, err
+			}
 		}
 		s.Prefixes = append(s.Prefixes, ps)
 	}
 	if err := binenc.FirstErr(sec, r); err != nil {
 		return nil, fmt.Errorf("kernel: decode binary snapshot prefixes: %w", err)
+	}
+	// Bytes past the last entry are an entry's history under a version
+	// that has none, or damage.
+	if sec.Len() != 0 {
+		return nil, fmt.Errorf("kernel: decode binary snapshot prefixes: %d bytes past the last entry", sec.Len())
 	}
 
 	sec = r.Frame()

@@ -11,9 +11,9 @@ import (
 
 // midRun drives the shared script to its split point and returns the
 // kernel's snapshot — the populated image (active and dissolved
-// conflicts, history, spans, registry) the codec tests encode — and the
-// events the kernel returned on the way, the log a version-1 or 2 image
-// carried beside it.
+// conflicts, spans, registry) the codec tests encode — and the events the
+// kernel returned on the way: what an image of version 1-3 carried as the
+// prefixes' histories, and versions 1 and 2 as the log beside them.
 func midRun(t testing.TB) (*kernel.Snapshot, []kernel.Event) {
 	t.Helper()
 	all, splitAt := script()
@@ -29,19 +29,12 @@ func midRunSnapshot(t testing.TB) *kernel.Snapshot {
 	return snap
 }
 
-// asVersion2 is s as a version-2 image holds it: the current sections
-// under the older number (AppendSnapshotBinaryOld adds the log).
-func asVersion2(s *kernel.Snapshot) *kernel.Snapshot {
-	v2 := *s
-	v2.Version = 2
-	return &v2
-}
-
 // TestBinarySnapshotRoundTrip: the codec must reproduce the exact
 // snapshot image, and the images of it the earlier versions wrote —
-// version 1 with its history events in full, versions 1 and 2 with the
-// event log they ended with — must decode to it too, the log dropped,
-// each version's image smaller than the one before.
+// versions 1-3 with every prefix's history, version 1 with its events in
+// full, versions 1 and 2 with the event log they ended with — must decode
+// to it too, histories and log dropped, each version's image smaller than
+// the one before.
 func TestBinarySnapshotRoundTrip(t *testing.T) {
 	snap, log := midRun(t)
 	if len(snap.Prefixes) == 0 || len(snap.Conflicts) == 0 || len(log) == 0 {
@@ -56,25 +49,24 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(snap, decoded) {
 		t.Fatalf("binary round trip changed the snapshot:\nwant %+v\n got %+v", snap, decoded)
 	}
-	v1 := kernel.AppendSnapshotBinaryOld(nil, kernel.SnapshotV1(snap), log)
-	v2 := kernel.AppendSnapshotBinaryOld(nil, asVersion2(snap), log)
-	for name, old := range map[string][]byte{"version-1": v1, "version-2": v2} {
+	sizes := []int{len(bin)}
+	for version := 3; version >= 1; version-- {
+		old := kernel.AppendSnapshotBinaryOld(nil, snap, version, kernel.OldHistories(log, version), log)
 		decoded, err := kernel.DecodeSnapshotBinary(old)
 		if err != nil {
-			t.Fatalf("%s image: %v", name, err)
+			t.Fatalf("version-%d image: %v", version, err)
 		}
 		if !reflect.DeepEqual(snap, decoded) {
-			t.Fatalf("%s image decodes to a different snapshot:\nwant %+v\n got %+v", name, snap, decoded)
+			t.Fatalf("version-%d image decodes to a different snapshot:\nwant %+v\n got %+v", version, snap, decoded)
 		}
-	}
-	if len(bin) >= len(v2) || len(v2) >= len(v1) {
-		t.Fatalf("image sizes by version 3, 2, 1: %d, %d, %d bytes, want each smaller than the one before", len(bin), len(v2), len(v1))
+		if sizes = append(sizes, len(old)); len(old) <= sizes[len(sizes)-2] {
+			t.Fatalf("image sizes by version 4 down: %v bytes, want each smaller than the one before", sizes)
+		}
 	}
 }
 
 // TestBinarySnapshotRestoreEquivalence: restoring from the binary form
-// mid-run and finishing the script matches the uninterrupted kernel at
-// the default history cap (TestSnapshotRoundTrip holds a capped one).
+// mid-run and finishing the script matches the uninterrupted kernel.
 func TestBinarySnapshotRestoreEquivalence(t *testing.T) {
 	all, splitAt := script()
 	opts := kernel.Options{}
@@ -102,8 +94,8 @@ func TestBinarySnapshotRestoreEquivalence(t *testing.T) {
 }
 
 // TestBinarySnapshotRejectsDamage: version skew, truncation at every
-// byte boundary, magic corruption, trailing garbage and an event log in a
-// current image must error — and never panic.
+// byte boundary, magic corruption, trailing garbage, and an event log or
+// per-prefix histories in a current image must error — and never panic.
 func TestBinarySnapshotRejectsDamage(t *testing.T) {
 	snap := midRunSnapshot(t)
 	bin := kernel.AppendSnapshotBinary(nil, snap)
@@ -124,9 +116,24 @@ func TestBinarySnapshotRejectsDamage(t *testing.T) {
 	}
 
 	// A current image that goes on with the log frame versions 1 and 2
-	// ended with is refused: no writer of this version puts one there.
-	if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, snap, nil)); err == nil {
-		t.Fatal("version-3 binary snapshot with a log frame accepted")
+	// ended with is refused, and so is one whose entries carry the
+	// histories of versions 1-3, empty or not: no writer of this version
+	// puts either there.
+	_, log := midRun(t)
+	// One entry alone, so that no later entry misreads the history bytes
+	// that close it: the bytes past the last entry are what is refused.
+	one := *snap
+	one.Prefixes = snap.Prefixes[len(snap.Prefixes)-1:]
+	for name, img := range map[string][]byte{
+		"one entry's empty history": kernel.AppendSnapshotBinaryAt(nil, &one, kernel.SnapshotVersion, map[bgp.Prefix][]byte{}),
+		"a log frame":               kernel.AppendLogFrame(bytes.Clone(bin), nil),
+		"histories":                 kernel.AppendSnapshotBinaryAt(nil, snap, kernel.SnapshotVersion, kernel.OldHistories(log, 3)),
+		"empty histories":           kernel.AppendSnapshotBinaryAt(nil, snap, kernel.SnapshotVersion, map[bgp.Prefix][]byte{}),
+		"version-1 histories":       kernel.AppendSnapshotBinaryAt(nil, snap, kernel.SnapshotVersion, kernel.OldHistories(log, 1)),
+	} {
+		if _, err := kernel.DecodeSnapshotBinary(img); err == nil {
+			t.Errorf("version-%d binary snapshot with %s accepted", kernel.SnapshotVersion, name)
+		}
 	}
 
 	snap.Version = 99
@@ -136,25 +143,16 @@ func TestBinarySnapshotRejectsDamage(t *testing.T) {
 }
 
 // TestRestoreRejectsBogusClass: a snapshot carrying a class byte past the
-// known classes — in a prefix state or a history event — must fail
-// restore up front (deferring it would panic in the first CloseDay's
-// ClassDays indexing), and so must the other images only outside input
-// can produce: a prefix repeated, an entry with no prefix at all. Each is
-// refused as built, and again after crossing the codec in the current
-// version and in version 2, which moves values and must not launder
-// them. A class past the known ones in the event log that versions 1 and
-// 2 carried is refused by their readers, which check the log before they
-// drop it.
+// known classes in a prefix state must fail restore up front (deferring
+// it would panic in the first CloseDay's ClassDays indexing), and so must
+// the other images only outside input can produce: a prefix repeated, an
+// entry with no prefix at all. Each is refused as built, and again after
+// crossing the codec in the current version and in version 2, which moves
+// values and must not launder them. A class past the known ones in an
+// event of the log that versions 1 and 2 carried, or of a history that
+// versions 2 and 3 carried, is refused by their readers, which check both
+// before they drop them.
 func TestRestoreRejectsBogusClass(t *testing.T) {
-	withHistory := func(s *kernel.Snapshot) *kernel.PrefixSnap {
-		for i := range s.Prefixes {
-			if len(s.Prefixes[i].History) > 0 {
-				return &s.Prefixes[i]
-			}
-		}
-		t.Fatal("fixture snapshot has no history")
-		return nil
-	}
 	refused := func(decode func() (*kernel.Snapshot, error)) bool {
 		s, err := decode()
 		return err != nil || kernel.New(kernel.Options{}).Restore(s) != nil
@@ -162,13 +160,8 @@ func TestRestoreRejectsBogusClass(t *testing.T) {
 	for name, damage := range map[string]func(s *kernel.Snapshot, log []kernel.Event){
 		"prefix class 200":    func(s *kernel.Snapshot, _ []kernel.Event) { s.Prefixes[0].Class = 200 },
 		"log event class 200": func(_ *kernel.Snapshot, log []kernel.Event) { log[0].PrevClass = 200 },
-		"history event class 7": func(s *kernel.Snapshot, _ []kernel.Event) {
-			// A compact header has three bits per class; the first
-			// event's header follows the one-byte count.
-			ps := withHistory(s)
-			ps.History = bytes.Clone(ps.History)
-			ps.History[1] |= 7 << 2
-		},
+		// Compact, a class is three bits of the header: 7 is past them.
+		"history event class 7": func(_ *kernel.Snapshot, log []kernel.Event) { log[len(log)-1].Class = 7 },
 		"prefix repeated": func(s *kernel.Snapshot, _ []kernel.Event) {
 			s.Prefixes = append(s.Prefixes, s.Prefixes[0])
 		},
@@ -176,16 +169,23 @@ func TestRestoreRejectsBogusClass(t *testing.T) {
 	} {
 		snap, log := midRun(t)
 		damage(snap, log)
-		images := map[string]func() (*kernel.Snapshot, error){
-			"version-2 binary": func() (*kernel.Snapshot, error) {
-				return kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, asVersion2(snap), log))
-			},
-		}
-		if name != "log event class 200" { // the current version carries no log to damage
-			images["as built"] = func() (*kernel.Snapshot, error) { return snap, nil }
-			images["binary"] = func() (*kernel.Snapshot, error) {
-				return kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap))
+		old := func(version int) func() (*kernel.Snapshot, error) {
+			return func() (*kernel.Snapshot, error) {
+				return kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, snap, version, kernel.OldHistories(log, version), log))
 			}
+		}
+		images := map[string]func() (*kernel.Snapshot, error){
+			"as built": func() (*kernel.Snapshot, error) { return snap, nil },
+			"binary": func() (*kernel.Snapshot, error) {
+				return kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap))
+			},
+			"version-2 binary": old(2),
+		}
+		switch name {
+		case "log event class 200": // only versions 1 and 2 carry a log
+			images = map[string]func() (*kernel.Snapshot, error){"version-2 binary": old(2)}
+		case "history event class 7": // version 3 carries the history without the log
+			images = map[string]func() (*kernel.Snapshot, error){"version-3 binary": old(3)}
 		}
 		for image, decode := range images {
 			if !refused(decode) {

@@ -15,11 +15,11 @@ import (
 // corpusSeeds returns the fuzz seed inputs: a real snapshot and damaged
 // variants of it, at the current version. The same bytes are committed
 // under testdata/fuzz/FuzzSnapshotRestore (see TestGenerateFuzzCorpus)
-// as the "v3-" seeds, beside the "v2-" seeds version 2 wrote and the
-// unprefixed ones version 1 wrote, which stay committed as they were;
-// `go test` and the CI fuzz-smoke step always exercise all three. The
-// committed "json" seeds are JSON documents, which the decoder must
-// refuse cleanly.
+// as the "v4-" seeds, beside the "v3-" and "v2-" seeds versions 3 and 2
+// wrote and the unprefixed ones version 1 wrote, which stay committed as
+// they were; `go test` and the CI fuzz-smoke step always exercise all
+// four. The committed "json" seeds are JSON documents, which the decoder
+// must refuse cleanly.
 func corpusSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	snap := midRunSnapshot(t)
@@ -27,9 +27,9 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	flipped := bytes.Clone(bin)
 	flipped[len(flipped)/2] ^= 0x40
 	return map[string][]byte{
-		"v3-binary":           bin,
-		"v3-binary-truncated": bin[:len(bin)/2],
-		"v3-binary-flipped":   flipped,
+		"v4-binary":           bin,
+		"v4-binary-truncated": bin[:len(bin)/2],
+		"v4-binary-flipped":   flipped,
 		"empty":               {},
 	}
 }
@@ -47,7 +47,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		if err != nil {
 			return
 		}
-		k := kernel.New(kernel.Options{HistoryCap: 8})
+		k := kernel.New(kernel.Options{})
 		if err := k.Restore(s); err != nil {
 			return
 		}

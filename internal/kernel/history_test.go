@@ -27,25 +27,16 @@ func own(ev kernel.Event) kernel.Event {
 	return ev
 }
 
-// lastN is the model of a capped history: the most recent limit events
-// (all of them when limit is zero), nil when there are none.
-func lastN(evs []kernel.Event, limit int) []kernel.Event {
-	if limit > 0 && len(evs) > limit {
-		evs = evs[len(evs)-limit:]
-	}
-	if len(evs) == 0 {
-		return nil
-	}
-	return evs
-}
-
 // TestHistoryAgainstModel drives random observation scripts — starts,
 // origin and class changes, ends, and one-origin churn between an end and
-// the next start, so that a start's PrevOrigins is not the previous
-// event's Origins — and holds every prefix's decoded history, after every
-// step, to the plain model: the last HistoryCap of the events Apply
-// returned. Mid-script the kernel is imaged and restored through both
-// codecs, and into a smaller cap, and every copy must keep agreeing with
+// the next start — into a kernel under each value of the deprecated
+// HistoryCap, and holds every prefix's state, after every step, to the
+// plain model of the events Apply returned: its ordinal is their count,
+// and it is in conflict, with their last origin set and class, exactly
+// when the last of them is not an end. Mid-script the kernel is imaged
+// and restored through the binary codec, through a version-1 image that
+// carries every event as the prefixes' histories, and into another cap;
+// every copy must emit what the live kernel emits and keep agreeing with
 // the model to the end.
 func TestHistoryAgainstModel(t *testing.T) {
 	prefixes := []bgp.Prefix{
@@ -54,28 +45,36 @@ func TestHistoryAgainstModel(t *testing.T) {
 		bgp.MustParsePrefix("0.0.0.0/0"),
 	}
 	type copyOf struct {
-		name  string
-		k     *kernel.Kernel
-		limit int
+		name string
+		k    *kernel.Kernel
 	}
 	for _, limit := range []int{0, 1, 2, 8, 256} {
 		t.Run(fmt.Sprintf("cap=%d", limit), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(limit) + 11))
 			model := make(map[bgp.Prefix][]kernel.Event)
-			kernels := []copyOf{{"live", kernel.New(kernel.Options{HistoryCap: limit}), limit}}
+			var log []kernel.Event
+			kernels := []copyOf{{"live", kernel.New(kernel.Options{HistoryCap: limit})}}
 			check := func(step int, p bgp.Prefix) {
 				t.Helper()
+				evs := model[p]
+				want := kernel.View{Seq: uint64(len(evs))}
+				if n := len(evs); n > 0 && evs[n-1].Type != kernel.EventConflictEnd {
+					want.Active, want.Origins, want.Class = true, evs[n-1].Origins, evs[n-1].Class
+				}
 				for _, c := range kernels {
 					v, _ := c.k.State(p)
-					if want := lastN(model[p], c.limit); !reflect.DeepEqual(v.History, want) {
-						t.Fatalf("step %d, %s kernel, %v: history\n got %+v\nwant %+v", step, c.name, p, v.History, want)
+					got := kernel.View{Seq: v.Seq, Active: v.Active}
+					if v.Active {
+						got.Origins, got.Class = v.Origins, v.Class
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d, %s kernel, %v: state\n got %+v\nwant %+v", step, c.name, p, got, want)
 					}
 				}
 			}
-			// Long enough for the busiest prefix to outgrow the cap.
 			steps := 600 + 6*limit
 			for step := 0; step < steps; step++ {
-				// Favor one prefix so that it outgrows the largest cap.
+				// Favor one prefix so that it flaps the most.
 				p := prefixes[max(rng.Intn(8)-5, 0)]
 				var origins []bgp.ASN
 				for a := bgp.ASN(64500); a < 64504; a++ { // ascending by construction
@@ -97,45 +96,39 @@ func TestHistoryAgainstModel(t *testing.T) {
 					}
 				}
 				model[p] = append(model[p], emitted...)
+				log = append(log, emitted...)
 				check(step, p)
 
 				if step != steps/2 {
 					continue
 				}
 				snap := kernels[0].k.Snapshot()
-				fromBinary, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, snap))
-				if err != nil {
-					t.Fatal(err)
-				}
-				smaller := map[int]int{0: 3, 1: 1, 2: 1, 8: 3, 256: 5}[limit]
+				other := map[int]int{0: 3, 1: 1, 2: 1, 8: 3, 256: 5}[limit]
 				for _, c := range []struct {
 					name  string
-					snap  *kernel.Snapshot
+					img   []byte
 					limit int
-				}{{"binary", fromBinary, limit}, {"smaller-cap", fromBinary, smaller}} {
+				}{
+					{"binary", kernel.AppendSnapshotBinary(nil, snap), limit},
+					{"version-1", kernel.AppendSnapshotBinaryOld(nil, snap, 1, kernel.OldHistories(log, 1), log), limit},
+					{"other-cap", kernel.AppendSnapshotBinary(nil, snap), other},
+				} {
+					s, err := kernel.DecodeSnapshotBinary(c.img)
+					if err != nil {
+						t.Fatalf("decode %s: %v", c.name, err)
+					}
 					k := kernel.New(kernel.Options{HistoryCap: c.limit})
-					if err := k.Restore(c.snap); err != nil {
+					if err := k.Restore(s); err != nil {
 						t.Fatalf("restore %s: %v", c.name, err)
 					}
-					kernels = append(kernels, copyOf{c.name, k, c.limit})
+					kernels = append(kernels, copyOf{c.name, k})
 				}
 				for _, p := range prefixes {
 					check(step, p)
 				}
 			}
-			if n := len(model[prefixes[0]]); n <= limit {
-				t.Fatalf("script gave the busiest prefix %d events: the cap was never reached", n)
-			}
-			// The byte count is kept as events come and go; recounting from
-			// an image of the same kernel must agree.
-			for _, c := range kernels {
-				recount := kernel.New(kernel.Options{HistoryCap: c.limit})
-				if err := recount.Restore(c.k.Snapshot()); err != nil {
-					t.Fatal(err)
-				}
-				if got, want := c.k.HistoryBytes(), recount.HistoryBytes(); got != want || got == 0 {
-					t.Fatalf("%s kernel counts %d history bytes, its image holds %d", c.name, got, want)
-				}
+			if n := len(model[prefixes[0]]); n < 100 {
+				t.Fatalf("script gave the busiest prefix %d events, want >= 100", n)
 			}
 		})
 	}
@@ -145,72 +138,62 @@ func TestHistoryAgainstModel(t *testing.T) {
 // to the same value and which no encoder here writes.
 func overlong(b byte) []byte { return []byte{b | 0x80, 0x00} }
 
-// busiest returns the index of the image's prefix with the longest
-// history, and that history's events.
-func busiest(t testing.TB, s *kernel.Snapshot) (int, []kernel.Event) {
+// busiest returns the prefix with the most events in log, and its events.
+func busiest(t testing.TB, log []kernel.Event) (bgp.Prefix, []kernel.Event) {
 	t.Helper()
-	at := 0
-	for i := range s.Prefixes {
-		if s.Prefixes[i].History.Len() > s.Prefixes[at].History.Len() {
-			at = i
+	byPrefix := make(map[bgp.Prefix][]kernel.Event)
+	var p bgp.Prefix
+	for _, ev := range log {
+		byPrefix[ev.Prefix] = append(byPrefix[ev.Prefix], ev)
+		if len(byPrefix[ev.Prefix]) > len(byPrefix[p]) {
+			p = ev.Prefix
 		}
 	}
-	evs, err := s.Prefixes[at].HistoryEvents()
-	if err != nil || len(evs) < 2 {
-		t.Fatalf("fixture's longest history: %d events, %v", len(evs), err)
+	if len(byPrefix[p]) < 2 {
+		t.Fatalf("fixture's longest history: %d events", len(byPrefix[p]))
 	}
-	return at, evs
+	return p, byPrefix[p]
 }
 
-// TestRestoreCanonicalizesHistory: an image may spell a history's
-// varints long, which no encoder here does — in the compact bytes of a
-// current image or the full events of a version-1 one — and it still
-// holds the history it spells. Restore keeps the canonical compact
-// bytes: the re-snapshot is exactly the kernel's own.
+// TestRestoreCanonicalizesHistory: an older image may spell a history's
+// varints long, which no encoder here did — in the compact bytes of a
+// version-2 or 3 image or the full events of a version-1 one — and it
+// still holds the history it spells: the reader accepts it and drops it,
+// so the image restores to the kernel whose re-encoding is the canonical
+// current image. A history that does not decode, or decodes and runs on,
+// is refused.
 func TestRestoreCanonicalizesHistory(t *testing.T) {
-	base := midRunSnapshot(t)
-	at, evs := busiest(t, base)
-	canonical := base.Prefixes[at].History
+	base, log := midRun(t)
+	p, _ := busiest(t, log)
+	canonical := kernel.AppendSnapshotBinary(nil, base)
 	// Both forms open: count, type or header, day. Spell the count and
 	// the day long.
 	long := func(h []byte) []byte { return slices.Concat(overlong(h[0]), h[1:2], overlong(h[2]), h[3:]) }
-
-	asBuilt := *base
-	asBuilt.Prefixes = slices.Clone(base.Prefixes)
-	asBuilt.Prefixes[at].History = long(canonical)
-	viaBinary, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, &asBuilt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := kernel.SnapshotV1(base)
-	v1.Prefixes[at].History = long(v1.Prefixes[at].History)
-	viaV1, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, v1, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, snap := range map[string]*kernel.Snapshot{"as built": &asBuilt, "binary": viaBinary, "version-1 binary": viaV1} {
+	for version := 1; version < kernel.SnapshotVersion; version++ {
+		histories := kernel.OldHistories(log, version)
+		good := histories[p]
+		histories[p] = long(good)
+		s, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, base, version, histories, log))
+		if err != nil {
+			t.Fatalf("version %d: %v", version, err)
+		}
 		k := kernel.New(kernel.Options{})
-		if err := k.Restore(snap); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if err := k.Restore(s); err != nil {
+			t.Fatalf("version %d: %v", version, err)
 		}
-		if got := k.Snapshot().Prefixes[at].History; !bytes.Equal(got, canonical) {
-			t.Errorf("%s: re-snapshot holds % x, want the canonical % x", name, got, canonical)
+		if got := kernel.AppendSnapshotBinary(nil, k.Snapshot()); !bytes.Equal(got, canonical) {
+			t.Errorf("version %d: re-encoding holds % x, want the canonical % x", version, got, canonical)
 		}
-		if v, _ := k.State(base.Prefixes[at].Prefix); !reflect.DeepEqual(v.History, evs) {
-			t.Errorf("%s: restored history %+v, want %+v", name, v.History, evs)
-		}
-	}
 
-	// What does not decode, or decodes and runs on, is refused.
-	hostile := asBuilt.Prefixes[at].History
-	for name, h := range map[string]kernel.History{
-		"truncated":      hostile[:len(hostile)-1],
-		"trailing bytes": append(slices.Clone(hostile), 0),
-		"count past end": {200},
-	} {
-		asBuilt.Prefixes[at].History = h
-		if err := kernel.New(kernel.Options{}).Restore(&asBuilt); err == nil {
-			t.Errorf("restore accepted a history with %s", name)
+		for name, h := range map[string][]byte{
+			"truncated":      good[:len(good)-1],
+			"trailing bytes": append(slices.Clone(good), 0),
+			"count past end": {200},
+		} {
+			histories[p] = h
+			if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, base, version, histories, log)); err == nil {
+				t.Errorf("version %d: reader accepted a history with %s", version, name)
+			}
 		}
 	}
 }
@@ -219,16 +202,16 @@ func TestRestoreCanonicalizesHistory(t *testing.T) {
 // retained — an event of no known type, an event naming another prefix,
 // ordinals that skip or that do not end at the prefix's own — is refused
 // by the reader of the one form that can spell it, version-1 binary. The
-// compact forms can spell one impossible history alone, more events than
-// the prefix has ordinals; the binary reader and Restore refuse that one. The unforged history passes every reader, so
-// the forgery is what each refuses.
+// compact form of versions 2 and 3 can spell one impossible history
+// alone, more events than the prefix has ordinals; their reader refuses
+// that one. The unforged history passes every reader, so the forgery is
+// what each refuses.
 func TestRestoreRejectsImpossibleHistory(t *testing.T) {
-	base := midRunSnapshot(t)
-	at, evs := busiest(t, base)
+	base, log := midRun(t)
+	p, evs := busiest(t, log)
 	other := bgp.MustParsePrefix("198.51.100.0/24")
-	v1 := kernel.SnapshotV1(base)
-	restores := func(decode func() (*kernel.Snapshot, error)) bool {
-		s, err := decode()
+	restores := func(img []byte) bool {
+		s, err := kernel.DecodeSnapshotBinary(img)
 		if err != nil {
 			return false
 		}
@@ -248,116 +231,25 @@ func TestRestoreRejectsImpossibleHistory(t *testing.T) {
 	} {
 		forged := slices.Clone(evs)
 		forge(forged)
-		want := name == "as written"
-		v1.Prefixes[at].History = kernel.FullHistory(forged)
-		bin := kernel.AppendSnapshotBinaryOld(nil, v1, nil)
-		if got := restores(func() (*kernel.Snapshot, error) { return kernel.DecodeSnapshotBinary(bin) }); got != want {
+		histories := kernel.OldHistories(log, 1)
+		histories[p] = kernel.FullHistory(forged)
+		if got, want := restores(kernel.AppendSnapshotBinaryOld(nil, base, 1, histories, log)), name == "as written"; got != want {
 			t.Errorf("%s: version-1 binary restores: %v, want %v", name, got, want)
 		}
 	}
 
 	short := *base
 	short.Prefixes = slices.Clone(base.Prefixes)
-	short.Prefixes[at].Seq = uint64(len(evs) - 1)
-	if err := kernel.New(kernel.Options{}).Restore(&short); err == nil {
-		t.Error("restore accepted more history events than ordinals")
-	}
-	if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinary(nil, &short)); err == nil {
-		t.Error("binary reader accepted more history events than ordinals")
-	}
-}
-
-// TestHistoryRoundTripProperty drives random flap scripts — starts, ends,
-// origin and class changes on a few prefixes of both families — into
-// kernels at caps that evict on nearly every event and at caps that
-// never do, and holds every prefix's history to what the kernel emitted
-// (its log) through the whole chain of images a deployment meets: a
-// version-1 image restored, imaged in the current version and restored
-// again must give the same State, and each history of the last image
-// decodes to the events in full.
-func TestHistoryRoundTripProperty(t *testing.T) {
-	prefixes := []bgp.Prefix{
-		bgp.MustParsePrefix("10.0.0.0/8"),
-		bgp.MustParsePrefix("192.0.2.0/24"),
-		bgp.MustParsePrefix("2001:db8::/32"),
-		bgp.MustParsePrefix("0.0.0.0/0"),
-	}
-	for _, limit := range []int{0, 1, 3, 256} {
-		for trial := 0; trial < 20; trial++ {
-			rng := rand.New(rand.NewSource(int64(1000*limit + trial)))
-			opts := kernel.Options{HistoryCap: limit}
-			k := kernel.New(opts)
-			emitted := make(map[bgp.Prefix][]kernel.Event)
-			steps := 50 + rng.Intn(400)
-			for step := 0; step < steps; step++ {
-				o := kernel.Obs{Day: step / 5, Prefix: prefixes[rng.Intn(len(prefixes))]}
-				// Mostly the flap between a conflict and one origin, now
-				// and then a third origin or a withdrawal.
-				switch r := rng.Intn(10); {
-				case r < 5:
-					o.Origins = []bgp.ASN{64500, bgp.ASN(64501 + rng.Intn(2))}
-				case r < 9:
-					o.Origins = []bgp.ASN{64500}
-				}
-				o.Class = core.Class(1 + rng.Intn(core.NumClasses-1))
-				for _, ev := range k.Apply(o) {
-					emitted[ev.Prefix] = append(emitted[ev.Prefix], own(ev))
-				}
-			}
-
-			chain := []*kernel.Kernel{k}
-			for _, encode := range []func(*kernel.Snapshot) []byte{
-				func(s *kernel.Snapshot) []byte { return kernel.AppendSnapshotBinaryV1(nil, s) },
-				func(s *kernel.Snapshot) []byte { return kernel.AppendSnapshotBinary(nil, s) },
-			} {
-				s, err := kernel.DecodeSnapshotBinary(encode(chain[len(chain)-1].Snapshot()))
-				if err != nil {
-					t.Fatalf("cap %d trial %d: %v", limit, trial, err)
-				}
-				next := kernel.New(opts)
-				if err := next.Restore(s); err != nil {
-					t.Fatalf("cap %d trial %d: restore: %v", limit, trial, err)
-				}
-				chain = append(chain, next)
-			}
-			last := chain[len(chain)-1].Snapshot()
-			for _, p := range prefixes {
-				want := lastN(emitted[p], limit)
-				for i, c := range chain {
-					if v, _ := c.State(p); !reflect.DeepEqual(v.History, want) {
-						t.Fatalf("cap %d trial %d, kernel %d of the chain, %v: history\n got %+v\nwant %+v", limit, trial, i, p, v.History, want)
-					}
-				}
-				if v, w := mustState(t, chain[0], p), mustState(t, chain[len(chain)-1], p); !reflect.DeepEqual(v, w) {
-					t.Fatalf("cap %d trial %d, %v: state changed across the chain:\n got %+v\nwant %+v", limit, trial, p, w, v)
-				}
-			}
-			for i := range last.Prefixes {
-				ps := &last.Prefixes[i]
-				got, err := ps.HistoryEvents()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := lastN(emitted[ps.Prefix], limit); !reflect.DeepEqual(got, want) {
-					t.Fatalf("cap %d trial %d, %v: imaged history\n got %+v\nwant %+v", limit, trial, ps.Prefix, got, want)
-				}
-			}
+	for i := range short.Prefixes {
+		if short.Prefixes[i].Prefix == p {
+			short.Prefixes[i].Seq = uint64(len(evs) - 1)
 		}
 	}
-}
-
-// mustState is p's State, which must exist, an empty origin set as nil
-// (a withdrawal leaves the live kernel an empty set, a restore none).
-func mustState(t testing.TB, k *kernel.Kernel, p bgp.Prefix) kernel.View {
-	t.Helper()
-	v, ok := k.State(p)
-	if !ok {
-		t.Fatalf("no state for %v", p)
+	for version := 2; version < kernel.SnapshotVersion; version++ {
+		if restores(kernel.AppendSnapshotBinaryOld(nil, &short, version, kernel.OldHistories(log, version), log)) {
+			t.Errorf("version-%d binary: reader accepted more history events than ordinals", version)
+		}
 	}
-	if len(v.Origins) == 0 {
-		v.Origins = nil
-	}
-	return v
 }
 
 // TestRestoreRejectsWideSpanDay: a day is a 32-bit number, so an image
@@ -382,13 +274,13 @@ func TestRestoreRejectsWideSpanDay(t *testing.T) {
 	}
 }
 
-// TestReadersDecodeOnlyWhatTheyRead pins who pays for history: a walk of
-// the active set allocates nothing, one prefix's State costs three
-// allocations at most however long its history, and imaging a kernel
-// allocates by the table, not by the event.
+// TestReadersDecodeOnlyWhatTheyRead pins what reads cost on a kernel
+// that has emitted many events: a walk of the active set and one
+// prefix's State allocate nothing, and imaging a kernel allocates by the
+// table, not by the event.
 func TestReadersDecodeOnlyWhatTheyRead(t *testing.T) {
 	const prefixes = 512
-	k := kernel.New(kernel.Options{HistoryCap: 256})
+	k := kernel.New(kernel.Options{})
 	for ev := 0; ev < 601; ev++ { // odd: every prefix ends up in conflict
 		for i := 0; i < prefixes; i++ {
 			flap(k, stormPrefix(i), ev)
@@ -399,10 +291,7 @@ func TestReadersDecodeOnlyWhatTheyRead(t *testing.T) {
 	}
 	visited := 0
 	if n := testing.AllocsPerRun(10, func() {
-		k.WalkActive(func(_ bgp.Prefix, v kernel.View) bool {
-			if len(v.History) != 0 {
-				t.Error("WalkActive decoded a history")
-			}
+		k.WalkActive(func(bgp.Prefix, kernel.View) bool {
 			visited++
 			return true
 		})
@@ -410,56 +299,23 @@ func TestReadersDecodeOnlyWhatTheyRead(t *testing.T) {
 		t.Errorf("WalkActive: %v allocations over %d visits, want none", n, visited)
 	}
 	var v kernel.View
-	if n := testing.AllocsPerRun(10, func() { v, _ = k.State(stormPrefix(7)) }); n > 3 || len(v.History) != 256 {
-		t.Errorf("State: %v allocations for %d events, want <= 3 for 256", n, len(v.History))
+	if n := testing.AllocsPerRun(10, func() { v, _ = k.State(stormPrefix(7)) }); n != 0 || v.Seq != 601 {
+		t.Errorf("State: %v allocations for a prefix at ordinal %d, want none", n, v.Seq)
 	}
 	if n := testing.AllocsPerRun(3, func() { snapshotSink = k.Snapshot() }); n > 32 {
-		t.Errorf("Snapshot: %v allocations for %d prefixes x 256 events, want <= 32", n, prefixes)
+		t.Errorf("Snapshot: %v allocations for %d prefixes x 601 events, want <= 32", n, prefixes)
 	}
-}
-
-// TestHistoryBytesPerEvent holds the resident cost of a lifecycle event
-// — what a long-running monitor accumulates — on the storm fixture: heap
-// in use per retained event, everything the kernel keeps per prefix
-// included, and the history bytes alone. As Event structs it was some
-// 135 heap bytes; in the full encoding, which repeats the prefix and the
-// ordinal in every event, 27 heap bytes and 19.5 history bytes; compact,
-// about 14 and 11.5.
-func TestHistoryBytesPerEvent(t *testing.T) {
-	inuse := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapInuse
-	}
-	before := inuse()
-	k := stormKernel(kernel.Options{HistoryCap: 256})
-	after := inuse()
-	events := k.EventCount()
-	if events != stormPrefixes*stormEvents {
-		t.Fatalf("%d events, want %d", events, stormPrefixes*stormEvents)
-	}
-	per := float64(after-before) / float64(events)
-	history := float64(k.HistoryBytes()) / float64(events)
-	t.Logf("%d events in %.1f MB: %.1f heap bytes per event (%.2f of them history bytes)",
-		events, float64(after-before)/1e6, per, history)
-	if per > 20 {
-		t.Errorf("%.1f heap bytes per retained event, want <= 20", per)
-	}
-	if history > 12 {
-		t.Errorf("%.2f history bytes per retained event, want <= 12", history)
-	}
-	runtime.KeepAlive(k)
 }
 
 // TestBytesPerConflictedPrefix holds what the kernel keeps per prefix
-// ever in conflict — state, history, lifetime record, its share of the
+// ever in conflict — state, lifetime record, its share of the
 // ended-activation counts — on the storm fixture with its days closed
-// (each prefix ends up with a 59-day record and 59 ended activations).
-// It measures about 1 750 bytes, most of it the 118 retained events; with
-// those in the full encoding it was 3 342, and with a registry map
-// beside the table and one list entry per ended activation 3 936.
+// (each prefix ends up with a 59-day record and 59 ended activations
+// over 118 events). It measures about 231 bytes (251 under the race
+// detector), whatever the events; while the kernel kept each prefix's
+// events as well it was about 1 750, with those in the full encoding
+// 3 342, and with a registry map beside the table and one list entry per
+// ended activation 3 936.
 func TestBytesPerConflictedPrefix(t *testing.T) {
 	inuse := func() uint64 {
 		runtime.GC()
@@ -469,7 +325,7 @@ func TestBytesPerConflictedPrefix(t *testing.T) {
 		return m.HeapInuse
 	}
 	before := inuse()
-	k := kernel.New(kernel.Options{HistoryCap: 256})
+	k := kernel.New(kernel.Options{})
 	for ev := 0; ev < stormEvents; ev++ {
 		for i := 0; i < stormPrefixes; i++ {
 			flap(k, stormPrefix(i), ev)
@@ -484,8 +340,8 @@ func TestBytesPerConflictedPrefix(t *testing.T) {
 	}
 	per := float64(after-before) / stormPrefixes
 	t.Logf("%d conflicted prefixes in %.1f MB: %.0f heap bytes each", stormPrefixes, float64(after-before)/1e6, per)
-	if per > 2200 {
-		t.Errorf("%.0f heap bytes per conflicted prefix, want <= 2200", per)
+	if per > 320 {
+		t.Errorf("%.0f heap bytes per conflicted prefix, want <= 320", per)
 	}
 	runtime.KeepAlive(k)
 }

@@ -85,11 +85,11 @@ type Obs struct {
 
 // rec is one table id's compact conflict state — the whole state of a
 // prefix that never had a lifecycle event, which is all but a sliver of
-// a real table. Such a prefix has at most one origin, class None, no
-// history and no ordinal, so four bytes of origin and a flag byte say
-// everything; the table stores the record inline beside the prefix key,
-// so the probe that finds the id has already loaded it. A prefix's
-// first conflict moves its state to an ext record for good.
+// a real table. Such a prefix has at most one origin, class None and no
+// ordinal, so four bytes of origin and a flag byte say everything; the
+// table stores the record inline beside the prefix key, so the probe that
+// finds the id has already loaded it. A prefix's first conflict moves its
+// state to an ext record for good.
 type rec struct {
 	val   uint32 // recExt: index of the ext record; recOrigin: the single origin AS
 	flags uint8
@@ -101,11 +101,10 @@ const (
 )
 
 // ext is the full conflict state of a prefix that has (or, restored from
-// a snapshot, claims) a lifecycle: origin set, class, event ordinal,
-// activation day and history (in its compact form, see history). Its index
-// also addresses the prefix's lifetime record (Kernel.recs). Ext records
-// are never recycled — a lifecycle is worth keeping for as long as the
-// kernel lives.
+// a snapshot, claims) a lifecycle: origin set, class, event ordinal and
+// activation day. Its index also addresses the prefix's lifetime record
+// (Kernel.recs). Ext records are never recycled — a lifecycle is worth
+// keeping for as long as the kernel lives.
 type ext struct {
 	origins []bgp.ASN // current origin set (ascending); in conflict iff len >= 2
 	// escaped marks origins' backing array as aliased by an emitted event
@@ -119,12 +118,12 @@ type ext struct {
 	activeAt int32
 	seq      uint64 // lifecycle event ordinal for this prefix
 	since    int    // day the current activation started
-	history  history
 }
 
 // Options parameterizes a kernel.
 type Options struct {
-	// HistoryCap caps lifecycle events retained per prefix (0 = all).
+	// Deprecated: no effect; the kernel keeps no event history. The
+	// events Apply returns are the whole record (see Kernel).
 	HistoryCap int
 }
 
@@ -135,7 +134,6 @@ type Options struct {
 // return are the whole lifecycle record, and the caller decides where
 // they go (Episode derives each one's episode record).
 type Kernel struct {
-	opts Options
 	// tab is the prefix index: prefix → dense id → rec. The kernel owns
 	// it; the streaming shard borrows its ids (Lookup/Acquire) to address
 	// its own per-prefix route lists and drives observations in by id
@@ -158,17 +156,14 @@ type Kernel struct {
 	// what a month of flapping leaves behind is bounded by days squared,
 	// not by events; open spans are derived from the active set
 	// (ext.since) on demand.
-	closed map[SpanSnap]int
-	// historyBytes is the encoded size of every retained history event,
-	// kept as events are appended and evicted.
-	historyBytes int
-	evBuf        []Event   // ApplyAt's reused return buffer
-	asnArena     []bgp.ASN // chunked backing for unescaped origin commits
+	closed   map[SpanSnap]int
+	evBuf    []Event   // ApplyAt's reused return buffer
+	asnArena []bgp.ASN // chunked backing for unescaped origin commits
 }
 
-// New returns an empty kernel.
-func New(opts Options) *Kernel {
-	return &Kernel{opts: opts, closed: make(map[SpanSnap]int)}
+// New returns an empty kernel; no field of Options has an effect.
+func New(Options) *Kernel {
+	return &Kernel{closed: make(map[SpanSnap]int)}
 }
 
 // Apply drives one observation through the state machine and returns the
@@ -308,7 +303,9 @@ func (k *Kernel) applyExt(id uint32, st *ext, o Obs) []Event {
 	if evType == 0 {
 		return nil // sub-conflict origin churn (e.g. one origin to another)
 	}
-	k.emit(st, &ev)
+	st.seq++
+	ev.Seq = st.seq
+	k.events++
 	k.evBuf = append(k.evBuf[:0], ev)
 	return k.evBuf
 }
@@ -354,16 +351,6 @@ func (k *Kernel) ArenaStates() int { return k.tab.Carved() }
 // allocOrigins reserves an n-capacity, zero-length origin slice from the
 // chunked arena.
 func (k *Kernel) allocOrigins(n int) []bgp.ASN { return carveASNs(&k.asnArena, n) }
-
-func (k *Kernel) emit(st *ext, ev *Event) {
-	st.seq++
-	ev.Seq = st.seq
-	if k.opts.HistoryCap > 0 && int(st.history.n) >= k.opts.HistoryCap {
-		k.historyBytes -= st.history.evict()
-	}
-	k.historyBytes += st.history.push(ev)
-	k.events++
-}
 
 // CloseDay accounts the day in the lifetime record of every active
 // conflict — the kernel-level form of the paper's daily table scan,
@@ -415,59 +402,46 @@ func (k *Kernel) ActiveCount() int { return len(k.active) }
 // EventCount returns the number of lifecycle events emitted.
 func (k *Kernel) EventCount() int { return k.events }
 
-// HistoryBytes returns the encoded size of the per-prefix histories the
-// kernel retains — what Options.HistoryCap bounds, some 11 bytes per
-// start or end event.
-func (k *Kernel) HistoryBytes() int { return k.historyBytes }
-
 // View is one prefix's assessed conflict state as exposed to queries.
 // Origins and Conflict are borrowed from kernel state: copy them before
-// the next Apply or CloseDay. History is set by State alone, decoded for
-// the call and the caller's to keep.
+// the next Apply or CloseDay.
 type View struct {
 	Origins []bgp.ASN
 	Class   core.Class
 	Since   int // day the current activation started (active prefixes)
 	Seq     uint64
 	Active  bool
-	History []Event
 	// Conflict is the prefix's lifetime record through the last day
 	// close; nil if no day close has found it in conflict.
 	Conflict *core.Conflict
 }
 
-// State reports one prefix's current assessed state, with its retained
-// history. ok is false when the kernel holds no state for the prefix
-// (never observed, or withdrawn with no lifecycle).
+// State reports one prefix's current assessed state. ok is false when the
+// kernel holds no state for the prefix (never observed, or withdrawn with
+// no lifecycle).
 func (k *Kernel) State(p bgp.Prefix) (View, bool) {
 	id, ok := k.tab.Find(p, uint32(ptable.Hash(p)))
 	if !ok {
 		return View{}, false
 	}
-	return k.view(id, true)
+	return k.view(id)
 }
 
-// view renders id's state, its history decoded only when asked for; ok
-// is false for an id that carries none (a holder's routes without an
-// origin).
-func (k *Kernel) view(id uint32, withHistory bool) (View, bool) {
+// view renders id's state; ok is false for an id that carries none (a
+// holder's routes without an origin).
+func (k *Kernel) view(id uint32) (View, bool) {
 	r := k.tab.At(id)
 	switch {
 	case r.flags&recExt != 0:
 		st := k.exts.At(r.val)
-		v := View{
+		return View{
 			Origins:  st.origins,
 			Class:    st.class,
 			Since:    st.since,
 			Seq:      st.seq,
 			Active:   st.activeAt >= 0,
 			Conflict: *k.recs.At(r.val),
-		}
-		if h := &st.history; withHistory && h.n > 0 {
-			// The kernel wrote these bytes itself: they decode.
-			v.History, _ = decodeCompact(h.live(), int(h.n), k.tab.Prefix(id), st.seq)
-		}
-		return v, true
+		}, true
 	case r.flags&recOrigin != 0:
 		// Readers may run concurrently under the shard's read lock, so the
 		// one-origin set is materialized fresh, not in shared scratch.
@@ -482,12 +456,11 @@ func (k *Kernel) view(id uint32, withHistory bool) (View, bool) {
 func (k *Kernel) WalkPrefixes(fn func(id uint32, p bgp.Prefix) bool) { k.tab.Walk(fn) }
 
 // WalkActive visits every active conflict; iteration order is undefined.
-// The View's Origins are borrowed and it carries no History (see View).
-// Return false to stop. The callback must not call back into the
+// The View's Origins are borrowed (see View). Return false to stop. The callback must not call back into the
 // kernel's mutating methods.
 func (k *Kernel) WalkActive(fn func(p bgp.Prefix, v View) bool) {
 	for _, id := range k.active {
-		v, _ := k.view(id, false)
+		v, _ := k.view(id)
 		if !fn(k.tab.Prefix(id), v) {
 			return
 		}

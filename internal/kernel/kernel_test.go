@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -109,30 +110,31 @@ func TestCloseDayRecordsActives(t *testing.T) {
 	}
 }
 
-// TestHistoryCap: per-prefix history keeps only the most recent events,
-// while seq and the event counter keep counting.
+// TestHistoryCap: the deprecated HistoryCap has no effect. A kernel
+// under a cap of 2 emits the events one without a cap emits, counts them
+// alike, and after the same flaps and day closes images to the same
+// binary snapshot, byte for byte.
 func TestHistoryCap(t *testing.T) {
-	k := kernel.New(kernel.Options{HistoryCap: 2})
-	day := 0
+	capped, plain := kernel.New(kernel.Options{HistoryCap: 2}), kernel.New(kernel.Options{})
 	for i := 0; i < 5; i++ {
-		// Alternate start/end to generate many events.
-		apply(t, k, day, p1, []bgp.ASN{1, bgp.ASN(100 + i)}, core.ClassDistinctPaths)
-		day++
-		apply(t, k, day, p1, nil, 0)
-		day++
+		day := 2 * i
+		for _, o := range []kernel.Obs{
+			{Day: day, Prefix: p1, Origins: []bgp.ASN{1, bgp.ASN(100 + i)}, Class: core.ClassDistinctPaths},
+			{Day: day + 1, Prefix: p1, Origins: []bgp.ASN{1}},
+		} {
+			if got, want := capped.Apply(o), plain.Apply(o); len(got) != 1 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("day %d: capped kernel emitted %+v, uncapped %+v", o.Day, got, want)
+			}
+		}
+		capped.CloseDay(day)
+		plain.CloseDay(day)
 	}
-	v, ok := k.State(p1)
-	if !ok {
-		t.Fatal("no state after lifecycle")
+	if v, _ := capped.State(p1); v.Seq != 10 || capped.EventCount() != 10 {
+		t.Fatalf("seq %d count %d, want 10", v.Seq, capped.EventCount())
 	}
-	if len(v.History) != 2 {
-		t.Fatalf("history length %d, want cap 2", len(v.History))
-	}
-	if v.Seq != 10 || k.EventCount() != 10 {
-		t.Fatalf("seq %d count %d, want 10", v.Seq, k.EventCount())
-	}
-	if v.History[1].Seq != 10 || v.History[0].Seq != 9 {
-		t.Fatalf("history keeps seqs %d,%d; want 9,10", v.History[0].Seq, v.History[1].Seq)
+	got := kernel.AppendSnapshotBinary(nil, capped.Snapshot())
+	if want := kernel.AppendSnapshotBinary(nil, plain.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatalf("capped kernel images to % x, uncapped to % x", got, want)
 	}
 }
 

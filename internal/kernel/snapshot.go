@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -13,14 +12,15 @@ import (
 )
 
 // SnapshotVersion is the current snapshot format version; bump it on
-// incompatible changes to the wire structs below. Version 3 drops the
-// retained event log that versions 1 and 2 carried after the spans: the
-// events a kernel emits are its caller's to keep. Version 2 carries a
-// prefix's history in the compact form the kernel retains (History);
-// version 1 spelled every history event out in full. The decoder reads
-// any of the three into the current form — an older image's log is
-// checked event by event and dropped — and Restore takes only that.
-const SnapshotVersion = 3
+// incompatible changes to the wire structs below. Version 4 drops the
+// per-prefix event history that versions 1-3 carried in every prefix
+// entry, version 3 the retained event log that versions 1 and 2 carried
+// after the spans: the events a kernel emits are its caller's to keep.
+// (Version 2 carried a history in a compact form; version 1 spelled every
+// history event out in full.) The decoder reads any of the four into the
+// current form — an older image's histories and log are checked event by
+// event and dropped — and Restore takes only that.
+const SnapshotVersion = 4
 
 // Snapshot is the image of a kernel: every tracked prefix state, the
 // lifetime conflict records, the closed activation spans and the event
@@ -42,15 +42,13 @@ type Snapshot struct {
 }
 
 // PrefixSnap is one prefix's serialized state. Class values are the
-// core.Class constants, which are version-stable by construction. History
-// events take their prefix and ordinals from the entry (History).
+// core.Class constants, which are version-stable by construction.
 type PrefixSnap struct {
 	Prefix  bgp.Prefix
 	Origins []bgp.ASN
 	Class   uint8
 	Seq     uint64
 	Since   int
-	History History
 }
 
 // ConflictSnap is one lifetime record's (core.Conflict) serialized form.
@@ -101,34 +99,18 @@ func validEvent(ev *Event) error {
 	return cmp.Or(validType(ev.Type), validPrefix(ev.Prefix), validClass(uint8(ev.Class)), validClass(uint8(ev.PrevClass)))
 }
 
-// checkLog checks the event log a version-1 or version-2 image carries,
-// which its reader then drops: the image is refused for an event no
-// kernel emits, as it was when the log was restored.
-func checkLog(evs []Event) error {
-	for i := range evs {
-		if err := validEvent(&evs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Snapshot images the kernel's complete state. The result shares no
-// mutable memory with the kernel (origin sets and history bytes are
-// copied), so it stays valid while the kernel keeps running. It
-// allocates by the table, not by the event: slices are sized from the
-// table's counts, the one-origin sets of lifecycle-free prefixes — nearly
-// all of a real table — are carved from a single array, the origin sets
-// of the rest from a few, and every history is copied, as the bytes it
-// is, into one.
+// mutable memory with the kernel (origin sets are copied), so it stays
+// valid while the kernel keeps running. It allocates by the table: slices
+// are sized from the table's counts, the one-origin sets of
+// lifecycle-free prefixes — nearly all of a real table — are carved from
+// a single array, and the origin sets of the rest from a few.
 func (k *Kernel) Snapshot() *Snapshot {
 	s := &Snapshot{Version: SnapshotVersion, Events: k.events}
 	s.Prefixes = slices.Grow(s.Prefixes, k.tab.Len())
 	s.Conflicts = slices.Grow(s.Conflicts, k.conflicts)
 	single := make([]bgp.ASN, 0, k.tab.Len())
 	var origins []bgp.ASN
-	// Room for every history's bytes and its count in front of them.
-	histories := make([]byte, 0, k.historyBytes+binary.MaxVarintLen32*k.exts.Len())
 	k.tab.Walk(func(id uint32, p bgp.Prefix) bool {
 		ps := PrefixSnap{Prefix: p}
 		switch r := k.tab.At(id); {
@@ -146,7 +128,6 @@ func (k *Kernel) Snapshot() *Snapshot {
 			}
 			ps.Origins = append(carveASNs(&origins, len(st.origins)), st.origins...)
 			ps.Class, ps.Seq, ps.Since = uint8(st.class), st.seq, st.since
-			ps.History = st.history.image(&histories)
 		case r.flags&recOrigin != 0:
 			single = append(single, bgp.ASN(r.val))
 			ps.Origins = single[len(single)-1 : len(single) : len(single)]
@@ -174,9 +155,8 @@ func (k *Kernel) Snapshot() *Snapshot {
 }
 
 // Restore loads a snapshot into an empty kernel (one fresh from New).
-// Histories longer than the kernel's HistoryCap are truncated to their
-// most recent events. Active conflicts are re-derived from origin-set
-// cardinality, the invariant the state machine maintains.
+// Active conflicts are re-derived from origin-set cardinality, the
+// invariant the state machine maintains.
 func (k *Kernel) Restore(s *Snapshot) error { return k.RestorePart(s, 0, 1) }
 
 // RestorePart is Restore for one kernel of a sharded set, the inverse of
@@ -234,7 +214,7 @@ func (k *Kernel) restorePrefix(ps *PrefixSnap, h uint32) error {
 	if _, dup := k.tab.Find(ps.Prefix, h); dup {
 		return fmt.Errorf("kernel: snapshot repeats prefix %v", ps.Prefix)
 	}
-	lifecycle := ps.Seq != 0 || ps.Since != 0 || ps.Class != 0 || ps.History.Len() > 0
+	lifecycle := ps.Seq != 0 || ps.Since != 0 || ps.Class != 0
 	if !lifecycle && len(ps.Origins) == 0 {
 		return nil // a stateless prefix is simply not tracked
 	}
@@ -252,10 +232,6 @@ func (k *Kernel) restorePrefix(ps *PrefixSnap, h uint32) error {
 		seq:      ps.Seq,
 		since:    ps.Since,
 	}
-	if err := st.history.restore(ps.History, ps.Seq, k.opts.HistoryCap); err != nil {
-		return err
-	}
-	k.historyBytes += len(st.history.buf)
 	if len(st.origins) >= 2 {
 		st.activeAt = int32(len(k.active))
 		k.active = append(k.active, id)

@@ -73,7 +73,7 @@ func lifecycleOf(k *kernel.Kernel, now int) kernel.LifecycleStats {
 // be the uninterrupted kernel's events.
 func TestSnapshotRoundTrip(t *testing.T) {
 	all, splitAt := script()
-	opts := kernel.Options{HistoryCap: 8}
+	opts := kernel.Options{}
 
 	uninterrupted := kernel.New(opts)
 	wantLog := drive(uninterrupted, all)
@@ -123,111 +123,5 @@ func TestSnapshotVersioning(t *testing.T) {
 	drive(dirty, all[:splitAt])
 	if err := dirty.Restore(dirty.Snapshot()); err == nil {
 		t.Fatal("restore into a non-empty kernel accepted")
-	}
-}
-
-// TestRestoreTruncatesHistory: restoring into a kernel with a smaller
-// HistoryCap keeps only each prefix's most recent events.
-func TestRestoreTruncatesHistory(t *testing.T) {
-	all, _ := script()
-	big := kernel.New(kernel.Options{})
-	drive(big, all)
-	pb := bgp.MustParsePrefix("172.16.0.0/12")
-	vb, _ := big.State(pb)
-	if len(vb.History) < 3 {
-		t.Fatalf("script gives pb only %d events; need >= 3", len(vb.History))
-	}
-
-	small := kernel.New(kernel.Options{HistoryCap: 2})
-	if err := small.Restore(big.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	vs, ok := small.State(pb)
-	if !ok || len(vs.History) != 2 {
-		t.Fatalf("restored history length = %d, want 2", len(vs.History))
-	}
-	want := vb.History[len(vb.History)-2:]
-	if !reflect.DeepEqual(vs.History, want) {
-		t.Fatalf("restored history kept %v, want most recent %v", vs.History, want)
-	}
-}
-
-// TestHistoryCapEvictionRoundTrip: a prefix whose capped history has
-// already evicted its oldest events must round-trip through
-// Snapshot/Restore without re-emitting or reordering Seqs — the
-// restored kernel continues the same per-prefix ordinal sequence the
-// uninterrupted one does.
-func TestHistoryCapEvictionRoundTrip(t *testing.T) {
-	const histCap = 3
-	opts := kernel.Options{HistoryCap: histCap}
-	// Each cycle emits a conflict-start and a conflict-end: two
-	// lifecycle events, so four cycles overflow the cap well past one
-	// full eviction sweep.
-	churn := func(k *kernel.Kernel, fromDay, cycles int) {
-		day := fromDay
-		for i := 0; i < cycles; i++ {
-			k.Apply(kernel.Obs{Day: day, Prefix: p1, Origins: []bgp.ASN{1, 2}, Class: core.ClassDistinctPaths})
-			k.Apply(kernel.Obs{Day: day + 1, Prefix: p1, Origins: []bgp.ASN{1}})
-			day += 2
-		}
-	}
-	checkSeqs := func(t *testing.T, v kernel.View) {
-		t.Helper()
-		h := v.History
-		for i := 1; i < len(h); i++ {
-			if h[i].Seq != h[i-1].Seq+1 {
-				t.Fatalf("history seqs not consecutive: %d then %d", h[i-1].Seq, h[i].Seq)
-			}
-		}
-		if len(h) > 0 && h[len(h)-1].Seq != v.Seq {
-			t.Fatalf("newest history seq %d != state seq %d", h[len(h)-1].Seq, v.Seq)
-		}
-	}
-
-	uninterrupted := kernel.New(opts)
-	churn(uninterrupted, 0, 4)
-
-	mid := kernel.New(opts)
-	churn(mid, 0, 4)
-	v, ok := mid.State(p1)
-	if !ok || len(v.History) != histCap {
-		t.Fatalf("pre-snapshot history length = %d, want the cap %d", len(v.History), histCap)
-	}
-	if v.Seq != 8 {
-		t.Fatalf("pre-snapshot seq = %d, want 8 (eviction must not disturb ordinals)", v.Seq)
-	}
-	checkSeqs(t, v)
-
-	restored := kernel.New(opts)
-	if err := restored.Restore(mid.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	rv, ok := restored.State(p1)
-	if !ok {
-		t.Fatal("restored kernel lost the prefix")
-	}
-	if !reflect.DeepEqual(rv.History, v.History) {
-		t.Fatalf("restored history differs:\n got %+v\nwant %+v", rv.History, v.History)
-	}
-	if rv.Seq != v.Seq {
-		t.Fatalf("restored seq %d != %d", rv.Seq, v.Seq)
-	}
-
-	// Continue both kernels: the restored one must emit the same next
-	// Seqs (no re-emission, no reordering) and evict identically.
-	churn(uninterrupted, 8, 2)
-	churn(restored, 8, 2)
-	uv, _ := uninterrupted.State(p1)
-	rv, _ = restored.State(p1)
-	if !reflect.DeepEqual(uv, rv) {
-		t.Fatalf("continued state differs:\n got %+v\nwant %+v", rv, uv)
-	}
-	if uv.Seq != 12 {
-		t.Fatalf("final seq = %d, want 12", uv.Seq)
-	}
-	checkSeqs(t, uv)
-	if uninterrupted.EventCount() != restored.EventCount() {
-		t.Fatalf("event counts diverged: %d vs %d (re-emission through restore)",
-			uninterrupted.EventCount(), restored.EventCount())
 	}
 }

@@ -26,26 +26,16 @@ func TestCompactStatePointerFree(t *testing.T) {
 }
 
 // TestLifecycleStatePointerFree guards the layout the storm-shaped heap
-// numbers rest on: what the kernel keeps per lifecycle event and per
-// distinct ended activation is bytes the collector never scans — the
-// history buffer and the closed-span counts hold no pointers — and the
-// record that owns a history stays within 80 bytes.
+// numbers rest on: what the kernel keeps per distinct ended activation is
+// bytes the collector never scans — the closed-span counts hold no
+// pointers — and the record of a prefix with a lifecycle stays within 48
+// bytes.
 func TestLifecycleStatePointerFree(t *testing.T) {
-	h := reflect.TypeOf(history{})
-	for i := 0; i < h.NumField(); i++ {
-		f := h.Field(i)
-		if f.Type.Kind() == reflect.Slice {
-			f.Type = f.Type.Elem() // the storage, not its header
-		}
-		if !ptabletest.PointerFree(f.Type) {
-			t.Errorf("history.%s stores %s, which contains pointers", f.Name, f.Type)
-		}
-	}
 	if typ := reflect.TypeOf(SpanSnap{}); !ptabletest.PointerFree(typ) {
 		t.Errorf("%s, the key ended activations are counted under, contains pointers", typ)
 	}
-	if n := reflect.TypeOf(ext{}).Size(); n > 80 {
-		t.Errorf("ext is %d bytes, want <= 80", n)
+	if n := reflect.TypeOf(ext{}).Size(); n > 48 {
+		t.Errorf("ext is %d bytes, want <= 48", n)
 	}
 }
 
@@ -99,7 +89,7 @@ func TestIDLifetime(t *testing.T) {
 	if got, ok := k.Lookup(q, hq); !ok || got != id {
 		t.Fatal("id with a lifecycle was recycled")
 	}
-	if v, _ := k.State(q); v.Seq != 2 || len(v.History) != 2 || v.Active {
+	if v, _ := k.State(q); v.Seq != 2 || v.Active {
 		t.Fatalf("lifecycle state = %+v", v)
 	}
 	if got := k.Acquire(p, hp); got == id {
@@ -209,7 +199,7 @@ func TestRegistryAgainstPlainRegistry(t *testing.T) {
 	brief := bgp.MustParsePrefix("198.51.100.0/24")
 	for _, parts := range []int{1, 3} {
 		rng := rand.New(rand.NewSource(int64(parts)))
-		ks := []*Kernel{New(Options{HistoryCap: 4})}
+		ks := []*Kernel{New(Options{})}
 		owner := func(p bgp.Prefix) *Kernel { return ks[ptable.Shard(ptable.Hash(p), len(ks))] }
 		ref := core.NewRegistry()
 		now := make(map[bgp.Prefix]Obs) // the reference's view of who is in conflict
@@ -220,7 +210,7 @@ func TestRegistryAgainstPlainRegistry(t *testing.T) {
 				snap := Merge([]*Snapshot{ks[0].Snapshot()})
 				ks = make([]*Kernel, parts)
 				for i := range ks {
-					ks[i] = New(Options{HistoryCap: 4})
+					ks[i] = New(Options{})
 					if err := ks[i].RestorePart(snap, i, parts); err != nil {
 						t.Fatal(err)
 					}
@@ -285,7 +275,7 @@ func TestRegistryAgainstPlainRegistry(t *testing.T) {
 // while the image and the lifecycle still count every activation.
 func TestClosedSpansBoundedByDays(t *testing.T) {
 	const prefixes, days = 64, 2000
-	k := New(Options{HistoryCap: 4})
+	k := New(Options{})
 	for day := 0; day < days; day++ {
 		for i := 0; i < prefixes; i++ {
 			p := bgp.PrefixFromUint32(uint32(i)<<8, 24)

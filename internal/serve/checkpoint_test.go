@@ -159,10 +159,18 @@ func TestCheckpointOneFile(t *testing.T) {
 	if got := other.Get("moved").Status().ClosedDays; got != ck.DaysClosed {
 		t.Fatalf("recovered at day %d, checkpoint was day %d", got, ck.DaysClosed)
 	}
+	// The JSON file is skipped as the retired format it is: calling it
+	// corrupt would send an operator looking for disk damage.
 	logMu.Lock()
 	defer logMu.Unlock()
-	if !strings.Contains(logs.String(), "ck-0000000002.mckpt: skipping corrupt checkpoint: serve: JSON checkpoints are no longer read") {
-		t.Fatalf("recover did not log the JSON file it skipped:\n%s", logs.String())
+	var line string
+	for _, l := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(l, "ck-0000000002.mckpt") {
+			line = l
+		}
+	}
+	if !strings.Contains(line, "skipping checkpoint in the retired JSON format") || strings.Contains(line, "corrupt") {
+		t.Fatalf("recover logged the JSON file it skipped as %q, want the retired format, not corruption:\n%s", line, logs.String())
 	}
 }
 
@@ -336,6 +344,20 @@ func TestCheckpointConfigValidation(t *testing.T) {
 // still load, and no scenario stores it: a checkpoint taken afterwards
 // does not carry it.
 func TestDecodeWorkersIgnored(t *testing.T) {
+	deprecatedKnobIgnored(t, "decode_workers", func(c *ScenarioConfig) { c.DecodeWorkers = 2 })
+}
+
+// TestHistoryIgnored: history, the cap of the per-prefix event history
+// scenarios no longer keep, is accepted and dropped the same way.
+func TestHistoryIgnored(t *testing.T) {
+	deprecatedKnobIgnored(t, "history", func(c *ScenarioConfig) { c.History = 8 })
+}
+
+// deprecatedKnobIgnored creates a scenario whose body sets knob to a
+// value, then restores a checkpoint whose config carries it (set puts it
+// there): both must be accepted, and neither scenario's checkpoint may
+// carry the knob.
+func deprecatedKnobIgnored(t *testing.T, knob string, set func(*ScenarioConfig)) {
 	reg := NewRegistry()
 	defer reg.Close()
 	srv := httptest.NewServer(NewHandler(reg))
@@ -345,8 +367,8 @@ func TestDecodeWorkersIgnored(t *testing.T) {
 	checkpoint := func(id string) *ScenarioCheckpoint {
 		t.Helper()
 		raw := postCheckpoint(t, client, srv.URL, id)
-		if bytes.Contains(raw, []byte("decode_workers")) {
-			t.Fatalf("checkpoint of %s stores decode_workers", id)
+		if bytes.Contains(raw, []byte(`"`+knob+`"`)) {
+			t.Fatalf("checkpoint of %s stores %s", id, knob)
 		}
 		ck, err := ReadScenarioCheckpoint(raw)
 		if err != nil {
@@ -356,13 +378,13 @@ func TestDecodeWorkersIgnored(t *testing.T) {
 	}
 
 	resp, body := postJSON(t, client, srv.URL+"/scenarios",
-		map[string]any{"id": "w", "source": "synth", "scale": "small", "decode_workers": 2})
+		map[string]any{"id": "w", "source": "synth", "scale": "small", knob: 2})
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create with decode_workers: %d %v", resp.StatusCode, body)
+		t.Fatalf("create with %s: %d %v", knob, resp.StatusCode, body)
 	}
 	ck := checkpoint("w")
 	// As a checkpoint written while the knob was live would carry it.
-	ck.Config.DecodeWorkers = 2
+	set(&ck.Config)
 	blob, err := AppendScenarioCheckpointBinary(nil, ck)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +392,7 @@ func TestDecodeWorkersIgnored(t *testing.T) {
 	resp, body = postJSON(t, client, srv.URL+"/scenarios",
 		map[string]any{"id": "w2", "source": "checkpoint", "checkpoint": blob})
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("restore of a checkpoint config with decode_workers: %d %v", resp.StatusCode, body)
+		t.Fatalf("restore of a checkpoint config with %s: %d %v", knob, resp.StatusCode, body)
 	}
 	checkpoint("w2")
 }

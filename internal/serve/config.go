@@ -47,8 +47,9 @@ type ScenarioConfig struct {
 	// DaysPerSec paces the replay in observed days per second (0 = as
 	// fast as possible).
 	DaysPerSec float64 `json:"days_per_sec,omitempty"`
-	// History caps lifecycle events retained per prefix (0 = the daemon
-	// default, 256; -1 = unlimited).
+	// Deprecated: accepted and ignored, so that a create body or a
+	// checkpoint config written while scenarios kept per-prefix event
+	// history still loads; normalize zeroes it, as DecodeWorkers.
 	History int `json:"history,omitempty"`
 	// EventBuffer sizes each SSE subscriber's channel (0 = 1024). A
 	// subscriber that falls this many events behind is dropped.
@@ -58,7 +59,7 @@ type ScenarioConfig struct {
 	Start bool `json:"start,omitempty"`
 	// Checkpoint is the state to restore. Source "checkpoint" only; the
 	// source comes from the checkpointed scenario, and so do the knobs
-	// (shards, pacing, history, event buffer, max attrs)
+	// (shards, pacing, event buffer, max attrs)
 	// the request leaves unset. In a request body it is the checkpoint
 	// file's bytes as a base64 string (ScenarioCheckpoint.UnmarshalJSON).
 	Checkpoint *ScenarioCheckpoint `json:"checkpoint,omitempty"`
@@ -151,7 +152,6 @@ func validateID(id string) error {
 // cannot exhaust the process).
 const (
 	MaxShards      = 1024
-	MaxHistory     = 1 << 20
 	MaxEventBuffer = 1 << 20
 )
 
@@ -211,7 +211,7 @@ func (c *ScenarioConfig) normalize() error {
 	} else if ck != nil {
 		return errors.New(`"checkpoint" is only valid with source "checkpoint"`)
 	}
-	c.DecodeWorkers = 0
+	c.DecodeWorkers, c.History = 0, 0
 	kind := sourceKinds[c.Source]
 	if kind == nil {
 		return fmt.Errorf("%sunknown source %q (want %q, %q, %q, %q or %q)",
@@ -235,30 +235,18 @@ func (c *ScenarioConfig) normalize() error {
 	if c.Shards < 0 {
 		return errors.New("shards must be >= 0")
 	}
-	if c.History < -1 {
-		return errors.New("history must be >= -1")
-	}
 	if c.EventBuffer < 0 {
 		return errors.New("event_buffer must be >= 0")
 	}
 	// Bound the allocation-driving knobs: these come from untrusted
 	// request bodies, and a single huge value would defeat the
 	// deployment limits (shards allocates goroutines+channels,
-	// event_buffer and history allocate per subscriber / per prefix).
+	// event_buffer allocates per subscriber).
 	if c.Shards > MaxShards {
 		return fmt.Errorf("shards must be <= %d", MaxShards)
 	}
-	if c.History > MaxHistory {
-		return fmt.Errorf("history must be <= %d", MaxHistory)
-	}
 	if c.EventBuffer > MaxEventBuffer {
 		return fmt.Errorf("event_buffer must be <= %d", MaxEventBuffer)
-	}
-	switch c.History {
-	case 0:
-		c.History = 256
-	case -1:
-		c.History = 0 // engine convention: 0 = unlimited
 	}
 	if c.EventBuffer == 0 {
 		c.EventBuffer = 1024
@@ -281,11 +269,6 @@ func (c ScenarioConfig) overlaid(req ScenarioConfig) ScenarioConfig {
 	}
 	if req.EventBuffer != 0 {
 		c.EventBuffer = req.EventBuffer
-	}
-	if req.History != 0 {
-		c.History = req.History
-	} else if c.History == 0 {
-		c.History = -1 // normalized 0 is unlimited; a request spells that -1
 	}
 	return c
 }

@@ -262,6 +262,10 @@ func (st checkpointStore) recoverNewest(logf func(string, ...any)) (*ScenarioChe
 			continue
 		}
 		ck, err := ReadScenarioCheckpoint(data)
+		if errors.Is(err, errJSONCheckpoint) {
+			logf("recover: %s: skipping checkpoint in the retired JSON format: %v", path, err)
+			continue
+		}
 		if err != nil {
 			logf("recover: %s: skipping corrupt checkpoint: %v", path, err)
 			continue

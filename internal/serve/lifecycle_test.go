@@ -241,7 +241,7 @@ func TestSourceKinds(t *testing.T) {
 			t.Errorf("%s: %+v rejected: %v", k.source, k.good, err)
 			continue
 		}
-		if good.History != 256 || good.EventBuffer != 1024 || (k.defaulted != nil && !k.defaulted(good)) {
+		if good.EventBuffer != 1024 || (k.defaulted != nil && !k.defaulted(good)) {
 			t.Errorf("%s: defaults not applied: %+v", k.source, good)
 		}
 		if got := good.DefaultID(); got != k.wantID {
@@ -289,7 +289,7 @@ func TestSourceKinds(t *testing.T) {
 			}
 		}
 		// A restore request's knobs are range-checked like a create's.
-		for _, over := range []ScenarioConfig{{Shards: -1}, {History: -5}, {MaxAttrs: -7}, {EventBuffer: -1}} {
+		for _, over := range []ScenarioConfig{{Shards: -1}, {MaxAttrs: -7}, {EventBuffer: -1}} {
 			r := restoreOf(good, over)
 			if err := r.normalize(); err == nil {
 				t.Errorf("%s: restore request setting %+v passed validation", k.source, over)
@@ -304,8 +304,7 @@ func TestSourceKinds(t *testing.T) {
 
 	// Kind-specific leftovers: the stress scale has no scenario spec but
 	// is a valid synth scale, created and restored; a hand-edited embedded
-	// bgp config gets the kind's defaults; an unlimited history survives a
-	// restore that does not override it.
+	// bgp config gets the kind's defaults.
 	stress := ScenarioConfig{Source: SourceSynth, Scale: ScaleStress}
 	if err := stress.normalize(); err != nil || stress.DefaultID() != "stress" {
 		t.Errorf("stress scale: %v, default id %q", err, stress.DefaultID())
@@ -314,17 +313,9 @@ func TestSourceKinds(t *testing.T) {
 	if err := restoredStress.normalize(); err != nil {
 		t.Errorf("stress checkpoint config rejected: %v", err)
 	}
-	edited := restoreOf(ScenarioConfig{Source: SourceBGP, Listen: ":1", History: 256, EventBuffer: 8}, ScenarioConfig{})
+	edited := restoreOf(ScenarioConfig{Source: SourceBGP, Listen: ":1", EventBuffer: 8}, ScenarioConfig{})
 	if err := edited.normalize(); err != nil || edited.LocalAS != 64512 {
 		t.Errorf("embedded bgp config without local_as: err %v, local_as %d", err, edited.LocalAS)
-	}
-	unlimited := ScenarioConfig{History: -1}
-	if err := unlimited.normalize(); err != nil || unlimited.History != 0 {
-		t.Fatalf("history -1: %v, %d", err, unlimited.History)
-	}
-	again := restoreOf(unlimited, ScenarioConfig{})
-	if err := again.normalize(); err != nil || again.History != 0 {
-		t.Errorf("unlimited history across a restore: err %v, history %d", err, again.History)
 	}
 	// An embedded ID is untrusted input too.
 	hostile := restoreOf(ScenarioConfig{ID: "../x y", Source: SourceSynth, Scale: "small"}, ScenarioConfig{})

@@ -29,25 +29,27 @@ type conflictJSON struct {
 	DaysObserved int        `json:"days_observed"`
 }
 
-// eventJSON is a lifecycle event on the wire, in both places one appears:
-// an SSE event's body names its scenario, the scenario-wide event ID and
-// the prefix (a stream interleaves all prefixes); an entry of a prefix's
-// history carries none of the three.
+// eventJSON is a lifecycle event as an SSE event's body carries it: named
+// by its scenario, the scenario-wide event ID and the prefix, as a stream
+// interleaves all prefixes.
 type eventJSON struct {
-	Scenario    string      `json:"scenario,omitempty"`
-	ID          uint64      `json:"id,omitempty"`
-	Type        string      `json:"type"`
-	Day         int         `json:"day"`
-	Seq         uint64      `json:"seq"`
-	Prefix      *bgp.Prefix `json:"prefix,omitempty"`
-	Origins     []bgp.ASN   `json:"origins,omitempty"`
-	PrevOrigins []bgp.ASN   `json:"prev_origins,omitempty"`
-	Class       string      `json:"class"`
-	PrevClass   string      `json:"prev_class"`
+	Scenario    string     `json:"scenario,omitempty"`
+	ID          uint64     `json:"id,omitempty"`
+	Type        string     `json:"type"`
+	Day         int        `json:"day"`
+	Seq         uint64     `json:"seq"`
+	Prefix      bgp.Prefix `json:"prefix"`
+	Origins     []bgp.ASN  `json:"origins,omitempty"`
+	PrevOrigins []bgp.ASN  `json:"prev_origins,omitempty"`
+	Class       string     `json:"class"`
+	PrevClass   string     `json:"prev_class"`
 }
 
-func eventToJSON(ev *stream.Event) eventJSON {
+func eventToJSON(scenario string, id uint64, ev *stream.Event) eventJSON {
 	return eventJSON{
+		Scenario:    scenario,
+		ID:          id,
+		Prefix:      ev.Prefix,
 		Type:        ev.Type.String(),
 		Day:         ev.Day,
 		Seq:         ev.Seq,
@@ -58,19 +60,18 @@ func eventToJSON(ev *stream.Event) eventJSON {
 	}
 }
 
-// prefixJSON is one prefix's live state, lifecycle history and — once it
-// has ever been in conflict — lifetime record.
+// prefixJSON is one prefix's live state and — once it has ever been in
+// conflict — lifetime record. Its activations are /episodes?prefix=.
 type prefixJSON struct {
-	Prefix       bgp.Prefix  `json:"prefix"`
-	Active       bool        `json:"active"`
-	Origins      []bgp.ASN   `json:"origins,omitempty"`
-	Class        string      `json:"class"`
-	Routes       int         `json:"routes"`
-	History      []eventJSON `json:"history"`
-	FirstDay     int         `json:"first_day,omitempty"`
-	LastDay      int         `json:"last_day,omitempty"`
-	DaysObserved int         `json:"days_observed,omitempty"`
-	OriginsEver  []bgp.ASN   `json:"origins_ever,omitempty"`
+	Prefix       bgp.Prefix `json:"prefix"`
+	Active       bool       `json:"active"`
+	Origins      []bgp.ASN  `json:"origins,omitempty"`
+	Class        string     `json:"class"`
+	Routes       int        `json:"routes"`
+	FirstDay     int        `json:"first_day,omitempty"`
+	LastDay      int        `json:"last_day,omitempty"`
+	DaysObserved int        `json:"days_observed,omitempty"`
+	OriginsEver  []bgp.ASN  `json:"origins_ever,omitempty"`
 }
 
 // statsJSON is the per-scenario /stats document: the engine's counters and
@@ -170,10 +171,6 @@ func servePrefix(w http.ResponseWriter, r *http.Request, s *Scenario) {
 		Origins: info.Origins,
 		Class:   info.Class.String(),
 		Routes:  info.Routes,
-		History: make([]eventJSON, len(info.History)),
-	}
-	for i := range info.History {
-		out.History[i] = eventToJSON(&info.History[i])
 	}
 	if c := info.Conflict; c != nil {
 		out.FirstDay, out.LastDay = c.FirstDay, c.LastDay

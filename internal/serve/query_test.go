@@ -72,19 +72,13 @@ func TestAPIDuringReplay(t *testing.T) {
 
 	// Per-prefix endpoint for a live conflict.
 	var pfx struct {
-		Prefix  string `json:"prefix"`
-		Active  bool   `json:"active"`
-		Routes  int    `json:"routes"`
-		History []struct {
-			Type string `json:"type"`
-		} `json:"history"`
+		Prefix string `json:"prefix"`
+		Active bool   `json:"active"`
+		Routes int    `json:"routes"`
 	}
 	getJSON(t, client, base+"/prefix/"+first.Prefix, &pfx)
 	if !pfx.Active || pfx.Prefix != first.Prefix || pfx.Routes == 0 {
 		t.Fatalf("/prefix/%s = %+v, want active with routes", first.Prefix, pfx)
-	}
-	if len(pfx.History) == 0 || pfx.History[0].Type != "conflict-start" {
-		t.Fatalf("history should open with conflict-start: %+v", pfx.History)
 	}
 
 	// Per-AS endpoint for one of its origins.
@@ -194,7 +188,7 @@ func TestConflictsLimitValidation(t *testing.T) {
 // and leaves, every activation a span of its own.
 func TestHealthzCostIndependentOfState(t *testing.T) {
 	probe := func(days int) (allocs, bytes float64) {
-		e := stream.New(stream.Config{Shards: 2, HistoryLimit: 4})
+		e := stream.New(stream.Config{Shards: 2})
 		defer e.Close()
 		prefixes := make([]bgp.Prefix, 64)
 		for i := range prefixes {

@@ -121,7 +121,7 @@ func TestRestartPolicyCrashLoopCap(t *testing.T) {
 	eng.Close()
 	seed := &ScenarioCheckpoint{
 		Version:   ScenarioCheckpointVersion,
-		Config:    ScenarioConfig{ID: id, Source: SourceRISLive, URL: url, Shards: 2, History: 256, EventBuffer: 1024},
+		Config:    ScenarioConfig{ID: id, Source: SourceRISLive, URL: url, Shards: 2, EventBuffer: 1024},
 		TotalDays: -1,
 		Engine:    eck,
 	}

@@ -481,9 +481,7 @@ func serveEvents(w http.ResponseWriter, r *http.Request, s *Scenario) {
 			if want != nil && !want[ev.Event.Type.String()] {
 				continue
 			}
-			body := eventToJSON(&ev.Event)
-			body.Scenario, body.ID, body.Prefix = s.ID(), ev.ID, &ev.Event.Prefix
-			data, err := json.Marshal(body)
+			data, err := json.Marshal(eventToJSON(s.ID(), ev.ID, &ev.Event))
 			if err != nil {
 				continue
 			}

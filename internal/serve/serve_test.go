@@ -414,7 +414,6 @@ func TestScenarioConfigValidation(t *testing.T) {
 		{Source: SourceSynth, MaxAttrs: -2},
 		{Source: SourceSynth, Shards: -3},
 		{Source: SourceSynth, EventBuffer: -1},
-		{Source: SourceSynth, History: -5},
 	}
 	for _, cfg := range bad {
 		if err := cfg.normalize(); err == nil {
@@ -426,7 +425,7 @@ func TestScenarioConfigValidation(t *testing.T) {
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Source != SourceSynth || cfg.Scale != "small" || cfg.History != 256 || cfg.EventBuffer != 1024 {
+	if cfg.Source != SourceSynth || cfg.Scale != "small" || cfg.EventBuffer != 1024 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }

@@ -274,7 +274,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 // feed). The origin-set recompute runs into the shard's reusable scratch,
 // so allocs/op must be 0 — the regression this benchmark guards.
 func BenchmarkShardReassess(b *testing.B) {
-	s := newShard(0, nil, nil, nil)
+	s := newShard(nil, nil, nil)
 	p := bgp.MustParsePrefix("10.0.0.0/8")
 	const peerA, peerB = 0, 1 // peer-table indices (AS 701 and AS 3356)
 	mk := func(day int32, peer uint32, path bgp.Path) op {

@@ -71,7 +71,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	}
 
 	want := tinyCheckpoint(t)
-	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenBinarySnap2} {
+	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenBinarySnap2, frozenBinarySnap3} {
 		got, err := DecodeCheckpointBinary(frozen(t, path))
 		if err != nil {
 			t.Fatalf("decode of %s: %v", path, err)
@@ -108,7 +108,7 @@ func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 // TestBinaryCheckpointRejectsDamage: truncation at every byte boundary,
 // magic corruption, trailing garbage and version skew must error — never
 // panic — in both binary containers, and in the v2 container with a
-// kernel section of snapshot version 1 or 2. Those three are frozen
+// kernel section of snapshot version 1, 2 or 3. Those four are frozen
 // fixtures; the v1 container's version slot is the byte after the magic,
 // the v2 container's the byte after that.
 func TestBinaryCheckpointRejectsDamage(t *testing.T) {
@@ -132,11 +132,14 @@ func TestBinaryCheckpointRejectsDamage(t *testing.T) {
 	snap2 := frozen(t, frozenBinarySnap2)
 	futureSnap2 := bytes.Clone(snap2)
 	futureSnap2[len(checkpointMagic)+1] = 99
+	snap3 := frozen(t, frozenBinarySnap3)
+	futureSnap3 := bytes.Clone(snap3)
+	futureSnap3[len(checkpointMagic)+1] = 99
 
 	for _, tc := range []struct {
 		name        string
 		bin, future []byte
-	}{{"v2", v2, futureV2}, {"v1", v1, futureV1}, {"v2-snap1", snap1, futureSnap1}, {"v2-snap2", snap2, futureSnap2}} {
+	}{{"v2", v2, futureV2}, {"v1", v1, futureV1}, {"v2-snap1", snap1, futureSnap1}, {"v2-snap2", snap2, futureSnap2}, {"v2-snap3", snap3, futureSnap3}} {
 		t.Run(tc.name, func(t *testing.T) {
 			bin := tc.bin
 			if decoded, err := DecodeCheckpointBinary(bin); err != nil || !reflect.DeepEqual(ck, decoded) {

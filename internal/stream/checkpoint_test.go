@@ -218,13 +218,13 @@ func TestCheckpointVersionRejected(t *testing.T) {
 
 // TestCheckpointHostileInput feeds the decoder the malformed and
 // adversarial images a corrupted or forged file can carry. Each row
-// starts from the scripted checkpoint (the rows about an event log from
-// its frozen image with kernel snapshot version 2, the last to carry one)
-// and damages it — as an image (mutate: its encoding then carries the
-// damage) or as MCKP v2 bytes, whichever can express it — and must end
-// as its want says, at decode or at restore, without a panic and without
-// leaking the shard goroutines NewFromCheckpoint starts before it can
-// know the image is bad.
+// starts from the scripted checkpoint (the rows about an event log or a
+// history from its frozen image with kernel snapshot version 2 or 3, the
+// last to carry one) and damages it — as an image (mutate: its encoding
+// then carries the damage) or as MCKP v2 bytes, whichever can express it
+// — and must end as its want says, at decode or at restore, without a
+// panic and without leaking the shard goroutines NewFromCheckpoint starts
+// before it can know the image is bad.
 func TestCheckpointHostileInput(t *testing.T) {
 	pa := bgp.MustParsePrefix("10.0.0.0/8")
 	pc := bgp.MustParsePrefix("2001:db8::/32")
@@ -269,12 +269,13 @@ func TestCheckpointHostileInput(t *testing.T) {
 		// editSnap1 edits the frozen container-v2 fixture, whose kernel
 		// section is snapshot version 1.
 		editSnap1 func(bin []byte) []byte
-		// snap2: editBin edits the frozen fixture whose kernel section
-		// is snapshot version 2, which carries an event log, instead of
-		// the current image.
-		snap2 bool
-		want  int
-		check func(t *testing.T, e *Engine)
+		// fixture, when set, is the frozen fixture editBin edits instead
+		// of the current image: the one whose kernel section is snapshot
+		// version 2, which carries an event log, or 3, which carries
+		// per-prefix histories.
+		fixture string
+		want    int
+		check   func(t *testing.T, e *Engine)
 	}{
 		{name: "prefix longer than its family", want: failsDecode,
 			// Compact form of 10.0.0.0/8: family 1, 8 bits, one address byte.
@@ -295,18 +296,21 @@ func TestCheckpointHostileInput(t *testing.T) {
 		// is dropped. Its last event ends 192.0.2.0/24's conflict: type 4,
 		// day 2, seq 2, the prefix (1, 24, 192, 0, 2), no origins, the
 		// previous ones (2, 42, 43), class 0 and previous class 3.
-		{name: "class byte 200 in a logged event", want: failsDecode, snap2: true,
+		{name: "class byte 200 in a logged event", want: failsDecode, fixture: frozenBinarySnap2,
 			editBin: replaceBin([]byte{4, 4, 2, 1, 24, 192, 0, 2, 0, 2, 42, 43, 0, 3}, []byte{4, 4, 2, 1, 24, 192, 0, 2, 0, 2, 42, 43, 0, 200})},
-		// A current kernel section carries no log; one that does — a
-		// version-2 section renumbered — is refused.
-		{name: "event log in a current kernel snapshot", want: failsDecode, snap2: true,
-			editBin: replaceBin([]byte("MSNP\x02"), []byte("MSNP\x03"))},
+		// A current kernel section carries no log and no histories; one
+		// that does — a version-2 or 3 section renumbered — is refused.
+		{name: "event log in a current kernel snapshot", want: failsDecode, fixture: frozenBinarySnap2,
+			editBin: replaceBin([]byte("MSNP\x02"), []byte("MSNP\x04"))},
+		{name: "histories in a current kernel snapshot", want: failsDecode, fixture: frozenBinarySnap3,
+			editBin: replaceBin([]byte("MSNP\x03"), []byte("MSNP\x04"))},
 		// Histories no kernel could have retained. 10.0.0.0/8 holds two
 		// events, ordinals 1 and 2. A version-1 kernel section spells
 		// each event in full — it opens 10.0.0.0/8's first with type 1,
 		// day 0, seq 1, then the prefix (1, 8, 10); the
 		// prefix's entry opens with the prefix, its origins (3, 7, 9,
-		// 11), class 3, seq 2, since 0 and the history count 2.
+		// 11), class 3, seq 2, since 0 and the history count 2, in every
+		// version that carries histories.
 		{name: "history event of type 7", want: failsDecode,
 			editSnap1: replaceBin([]byte{1, 0, 1, 1, 8, 10}, []byte{7, 0, 1, 1, 8, 10})},
 		{name: "history event of another prefix", want: failsDecode,
@@ -317,6 +321,7 @@ func TestCheckpointHostileInput(t *testing.T) {
 			editSnap1: replaceBin([]byte{1, 8, 10, 3, 7, 9, 11, 3, 2, 0, 2}, []byte{1, 8, 10, 3, 7, 9, 11, 3, 3, 0, 2}),
 			// A compact history has no ordinals of its own: the one it
 			// cannot end at is one below its event count.
+			fixture: frozenBinarySnap3,
 			editBin: replaceBin([]byte{1, 8, 10, 3, 7, 9, 11, 3, 2, 0, 2}, []byte{1, 8, 10, 3, 7, 9, 11, 3, 1, 0, 2})},
 		{name: "closed span day beyond 32 bits", want: failsRestore,
 			mutate: func(ck *Checkpoint) { ck.Kernel.ClosedSpans[0].End = 1 << 40 }},
@@ -379,8 +384,8 @@ func TestCheckpointHostileInput(t *testing.T) {
 		if row.mutate != nil || row.editBin != nil {
 			inputs["binary"] = bin
 		}
-		if row.snap2 {
-			inputs["binary"] = bytes.Clone(frozen(t, frozenBinarySnap2))
+		if row.fixture != "" {
+			inputs["binary"] = bytes.Clone(frozen(t, row.fixture))
 		}
 		if row.editBin != nil {
 			inputs["binary"] = row.editBin(inputs["binary"])

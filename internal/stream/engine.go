@@ -26,7 +26,8 @@ type Config struct {
 	BatchSize int
 	// Deprecated: no effect; a replay decodes on its framing goroutine.
 	DecodeWorkers int
-	// HistoryLimit caps lifecycle events retained per prefix (0 = all).
+	// Deprecated: no effect; the engine keeps no per-prefix event
+	// history (OnEvent and EpisodeLog are the record of a lifecycle).
 	HistoryLimit int
 	// MaxDistinctAttrs caps the attrs interner's table: when the number of
 	// distinct interned attribute blocks reaches the cap, the interner
@@ -136,7 +137,7 @@ func New(cfg Config) *Engine {
 	}
 	e.lastClosed.Store(-1)
 	for i := 0; i < cfg.Shards; i++ {
-		s := newShard(cfg.HistoryLimit, cfg.OnEvent, e.putOps, cfg.EpisodeLog)
+		s := newShard(cfg.OnEvent, e.putOps, cfg.EpisodeLog)
 		s.onFail = e.recordFailure
 		e.shards = append(e.shards, s)
 		e.wg.Add(1)
@@ -451,14 +452,14 @@ func (e *Engine) ActiveConflicts() []ConflictInfo {
 	return out
 }
 
-// PrefixInfo is one prefix's live state and lifecycle history.
+// PrefixInfo is one prefix's live state and lifetime record. Its
+// lifecycle events are OnEvent's and the episode log's.
 type PrefixInfo struct {
 	Prefix   bgp.Prefix
 	Active   bool
 	Origins  []bgp.ASN
 	Class    core.Class
-	Routes   int // peers currently announcing the prefix
-	History  []Event
+	Routes   int            // peers currently announcing the prefix
 	Conflict *core.Conflict // lifetime record; nil if never in conflict
 }
 
@@ -473,7 +474,6 @@ func (e *Engine) Prefix(p bgp.Prefix) PrefixInfo {
 		info.Active = v.Active
 		info.Origins = append([]bgp.ASN(nil), v.Origins...)
 		info.Class = v.Class
-		info.History = v.History // decoded for this call: ours
 		if v.Conflict != nil {
 			info.Conflict = v.Conflict.Clone()
 		}
@@ -540,7 +540,6 @@ type Stats struct {
 	ActiveConflicts int                  `json:"active_conflicts"`
 	TotalConflicts  int                  `json:"total_conflicts"` // distinct prefixes ever in conflict
 	Events          int                  `json:"events"`          // lifecycle events emitted
-	HistoryBytes    int                  `json:"history_bytes"`   // encoded per-prefix history retained across all shard kernels
 	ByClass         [core.NumClasses]int `json:"-"`               // active conflicts per class
 	// Replaying is true until Close: the engine still accepts updates.
 	Replaying bool `json:"replaying"`
@@ -590,7 +589,6 @@ func (e *Engine) Stats() Stats {
 		st.ActiveConflicts += s.k.ActiveCount()
 		st.TotalConflicts += s.k.ConflictCount()
 		st.Events += s.k.EventCount()
-		st.HistoryBytes += s.k.HistoryBytes()
 		st.RouteNodes += max(s.nodes.Len()-1, 0) // node 0 is the reserved "none"
 		st.KernelStates += s.k.ArenaStates()
 		st.AttrHandles += len(s.attrs.ptrs)

@@ -7,8 +7,8 @@
 // its prefixes' route state and a kernel instance holding its partition's
 // episode records, so throughput scales with cores and a final merge
 // yields a registry identical to the batch driver's (proven at the kernel
-// level). Live queries — current conflict set, per-prefix lifecycle
-// history, per-AS involvement, duration stats — read the shards through
+// level). Live queries — current conflict set, per-prefix state, per-AS
+// involvement, duration stats — read the shards through
 // their stripe locks while replay is in flight, and Checkpoint/
 // NewFromCheckpoint serialize a settled engine so a replay can resume
 // mid-archive (checkpoint.go).

@@ -10,9 +10,10 @@ import (
 
 // checkpointCorpusSeeds returns the fuzz seed inputs: the scripted
 // checkpoint in every form — as written now (container v2 with kernel
-// snapshot v3: the "-snap3" seeds) and as the frozen fixtures of the
+// snapshot v4: the "-snap4" seeds) and as the frozen fixtures of the
 // earlier forms hold it (container v1; container v2 with kernel snapshot
-// v1, and with v2: the "-snap2" seeds) — plus damaged variants. Seeds of
+// v1, with v2 and with v3: the "-snap2" and "-snap3" seeds) — plus
+// damaged variants. Seeds of
 // the same names are committed under testdata/fuzz/FuzzCheckpointRestore
 // (see TestGenerateCheckpointFuzzCorpus), beside the "json" seeds: JSON
 // documents, which the decoder must refuse cleanly.
@@ -25,7 +26,8 @@ func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	}
 	seeds := map[string][]byte{"empty": {}}
 	for name, blob := range map[string][]byte{
-		"binary-snap3": bin,
+		"binary-snap4": bin,
+		"binary-snap3": frozen(t, frozenBinarySnap3),
 		"binary-snap2": frozen(t, frozenBinarySnap2),
 		"binary":       frozen(t, frozenBinaryV2),
 		"binary-v1":    frozen(t, frozenBinaryV1),

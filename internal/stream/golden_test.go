@@ -23,19 +23,22 @@ import (
 //	checkpoint_v1.mckpt        container v1, kernel snapshot v1
 //	checkpoint_v2.mckpt        container v2, kernel snapshot v1
 //	checkpoint_v2_snap2.mckpt  container v2, kernel snapshot v2
+//	checkpoint_v2_snap3.mckpt  container v2, kernel snapshot v3
 //
-// Kernel snapshot v2 made histories compact; the written form carries
-// kernel snapshot v3 (checkpoint_v2_snap3.mckpt), which drops the event
-// log the earlier ones carry — the log a test engine retained then, which
-// the reader checks and drops. The expectation, a JSON document, is a
+// Kernel snapshot v2 made the per-prefix histories compact, v3 dropped
+// the event log the earlier ones carry, and the written form carries
+// kernel snapshot v4 (checkpoint_v2_snap4.mckpt), which drops the
+// histories too — the events a test engine retained then, which the
+// reader checks and drops. The expectation, a JSON document, is a
 // summary of the restored state, not a checkpoint.
 const (
-	goldenBinaryV2 = "testdata/checkpoint_v2_snap3.mckpt"
+	goldenBinaryV2 = "testdata/checkpoint_v2_snap4.mckpt"
 	goldenExpect   = "testdata/checkpoint_v1.expect.json"
 
 	frozenBinaryV1    = "testdata/checkpoint_v1.mckpt"
 	frozenBinaryV2    = "testdata/checkpoint_v2.mckpt"
 	frozenBinarySnap2 = "testdata/checkpoint_v2_snap2.mckpt"
+	frozenBinarySnap3 = "testdata/checkpoint_v2_snap3.mckpt"
 )
 
 // goldenSummary is the restored-state image the fixtures are compared
@@ -101,13 +104,13 @@ func marshalSummary(t testing.TB, sum *goldenSummary) []byte {
 // TestGoldenCheckpointsRestore is the compatibility battery: the frozen
 // fixtures of every earlier form and the written form must all still
 // decode and restore to exactly the same committed state summary. All
-// four fixtures image the same engine, so one expectation serves.
+// five fixtures image the same engine, so one expectation serves.
 func TestGoldenCheckpointsRestore(t *testing.T) {
 	want, err := os.ReadFile(goldenExpect)
 	if err != nil {
 		t.Fatalf("missing golden expectation (regenerate with MOAS_GEN_GOLDEN=1): %v", err)
 	}
-	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenBinarySnap2, goldenBinaryV2} {
+	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenBinarySnap2, frozenBinarySnap3, goldenBinaryV2} {
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("missing golden fixture (regenerate with MOAS_GEN_GOLDEN=1): %v", err)
@@ -120,7 +123,7 @@ func TestGoldenCheckpointsRestore(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Fatalf("%s restores to different state than committed:\nwant %s\n got %s", path, want, got)
 		}
-		// All four are images of one engine, so whichever was read
+		// All five are images of one engine, so whichever was read
 		// re-saves as the committed bytes of the written form: the codec
 		// is stable to the byte, not only to the state.
 		bin, err := AppendCheckpointBinary(nil, ck)

@@ -105,9 +105,9 @@ type shard struct {
 // backpressure on the ingest goroutine.
 const shardQueue = 8
 
-func newShard(historyCap int, notify func(Event), recycle func([]op), epLog *epilog.Log) *shard {
+func newShard(notify func(Event), recycle func([]op), epLog *epilog.Log) *shard {
 	return &shard{
-		k:       kernel.New(kernel.Options{HistoryCap: historyCap}),
+		k:       kernel.New(kernel.Options{}),
 		notify:  notify,
 		recycle: recycle,
 		ch:      make(chan batch, shardQueue),

@@ -322,17 +322,29 @@ func TestLifecycleOpenBeforeDayClose(t *testing.T) {
 	}
 }
 
-// TestHistoryLimitKeepsRegistry: the daemon configuration (bounded
-// history) must not change the registry, span stats or event counts.
+// TestHistoryLimitKeepsRegistry pins that the deprecated HistoryLimit
+// knob (still set by callers written when the kernel kept a capped event
+// history per prefix) has no effect: a full fixture replay at limits
+// ∈ {0, 4, 256} produces the batch full scan's registry, one sequence of
+// delivered events and one binary checkpoint, byte for byte.
 func TestHistoryLimitKeepsRegistry(t *testing.T) {
-	full := replayAll(t, Config{Shards: 2})
-	lean := replayAll(t, Config{Shards: 2, HistoryLimit: 4})
-	diffRegistries(t, full.Registry(), lean.Registry())
-	fs, ls := full.Stats(), lean.Stats()
-	if fs.Events != ls.Events {
-		t.Fatalf("event counts differ: %d vs %d", fs.Events, ls.Events)
-	}
-	if fs.Lifecycle != ls.Lifecycle {
-		t.Fatalf("lifecycle stats differ:\n full %+v\n lean %+v", fs.Lifecycle, ls.Lifecycle)
+	_, _, want := fixtures(t)
+
+	var wantEvents []Event
+	var wantCk []byte
+	for _, limit := range []int{0, 4, 256} {
+		e, events := replayEvents(t, Config{Shards: 2, HistoryLimit: limit})
+		diffRegistries(t, want, e.Registry())
+		ck := checkpointBytes(t, e)
+		if wantEvents == nil {
+			wantEvents, wantCk = events, ck
+			continue
+		}
+		if !reflect.DeepEqual(wantEvents, events) {
+			t.Fatalf("limit=%d events differ: %d vs %d", limit, len(wantEvents), len(events))
+		}
+		if !bytes.Equal(wantCk, ck) {
+			t.Fatalf("limit=%d binary checkpoint differs (%d vs %d bytes)", limit, len(wantCk), len(ck))
+		}
 	}
 }

@@ -152,9 +152,8 @@ func BenchmarkSynthReplay(b *testing.B) {
 // BenchmarkStormReplay is the storm-shaped sibling of
 // BenchmarkSynthReplay: moasbench's storm-replay corpus — a 16k-prefix
 // table under a flap storm for 120 days, small enough to stay in cache,
-// so per-update framing and decode weigh most — replayed with the
-// daemon's engine settings (history capped at 256) at 1 and GOMAXPROCS
-// shards.
+// so per-update framing and decode weigh most — replayed at 1 and
+// GOMAXPROCS shards.
 func BenchmarkStormReplay(b *testing.B) {
 	archive, cal := benchArchive(b, "storm", synth.Config{
 		Seed:     1,
@@ -175,7 +174,7 @@ func BenchmarkStormReplay(b *testing.B) {
 		var msgs uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e := stream.New(stream.Config{Shards: shards, HistoryLimit: 256})
+			e := stream.New(stream.Config{Shards: shards})
 			if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 				b.Fatal(err)
 			}
@@ -223,7 +222,7 @@ func BenchmarkStormReplayEpilog(b *testing.B) {
 					b.Fatal(err)
 				}
 				e := stream.New(stream.Config{
-					Shards: shards, HistoryLimit: 256, EpisodeLog: lg,
+					Shards: shards, EpisodeLog: lg,
 				})
 				if err := e.Replay(bytes.NewReader(archive), cal, nil); err != nil {
 					b.Fatal(err)

@@ -23,19 +23,14 @@ import (
 // routes keep arriving with fresh pointers for old blocks: handles must
 // still be released by refcount and recycled (interner bytes saw-tooth
 // under a cap by design, so that leg checks the epochs happened
-// instead). The history-capped leg adds the one kernel arena that can
-// plateau: with HistoryLimit 8 every flapping prefix's history fills and
-// from then on evicts as it appends, so the retained history bytes must
-// stop growing too. Sized to seconds by default (the -race CI job runs it
-// on every push); MOAS_SOAK=1 (`make soak`) runs the months-of-days
-// version.
+// instead). Sized to seconds by default (the -race CI job runs it on
+// every push); MOAS_SOAK=1 (`make soak`) runs the months-of-days version.
 func TestSynthFlapStormSoak(t *testing.T) {
-	t.Run("unbounded", func(t *testing.T) { soakFlapStorm(t, 0, 0) })
-	t.Run("capped", func(t *testing.T) { soakFlapStorm(t, 96, 0) })
-	t.Run("history-capped", func(t *testing.T) { soakFlapStorm(t, 0, 8) })
+	t.Run("unbounded", func(t *testing.T) { soakFlapStorm(t, 0) })
+	t.Run("capped", func(t *testing.T) { soakFlapStorm(t, 96) })
 }
 
-func soakFlapStorm(t *testing.T, maxDistinctAttrs, historyLimit int) {
+func soakFlapStorm(t *testing.T, maxDistinctAttrs int) {
 	days, flap, churnPfx, cycles := 40, 64, 128, 4
 	if os.Getenv("MOAS_SOAK") != "" {
 		days, flap, churnPfx, cycles = 365, 128, 256, 6
@@ -54,14 +49,14 @@ func soakFlapStorm(t *testing.T, maxDistinctAttrs, historyLimit int) {
 		t.Fatal(err)
 	}
 
-	e := stream.New(stream.Config{Shards: 4, MaxDistinctAttrs: maxDistinctAttrs, HistoryLimit: historyLimit})
+	e := stream.New(stream.Config{Shards: 4, MaxDistinctAttrs: maxDistinctAttrs})
 	defer e.Close()
 
 	type sample struct {
 		day                                        int
 		routeNodes, kernStates, attrHandles, peers int
 		internerBytes                              int64
-		events, historyBytes                       int
+		events                                     int
 	}
 	var samples []sample
 	// The generator is the transport: synth streams MRT bytes straight
@@ -75,7 +70,7 @@ func soakFlapStorm(t *testing.T, maxDistinctAttrs, historyLimit int) {
 		Ticks: make(chan time.Time),
 		OnDayClose: func(day int) {
 			st := e.Stats()
-			samples = append(samples, sample{day, st.RouteNodes, st.KernelStates, st.AttrHandles, st.Peers, st.InternerBytes, st.Events, st.HistoryBytes})
+			samples = append(samples, sample{day, st.RouteNodes, st.KernelStates, st.AttrHandles, st.Peers, st.InternerBytes, st.Events})
 		},
 	})
 	if err != nil {
@@ -100,9 +95,6 @@ func soakFlapStorm(t *testing.T, maxDistinctAttrs, historyLimit int) {
 		if s.peers > warm.peers {
 			t.Errorf("day %d: peer table grew past warmup plateau: %d > %d", s.day, s.peers, warm.peers)
 		}
-		if historyLimit > 0 && s.historyBytes > warm.historyBytes {
-			t.Errorf("day %d: history bytes grew past warmup plateau: %d > %d", s.day, s.historyBytes, warm.historyBytes)
-		}
 		if maxDistinctAttrs == 0 && s.internerBytes > warm.internerBytes {
 			t.Errorf("day %d: interner bytes grew past warmup plateau: %d > %d", s.day, s.internerBytes, warm.internerBytes)
 		}
@@ -118,9 +110,6 @@ func soakFlapStorm(t *testing.T, maxDistinctAttrs, historyLimit int) {
 	if maxDistinctAttrs > 0 && st.InternerEpochs < 2 {
 		t.Fatalf("capped leg saw %d interner epochs, want >= 2: the cap never rolled", st.InternerEpochs)
 	}
-	if last.historyBytes == 0 || (historyLimit == 0 && last.historyBytes <= warm.historyBytes) {
-		t.Fatalf("history bytes %d at warmup, %d at the end: uncapped history must keep growing with the events", warm.historyBytes, last.historyBytes)
-	}
-	t.Logf("%d days, %d interner epochs: %d events (%d history bytes, %d at warmup) on a plateau of %d route nodes, %d table entries, %d attrs handles, %d peers, %d interner bytes",
-		days, st.InternerEpochs, last.events, last.historyBytes, warm.historyBytes, warm.routeNodes, warm.kernStates, warm.attrHandles, warm.peers, warm.internerBytes)
+	t.Logf("%d days, %d interner epochs: %d events on a plateau of %d route nodes, %d table entries, %d attrs handles, %d peers, %d interner bytes",
+		days, st.InternerEpochs, last.events, warm.routeNodes, warm.kernStates, warm.attrHandles, warm.peers, warm.internerBytes)
 }
