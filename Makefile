@@ -21,8 +21,8 @@ race:
 # changes allocation counts: TestCheckpointAllocBudget and
 # TestRunBurstAllocs are //go:build !race, so `race` never runs them.
 allocs:
-	$(GO) test -count=1 -run 'TestCheckpointAllocBudget|TestSteadyStateDecodeDispatchZeroAlloc|TestAppendAllocs|TestHealthzCostIndependentOfState|TestSpeakerNextAllocs|TestRunBurstAllocs' \
-		./internal/stream/ ./internal/epilog/ ./internal/serve/ ./internal/source/bgpd/
+	$(GO) test -count=1 -run 'TestCheckpointAllocBudget|TestSteadyStateDecodeDispatchZeroAlloc|TestAppendAllocs|TestHealthzCostIndependentOfState|TestSpeakerNextAllocs|TestRunBurstAllocs|TestInternHitAllocs' \
+		./internal/stream/ ./internal/epilog/ ./internal/serve/ ./internal/source/bgpd/ ./internal/bgp/
 
 # bench prints the stream layer's go-test benchmarks — the ones that
 # carry what moasbench cannot see from outside: allocs/update and

@@ -48,7 +48,7 @@ func main() {
 		mrtPath   = flag.String("mrt", "", "create and start a scenario replaying this MRT BGP4MP file (plain or gzipped)")
 		risURL    = flag.String("rislive", "", "create and start a live scenario subscribed to this RIS Live-style ws:// feed")
 		bgpListen = flag.String("bgp-listen", "", "create and start a live scenario running a passive BGP speaker on this TCP address (e.g. :179)")
-		bgpAS     = flag.Uint64("bgp-as", 64512, "local AS the BGP speaker answers OPEN with (1-4294967295)")
+		bgpAS     = flag.Uint64("bgp-as", 64512, "local AS the BGP speaker answers OPEN with (1-4294967295; one above 65535 is sent as AS_TRANS 23456)")
 		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "prefix-space worker shards per scenario")
 		rate      = flag.Float64("days-per-sec", 0, "replay pacing in observed days per second (0 = as fast as possible)")
 		maxScen   = flag.Int("max-scenarios", 0, "maximum concurrently hosted scenarios; further creates get 429 (0 = unlimited)")

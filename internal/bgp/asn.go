@@ -7,5 +7,9 @@ import "strconv"
 // type is uint32 so the library remains usable with modern data.
 type ASN uint32
 
+// ASTrans is AS_TRANS (RFC 6793): the 2-octet stand-in a speaker whose
+// AS does not fit in 2 octets writes where the wire has room for 2 only.
+const ASTrans ASN = 23456
+
 // String renders the conventional "AS8584" form.
 func (a ASN) String() string { return "AS" + strconv.FormatUint(uint64(a), 10) }

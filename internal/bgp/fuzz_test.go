@@ -60,7 +60,7 @@ func FuzzUpdateBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var plain, interned, again Update
 		err := DecodeUpdateBodyInto(&plain, data, nil)
-		ierr := DecodeUpdateBodyInto(&interned, data, NewAttrsInterner(false))
+		ierr := DecodeUpdateBodyInto(&interned, data, new(AttrsInterner))
 		if (err == nil) != (ierr == nil) {
 			t.Fatalf("decode error %v, with an interner %v", err, ierr)
 		}

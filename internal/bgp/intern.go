@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"bytes"
+	"cmp"
 	"sync/atomic"
 )
 
@@ -21,9 +22,10 @@ import (
 // bounded archive the arenas only grow — the footprint is proportional
 // to the distinct blocks seen, which for BGP feeds is small and stable.
 // An unbounded live feed is different: distinct blocks accrue forever
-// (path churn, communities carrying timestamps), so SetCap bounds the
-// table with epoch-based rebuilds — when the cap is hit the table and
-// arenas are dropped wholesale and interning starts a fresh epoch.
+// (path churn, communities carrying timestamps), so every interner is
+// capped at DefaultInternCap distinct blocks with epoch-based rebuilds —
+// when the cap is hit the table and arenas are dropped wholesale and
+// interning starts a fresh epoch.
 // Blocks still referenced by route tables stay alive through those
 // references (the GC reclaims each old chunk once its last holder
 // drops), so resident memory plateaus at O(cap + live routes) instead
@@ -32,12 +34,16 @@ import (
 // and consumers fall back to Attrs.Equal, exactly as they already must
 // for attrs from other feeders.
 //
-// Canonicalization is by wire bytes, not by decoded value: identical wire
-// bytes always yield the same pointer, so pointer equality is a sound
-// fast path for "attributes unchanged". Two different wire encodings of
-// the same logical attributes (attribute reordering, 2- vs 4-octet AS
-// width) produce different pointers; consumers that need full equality
-// must fall back to Attrs.Equal when the pointers differ.
+// Canonicalization is by AS width and wire bytes, not by decoded value:
+// identical bytes interned at one width always yield the same pointer,
+// so pointer equality is a sound fast path for "attributes unchanged".
+// Each Intern call states the width of the block it hands in, because
+// the same bytes decode differently under the other width; one interner
+// therefore serves feeds of both widths, holding a block once per width
+// it arrives in. Two different wire encodings of the same logical
+// attributes (attribute reordering, 2- vs 4-octet AS width) produce
+// different pointers; consumers that need full equality must fall back
+// to Attrs.Equal when the pointers differ.
 //
 // Interned Attrs values are shared and must be treated as immutable by
 // every holder.
@@ -48,9 +54,10 @@ import (
 // never run at once — and a checkpoint restore decodes through a private
 // interner of its own. Len, Epochs and Bytes are safe to call from any
 // goroutine while the writer runs.
+//
+// The zero value is an empty interner capped at DefaultInternCap.
 type AttrsInterner struct {
-	asn4 bool
-	// capN bounds the distinct blocks held per epoch; 0 = unbounded.
+	// capN bounds the distinct blocks held per epoch; 0 = DefaultInternCap.
 	capN int64
 	// Read by other goroutines (/stats), so atomic.
 	n      atomic.Int64 // distinct blocks in the current epoch
@@ -58,8 +65,9 @@ type AttrsInterner struct {
 	bytes  atomic.Int64 // approximate arena bytes committed this epoch
 
 	// m maps an FNV-1a hash of the wire bytes to the head of a chain of
-	// entries (collisions resolved by byte comparison). Indexing entries
-	// by position keeps the table pointer-free and the probe alloc-free.
+	// entries (collisions, and one block held at both AS widths, resolved
+	// by comparing width and bytes). Indexing entries by position keeps
+	// the table pointer-free and the probe alloc-free.
 	// Created lazily on the first commit of an epoch (probing a nil map is
 	// a miss), so constructing an interner allocates nothing.
 	m       map[uint64]int32
@@ -84,26 +92,29 @@ type internEntry struct {
 	wire  []byte // exact attribute block bytes (keyArena sub-slice)
 	attrs *Attrs
 	next  int32 // chain link, -1 terminates
+	asn4  bool  // the AS width wire was interned at; fills padding
 }
 
-// NewAttrsInterner returns an empty interner. asn4 selects the 4-octet
-// AS wire encoding (see DecodeAttrsEx); an interner is bound to one
-// encoding because the same bytes decode differently under the other.
+// DefaultInternCap is the number of distinct attribute blocks every
+// interner holds per epoch. It bounds a months-long live feed's
+// population. The largest benchmark table holds ≈ 133k, so the cap does
+// not fire on the benchmark; a replay past it rolls epochs like a live
+// feed, which stays correct through the Attrs.Equal fallback.
+const DefaultInternCap = 1 << 20
+
+// NewAttrsInterner returns an empty interner.
+//
+// Deprecated: use new(AttrsInterner). asn4 has no effect: each Intern
+// call states the width of the block it hands in.
 func NewAttrsInterner(asn4 bool) *AttrsInterner {
-	return &AttrsInterner{asn4: asn4}
+	return new(AttrsInterner)
 }
-
-// ASN4 reports the AS wire encoding the interner decodes with. Sources
-// that synthesize attribute blocks (the RIS Live client encodes decoded
-// JSON back to wire form before interning) must encode with the same
-// width or identical attributes would never hit the table.
-func (in *AttrsInterner) ASN4() bool { return in.asn4 }
 
 // SetCap bounds the distinct blocks held per epoch: once Intern has
 // committed n blocks, the next miss drops the whole table and arenas and
 // starts a fresh epoch (see the type comment for why that is sound and
-// what it bounds). n <= 0 removes the cap. The engine sets it once at
-// construction.
+// what it bounds). Interners start at DefaultInternCap, which n <= 0
+// restores; SetCap lets a test reach an epoch quickly.
 func (in *AttrsInterner) SetCap(n int) {
 	in.capN = int64(max(n, 0))
 }
@@ -127,24 +138,25 @@ const (
 )
 
 // Intern returns the canonical *Attrs for the attribute block wire,
-// decoding and caching it on first sight. A hit performs zero
-// allocations; a miss amortizes to near zero through the arenas. The
-// returned value is shared: callers must not mutate it.
-func (in *AttrsInterner) Intern(wire []byte) (*Attrs, error) {
+// whose AS numbers are 4 octets wide when asn4 is set and 2 otherwise
+// (see DecodeAttrsEx), decoding and caching it on first sight. A hit
+// performs zero allocations; a miss amortizes to near zero through the
+// arenas. The returned value is shared: callers must not mutate it.
+func (in *AttrsInterner) Intern(wire []byte, asn4 bool) (*Attrs, error) {
 	h := hashBytes(wire)
 	head, ok := in.m[h]
 	if !ok {
 		head = -1
 	}
 	for i := head; i >= 0; i = in.entries[i].next {
-		if bytes.Equal(in.entries[i].wire, wire) {
-			return in.entries[i].attrs, nil
+		if e := &in.entries[i]; e.asn4 == asn4 && bytes.Equal(e.wire, wire) {
+			return e.attrs, nil
 		}
 	}
-	if err := in.scratch.decodeAttrsInto(wire, in.asn4); err != nil {
+	if err := in.scratch.decodeAttrsInto(wire, asn4); err != nil {
 		return nil, err
 	}
-	if in.capN > 0 && in.n.Load() >= in.capN {
+	if in.n.Load() >= cmp.Or(in.capN, DefaultInternCap) {
 		// Cap hit: this commit lands in a fresh epoch. The table and
 		// arenas go to the GC, kept alive only by still-referenced blocks.
 		in.m, in.entries = nil, nil
@@ -155,7 +167,7 @@ func (in *AttrsInterner) Intern(wire []byte) (*Attrs, error) {
 		in.epochs.Add(1)
 		head = -1
 	}
-	a := in.commit(wire, h, head)
+	a := in.commit(wire, asn4, h, head)
 	sz := internAttrsBytes + internEntryBytes + len(wire)
 	for _, seg := range a.ASPath {
 		sz += internSegmentBytes + 4*len(seg.ASes)
@@ -168,7 +180,7 @@ func (in *AttrsInterner) Intern(wire []byte) (*Attrs, error) {
 
 // commit copies the scratch decode into the arenas and links the new
 // entry at the head of hash h's chain.
-func (in *AttrsInterner) commit(wire []byte, h uint64, head int32) *Attrs {
+func (in *AttrsInterner) commit(wire []byte, asn4 bool, h uint64, head int32) *Attrs {
 	if in.m == nil {
 		// First commit of this epoch: size for a typical feed's distinct
 		// blocks so the table reaches steady state without growth
@@ -183,19 +195,19 @@ func (in *AttrsInterner) commit(wire []byte, h uint64, head int32) *Attrs {
 	if in.scratch.Aggregator != nil {
 		a.Aggregator = in.allocAgg(*in.scratch.Aggregator)
 	}
-	in.entries = append(in.entries, internEntry{wire: in.copyKey(wire), attrs: a, next: head})
+	in.entries = append(in.entries, internEntry{wire: in.copyKey(wire), attrs: a, next: head, asn4: asn4})
 	in.m[h] = int32(len(in.entries) - 1)
 	return a
 }
 
 // Len returns the number of distinct attribute blocks held in the
-// current epoch (all blocks ever seen when no cap is set). Safe from any
-// goroutine.
+// current epoch, a block interned at both widths counting twice (all
+// blocks ever seen until the cap first fires). Safe from any goroutine.
 func (in *AttrsInterner) Len() int {
 	return int(in.n.Load())
 }
 
-// hashBytes is FNV-1a over the wire bytes.
+// hashBytes is FNV-1a over b.
 func hashBytes(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // wireFor encodes a minimal distinct attribute block: origin IGP, a
@@ -17,13 +18,13 @@ func wireFor(t testing.TB, a ASN) []byte {
 }
 
 func TestInternerHitReturnsSamePointer(t *testing.T) {
-	in := NewAttrsInterner(false)
+	in := new(AttrsInterner)
 	w := wireFor(t, 65001)
-	a1, err := in.Intern(w)
+	a1, err := in.Intern(w, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := in.Intern(append([]byte(nil), w...)) // equal bytes, distinct backing
+	a2, err := in.Intern(append([]byte(nil), w...), false) // equal bytes, distinct backing
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestInternerHitReturnsSamePointer(t *testing.T) {
 // rebuilds.
 func TestInternerCapPlateaus(t *testing.T) {
 	const cap = 64
-	in := NewAttrsInterner(false)
+	in := new(AttrsInterner)
 	in.SetCap(cap)
 
 	var maxLen int
@@ -53,13 +54,13 @@ func TestInternerCapPlateaus(t *testing.T) {
 	var firstFull int64 // bytes when the first epoch reached the cap
 	for i := 0; i < 100*cap; i++ {
 		w := wireFor(t, ASN(1000+i))
-		a, err := in.Intern(w)
+		a, err := in.Intern(w, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A fresh commit must be immediately re-internable to the same
 		// pointer (same epoch).
-		b, err := in.Intern(w)
+		b, err := in.Intern(w, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +92,11 @@ func TestInternerCapPlateaus(t *testing.T) {
 	// After the rollovers, interning the same wire twice lands on one
 	// pointer.
 	w := wireFor(t, 99)
-	a1, err := in.Intern(w)
+	a1, err := in.Intern(w, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := in.Intern(w)
+	a2, err := in.Intern(w, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +105,12 @@ func TestInternerCapPlateaus(t *testing.T) {
 	}
 }
 
+// TestInternerNoCapGrowsAndCounts: under the default cap the table grows
+// and counts every block without an epoch.
 func TestInternerNoCapGrowsAndCounts(t *testing.T) {
-	in := NewAttrsInterner(false)
+	in := new(AttrsInterner)
 	for i := 0; i < 200; i++ {
-		if _, err := in.Intern(wireFor(t, ASN(2000+i))); err != nil {
+		if _, err := in.Intern(wireFor(t, ASN(2000+i)), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,16 +118,91 @@ func TestInternerNoCapGrowsAndCounts(t *testing.T) {
 		t.Fatalf("Len=%d, want 200", in.Len())
 	}
 	if in.Epochs() != 0 {
-		t.Fatalf("Epochs=%d, want 0 without a cap", in.Epochs())
+		t.Fatalf("Epochs=%d, want 0 under the default cap", in.Epochs())
+	}
+}
+
+// TestInternerKeysByWidth: one interner holds the same wire bytes under
+// both AS widths as two entries, each equal to a direct decode at its
+// width, and each width's re-intern hits its own entry. The bytes are a
+// 4-octet path [AS 0xFDE80200] that reads, 2-octet, as the two segments
+// [AS 65000] [].
+func TestInternerKeysByWidth(t *testing.T) {
+	w := (&Attrs{ASPath: Seq(0xFDE80200), NextHop: [4]byte{10, 0, 0, 1}}).AppendWireEx(nil, true)
+	in := new(AttrsInterner)
+	var got [2]*Attrs
+	for i, asn4 := range []bool{false, true} {
+		a, err := in.Intern(w, asn4)
+		if err != nil {
+			t.Fatalf("asn4=%v: %v", asn4, err)
+		}
+		var want Attrs
+		if err := want.DecodeAttrsEx(w, asn4); err != nil {
+			t.Fatal(err)
+		}
+		if !a.Equal(&want) {
+			t.Fatalf("asn4=%v: interned %+v, direct decode %+v", asn4, a.ASPath, want.ASPath)
+		}
+		got[i] = a
+	}
+	if got[0].Equal(got[1]) {
+		t.Fatalf("both widths decoded to %v; the bytes do not tell the widths apart", got[0].ASPath)
+	}
+	if in.Len() != 2 {
+		t.Fatalf("Len=%d, want one entry per width", in.Len())
+	}
+	for i, asn4 := range []bool{false, true} {
+		if a, err := in.Intern(append([]byte(nil), w...), asn4); err != nil || a != got[i] {
+			t.Fatalf("asn4=%v: re-intern gave %p (%v), want %p", asn4, a, err, got[i])
+		}
+	}
+	if in.Len() != 2 {
+		t.Fatalf("Len=%d after the hits, want 2", in.Len())
+	}
+}
+
+// TestInternEntrySize: the width rides in the entry's padding, so the
+// table costs what it cost before it kept one.
+func TestInternEntrySize(t *testing.T) {
+	type widthless struct {
+		wire  []byte
+		attrs *Attrs
+		next  int32
+	}
+	if got, want := unsafe.Sizeof(internEntry{}), unsafe.Sizeof(widthless{}); got != want {
+		t.Fatalf("internEntry is %d bytes, %d without its width", got, want)
+	}
+}
+
+// TestInternHitAllocs: a hit allocates nothing at either width (the
+// allocation guard `make allocs` runs).
+func TestInternHitAllocs(t *testing.T) {
+	in := new(AttrsInterner)
+	w2 := wireFor(t, 65001)
+	w4 := (&Attrs{ASPath: Seq(64500, 4200000000), NextHop: [4]byte{10, 0, 0, 1}}).AppendWireEx(nil, true)
+	for _, c := range []struct {
+		w    []byte
+		asn4 bool
+	}{{w2, false}, {w4, true}} {
+		if _, err := in.Intern(c.w, c.asn4); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			if _, err := in.Intern(c.w, c.asn4); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("asn4=%v: %v allocations per hit, want 0", c.asn4, n)
+		}
 	}
 }
 
 func TestInternerDecodeMatchesDirect(t *testing.T) {
-	in := NewAttrsInterner(false)
+	in := new(AttrsInterner)
 	in.SetCap(4)
 	for i := 0; i < 32; i++ {
 		w := wireFor(t, ASN(3000+i))
-		got, err := in.Intern(w)
+		got, err := in.Intern(w, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,11 +217,11 @@ func TestInternerDecodeMatchesDirect(t *testing.T) {
 }
 
 // FuzzIntern fuzzes the interner with attacker-shaped wire bytes: the
-// fuzz-derived block set (plus well-formed neighbors) is interned for
-// several rounds under an arbitrary cap. Every round must report the
-// error a direct decode reports, successful interns must match the
-// direct decode, and with no cap set each block keeps one canonical
-// pointer across rounds.
+// fuzz-derived block set (plus well-formed neighbors) is interned under
+// both AS widths for several rounds under an arbitrary cap (0: none).
+// Every round must report the error a direct decode at that width
+// reports, successful interns must match that decode, and with no cap
+// each block keeps one canonical pointer per width across rounds.
 func FuzzIntern(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add(wireFor(f, 65001), uint8(0))
@@ -157,7 +235,7 @@ func FuzzIntern(f *testing.F) {
 	f.Add(long.AppendWire(nil), uint8(2))
 
 	f.Fuzz(func(t *testing.T, data []byte, capN uint8) {
-		in := NewAttrsInterner(false)
+		in := new(AttrsInterner)
 		in.SetCap(int(capN))
 		// The block set: the raw fuzz bytes, a truncation, and two
 		// well-formed blocks to guarantee valid traffic alongside.
@@ -165,29 +243,34 @@ func FuzzIntern(f *testing.F) {
 		if len(data) > 2 {
 			blocks = append(blocks, data[:len(data)/2])
 		}
-		want := make([]*Attrs, len(blocks)) // nil: the direct decode fails
+		widths := [2]bool{false, true}
+		want := make([][2]*Attrs, len(blocks)) // nil: the direct decode fails
 		for i, w := range blocks {
-			if a := new(Attrs); a.DecodeAttrs(w) == nil {
-				want[i] = a
+			for k, asn4 := range widths {
+				if a := new(Attrs); a.DecodeAttrsEx(w, asn4) == nil {
+					want[i][k] = a
+				}
 			}
 		}
-		first := make([]*Attrs, len(blocks))
+		first := make([][2]*Attrs, len(blocks))
 		for round := 0; round < 8; round++ {
 			for i, w := range blocks {
-				a, err := in.Intern(w)
-				if (err != nil) != (want[i] == nil) {
-					t.Fatalf("round %d, block %d: intern error %v, direct decode failed: %v", round, i, err, want[i] == nil)
-				}
-				if err != nil {
-					continue
-				}
-				if !a.Equal(want[i]) {
-					t.Fatalf("round %d, block %d: interned attrs differ from direct decode", round, i)
-				}
-				if first[i] == nil {
-					first[i] = a
-				} else if capN == 0 && a != first[i] {
-					t.Fatalf("round %d, block %d: canonical pointer changed with no cap set", round, i)
+				for k, asn4 := range widths {
+					a, err := in.Intern(w, asn4)
+					if (err != nil) != (want[i][k] == nil) {
+						t.Fatalf("round %d, block %d, asn4=%v: intern error %v, direct decode failed: %v", round, i, asn4, err, want[i][k] == nil)
+					}
+					if err != nil {
+						continue
+					}
+					if !a.Equal(want[i][k]) {
+						t.Fatalf("round %d, block %d, asn4=%v: interned attrs differ from direct decode", round, i, asn4)
+					}
+					if first[i][k] == nil {
+						first[i][k] = a
+					} else if capN == 0 && a != first[i][k] {
+						t.Fatalf("round %d, block %d, asn4=%v: canonical pointer changed under the default cap", round, i, asn4)
+					}
 				}
 			}
 		}
@@ -198,15 +281,15 @@ func FuzzIntern(f *testing.F) {
 }
 
 func BenchmarkInternHit(b *testing.B) {
-	in := NewAttrsInterner(false)
+	in := new(AttrsInterner)
 	w := wireFor(b, 65001)
-	if _, err := in.Intern(w); err != nil {
+	if _, err := in.Intern(w, false); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.Intern(w); err != nil {
+		if _, err := in.Intern(w, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,7 +34,7 @@ func (e badPart) Unwrap() []error { return []error{ErrBadMessage, e.error} }
 // Open is a BGP OPEN message.
 type Open struct {
 	Version   uint8
-	AS        ASN // 2-octet on the wire
+	AS        ASN // 2-octet on the wire: AS_TRANS stands in for one above 65535
 	HoldTime  uint16
 	BGPID     [4]byte
 	OptParams []byte
@@ -64,10 +64,16 @@ func appendHeader(dst []byte, msgType byte, bodyLen int) []byte {
 	return append(dst, byte(total>>8), byte(total), msgType)
 }
 
-// AppendWire appends the wire form of the OPEN message to dst.
+// AppendWire appends the wire form of the OPEN message to dst. An AS
+// above 65535 is written as ASTrans, never as its low 16 bits, which
+// would name some other AS.
 func (m *Open) AppendWire(dst []byte) []byte {
+	as := m.AS
+	if as > 0xFFFF {
+		as = ASTrans
+	}
 	dst = appendHeader(dst, MsgOpen, 10+len(m.OptParams))
-	dst = append(dst, m.Version, byte(m.AS>>8), byte(m.AS), byte(m.HoldTime>>8), byte(m.HoldTime))
+	dst = append(dst, m.Version, byte(as>>8), byte(as), byte(m.HoldTime>>8), byte(m.HoldTime))
 	dst = append(dst, m.BGPID[:]...)
 	dst = append(dst, byte(len(m.OptParams)))
 	return append(dst, m.OptParams...)
@@ -189,11 +195,13 @@ func decodeOpen(body []byte) (*Open, error) {
 // TABLE_DUMP records embed bare attribute blocks decoded via Attrs) into
 // u, truncating and reusing u's Withdrawn and NLRI backing arrays, so
 // decoding a stream of updates through one Update performs zero
-// steady-state allocations. When in is non-nil the path attribute block
-// is resolved through the interner — u.Attrs then points at the shared
-// canonical value for those wire bytes and must not be mutated; when in
-// is nil a fresh Attrs is decoded. On error u is left partially filled
-// and must not be used.
+// steady-state allocations. The path attribute block is read with
+// 2-octet AS numbers, the width BGP4MP_MESSAGE records and 2-octet
+// sessions carry. When in is non-nil the block is resolved through the
+// interner at that width — u.Attrs then points at the shared canonical
+// value for those wire bytes and must not be mutated; when in is nil a
+// fresh Attrs is decoded. On error u is left partially filled and must
+// not be used.
 func DecodeUpdateBodyInto(u *Update, body []byte, in *AttrsInterner) error {
 	u.Withdrawn = u.Withdrawn[:0]
 	u.NLRI = u.NLRI[:0]
@@ -221,7 +229,7 @@ func DecodeUpdateBodyInto(u *Update, body []byte, in *AttrsInterner) error {
 	}
 	if attrLen > 0 {
 		if in != nil {
-			a, err := in.Intern(rest[2 : 2+attrLen])
+			a, err := in.Intern(rest[2:2+attrLen], false)
 			if err != nil {
 				return badPart{err}
 			}

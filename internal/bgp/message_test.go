@@ -24,6 +24,20 @@ func TestOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenFourOctetAS: an OPEN for an AS above 65535 carries AS_TRANS,
+// not the AS's low 16 bits (4200000000 would read as AS 59904).
+func TestOpenFourOctetAS(t *testing.T) {
+	for _, c := range []struct{ as, want ASN }{{65535, 65535}, {65536, ASTrans}, {4200000000, ASTrans}} {
+		got, _, err := DecodeMessage((&Open{Version: 4, AS: c.as, HoldTime: 90}).AppendWire(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o := got.(*Open); o.AS != c.want {
+			t.Errorf("OPEN for AS %d reads AS %d, want %d", c.as, o.AS, c.want)
+		}
+	}
+}
+
 func TestUpdateRoundTrip(t *testing.T) {
 	m := &Update{
 		Withdrawn: []Prefix{MustParsePrefix("10.0.0.0/8")},
@@ -128,7 +142,7 @@ func TestDecodeUpdateBodyErrors(t *testing.T) {
 		{0, 0, 0, 0, 16, 10},  // NLRI truncated
 	}
 	for _, b := range bad {
-		for _, in := range []*AttrsInterner{nil, NewAttrsInterner(false)} {
+		for _, in := range []*AttrsInterner{nil, new(AttrsInterner)} {
 			err := DecodeUpdateBodyInto(new(Update), b, in)
 			if err == nil {
 				t.Errorf("DecodeUpdateBodyInto(% x) succeeded", b)

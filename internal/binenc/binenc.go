@@ -6,7 +6,8 @@
 // Encoding composes the standard library's binary.AppendUvarint /
 // AppendVarint with the Append* helpers here; decoding goes through
 // Reader, which latches the first error so codecs can decode a whole
-// structure and check Err once. Reader is deliberately hostile-input
+// structure and check it once, with End, which also refuses bytes the
+// structure left over. Reader is deliberately hostile-input
 // safe: every count that sizes an allocation is validated against the
 // bytes actually remaining, so a fuzzed or truncated snapshot fails with
 // an error instead of an OOM or a panic.
@@ -45,6 +46,21 @@ func (r *Reader) Err() error { return r.err }
 
 // Len returns the number of bytes not yet consumed.
 func (r *Reader) Len() int { return len(r.b) - r.off }
+
+// End closes a frame or a whole input read field by field: it returns
+// the latched error, or ErrCorrupt naming the bytes no field consumed,
+// or nil when r was read exactly to its end. Every decoder ends each
+// frame and its top-level reader with it, so a damaged or padded image
+// is refused instead of silently skipped.
+func (r *Reader) End() error {
+	if r.err != nil {
+		return r.err
+	}
+	if n := r.Len(); n != 0 {
+		return fmt.Errorf("%w: %d bytes left over", ErrCorrupt, n)
+	}
+	return nil
+}
 
 func (r *Reader) fail(err error) {
 	if r.err == nil {
@@ -144,18 +160,6 @@ func (r *Reader) Count(elemMin int) int {
 func (r *Reader) Frame() *Reader {
 	n := r.Count(1)
 	return NewReader(r.Bytes(n))
-}
-
-// FirstErr returns the first latched error among readers. Pass inner
-// section readers before their parent: an inner error is more precise
-// than the truncation the outer reader would report next.
-func FirstErr(rs ...*Reader) error {
-	for _, r := range rs {
-		if err := r.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // AppendFrame appends payload to dst as a length-prefixed section.

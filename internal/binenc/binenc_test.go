@@ -86,7 +86,7 @@ func TestCountGuardsAllocation(t *testing.T) {
 
 // TestFrames: frames round-trip, a zero-length frame is an empty reader
 // rather than an error, the parent advances past each frame, and an error
-// inside a frame is reported ahead of the parent's by FirstErr.
+// inside a frame stays the frame's.
 func TestFrames(t *testing.T) {
 	var in []byte
 	in = AppendFrame(in, []byte{7, 8, 9})
@@ -105,8 +105,10 @@ func TestFrames(t *testing.T) {
 	if b := r.Byte(); b != 42 || r.Len() != 0 {
 		t.Fatalf("parent did not advance past its frames: next byte %d, %d left", b, r.Len())
 	}
-	if err := FirstErr(f1, f2, r); err != nil {
-		t.Fatalf("FirstErr over clean readers: %v", err)
+	for _, rd := range []*Reader{f1, f2, r} {
+		if err := rd.End(); err != nil {
+			t.Fatalf("End of a reader read to its end: %v", err)
+		}
 	}
 
 	// Reading past a frame's payload fails inside the frame only.
@@ -114,16 +116,35 @@ func TestFrames(t *testing.T) {
 	if !errors.Is(f2.Err(), ErrTruncated) || r.Err() != nil {
 		t.Fatalf("over-read of an empty frame: frame %v, parent %v", f2.Err(), r.Err())
 	}
-	r.Byte()
-	if err := FirstErr(f1, f2, r); err != f2.Err() {
-		t.Fatalf("FirstErr = %v, want the inner frame's error", err)
+	if err := f2.End(); err != f2.Err() {
+		t.Fatalf("End = %v, want the latched error %v", err, f2.Err())
 	}
 
 	// A frame cut from a failed parent is empty, and the parent keeps the
 	// cause.
 	bad := NewReader([]byte{5, 1})
-	if sub := bad.Frame(); sub.Len() != 0 || !errors.Is(FirstErr(sub, bad), ErrCorrupt) {
-		t.Fatalf("frame past the end: sub len %d, err %v", sub.Len(), FirstErr(sub, bad))
+	if sub := bad.Frame(); sub.Len() != 0 || sub.End() != nil || !errors.Is(bad.End(), ErrCorrupt) {
+		t.Fatalf("frame past the end: sub len %d, err %v / %v", sub.Len(), sub.End(), bad.End())
+	}
+}
+
+// TestEndRefusesLeftovers: End is nil only for a reader read exactly to
+// its end; a byte no field consumed is ErrCorrupt naming the count, and
+// a latched error wins over the leftovers.
+func TestEndRefusesLeftovers(t *testing.T) {
+	r := NewReader([]byte{1, 2, 3})
+	r.Byte()
+	if err := r.End(); !errors.Is(err, ErrCorrupt) || err.Error() != "binenc: corrupt input: 2 bytes left over" {
+		t.Fatalf("End with 2 bytes unread: %v", err)
+	}
+	r.Bytes(2)
+	if err := r.End(); err != nil {
+		t.Fatalf("End after the last byte: %v", err)
+	}
+	r = NewReader([]byte{0x80, 7})
+	r.Bytes(5)
+	if err := r.End(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("End after a failed read: %v, want the latched ErrTruncated", err)
 	}
 }
 

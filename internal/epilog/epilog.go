@@ -375,11 +375,8 @@ func decodeSegment(b []byte, fn func(*Episode) error) (int, error) {
 		ep.Class = core.Class(fr.Byte())
 		ep.Start = int(fr.Uvarint())
 		ep.End = int(fr.Uvarint())
-		if err := fr.Err(); err != nil {
+		if err := fr.End(); err != nil {
 			return good, err
-		}
-		if fr.Len() != 0 {
-			return good, fmt.Errorf("%w: %d trailing record bytes", binenc.ErrCorrupt, fr.Len())
 		}
 		if err := validate(&ep); err != nil {
 			return good, fmt.Errorf("%w: %v", binenc.ErrCorrupt, err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"moas/internal/binenc"
+	"moas/internal/binenc/binenctest"
 )
 
 // segImage encodes a complete segment from episodes, the writer's way.
@@ -16,6 +17,20 @@ func segImage(eps []Episode) []byte {
 		buf = binenc.AppendFrame(buf, payload)
 	}
 	return buf
+}
+
+// TestSegmentRefusesPaddedRecords: one junk byte wrapped into a record
+// frame, or left after the last record, is refused.
+func TestSegmentRefusesPaddedRecords(t *testing.T) {
+	img := segImage([]Episode{ep("10.0.0.0/8", 1, 0, 3, false, 100, 200), ep("10.1.0.0/16", 2, 1, 1, true, 7, 9)})
+	if _, err := decodeSegment(img, nil); err != nil {
+		t.Fatalf("unpadded segment: %v", err)
+	}
+	for _, c := range binenctest.Padded(t, img, headerLen, "record 0", "record 1") {
+		if _, err := decodeSegment(c.Data, nil); err == nil {
+			t.Errorf("a junk byte in the %s frame was accepted", c.Name)
+		}
+	}
 }
 
 // FuzzEpisodeLogDecode hammers the segment decoder with hostile input.

@@ -267,7 +267,7 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 
 	meta := r.Frame()
 	s.Events = int(meta.Uvarint())
-	if err := binenc.FirstErr(meta, r); err != nil {
+	if err := cmp.Or(meta.End(), r.Err()); err != nil {
 		return nil, fmt.Errorf("kernel: decode binary snapshot meta: %w", err)
 	}
 
@@ -290,13 +290,10 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		}
 		s.Prefixes = append(s.Prefixes, ps)
 	}
-	if err := binenc.FirstErr(sec, r); err != nil {
-		return nil, fmt.Errorf("kernel: decode binary snapshot prefixes: %w", err)
-	}
 	// Bytes past the last entry are an entry's history under a version
 	// that has none, or damage.
-	if sec.Len() != 0 {
-		return nil, fmt.Errorf("kernel: decode binary snapshot prefixes: %d bytes past the last entry", sec.Len())
+	if err := cmp.Or(sec.End(), r.Err()); err != nil {
+		return nil, fmt.Errorf("kernel: decode binary snapshot prefixes: %w", err)
 	}
 
 	sec = r.Frame()
@@ -314,7 +311,7 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		}
 		s.Conflicts = append(s.Conflicts, cs)
 	}
-	if err := binenc.FirstErr(sec, r); err != nil {
+	if err := cmp.Or(sec.End(), r.Err()); err != nil {
 		return nil, fmt.Errorf("kernel: decode binary snapshot conflicts: %w", err)
 	}
 
@@ -324,19 +321,19 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 	for i := 0; i < n; i++ {
 		s.ClosedSpans = append(s.ClosedSpans, SpanSnap{Start: sec.Int(), End: sec.Int()})
 	}
-	if err := binenc.FirstErr(sec, r); err != nil {
+	if err := cmp.Or(sec.End(), r.Err()); err != nil {
 		return nil, fmt.Errorf("kernel: decode binary snapshot spans: %w", err)
 	}
 
 	if version < 3 {
 		sec = r.Frame()
 		log := readEvents(sec)
-		if err := cmp.Or(binenc.FirstErr(sec, r), checkLog(log)); err != nil {
+		if err := cmp.Or(sec.End(), r.Err(), checkLog(log)); err != nil {
 			return nil, fmt.Errorf("kernel: decode binary snapshot log: %w", err)
 		}
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("kernel: %d trailing bytes after binary snapshot", r.Len())
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("kernel: decode binary snapshot: %w", err)
 	}
 	return s, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"moas/internal/bgp"
+	"moas/internal/binenc/binenctest"
 	"moas/internal/kernel"
 )
 
@@ -91,6 +92,36 @@ func TestBinarySnapshotRestoreEquivalence(t *testing.T) {
 		t.Fatal("event logs differ after restore")
 	}
 	diffRegistries(t, uninterrupted.Registry(), restored.Registry())
+}
+
+// TestBinarySnapshotRefusesPaddedFrames: one junk byte wrapped into any
+// frame of an image — the current version's and version 2's, which ends
+// with the log frame — or left after its last frame is refused: every
+// frame is read to its end.
+func TestBinarySnapshotRefusesPaddedFrames(t *testing.T) {
+	snap, log := midRun(t)
+	if len(snap.ClosedSpans) == 0 {
+		t.Fatal("the image has no span to pad around")
+	}
+	frames := []string{"meta", "prefixes", "conflicts", "spans"}
+	for _, tc := range []struct {
+		version int
+		img     []byte
+		frames  []string
+	}{
+		{kernel.SnapshotVersion, kernel.AppendSnapshotBinary(nil, snap), frames},
+		{2, kernel.AppendSnapshotBinaryOld(nil, snap, 2, kernel.OldHistories(log, 2), log), append(frames, "log")},
+	} {
+		if _, err := kernel.DecodeSnapshotBinary(tc.img); err != nil {
+			t.Fatalf("version %d: unpadded image: %v", tc.version, err)
+		}
+		// Magic, then the one-byte version.
+		for _, c := range binenctest.Padded(t, tc.img, len("MSNP")+1, tc.frames...) {
+			if _, err := kernel.DecodeSnapshotBinary(c.Data); err == nil {
+				t.Errorf("version %d: a junk byte in the %s frame was accepted", tc.version, c.Name)
+			}
+		}
+	}
 }
 
 // TestBinarySnapshotRejectsDamage: version skew, truncation at every

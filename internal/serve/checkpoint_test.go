@@ -344,20 +344,27 @@ func TestCheckpointConfigValidation(t *testing.T) {
 // still load, and no scenario stores it: a checkpoint taken afterwards
 // does not carry it.
 func TestDecodeWorkersIgnored(t *testing.T) {
-	deprecatedKnobIgnored(t, "decode_workers", func(c *ScenarioConfig) { c.DecodeWorkers = 2 })
+	deprecatedKnobIgnored(t, "decode_workers", 2, func(c *ScenarioConfig) { c.DecodeWorkers = 2 })
 }
 
 // TestHistoryIgnored: history, the cap of the per-prefix event history
 // scenarios no longer keep, is accepted and dropped the same way.
 func TestHistoryIgnored(t *testing.T) {
-	deprecatedKnobIgnored(t, "history", func(c *ScenarioConfig) { c.History = 8 })
+	deprecatedKnobIgnored(t, "history", 8, func(c *ScenarioConfig) { c.History = 8 })
 }
 
-// deprecatedKnobIgnored creates a scenario whose body sets knob to a
-// value, then restores a checkpoint whose config carries it (set puts it
-// there): both must be accepted, and neither scenario's checkpoint may
-// carry the knob.
-func deprecatedKnobIgnored(t *testing.T, knob string, set func(*ScenarioConfig)) {
+// TestMaxAttrsIgnored: max_attrs, the interner cap every engine now
+// takes from bgp.DefaultInternCap, is accepted and dropped the same way,
+// whatever its value (-7 was refused while it was a knob).
+func TestMaxAttrsIgnored(t *testing.T) {
+	deprecatedKnobIgnored(t, "max_attrs", -7, func(c *ScenarioConfig) { c.MaxAttrs = -7 })
+}
+
+// deprecatedKnobIgnored creates a scenario whose body sets knob to value,
+// then restores a checkpoint whose config carries it (set puts it there)
+// through a request that sets it too: both must be accepted, and neither
+// scenario's checkpoint may carry the knob.
+func deprecatedKnobIgnored(t *testing.T, knob string, value int, set func(*ScenarioConfig)) {
 	reg := NewRegistry()
 	defer reg.Close()
 	srv := httptest.NewServer(NewHandler(reg))
@@ -378,7 +385,7 @@ func deprecatedKnobIgnored(t *testing.T, knob string, set func(*ScenarioConfig))
 	}
 
 	resp, body := postJSON(t, client, srv.URL+"/scenarios",
-		map[string]any{"id": "w", "source": "synth", "scale": "small", knob: 2})
+		map[string]any{"id": "w", "source": "synth", "scale": "small", knob: value})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create with %s: %d %v", knob, resp.StatusCode, body)
 	}
@@ -390,7 +397,7 @@ func deprecatedKnobIgnored(t *testing.T, knob string, set func(*ScenarioConfig))
 		t.Fatal(err)
 	}
 	resp, body = postJSON(t, client, srv.URL+"/scenarios",
-		map[string]any{"id": "w2", "source": "checkpoint", "checkpoint": blob})
+		map[string]any{"id": "w2", "source": "checkpoint", "checkpoint": blob, knob: value})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("restore of a checkpoint config with %s: %d %v", knob, resp.StatusCode, body)
 	}

@@ -34,9 +34,10 @@ type ScenarioConfig struct {
 	// LocalAS is the AS the BGP speaker answers OPEN with (BGP only;
 	// 0 = 64512, the first private AS).
 	LocalAS uint32 `json:"local_as,omitempty"`
-	// MaxAttrs caps the engine's distinct-attrs interner; at the cap the
-	// interner rebuilds and its memory plateaus. 0 = the live default
-	// (1<<20) for live sources and unbounded for replays; -1 = unbounded.
+	// Deprecated: accepted and ignored, so that a create body or a
+	// checkpoint config written while the interner cap was a knob still
+	// loads (every engine's interner holds bgp.DefaultInternCap blocks
+	// per epoch); normalize zeroes it, as DecodeWorkers.
 	MaxAttrs int `json:"max_attrs,omitempty"`
 	// Shards is the engine's worker count (0 = GOMAXPROCS).
 	Shards int `json:"shards,omitempty"`
@@ -59,9 +60,9 @@ type ScenarioConfig struct {
 	Start bool `json:"start,omitempty"`
 	// Checkpoint is the state to restore. Source "checkpoint" only; the
 	// source comes from the checkpointed scenario, and so do the knobs
-	// (shards, pacing, event buffer, max attrs)
-	// the request leaves unset. In a request body it is the checkpoint
-	// file's bytes as a base64 string (ScenarioCheckpoint.UnmarshalJSON).
+	// (shards, pacing, event buffer) the request leaves unset. In a
+	// request body it is the checkpoint file's bytes as a base64 string
+	// (ScenarioCheckpoint.UnmarshalJSON).
 	Checkpoint *ScenarioCheckpoint `json:"checkpoint,omitempty"`
 }
 
@@ -155,12 +156,6 @@ const (
 	MaxEventBuffer = 1 << 20
 )
 
-// DefaultLiveMaxAttrs is the interner cap applied to live-source
-// scenarios when MaxAttrs is unset: a real feed's distinct-attrs
-// population grows without bound over months, so continuous operation
-// needs a plateau by default.
-const DefaultLiveMaxAttrs = 1 << 20
-
 // foreignField returns the first source-specific field the config sets
 // that owns does not list, or "".
 func (c *ScenarioConfig) foreignField(owns []string) string {
@@ -211,7 +206,7 @@ func (c *ScenarioConfig) normalize() error {
 	} else if ck != nil {
 		return errors.New(`"checkpoint" is only valid with source "checkpoint"`)
 	}
-	c.DecodeWorkers, c.History = 0, 0
+	c.DecodeWorkers, c.History, c.MaxAttrs = 0, 0, 0
 	kind := sourceKinds[c.Source]
 	if kind == nil {
 		return fmt.Errorf("%sunknown source %q (want %q, %q, %q, %q or %q)",
@@ -228,9 +223,6 @@ func (c *ScenarioConfig) normalize() error {
 	}
 	if c.DaysPerSec < 0 {
 		return errors.New("days_per_sec must be >= 0")
-	}
-	if c.MaxAttrs < -1 {
-		return errors.New("max_attrs must be >= -1")
 	}
 	if c.Shards < 0 {
 		return errors.New("shards must be >= 0")
@@ -263,9 +255,6 @@ func (c ScenarioConfig) overlaid(req ScenarioConfig) ScenarioConfig {
 	}
 	if req.DaysPerSec != 0 {
 		c.DaysPerSec = req.DaysPerSec
-	}
-	if req.MaxAttrs != 0 {
-		c.MaxAttrs = req.MaxAttrs
 	}
 	if req.EventBuffer != 0 {
 		c.EventBuffer = req.EventBuffer

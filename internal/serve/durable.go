@@ -125,11 +125,8 @@ func ReadScenarioCheckpoint(data []byte) (*ScenarioCheckpoint, error) {
 	meta := metaJSON.Bytes(metaJSON.Len())
 	engFrame := rd.Frame()
 	engBytes := engFrame.Bytes(engFrame.Len())
-	if err := rd.Err(); err != nil {
+	if err := rd.End(); err != nil {
 		return nil, fmt.Errorf("serve: decode binary checkpoint: %w", err)
-	}
-	if rd.Len() != 0 {
-		return nil, fmt.Errorf("serve: %d trailing bytes after binary checkpoint", rd.Len())
 	}
 	var ck envelope
 	if err := json.Unmarshal(meta, &ck); err != nil {

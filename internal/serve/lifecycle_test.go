@@ -289,7 +289,7 @@ func TestSourceKinds(t *testing.T) {
 			}
 		}
 		// A restore request's knobs are range-checked like a create's.
-		for _, over := range []ScenarioConfig{{Shards: -1}, {MaxAttrs: -7}, {EventBuffer: -1}} {
+		for _, over := range []ScenarioConfig{{Shards: -1}, {EventBuffer: -1}} {
 			r := restoreOf(good, over)
 			if err := r.normalize(); err == nil {
 				t.Errorf("%s: restore request setting %+v passed validation", k.source, over)

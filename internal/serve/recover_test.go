@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"moas/internal/binenc"
+	"moas/internal/binenc/binenctest"
 	"moas/internal/stream"
 	"moas/internal/vfs"
 )
@@ -52,8 +53,9 @@ func pausedCheckpoint(t *testing.T, reg *Registry) *ScenarioCheckpoint {
 }
 
 // TestScenarioCheckpointFileCodec: the checkpoint file round-trips a
-// real mid-archive scenario checkpoint exactly, and damage, a file
-// without the magic and a JSON document are rejected, the last as such.
+// real mid-archive scenario checkpoint exactly, and damage (truncation,
+// trailing garbage, a junk byte in the envelope frame), a file without
+// the magic and a JSON document are rejected, the last as such.
 func TestScenarioCheckpointFileCodec(t *testing.T) {
 	ck := pausedCheckpoint(t, NewRegistry())
 	bin, err := AppendScenarioCheckpointBinary(nil, ck)
@@ -83,6 +85,11 @@ func TestScenarioCheckpointFileCodec(t *testing.T) {
 	}
 	if _, err := ReadScenarioCheckpoint(append(bytes.Clone(bin), 7)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+	// The frames start after the magic and the one-byte version.
+	envPadded := binenctest.Padded(t, bin, len(scenarioCheckpointMagic)+1, "envelope", "engine")[0]
+	if _, err := ReadScenarioCheckpoint(envPadded.Data); err == nil {
+		t.Fatal("a junk byte in the envelope frame accepted")
 	}
 	if _, err := ReadScenarioCheckpoint(bin[len(scenarioCheckpointMagic):]); err == nil || errors.Is(err, errJSONCheckpoint) {
 		t.Fatalf("a file without the magic: %v", err)

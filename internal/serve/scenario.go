@@ -153,19 +153,10 @@ func newScenario(cfg ScenarioConfig, r *Registry) (*Scenario, error) {
 		ring = DefaultEventRing
 	}
 	hub := NewHub(ring, r.Limits.MaxSubscribers)
-	live := sourceKinds[cfg.Source].live()
-	maxAttrs := cfg.MaxAttrs
-	switch {
-	case maxAttrs == 0 && live:
-		maxAttrs = DefaultLiveMaxAttrs
-	case maxAttrs < 0:
-		maxAttrs = 0 // engine convention: 0 = unbounded
-	}
 	engCfg := stream.Config{
-		Shards:           cfg.Shards,
-		MaxDistinctAttrs: maxAttrs,
-		OnEvent:          hub.Publish,
-		EpisodeLog:       epi,
+		Shards:     cfg.Shards,
+		OnEvent:    hub.Publish,
+		EpisodeLog: epi,
 	}
 	// The engine will hold the live state; keeping the decoded image in
 	// the config would double a restored scenario's resident memory.

@@ -411,7 +411,6 @@ func TestScenarioConfigValidation(t *testing.T) {
 		{Source: "carrier-pigeon"},
 		{Source: SourceSynth, DaysPerSec: -1},
 		{Source: SourceSynth, Shards: MaxShards + 1},
-		{Source: SourceSynth, MaxAttrs: -2},
 		{Source: SourceSynth, Shards: -3},
 		{Source: SourceSynth, EventBuffer: -1},
 	}

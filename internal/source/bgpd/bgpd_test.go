@@ -17,7 +17,7 @@ import (
 func newSpeaker(t *testing.T, clk *atomic.Uint32, cfg Config) *Speaker {
 	t.Helper()
 	if cfg.Interner == nil {
-		cfg.Interner = bgp.NewAttrsInterner(false)
+		cfg.Interner = new(bgp.AttrsInterner)
 	}
 	if cfg.LocalAS == 0 {
 		cfg.LocalAS = 65000
@@ -134,6 +134,38 @@ func TestSpeakerRejectsBadVersion(t *testing.T) {
 	}
 	if code != NotifOpenErr || sub != openBadVersion {
 		t.Fatalf("NOTIFICATION %d/%d, want %d/%d", code, sub, NotifOpenErr, openBadVersion)
+	}
+}
+
+// TestSpeakerOpenFourOctetAS: a speaker whose local AS is above 65535
+// answers OPEN with AS_TRANS, not with the low 16 bits of its AS, which
+// name some other, public AS (59904 for 4200000000).
+func TestSpeakerOpenFourOctetAS(t *testing.T) {
+	var clk atomic.Uint32
+	sp := newSpeaker(t, &clk, Config{LocalAS: 4200000000})
+	conn, err := net.Dial("tcp", sp.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	p := &ScriptedPeer{conn: conn, br: bufio.NewReader(conn)}
+	if err := p.SendRaw((&bgp.Open{Version: 4, AS: 65001, HoldTime: 90, BGPID: [4]byte{1, 2, 3, 4}}).AppendWire(nil)); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := p.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _, err := bgp.DecodeMessage(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, ok := msg.(*bgp.Open)
+	if !ok {
+		t.Fatalf("speaker answered with %T, want its OPEN", msg)
+	}
+	if open.AS != bgp.ASTrans {
+		t.Fatalf("speaker's OPEN names AS %d, want AS_TRANS (%d)", open.AS, bgp.ASTrans)
 	}
 }
 

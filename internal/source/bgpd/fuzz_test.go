@@ -64,7 +64,7 @@ func FuzzBGPSessionMessages(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		var buf [maxFrame]byte
-		in := bgp.NewAttrsInterner(false)
+		in := new(bgp.AttrsInterner)
 		var upd bgp.Update
 		for {
 			frame, err := readFrame(br, buf[:])

@@ -93,7 +93,7 @@ func FuzzMRTFramer(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := mrt.NewFramer(bytes.NewReader(data))
-		dec := Decoder{Interner: bgp.NewAttrsInterner(false)}
+		dec := Decoder{Interner: new(bgp.AttrsInterner)}
 		var body []byte
 		var rec Record
 		for {

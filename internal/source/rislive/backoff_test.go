@@ -55,7 +55,7 @@ func flap(t *testing.T, f *Fake, n int) {
 // forgiven after a sustained healthy read window.
 func TestBackoffSurvivesAcceptThenDrop(t *testing.T) {
 	f, c := newPair(t, Config{
-		Interner:     bgp.NewAttrsInterner(false),
+		Interner:     new(bgp.AttrsInterner),
 		Backoff:      source.Backoff{Base: time.Millisecond, Max: 20 * time.Millisecond},
 		HealthyAfter: time.Hour, // never healthy within this test
 	})
@@ -85,7 +85,7 @@ func TestBackoffSurvivesAcceptThenDrop(t *testing.T) {
 // schedule resets, so the next real outage starts from the base delay.
 func TestBackoffResetsAfterHealthyWindow(t *testing.T) {
 	f, c := newPair(t, Config{
-		Interner:     bgp.NewAttrsInterner(false),
+		Interner:     new(bgp.AttrsInterner),
 		Backoff:      source.Backoff{Base: time.Millisecond, Max: 20 * time.Millisecond},
 		HealthyAfter: 50 * time.Millisecond,
 	})

@@ -335,7 +335,7 @@ func (c *Client) ingest(payload []byte) error {
 		return nil
 	}
 
-	path, maxAS, err := parsePath(d.Path)
+	path, err := parsePath(d.Path)
 	if err != nil {
 		return err
 	}
@@ -351,19 +351,13 @@ func (c *Client) ingest(payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("rislive: next_hop: %w", err)
 		}
+		// RIS paths carry 32-bit AS numbers, so the block is encoded and
+		// interned 4-octet whatever the ASes it holds.
 		c.scratch = bgp.Attrs{Origin: parseOrigin(d.Origin), ASPath: path, NextHop: nextHop}
-		var attrs *bgp.Attrs
-		if maxAS > 0xFFFF && !c.cfg.Interner.ASN4() {
-			// The path cannot round-trip through the interner's 2-octet
-			// wire encoding; keep a private decoded copy instead of
-			// corrupting the canonical table.
-			attrs = c.scratch.Clone()
-		} else {
-			c.encBuf = c.scratch.AppendWireEx(c.encBuf[:0], c.cfg.Interner.ASN4())
-			attrs, err = c.cfg.Interner.Intern(c.encBuf)
-			if err != nil {
-				return err
-			}
+		c.encBuf = c.scratch.AppendWireEx(c.encBuf[:0], true)
+		attrs, err := c.cfg.Interner.Intern(c.encBuf, true)
+		if err != nil {
+			return err
 		}
 		p := pendRec{ts: ts, peerIP: peerIP, peerAS: bgp.ASN(peerAS), attrs: attrs, nlri: nlri}
 		if gi == 0 {
@@ -388,13 +382,12 @@ func parseOrigin(s string) bgp.Origin {
 // parsePath decodes the heterogeneous RIS path array: numbers are
 // sequence hops (merged into runs), nested arrays are AS_SETs. A hop or
 // member that is no 32-bit AS number is refused, as a bad peer_asn is.
-func parsePath(raw []json.RawMessage) (bgp.Path, uint64, error) {
+func parsePath(raw []json.RawMessage) (bgp.Path, error) {
 	if len(raw) == 0 {
-		return nil, 0, nil
+		return nil, nil
 	}
 	var path bgp.Path
 	var run []bgp.ASN
-	var maxAS uint64
 	flush := func() {
 		if len(run) > 0 {
 			path = append(path, bgp.Segment{Type: bgp.SegSequence, ASes: run})
@@ -405,12 +398,11 @@ func parsePath(raw []json.RawMessage) (bgp.Path, uint64, error) {
 		if len(el) > 0 && el[0] == '[' {
 			var set []uint32
 			if err := json.Unmarshal(el, &set); err != nil {
-				return nil, 0, fmt.Errorf("rislive: path set: %w", err)
+				return nil, fmt.Errorf("rislive: path set: %w", err)
 			}
 			flush()
 			ases := make([]bgp.ASN, len(set))
 			for i, as := range set {
-				maxAS = max(maxAS, uint64(as))
 				ases[i] = bgp.ASN(as)
 			}
 			path = append(path, bgp.Segment{Type: bgp.SegSet, ASes: ases})
@@ -418,13 +410,12 @@ func parsePath(raw []json.RawMessage) (bgp.Path, uint64, error) {
 		}
 		var as uint32
 		if err := json.Unmarshal(el, &as); err != nil {
-			return nil, 0, fmt.Errorf("rislive: path hop: %w", err)
+			return nil, fmt.Errorf("rislive: path hop: %w", err)
 		}
-		maxAS = max(maxAS, uint64(as))
 		run = append(run, bgp.ASN(as))
 	}
 	flush()
-	return path, maxAS, nil
+	return path, nil
 }
 
 func parsePrefixes(ss []string) ([]bgp.Prefix, error) {

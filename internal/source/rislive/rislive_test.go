@@ -19,7 +19,7 @@ func newPair(t *testing.T, cfg Config) (*Fake, *Client) {
 	t.Cleanup(f.Close)
 	cfg.URL = f.URL()
 	if cfg.Interner == nil {
-		cfg.Interner = bgp.NewAttrsInterner(false)
+		cfg.Interner = new(bgp.AttrsInterner)
 	}
 	if cfg.Backoff.Base == 0 {
 		cfg.Backoff = source.Backoff{Base: 5 * time.Millisecond, Max: 40 * time.Millisecond}
@@ -36,7 +36,7 @@ func newPair(t *testing.T, cfg Config) (*Fake, *Client) {
 }
 
 func TestClientDeliversUpdates(t *testing.T) {
-	in := bgp.NewAttrsInterner(false)
+	in := new(bgp.AttrsInterner)
 	f, c := newPair(t, Config{Interner: in})
 
 	f.Send(Msg{
@@ -82,19 +82,52 @@ func TestClientDeliversUpdates(t *testing.T) {
 		t.Fatalf("record 2 next hop: %v", rec.Upd.Attrs.NextHop)
 	}
 
-	// The client's re-encoded attribute block must land on the same
-	// canonical pointer a file replay of the same update produces.
-	fileWire := (&bgp.Attrs{
+	// The client's re-encoded attribute block is the 4-octet encoding of
+	// the message's attributes, canonical in the shared interner.
+	wire4 := (&bgp.Attrs{
 		Origin:  bgp.OriginIGP,
 		ASPath:  bgp.Path{{Type: bgp.SegSequence, ASes: []bgp.ASN{65001, 65002}}},
 		NextHop: [4]byte{192, 0, 2, 9},
-	}).AppendWire(nil)
-	canon, err := in.Intern(fileWire)
+	}).AppendWireEx(nil, true)
+	canon, err := in.Intern(wire4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canon != a1 {
-		t.Fatal("JSON-derived attrs did not intern to the file-replay pointer")
+		t.Fatal("JSON-derived attrs did not intern to the 4-octet block's pointer")
+	}
+}
+
+// TestClientInternsFourOctetPaths: two messages whose path holds an AS
+// above 65535 share one interned block, and the interner counts it once.
+func TestClientInternsFourOctetPaths(t *testing.T) {
+	in := new(bgp.AttrsInterner)
+	f, c := newPair(t, Config{Interner: in})
+	for _, pfx := range []string{"10.0.0.0/8", "11.0.0.0/8"} {
+		f.Send(Msg{
+			Timestamp:     86400,
+			Peer:          "192.0.2.9",
+			PeerASN:       65001,
+			Path:          []any{uint32(65001), uint32(4200000000)},
+			Announcements: []Announcement{{NextHop: "192.0.2.9", Prefixes: []string{pfx}}},
+		})
+	}
+	var attrs [2]*bgp.Attrs
+	for i := range attrs {
+		var rec source.Record
+		if err := c.Next(&rec); err != nil {
+			t.Fatal(err)
+		}
+		attrs[i] = rec.Upd.Attrs
+	}
+	if got, _ := attrs[0].ASPath.Origin(); got != 4200000000 {
+		t.Fatalf("origin %v, want 4200000000", got)
+	}
+	if attrs[0] != attrs[1] {
+		t.Fatal("two messages with one 4-octet path gave two blocks")
+	}
+	if in.Len() != 1 {
+		t.Fatalf("interner holds %d blocks, want 1", in.Len())
 	}
 }
 
@@ -240,7 +273,7 @@ func toRaw(t *testing.T, els []any) []json.RawMessage {
 func TestParsePathSegments(t *testing.T) {
 	raw := []any{uint32(1), uint32(2), []uint32{7, 8}, uint32(3)}
 	jr := toRaw(t, raw)
-	path, maxAS, err := parsePath(jr)
+	path, err := parsePath(jr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +285,6 @@ func TestParsePathSegments(t *testing.T) {
 	if !path.Equal(want) {
 		t.Fatalf("path %+v, want %+v", path, want)
 	}
-	if maxAS != 8 {
-		t.Fatalf("maxAS=%d", maxAS)
-	}
 
 	// A hop or AS_SET member past 2^32-1 is no AS number: refused, not
 	// truncated to its low 32 bits.
@@ -264,12 +294,12 @@ func TestParsePathSegments(t *testing.T) {
 		{uint64(3356), uint64(1<<32 + 1), []uint64{1<<32 + 2}},
 		{-1},
 	} {
-		if path, _, err := parsePath(toRaw(t, raw)); err == nil {
+		if path, err := parsePath(toRaw(t, raw)); err == nil {
 			t.Fatalf("parsePath(%v) accepted as %v", raw, path)
 		}
 	}
-	if path, maxAS, err := parsePath(toRaw(t, []any{uint64(1<<32 - 1)})); err != nil || maxAS != 1<<32-1 || path[0].ASes[0] != 1<<32-1 {
-		t.Fatalf("parsePath of 2^32-1: %v, max %d, %v", path, maxAS, err)
+	if path, err := parsePath(toRaw(t, []any{uint64(1<<32 - 1)})); err != nil || path[0].ASes[0] != 1<<32-1 {
+		t.Fatalf("parsePath of 2^32-1: %v, %v", path, err)
 	}
 }
 
@@ -281,7 +311,7 @@ func TestIngestRefusesTimestampOutOfRange(t *testing.T) {
 		return []byte(`{"type":"ris_message","data":{"timestamp":` + ts +
 			`,"peer":"192.0.2.9","peer_asn":"65001","withdrawals":["10.0.0.0/8"]}}`)
 	}
-	c := &Client{cfg: Config{Interner: bgp.NewAttrsInterner(false)}}
+	c := &Client{cfg: Config{Interner: new(bgp.AttrsInterner)}}
 	for _, ts := range []string{"-5", "-0.5", "1e12", "4294967296"} {
 		if err := c.ingest(msg(ts)); err == nil {
 			t.Fatalf("timestamp %s accepted as %d", ts, c.pending[len(c.pending)-1].ts)

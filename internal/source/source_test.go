@@ -58,7 +58,7 @@ func testArchive(t testing.TB) []byte {
 }
 
 func TestFileSourceDeliversUpdatesOnly(t *testing.T) {
-	in := bgp.NewAttrsInterner(false)
+	in := new(bgp.AttrsInterner)
 	s := NewFileReader(bytes.NewReader(testArchive(t)), "mem", in)
 
 	var rec Record
@@ -112,7 +112,7 @@ func TestFileSourceDeliversUpdatesOnly(t *testing.T) {
 }
 
 func TestFileSourceCloseUnsticksNext(t *testing.T) {
-	in := bgp.NewAttrsInterner(false)
+	in := new(bgp.AttrsInterner)
 	s := NewFileReader(bytes.NewReader(testArchive(t)), "mem", in)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -142,7 +142,7 @@ func BenchmarkStreamReplayEpilog(b *testing.B) {
 func BenchmarkDecodeUpdate(b *testing.B) {
 	bodies := updateWireCorpus()
 	var u bgp.Update
-	in := bgp.NewAttrsInterner(false)
+	in := new(bgp.AttrsInterner)
 	for _, body := range bodies { // warm the interner
 		if err := bgp.DecodeUpdateBodyInto(&u, body, in); err != nil {
 			b.Fatal(err)

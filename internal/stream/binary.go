@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -151,7 +152,7 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	ck.Messages = cur.Uvarint()
 	ck.Ops = cur.Uvarint()
 	ck.Records = cur.Uvarint()
-	if err := binenc.FirstErr(cur, r); err != nil {
+	if err := cmp.Or(cur.End(), r.Err()); err != nil {
 		return nil, fmt.Errorf("stream: decode checkpoint cursor: %w", err)
 	}
 
@@ -173,7 +174,7 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 		for i := range blocks {
 			blocks[i] = asec.Bytes(asec.Count(1))
 		}
-		if err := binenc.FirstErr(asec, r); err != nil {
+		if err := cmp.Or(asec.End(), r.Err()); err != nil {
 			return nil, fmt.Errorf("stream: decode checkpoint attrs table: %w", err)
 		}
 	}
@@ -201,11 +202,11 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 		}
 		ck.Routes = append(ck.Routes, pr)
 	}
-	if err := binenc.FirstErr(sec, r); err != nil {
+	if err := cmp.Or(sec.End(), r.Err()); err != nil {
 		return nil, fmt.Errorf("stream: decode checkpoint routes: %w", err)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("stream: %d trailing bytes after binary checkpoint", r.Len())
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("stream: decode binary checkpoint: %w", err)
 	}
 	return ck, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"moas/internal/bgp"
+	"moas/internal/binenc/binenctest"
 )
 
 // tinyCheckpoint builds a small, fully deterministic engine checkpoint
@@ -103,6 +104,35 @@ func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 	resumeMatchesUninterrupted(t, len(cal.Days)/3, 4, 2, thaw)
 	resumeMatchesUninterrupted(t, len(cal.Days)/2, 3, 5, thaw)
+}
+
+// TestBinaryCheckpointRefusesPaddedFrames: one junk byte wrapped into
+// any frame of either container — the kernel frame's snapshot included —
+// or left after its last frame is refused: every frame is read to its
+// end.
+func TestBinaryCheckpointRefusesPaddedFrames(t *testing.T) {
+	v2, err := AppendCheckpointBinary(nil, tinyCheckpoint(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		img    []byte
+		off    int // magic, then one-byte container and struct versions
+		frames []string
+	}{
+		{"v2", v2, len(checkpointMagic) + 2, []string{"cursor", "kernel", "attrs", "routes"}},
+		{"v1", frozen(t, frozenBinaryV1), len(checkpointMagic) + 1, []string{"cursor", "kernel", "routes"}},
+	} {
+		if _, err := DecodeCheckpointBinary(tc.img); err != nil {
+			t.Fatalf("%s: unpadded image: %v", tc.name, err)
+		}
+		for _, c := range binenctest.Padded(t, tc.img, tc.off, tc.frames...) {
+			if _, err := DecodeCheckpointBinary(c.Data); err == nil {
+				t.Errorf("%s: a junk byte in the %s frame was accepted", tc.name, c.Name)
+			}
+		}
+	}
 }
 
 // TestBinaryCheckpointRejectsDamage: truncation at every byte boundary,

@@ -181,10 +181,11 @@ func NewFromCheckpoint(cfg Config, ck *Checkpoint) (*Engine, error) {
 
 	// Rebuild the per-peer route tables, re-sharing identical attribute
 	// blocks the way the interning decode stage does on the live path.
-	// The restore interner is 4-octet (the checkpoint wire form) and
-	// local: a later Replay interns the live 2-octet encoding separately,
-	// and the pointer fast path falls back to Attrs.Equal across the two.
-	restoreIn := bgp.NewAttrsInterner(true)
+	// The restore interner is local, so its table is garbage once the
+	// restore returns instead of living as long as the engine; a later
+	// feed interns through the engine's own, and the pointer fast path
+	// falls back to Attrs.Equal across the two.
+	restoreIn := new(bgp.AttrsInterner)
 	for i := range ck.Routes {
 		pr := &ck.Routes[i]
 		if !pr.Prefix.IsValid() {
@@ -212,7 +213,7 @@ func (s *shard) restoreRoutes(pr *PrefixRoutes, h uint32, peers *peerTable, in *
 	head := s.head(s.k.Acquire(pr.Prefix, h))
 	for i := range pr.Routes {
 		rt := &pr.Routes[i]
-		attrs, err := in.Intern(rt.Attrs)
+		attrs, err := in.Intern(rt.Attrs, true) // the image's blocks are 4-octet
 		if err != nil {
 			return err
 		}

@@ -29,13 +29,6 @@ type Config struct {
 	// Deprecated: no effect; the engine keeps no per-prefix event
 	// history (OnEvent and EpisodeLog are the record of a lifecycle).
 	HistoryLimit int
-	// MaxDistinctAttrs caps the attrs interner's table: when the number of
-	// distinct interned attribute blocks reaches the cap, the interner
-	// drops its table and arenas and starts a fresh epoch, so a
-	// long-running live feed's canonicalization memory plateaus instead of
-	// growing with every attrs block ever seen. 0 = unbounded (the replay
-	// default: an archive's distinct-attrs population is finite).
-	MaxDistinctAttrs int
 	// Deprecated: no effect; the engine keeps no event log.
 	DisableEventLog bool
 	// OnEvent, when non-nil, receives every lifecycle event as it is
@@ -129,11 +122,8 @@ func New(cfg Config) *Engine {
 		// shard: the queue plus one being applied plus one pending), so a
 		// recycled slice is always waiting once the pipeline warms up.
 		opFree:   make(chan []op, cfg.Shards*(shardQueue+2)),
-		interner: bgp.NewAttrsInterner(false),
+		interner: new(bgp.AttrsInterner),
 		failedCh: make(chan struct{}),
-	}
-	if cfg.MaxDistinctAttrs > 0 {
-		e.interner.SetCap(cfg.MaxDistinctAttrs)
 	}
 	e.lastClosed.Store(-1)
 	for i := 0; i < cfg.Shards; i++ {
@@ -370,8 +360,10 @@ func (e *Engine) DistinctAttrs() int {
 
 // Interner exposes the engine's attrs interner for live sources, whose
 // Next decodes on the producer goroutine Run starts: sharing it is what
-// makes a JSON-derived or wire-decoded attrs block land on the same
-// canonical pointer a file replay produces. The interner has one writer
+// makes a wire-decoded attrs block land on the same canonical pointer a
+// file replay produces (a block is canonical per AS width: a RIS Live
+// client's 4-octet blocks and a 2-octet feed's are held apart, and the
+// shards' Attrs.Equal fallback equates them). The interner has one writer
 // at a time (see bgp.AttrsInterner): Replay's framer or the source Run
 // pulls from, and a Replay and a Run on one engine must not overlap.
 // Nothing else may intern through it while either runs; its counters
@@ -531,7 +523,7 @@ type Stats struct {
 	Ops             uint64               `json:"ops"`             // route-level operations dispatched
 	LastClosedDay   int                  `json:"last_closed_day"` // -1 before the first day close
 	DistinctAttrs   int                  `json:"distinct_attrs"`  // attrs blocks interned by the feed's producer (Replay or Run)
-	InternerEpochs  int                  `json:"interner_epochs"` // cap-triggered interner rebuilds (0 = never capped)
+	InternerEpochs  int                  `json:"interner_epochs"` // cap-triggered interner rebuilds (bgp.DefaultInternCap distinct blocks each)
 	InternerBytes   int64                `json:"interner_bytes"`  // approximate retained interner memory
 	RouteNodes      int                  `json:"route_nodes"`     // route-node arena entries carved across all shards
 	KernelStates    int                  `json:"kernel_states"`   // prefix-table entries carved across all shard kernels

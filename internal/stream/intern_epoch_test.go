@@ -17,9 +17,10 @@ import (
 func TestUpsertAcrossInternerEpoch(t *testing.T) {
 	const capN = 8
 	var delivered eventSink
-	e := New(Config{Shards: 1, MaxDistinctAttrs: capN, OnEvent: delivered.add})
+	e := New(Config{Shards: 1, OnEvent: delivered.add})
 	defer e.Close()
 	in := e.Interner()
+	in.SetCap(capN)
 
 	intern := func(first, mid, origin bgp.ASN) *bgp.Attrs {
 		t.Helper()
@@ -28,7 +29,7 @@ func TestUpsertAcrossInternerEpoch(t *testing.T) {
 			ASPath:  bgp.Path{{Type: bgp.SegSequence, ASes: []bgp.ASN{first, mid, origin}}},
 			NextHop: [4]byte{192, 0, 2, 1},
 		}
-		got, err := in.Intern(a.AppendWireEx(nil, in.ASN4()))
+		got, err := in.Intern(a.AppendWire(nil), false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -564,7 +564,7 @@ func TestPullRISMessageOneBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fake.Close()
-	cl, err := rislive.Dial(rislive.Config{URL: fake.URL(), Interner: bgp.NewAttrsInterner(false)})
+	cl, err := rislive.Dial(rislive.Config{URL: fake.URL(), Interner: new(bgp.AttrsInterner)})
 	if err != nil {
 		t.Fatal(err)
 	}

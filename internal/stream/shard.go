@@ -255,7 +255,8 @@ func (s *shard) upsertRoute(head *uint32, peer uint32, a *bgp.Attrs) bool {
 			// carries the exact pointer already stored and never reaches
 			// the deep comparison. Equal stays as the fallback for attrs
 			// from other feeders (direct ApplyUpdate callers, checkpoint
-			// restores, a later interner epoch).
+			// restores, a block of the other AS width, a later interner
+			// epoch).
 			cur := n.attrs &^ noOrigin
 			if c := s.attrs.ptr(cur); c == a || c.Equal(a) {
 				return false

@@ -13,9 +13,10 @@ import (
 // and the committed bytes stop growing once the first epoch has filled.
 func TestInternerCapPlateau(t *testing.T) {
 	const capN = 64
-	e := New(Config{Shards: 1, MaxDistinctAttrs: capN})
+	e := New(Config{Shards: 1})
 	defer e.Close()
 	in := e.Interner()
+	in.SetCap(capN)
 
 	p := bgp.MustParsePrefix("10.0.0.0/8")
 	var pk PeerKey
@@ -30,8 +31,8 @@ func TestInternerCapPlateau(t *testing.T) {
 			ASPath:  bgp.Path{{Type: bgp.SegSequence, ASes: []bgp.ASN{65001, bgp.ASN(100 + i)}}},
 			NextHop: [4]byte{192, 0, 2, 1},
 		}
-		wire = attrs.AppendWireEx(wire[:0], in.ASN4())
-		a, err := in.Intern(wire)
+		wire = attrs.AppendWire(wire[:0])
+		a, err := in.Intern(wire, false)
 		if err != nil {
 			t.Fatal(err)
 		}

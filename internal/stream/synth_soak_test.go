@@ -30,7 +30,9 @@ func TestSynthFlapStormSoak(t *testing.T) {
 	t.Run("capped", func(t *testing.T) { soakFlapStorm(t, 96) })
 }
 
-func soakFlapStorm(t *testing.T, maxDistinctAttrs int) {
+// soakFlapStorm caps the interner at capN; 0 leaves the default cap,
+// which a soak run never reaches.
+func soakFlapStorm(t *testing.T, capN int) {
 	days, flap, churnPfx, cycles := 40, 64, 128, 4
 	if os.Getenv("MOAS_SOAK") != "" {
 		days, flap, churnPfx, cycles = 365, 128, 256, 6
@@ -49,8 +51,11 @@ func soakFlapStorm(t *testing.T, maxDistinctAttrs int) {
 		t.Fatal(err)
 	}
 
-	e := stream.New(stream.Config{Shards: 4, MaxDistinctAttrs: maxDistinctAttrs})
+	e := stream.New(stream.Config{Shards: 4})
 	defer e.Close()
+	if capN > 0 {
+		e.Interner().SetCap(capN)
+	}
 
 	type sample struct {
 		day                                        int
@@ -95,7 +100,7 @@ func soakFlapStorm(t *testing.T, maxDistinctAttrs int) {
 		if s.peers > warm.peers {
 			t.Errorf("day %d: peer table grew past warmup plateau: %d > %d", s.day, s.peers, warm.peers)
 		}
-		if maxDistinctAttrs == 0 && s.internerBytes > warm.internerBytes {
+		if capN == 0 && s.internerBytes > warm.internerBytes {
 			t.Errorf("day %d: interner bytes grew past warmup plateau: %d > %d", s.day, s.internerBytes, warm.internerBytes)
 		}
 	}
@@ -107,7 +112,7 @@ func soakFlapStorm(t *testing.T, maxDistinctAttrs int) {
 	if st.ActiveConflicts != 0 && st.TotalConflicts == 0 {
 		t.Fatalf("degenerate soak: %+v", st)
 	}
-	if maxDistinctAttrs > 0 && st.InternerEpochs < 2 {
+	if capN > 0 && st.InternerEpochs < 2 {
 		t.Fatalf("capped leg saw %d interner epochs, want >= 2: the cap never rolled", st.InternerEpochs)
 	}
 	t.Logf("%d days, %d interner epochs: %d events on a plateau of %d route nodes, %d table entries, %d attrs handles, %d peers, %d interner bytes",

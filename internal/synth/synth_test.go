@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 
+	"moas/internal/bgp"
+	"moas/internal/binenc/binenctest"
 	"moas/internal/core"
 	"moas/internal/mrt"
 	"moas/internal/scenario"
@@ -235,6 +237,25 @@ func TestTruthLogRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeTruthLog(append([]byte("XTRU"), blob[4:]...)); err == nil {
 		t.Fatal("bad magic decoded without error")
+	}
+}
+
+// TestTruthLogRefusesPaddedFrames: one junk byte wrapped into an
+// episode frame, or left after the last one, is refused.
+func TestTruthLogRefusesPaddedFrames(t *testing.T) {
+	eps := []Episode{
+		{Prefix: bgp.MustParsePrefix("10.0.0.0/8"), Origins: []bgp.ASN{7, 9}, Class: core.ClassDistinctPaths, Start: 1, End: 4, Pattern: "flap"},
+		{Prefix: bgp.MustParsePrefix("10.1.0.0/16"), Origins: []bgp.ASN{3}, Start: 2, End: 2, Open: true, Pattern: "leak"},
+	}
+	blob := AppendTruthLog(nil, eps)
+	if _, err := DecodeTruthLog(blob); err != nil {
+		t.Fatalf("unpadded truth log: %v", err)
+	}
+	// Magic, the version byte and the one-byte episode count.
+	for _, c := range binenctest.Padded(t, blob, len(truthMagic)+2, "episode 0", "episode 1") {
+		if _, err := DecodeTruthLog(c.Data); err == nil {
+			t.Errorf("a junk byte in the %s frame was accepted", c.Name)
+		}
 	}
 }
 

@@ -138,7 +138,7 @@ func DecodeTruthLog(data []byte) ([]Episode, error) {
 		ep.Persistent = flags&epFlagPersistent != 0
 		pat := fr.Frame()
 		ep.Pattern = string(pat.Bytes(pat.Len()))
-		if err := binenc.FirstErr(fr, pat); err != nil {
+		if err := fr.End(); err != nil {
 			return nil, fmt.Errorf("synth: truth episode %d: %w", i, err)
 		}
 		if int(ep.Class) >= core.NumClasses {
@@ -149,11 +149,8 @@ func DecodeTruthLog(data []byte) ([]Episode, error) {
 		}
 		eps = append(eps, ep)
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("synth: truth log: %w", err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("synth: truth log: %d trailing bytes", r.Len())
 	}
 	return eps, nil
 }
