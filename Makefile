@@ -21,7 +21,7 @@ race:
 # changes allocation counts: TestCheckpointAllocBudget and
 # TestRunBurstAllocs are //go:build !race, so `race` never runs them.
 allocs:
-	$(GO) test -count=1 -run 'TestCheckpointAllocBudget|TestSteadyStateDecodeDispatchZeroAlloc|TestAppendAllocs|TestHealthzCostIndependentOfState|TestSpeakerNextAllocs|TestRunBurstAllocs|TestInternHitAllocs' \
+	$(GO) test -count=1 -run 'TestCheckpointAllocBudget|TestSteadyStateDecodeDispatchZeroAlloc|TestAppendAllocs|TestHealthzCostIndependentOfState|TestSpeakerNextAllocs|TestRunBurstAllocs|TestInternHitAllocs|TestInternMissAllocs' \
 		./internal/stream/ ./internal/epilog/ ./internal/serve/ ./internal/source/bgpd/ ./internal/bgp/
 
 # bench prints the stream layer's go-test benchmarks — the ones that
@@ -125,8 +125,9 @@ docscheck:
 # no driver, no engine. The kernel and the episode log know nothing of
 # each other: the records they exchange (Episode, Class) are declared
 # once, in internal/core. The MRT edge stays a leaf: internal/mrt links
-# no moas package but internal/bgp, and mrtdump none of the simulator,
-# collector, engine or daemon. serve is the one layer that speaks JSON:
+# no moas package but internal/bgp and the leaf internal/arena under it,
+# and mrtdump none of the simulator, collector, engine or daemon. serve
+# is the one layer that speaks JSON:
 # the kernel and the engine link no encoding/json, so their images have
 # one encoding, the binary one. `go list -deps` excludes test imports,
 # so the stream tests may still replay scenario archives.
@@ -137,7 +138,7 @@ depcheck:
 		$(GO) list -deps ./internal/analysis | grep -xE 'moas/internal/(driver|scenario|simnet|topology|kernel|stream)' | sed 's|^|internal/analysis links |'; \
 		$(GO) list -deps ./internal/kernel | grep -xE 'moas/internal/epilog|encoding/json' | sed 's|^|internal/kernel links |'; \
 		$(GO) list -deps ./internal/epilog | grep -xE 'moas/internal/kernel' | sed 's|^|internal/epilog links |'; \
-		$(GO) list -deps ./internal/mrt | grep -E '^moas(/|$$)' | grep -vxE 'moas/internal/(mrt|bgp)' | sed 's|^|internal/mrt links |'; \
+		$(GO) list -deps ./internal/mrt | grep -E '^moas(/|$$)' | grep -vxE 'moas/internal/(mrt|bgp|arena)' | sed 's|^|internal/mrt links |'; \
 		$(GO) list -deps ./cmd/mrtdump | grep -xE 'moas/internal/(scenario|simnet|topology|collector|stream|serve)' | sed 's|^|cmd/mrtdump links |'; \
 	} ); \
 	if [ -n "$$bad" ]; then echo "$$bad"; exit 1; fi

@@ -1,4 +1,4 @@
-package ptable
+package arena
 
 import (
 	"math/bits"

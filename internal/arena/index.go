@@ -1,4 +1,14 @@
-package ptable
+// Package arena holds the two structures the engine's hot tables are
+// built from: Index, the repository's one open-addressed hash index
+// from a 32-bit hash to a dense uint32 ref, and Chunks, a grow-only
+// arena of values addressed by such a ref. Index holds no pointer, and
+// Chunks none beyond its values' own, so a table of pointer-free values
+// costs the garbage collector nothing per element. Neither knows what
+// its keys are: the prefix table (ptable), the interner of attribute
+// blocks (bgp) and a shard's attrs handles (stream) each keep their
+// keys and supply the equality. The package imports no other package
+// of the module, so every layer may use it.
+package arena
 
 // cell is one slot of an Index: the key's hash, kept so that growth and
 // deletion never touch the keys, and the key's ref plus one (zero marks
@@ -25,6 +35,10 @@ type Index struct {
 
 // Len returns the number of refs in the index.
 func (x *Index) Len() int { return x.live }
+
+// Cells returns the length of the cell array, 8 bytes a cell: the
+// index's whole footprint.
+func (x *Index) Cells() int { return len(x.cells) }
 
 // Find returns the ref stored under hash h for which eq reports true.
 // eq is only asked about refs whose stored hash equals h.

@@ -278,14 +278,15 @@ func (p Path) AppendWire(dst []byte) []byte { return p.appendWireSized(dst, 2) }
 // (RFC 6396 §4.3.4) and AS4_PATH.
 func (p Path) AppendWire4(dst []byte) []byte { return p.appendWireSized(dst, 4) }
 
+// appendWireSized writes each segment as one or more wire segments of
+// at most 255 ASes. An empty segment, which a decoded path keeps, is
+// written too: dropping it would change the path's origin (Origin
+// reads the last segment) across an encode and decode.
 func (p Path) appendWireSized(dst []byte, size int) []byte {
 	for _, s := range p {
 		ases := s.ASes
-		for len(ases) > 0 {
-			n := len(ases)
-			if n > 255 {
-				n = 255
-			}
+		for {
+			n := min(len(ases), 255)
 			dst = append(dst, byte(s.Type), byte(n))
 			for _, a := range ases[:n] {
 				if size == 4 {
@@ -293,7 +294,9 @@ func (p Path) appendWireSized(dst []byte, size int) []byte {
 				}
 				dst = append(dst, byte(a>>8), byte(a))
 			}
-			ases = ases[n:]
+			if ases = ases[n:]; len(ases) == 0 {
+				break
+			}
 		}
 	}
 	return dst

@@ -120,6 +120,22 @@ func TestPathWireRoundTrip(t *testing.T) {
 			t.Errorf("wire round trip %q -> %q", s, q.String())
 		}
 	}
+	// Empty segments survive too, and with them the answer of Origin.
+	for _, p := range []Path{
+		{{Type: SegSequence, ASes: []ASN{701, 1239}}, {Type: SegSequence}},
+		{{Type: SegSequence}, {Type: SegSet}},
+	} {
+		q, err := DecodePathWire(p.AppendWire(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Equal(q) {
+			t.Errorf("wire round trip of %d segments gave %d", len(p), len(q))
+		}
+		if _, ok := q.Origin(); ok {
+			t.Errorf("path ending in an empty segment has an origin after a round trip")
+		}
+	}
 }
 
 func TestPathWireLongSegmentSplit(t *testing.T) {

@@ -59,19 +59,24 @@ type Aggregator struct {
 // Attrs carries the decoded path attributes of a route. Presence of the
 // optional numeric attributes is tracked by the Has* flags so that zero
 // values remain representable.
+//
+// The fields are ordered by size — slices and the pointer, then the
+// 4-byte fields, then the 1-byte ones — so the struct packs into 72
+// bytes with no padding (TestAttrsSize); every block the interner holds
+// is one of these.
 type Attrs struct {
-	Origin  Origin
-	ASPath  Path
-	NextHop [4]byte
+	ASPath      Path
+	Communities []uint32
+	Aggregator  *Aggregator
 
-	MED          uint32
-	HasMED       bool
-	LocalPref    uint32
-	HasLocalPref bool
+	NextHop   [4]byte
+	MED       uint32
+	LocalPref uint32
 
+	Origin          Origin
+	HasMED          bool
+	HasLocalPref    bool
 	AtomicAggregate bool
-	Aggregator      *Aggregator
-	Communities     []uint32
 }
 
 // Clone returns a deep copy of a.
@@ -199,10 +204,12 @@ func (a *Attrs) DecodeAttrsEx(b []byte, asn4 bool) error {
 // blocks through one scratch Attrs allocates nothing in steady state.
 // That is only sound when nothing else aliases a's old contents; the
 // AttrsInterner's scratch is the intended caller. A zero a is the
-// allocating case.
+// allocating case. A block without COMMUNITIES leaves an empty slice over
+// the old backing rather than nil, so a stream that mixes blocks with
+// and without them keeps one backing.
 func (a *Attrs) decodeAttrsInto(b []byte, asn4 bool) error {
 	old := *a
-	*a = Attrs{}
+	*a = Attrs{Communities: old.Communities[:0]}
 	for len(b) > 0 {
 		if len(b) < 3 {
 			return fmt.Errorf("%w: truncated header", ErrBadAttrs)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"cmp"
 	"sync/atomic"
+	"unsafe"
+
+	"moas/internal/arena"
 )
 
 // AttrsInterner is a hash-consing table for decoded path attribute blocks,
@@ -16,10 +19,14 @@ import (
 //
 // Misses are nearly allocation-free too: the block is decoded into a
 // reusable scratch value and then committed into chunked arenas (Attrs
-// values, path segments, AS numbers, communities, key bytes), so the
-// steady-state cost of N distinct blocks is O(N) bytes in a handful of
-// chunk allocations rather than several heap objects per block. For a
-// bounded archive the arenas only grow — the footprint is proportional
+// values, table entries, path segments, AS numbers, communities, key
+// bytes), so the steady-state cost of N distinct blocks is O(N) bytes
+// in a handful of chunk allocations rather than several heap objects
+// per block. The table itself is an arena.Index from the hash of the
+// wire bytes to the block's number, and a block's entry names its wire
+// bytes by chunk, offset and length: neither holds a pointer, so the
+// garbage collector traces nothing per block but the Attrs value. For
+// a bounded archive the arenas only grow — the footprint is proportional
 // to the distinct blocks seen, which for BGP feeds is small and stable.
 // An unbounded live feed is different: distinct blocks accrue forever
 // (path churn, communities carrying timestamps), so every interner is
@@ -64,35 +71,35 @@ type AttrsInterner struct {
 	epochs atomic.Int64 // rebuilds performed (0 until the first cap hit)
 	bytes  atomic.Int64 // approximate arena bytes committed this epoch
 
-	// m maps an FNV-1a hash of the wire bytes to the head of a chain of
-	// entries (collisions, and one block held at both AS widths, resolved
-	// by comparing width and bytes). Indexing entries by position keeps
-	// the table pointer-free and the probe alloc-free.
-	// Created lazily on the first commit of an epoch (probing a nil map is
-	// a miss), so constructing an interner allocates nothing.
-	m       map[uint64]int32
-	entries []internEntry
+	// idx finds a block's number by a hash of its wire bytes (collisions,
+	// and one block held at both AS widths, resolved by comparing width
+	// and bytes); block i's key is entries.At(i) and its decoded value
+	// blocks.At(i). The zero index and arenas allocate nothing until the
+	// first commit of an epoch.
+	idx     arena.Index
+	entries arena.Chunks[internEntry]
+	blocks  arena.Chunks[Attrs]
+	keys    [][]byte // wire-byte chunks; only the last one has room
 
-	scratch Attrs // reusable decode target for misses
+	scratch Attrs      // reusable decode target for misses
+	agg     Aggregator // the scratch decode's aggregator storage
 
-	// Arenas. attrsArena and aggArena hand out interior pointers, so a
-	// full chunk is replaced rather than grown (append within capacity
-	// never moves the backing array). The slice arenas hand out
-	// full-capacity sub-slices, so appends by holders cannot bleed into
-	// neighboring allocations.
-	attrsArena []Attrs
-	aggArena   []Aggregator
-	segArena   []Segment
-	asnArena   []ASN
-	u32Arena   []uint32
-	keyArena   []byte
+	// Arenas for the parts of a block. aggArena hands out interior
+	// pointers, so a full chunk is replaced rather than grown (append
+	// within capacity never moves the backing array). The slice arenas
+	// hand out full-capacity sub-slices, so appends by holders cannot
+	// bleed into neighboring allocations.
+	aggArena []Aggregator
+	segArena []Segment
+	asnArena []ASN
+	u32Arena []uint32
 }
 
+// internEntry is a block's key: its wire bytes, keys[chunk][off:off+n],
+// and the AS width they were interned at.
 type internEntry struct {
-	wire  []byte // exact attribute block bytes (keyArena sub-slice)
-	attrs *Attrs
-	next  int32 // chain link, -1 terminates
-	asn4  bool  // the AS width wire was interned at; fills padding
+	chunk, off, n uint32
+	asn4          bool
 }
 
 // DefaultInternCap is the number of distinct attribute blocks every
@@ -129,12 +136,14 @@ func (in *AttrsInterner) Epochs() int { return int(in.epochs.Load()) }
 // goroutine.
 func (in *AttrsInterner) Bytes() int64 { return in.bytes.Load() }
 
-// Per-block byte estimates for Bytes accounting. Exact sizes depend on
-// architecture and chunk rounding; these track the dominant terms.
+// Per-block byte estimates for Bytes accounting, beside each block's
+// wire bytes, path and communities; the index adds its cells as they are
+// allocated. Chunk rounding is left out.
 const (
-	internAttrsBytes   = 96 // one Attrs value
-	internSegmentBytes = 32 // one path segment header
-	internEntryBytes   = 48 // one table entry + map slot
+	internAttrsBytes   = int(unsafe.Sizeof(Attrs{}))       // one Attrs value
+	internEntryBytes   = int(unsafe.Sizeof(internEntry{})) // one table entry
+	internSegmentBytes = int(unsafe.Sizeof(Segment{}))     // one path segment header
+	internCellBytes    = 8                                 // one arena.Index cell
 )
 
 // Intern returns the canonical *Attrs for the attribute block wire,
@@ -144,31 +153,28 @@ const (
 // arenas. The returned value is shared: callers must not mutate it.
 func (in *AttrsInterner) Intern(wire []byte, asn4 bool) (*Attrs, error) {
 	h := hashBytes(wire)
-	head, ok := in.m[h]
-	if !ok {
-		head = -1
+	if i, ok := in.idx.Find(h, func(i uint32) bool {
+		e := in.entries.At(i)
+		return e.asn4 == asn4 && bytes.Equal(in.key(e), wire)
+	}); ok {
+		return in.blocks.At(i), nil
 	}
-	for i := head; i >= 0; i = in.entries[i].next {
-		if e := &in.entries[i]; e.asn4 == asn4 && bytes.Equal(e.wire, wire) {
-			return e.attrs, nil
-		}
-	}
+	in.scratch.Aggregator = &in.agg // decodeAttrsInto recycles it
 	if err := in.scratch.decodeAttrsInto(wire, asn4); err != nil {
 		return nil, err
 	}
 	if in.n.Load() >= cmp.Or(in.capN, DefaultInternCap) {
 		// Cap hit: this commit lands in a fresh epoch. The table and
 		// arenas go to the GC, kept alive only by still-referenced blocks.
-		in.m, in.entries = nil, nil
-		in.attrsArena, in.aggArena, in.segArena = nil, nil, nil
-		in.asnArena, in.u32Arena, in.keyArena = nil, nil, nil
+		in.idx, in.entries, in.blocks, in.keys = arena.Index{}, arena.Chunks[internEntry]{}, arena.Chunks[Attrs]{}, nil
+		in.aggArena, in.segArena, in.asnArena, in.u32Arena = nil, nil, nil, nil
 		in.n.Store(0)
 		in.bytes.Store(0)
 		in.epochs.Add(1)
-		head = -1
 	}
-	a := in.commit(wire, asn4, h, head)
-	sz := internAttrsBytes + internEntryBytes + len(wire)
+	cells := in.idx.Cells()
+	a := in.commit(wire, asn4, h)
+	sz := internAttrsBytes + internEntryBytes + len(wire) + internCellBytes*(in.idx.Cells()-cells)
 	for _, seg := range a.ASPath {
 		sz += internSegmentBytes + 4*len(seg.ASes)
 	}
@@ -178,26 +184,25 @@ func (in *AttrsInterner) Intern(wire []byte, asn4 bool) (*Attrs, error) {
 	return a, nil
 }
 
-// commit copies the scratch decode into the arenas and links the new
-// entry at the head of hash h's chain.
-func (in *AttrsInterner) commit(wire []byte, asn4 bool, h uint64, head int32) *Attrs {
-	if in.m == nil {
-		// First commit of this epoch: size for a typical feed's distinct
-		// blocks so the table reaches steady state without growth
-		// re-allocations.
-		in.m = make(map[uint64]int32, 4096)
-		in.entries = make([]internEntry, 0, 4096)
-	}
-	a := in.allocAttrs()
+// commit copies the scratch decode into the arenas as the next block and
+// indexes it under hash h.
+func (in *AttrsInterner) commit(wire []byte, asn4 bool, h uint32) *Attrs {
+	i := in.blocks.Alloc()
+	a := in.blocks.At(i)
 	*a = in.scratch
 	a.ASPath = in.copyPath(in.scratch.ASPath)
 	a.Communities = in.copyU32(in.scratch.Communities)
 	if in.scratch.Aggregator != nil {
 		a.Aggregator = in.allocAgg(*in.scratch.Aggregator)
 	}
-	in.entries = append(in.entries, internEntry{wire: in.copyKey(wire), attrs: a, next: head, asn4: asn4})
-	in.m[h] = int32(len(in.entries) - 1)
+	*in.entries.At(in.entries.Alloc()) = in.copyKey(wire, asn4)
+	in.idx.Insert(h, i)
 	return a
+}
+
+// key returns the wire bytes of an entry.
+func (in *AttrsInterner) key(e *internEntry) []byte {
+	return in.keys[e.chunk][e.off : e.off+e.n]
 }
 
 // Len returns the number of distinct attribute blocks held in the
@@ -207,21 +212,14 @@ func (in *AttrsInterner) Len() int {
 	return int(in.n.Load())
 }
 
-// hashBytes is FNV-1a over b.
-func hashBytes(b []byte) uint64 {
+// hashBytes is FNV-1a over b, folded to the 32 bits an arena.Index
+// keeps.
+func hashBytes(b []byte) uint32 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
 		h = (h ^ uint64(c)) * 1099511628211
 	}
-	return h
-}
-
-func (in *AttrsInterner) allocAttrs() *Attrs {
-	if len(in.attrsArena) == cap(in.attrsArena) {
-		in.attrsArena = make([]Attrs, 0, 512)
-	}
-	in.attrsArena = append(in.attrsArena, Attrs{})
-	return &in.attrsArena[len(in.attrsArena)-1]
+	return uint32(h ^ h>>32)
 }
 
 func (in *AttrsInterner) allocAgg(v Aggregator) *Aggregator {
@@ -263,7 +261,7 @@ func (in *AttrsInterner) copyASNs(v []ASN) []ASN {
 }
 
 func (in *AttrsInterner) copyU32(v []uint32) []uint32 {
-	if v == nil {
+	if len(v) == 0 {
 		return nil
 	}
 	if len(in.u32Arena)+len(v) > cap(in.u32Arena) {
@@ -275,12 +273,13 @@ func (in *AttrsInterner) copyU32(v []uint32) []uint32 {
 	return in.u32Arena[off:end:end]
 }
 
-func (in *AttrsInterner) copyKey(b []byte) []byte {
-	if len(in.keyArena)+len(b) > cap(in.keyArena) {
-		in.keyArena = make([]byte, 0, max(1<<16, len(b)))
+// copyKey copies b into the key chunks and returns its entry.
+func (in *AttrsInterner) copyKey(b []byte, asn4 bool) internEntry {
+	if n := len(in.keys); n == 0 || len(in.keys[n-1])+len(b) > cap(in.keys[n-1]) {
+		in.keys = append(in.keys, make([]byte, 0, max(1<<16, len(b))))
 	}
-	off := len(in.keyArena)
-	in.keyArena = append(in.keyArena, b...)
-	end := len(in.keyArena)
-	return in.keyArena[off:end:end]
+	last := len(in.keys) - 1
+	off := len(in.keys[last])
+	in.keys[last] = append(in.keys[last], b...)
+	return internEntry{chunk: uint32(last), off: uint32(off), n: uint32(len(b)), asn4: asn4}
 }

@@ -1,8 +1,12 @@
 package bgp
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
+
+	"moas/internal/ptable/ptabletest"
 )
 
 // wireFor encodes a minimal distinct attribute block: origin IGP, a
@@ -161,16 +165,95 @@ func TestInternerKeysByWidth(t *testing.T) {
 	}
 }
 
-// TestInternEntrySize: the width rides in the entry's padding, so the
-// table costs what it cost before it kept one.
+// TestInternEntrySize: a table entry holds no pointer — its wire bytes
+// are found by chunk, offset and length — so the entry arena is
+// invisible to the garbage collector, and it stays within 16 bytes.
 func TestInternEntrySize(t *testing.T) {
-	type widthless struct {
-		wire  []byte
-		attrs *Attrs
-		next  int32
+	if typ := reflect.TypeOf(internEntry{}); !ptabletest.PointerFree(typ) {
+		t.Errorf("%s contains pointers", typ)
 	}
-	if got, want := unsafe.Sizeof(internEntry{}), unsafe.Sizeof(widthless{}); got != want {
-		t.Fatalf("internEntry is %d bytes, %d without its width", got, want)
+	if n := unsafe.Sizeof(internEntry{}); n > 16 {
+		t.Errorf("internEntry is %d bytes, want <= 16", n)
+	}
+}
+
+// TestAttrsSize: the fields of Attrs pack without padding, and every
+// interned block is one Attrs.
+func TestAttrsSize(t *testing.T) {
+	if n := unsafe.Sizeof(Attrs{}); n > 72 {
+		t.Errorf("Attrs is %d bytes, want <= 72", n)
+	}
+}
+
+// distinctWires returns n distinct attribute blocks shaped like a table
+// feed's: one two-hop path each, a MED on every other block and a
+// community on every third.
+func distinctWires(n int) [][]byte {
+	wires := make([][]byte, n)
+	for i := range wires {
+		a := &Attrs{
+			ASPath:  Seq(64500, ASN(1000+i)),
+			NextHop: [4]byte{10, 0, byte(i >> 8), byte(i)},
+			MED:     uint32(i),
+			HasMED:  i%2 == 0,
+		}
+		if i%3 == 0 {
+			a.Communities = []uint32{uint32(i)}
+		}
+		wires[i] = a.AppendWire(nil)
+	}
+	return wires
+}
+
+// heapInuse returns the heap in use after two collections.
+func heapInuse() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapInuse
+}
+
+// TestInternerBytesTracksHeap: Bytes, which /stats reports as
+// interner_bytes, is within 20 % of the heap the interner holds after
+// interning N distinct blocks.
+func TestInternerBytesTracksHeap(t *testing.T) {
+	const n = 1 << 16
+	wires := distinctWires(n)
+	before := heapInuse()
+	in := new(AttrsInterner)
+	for _, w := range wires {
+		if _, err := in.Intern(w, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := float64(heapInuse()) - float64(before)
+	got := float64(in.Bytes())
+	t.Logf("%d blocks: Bytes %.2f MB, heap delta %.2f MB (%.0f vs %.0f bytes a block)", n, got/1e6, held/1e6, got/n, held/n)
+	if got < 0.8*held || got > 1.2*held {
+		t.Errorf("Bytes %.0f, heap delta %.0f: off by more than 20 %%", got, held)
+	}
+	runtime.KeepAlive(in)
+	runtime.KeepAlive(wires) // in the heap before and after
+}
+
+// TestInternMissAllocs: interning N distinct blocks allocates only when
+// an arena chunk fills or the index grows, never per block (the
+// allocation guard `make allocs` runs).
+func TestInternMissAllocs(t *testing.T) {
+	const n = 1 << 14
+	wires := distinctWires(n)
+	allocs := testing.AllocsPerRun(2, func() {
+		in := new(AttrsInterner)
+		for _, w := range wires {
+			if _, err := in.Intern(w, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("%d distinct blocks: %.0f allocations", n, allocs)
+	if allocs > n/64 {
+		t.Fatalf("%.0f allocations for %d distinct blocks, want <= %d", allocs, n, n/64)
 	}
 }
 

@@ -14,6 +14,7 @@ package kernel
 import (
 	"sort"
 
+	"moas/internal/arena"
 	"moas/internal/bgp"
 	"moas/internal/core"
 	"moas/internal/ptable"
@@ -139,13 +140,13 @@ type Kernel struct {
 	// its own per-prefix route lists and drives observations in by id
 	// (ApplyAt), so a route op probes the table exactly once.
 	tab  ptable.Table[rec]
-	exts ptable.Chunks[ext]
+	exts arena.Chunks[ext]
 	// recs holds, under its ext's index, the lifetime record of a prefix
 	// with a lifecycle — the paper's one record per conflicted prefix. It
 	// is nil until the first day close that finds the prefix in conflict
 	// (a live feed closes no day for hours, a same-day flap never meets
 	// one); conflicts counts the others.
-	recs      ptable.Chunks[*core.Conflict]
+	recs      arena.Chunks[*core.Conflict]
 	conflicts int
 	// active lists the ids currently in conflict, in no particular order
 	// (ext.activeAt is each one's position), so a day close costs

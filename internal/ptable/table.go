@@ -1,8 +1,8 @@
 // Package ptable is the prefix index under the streaming hot path: a
 // 64-bit prefix hash (one mix picks both the engine shard and the table
-// slot), an open-addressed, pointer-free table that maps a prefix to a
-// dense id with one caller-defined value per id, and the chunked arena
-// the table and its users grow by. A Go map keyed on the 18-byte
+// slot) and an open-addressed, pointer-free table that maps a prefix to
+// a dense id with one caller-defined value per id, built on the index
+// and the chunked arena of package arena. A Go map keyed on the 18-byte
 // bgp.Prefix spends most of a route op hashing, comparing and chasing
 // bucket pointers across a million-entry working set; here a lookup is
 // one probe into an 8-byte slot array plus one load of the id's entry,
@@ -13,6 +13,7 @@ package ptable
 import (
 	"encoding/binary"
 
+	"moas/internal/arena"
 	"moas/internal/bgp"
 )
 
@@ -69,12 +70,12 @@ type entry[V any] struct {
 
 // Table maps prefixes to dense uint32 ids, each carrying one V. Ids are
 // recycled: a deleted id is handed to the next Insert with a zeroed V.
-// An Index finds a prefix's id; the entries it points at never move.
+// An arena.Index finds a prefix's id; the entries it points at never move.
 // Not safe for concurrent use.
 type Table[V any] struct {
-	idx      Index
-	ents     Chunks[entry[V]]
-	side     Chunks[bgp.Prefix]
+	idx      arena.Index
+	ents     arena.Chunks[entry[V]]
+	side     arena.Chunks[bgp.Prefix]
 	sideFree []uint32
 	freeID   uint32 // head of the recycled-id chain plus one; 0 when empty
 }

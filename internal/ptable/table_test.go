@@ -23,6 +23,10 @@ type modelEntry struct {
 	val uint64
 }
 
+// minCells is the length of an arena.Index's first cell array, which
+// TestTableGrowthEdge checks.
+const minCells = 256
+
 func newModel(t *testing.T) *model {
 	return &model{t: t, ref: make(map[bgp.Prefix]modelEntry)}
 }
@@ -246,13 +250,13 @@ func TestTableGrowthEdge(t *testing.T) {
 	for i := 0; i < limit; i++ {
 		m.insert(v4(uint32(i)<<8, 24), uint64(i)+1)
 	}
-	if len(m.tab.idx.cells) != minCells {
-		t.Fatalf("%d slots at the load limit of %d keys, want %d", len(m.tab.idx.cells), limit, minCells)
+	if m.tab.idx.Cells() != minCells {
+		t.Fatalf("%d slots at the load limit of %d keys, want %d", m.tab.idx.Cells(), limit, minCells)
 	}
 	m.check()
 	m.insert(v4(uint32(limit)<<8, 24), 7)
-	if len(m.tab.idx.cells) != 2*minCells {
-		t.Fatalf("%d slots one key past the load limit, want %d", len(m.tab.idx.cells), 2*minCells)
+	if m.tab.idx.Cells() != 2*minCells {
+		t.Fatalf("%d slots one key past the load limit, want %d", m.tab.idx.Cells(), 2*minCells)
 	}
 	m.check()
 	for i := 0; i <= limit; i++ {
@@ -265,38 +269,10 @@ func TestTableGrowthEdge(t *testing.T) {
 	m.check() // includes Carved == limit+1: the IPv6 keys took the recycled ids
 }
 
-// TestChunksStable pins the arena's contract: indices are dense, fresh
-// elements are zero, and a pointer taken before growth still addresses
-// its element after it.
-func TestChunksStable(t *testing.T) {
-	var c Chunks[[3]uint64]
-	first := c.At(c.Alloc())
-	first[0] = 42
-	for i := 1; i < 5000; i++ {
-		if got := c.Alloc(); got != uint32(i) {
-			t.Fatalf("Alloc #%d returned %d", i, got)
-		}
-		if *c.At(uint32(i)) != ([3]uint64{}) {
-			t.Fatalf("element %d not zero", i)
-		}
-		c.At(uint32(i))[1] = uint64(i)
-	}
-	if c.At(0) != first || first[0] != 42 {
-		t.Fatal("element 0 moved while the arena grew")
-	}
-	if c.Len() != 5000 || len(c.chunks) < 2 {
-		t.Fatalf("Len %d in %d chunks", c.Len(), len(c.chunks))
-	}
-	if got := len(c.chunks[0]) * 24; got > chunkBytes {
-		t.Fatalf("chunk of %d bytes, want <= %d", got, chunkBytes)
-	}
-}
-
 // TestTablePointerFree is the guard on the table's own storage: nothing
 // the garbage collector would have to trace per prefix.
 func TestTablePointerFree(t *testing.T) {
 	for _, typ := range []reflect.Type{
-		reflect.TypeOf(cell{}),
 		reflect.TypeOf(entry[uint64]{}),
 		reflect.TypeOf(bgp.Prefix{}),
 	} {

@@ -401,6 +401,9 @@ func parsePath(raw []json.RawMessage) (bgp.Path, error) {
 				return nil, fmt.Errorf("rislive: path set: %w", err)
 			}
 			flush()
+			if len(set) == 0 {
+				continue // names no AS: no segment, so it cannot end the path
+			}
 			ases := make([]bgp.ASN, len(set))
 			for i, as := range set {
 				ases[i] = bgp.ASN(as)

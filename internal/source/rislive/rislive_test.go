@@ -286,6 +286,15 @@ func TestParsePathSegments(t *testing.T) {
 		t.Fatalf("path %+v, want %+v", path, want)
 	}
 
+	// An empty AS_SET adds no segment, so the path keeps its origin.
+	path, err = parsePath(toRaw(t, []any{uint32(1), uint32(2), []uint32{}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if origin, ok := path.Origin(); !ok || origin != 2 {
+		t.Fatalf("path %+v ending in an empty set: origin %d, %v; want 2", path, origin, ok)
+	}
+
 	// A hop or AS_SET member past 2^32-1 is no AS number: refused, not
 	// truncated to its low 32 bits.
 	for _, raw := range [][]any{

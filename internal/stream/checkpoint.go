@@ -129,7 +129,7 @@ func (s *shard) routesImage(peers []PeerKey) []PrefixRoutes {
 			routes = append(routes, PeerRouteSnap{
 				PeerIP: PeerIP(peer.IP),
 				PeerAS: peer.AS,
-				Attrs:  blocks[n.attrs&^noOrigin],
+				Attrs:  blocks[n.attrs],
 			})
 			i = n.next
 		}

@@ -271,6 +271,34 @@ func TestArchiveCalendar(t *testing.T) {
 	if _, err := ArchiveCalendar(bytes.NewReader(nil)); err == nil {
 		t.Fatal("ArchiveCalendar accepted an empty archive")
 	}
+
+	// Timestamps that go back a day, and to a day already left twice:
+	// the calendar is still each message day once, in order, with the
+	// gap before day 9 kept. A state change on a day of its own carries
+	// no message and adds no day.
+	const daySecs = 86400
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	msg := &mrt.BGP4MPMessage{PeerAS: 64501, LocalAS: 65000, Family: bgp.FamilyIPv4,
+		Data: (&bgp.Update{Withdrawn: []bgp.Prefix{bgp.MustParsePrefix("10.0.0.0/8")}}).AppendWire(nil)}
+	for _, day := range []uint32{5, 5, 6, 5, 7, 6, 6, 5, 9} {
+		if err := w.WriteBGP4MPMessage(day*daySecs+day, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.WriteBGP4MPStateChange(8*daySecs, &mrt.BGP4MPStateChange{PeerAS: 64501, LocalAS: 65000, Family: bgp.FamilyIPv4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ArchiveCalendar(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := NewCalendar([]int{0, 1, 2, 4}, func(d int) uint32 { return uint32(5+d) * daySecs }); !reflect.DeepEqual(back, want) {
+		t.Fatalf("calendar of an archive that goes back in time: %+v, want %+v", back, want)
+	}
 }
 
 // TestNewCalendar: the calendar of a known writer keeps the days it is

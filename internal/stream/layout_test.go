@@ -12,14 +12,14 @@ import (
 
 // TestHotLayouts guards the sizes and the pointer-freedom the measured
 // gain rests on, so neither can rot silently: the route-node arena must
-// stay invisible to the garbage collector at 16 bytes a route, and an op
+// stay invisible to the garbage collector at 12 bytes a route, and an op
 // must stay within 40 bytes with exactly one pointer (the attrs block).
 func TestHotLayouts(t *testing.T) {
 	if typ := reflect.TypeOf(routeNode{}); !ptabletest.PointerFree(typ) {
 		t.Errorf("%s contains pointers", typ)
 	}
-	if n := unsafe.Sizeof(routeNode{}); n > 16 {
-		t.Errorf("routeNode is %d bytes, want <= 16", n)
+	if n := unsafe.Sizeof(routeNode{}); n > 12 {
+		t.Errorf("routeNode is %d bytes, want <= 12", n)
 	}
 	if n := unsafe.Sizeof(op{}); n > 40 {
 		t.Errorf("op is %d bytes, want <= 40", n)
@@ -29,13 +29,16 @@ func TestHotLayouts(t *testing.T) {
 // TestAttrTableAgainstMap drives random hold/drop sequences through the
 // handle table and checks it against a refcount map: a pointer keeps one
 // handle while any route holds it, the handle is recycled when the last
-// one drops it, and the table never holds more handles than were live
-// at once.
+// one drops it, the table never holds more handles than were live at
+// once, and a handle's origin is its block's, also on a recycled handle.
 func TestAttrTableAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	blocks := make([]*bgp.Attrs, 700) // past two index growths
 	for i := range blocks {
 		blocks[i] = &bgp.Attrs{MED: uint32(i)}
+		if i%3 != 0 { // every third block has no path, so no origin
+			blocks[i].ASPath = bgp.Seq(701, bgp.ASN(i))
+		}
 	}
 	var tab attrTable
 	type held struct {
@@ -64,6 +67,9 @@ func TestAttrTableAgainstMap(t *testing.T) {
 		}
 		if tab.ptr(h) != a {
 			t.Fatalf("step %d: handle %d resolves to another block", step, h)
+		}
+		if as, ok := a.ASPath.Origin(); tab.origin(h) != (handleOrigin{as, ok}) {
+			t.Fatalf("step %d: handle %d has origin %+v, its block %d/%v", step, h, tab.origin(h), as, ok)
 		}
 		highWater = max(highWater, len(ref))
 	}

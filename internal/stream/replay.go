@@ -135,6 +135,9 @@ func (e *Engine) Replay(r io.Reader, cal Calendar, opts *ReplayOptions) error {
 func ArchiveCalendar(r io.Reader) (Calendar, error) {
 	const daySecs = 86400
 	seen := make(map[uint32]struct{}) // UTC day number (timestamp / 86400)
+	// An archive's records run in time order, so a day changes far less
+	// often than a record arrives: the set is written only on a change.
+	var last uint32
 	fr := mrt.NewFramer(r)
 	for {
 		// A header walk: Skip discards bodies without copying them.
@@ -148,7 +151,10 @@ func ArchiveCalendar(r io.Reader) (Calendar, error) {
 		if !h.CarriesMessage() {
 			continue
 		}
-		seen[h.Timestamp/daySecs] = struct{}{}
+		if d := h.Timestamp / daySecs; len(seen) == 0 || d != last {
+			seen[d] = struct{}{}
+			last = d
+		}
 	}
 	if len(seen) == 0 {
 		return Calendar{}, errors.New("stream: no BGP4MP messages in archive")

@@ -3,11 +3,11 @@ package stream
 import (
 	"sync"
 
+	"moas/internal/arena"
 	"moas/internal/bgp"
 	"moas/internal/core"
 	"moas/internal/epilog"
 	"moas/internal/kernel"
-	"moas/internal/ptable"
 	"moas/internal/rib"
 	"moas/internal/supervise"
 )
@@ -46,19 +46,15 @@ type batch struct {
 // feed — recycles nodes through the shard free list instead of
 // reallocating maps. Peer counts per prefix are small (a collector has
 // tens of peers), so the linear list walk beats a map on both allocation
-// and locality. A node is 16 pointer-free bytes: the garbage collector
-// never looks inside the arena, and the route's origin AS is cached at
-// upsert so reassessing a prefix reads nothing but its nodes.
+// and locality. A node is 12 pointer-free bytes: the garbage collector
+// never looks inside the arena, and the route's origin AS is a property
+// of its attrs handle, so reassessing a prefix reads its nodes and one
+// handle origin per node.
 type routeNode struct {
-	peer   uint32  // index into Engine.peers
-	attrs  uint32  // attrTable handle; noOrigin set when the path has no origin
-	origin bgp.ASN // the path's origin AS, valid unless noOrigin
-	next   uint32  // arena index of the prefix's next route; 0 ends
+	peer  uint32 // index into Engine.peers
+	attrs uint32 // attrTable handle
+	next  uint32 // arena index of the prefix's next route; 0 ends
 }
-
-// noOrigin flags, in routeNode.attrs, a route whose AS path is empty or
-// ends in an AS_SET: it has no origin to contribute (bgp.Path.Origin).
-const noOrigin = 1 << 31
 
 // shard owns a hash partition of the prefix space: the per-peer route
 // state and a kernel instance holding that partition's conflict episodes.
@@ -71,8 +67,8 @@ type shard struct {
 	// ids, holds each prefix's first route node (0: no routes). Node 0 is
 	// reserved so that a zeroed head or next means "none".
 	k        *kernel.Kernel
-	heads    ptable.Chunks[uint32]
-	nodes    ptable.Chunks[routeNode]
+	heads    arena.Chunks[uint32]
+	nodes    arena.Chunks[routeNode]
 	freeNode uint32 // head of the recycled-node list, 0 when empty
 	attrs    attrTable
 
@@ -257,11 +253,11 @@ func (s *shard) upsertRoute(head *uint32, peer uint32, a *bgp.Attrs) bool {
 			// from other feeders (direct ApplyUpdate callers, checkpoint
 			// restores, a block of the other AS width, a later interner
 			// epoch).
-			cur := n.attrs &^ noOrigin
+			cur := n.attrs
 			if c := s.attrs.ptr(cur); c == a || c.Equal(a) {
 				return false
 			}
-			n.attrs, n.origin = s.hold(a)
+			n.attrs = s.attrs.acquire(a)
 			s.attrs.release(cur)
 			return true
 		}
@@ -269,22 +265,9 @@ func (s *shard) upsertRoute(head *uint32, peer uint32, a *bgp.Attrs) bool {
 	}
 	i := s.allocNode()
 	n := s.nodes.At(i)
-	n.peer, n.next = peer, *head
-	n.attrs, n.origin = s.hold(a)
+	n.peer, n.attrs, n.next = peer, s.attrs.acquire(a), *head
 	*head = i
 	return true
-}
-
-// hold takes a reference on a's handle and returns the node words for a
-// route carrying a: the handle (flagged when the path has no origin) and
-// the origin AS.
-func (s *shard) hold(a *bgp.Attrs) (uint32, bgp.ASN) {
-	word := s.attrs.acquire(a)
-	origin, ok := a.ASPath.Origin()
-	if !ok {
-		word |= noOrigin
-	}
-	return word, origin
 }
 
 // removeRoute unlinks peer's route from the list at *head and reports
@@ -295,7 +278,7 @@ func (s *shard) removeRoute(head *uint32, peer uint32) bool {
 		n := s.nodes.At(i)
 		if n.peer == peer {
 			*link = n.next
-			s.attrs.release(n.attrs &^ noOrigin)
+			s.attrs.release(n.attrs)
 			*n = routeNode{next: s.freeNode}
 			s.freeNode = i
 			return true
@@ -320,8 +303,9 @@ func (s *shard) routeCount(head uint32) int {
 // sinks: the episode log (as the record the kernel derives from it) and
 // the OnEvent subscriber. A staged record's origin sets alias the
 // event's, which the kernel never writes again once emitted, so nothing
-// is copied. The origins come from the nodes' cached
-// copies and land in the shard's reusable scratch; the kernel commits a
+// is copied. The origins come from the nodes' attrs handles, which
+// took them from the AS path once, and land in the shard's reusable
+// scratch; the kernel commits a
 // fresh copy only when the set actually changed, so the common case — an
 // update that does not flip the origin set — performs zero allocations
 // (BenchmarkShardReassess's claim) and touches no attribute block.
@@ -331,8 +315,8 @@ func (s *shard) reassess(id, head uint32, p bgp.Prefix, day int) {
 	origins := s.origScratch[:0]
 	for i := head; i != 0; {
 		n := s.nodes.At(i)
-		if n.attrs&noOrigin == 0 {
-			origins = rib.InsertOrigin(origins, n.origin)
+		if o := s.attrs.origin(n.attrs); o.ok {
+			origins = rib.InsertOrigin(origins, o.as)
 		}
 		i = n.next
 	}
@@ -342,7 +326,7 @@ func (s *shard) reassess(id, head uint32, p bgp.Prefix, day int) {
 		paths := s.pathScratch[:0]
 		for i := head; i != 0; {
 			n := s.nodes.At(i)
-			paths = append(paths, s.attrs.ptr(n.attrs&^noOrigin).ASPath)
+			paths = append(paths, s.attrs.ptr(n.attrs).ASPath)
 			i = n.next
 		}
 		s.pathScratch = paths
