@@ -6,7 +6,7 @@ BENCH_COUNT ?= 5
 BENCH_TIME ?= 1s
 BENCH_CPU ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: build test race allocs bench benchall bench-check bench-e2e profile fuzz-smoke soak vet fmt docscheck depcheck ci
+.PHONY: build test race allocs bench benchall bench-check bench-e2e profile fuzz-smoke soak vet fmt docscheck depcheck deadcode ci
 
 build:
 	$(GO) build ./...
@@ -143,4 +143,11 @@ depcheck:
 	} ); \
 	if [ -n "$$bad" ]; then echo "$$bad"; exit 1; fi
 
-ci: fmt vet docscheck depcheck build race allocs bench-check
+# deadcode lists the exported internal identifiers no non-test file names
+# (exports_test.go): the ones kept on purpose, with their reasons, and a
+# failure for any other. It parses bench/ too, so an export only the
+# benchmark uses counts as used.
+deadcode:
+	$(GO) test -count=1 -run 'TestExportsHaveCallers' -v .
+
+ci: fmt vet docscheck depcheck deadcode build race allocs bench-check

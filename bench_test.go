@@ -185,7 +185,12 @@ func BenchmarkFig6Classification(b *testing.B) {
 		if len(pts) == 0 {
 			b.Fatal("empty class series")
 		}
-		totals = analysis.ClassTotals(pts)
+		totals = [core.NumClasses]int{}
+		for _, p := range pts {
+			for c, n := range p.ByClass {
+				totals[c] += n
+			}
+		}
 	}
 	if totals[ClassDistinctPaths] <= totals[ClassOrigTranAS] ||
 		totals[ClassDistinctPaths] <= totals[ClassSplitView] {

@@ -270,18 +270,6 @@ func (a Attribution) String() string {
 		a.Label, a.Involved, a.Total, a.Date.Format("2006-01-02"))
 }
 
-// ClassTotals sums class counts across a window — the dominance check for
-// Fig. 6 (DistinctPaths must dominate).
-func ClassTotals(points []Fig6Point) [core.NumClasses]int {
-	var out [core.NumClasses]int
-	for _, p := range points {
-		for c := range p.ByClass {
-			out[c] += p.ByClass[c]
-		}
-	}
-	return out
-}
-
 // VantageSensitivity reproduces the §III observation that fewer vantage
 // points see fewer conflicts (the paper: Route Views saw 1364 while three
 // individual ISPs saw 30, 12 and 228). For each peer-count k it counts the

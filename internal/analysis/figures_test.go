@@ -125,6 +125,18 @@ func TestFig5PrefixLengths(t *testing.T) {
 	}
 }
 
+// classTotals sums class counts across a window — the dominance check for
+// Fig. 6 (DistinctPaths must dominate).
+func classTotals(points []Fig6Point) [core.NumClasses]int {
+	var out [core.NumClasses]int
+	for _, p := range points {
+		for c := range p.ByClass {
+			out[c] += p.ByClass[c]
+		}
+	}
+	return out
+}
+
 func TestFig6ClassSeriesAndTotals(t *testing.T) {
 	mk := func(m time.Month, d int, dp, ot, sv int) DayStats {
 		ds := day(2001, m, d, dp+ot+sv)
@@ -145,7 +157,7 @@ func TestFig6ClassSeriesAndTotals(t *testing.T) {
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
-	totals := ClassTotals(pts)
+	totals := classTotals(pts)
 	if totals[core.ClassDistinctPaths] != 4100 || totals[core.ClassOrigTranAS] != 610 || totals[core.ClassSplitView] != 310 {
 		t.Fatalf("totals = %v", totals)
 	}

@@ -65,16 +65,6 @@ func (p Path) Origin() (ASN, bool) {
 	return last.ASes[len(last.ASes)-1], true
 }
 
-// EndsInSet reports whether the path terminates in a (non-empty) AS_SET —
-// the aggregation case the paper excludes from the study.
-func (p Path) EndsInSet() bool {
-	if len(p) == 0 {
-		return false
-	}
-	last := p[len(p)-1]
-	return last.Type == SegSet && len(last.ASes) > 0
-}
-
 // Penultimate returns the next-to-last AS of the path — the neighbor of
 // the origin — and true, or false when the path has no well-defined
 // penultimate sequence AS (shorter than two ASes, or a set in the way).
@@ -107,56 +97,6 @@ func (p Path) Contains(a ASN) bool {
 		}
 	}
 	return false
-}
-
-// ContainsLoop reports whether any AS appears more than once across
-// sequence segments (prepending aside, a loop indicator used by tests).
-func (p Path) ContainsLoop() bool {
-	seen := make(map[ASN]bool)
-	for _, s := range p {
-		if s.Type != SegSequence {
-			continue
-		}
-		prev := ASN(0xFFFFFFFF)
-		for _, x := range s.ASes {
-			if x == prev { // prepend repetition is not a loop
-				continue
-			}
-			if seen[x] {
-				return true
-			}
-			seen[x] = true
-			prev = x
-		}
-	}
-	return false
-}
-
-// TransitASes returns every AS on the path except the origin, in order,
-// with AS_SET members included. Used by the MOAS conflict classifier: an
-// OrigTranAS conflict has one path's origin among the other's transit ASes.
-func (p Path) TransitASes() []ASN {
-	var out []ASN
-	origin, hasOrigin := p.Origin()
-	for si, s := range p {
-		for ai, x := range s.ASes {
-			if hasOrigin && si == len(p)-1 && s.Type == SegSequence && ai == len(s.ASes)-1 {
-				continue // skip the origin itself
-			}
-			_ = origin
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// AllASes returns every AS mentioned in the path in order.
-func (p Path) AllASes() []ASN {
-	var out []ASN
-	for _, s := range p {
-		out = append(out, s.ASes...)
-	}
-	return out
 }
 
 // Clone returns a deep copy of the path.
@@ -304,13 +244,6 @@ func (p Path) appendWireSized(dst []byte, size int) []byte {
 
 // ErrBadPath reports a malformed AS_PATH wire encoding.
 var ErrBadPath = errors.New("bgp: bad AS_PATH encoding")
-
-// DecodePathWire decodes a 2-octet-ASN AS_PATH attribute body.
-func DecodePathWire(b []byte) (Path, error) { return decodePathSizedInto(nil, b, 2) }
-
-// DecodePathWire4 decodes a 4-octet-ASN AS_PATH attribute body
-// (TABLE_DUMP_V2 / AS4_PATH encoding).
-func DecodePathWire4(b []byte) (Path, error) { return decodePathSizedInto(nil, b, 4) }
 
 // decodePathSizedInto is the one AS_PATH walker. It decodes into dst's
 // storage: segments land in dst's existing slots, each slot keeping its

@@ -5,6 +5,61 @@ import (
 	"testing"
 )
 
+// decodePath decodes a 2-octet-ASN AS_PATH attribute body into fresh
+// storage, as the interner's scratch decode does into reused storage.
+func decodePath(b []byte) (Path, error) { return decodePathSizedInto(nil, b, 2) }
+
+// endsInSet reports whether p terminates in a (non-empty) AS_SET — the
+// aggregation case the paper excludes from the study, and for which
+// Origin reports none.
+func endsInSet(p Path) bool {
+	if len(p) == 0 {
+		return false
+	}
+	last := p[len(p)-1]
+	return last.Type == SegSet && len(last.ASes) > 0
+}
+
+// containsLoop reports whether any AS appears more than once across
+// sequence segments, prepending aside.
+func containsLoop(p Path) bool {
+	seen := make(map[ASN]bool)
+	for _, s := range p {
+		if s.Type != SegSequence {
+			continue
+		}
+		prev := ASN(0xFFFFFFFF)
+		for _, x := range s.ASes {
+			if x == prev { // prepend repetition is not a loop
+				continue
+			}
+			if seen[x] {
+				return true
+			}
+			seen[x] = true
+			prev = x
+		}
+	}
+	return false
+}
+
+// transitASes returns every AS on p except the origin, in order, with
+// AS_SET members included: the ASes an OrigTranAS conflict looks for the
+// other path's origin among.
+func transitASes(p Path) []ASN {
+	var out []ASN
+	_, hasOrigin := p.Origin()
+	for si, s := range p {
+		for ai, x := range s.ASes {
+			if hasOrigin && si == len(p)-1 && ai == len(s.ASes)-1 {
+				continue // the origin itself
+			}
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
 func TestPathOrigin(t *testing.T) {
 	cases := []struct {
 		path   string
@@ -27,28 +82,28 @@ func TestPathOrigin(t *testing.T) {
 }
 
 func TestPathEndsInSet(t *testing.T) {
-	if !MustParsePath("701 {7018,3356}").EndsInSet() {
-		t.Error("path ending in set: EndsInSet() = false")
+	if !endsInSet(MustParsePath("701 {7018,3356}")) {
+		t.Error("path ending in set: endsInSet = false")
 	}
-	if MustParsePath("701 1239").EndsInSet() {
-		t.Error("pure sequence: EndsInSet() = true")
+	if endsInSet(MustParsePath("701 1239")) {
+		t.Error("pure sequence: endsInSet = true")
 	}
-	if (Path{}).EndsInSet() {
-		t.Error("empty path: EndsInSet() = true")
+	if endsInSet((Path{})) {
+		t.Error("empty path: endsInSet = true")
 	}
 }
 
 func TestPathTransitASes(t *testing.T) {
 	p := MustParsePath("701 1239 8584")
-	tr := p.TransitASes()
+	tr := transitASes(p)
 	if len(tr) != 2 || tr[0] != 701 || tr[1] != 1239 {
-		t.Errorf("TransitASes = %v, want [701 1239]", tr)
+		t.Errorf("transitASes = %v, want [701 1239]", tr)
 	}
 	// With a mid-path set the set members are transit ASes too.
 	p = MustParsePath("701 {7018,3356} 1239")
-	tr = p.TransitASes()
+	tr = transitASes(p)
 	if len(tr) != 3 {
-		t.Errorf("TransitASes = %v, want 3 entries", tr)
+		t.Errorf("transitASes = %v, want 3 entries", tr)
 	}
 }
 
@@ -65,13 +120,13 @@ func TestPathContains(t *testing.T) {
 }
 
 func TestPathContainsLoop(t *testing.T) {
-	if MustParsePath("701 1239 701 8584").ContainsLoop() != true {
+	if containsLoop(MustParsePath("701 1239 701 8584")) != true {
 		t.Error("looped path not detected")
 	}
-	if MustParsePath("701 701 701 8584").ContainsLoop() {
+	if containsLoop(MustParsePath("701 701 701 8584")) {
 		t.Error("prepend-only repetition flagged as loop")
 	}
-	if MustParsePath("701 1239 8584").ContainsLoop() {
+	if containsLoop(MustParsePath("701 1239 8584")) {
 		t.Error("clean path flagged as loop")
 	}
 }
@@ -112,9 +167,9 @@ func TestPathWireRoundTrip(t *testing.T) {
 	} {
 		p := MustParsePath(s)
 		enc := p.AppendWire(nil)
-		q, err := DecodePathWire(enc)
+		q, err := decodePath(enc)
 		if err != nil {
-			t.Fatalf("DecodePathWire(%q): %v", s, err)
+			t.Fatalf("decodePath(%q): %v", s, err)
 		}
 		if !p.Equal(q) {
 			t.Errorf("wire round trip %q -> %q", s, q.String())
@@ -125,7 +180,7 @@ func TestPathWireRoundTrip(t *testing.T) {
 		{{Type: SegSequence, ASes: []ASN{701, 1239}}, {Type: SegSequence}},
 		{{Type: SegSequence}, {Type: SegSet}},
 	} {
-		q, err := DecodePathWire(p.AppendWire(nil))
+		q, err := decodePath(p.AppendWire(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +201,7 @@ func TestPathWireLongSegmentSplit(t *testing.T) {
 	}
 	p := Path{{Type: SegSequence, ASes: ases}}
 	enc := p.AppendWire(nil)
-	q, err := DecodePathWire(enc)
+	q, err := decodePath(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +223,8 @@ func TestDecodePathWireErrors(t *testing.T) {
 		{2, 3, 0, 1, 0, 2}, // claims 3 ASNs, has 2
 	}
 	for _, b := range cases {
-		if _, err := DecodePathWire(b); err == nil {
-			t.Errorf("DecodePathWire(% x) succeeded, want error", b)
+		if _, err := decodePath(b); err == nil {
+			t.Errorf("decodePath(% x) succeeded, want error", b)
 		}
 	}
 }
@@ -209,7 +264,7 @@ func TestQuickPathWireRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 3000; i++ {
 		p := randPath(r)
-		q, err := DecodePathWire(p.AppendWire(nil))
+		q, err := decodePath(p.AppendWire(nil))
 		if err != nil {
 			t.Fatalf("decode %q: %v", p, err)
 		}
@@ -221,18 +276,18 @@ func TestQuickPathWireRoundTrip(t *testing.T) {
 
 func TestQuickOriginNeverInTransit(t *testing.T) {
 	// For pure-sequence loop-free paths the origin must not appear among
-	// TransitASes — the invariant the OrigTranAS classifier relies on.
+	// transitASes — the invariant the OrigTranAS classifier relies on.
 	r := rand.New(rand.NewSource(17))
 	for i := 0; i < 3000; i++ {
 		p := randPath(r)
-		if p.ContainsLoop() || p.EndsInSet() {
+		if containsLoop(p) || endsInSet(p) {
 			continue
 		}
 		origin, ok := p.Origin()
 		if !ok {
 			continue
 		}
-		for _, a := range p.TransitASes() {
+		for _, a := range transitASes(p) {
 			if a == origin && !p.Contains(origin) {
 				t.Fatalf("origin %v in transit of loop-free %q", origin, p)
 			}
@@ -259,7 +314,7 @@ func BenchmarkDecodePathWire(b *testing.B) {
 	enc := MustParsePath("701 1239 7018 3356 8584").AppendWire(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodePathWire(enc); err != nil {
+		if _, err := decodePath(enc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -217,30 +217,6 @@ func (p *Prefix) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// Covers reports whether p contains q: same family, p.bits <= q.bits, and
-// q's address agrees with p on p's first bits.
-func (p Prefix) Covers(q Prefix) bool {
-	if p.family != q.family || p.bits > q.bits {
-		return false
-	}
-	return prefixMatch(&p.addr, &q.addr, p.bits)
-}
-
-// prefixMatch reports whether a and b agree on their first bits bits.
-func prefixMatch(a, b *[16]byte, bits uint8) bool {
-	i := uint8(0)
-	for ; bits >= 8; bits, i = bits-8, i+1 {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	if bits == 0 {
-		return true
-	}
-	m := ^byte(0) << (8 - bits)
-	return a[i]&m == b[i]&m
-}
-
 // Compare orders prefixes by family, then address, then length. It returns
 // -1, 0 or +1 and defines the canonical sort used in table dumps.
 func (p Prefix) Compare(q Prefix) int {

@@ -25,8 +25,8 @@ func TestDecodersNeverPanicOnRandomBytes(t *testing.T) {
 		var a Attrs
 		_ = a.DecodeAttrs(b)
 		_ = a.DecodeAttrsEx(b, true)
-		_, _ = DecodePathWire(b)
-		_, _ = DecodePathWire4(b)
+		_, _ = decodePath(b)
+		_, _ = decodePathSizedInto(nil, b, 4)
 		_, _, _ = DecodeNLRI(b, FamilyIPv4)
 		_, _, _ = DecodeNLRI(b, FamilyIPv6)
 		_, _, _ = DecodeMessage(b)

@@ -28,6 +28,17 @@ var ErrTruncated = errors.New("binenc: truncated input")
 // varint, count larger than the bytes that would carry it, bad prefix).
 var ErrCorrupt = errors.New("binenc: corrupt input")
 
+// ErrRetired reports input in a format version this build once read and
+// reads no longer: not damage, but a file for the last commit that reads
+// it, which restores it and takes a checkpoint in the current form.
+var ErrRetired = errors.New("binenc: retired format")
+
+// Retired returns ErrRetired for an image in form (a format and the
+// version found), naming lastReader, the last commit that reads it.
+func Retired(form, lastReader string) error {
+	return fmt.Errorf("%w: %s is no longer read; the last commit that reads it is %s", ErrRetired, form, lastReader)
+}
+
 // Reader decodes varint-framed binary data from a byte slice. The first
 // failure latches into Err; every subsequent read returns zero values, so
 // callers may decode an entire structure and check Err once at the end.

@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -149,72 +148,4 @@ func WriteViewUpdates(w io.Writer, oldView, newView *rib.TableView, timestamp ui
 		}
 	}
 	return mw.Flush()
-}
-
-// ReplayUpdates applies a BGP4MP_MESSAGE stream to per-peer tables seeded
-// from a base view and returns the resulting view. Peers are identified by
-// (peer IP, peer AS), matching WriteViewUpdates' encoding. Records other
-// than BGP4MP_MESSAGE are skipped; non-UPDATE BGP messages are ignored, as
-// a table reconstruction must.
-func ReplayUpdates(base *rib.TableView, r io.Reader) (*rib.TableView, error) {
-	type peerKey struct {
-		ip [16]byte
-		as bgp.ASN
-	}
-	ribs := map[peerKey]*rib.AdjRIBIn{}
-	// Seed from the base view.
-	base.Walk(func(p bgp.Prefix, routes []rib.PeerRoute) bool {
-		for _, pr := range routes {
-			key := peerKey{ip: peerIPFor(pr.PeerID), as: pr.PeerAS}
-			a := ribs[key]
-			if a == nil {
-				a = rib.NewAdjRIBIn(pr.PeerID, pr.PeerAS)
-				ribs[key] = a
-			}
-			a.Announce(pr.Route)
-		}
-		return true
-	})
-
-	fr := mrt.NewFramer(r)
-	var body []byte
-	var msg mrt.BGP4MPMessage
-	for {
-		h, b, err := fr.NextInto(body[:0])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		body = b
-		if !h.CarriesMessage() {
-			continue
-		}
-		if err := msg.DecodeBGP4MPMessageBorrow(body); err != nil {
-			return nil, err
-		}
-		decoded, err := msg.Message()
-		if err != nil {
-			return nil, fmt.Errorf("collector: embedded message: %w", err)
-		}
-		upd, ok := decoded.(*bgp.Update)
-		if !ok {
-			continue
-		}
-		key := peerKey{ip: msg.PeerIP, as: msg.PeerAS}
-		a := ribs[key]
-		if a == nil {
-			a = rib.NewAdjRIBIn(uint16(len(ribs)), msg.PeerAS)
-			ribs[key] = a
-		}
-		a.Update(upd)
-	}
-
-	var peers []*rib.AdjRIBIn
-	for _, a := range ribs {
-		peers = append(peers, a)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].PeerID < peers[j].PeerID })
-	return rib.FromPeers(peers), nil
 }

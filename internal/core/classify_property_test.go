@@ -62,19 +62,24 @@ func TestQuickClassifierSymmetric(t *testing.T) {
 // restatement of its definition.
 func TestQuickClassifierDefinitions(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
+	// inTransit: a is on p other than as its origin, the path's last AS.
 	inTransit := func(p bgp.Path, a bgp.ASN) bool {
-		tr := p.TransitASes()
-		for _, x := range tr {
-			if x == a {
-				return true
+		_, hasOrigin := p.Origin()
+		for si, s := range p {
+			for ai, x := range s.ASes {
+				if x == a && !(hasOrigin && si == len(p)-1 && ai == len(s.ASes)-1) {
+					return true
+				}
 			}
 		}
 		return false
 	}
 	shares := func(p1, p2 bgp.Path) bool {
-		for _, a := range p1.AllASes() {
-			if p2.Contains(a) {
-				return true
+		for _, s := range p1 {
+			for _, a := range s.ASes {
+				if p2.Contains(a) {
+					return true
+				}
 			}
 		}
 		return false

@@ -9,7 +9,6 @@ import (
 
 	"moas/internal/bgp"
 	"moas/internal/binenc"
-	"moas/internal/core"
 )
 
 // The binary snapshot format, the one encoding of a Snapshot. Layout:
@@ -25,13 +24,9 @@ import (
 //	frame: spans     — uvarint count, then varint start, varint end
 //
 // where a prefix is binenc.AppendPrefix's compact form and an origin set
-// is a uvarint count followed by uvarint ASNs. Versions 1-3 went on, in
-// each prefix entry, with the prefix's retained events: a uvarint count,
-// then each event — in version 1 in full (readEvent), in versions 2 and 3
-// compact (scanCompact), its prefix and seq those of the entry it belongs
-// to. Versions 1 and 2 also ended with a frame of the retained event log
-// (a uvarint count and events in full). Their reader checks both and
-// drops them (skipHistory, checkLog). Every section is length-prefixed
+// is a uvarint count followed by uvarint ASNs. Versions 1-3, which also
+// carried retained events, are refused with binenc.ErrRetired: commit
+// a105d34 is the last that reads them. Every section is length-prefixed
 // (binenc.BeginFrame/EndFrame: written in place, no per-section buffer)
 // and every count is validated against the bytes remaining, so truncated
 // or fuzzed input fails cleanly. The codec moves values only: a prefix is
@@ -76,114 +71,6 @@ func readASNs(r *binenc.Reader, arena *[]bgp.ASN) []bgp.ASN {
 		out = append(out, bgp.ASN(r.Uvarint()))
 	}
 	return out
-}
-
-// readEvent decodes one event in full, the form versions 1 and 2 wrote
-// per event of the retained log (and version 1 per history event), its
-// origin sets carved from *arena. (It returns the event instead of
-// filling one in so that a caller's scratch arena can stay on its
-// stack.)
-func readEvent(r *binenc.Reader, arena *[]bgp.ASN) (ev Event) {
-	ev.Type, ev.Day, ev.Seq = EventType(r.Byte()), r.Int(), r.Uvarint()
-	ev.Prefix = r.Prefix()
-	ev.Origins = readASNs(r, arena)
-	ev.PrevOrigins = readASNs(r, arena)
-	ev.Class, ev.PrevClass = core.Class(r.Byte()), core.Class(r.Byte())
-	return ev
-}
-
-// minEventBytes is the shortest event: type, day, seq, a 2-byte /0
-// prefix, two empty origin sets, two classes.
-const minEventBytes = 9
-
-func readEvents(r *binenc.Reader) []Event {
-	n := r.Count(minEventBytes)
-	if n == 0 {
-		return nil
-	}
-	out := make([]Event, n)
-	var arena []bgp.ASN
-	for i := range out {
-		out[i] = readEvent(r, &arena)
-	}
-	return out
-}
-
-// checkLog checks the event log a version-1 or version-2 image carries,
-// which its reader then drops: the image is refused for an event no
-// kernel emits, as it was when the log was restored.
-func checkLog(evs []Event) error {
-	for i := range evs {
-		if err := validEvent(&evs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// minCompactBytes is the shortest compact history event of a version-2
-// or 3 image: header, day, two empty origin sets.
-const minCompactBytes = 4
-
-// scanCompact walks n compact history events off r — each a header byte
-// (type-1 in bits 0-1, class in bits 2-4, the previous class in bits
-// 5-7), the varint day, the origin set and the previous origin set — and
-// errors for the first header that names a class past the known ones
-// (two bits always name a valid type). Truncation latches in r.
-func scanCompact(r *binenc.Reader, n int) (err error) {
-	for i := 0; i < n && r.Err() == nil; i++ {
-		if hdr := r.Byte(); err == nil {
-			err = cmp.Or(validClass(hdr>>2&7), validClass(hdr>>5))
-		}
-		r.Varint()
-		for set := 0; set < 2; set++ {
-			for c := r.Count(1); c > 0; c-- {
-				r.Uvarint()
-			}
-		}
-	}
-	return err
-}
-
-// tooMany rejects a history of n events under a prefix whose ordinal is
-// seq: each event took one of the ordinals 1..seq.
-func tooMany(n int, seq uint64) error {
-	if uint64(n) > seq {
-		return fmt.Errorf("kernel: snapshot history holds %d events, but its prefix's ordinal is %d", n, seq)
-	}
-	return nil
-}
-
-// skipHistory reads the history that closes ps's entry in an image of
-// version 1-3, checks it and drops it. It errors for a history no kernel
-// could have retained: more events than ps has ordinals, a class past the
-// known ones, and in version 1, whose events are spelled in full, an
-// event of an unknown type, of another prefix, or off the run of
-// ordinals that ends at ps.Seq. Truncation latches in r.
-func skipHistory(r *binenc.Reader, ps *PrefixSnap, version int) error {
-	if version > 1 {
-		n := r.Count(minCompactBytes)
-		return cmp.Or(scanCompact(r, n), tooMany(n, ps.Seq))
-	}
-	evs := readEvents(r)
-	if err := tooMany(len(evs), ps.Seq); r.Err() != nil || err != nil {
-		return err // a latched error is the caller's to report
-	}
-	first := ps.Seq - uint64(len(evs)) + 1
-	for i := range evs {
-		ev := &evs[i]
-		if err := validEvent(ev); err != nil {
-			return err
-		}
-		if ev.Prefix != ps.Prefix {
-			return fmt.Errorf("kernel: snapshot history of %v holds an event of %v", ps.Prefix, ev.Prefix)
-		}
-		if ev.Seq != first+uint64(i) {
-			return fmt.Errorf("kernel: snapshot history of %v (ordinal %d) has event %d at ordinal %d, want %d",
-				ps.Prefix, ps.Seq, i, ev.Seq, first+uint64(i))
-		}
-	}
-	return nil
 }
 
 // BinarySizeHint estimates s's encoded size — closely from above for the
@@ -249,19 +136,20 @@ func appendPrefixSnap(dst []byte, ps *PrefixSnap) []byte {
 	return binary.AppendVarint(dst, int64(ps.Since))
 }
 
-// DecodeSnapshotBinary parses a binary snapshot of any version. Hostile
-// input errors; it never panics or over-allocates. The result is in the
-// current form — an older image's histories and event log are checked
-// and dropped, and its Version is SnapshotVersion — and shares no memory
-// with data.
+// DecodeSnapshotBinary parses a binary snapshot of the current version;
+// an image of versions 1-3 is refused with binenc.ErrRetired. Hostile
+// input errors; it never panics or over-allocates. The result shares no
+// memory with data.
 func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 	if !bytes.HasPrefix(data, snapshotMagic) {
 		return nil, fmt.Errorf("kernel: not a binary snapshot (bad magic)")
 	}
 	r := binenc.NewReader(data[len(snapshotMagic):])
-	version := int(r.Uvarint())
-	if r.Err() == nil && (version < 1 || version > SnapshotVersion) {
-		return nil, fmt.Errorf("kernel: snapshot version %d, want 1-%d", version, SnapshotVersion)
+	if version := r.Uvarint(); r.Err() == nil && version != SnapshotVersion {
+		if version >= 1 && version < SnapshotVersion {
+			return nil, binenc.Retired(fmt.Sprintf("kernel snapshot MSNP version %d", version), "a105d34")
+		}
+		return nil, fmt.Errorf("kernel: snapshot version %d, want %d", version, SnapshotVersion)
 	}
 	s := &Snapshot{Version: SnapshotVersion}
 
@@ -283,15 +171,8 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		ps.Class = sec.Byte()
 		ps.Seq = sec.Uvarint()
 		ps.Since = sec.Int()
-		if version < 4 {
-			if err := skipHistory(sec, &ps, version); err != nil {
-				return nil, err
-			}
-		}
 		s.Prefixes = append(s.Prefixes, ps)
 	}
-	// Bytes past the last entry are an entry's history under a version
-	// that has none, or damage.
 	if err := cmp.Or(sec.End(), r.Err()); err != nil {
 		return nil, fmt.Errorf("kernel: decode binary snapshot prefixes: %w", err)
 	}
@@ -325,13 +206,6 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("kernel: decode binary snapshot spans: %w", err)
 	}
 
-	if version < 3 {
-		sec = r.Frame()
-		log := readEvents(sec)
-		if err := cmp.Or(sec.End(), r.Err(), checkLog(log)); err != nil {
-			return nil, fmt.Errorf("kernel: decode binary snapshot log: %w", err)
-		}
-	}
 	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("kernel: decode binary snapshot: %w", err)
 	}

@@ -17,9 +17,10 @@ import (
 // under testdata/fuzz/FuzzSnapshotRestore (see TestGenerateFuzzCorpus)
 // as the "v4-" seeds, beside the "v3-" and "v2-" seeds versions 3 and 2
 // wrote and the unprefixed ones version 1 wrote, which stay committed as
-// they were; `go test` and the CI fuzz-smoke step always exercise all
-// four. The committed "json" seeds are JSON documents, which the decoder
-// must refuse cleanly.
+// they were: the decoder refuses those versions as retired, and `go test`
+// and the CI fuzz-smoke step hold it to refusing them, damaged or not,
+// without a panic. The committed "json" seeds are JSON documents, which
+// the decoder must refuse cleanly.
 func corpusSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	snap := midRunSnapshot(t)

@@ -1,7 +1,6 @@
 package kernel_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -34,9 +33,8 @@ func own(ev kernel.Event) kernel.Event {
 // plain model of the events Apply returned: its ordinal is their count,
 // and it is in conflict, with their last origin set and class, exactly
 // when the last of them is not an end. Mid-script the kernel is imaged
-// and restored through the binary codec, through a version-1 image that
-// carries every event as the prefixes' histories, and into another cap;
-// every copy must emit what the live kernel emits and keep agreeing with
+// and restored through the binary codec, and into another cap; every
+// copy must emit what the live kernel emits and keep agreeing with
 // the model to the end.
 func TestHistoryAgainstModel(t *testing.T) {
 	prefixes := []bgp.Prefix{
@@ -52,7 +50,6 @@ func TestHistoryAgainstModel(t *testing.T) {
 		t.Run(fmt.Sprintf("cap=%d", limit), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(limit) + 11))
 			model := make(map[bgp.Prefix][]kernel.Event)
-			var log []kernel.Event
 			kernels := []copyOf{{"live", kernel.New(kernel.Options{HistoryCap: limit})}}
 			check := func(step int, p bgp.Prefix) {
 				t.Helper()
@@ -96,7 +93,6 @@ func TestHistoryAgainstModel(t *testing.T) {
 					}
 				}
 				model[p] = append(model[p], emitted...)
-				log = append(log, emitted...)
 				check(step, p)
 
 				if step != steps/2 {
@@ -110,7 +106,6 @@ func TestHistoryAgainstModel(t *testing.T) {
 					limit int
 				}{
 					{"binary", kernel.AppendSnapshotBinary(nil, snap), limit},
-					{"version-1", kernel.AppendSnapshotBinaryOld(nil, snap, 1, kernel.OldHistories(log, 1), log), limit},
 					{"other-cap", kernel.AppendSnapshotBinary(nil, snap), other},
 				} {
 					s, err := kernel.DecodeSnapshotBinary(c.img)
@@ -131,124 +126,6 @@ func TestHistoryAgainstModel(t *testing.T) {
 				t.Fatalf("script gave the busiest prefix %d events, want >= 100", n)
 			}
 		})
-	}
-}
-
-// overlong re-spells the one-byte varint b in two bytes, which decodes
-// to the same value and which no encoder here writes.
-func overlong(b byte) []byte { return []byte{b | 0x80, 0x00} }
-
-// busiest returns the prefix with the most events in log, and its events.
-func busiest(t testing.TB, log []kernel.Event) (bgp.Prefix, []kernel.Event) {
-	t.Helper()
-	byPrefix := make(map[bgp.Prefix][]kernel.Event)
-	var p bgp.Prefix
-	for _, ev := range log {
-		byPrefix[ev.Prefix] = append(byPrefix[ev.Prefix], ev)
-		if len(byPrefix[ev.Prefix]) > len(byPrefix[p]) {
-			p = ev.Prefix
-		}
-	}
-	if len(byPrefix[p]) < 2 {
-		t.Fatalf("fixture's longest history: %d events", len(byPrefix[p]))
-	}
-	return p, byPrefix[p]
-}
-
-// TestRestoreCanonicalizesHistory: an older image may spell a history's
-// varints long, which no encoder here did — in the compact bytes of a
-// version-2 or 3 image or the full events of a version-1 one — and it
-// still holds the history it spells: the reader accepts it and drops it,
-// so the image restores to the kernel whose re-encoding is the canonical
-// current image. A history that does not decode, or decodes and runs on,
-// is refused.
-func TestRestoreCanonicalizesHistory(t *testing.T) {
-	base, log := midRun(t)
-	p, _ := busiest(t, log)
-	canonical := kernel.AppendSnapshotBinary(nil, base)
-	// Both forms open: count, type or header, day. Spell the count and
-	// the day long.
-	long := func(h []byte) []byte { return slices.Concat(overlong(h[0]), h[1:2], overlong(h[2]), h[3:]) }
-	for version := 1; version < kernel.SnapshotVersion; version++ {
-		histories := kernel.OldHistories(log, version)
-		good := histories[p]
-		histories[p] = long(good)
-		s, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, base, version, histories, log))
-		if err != nil {
-			t.Fatalf("version %d: %v", version, err)
-		}
-		k := kernel.New(kernel.Options{})
-		if err := k.Restore(s); err != nil {
-			t.Fatalf("version %d: %v", version, err)
-		}
-		if got := kernel.AppendSnapshotBinary(nil, k.Snapshot()); !bytes.Equal(got, canonical) {
-			t.Errorf("version %d: re-encoding holds % x, want the canonical % x", version, got, canonical)
-		}
-
-		for name, h := range map[string][]byte{
-			"truncated":      good[:len(good)-1],
-			"trailing bytes": append(slices.Clone(good), 0),
-			"count past end": {200},
-		} {
-			histories[p] = h
-			if _, err := kernel.DecodeSnapshotBinary(kernel.AppendSnapshotBinaryOld(nil, base, version, histories, log)); err == nil {
-				t.Errorf("version %d: reader accepted a history with %s", version, name)
-			}
-		}
-	}
-}
-
-// TestRestoreRejectsImpossibleHistory: a history no kernel could have
-// retained — an event of no known type, an event naming another prefix,
-// ordinals that skip or that do not end at the prefix's own — is refused
-// by the reader of the one form that can spell it, version-1 binary. The
-// compact form of versions 2 and 3 can spell one impossible history
-// alone, more events than the prefix has ordinals; their reader refuses
-// that one. The unforged history passes every reader, so the forgery is
-// what each refuses.
-func TestRestoreRejectsImpossibleHistory(t *testing.T) {
-	base, log := midRun(t)
-	p, evs := busiest(t, log)
-	other := bgp.MustParsePrefix("198.51.100.0/24")
-	restores := func(img []byte) bool {
-		s, err := kernel.DecodeSnapshotBinary(img)
-		if err != nil {
-			return false
-		}
-		return kernel.New(kernel.Options{}).Restore(s) == nil
-	}
-	for name, forge := range map[string]func(evs []kernel.Event){
-		"as written":              func([]kernel.Event) {},
-		"type 0":                  func(evs []kernel.Event) { evs[0].Type = 0 },
-		"type 5":                  func(evs []kernel.Event) { evs[len(evs)-1].Type = 5 },
-		"event of another prefix": func(evs []kernel.Event) { evs[0].Prefix = other },
-		"ordinals that skip":      func(evs []kernel.Event) { evs[0].Seq-- },
-		"ordinals that end short": func(evs []kernel.Event) {
-			for i := range evs {
-				evs[i].Seq--
-			}
-		},
-	} {
-		forged := slices.Clone(evs)
-		forge(forged)
-		histories := kernel.OldHistories(log, 1)
-		histories[p] = kernel.FullHistory(forged)
-		if got, want := restores(kernel.AppendSnapshotBinaryOld(nil, base, 1, histories, log)), name == "as written"; got != want {
-			t.Errorf("%s: version-1 binary restores: %v, want %v", name, got, want)
-		}
-	}
-
-	short := *base
-	short.Prefixes = slices.Clone(base.Prefixes)
-	for i := range short.Prefixes {
-		if short.Prefixes[i].Prefix == p {
-			short.Prefixes[i].Seq = uint64(len(evs) - 1)
-		}
-	}
-	for version := 2; version < kernel.SnapshotVersion; version++ {
-		if restores(kernel.AppendSnapshotBinaryOld(nil, &short, version, kernel.OldHistories(log, version), log)) {
-			t.Errorf("version-%d binary: reader accepted more history events than ordinals", version)
-		}
 	}
 }
 

@@ -12,14 +12,11 @@ import (
 )
 
 // SnapshotVersion is the current snapshot format version; bump it on
-// incompatible changes to the wire structs below. Version 4 drops the
+// incompatible changes to the wire structs below. Version 4 dropped the
 // per-prefix event history that versions 1-3 carried in every prefix
-// entry, version 3 the retained event log that versions 1 and 2 carried
-// after the spans: the events a kernel emits are its caller's to keep.
-// (Version 2 carried a history in a compact form; version 1 spelled every
-// history event out in full.) The decoder reads any of the four into the
-// current form — an older image's histories and log are checked event by
-// event and dropped — and Restore takes only that.
+// entry (and versions 1 and 2 the retained event log after the spans):
+// the events a kernel emits are its caller's to keep. The decoder reads
+// this version alone and refuses the older ones as retired.
 const SnapshotVersion = 4
 
 // Snapshot is the image of a kernel: every tracked prefix state, the
@@ -85,18 +82,6 @@ func validPrefix(p bgp.Prefix) error {
 		return fmt.Errorf("kernel: snapshot entry without a prefix")
 	}
 	return nil
-}
-
-// validType rejects an event type the state machine never emits.
-func validType(t EventType) error {
-	if t < EventConflictStart || t > EventConflictEnd {
-		return fmt.Errorf("kernel: snapshot event type %d, want %d-%d", t, EventConflictStart, EventConflictEnd)
-	}
-	return nil
-}
-
-func validEvent(ev *Event) error {
-	return cmp.Or(validType(ev.Type), validPrefix(ev.Prefix), validClass(uint8(ev.Class)), validClass(uint8(ev.PrevClass)))
 }
 
 // Snapshot images the kernel's complete state. The result shares no

@@ -334,7 +334,7 @@ func TestAggregateRoutesExcluded(t *testing.T) {
 	sc := buildTest(t)
 	for _, a := range sc.AggregatePrefixes {
 		for _, pr := range sc.AggregateRoutes(a) {
-			if !pr.Route.Attrs.ASPath.EndsInSet() {
+			if p := pr.Route.Attrs.ASPath; len(p) == 0 || p[len(p)-1].Type != bgp.SegSet {
 				t.Fatalf("aggregate route does not end in AS_SET: %v", pr.Route.Attrs.ASPath)
 			}
 			if _, ok := pr.Route.Origin(); ok {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"moas/internal/binenc"
 	"moas/internal/stream"
 )
 
@@ -121,12 +123,13 @@ func TestCheckpointOneFile(t *testing.T) {
 		t.Fatalf("created at day %d, checkpoint was day %d", got, ck.DaysClosed)
 	}
 
-	// The JSON form: what the parent API answered, an object with the
-	// envelope's members and the engine image.
+	// The JSON form: what the API answered up to commit a7e50f1, an
+	// object with the envelope's members and the engine image.
 	legacy := []byte(`{"version":1,"config":{"source":"synth","scale":"small"},"total_days":60,"days_closed":5,"last_event_id":9,"engine":{"version":1}}`)
 	resp, body = postJSON(t, client, srv.URL+"/scenarios",
 		map[string]any{"id": "legacy", "source": "checkpoint", "checkpoint": json.RawMessage(legacy)})
-	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "JSON checkpoints are no longer read") {
+	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(msg, "retired format: a JSON checkpoint") || !strings.Contains(msg, "a7e50f1") {
 		t.Fatalf("create from a JSON checkpoint: %d %v", resp.StatusCode, body)
 	}
 
@@ -169,7 +172,7 @@ func TestCheckpointOneFile(t *testing.T) {
 			line = l
 		}
 	}
-	if !strings.Contains(line, "skipping checkpoint in the retired JSON format") || strings.Contains(line, "corrupt") {
+	if !strings.Contains(line, "skipping checkpoint in a retired format") || strings.Contains(line, "corrupt") {
 		t.Fatalf("recover logged the JSON file it skipped as %q, want the retired format, not corruption:\n%s", line, logs.String())
 	}
 }
@@ -339,67 +342,76 @@ func TestCheckpointConfigValidation(t *testing.T) {
 }
 
 // TestDecodeWorkersIgnored: decode_workers, the knob of the decode
-// workers replays no longer have, is accepted in a create body and in a
-// checkpoint's config, so saved bodies and checkpoints that carry it
-// still load, and no scenario stores it: a checkpoint taken afterwards
-// does not carry it.
-func TestDecodeWorkersIgnored(t *testing.T) {
-	deprecatedKnobIgnored(t, "decode_workers", 2, func(c *ScenarioConfig) { c.DecodeWorkers = 2 })
-}
+// workers replays no longer have, is ignored in a checkpoint file's
+// envelope and refused in a create body (retiredKnob).
+func TestDecodeWorkersIgnored(t *testing.T) { retiredKnob(t, "decode_workers", 2) }
 
 // TestHistoryIgnored: history, the cap of the per-prefix event history
-// scenarios no longer keep, is accepted and dropped the same way.
-func TestHistoryIgnored(t *testing.T) {
-	deprecatedKnobIgnored(t, "history", 8, func(c *ScenarioConfig) { c.History = 8 })
-}
+// scenarios no longer keep, is ignored and refused the same way.
+func TestHistoryIgnored(t *testing.T) { retiredKnob(t, "history", 8) }
 
-// TestMaxAttrsIgnored: max_attrs, the interner cap every engine now
-// takes from bgp.DefaultInternCap, is accepted and dropped the same way,
-// whatever its value (-7 was refused while it was a knob).
-func TestMaxAttrsIgnored(t *testing.T) {
-	deprecatedKnobIgnored(t, "max_attrs", -7, func(c *ScenarioConfig) { c.MaxAttrs = -7 })
-}
+// TestMaxAttrsIgnored: max_attrs, the interner cap every engine now takes
+// from bgp.DefaultInternCap, is ignored and refused the same way.
+func TestMaxAttrsIgnored(t *testing.T) { retiredKnob(t, "max_attrs", 64) }
 
-// deprecatedKnobIgnored creates a scenario whose body sets knob to value,
-// then restores a checkpoint whose config carries it (set puts it there)
-// through a request that sets it too: both must be accepted, and neither
-// scenario's checkpoint may carry the knob.
-func deprecatedKnobIgnored(t *testing.T, knob string, value int, set func(*ScenarioConfig)) {
+// retiredKnob checks what becomes of knob, a create field that is gone.
+// A create body that names it is refused with a 400 naming the field: the
+// router decodes bodies with DisallowUnknownFields. A checkpoint file
+// whose envelope config still names it, as one written while it was a
+// knob does, loads and restores — the envelope is read with plain
+// json.Unmarshal, which skips a member it does not know — and the
+// restored scenario's checkpoint does not carry it.
+func retiredKnob(t *testing.T, knob string, value int) {
 	reg := NewRegistry()
 	defer reg.Close()
 	srv := httptest.NewServer(NewHandler(reg))
 	defer srv.Close()
 	client := srv.Client()
 
-	checkpoint := func(id string) *ScenarioCheckpoint {
-		t.Helper()
-		raw := postCheckpoint(t, client, srv.URL, id)
-		if bytes.Contains(raw, []byte(`"`+knob+`"`)) {
-			t.Fatalf("checkpoint of %s stores %s", id, knob)
-		}
-		ck, err := ReadScenarioCheckpoint(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ck
-	}
-
 	resp, body := postJSON(t, client, srv.URL+"/scenarios",
 		map[string]any{"id": "w", "source": "synth", "scale": "small", knob: value})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create with %s: %d %v", knob, resp.StatusCode, body)
+	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, `unknown field "`+knob+`"`) {
+		t.Fatalf("create with %s: %d %v, want a 400 naming the field", knob, resp.StatusCode, body)
 	}
-	ck := checkpoint("w")
-	// As a checkpoint written while the knob was live would carry it.
-	set(&ck.Config)
-	blob, err := AppendScenarioCheckpointBinary(nil, ck)
+	resp, body = postJSON(t, client, srv.URL+"/scenarios",
+		map[string]any{"id": "w", "source": "synth", "scale": "small"})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %v", resp.StatusCode, body)
+	}
+
+	// The file as a checkpoint written while the knob was live carries
+	// it: the envelope frame's config names it.
+	raw := postCheckpoint(t, client, srv.URL, "w")
+	rd := binenc.NewReader(raw[len(scenarioCheckpointMagic):])
+	version := rd.Uvarint()
+	envFrame, engFrame := rd.Frame(), rd.Frame()
+	env, eng := envFrame.Bytes(envFrame.Len()), engFrame.Bytes(engFrame.Len())
+	if err := rd.End(); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(env, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["config"].(map[string]any)[knob] = value
+	env, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body = postJSON(t, client, srv.URL+"/scenarios",
-		map[string]any{"id": "w2", "source": "checkpoint", "checkpoint": blob, knob: value})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("restore of a checkpoint config with %s: %d %v", knob, resp.StatusCode, body)
+	raw = binary.AppendUvarint(bytes.Clone(scenarioCheckpointMagic), version)
+	raw = binenc.AppendFrame(binenc.AppendFrame(raw, env), eng)
+	if !bytes.Contains(raw, []byte(`"`+knob+`":`)) {
+		t.Fatalf("the edited file does not name %s", knob)
 	}
-	checkpoint("w2")
+	if _, err := ReadScenarioCheckpoint(raw); err != nil {
+		t.Fatalf("a checkpoint whose envelope names %s: %v", knob, err)
+	}
+	resp, body = postJSON(t, client, srv.URL+"/scenarios",
+		map[string]any{"id": "w2", "source": "checkpoint", "checkpoint": raw})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("restore of a checkpoint whose envelope names %s: %d %v", knob, resp.StatusCode, body)
+	}
+	if bytes.Contains(postCheckpoint(t, client, srv.URL, "w2"), []byte(`"`+knob+`"`)) {
+		t.Fatalf("the restored scenario's checkpoint stores %s", knob)
+	}
 }

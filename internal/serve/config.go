@@ -34,24 +34,11 @@ type ScenarioConfig struct {
 	// LocalAS is the AS the BGP speaker answers OPEN with (BGP only;
 	// 0 = 64512, the first private AS).
 	LocalAS uint32 `json:"local_as,omitempty"`
-	// Deprecated: accepted and ignored, so that a create body or a
-	// checkpoint config written while the interner cap was a knob still
-	// loads (every engine's interner holds bgp.DefaultInternCap blocks
-	// per epoch); normalize zeroes it, as DecodeWorkers.
-	MaxAttrs int `json:"max_attrs,omitempty"`
 	// Shards is the engine's worker count (0 = GOMAXPROCS).
 	Shards int `json:"shards,omitempty"`
-	// Deprecated: accepted and ignored, so that a create body or a
-	// checkpoint config written while replays had decode workers still
-	// loads; normalize zeroes it, so it is never stored or echoed.
-	DecodeWorkers int `json:"decode_workers,omitempty"`
 	// DaysPerSec paces the replay in observed days per second (0 = as
 	// fast as possible).
 	DaysPerSec float64 `json:"days_per_sec,omitempty"`
-	// Deprecated: accepted and ignored, so that a create body or a
-	// checkpoint config written while scenarios kept per-prefix event
-	// history still loads; normalize zeroes it, as DecodeWorkers.
-	History int `json:"history,omitempty"`
 	// EventBuffer sizes each SSE subscriber's channel (0 = 1024). A
 	// subscriber that falls this many events behind is dropped.
 	EventBuffer int `json:"event_buffer,omitempty"`
@@ -99,14 +86,14 @@ type ScenarioCheckpoint struct {
 
 // UnmarshalJSON reads a checkpoint given as a JSON string: its file's
 // bytes (AppendScenarioCheckpointBinary), base64-encoded. A JSON object —
-// the form the checkpoint field once took — is refused as such.
+// the form the checkpoint field once took — goes to ReadScenarioCheckpoint
+// as it is, which refuses it as retired.
 func (ck *ScenarioCheckpoint) UnmarshalJSON(data []byte) error {
-	if bytes.HasPrefix(data, []byte("{")) {
-		return errJSONCheckpoint
-	}
-	var blob []byte
-	if err := json.Unmarshal(data, &blob); err != nil {
-		return fmt.Errorf("serve: checkpoint: %w", err)
+	blob := data
+	if !bytes.HasPrefix(data, []byte("{")) {
+		if err := json.Unmarshal(data, &blob); err != nil {
+			return fmt.Errorf("serve: checkpoint: %w", err)
+		}
 	}
 	read, err := ReadScenarioCheckpoint(blob)
 	if err != nil {
@@ -206,7 +193,6 @@ func (c *ScenarioConfig) normalize() error {
 	} else if ck != nil {
 		return errors.New(`"checkpoint" is only valid with source "checkpoint"`)
 	}
-	c.DecodeWorkers, c.History, c.MaxAttrs = 0, 0, 0
 	kind := sourceKinds[c.Source]
 	if kind == nil {
 		return fmt.Errorf("%sunknown source %q (want %q, %q, %q, %q or %q)",

@@ -99,20 +99,18 @@ func AppendScenarioCheckpointBinary(dst []byte, ck *ScenarioCheckpoint) ([]byte,
 	return binenc.EndFrame(dst, start), nil
 }
 
-// errJSONCheckpoint refuses a checkpoint in the JSON form the API and
-// the checkpoint directory once also took.
-var errJSONCheckpoint = errors.New("serve: JSON checkpoints are no longer read; restore it with the moasd that wrote it and take a new checkpoint")
-
 // ReadScenarioCheckpoint decodes a scenario checkpoint file's bytes — what
 // the store writes, POST /scenarios/{id}/checkpoint returns and GET
 // serves, so a saved API response dropped into the checkpoint directory
 // boots, and a download restores through a create. The envelope is read
-// leniently: a member it does not know is skipped. The result's engine
-// image aliases data.
+// leniently: a member it does not know is skipped. A checkpoint in the
+// JSON form the API and the checkpoint directory once also took, or with
+// an engine image in a retired form, is refused with binenc.ErrRetired.
+// The result's engine image aliases data.
 func ReadScenarioCheckpoint(data []byte) (*ScenarioCheckpoint, error) {
 	if !bytes.HasPrefix(data, scenarioCheckpointMagic) {
 		if bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("{")) {
-			return nil, errJSONCheckpoint
+			return nil, binenc.Retired("a JSON checkpoint", "a7e50f1")
 		}
 		return nil, fmt.Errorf("serve: not a checkpoint: no %q magic", scenarioCheckpointMagic)
 	}
@@ -249,7 +247,8 @@ func (st checkpointStore) prune() {
 // checkpoint that still decodes, with the files it had to skip. This is
 // the corrupt-newest fallback: a file truncated by the crash itself (or
 // rotted on disk) costs one checkpoint interval of progress, not the
-// scenario.
+// scenario. A file in a retired form is logged as such, not as corrupt,
+// so that an operator does not go looking for disk damage.
 func (st checkpointStore) recoverNewest(logf func(string, ...any)) (*ScenarioCheckpoint, string, bool) {
 	for _, name := range st.files() {
 		path := filepath.Join(st.dir, name)
@@ -259,8 +258,8 @@ func (st checkpointStore) recoverNewest(logf func(string, ...any)) (*ScenarioChe
 			continue
 		}
 		ck, err := ReadScenarioCheckpoint(data)
-		if errors.Is(err, errJSONCheckpoint) {
-			logf("recover: %s: skipping checkpoint in the retired JSON format: %v", path, err)
+		if errors.Is(err, binenc.ErrRetired) {
+			logf("recover: %s: skipping checkpoint in a retired format: %v", path, err)
 			continue
 		}
 		if err != nil {

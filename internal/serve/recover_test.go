@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,7 +57,7 @@ func pausedCheckpoint(t *testing.T, reg *Registry) *ScenarioCheckpoint {
 // TestScenarioCheckpointFileCodec: the checkpoint file round-trips a
 // real mid-archive scenario checkpoint exactly, and damage (truncation,
 // trailing garbage, a junk byte in the envelope frame), a file without
-// the magic and a JSON document are rejected, the last as such.
+// the magic and a JSON document are rejected, the last as retired.
 func TestScenarioCheckpointFileCodec(t *testing.T) {
 	ck := pausedCheckpoint(t, NewRegistry())
 	bin, err := AppendScenarioCheckpointBinary(nil, ck)
@@ -91,11 +93,11 @@ func TestScenarioCheckpointFileCodec(t *testing.T) {
 	if _, err := ReadScenarioCheckpoint(envPadded.Data); err == nil {
 		t.Fatal("a junk byte in the envelope frame accepted")
 	}
-	if _, err := ReadScenarioCheckpoint(bin[len(scenarioCheckpointMagic):]); err == nil || errors.Is(err, errJSONCheckpoint) {
+	if _, err := ReadScenarioCheckpoint(bin[len(scenarioCheckpointMagic):]); err == nil || errors.Is(err, binenc.ErrRetired) {
 		t.Fatalf("a file without the magic: %v", err)
 	}
-	if _, err := ReadScenarioCheckpoint([]byte(` {"version":1}`)); !errors.Is(err, errJSONCheckpoint) {
-		t.Fatalf("a JSON checkpoint: %v, want %v", err, errJSONCheckpoint)
+	if _, err := ReadScenarioCheckpoint([]byte(` {"version":1}`)); !errors.Is(err, binenc.ErrRetired) {
+		t.Fatalf("a JSON checkpoint: %v, want %v", err, binenc.ErrRetired)
 	}
 }
 
@@ -187,6 +189,76 @@ func TestRecoverFallsBackOnCorruptNewest(t *testing.T) {
 		t.Fatalf("recovered at day %d, checkpoint was day %d", got, ck.DaysClosed)
 	}
 	reg.Close()
+}
+
+// TestRecoverSkipsRetiredNewest: a scenario whose newest file holds an
+// engine image in a retired form — container 1, or kernel snapshot 1-3 —
+// boots from the next older file, and the log calls the skipped file
+// retired, not corrupt. The retired files are the current one with the
+// version byte set back; the version is all the readers look at.
+func TestRecoverSkipsRetiredNewest(t *testing.T) {
+	dir := t.TempDir()
+	ck := pausedCheckpoint(t, NewRegistry())
+	bin, err := AppendScenarioCheckpointBinary(nil, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := bytes.Index(bin, []byte("MCKP"))
+	msnp := bytes.Index(bin, []byte("MSNP"))
+	if eng < 0 || msnp < 0 {
+		t.Fatal("no engine or kernel image in the file")
+	}
+	retired := map[string]int{"container": eng + len("MCKP"), "snapshot": msnp + len("MSNP")}
+	versions := map[string][]byte{"container": {1}, "snapshot": {1, 2, 3}}
+	var ids []string
+	for form, at := range retired {
+		for _, v := range versions[form] {
+			id := fmt.Sprintf("%s%d", form, v)
+			ids = append(ids, id)
+			old := bytes.Clone(bin)
+			old[at] = v
+			if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for name, data := range map[string][]byte{"ck-0000000001.mckpt": bin, "ck-0000000002.mckpt": old} {
+				if err := os.WriteFile(filepath.Join(dir, id, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	var logs strings.Builder
+	var logMu sync.Mutex
+	reg := NewRegistry()
+	reg.Durability = Durability{Dir: dir, Interval: time.Hour}
+	reg.Logf = func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		fmt.Fprintf(&logs, format+"\n", args...)
+	}
+	defer reg.Close()
+	if n, err := reg.Recover(); err != nil || n != len(ids) {
+		t.Fatalf("recovered %d scenarios (%v), want %d", n, err, len(ids))
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	for _, id := range ids {
+		if got := reg.Get(id).Status().ClosedDays; got != ck.DaysClosed {
+			t.Errorf("%s: recovered at day %d, checkpoint was day %d", id, got, ck.DaysClosed)
+		}
+		skipped := filepath.Join(id, "ck-0000000002.mckpt")
+		var line string
+		for _, l := range strings.Split(logs.String(), "\n") {
+			if strings.Contains(l, skipped) {
+				line = l
+			}
+		}
+		if !strings.Contains(line, "skipping checkpoint in a retired format") || strings.Contains(line, "corrupt") ||
+			!strings.Contains(line, "a105d34") {
+			t.Errorf("%s: recover logged the retired file it skipped as %q, want the retired format, not corruption:\n%s",
+				id, line, logs.String())
+		}
+	}
 }
 
 // TestKillAndRecover is the PR's acceptance test: a scenario replaying

@@ -57,9 +57,9 @@ func TestStatusDocumentGolden(t *testing.T) {
 		got.Write(doc)
 	}
 	record("POST", "/scenarios", `{"id":"s","source":"synth","scale":"small","shards":2,"days_per_sec":5000}`)
-	record("POST", "/scenarios", `{"id":"m","source":"mrt","path":"updates.mrt","decode_workers":2}`)
-	record("POST", "/scenarios", `{"id":"r","source":"rislive","url":"ws://127.0.0.1:1/feed","max_attrs":64}`)
-	record("POST", "/scenarios", `{"id":"b","source":"bgp","listen":"127.0.0.1:0","history":8}`)
+	record("POST", "/scenarios", `{"id":"m","source":"mrt","path":"updates.mrt"}`)
+	record("POST", "/scenarios", `{"id":"r","source":"rislive","url":"ws://127.0.0.1:1/feed"}`)
+	record("POST", "/scenarios", `{"id":"b","source":"bgp","listen":"127.0.0.1:0"}`)
 	for _, id := range []string{"s", "m", "r", "b"} {
 		record("GET", "/scenarios/"+id, "")
 	}

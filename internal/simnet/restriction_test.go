@@ -82,24 +82,28 @@ func TestQuickValleyFreeOnGeneratedTopology(t *testing.T) {
 			if len(p) == 0 || p[0].Type != bgp.SegSequence || p[0].ASes[0] != v {
 				t.Fatalf("path %q does not start at vantage %v", p, v)
 			}
-			if p.ContainsLoop() {
-				t.Fatalf("looped path %q", p)
+			seen := map[bgp.ASN]bool{}
+			for _, a := range pathASes(p) {
+				if seen[a] {
+					t.Fatalf("looped path %q", p)
+				}
+				seen[a] = true
 			}
 		}
 	}
 }
 
-// TestClassAtUnknownAS covers the diagnostics accessor's miss paths.
+// TestClassAtUnknownAS covers classAt's miss paths.
 func TestClassAtUnknownAS(t *testing.T) {
 	n := New(testGraph(t))
 	rt := n.Routes(3001, nil)
-	if _, _, ok := rt.ClassAt(n.G, 9999); ok {
+	if _, _, ok := classAt(rt, n.G, 9999); ok {
 		t.Fatal("unknown AS has a class")
 	}
 	restricted := n.Routes(3003, []bgp.ASN{2002})
 	// 2001 reaches 3003 via peer 2002 in the restricted table; its class
 	// must be peer, not customer.
-	cl, _, ok := restricted.ClassAt(n.G, 2001)
+	cl, _, ok := classAt(restricted, n.G, 2001)
 	if !ok || cl != classPeer {
 		t.Fatalf("2001 class = %d, want peer", cl)
 	}

@@ -259,13 +259,3 @@ func (n *Net) PathFrom(t *RouteTable, v bgp.ASN) (bgp.Path, bool) {
 	n.pathCache[key] = p
 	return p, true
 }
-
-// ClassAt returns the preference class and hop count v holds toward the
-// table's root (exposed for tests and diagnostics).
-func (t *RouteTable) ClassAt(g *topology.Graph, v bgp.ASN) (int8, int32, bool) {
-	vi := g.Index(v)
-	if vi < 0 || !t.reachable(vi) {
-		return classNone, 0, false
-	}
-	return t.class[vi], t.hops[vi], true
-}

@@ -87,12 +87,31 @@ func TestPropagationValleyFree(t *testing.T) {
 	}
 }
 
+// pathASes returns every AS on p, in order.
+func pathASes(p bgp.Path) []bgp.ASN {
+	var out []bgp.ASN
+	for _, s := range p {
+		out = append(out, s.ASes...)
+	}
+	return out
+}
+
+// classAt returns the preference class and hop count v holds toward rt's
+// root.
+func classAt(rt *RouteTable, g *topology.Graph, v bgp.ASN) (int8, int32, bool) {
+	vi := g.Index(v)
+	if vi < 0 || !rt.reachable(vi) {
+		return classNone, 0, false
+	}
+	return rt.class[vi], rt.hops[vi], true
+}
+
 // assertValleyFree verifies the Gao-Rexford property along a path from
 // vantage to origin: once the path (read origin->vantage as export steps)
 // has gone provider->customer or peer-peer, it may not go up or peer again.
 func assertValleyFree(t *testing.T, g *topology.Graph, p bgp.Path) {
 	t.Helper()
-	ases := p.AllASes()
+	ases := pathASes(p)
 	// Walk export direction: origin ... vantage (reverse of stored order).
 	descending := false
 	peers := 0
@@ -133,7 +152,7 @@ func TestPropagationPrefersCustomerRoutes(t *testing.T) {
 	// 2002, even though both reach 3003.
 	n := New(testGraph(t))
 	rt := n.Routes(3003, nil)
-	cl, hops, ok := rt.ClassAt(n.G, 2001)
+	cl, hops, ok := classAt(rt, n.G, 2001)
 	if !ok || cl != classCustomer || hops != 1 {
 		t.Fatalf("2001 route to 3003 = class %d hops %d", cl, hops)
 	}
@@ -239,7 +258,7 @@ func TestVantagePathsSplitView(t *testing.T) {
 	}
 	// All observed paths must carry 2001 as the penultimate hop.
 	for _, vr := range vrs {
-		ases := vr.Path.AllASes()
+		ases := pathASes(vr.Path)
 		if len(ases) < 2 || ases[len(ases)-2] != 2001 {
 			t.Fatalf("path %q does not transit 2001 as penultimate hop", vr.Path)
 		}

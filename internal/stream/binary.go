@@ -18,46 +18,34 @@ import (
 // The container carries its own format version after the magic, separate
 // from the Checkpoint struct version it stores:
 //
-//	container v1 (legacy: read, never written — the committed
-//	testdata/checkpoint_v1.mckpt pins it):
-//	  magic "MCKP" | uvarint struct version
-//	  frame: cursor — varint lastClosedDay, uvarint messages/ops/records
-//	  frame: kernel — the kernel snapshot in its own binary format
-//	  frame: routes — uvarint prefix count, then per prefix:
-//	                  prefix, uvarint route count, then per route:
-//	                  16-byte peer IP, uvarint peer AS,
-//	                  uvarint length + raw attribute wire bytes
+//	magic "MCKP" | uvarint 2 | uvarint struct version
+//	frame: cursor — varint lastClosedDay, uvarint messages/ops/records
+//	frame: kernel — the kernel snapshot in its own binary format
+//	frame: attrs  — uvarint block count, then per block:
+//	                uvarint length + raw attribute wire bytes
+//	frame: routes — uvarint prefix count, then per prefix:
+//	                prefix, uvarint route count, then per route:
+//	                16-byte peer IP, uvarint peer AS,
+//	                uvarint attrs-block index
 //
-//	container v2 (written by AppendCheckpointBinary):
-//	  magic "MCKP" | uvarint 2 | uvarint struct version
-//	  frame: cursor — as v1
-//	  frame: kernel — as v1
-//	  frame: attrs — uvarint block count, then per block:
-//	                 uvarint length + raw attribute wire bytes
-//	  frame: routes — uvarint prefix count, then per prefix:
-//	                  prefix, uvarint route count, then per route:
-//	                  16-byte peer IP, uvarint peer AS,
-//	                  uvarint attrs-block index
-//
-// v2 exploits the same redundancy the ingest interner does: a table's
-// routes share a small set of distinct attribute blocks, so each block is
-// written once and routes reference it by index — most of a v1
-// checkpoint's bytes were those blocks repeated per route. The v1 value
-// in the version slot can never be 2 (it was the struct version, fixed at
-// 1), so one uvarint read disambiguates the containers: archives mixing
-// v1 and v2 files all restore. Readers insert entry by entry, so none
-// depends on the order of entries inside a section; the writer's order is
-// the image's (Prefix.Compare).
+// A table's routes share a small set of distinct attribute blocks, the
+// redundancy the ingest interner exploits too, so each block is written
+// once and routes reference it by index. Container 1, which spelled every
+// route's block out and stored the struct version (always 1) in the
+// container slot, is refused with binenc.ErrRetired: commit a105d34 is the
+// last that reads it. Any other value in the slot is damage. Readers
+// insert entry by entry, so none depends on the order of entries inside a
+// section; the writer's order is the image's (Prefix.Compare).
 
 // checkpointMagic introduces a binary engine checkpoint.
 var checkpointMagic = []byte("MCKP")
 
-// checkpointContainerV2 is the container format version introduced with
-// the shared attrs-block table.
-const checkpointContainerV2 = 2
+// checkpointContainer is the container format version, the one with the
+// shared attrs-block table.
+const checkpointContainer = 2
 
-// AppendCheckpointBinary appends ck's binary encoding — container v2,
-// with the shared attrs-block table — to dst, sizing dst once.
+// AppendCheckpointBinary appends ck's binary encoding to dst, sizing dst
+// once.
 func AppendCheckpointBinary(dst []byte, ck *Checkpoint) ([]byte, error) {
 	if ck.Kernel == nil {
 		return nil, fmt.Errorf("stream: checkpoint has no kernel snapshot")
@@ -84,7 +72,7 @@ func AppendCheckpointBinary(dst []byte, ck *Checkpoint) ([]byte, error) {
 
 	dst = slices.Grow(dst, size+ck.Kernel.BinarySizeHint())
 	dst = append(dst, checkpointMagic...)
-	dst = binary.AppendUvarint(dst, checkpointContainerV2)
+	dst = binary.AppendUvarint(dst, checkpointContainer)
 	dst = binary.AppendUvarint(dst, uint64(ck.Version))
 
 	start := len(dst)
@@ -126,23 +114,23 @@ func AppendCheckpointBinary(dst []byte, ck *Checkpoint) ([]byte, error) {
 	return binenc.EndFrame(dst, start), nil
 }
 
-// DecodeCheckpointBinary parses a binary checkpoint — either container
-// version — and validates its struct version. Hostile input errors; it
-// never panics or over-allocates. The result's attribute blocks alias
-// data (NewFromCheckpoint copies what the engine keeps).
+// DecodeCheckpointBinary parses a binary checkpoint of the current
+// container and validates its struct version; container 1 is refused
+// with binenc.ErrRetired. Hostile input errors; it never panics or
+// over-allocates. The result's attribute blocks alias data
+// (NewFromCheckpoint copies what the engine keeps).
 func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	if !bytes.HasPrefix(data, checkpointMagic) {
 		return nil, fmt.Errorf("stream: not a binary checkpoint (bad magic)")
 	}
 	r := binenc.NewReader(data[len(checkpointMagic):])
-	// Container v1 stored the struct version (always 1) in this slot, so
-	// the value doubles as the container discriminator.
-	v2 := false
-	ck := &Checkpoint{Version: int(r.Uvarint())}
-	if r.Err() == nil && ck.Version == checkpointContainerV2 {
-		v2 = true
-		ck.Version = int(r.Uvarint())
+	if container := r.Uvarint(); r.Err() == nil && container != checkpointContainer {
+		if container == 1 {
+			return nil, binenc.Retired("checkpoint container MCKP version 1", "a105d34")
+		}
+		return nil, fmt.Errorf("stream: checkpoint container %d, want %d: %w", container, checkpointContainer, binenc.ErrCorrupt)
 	}
+	ck := &Checkpoint{Version: int(r.Uvarint())}
 	if r.Err() == nil && ck.Version != CheckpointVersion {
 		return nil, fmt.Errorf("stream: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
 	}
@@ -166,17 +154,14 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	}
 	ck.Kernel = snap
 
-	// v2: the shared attrs-block table the route entries index into.
-	var blocks []WireAttrs
-	if v2 {
-		asec := r.Frame()
-		blocks = make([]WireAttrs, asec.Count(1))
-		for i := range blocks {
-			blocks[i] = asec.Bytes(asec.Count(1))
-		}
-		if err := cmp.Or(asec.End(), r.Err()); err != nil {
-			return nil, fmt.Errorf("stream: decode checkpoint attrs table: %w", err)
-		}
+	// The shared attrs-block table the route entries index into.
+	asec := r.Frame()
+	blocks := make([]WireAttrs, asec.Count(1))
+	for i := range blocks {
+		blocks[i] = asec.Bytes(asec.Count(1))
+	}
+	if err := cmp.Or(asec.End(), r.Err()); err != nil {
+		return nil, fmt.Errorf("stream: decode checkpoint attrs table: %w", err)
 	}
 
 	sec := r.Frame()
@@ -185,16 +170,13 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	ck.Routes = slices.Grow(ck.Routes, n)
 	for i := 0; i < n; i++ {
 		pr := PrefixRoutes{Prefix: sec.Prefix()}
-		// Minimum bytes per route: 16-byte IP + AS + (v1: empty attrs
-		// length | v2: block index) = 18 either way.
+		// Minimum bytes per route: 16-byte IP + AS + block index = 18.
 		pr.Routes = make([]PeerRouteSnap, sec.Count(18))
 		for j := range pr.Routes {
 			rt := &pr.Routes[j]
 			copy(rt.PeerIP[:], sec.Bytes(len(rt.PeerIP)))
 			rt.PeerAS = bgp.ASN(sec.Uvarint())
-			if !v2 {
-				rt.Attrs = sec.Bytes(sec.Count(1))
-			} else if idx := sec.Uvarint(); idx < uint64(len(blocks)) {
+			if idx := sec.Uvarint(); idx < uint64(len(blocks)) {
 				rt.Attrs = blocks[idx]
 			} else if sec.Err() == nil {
 				return nil, fmt.Errorf("stream: checkpoint attrs index %d beyond %d-block table", idx, len(blocks))

@@ -2,10 +2,12 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
 	"moas/internal/bgp"
+	"moas/internal/binenc"
 	"moas/internal/binenc/binenctest"
 )
 
@@ -49,9 +51,7 @@ func tinyCheckpoint(t testing.TB) *Checkpoint {
 }
 
 // TestBinaryCheckpointRoundTrip: the codec must reproduce the exact
-// checkpoint image, and every frozen fixture of an earlier form — each an
-// image of the scripted engine — must still decode to exactly that
-// engine's image.
+// checkpoint image.
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	sc, _, _ := fixtures(t)
 	ck, _, _ := checkpointAtDay(t, Config{Shards: 2}, len(sc.ObservedDays)/2)
@@ -69,17 +69,6 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ck, decoded) {
 		t.Fatal("the round trip changed the checkpoint")
-	}
-
-	want := tinyCheckpoint(t)
-	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenBinarySnap2, frozenBinarySnap3} {
-		got, err := DecodeCheckpointBinary(frozen(t, path))
-		if err != nil {
-			t.Fatalf("decode of %s: %v", path, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s decodes to a different image:\nwant %+v\n got %+v", path, want, got)
-		}
 	}
 }
 
@@ -107,40 +96,30 @@ func TestBinaryCheckpointResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // TestBinaryCheckpointRefusesPaddedFrames: one junk byte wrapped into
-// any frame of either container — the kernel frame's snapshot included —
-// or left after its last frame is refused: every frame is read to its
-// end.
+// any frame — the kernel frame's snapshot included — or left after the
+// last frame is refused: every frame is read to its end.
 func TestBinaryCheckpointRefusesPaddedFrames(t *testing.T) {
-	v2, err := AppendCheckpointBinary(nil, tinyCheckpoint(t))
+	img, err := AppendCheckpointBinary(nil, tinyCheckpoint(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name   string
-		img    []byte
-		off    int // magic, then one-byte container and struct versions
-		frames []string
-	}{
-		{"v2", v2, len(checkpointMagic) + 2, []string{"cursor", "kernel", "attrs", "routes"}},
-		{"v1", frozen(t, frozenBinaryV1), len(checkpointMagic) + 1, []string{"cursor", "kernel", "routes"}},
-	} {
-		if _, err := DecodeCheckpointBinary(tc.img); err != nil {
-			t.Fatalf("%s: unpadded image: %v", tc.name, err)
-		}
-		for _, c := range binenctest.Padded(t, tc.img, tc.off, tc.frames...) {
-			if _, err := DecodeCheckpointBinary(c.Data); err == nil {
-				t.Errorf("%s: a junk byte in the %s frame was accepted", tc.name, c.Name)
-			}
+	if _, err := DecodeCheckpointBinary(img); err != nil {
+		t.Fatalf("unpadded image: %v", err)
+	}
+	// Magic, then the one-byte container and struct versions.
+	for _, c := range binenctest.Padded(t, img, len(checkpointMagic)+2, "cursor", "kernel", "attrs", "routes") {
+		if _, err := DecodeCheckpointBinary(c.Data); err == nil {
+			t.Errorf("a junk byte in the %s frame was accepted", c.Name)
 		}
 	}
 }
 
 // TestBinaryCheckpointRejectsDamage: truncation at every byte boundary,
 // magic corruption, trailing garbage and version skew must error — never
-// panic — in both binary containers, and in the v2 container with a
-// kernel section of snapshot version 1, 2 or 3. Those four are frozen
-// fixtures; the v1 container's version slot is the byte after the magic,
-// the v2 container's the byte after that.
+// panic. A container slot of 0 or 3 is damage; the retired forms
+// (retiredForms: container 1, kernel snapshot 1-3) are refused as
+// retired, and their truncations and flipped bits error or decode without
+// a panic too.
 func TestBinaryCheckpointRejectsDamage(t *testing.T) {
 	ck := tinyCheckpoint(t)
 	v2, err := AppendCheckpointBinary(nil, ck)
@@ -153,50 +132,51 @@ func TestBinaryCheckpointRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := frozen(t, frozenBinaryV1)
-	futureV1 := bytes.Clone(v1)
-	futureV1[len(checkpointMagic)] = 99
-	snap1 := frozen(t, frozenBinaryV2)
-	futureSnap1 := bytes.Clone(snap1)
-	futureSnap1[len(checkpointMagic)+1] = 99
-	snap2 := frozen(t, frozenBinarySnap2)
-	futureSnap2 := bytes.Clone(snap2)
-	futureSnap2[len(checkpointMagic)+1] = 99
-	snap3 := frozen(t, frozenBinarySnap3)
-	futureSnap3 := bytes.Clone(snap3)
-	futureSnap3[len(checkpointMagic)+1] = 99
-
-	for _, tc := range []struct {
-		name        string
-		bin, future []byte
-	}{{"v2", v2, futureV2}, {"v1", v1, futureV1}, {"v2-snap1", snap1, futureSnap1}, {"v2-snap2", snap2, futureSnap2}, {"v2-snap3", snap3, futureSnap3}} {
-		t.Run(tc.name, func(t *testing.T) {
-			bin := tc.bin
-			if decoded, err := DecodeCheckpointBinary(bin); err != nil || !reflect.DeepEqual(ck, decoded) {
-				t.Fatalf("undamaged %s checkpoint decodes with error %v or to a different image", tc.name, err)
+	damaged := func(t *testing.T, bin []byte) {
+		t.Helper()
+		if _, err := DecodeCheckpointBinary(append(bytes.Clone(bin), 0x01)); err == nil {
+			t.Fatal("trailing garbage accepted")
+		}
+		for cut := 0; cut < len(bin); cut++ {
+			if _, err := DecodeCheckpointBinary(bin[:cut]); err == nil {
+				t.Fatalf("truncation at byte %d accepted", cut)
 			}
-			if _, err := DecodeCheckpointBinary(append(bytes.Clone(bin), 0x01)); err == nil {
-				t.Fatal("trailing garbage accepted")
-			}
-			for cut := 0; cut < len(bin); cut++ {
-				if _, err := DecodeCheckpointBinary(bin[:cut]); err == nil {
-					t.Fatalf("truncation at byte %d accepted", cut)
-				}
-			}
-			// A flipped bit anywhere must error or decode — never panic.
-			for i := range bin {
-				bad := bytes.Clone(bin)
-				bad[i] ^= 0x10
-				_, _ = DecodeCheckpointBinary(bad)
-			}
+		}
+		// A flipped bit anywhere must error or decode — never panic.
+		for i := range bin {
 			bad := bytes.Clone(bin)
-			bad[0] = 'J'
-			if _, err := DecodeCheckpointBinary(bad); err == nil {
-				t.Fatal("corrupt magic accepted")
+			bad[i] ^= 0x10
+			_, _ = DecodeCheckpointBinary(bad)
+		}
+		bad := bytes.Clone(bin)
+		bad[0] = 'J'
+		if _, err := DecodeCheckpointBinary(bad); err == nil {
+			t.Fatal("corrupt magic accepted")
+		}
+	}
+
+	t.Run("v2", func(t *testing.T) {
+		if decoded, err := DecodeCheckpointBinary(v2); err != nil || !reflect.DeepEqual(ck, decoded) {
+			t.Fatalf("undamaged checkpoint decodes with error %v or to a different image", err)
+		}
+		damaged(t, v2)
+		if _, err := DecodeCheckpointBinary(futureV2); err == nil {
+			t.Fatal("version-99 binary checkpoint accepted")
+		}
+		for _, slot := range []byte{0, checkpointContainer + 1} {
+			bad := bytes.Clone(v2)
+			bad[len(checkpointMagic)] = slot
+			if _, err := DecodeCheckpointBinary(bad); !errors.Is(err, binenc.ErrCorrupt) {
+				t.Errorf("container slot %d: %v, want %v", slot, err, binenc.ErrCorrupt)
 			}
-			if _, err := DecodeCheckpointBinary(tc.future); err == nil {
-				t.Fatal("version-99 binary checkpoint accepted")
+		}
+	})
+	for name, form := range retiredForms(t, v2) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := DecodeCheckpointBinary(form); !errors.Is(err, binenc.ErrRetired) {
+				t.Fatalf("retired form decodes with error %v, want %v", err, binenc.ErrRetired)
 			}
+			damaged(t, form)
 		})
 	}
 }

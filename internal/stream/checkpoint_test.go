@@ -2,13 +2,17 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"moas/internal/bgp"
+	"moas/internal/binenc"
+	"moas/internal/binenc/binenctest"
 	"moas/internal/core"
 	"moas/internal/kernel"
 )
@@ -218,13 +222,14 @@ func TestCheckpointVersionRejected(t *testing.T) {
 
 // TestCheckpointHostileInput feeds the decoder the malformed and
 // adversarial images a corrupted or forged file can carry. Each row
-// starts from the scripted checkpoint (the rows about an event log or a
-// history from its frozen image with kernel snapshot version 2 or 3, the
-// last to carry one) and damages it — as an image (mutate: its encoding
-// then carries the damage) or as MCKP v2 bytes, whichever can express it
-// — and must end as its want says, at decode or at restore, without a
-// panic and without leaking the shard goroutines NewFromCheckpoint starts
-// before it can know the image is bad.
+// starts from the scripted checkpoint and damages it — as an image
+// (mutate: its encoding then carries the damage) or as bytes, whichever
+// can express it — and must end as its want says, at decode or at
+// restore, without a panic and without leaking the shard goroutines
+// NewFromCheckpoint starts before it can know the image is bad. An image
+// in a retired form is refused with binenc.ErrRetired, and the error
+// names the form's version and the last commit that reads it; damage is
+// never called retired.
 func TestCheckpointHostileInput(t *testing.T) {
 	pa := bgp.MustParsePrefix("10.0.0.0/8")
 	pc := bgp.MustParsePrefix("2001:db8::/32")
@@ -237,12 +242,26 @@ func TestCheckpointHostileInput(t *testing.T) {
 		t.Fatalf("fixture has no routes for %v", p)
 		return nil
 	}
-	replaceBin := func(old, new []byte) func([]byte) []byte {
+	setByte := func(at func(bin []byte) int, v byte) func([]byte) []byte {
+		return func(bin []byte) []byte { bin[at(bin)] = v; return bin }
+	}
+	containerSlot := func([]byte) int { return len(checkpointMagic) }
+	// editKernel rewrites the kernel frame, the second after the magic and
+	// the container and struct versions.
+	editKernel := func(edit func(snap []byte) []byte) func([]byte) []byte {
 		return func(bin []byte) []byte {
-			if !bytes.Contains(bin, old) {
-				t.Fatalf("fixture binary has no % x", old)
+			off := len(checkpointMagic) + 2
+			r := binenc.NewReader(bin[off:])
+			out := bytes.Clone(bin[:off])
+			for i := 0; r.Len() > 0; i++ {
+				fr := r.Frame()
+				if p := fr.Bytes(fr.Len()); i == 1 {
+					out = binenc.AppendFrame(out, edit(bytes.Clone(p)))
+				} else {
+					out = binenc.AppendFrame(out, p)
+				}
 			}
-			return bytes.Replace(bin, old, new, 1)
+			return out
 		}
 	}
 	base := tinyCheckpoint(t)
@@ -259,6 +278,7 @@ func TestCheckpointHostileInput(t *testing.T) {
 
 	const (
 		failsDecode = iota
+		failsRetired
 		failsRestore
 		restores
 	)
@@ -266,17 +286,22 @@ func TestCheckpointHostileInput(t *testing.T) {
 		name    string
 		mutate  func(ck *Checkpoint)
 		editBin func(bin []byte) []byte
-		// editSnap1 edits the frozen container-v2 fixture, whose kernel
-		// section is snapshot version 1.
-		editSnap1 func(bin []byte) []byte
-		// fixture, when set, is the frozen fixture editBin edits instead
-		// of the current image: the one whose kernel section is snapshot
-		// version 2, which carries an event log, or 3, which carries
-		// per-prefix histories.
-		fixture string
 		want    int
-		check   func(t *testing.T, e *Engine)
+		// names, for a row that fails as retired, is what the error must
+		// name: the form's version and the last commit that reads it.
+		names []string
+		check func(t *testing.T, e *Engine)
 	}{
+		{name: "container 1", want: failsRetired, editBin: setByte(containerSlot, 1),
+			names: []string{"MCKP version 1 ", "a105d34"}},
+		{name: "kernel snapshot 1", want: failsRetired, editBin: setByte(msnpVersionAt, 1),
+			names: []string{"MSNP version 1 ", "a105d34"}},
+		{name: "kernel snapshot 2", want: failsRetired, editBin: setByte(msnpVersionAt, 2),
+			names: []string{"MSNP version 2 ", "a105d34"}},
+		{name: "kernel snapshot 3", want: failsRetired, editBin: setByte(msnpVersionAt, 3),
+			names: []string{"MSNP version 3 ", "a105d34"}},
+		{name: "kernel snapshot 0", want: failsDecode, editBin: setByte(msnpVersionAt, 0)},
+		{name: "kernel snapshot 5", want: failsDecode, editBin: setByte(msnpVersionAt, 5)},
 		{name: "prefix longer than its family", want: failsDecode,
 			// Compact form of 10.0.0.0/8: family 1, 8 bits, one address byte.
 			editBin: func(bin []byte) []byte { return bytes.Replace(bin, []byte{1, 8, 10}, []byte{1, 33, 10}, 1) }},
@@ -292,37 +317,16 @@ func TestCheckpointHostileInput(t *testing.T) {
 			mutate: func(ck *Checkpoint) { ck.Kernel.Prefixes = append(ck.Kernel.Prefixes, ck.Kernel.Prefixes[0]) }},
 		{name: "class byte 200 in a prefix state", want: failsRestore,
 			mutate: func(ck *Checkpoint) { ck.Kernel.Prefixes[0].Class = 200 }},
-		// The event log of a version-2 kernel section is checked before it
-		// is dropped. Its last event ends 192.0.2.0/24's conflict: type 4,
-		// day 2, seq 2, the prefix (1, 24, 192, 0, 2), no origins, the
-		// previous ones (2, 42, 43), class 0 and previous class 3.
-		{name: "class byte 200 in a logged event", want: failsDecode, fixture: frozenBinarySnap2,
-			editBin: replaceBin([]byte{4, 4, 2, 1, 24, 192, 0, 2, 0, 2, 42, 43, 0, 3}, []byte{4, 4, 2, 1, 24, 192, 0, 2, 0, 2, 42, 43, 0, 200})},
 		// A current kernel section carries no log and no histories; one
-		// that does — a version-2 or 3 section renumbered — is refused.
-		{name: "event log in a current kernel snapshot", want: failsDecode, fixture: frozenBinarySnap2,
-			editBin: replaceBin([]byte("MSNP\x02"), []byte("MSNP\x04"))},
-		{name: "histories in a current kernel snapshot", want: failsDecode, fixture: frozenBinarySnap3,
-			editBin: replaceBin([]byte("MSNP\x03"), []byte("MSNP\x04"))},
-		// Histories no kernel could have retained. 10.0.0.0/8 holds two
-		// events, ordinals 1 and 2. A version-1 kernel section spells
-		// each event in full — it opens 10.0.0.0/8's first with type 1,
-		// day 0, seq 1, then the prefix (1, 8, 10); the
-		// prefix's entry opens with the prefix, its origins (3, 7, 9,
-		// 11), class 3, seq 2, since 0 and the history count 2, in every
-		// version that carries histories.
-		{name: "history event of type 7", want: failsDecode,
-			editSnap1: replaceBin([]byte{1, 0, 1, 1, 8, 10}, []byte{7, 0, 1, 1, 8, 10})},
-		{name: "history event of another prefix", want: failsDecode,
-			editSnap1: replaceBin([]byte{1, 0, 1, 1, 8, 10}, []byte{1, 0, 1, 1, 8, 11})},
-		{name: "history ordinals that skip", want: failsDecode,
-			editSnap1: replaceBin([]byte{1, 0, 1, 1, 8, 10}, []byte{1, 0, 0, 1, 8, 10})},
-		{name: "history that does not end at its prefix's ordinal", want: failsDecode,
-			editSnap1: replaceBin([]byte{1, 8, 10, 3, 7, 9, 11, 3, 2, 0, 2}, []byte{1, 8, 10, 3, 7, 9, 11, 3, 3, 0, 2}),
-			// A compact history has no ordinals of its own: the one it
-			// cannot end at is one below its event count.
-			fixture: frozenBinarySnap3,
-			editBin: replaceBin([]byte{1, 8, 10, 3, 7, 9, 11, 3, 2, 0, 2}, []byte{1, 8, 10, 3, 7, 9, 11, 3, 1, 0, 2})},
+		// that does — an empty log frame after the spans, as versions 1
+		// and 2 ended with, or an empty history closing the last prefix
+		// entry, as versions 1-3 closed each — is refused.
+		{name: "event log in a current kernel snapshot", want: failsDecode,
+			editBin: editKernel(func(snap []byte) []byte { return binenc.AppendFrame(snap, []byte{0}) })},
+		{name: "histories in a current kernel snapshot", want: failsDecode,
+			editBin: editKernel(func(snap []byte) []byte {
+				return binenctest.Padded(t, snap, len("MSNP")+1, "meta", "prefixes", "conflicts", "spans")[1].Data
+			})},
 		{name: "closed span day beyond 32 bits", want: failsRestore,
 			mutate: func(ck *Checkpoint) { ck.Kernel.ClosedSpans[0].End = 1 << 40 }},
 		{name: "conflict record for a prefix without a state", want: restores,
@@ -380,59 +384,55 @@ func TestCheckpointHostileInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inputs := map[string][]byte{}
-		if row.mutate != nil || row.editBin != nil {
-			inputs["binary"] = bin
-		}
-		if row.fixture != "" {
-			inputs["binary"] = bytes.Clone(frozen(t, row.fixture))
-		}
 		if row.editBin != nil {
-			inputs["binary"] = row.editBin(inputs["binary"])
+			bin = row.editBin(bin)
 		}
-		if row.editSnap1 != nil {
-			inputs["binary-snap1"] = row.editSnap1(bytes.Clone(frozen(t, frozenBinaryV2)))
-		}
-		for format, data := range inputs {
-			t.Run(row.name+"/"+format, func(t *testing.T) {
-				before := runtime.NumGoroutine()
-				defer func() {
-					// Close returns once every shard worker has called
-					// wg.Done, which is a moment before the scheduler
-					// retires its goroutine: give that a deadline.
-					deadline := time.Now().Add(2 * time.Second)
-					for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-						time.Sleep(time.Millisecond)
-					}
-					if after := runtime.NumGoroutine(); after > before {
-						t.Errorf("%d goroutines before, %d after", before, after)
-					}
-				}()
-				decoded, err := DecodeCheckpointBinary(data)
-				if err != nil {
-					if row.want != failsDecode {
-						t.Fatalf("decode failed: %v", err)
-					}
-					t.Logf("decode: %v", err)
-					return
+		t.Run(row.name+"/binary", func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			defer func() {
+				// Close returns once every shard worker has called
+				// wg.Done, which is a moment before the scheduler
+				// retires its goroutine: give that a deadline.
+				deadline := time.Now().Add(2 * time.Second)
+				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
 				}
-				if row.want == failsDecode {
-					t.Fatal("decode accepted the image")
+				if after := runtime.NumGoroutine(); after > before {
+					t.Errorf("%d goroutines before, %d after", before, after)
 				}
-				e, err := NewFromCheckpoint(Config{Shards: 2}, decoded)
-				if err != nil {
-					if row.want != failsRestore {
-						t.Fatalf("restore failed: %v", err)
+			}()
+			decoded, err := DecodeCheckpointBinary(bin)
+			if err != nil {
+				if row.want != failsDecode && row.want != failsRetired {
+					t.Fatalf("decode failed: %v", err)
+				}
+				if retired := errors.Is(err, binenc.ErrRetired); retired != (row.want == failsRetired) {
+					t.Fatalf("decode: %v; retired: %v, want %v", err, retired, !retired)
+				}
+				for _, name := range row.names {
+					if !strings.Contains(err.Error(), name) {
+						t.Errorf("decode: %q does not name %q", err, name)
 					}
-					t.Logf("restore: %v", err)
-					return
 				}
-				defer e.Close()
-				if row.want == failsRestore {
-					t.Fatal("restore accepted the image")
+				t.Logf("decode: %v", err)
+				return
+			}
+			if row.want == failsDecode || row.want == failsRetired {
+				t.Fatal("decode accepted the image")
+			}
+			e, err := NewFromCheckpoint(Config{Shards: 2}, decoded)
+			if err != nil {
+				if row.want != failsRestore {
+					t.Fatalf("restore failed: %v", err)
 				}
-				row.check(t, e)
-			})
-		}
+				t.Logf("restore: %v", err)
+				return
+			}
+			defer e.Close()
+			if row.want == failsRestore {
+				t.Fatal("restore accepted the image")
+			}
+			row.check(t, e)
+		})
 	}
 }

@@ -9,14 +9,15 @@ import (
 )
 
 // checkpointCorpusSeeds returns the fuzz seed inputs: the scripted
-// checkpoint in every form — as written now (container v2 with kernel
-// snapshot v4: the "-snap4" seeds) and as the frozen fixtures of the
-// earlier forms hold it (container v1; container v2 with kernel snapshot
-// v1, with v2 and with v3: the "-snap2" and "-snap3" seeds) — plus
-// damaged variants. Seeds of
-// the same names are committed under testdata/fuzz/FuzzCheckpointRestore
-// (see TestGenerateCheckpointFuzzCorpus), beside the "json" seeds: JSON
-// documents, which the decoder must refuse cleanly.
+// checkpoint as written now (container 2 with kernel snapshot 4: the
+// "-snap4" seeds) and in the retired forms the decoder refuses
+// (retiredForms: container 1, the "-v1" seeds, and kernel snapshot 1-3,
+// the unsuffixed, "-snap2" and "-snap3" ones), each with damaged
+// variants. Seeds of the same names are committed under
+// testdata/fuzz/FuzzCheckpointRestore (see
+// TestGenerateCheckpointFuzzCorpus): there the retired seeds are the
+// files those forms' writers produced, which the decoder must refuse
+// without a panic, as it must the "json" seeds, JSON documents.
 func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	ck := tinyCheckpoint(t)
@@ -24,13 +25,14 @@ func checkpointCorpusSeeds(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	retired := retiredForms(t, bin)
 	seeds := map[string][]byte{"empty": {}}
 	for name, blob := range map[string][]byte{
 		"binary-snap4": bin,
-		"binary-snap3": frozen(t, frozenBinarySnap3),
-		"binary-snap2": frozen(t, frozenBinarySnap2),
-		"binary":       frozen(t, frozenBinaryV2),
-		"binary-v1":    frozen(t, frozenBinaryV1),
+		"binary-snap3": retired["v2-snap3"],
+		"binary-snap2": retired["v2-snap2"],
+		"binary":       retired["v2-snap1"],
+		"binary-v1":    retired["v1"],
 	} {
 		seeds[name] = blob
 		seeds[name+"-truncated"] = blob[:len(blob)/2]

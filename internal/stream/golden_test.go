@@ -3,43 +3,54 @@ package stream
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"moas/internal/bgp"
+	"moas/internal/kernel"
 )
 
-// The golden fixtures pin the checkpoint format: a scripted engine
-// checkpoint committed in every container and kernel snapshot version
-// plus the state summary it must restore to. Future codec changes that can't read these bytes — or
-// read them into different state — fail here instead of silently
-// orphaning every archived checkpoint. Regenerate the written forms
-// (only after a deliberate, version-bumped format change) with
-// MOAS_GEN_GOLDEN=1, under new names; the files they replace stay
-// committed as frozen fixtures of the forms that came before, which no
-// writer produces any more and every reader test decodes:
-//
-//	checkpoint_v1.mckpt        container v1, kernel snapshot v1
-//	checkpoint_v2.mckpt        container v2, kernel snapshot v1
-//	checkpoint_v2_snap2.mckpt  container v2, kernel snapshot v2
-//	checkpoint_v2_snap3.mckpt  container v2, kernel snapshot v3
-//
-// Kernel snapshot v2 made the per-prefix histories compact, v3 dropped
-// the event log the earlier ones carry, and the written form carries
-// kernel snapshot v4 (checkpoint_v2_snap4.mckpt), which drops the
-// histories too — the events a test engine retained then, which the
-// reader checks and drops. The expectation, a JSON document, is a
-// summary of the restored state, not a checkpoint.
+// The golden fixture pins the checkpoint format: a scripted engine
+// checkpoint committed in the written form (container 2, kernel snapshot
+// 4) plus the state summary it must restore to. A codec change that can't
+// read these bytes — or reads them into different state — fails here
+// instead of silently orphaning every archived checkpoint. Regenerate
+// them (only after a deliberate, version-bumped format change) with
+// MOAS_GEN_GOLDEN=1. The forms that came before (container 1, kernel
+// snapshots 1-3) are refused as retired; retiredForms builds them. The
+// expectation, a JSON document, is a summary of the restored state, not
+// a checkpoint.
 const (
 	goldenBinaryV2 = "testdata/checkpoint_v2_snap4.mckpt"
-	goldenExpect   = "testdata/checkpoint_v1.expect.json"
-
-	frozenBinaryV1    = "testdata/checkpoint_v1.mckpt"
-	frozenBinaryV2    = "testdata/checkpoint_v2.mckpt"
-	frozenBinarySnap2 = "testdata/checkpoint_v2_snap2.mckpt"
-	frozenBinarySnap3 = "testdata/checkpoint_v2_snap3.mckpt"
+	goldenExpect   = "testdata/checkpoint_v2_snap4.expect.json"
 )
+
+// retiredForms returns bin, a current checkpoint image, in each retired
+// form the decoder must refuse with binenc.ErrRetired: its container slot
+// set to 1 ("v1"), and its kernel snapshot's version set to 1, 2 or 3
+// ("v2-snap1" to "v2-snap3"). The version is all the decoder reads of a
+// retired form, so the bytes after it need not be that form's.
+func retiredForms(t testing.TB, bin []byte) map[string][]byte {
+	t.Helper()
+	msnp := msnpVersionAt(bin)
+	if bin[len(checkpointMagic)] != checkpointContainer || msnp < len("MSNP") || bin[msnp] != kernel.SnapshotVersion {
+		t.Fatalf("% x is not a current checkpoint image", bin)
+	}
+	forms := map[string][]byte{"v1": bytes.Clone(bin)}
+	forms["v1"][len(checkpointMagic)] = 1
+	for v := byte(1); v < kernel.SnapshotVersion; v++ {
+		form := bytes.Clone(bin)
+		form[msnp] = v
+		forms[fmt.Sprintf("v2-snap%d", v)] = form
+	}
+	return forms
+}
+
+// msnpVersionAt returns the offset of the kernel snapshot's version byte
+// in a checkpoint image (the byte after its "MSNP" magic).
+func msnpVersionAt(bin []byte) int { return bytes.Index(bin, []byte("MSNP")) + len("MSNP") }
 
 // goldenSummary is the restored-state image the fixtures are compared
 // against: the replay cursor plus the full conflict registry.
@@ -101,54 +112,37 @@ func marshalSummary(t testing.TB, sum *goldenSummary) []byte {
 	return append(blob, '\n')
 }
 
-// TestGoldenCheckpointsRestore is the compatibility battery: the frozen
-// fixtures of every earlier form and the written form must all still
-// decode and restore to exactly the same committed state summary. All
-// five fixtures image the same engine, so one expectation serves.
+// TestGoldenCheckpointsRestore is the compatibility battery: the
+// committed fixture must still decode and restore to exactly the
+// committed state summary, and re-save as its own bytes: the codec is
+// stable to the byte, not only to the state.
 func TestGoldenCheckpointsRestore(t *testing.T) {
 	want, err := os.ReadFile(goldenExpect)
 	if err != nil {
 		t.Fatalf("missing golden expectation (regenerate with MOAS_GEN_GOLDEN=1): %v", err)
 	}
-	for _, path := range []string{frozenBinaryV1, frozenBinaryV2, frozenBinarySnap2, frozenBinarySnap3, goldenBinaryV2} {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden fixture (regenerate with MOAS_GEN_GOLDEN=1): %v", err)
-		}
-		ck, err := DecodeCheckpointBinary(blob)
-		if err != nil {
-			t.Fatalf("%s no longer decodes: %v", path, err)
-		}
-		got := marshalSummary(t, summarize(t, ck))
-		if !bytes.Equal(want, got) {
-			t.Fatalf("%s restores to different state than committed:\nwant %s\n got %s", path, want, got)
-		}
-		// All five are images of one engine, so whichever was read
-		// re-saves as the committed bytes of the written form: the codec
-		// is stable to the byte, not only to the state.
-		bin, err := AppendCheckpointBinary(nil, ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v2, _ := os.ReadFile(goldenBinaryV2); !bytes.Equal(bin, v2) {
-			t.Errorf("%s re-saves to different MCKP v2 bytes than %s", path, goldenBinaryV2)
-		}
-	}
-}
-
-// frozen returns the committed bytes of a frozen fixture.
-func frozen(t testing.TB, path string) []byte {
-	t.Helper()
-	blob, err := os.ReadFile(path)
+	blob, err := os.ReadFile(goldenBinaryV2)
 	if err != nil {
-		t.Fatalf("missing frozen fixture: %v", err)
+		t.Fatalf("missing golden fixture (regenerate with MOAS_GEN_GOLDEN=1): %v", err)
 	}
-	return blob
+	ck, err := DecodeCheckpointBinary(blob)
+	if err != nil {
+		t.Fatalf("%s no longer decodes: %v", goldenBinaryV2, err)
+	}
+	if got := marshalSummary(t, summarize(t, ck)); !bytes.Equal(want, got) {
+		t.Fatalf("%s restores to different state than committed:\nwant %s\n got %s", goldenBinaryV2, want, got)
+	}
+	bin, err := AppendCheckpointBinary(nil, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bin, blob) {
+		t.Errorf("%s re-saves to different bytes", goldenBinaryV2)
+	}
 }
 
-// TestGenerateGoldenCheckpoints rewrites the written form and the
-// expectation from the current codec (never a frozen fixture); a skip
-// unless MOAS_GEN_GOLDEN=1.
+// TestGenerateGoldenCheckpoints rewrites the fixture and the expectation
+// from the current codec; a skip unless MOAS_GEN_GOLDEN=1.
 func TestGenerateGoldenCheckpoints(t *testing.T) {
 	if os.Getenv("MOAS_GEN_GOLDEN") == "" {
 		t.Skip("set MOAS_GEN_GOLDEN=1 to regenerate golden checkpoints")

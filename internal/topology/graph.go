@@ -181,15 +181,6 @@ func (g *Graph) Customers(a bgp.ASN) []bgp.ASN { return g.neighborsByRel(a, RelC
 // Peers returns a's settlement-free peers in ascending AS order.
 func (g *Graph) Peers(a bgp.ASN) []bgp.ASN { return g.neighborsByRel(a, RelPeer) }
 
-// EdgeCount returns the number of undirected links.
-func (g *Graph) EdgeCount() int {
-	n := 0
-	for _, es := range g.adj {
-		n += len(es)
-	}
-	return n / 2
-}
-
 // Validate checks structural invariants: symmetric adjacency with
 // complementary relationships and no dangling AS references. It returns
 // the first violation found.
