@@ -93,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzUpdateBody -fuzztime $(FUZZTIME) ./internal/bgp
 	$(GO) test -run XXX -fuzz FuzzMRTFramer -fuzztime $(FUZZTIME) ./internal/source
 	$(GO) test -run XXX -fuzz FuzzPrefixTable -fuzztime $(FUZZTIME) ./internal/ptable
+	$(GO) test -run XXX -fuzz FuzzIndex -fuzztime $(FUZZTIME) ./internal/arena
 
 # soak runs the months-of-days synth flap-storm leak check under the race
 # detector (the short version runs in every `go test ./...`).

@@ -35,8 +35,6 @@ var exportsKept = map[string]string{
 	"internal/source/rislive/fake.go":            "a RIS Live server for the client's tests",
 	"internal/source/bgpd/script.go":             "a scripted BGP peer for the speaker's tests",
 	"internal/binenc/binenctest":                 "checks the codecs' tests share",
-	"internal/rib.NewAdjRIBIn":                   "the per-peer table the collector tests' replay reference rebuilds views with",
-	"internal/rib.FromPeers":                     "assembles the collector tests' replayed view from those per-peer tables",
 }
 
 // stdlibMethods are method names a type defines to satisfy a standard

@@ -143,7 +143,7 @@ const (
 	internAttrsBytes   = int(unsafe.Sizeof(Attrs{}))       // one Attrs value
 	internEntryBytes   = int(unsafe.Sizeof(internEntry{})) // one table entry
 	internSegmentBytes = int(unsafe.Sizeof(Segment{}))     // one path segment header
-	internCellBytes    = 8                                 // one arena.Index cell
+	internCellBytes    = 4                                 // one arena.Index cell
 )
 
 // Intern returns the canonical *Attrs for the attribute block wire,
@@ -196,13 +196,19 @@ func (in *AttrsInterner) commit(wire []byte, asn4 bool, h uint32) *Attrs {
 		a.Aggregator = in.allocAgg(*in.scratch.Aggregator)
 	}
 	*in.entries.At(in.entries.Alloc()) = in.copyKey(wire, asn4)
-	in.idx.Insert(h, i)
+	in.idx.Insert(h, i, in.hashOf)
 	return a
 }
 
 // key returns the wire bytes of an entry.
 func (in *AttrsInterner) key(e *internEntry) []byte {
 	return in.keys[e.chunk][e.off : e.off+e.n]
+}
+
+// hashOf returns the hash block i was indexed under: what the index
+// asks for when it grows.
+func (in *AttrsInterner) hashOf(i uint32) uint32 {
+	return hashBytes(in.key(in.entries.At(i)))
 }
 
 // Len returns the number of distinct attribute blocks held in the
@@ -212,8 +218,8 @@ func (in *AttrsInterner) Len() int {
 	return int(in.n.Load())
 }
 
-// hashBytes is FNV-1a over b, folded to the 32 bits an arena.Index
-// keeps.
+// hashBytes is FNV-1a over b, folded to the 32-bit hash an arena.Index
+// takes.
 func hashBytes(b []byte) uint32 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {

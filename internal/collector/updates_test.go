@@ -14,6 +14,96 @@ import (
 	"moas/internal/scenario"
 )
 
+// adjRIBIn is one peer's advertised table as the replay reference sees
+// it: the routes currently announced and not withdrawn.
+type adjRIBIn struct {
+	peerID uint16
+	peerAS bgp.ASN
+	routes map[bgp.Prefix]bgp.Route
+}
+
+func newAdjRIBIn(peerID uint16, peerAS bgp.ASN) *adjRIBIn {
+	return &adjRIBIn{peerID: peerID, peerAS: peerAS, routes: make(map[bgp.Prefix]bgp.Route)}
+}
+
+// update applies a BGP UPDATE: withdrawals then announcements, as on the
+// wire.
+func (a *adjRIBIn) update(u *bgp.Update) {
+	for _, p := range u.Withdrawn {
+		delete(a.routes, p)
+	}
+	if u.Attrs == nil {
+		return
+	}
+	for _, p := range u.NLRI {
+		a.routes[p] = bgp.Route{Prefix: p, Attrs: u.Attrs}
+	}
+}
+
+// viewFromPeers assembles a view from per-peer tables.
+func viewFromPeers(peers []*adjRIBIn) *rib.TableView {
+	v := rib.NewTableView()
+	for _, a := range peers {
+		for _, r := range a.routes {
+			v.Add(rib.PeerRoute{PeerID: a.peerID, PeerAS: a.peerAS, Route: r})
+		}
+	}
+	return v
+}
+
+// TestReplayAdjRIBInUpdateFlow checks the replay reference's per-peer
+// table: an update withdraws before it announces, and withdrawing an
+// unknown prefix changes nothing.
+func TestReplayAdjRIBInUpdateFlow(t *testing.T) {
+	pfx := bgp.MustParsePrefix
+	a := newAdjRIBIn(1, 701)
+	a.update(&bgp.Update{
+		Attrs: &bgp.Attrs{ASPath: bgp.MustParsePath("701 9"), NextHop: [4]byte{1, 1, 1, 1}},
+		NLRI:  []bgp.Prefix{pfx("10.0.0.0/8"), pfx("10.1.0.0/16")},
+	})
+	if len(a.routes) != 2 {
+		t.Fatalf("%d routes, want 2", len(a.routes))
+	}
+	a.update(&bgp.Update{Withdrawn: []bgp.Prefix{pfx("10.0.0.0/8")}})
+	if _, ok := a.routes[pfx("10.0.0.0/8")]; ok || len(a.routes) != 1 {
+		t.Fatalf("after the withdrawal: %v", a.routes)
+	}
+	if r, ok := a.routes[pfx("10.1.0.0/16")]; !ok || r.Prefix != pfx("10.1.0.0/16") {
+		t.Error("surviving prefix lost")
+	}
+	a.update(&bgp.Update{Withdrawn: []bgp.Prefix{pfx("99.0.0.0/8")}})
+	if len(a.routes) != 1 {
+		t.Error("withdrawing an unknown prefix changed the table")
+	}
+}
+
+// TestReplayAdjRIBInAnnounceReplace checks that a re-announcement
+// replaces the peer's route, also when the same update withdraws the
+// prefix first.
+func TestReplayAdjRIBInAnnounceReplace(t *testing.T) {
+	pfx := bgp.MustParsePrefix
+	a := newAdjRIBIn(1, 701)
+	a.update(&bgp.Update{
+		Attrs: &bgp.Attrs{ASPath: bgp.MustParsePath("701 9"), NextHop: [4]byte{1, 1, 1, 1}},
+		NLRI:  []bgp.Prefix{pfx("10.0.0.0/8")},
+	})
+	a.update(&bgp.Update{
+		Attrs: &bgp.Attrs{ASPath: bgp.MustParsePath("701 1239 9")},
+		NLRI:  []bgp.Prefix{pfx("10.0.0.0/8")},
+	})
+	if r := a.routes[pfx("10.0.0.0/8")]; len(a.routes) != 1 || r.Path().String() != "701 1239 9" {
+		t.Errorf("replacement announce did not take effect: %v", a.routes)
+	}
+	a.update(&bgp.Update{
+		Attrs:     &bgp.Attrs{ASPath: bgp.MustParsePath("701 3356 9")},
+		Withdrawn: []bgp.Prefix{pfx("10.0.0.0/8")},
+		NLRI:      []bgp.Prefix{pfx("10.0.0.0/8")},
+	})
+	if r := a.routes[pfx("10.0.0.0/8")]; len(a.routes) != 1 || r.Path().String() != "701 3356 9" {
+		t.Errorf("withdraw-then-announce in one update lost the route: %v", a.routes)
+	}
+}
+
 // replayUpdates applies a BGP4MP_MESSAGE stream to per-peer tables seeded
 // from a base view and returns the resulting view. Peers are identified by
 // (peer IP, peer AS), matching WriteViewUpdates' encoding. Records other
@@ -24,17 +114,17 @@ func replayUpdates(base *rib.TableView, r io.Reader) (*rib.TableView, error) {
 		ip [16]byte
 		as bgp.ASN
 	}
-	ribs := map[peerKey]*rib.AdjRIBIn{}
+	ribs := map[peerKey]*adjRIBIn{}
 	// Seed from the base view.
 	base.Walk(func(p bgp.Prefix, routes []rib.PeerRoute) bool {
 		for _, pr := range routes {
 			key := peerKey{ip: peerIPFor(pr.PeerID), as: pr.PeerAS}
 			a := ribs[key]
 			if a == nil {
-				a = rib.NewAdjRIBIn(pr.PeerID, pr.PeerAS)
+				a = newAdjRIBIn(pr.PeerID, pr.PeerAS)
 				ribs[key] = a
 			}
-			a.Announce(pr.Route)
+			a.routes[pr.Route.Prefix] = pr.Route
 		}
 		return true
 	})
@@ -68,18 +158,18 @@ func replayUpdates(base *rib.TableView, r io.Reader) (*rib.TableView, error) {
 		key := peerKey{ip: msg.PeerIP, as: msg.PeerAS}
 		a := ribs[key]
 		if a == nil {
-			a = rib.NewAdjRIBIn(uint16(len(ribs)), msg.PeerAS)
+			a = newAdjRIBIn(uint16(len(ribs)), msg.PeerAS)
 			ribs[key] = a
 		}
-		a.Update(upd)
+		a.update(upd)
 	}
 
-	var peers []*rib.AdjRIBIn
+	var peers []*adjRIBIn
 	for _, a := range ribs {
 		peers = append(peers, a)
 	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].PeerID < peers[j].PeerID })
-	return rib.FromPeers(peers), nil
+	sort.Slice(peers, func(i, j int) bool { return peers[i].peerID < peers[j].peerID })
+	return viewFromPeers(peers), nil
 }
 
 // viewsEqual compares two table views route-for-route.

@@ -17,7 +17,7 @@ import (
 // The records alias the events' origin sets, as the shard's do.
 func applyEpisodes(k *kernel.Kernel, o kernel.Obs) ([]kernel.Event, []core.Episode) {
 	id := k.Acquire(o.Prefix, uint32(ptable.Hash(o.Prefix)))
-	evs := slices.Clone(k.ApplyAt(id, o, false))
+	evs := slices.Clone(k.ApplyAt(id, o))
 	var eps []core.Episode
 	for i := range evs {
 		eps = append(eps, k.Episode(id, &evs[i]))

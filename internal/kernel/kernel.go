@@ -86,16 +86,22 @@ type Obs struct {
 
 // rec is one table id's compact conflict state — the whole state of a
 // prefix that never had a lifecycle event, which is all but a sliver of
-// a real table. Such a prefix has at most one origin, class None and no
-// ordinal, so four bytes of origin and a flag byte say everything; the
-// table stores the record inline beside the prefix key, so the probe that
-// finds the id has already loaded it. A prefix's first conflict moves its
-// state to an ext record for good.
+// a real table — plus the word a holder of the id keeps under it. Such a
+// prefix has at most one origin, class None and no ordinal, so four
+// bytes of origin and two flags say everything; the flags ride in the
+// table's mark (ptable.Table.SetMark), and the table stores the record
+// inline beside the prefix key, so the probe that finds the id has
+// already loaded it. A prefix's first conflict moves its state to an ext
+// record for good.
 type rec struct {
-	val   uint32 // recExt: index of the ext record; recOrigin: the single origin AS
-	flags uint8
+	val uint32 // recExt: index of the ext record; recOrigin: the single origin AS
+	// head is the holder's word (Head): the streaming shard's route-list
+	// head. The kernel only asks whether it is nonzero — whether the id
+	// is held.
+	head uint32
 }
 
+// The flags of a rec, kept in its id's table mark.
 const (
 	recOrigin uint8 = 1 << iota // val holds the prefix's one origin
 	recExt                      // val indexes Kernel.exts
@@ -136,9 +142,10 @@ type Options struct {
 // they go (Episode derives each one's episode record).
 type Kernel struct {
 	// tab is the prefix index: prefix → dense id → rec. The kernel owns
-	// it; the streaming shard borrows its ids (Lookup/Acquire) to address
-	// its own per-prefix route lists and drives observations in by id
-	// (ApplyAt), so a route op probes the table exactly once.
+	// it; the streaming shard borrows its ids (Lookup/Acquire), keeps its
+	// per-prefix route-list head in the id's record (Head) and drives
+	// observations in by id (ApplyAt), so a route op probes the table
+	// exactly once.
 	tab  ptable.Table[rec]
 	exts arena.Chunks[ext]
 	// recs holds, under its ext's index, the lifetime record of a prefix
@@ -181,7 +188,7 @@ func (k *Kernel) Apply(o Obs) []Event {
 		}
 		id = k.tab.Insert(o.Prefix, h)
 	}
-	return k.ApplyAt(id, o, false)
+	return k.ApplyAt(id, o)
 }
 
 // Lookup returns the table id of p, if the kernel or a holder of its
@@ -190,12 +197,10 @@ func (k *Kernel) Lookup(p bgp.Prefix, h uint32) (uint32, bool) {
 	return k.tab.Find(p, h)
 }
 
-// Acquire returns the table id of p, entering p if it is new. Ids are
-// dense and recycled, which is what lets a caller keep its own
-// per-prefix data in a slice indexed by id. An id lives until an ApplyAt
-// with held false leaves the prefix without origins or lifecycle; the
-// caller must hold nothing under the id at that point. h must be
-// uint32(ptable.Hash(p)).
+// Acquire returns the table id of p, entering p if it is new. A caller
+// keeps its own per-prefix word under the id (Head). An id lives until
+// an ApplyAt leaves the prefix without origins, lifecycle or a nonzero
+// head. h must be uint32(ptable.Hash(p)).
 func (k *Kernel) Acquire(p bgp.Prefix, h uint32) uint32 {
 	if id, ok := k.tab.Find(p, h); ok {
 		return id
@@ -203,26 +208,34 @@ func (k *Kernel) Acquire(p bgp.Prefix, h uint32) uint32 {
 	return k.tab.Insert(p, h)
 }
 
-// ApplyAt is Apply for a caller that already holds o.Prefix's id. held
-// reports whether the caller still keeps data of its own under the id
-// (the shard: routes); the kernel recycles the id only when it is not
-// held and the prefix has neither origins nor lifecycle left.
-func (k *Kernel) ApplyAt(id uint32, o Obs, held bool) []Event {
+// Head returns the holder's word of a live id: one uint32 the kernel
+// keeps for the caller beside the id's state (the shard's route-list
+// head), and reads only to tell whether the caller still holds the id.
+// The pointer stays valid until the id is recycled; a recycled id's
+// head is zero.
+func (k *Kernel) Head(id uint32) *uint32 { return &k.tab.At(id).head }
+
+// ApplyAt is Apply for a caller that already holds o.Prefix's id. The
+// kernel recycles the id only when its head (Head) is zero and the
+// prefix has neither origins nor lifecycle left.
+func (k *Kernel) ApplyAt(id uint32, o Obs) []Event {
 	r := k.tab.At(id)
-	if r.flags&recExt == 0 {
+	if k.tab.Mark(id)&recExt == 0 {
 		switch len(o.Origins) {
 		case 0:
-			r.flags = 0
-			if !held {
+			if r.head == 0 {
 				k.tab.Delete(id)
+			} else {
+				k.tab.SetMark(id, 0)
 			}
 			return nil
 		case 1:
 			// Sub-conflict origin churn: the bulk of a real feed.
-			r.val, r.flags = uint32(o.Origins[0]), recOrigin
+			r.val = uint32(o.Origins[0])
+			k.tab.SetMark(id, recOrigin)
 			return nil
 		}
-		k.promote(r) // first conflict
+		k.promote(id) // first conflict
 	}
 	return k.applyExt(id, k.exts.At(r.val), o)
 }
@@ -230,15 +243,17 @@ func (k *Kernel) ApplyAt(id uint32, o Obs, held bool) []Event {
 // promote moves a compact record's state out of line, for good: it carves
 // the ext record and, under the same index, the slot of the lifetime
 // record.
-func (k *Kernel) promote(r *rec) *ext {
+func (k *Kernel) promote(id uint32) *ext {
 	xi := k.exts.Alloc()
 	k.recs.Alloc()
 	x := k.exts.At(xi)
 	x.activeAt = -1
-	if r.flags&recOrigin != 0 {
+	r := k.tab.At(id)
+	if k.tab.Mark(id)&recOrigin != 0 {
 		x.origins = append(k.allocOrigins(1), bgp.ASN(r.val))
 	}
-	r.val, r.flags = xi, recExt
+	r.val = xi
+	k.tab.SetMark(id, recExt)
 	return x
 }
 
@@ -432,8 +447,8 @@ func (k *Kernel) State(p bgp.Prefix) (View, bool) {
 // holder's routes without an origin).
 func (k *Kernel) view(id uint32) (View, bool) {
 	r := k.tab.At(id)
-	switch {
-	case r.flags&recExt != 0:
+	switch flags := k.tab.Mark(id); {
+	case flags&recExt != 0:
 		st := k.exts.At(r.val)
 		return View{
 			Origins:  st.origins,
@@ -443,7 +458,7 @@ func (k *Kernel) view(id uint32) (View, bool) {
 			Active:   st.activeAt >= 0,
 			Conflict: *k.recs.At(r.val),
 		}, true
-	case r.flags&recOrigin != 0:
+	case flags&recOrigin != 0:
 		// Readers may run concurrently under the shard's read lock, so the
 		// one-origin set is materialized fresh, not in shared scratch.
 		return View{Origins: []bgp.ASN{bgp.ASN(r.val)}}, true

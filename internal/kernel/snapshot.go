@@ -98,8 +98,8 @@ func (k *Kernel) Snapshot() *Snapshot {
 	var origins []bgp.ASN
 	k.tab.Walk(func(id uint32, p bgp.Prefix) bool {
 		ps := PrefixSnap{Prefix: p}
-		switch r := k.tab.At(id); {
-		case r.flags&recExt != 0:
+		switch r, flags := k.tab.At(id), k.tab.Mark(id); {
+		case flags&recExt != 0:
 			st := k.exts.At(r.val)
 			if c := *k.recs.At(r.val); c != nil {
 				s.Conflicts = append(s.Conflicts, ConflictSnap{
@@ -113,7 +113,7 @@ func (k *Kernel) Snapshot() *Snapshot {
 			}
 			ps.Origins = append(carveASNs(&origins, len(st.origins)), st.origins...)
 			ps.Class, ps.Seq, ps.Since = uint8(st.class), st.seq, st.since
-		case r.flags&recOrigin != 0:
+		case flags&recOrigin != 0:
 			single = append(single, bgp.ASN(r.val))
 			ps.Origins = single[len(single)-1 : len(single) : len(single)]
 		default:
@@ -204,12 +204,12 @@ func (k *Kernel) restorePrefix(ps *PrefixSnap, h uint32) error {
 		return nil // a stateless prefix is simply not tracked
 	}
 	id := k.tab.Insert(ps.Prefix, h)
-	r := k.tab.At(id)
 	if !lifecycle && len(ps.Origins) == 1 {
-		r.val, r.flags = uint32(ps.Origins[0]), recOrigin
+		k.tab.At(id).val = uint32(ps.Origins[0])
+		k.tab.SetMark(id, recOrigin)
 		return nil
 	}
-	st := k.promote(r)
+	st := k.promote(id)
 	*st = ext{
 		origins:  append([]bgp.ASN(nil), ps.Origins...),
 		class:    core.Class(ps.Class),
@@ -248,11 +248,10 @@ func (k *Kernel) restoreConflict(cs *ConflictSnap) error {
 	if !ok {
 		id = k.tab.Insert(cs.Prefix, h)
 	}
-	r := k.tab.At(id)
-	if r.flags&recExt == 0 {
-		k.promote(r)
+	if k.tab.Mark(id)&recExt == 0 {
+		k.promote(id)
 	}
-	slot := k.recs.At(r.val)
+	slot := k.recs.At(k.tab.At(id).val)
 	if *slot == nil {
 		k.conflicts++
 	}

@@ -13,8 +13,9 @@ import (
 )
 
 // TestCompactStatePointerFree guards the layout the heap numbers rest
-// on: the per-prefix record the table stores inline holds nothing the
-// garbage collector would trace, in eight bytes.
+// on: the per-prefix record the table stores inline — compact state and
+// the holder's route-list head; the flags ride in the table's mark —
+// holds nothing the garbage collector would trace, in eight bytes.
 func TestCompactStatePointerFree(t *testing.T) {
 	typ := reflect.TypeOf(rec{})
 	if !ptabletest.PointerFree(typ) {
@@ -54,21 +55,26 @@ func TestIDLifetime(t *testing.T) {
 	if again := k.Acquire(p, hp); again != id {
 		t.Fatalf("second Acquire returned %d, want %d", again, id)
 	}
+	if *k.Head(id) != 0 {
+		t.Fatal("a fresh id has a nonzero head")
+	}
 	// Held without an origin (a route ending in an AS_SET): id stays,
 	// kernel reports no state.
-	k.ApplyAt(id, Obs{Day: 1, Prefix: p}, true)
+	*k.Head(id) = 1
+	k.ApplyAt(id, Obs{Day: 1, Prefix: p})
 	if _, ok := k.State(p); ok {
 		t.Fatal("originless held id reports state")
 	}
 	if got, ok := k.Lookup(p, hp); !ok || got != id {
 		t.Fatalf("held id lost: %d, %v", got, ok)
 	}
-	k.ApplyAt(id, Obs{Day: 1, Prefix: p, Origins: []bgp.ASN{701}}, true)
+	k.ApplyAt(id, Obs{Day: 1, Prefix: p, Origins: []bgp.ASN{701}})
 	if v, ok := k.State(p); !ok || len(v.Origins) != 1 || v.Origins[0] != 701 || v.Seq != 0 {
 		t.Fatalf("single-origin state = %+v, %v", v, ok)
 	}
 	// Fully withdrawn, no lifecycle: recycled.
-	k.ApplyAt(id, Obs{Day: 2, Prefix: p}, false)
+	*k.Head(id) = 0
+	k.ApplyAt(id, Obs{Day: 2, Prefix: p})
 	if _, ok := k.Lookup(p, hp); ok {
 		t.Fatal("id survived its last route and origin")
 	}
@@ -76,7 +82,7 @@ func TestIDLifetime(t *testing.T) {
 	if got := k.Acquire(q, hq); got != id {
 		t.Fatalf("Acquire after recycle returned %d, want the recycled %d", got, id)
 	}
-	if _, ok := k.State(q); ok {
+	if _, ok := k.State(q); ok || *k.Head(id) != 0 {
 		t.Fatal("recycled id leaked its previous state")
 	}
 	if k.ArenaStates() != 1 {
@@ -84,8 +90,10 @@ func TestIDLifetime(t *testing.T) {
 	}
 
 	// A lifecycle pins the id for good, held or not.
-	k.ApplyAt(id, Obs{Day: 3, Prefix: q, Origins: []bgp.ASN{701, 3356}, Class: core.ClassDistinctPaths}, true)
-	k.ApplyAt(id, Obs{Day: 4, Prefix: q}, false)
+	*k.Head(id) = 1
+	k.ApplyAt(id, Obs{Day: 3, Prefix: q, Origins: []bgp.ASN{701, 3356}, Class: core.ClassDistinctPaths})
+	*k.Head(id) = 0
+	k.ApplyAt(id, Obs{Day: 4, Prefix: q})
 	if got, ok := k.Lookup(q, hq); !ok || got != id {
 		t.Fatal("id with a lifecycle was recycled")
 	}

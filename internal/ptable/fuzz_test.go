@@ -28,7 +28,7 @@ func fuzzPrefix(a, b byte) bgp.Prefix {
 
 // fuzzSeeds are the committed starting points (see TestGenerateFuzzCorpus).
 func fuzzSeeds() map[string][]byte {
-	var grow, flap, cluster, mixed []byte
+	var grow, flap, cluster, mixed, mark []byte
 	for i := 0; i < 250; i++ { // past the first growth edge
 		grow = append(grow, 0, byte(i), 32)
 	}
@@ -44,20 +44,33 @@ func fuzzSeeds() map[string][]byte {
 	for i := 0; i < 200; i++ {
 		mixed = append(mixed, byte(i%3), byte(i*37), byte(i*91))
 	}
+	for i := 0; i < 64; i++ { // mark, grow past the mark, flap others, recycle
+		mark = append(mark, 0, byte(i), 24, byte(3+4*(i%4)), byte(i), 24)
+	}
+	for i := 0; i < 200; i++ {
+		mark = append(mark, 0, 0x40|byte(i), byte(i), 2, byte(i%64), 24)
+	}
+	for i := 0; i < 64; i += 2 {
+		mark = append(mark, 1, byte(i), 24, 0, 0x80|byte(i), 64)
+	}
 	return map[string][]byte{
 		"grow":    grow,
 		"flap":    flap,
 		"cluster": cluster,
 		"mixed":   mixed,
+		"mark":    mark,
 		"edge":    {0, 0, 0, 0, 0x80, 0, 0, 0x80, 128, 0, 0, 32, 1, 0, 0, 0, 0, 0},
 		"empty":   {},
 	}
 }
 
 // FuzzPrefixTable is the table's differential claim under arbitrary op
-// sequences: every three input bytes are one insert, delete or flap of a
-// prefix from the fuzz universe, applied to the table and to a map; the
-// two must agree on membership, ids, values and the live set throughout.
+// sequences: every three input bytes are one insert, delete, flap or
+// SetMark of a prefix from the fuzz universe, applied to the table and
+// to a map; the two must agree on membership, ids, values, marks and the
+// live set throughout. So marks never change Find, Prefix, Walk or
+// Delete, survive the inserts (and growths) of other prefixes, and read
+// 0 on a recycled id.
 func FuzzPrefixTable(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -66,7 +79,7 @@ func FuzzPrefixTable(f *testing.F) {
 		m := newModel(t)
 		for step := 0; len(data) >= 3; step++ {
 			p := fuzzPrefix(data[1], data[2])
-			switch data[0] % 3 {
+			switch data[0] % 4 {
 			case 0:
 				m.insert(p, uint64(step)+1)
 			case 1:
@@ -74,6 +87,8 @@ func FuzzPrefixTable(f *testing.F) {
 			case 2:
 				m.remove(p)
 				m.insert(p, uint64(step)+1)
+			case 3:
+				m.setMark(p, data[0]>>2)
 			}
 			data = data[3:]
 			if step%64 == 0 {

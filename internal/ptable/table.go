@@ -1,13 +1,13 @@
 // Package ptable is the prefix index under the streaming hot path: a
 // 64-bit prefix hash (one mix picks both the engine shard and the table
 // slot) and an open-addressed, pointer-free table that maps a prefix to
-// a dense id with one caller-defined value per id, built on the index
-// and the chunked arena of package arena. A Go map keyed on the 18-byte
-// bgp.Prefix spends most of a route op hashing, comparing and chasing
-// bucket pointers across a million-entry working set; here a lookup is
-// one probe into an 8-byte slot array plus one load of the id's entry,
-// and nothing in the table is visible to the garbage collector except a
-// few hundred chunk headers.
+// a dense id with one caller-defined value and two caller bits per id,
+// built on the index and the chunked arena of package arena. A Go map
+// keyed on the 18-byte bgp.Prefix spends most of a route op hashing,
+// comparing and chasing bucket pointers across a million-entry working
+// set; here a lookup is one probe into a 4-byte slot array plus one load
+// of the id's entry, and nothing in the table is visible to the garbage
+// collector except a few hundred chunk headers.
 package ptable
 
 import (
@@ -49,12 +49,16 @@ func Shard(h uint64, n int) int {
 // Entry keys. An IPv4 prefix packs into the key itself; any other
 // prefix keeps its full 18 bytes in the side arena and the key carries
 // the arena index. A recycled id's key chains the free list. Live keys
-// are never zero.
+// are never zero. No kind uses bits 60-61: they hold the id's mark
+// (SetMark), which every comparison and hash of the key masks out.
 const (
 	kindShift = 62
 	kindV4    = 1
 	kindSide  = 2
 	kindFree  = 3
+
+	markShift = 60
+	markMask  = 3 << markShift
 )
 
 func kind(key uint64) uint64 { return key >> kindShift }
@@ -68,8 +72,9 @@ type entry[V any] struct {
 	val V
 }
 
-// Table maps prefixes to dense uint32 ids, each carrying one V. Ids are
-// recycled: a deleted id is handed to the next Insert with a zeroed V.
+// Table maps prefixes to dense uint32 ids, each carrying one V and a
+// two-bit mark. Ids are recycled: a deleted id is handed to the next
+// Insert with a zeroed V and mark.
 // An arena.Index finds a prefix's id; the entries it points at never move.
 // Not safe for concurrent use.
 type Table[V any] struct {
@@ -91,7 +96,7 @@ func (t *Table[V]) Carved() int { return t.ents.Len() }
 func (t *Table[V]) Find(p bgp.Prefix, h uint32) (uint32, bool) {
 	if p.Family() == bgp.FamilyIPv4 {
 		key := pack4(p)
-		return t.idx.Find(h, func(id uint32) bool { return t.ents.At(id).key == key })
+		return t.idx.Find(h, func(id uint32) bool { return t.ents.At(id).key&^markMask == key })
 	}
 	return t.idx.Find(h, func(id uint32) bool {
 		key := t.ents.At(id).key
@@ -122,24 +127,42 @@ func (t *Table[V]) Insert(p bgp.Prefix, h uint32) uint32 {
 		*t.side.At(si) = p
 		e.key = kindSide<<kindShift | uint64(si)
 	}
-	t.idx.Insert(h, id)
+	t.idx.Insert(h, id, t.hashOf)
 	return id
+}
+
+// hashOf returns the slot hash of a live id: what the index asks for
+// when it grows or shifts a cluster back.
+func (t *Table[V]) hashOf(id uint32) uint32 {
+	key := t.ents.At(id).key &^ markMask
+	if kind(key) == kindSide {
+		return uint32(Hash(*t.side.At(uint32(key))))
+	}
+	return uint32(mix(key)) // Hash of an IPv4 prefix is the mix of its key
 }
 
 // Delete removes a live id and recycles it.
 func (t *Table[V]) Delete(id uint32) {
 	e := t.ents.At(id)
-	h := mix(e.key) // Hash of an IPv4 prefix is the mix of its key
-	if kind(e.key) == kindSide {
-		h = Hash(*t.side.At(uint32(e.key)))
-	}
-	t.idx.Delete(uint32(h), id)
+	t.idx.Delete(t.hashOf(id), id, t.hashOf)
 	if kind(e.key) == kindSide {
 		t.sideFree = append(t.sideFree, uint32(e.key))
 	}
 	var zero V
 	e.key, e.val = kindFree<<kindShift|uint64(t.freeID), zero
 	t.freeID = id + 1
+}
+
+// Mark returns the two-bit mark of a live id: caller state that costs
+// the entry no byte, because it rides in spare bits of the key.
+func (t *Table[V]) Mark(id uint32) uint8 {
+	return uint8(t.ents.At(id).key >> markShift & 3)
+}
+
+// SetMark sets the mark of a live id to m&3.
+func (t *Table[V]) SetMark(id uint32, m uint8) {
+	e := t.ents.At(id)
+	e.key = e.key&^markMask | uint64(m&3)<<markShift
 }
 
 // At returns the value of a live id. The pointer stays valid until the

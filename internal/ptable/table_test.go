@@ -10,7 +10,8 @@ import (
 )
 
 // model is the reference the table is checked against: a Go map from
-// prefix to the id the table handed out and the value stored under it.
+// prefix to the id the table handed out and the value and mark stored
+// under it.
 type model struct {
 	t      *testing.T
 	tab    Table[uint64]
@@ -19,8 +20,9 @@ type model struct {
 }
 
 type modelEntry struct {
-	id  uint32
-	val uint64
+	id   uint32
+	val  uint64
+	mark uint8
 }
 
 // minCells is the length of an arena.Index's first cell array, which
@@ -48,8 +50,11 @@ func (m *model) insert(p bgp.Prefix, val uint64) {
 	if got := *m.tab.At(id); got != 0 {
 		m.t.Fatalf("Insert(%s) handed out id %d with stale value %d", p, id, got)
 	}
+	if got := m.tab.Mark(id); got != 0 {
+		m.t.Fatalf("Insert(%s) handed out id %d with stale mark %d", p, id, got)
+	}
 	*m.tab.At(id) = val
-	m.ref[p] = modelEntry{id, val}
+	m.ref[p] = modelEntry{id: id, val: val}
 	m.maxLen = max(m.maxLen, len(m.ref))
 }
 
@@ -64,6 +69,21 @@ func (m *model) remove(p bgp.Prefix) {
 	}
 	m.tab.Delete(e.id)
 	delete(m.ref, p)
+}
+
+// setMark marks p, if present, with mark&3.
+func (m *model) setMark(p bgp.Prefix, mark uint8) {
+	m.t.Helper()
+	e, ok := m.ref[p]
+	if !ok {
+		return
+	}
+	m.tab.SetMark(e.id, mark)
+	e.mark = mark & 3
+	m.ref[p] = e
+	if id, found := m.tab.Find(p, uint32(Hash(p))); !found || id != e.id || m.tab.Prefix(id) != p {
+		m.t.Fatalf("after SetMark(%d, %d): Find(%s) = %d, %v", e.id, mark, p, id, found)
+	}
 }
 
 // check compares the whole table with the reference.
@@ -88,6 +108,9 @@ func (m *model) check() {
 		}
 		if got := *m.tab.At(id); got != e.val {
 			m.t.Fatalf("At(%d) = %d, want %d (%s)", id, got, e.val, p)
+		}
+		if got := m.tab.Mark(id); got != e.mark {
+			m.t.Fatalf("Mark(%d) = %d, want %d (%s)", id, got, e.mark, p)
 		}
 		if q, dup := ids[id]; dup {
 			m.t.Fatalf("id %d serves both %s and %s", id, p, q)
@@ -137,11 +160,13 @@ func TestTableAgainstMap(t *testing.T) {
 		m := newModel(t)
 		for step := 0; step < 20000; step++ {
 			p := randPrefix(rng)
-			switch r := rng.Intn(10); {
+			switch r := rng.Intn(11); {
 			case r < 5:
 				m.insert(p, rng.Uint64())
 			case r < 8:
 				m.remove(p)
+			case r < 9:
+				m.setMark(p, uint8(rng.Intn(4)))
 			default: // flap: gone and straight back, as a withdrawn-then-reannounced prefix
 				m.remove(p)
 				m.insert(p, rng.Uint64())
@@ -270,8 +295,12 @@ func TestTableGrowthEdge(t *testing.T) {
 }
 
 // TestTablePointerFree is the guard on the table's own storage: nothing
-// the garbage collector would have to trace per prefix.
+// the garbage collector would have to trace per prefix, and an entry of
+// an 8-byte value (the kernel's record) in 16 bytes, the mark included.
 func TestTablePointerFree(t *testing.T) {
+	if n := reflect.TypeOf(entry[uint64]{}).Size(); n > 16 {
+		t.Errorf("an entry of an 8-byte value is %d bytes, want <= 16", n)
+	}
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(entry[uint64]{}),
 		reflect.TypeOf(bgp.Prefix{}),
@@ -294,6 +323,58 @@ func TestShardSpread(t *testing.T) {
 	for i, c := range counts {
 		if c < n/shards*9/10 || c > n/shards*11/10 {
 			t.Errorf("shard %d holds %d of %d sequential /24s, want about %d", i, c, n, n/shards)
+		}
+	}
+}
+
+// benchPrefixes is the benchmark table: 1<<19 /24s spread over the
+// IPv4 space, one in 16 an IPv6 /48 so the side arena is exercised too.
+func benchPrefixes() ([]bgp.Prefix, []uint32) {
+	const n = 1 << 19
+	ps, hs := make([]bgp.Prefix, n), make([]uint32, n)
+	for i := range ps {
+		if i%16 == 0 {
+			ps[i] = v6(0x2001_0db8_0000_0000|uint64(i)<<16, 0, 48)
+		} else {
+			ps[i] = v4(uint32(i)*2654435761&^0xff, 24)
+		}
+		hs[i] = uint32(Hash(ps[i]))
+	}
+	return ps, hs
+}
+
+// BenchmarkTableInsert builds a 1<<19-prefix table from empty per
+// iteration, so every growth of the index (and its rehash) is in the
+// figure; ns/prefix is the amortized cost of an insert.
+func BenchmarkTableInsert(b *testing.B) {
+	ps, hs := benchPrefixes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		var tab Table[uint64]
+		for i, p := range ps {
+			if _, ok := tab.Find(p, hs[i]); !ok {
+				*tab.At(tab.Insert(p, hs[i])) = uint64(i)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ps)), "ns/prefix")
+}
+
+// BenchmarkTableFind looks prefixes up in a full 1<<19-prefix table, in
+// an order unrelated to their ids, as a route op does.
+func BenchmarkTableFind(b *testing.B) {
+	ps, hs := benchPrefixes()
+	var tab Table[uint64]
+	for i, p := range ps {
+		tab.Insert(p, hs[i])
+	}
+	order := rand.New(rand.NewSource(1)).Perm(len(ps))
+	b.ResetTimer()
+	for i := range b.N {
+		j := order[i%len(order)]
+		if _, ok := tab.Find(ps[j], hs[j]); !ok {
+			b.Fatalf("%s lost", ps[j])
 		}
 	}
 }

@@ -16,48 +16,6 @@ func route(prefix, path string) bgp.Route {
 	}
 }
 
-func TestAdjRIBInUpdateFlow(t *testing.T) {
-	a := NewAdjRIBIn(1, 701)
-	a.Update(&bgp.Update{
-		Attrs: &bgp.Attrs{ASPath: bgp.MustParsePath("701 9"), NextHop: [4]byte{1, 1, 1, 1}},
-		NLRI:  []bgp.Prefix{pfx("10.0.0.0/8"), pfx("10.1.0.0/16")},
-	})
-	if a.Len() != 2 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	a.Update(&bgp.Update{Withdrawn: []bgp.Prefix{pfx("10.0.0.0/8")}})
-	if a.Len() != 1 {
-		t.Fatalf("Len after withdraw = %d", a.Len())
-	}
-	if _, ok := a.Lookup(pfx("10.0.0.0/8")); ok {
-		t.Error("withdrawn prefix still present")
-	}
-	if r, ok := a.Lookup(pfx("10.1.0.0/16")); !ok || r.Prefix != pfx("10.1.0.0/16") {
-		t.Error("surviving prefix lost")
-	}
-	// Withdraw-only update with unknown prefix is a no-op.
-	a.Update(&bgp.Update{Withdrawn: []bgp.Prefix{pfx("99.0.0.0/8")}})
-	if a.Len() != 1 {
-		t.Error("withdrawing unknown prefix changed table")
-	}
-}
-
-func TestAdjRIBInAnnounceReplace(t *testing.T) {
-	a := NewAdjRIBIn(1, 701)
-	a.Announce(route("10.0.0.0/8", "701 9"))
-	a.Announce(route("10.0.0.0/8", "701 1239 9"))
-	if a.Len() != 1 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	r, _ := a.Lookup(pfx("10.0.0.0/8"))
-	if r.Path().String() != "701 1239 9" {
-		t.Error("replacement announce did not take effect")
-	}
-	if !a.Withdraw(pfx("10.0.0.0/8")) || a.Withdraw(pfx("10.0.0.0/8")) {
-		t.Error("Withdraw semantics wrong")
-	}
-}
-
 func TestTableViewOriginSet(t *testing.T) {
 	v := NewTableView()
 	v.Add(PeerRoute{PeerID: 1, PeerAS: 701, Route: route("10.0.0.0/8", "701 9")})
@@ -80,14 +38,13 @@ func TestTableViewOriginSet(t *testing.T) {
 	}
 }
 
+// TestTableViewFromPeers builds a view from two peers' routes and reads
+// it back through every accessor.
 func TestTableViewFromPeers(t *testing.T) {
-	p1 := NewAdjRIBIn(1, 701)
-	p1.Announce(route("10.0.0.0/8", "701 9"))
-	p2 := NewAdjRIBIn(2, 3356)
-	p2.Announce(route("10.0.0.0/8", "3356 10"))
-	p2.Announce(route("20.0.0.0/8", "3356 20"))
-
-	v := FromPeers([]*AdjRIBIn{p1, p2})
+	v := NewTableView()
+	v.Add(PeerRoute{PeerID: 1, PeerAS: 701, Route: route("10.0.0.0/8", "701 9")})
+	v.Add(PeerRoute{PeerID: 2, PeerAS: 3356, Route: route("10.0.0.0/8", "3356 10")})
+	v.Add(PeerRoute{PeerID: 2, PeerAS: 3356, Route: route("20.0.0.0/8", "3356 20")})
 	if v.Len() != 2 {
 		t.Fatalf("view Len = %d", v.Len())
 	}

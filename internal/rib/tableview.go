@@ -18,19 +18,6 @@ func NewTableView() *TableView {
 	return &TableView{routes: make(map[bgp.Prefix][]PeerRoute)}
 }
 
-// FromPeers assembles a view from per-peer tables.
-func FromPeers(peers []*AdjRIBIn) *TableView {
-	v := NewTableView()
-	for _, p := range peers {
-		peer := p
-		p.Walk(func(r bgp.Route) bool {
-			v.Add(PeerRoute{PeerID: peer.PeerID, PeerAS: peer.PeerAS, Route: r})
-			return true
-		})
-	}
-	return v
-}
-
 // Add appends one peer route to the view.
 func (v *TableView) Add(pr PeerRoute) {
 	v.routes[pr.Route.Prefix] = append(v.routes[pr.Route.Prefix], pr)

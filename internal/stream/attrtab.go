@@ -44,6 +44,9 @@ func attrHash(a *bgp.Attrs) uint32 {
 	return uint32(x >> 32)
 }
 
+// hashOf returns the index hash of a live handle.
+func (t *attrTable) hashOf(h uint32) uint32 { return attrHash(t.ptrs[h]) }
+
 // ptr returns the block behind a handle.
 func (t *attrTable) ptr(h uint32) *bgp.Attrs { return t.ptrs[h] }
 
@@ -72,7 +75,7 @@ func (t *attrTable) acquire(a *bgp.Attrs) uint32 {
 		t.origins = append(t.origins, o)
 	}
 	t.refs[h] = 1
-	t.idx.Insert(hash, h)
+	t.idx.Insert(hash, h, t.hashOf)
 	return h
 }
 
@@ -81,7 +84,7 @@ func (t *attrTable) release(h uint32) {
 	if t.refs[h]--; t.refs[h] > 0 {
 		return
 	}
-	t.idx.Delete(attrHash(t.ptrs[h]), h)
+	t.idx.Delete(t.hashOf(h), h, t.hashOf)
 	t.ptrs[h] = nil
 	t.refs[h] = t.free
 	t.free = h + 1

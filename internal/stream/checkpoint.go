@@ -119,11 +119,12 @@ func (s *shard) routesImage(peers []PeerKey) []PrefixRoutes {
 	routes := make([]PeerRouteSnap, 0, live)
 	dst := slices.Grow([]PrefixRoutes(nil), s.k.ArenaStates())
 	s.k.WalkPrefixes(func(id uint32, p bgp.Prefix) bool {
-		if int(id) >= s.heads.Len() || *s.heads.At(id) == 0 {
+		head := *s.k.Head(id)
+		if head == 0 {
 			return true // kernel state only: a lifecycle outliving its routes
 		}
 		first := len(routes)
-		for i := *s.heads.At(id); i != 0; {
+		for i := head; i != 0; {
 			n := s.nodes.At(i)
 			peer := &peers[n.peer]
 			routes = append(routes, PeerRouteSnap{
@@ -210,7 +211,7 @@ func (s *shard) restoreRoutes(pr *PrefixRoutes, h uint32, peers *peerTable, in *
 	if len(pr.Routes) == 0 {
 		return nil // nothing to hold an id for
 	}
-	head := s.head(s.k.Acquire(pr.Prefix, h))
+	head := s.k.Head(s.k.Acquire(pr.Prefix, h))
 	for i := range pr.Routes {
 		rt := &pr.Routes[i]
 		attrs, err := in.Intern(rt.Attrs, true) // the image's blocks are 4-octet

@@ -470,8 +470,8 @@ func (e *Engine) Prefix(p bgp.Prefix) PrefixInfo {
 			info.Conflict = v.Conflict.Clone()
 		}
 	}
-	if id, ok := s.k.Lookup(p, uint32(h)); ok && int(id) < s.heads.Len() {
-		info.Routes = s.routeCount(*s.heads.At(id))
+	if id, ok := s.k.Lookup(p, uint32(h)); ok {
+		info.Routes = s.routeCount(*s.k.Head(id))
 	}
 	return info
 }

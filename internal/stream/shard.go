@@ -63,11 +63,10 @@ type routeNode struct {
 // shard.
 type shard struct {
 	mu sync.RWMutex
-	// k owns the shard's prefix table; heads, indexed by the table's dense
-	// ids, holds each prefix's first route node (0: no routes). Node 0 is
+	// k owns the shard's prefix table, and each prefix's record there
+	// holds its first route node (k.Head; 0: no routes). Node 0 is
 	// reserved so that a zeroed head or next means "none".
 	k        *kernel.Kernel
-	heads    arena.Chunks[uint32]
 	nodes    arena.Chunks[routeNode]
 	freeNode uint32 // head of the recycled-node list, 0 when empty
 	attrs    attrTable
@@ -208,15 +207,6 @@ func (s *shard) allocNode() uint32 {
 	return i
 }
 
-// head returns the route-list head of a table id, growing heads to
-// cover ids the kernel carved since the last call.
-func (s *shard) head(id uint32) *uint32 {
-	for uint32(s.heads.Len()) <= id {
-		s.heads.Alloc()
-	}
-	return s.heads.At(id)
-}
-
 func (s *shard) applyOne(o *op) {
 	var head *uint32
 	var id uint32
@@ -225,13 +215,13 @@ func (s *shard) applyOne(o *op) {
 		if id, ok = s.k.Lookup(o.prefix, o.hash); !ok {
 			return
 		}
-		head = s.head(id)
+		head = s.k.Head(id)
 		if !s.removeRoute(head, o.peer) {
 			return
 		}
 	} else {
 		id = s.k.Acquire(o.prefix, o.hash)
-		head = s.head(id)
+		head = s.k.Head(id)
 		if !s.upsertRoute(head, o.peer, o.attrs) {
 			return
 		}
@@ -333,7 +323,7 @@ func (s *shard) reassess(id, head uint32, p bgp.Prefix, day int) {
 		class = core.ClassifyPaths(paths)
 	}
 	obs := kernel.Obs{Day: day, Prefix: p, Origins: origins, Class: class}
-	for _, ev := range s.k.ApplyAt(id, obs, head != 0) {
+	for _, ev := range s.k.ApplyAt(id, obs) {
 		if s.epLog != nil {
 			s.epBuf = append(s.epBuf, s.k.Episode(id, &ev))
 		}
