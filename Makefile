@@ -17,11 +17,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# allocs runs the allocation guards without the race detector, which
-# changes allocation counts: TestCheckpointAllocBudget and
-# TestRunBurstAllocs are //go:build !race, so `race` never runs them.
+# allocs runs the allocation guards and the heap budget without the
+# race detector, which changes allocation counts and the heap's shape:
+# TestCheckpointAllocBudget and TestRunBurstAllocs are //go:build !race,
+# so `race` never runs them, and TestBytesPerPrefix and TestHotLayouts
+# (the bytes a prefix costs, and the layouts they rest on) are held here
+# as a build without the detector runs, not only under it.
 allocs:
-	$(GO) test -count=1 -run 'TestCheckpointAllocBudget|TestSteadyStateDecodeDispatchZeroAlloc|TestAppendAllocs|TestHealthzCostIndependentOfState|TestSpeakerNextAllocs|TestRunBurstAllocs|TestInternHitAllocs|TestInternMissAllocs' \
+	$(GO) test -count=1 -run 'TestCheckpointAllocBudget|TestSteadyStateDecodeDispatchZeroAlloc|TestAppendAllocs|TestHealthzCostIndependentOfState|TestSpeakerNextAllocs|TestRunBurstAllocs|TestInternHitAllocs|TestInternMissAllocs|TestBytesPerPrefix|TestHotLayouts' \
 		./internal/stream/ ./internal/epilog/ ./internal/serve/ ./internal/source/bgpd/ ./internal/bgp/
 
 # bench prints the stream layer's go-test benchmarks — the ones that

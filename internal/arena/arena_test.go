@@ -126,3 +126,50 @@ func TestIndexAgainstMap(t *testing.T) {
 		t.Fatalf("%d refs up to %d in %d cells", y.Len(), far, y.Cells())
 	}
 }
+
+// TestIndexReserve pins Reserve's contract: an index reserved for n
+// dense refs takes them without growing and ends exactly as large as one
+// that grew to hold them, at every count around a growth threshold.
+// Reserving again for fewer refs changes nothing, and reserving more on
+// a populated index rehashes what it holds, so every ref is still found.
+func TestIndexReserve(t *testing.T) {
+	spread := func(r uint32) uint32 { return r * 0x9e3779b1 }
+	find := func(x *Index, r uint32) bool {
+		got, ok := x.Find(spread(r), func(c uint32) bool { return c == r })
+		return ok && got == r
+	}
+	var empty Index
+	if empty.Reserve(0, spread); empty.Cells() != 0 {
+		t.Fatalf("Reserve(0) carved %d cells", empty.Cells())
+	}
+	grownTo := func(n int) int {
+		var x Index
+		for r := uint32(0); int(r) < n; r++ {
+			x.Insert(spread(r), r, spread)
+		}
+		return x.Cells()
+	}
+	for _, n := range []int{1, 191, 192, 193, 384, 385, 5000} {
+		var reserved Index
+		reserved.Reserve(n, spread)
+		cells := reserved.Cells()
+		for r := uint32(0); int(r) < n; r++ {
+			reserved.Insert(spread(r), r, spread)
+		}
+		if grown := grownTo(n); reserved.Cells() != cells || cells != grown {
+			t.Fatalf("%d refs: reserved %d cells, held %d after the inserts; growth reached %d",
+				n, cells, reserved.Cells(), grown)
+		}
+		if reserved.Reserve(n/2, spread); reserved.Cells() != cells {
+			t.Fatalf("%d refs: Reserve(%d) resized %d cells to %d", n, n/2, cells, reserved.Cells())
+		}
+		if reserved.Reserve(4*n, spread); reserved.Cells() != grownTo(4*n) {
+			t.Fatalf("%d refs: Reserve(%d) left %d cells, growth reaches %d", n, 4*n, reserved.Cells(), grownTo(4*n))
+		}
+		for r := uint32(0); int(r) < n; r++ {
+			if !find(&reserved, r) {
+				t.Fatalf("%d refs: ref %d lost to Reserve's rehash", n, r)
+			}
+		}
+	}
+}

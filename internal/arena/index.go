@@ -26,7 +26,8 @@ const minCells = 256
 // it shifts a cluster back) recompute through the caller's hashOf.
 // Collisions resolve by linear probing and deletion shifts the cluster
 // back, so the index holds no tombstones however long keys flap. It
-// doubles, with one rehash in ref order, when three quarters full.
+// doubles, with one rehash in ref order, when three quarters full, or
+// is sized once up front (Reserve).
 //
 // A ref must stay below the cell count minus one, so that ref+1 fits
 // under the mask. Insert grows the index until it does: a caller that
@@ -70,22 +71,44 @@ func (x *Index) Find(h uint32, eq func(ref uint32) bool) (uint32, bool) {
 // inserted under; Insert asks it about every one of them when it grows.
 func (x *Index) Insert(h, ref uint32, hashOf func(ref uint32) uint32) {
 	if (x.live+1)*4 > len(x.cells)*3 || ref >= x.mask {
-		x.grow(ref, hashOf)
+		// Double the cell array, more than once if ref would not fit
+		// under the new mask.
+		n := max(2*len(x.cells), minCells)
+		for uint64(ref) >= uint64(n-1) {
+			n *= 2
+		}
+		x.rehash(n, hashOf)
 	}
 	x.place(h, ref)
 	x.live++
 }
 
-// grow doubles the cell array, more than once if ref would not fit under
-// the new mask, and rehashes every live ref. It rehashes in ref order,
-// collected in a bitmap first, so that hashOf reads the caller's keys
-// front to back rather than in the old cells' random order.
-func (x *Index) grow(ref uint32, hashOf func(ref uint32) uint32) {
-	old, oldMask := x.cells, x.mask
-	n := max(2*len(old), minCells)
-	for uint64(ref) >= uint64(n-1) {
-		n *= 2
+// Reserve sizes the cell array for n dense refs (0 to n-1): to exactly
+// the cell count Insert's growth reaches by the time the index holds
+// them, so that inserting them rehashes nothing and a presized index is
+// no larger than a grown one. A rehash writes its cells at random, so a
+// caller that knows its count up front, as a restore does, saves every
+// growth on the way. Reserve never shrinks the index; hashOf is
+// Insert's, asked about the refs already in it.
+func (x *Index) Reserve(n int, hashOf func(ref uint32) uint32) {
+	if n <= 0 {
+		return
 	}
+	size := max(len(x.cells), minCells)
+	for n*4 > size*3 {
+		size *= 2
+	}
+	if size > len(x.cells) {
+		x.rehash(size, hashOf)
+	}
+}
+
+// rehash moves every live ref into a new array of n cells. It rehashes
+// in ref order, collected in a bitmap first, so that hashOf reads the
+// caller's keys front to back rather than in the old cells' random
+// order.
+func (x *Index) rehash(n int, hashOf func(ref uint32) uint32) {
+	old, oldMask := x.cells, x.mask
 	var live []uint64
 	if x.live > 0 {
 		live = make([]uint64, (len(old)+63)/64) // every ref sits under the old mask

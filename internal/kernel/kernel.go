@@ -364,6 +364,10 @@ func (k *Kernel) Episode(id uint32, ev *Event) core.Episode {
 // retained footprint in entries.
 func (k *Kernel) ArenaStates() int { return k.tab.Carved() }
 
+// Cells returns the cell count of the table's index, 4 bytes a cell:
+// the rest of its footprint, which a restore sizes once (RestorePart).
+func (k *Kernel) Cells() int { return k.tab.Cells() }
+
 // allocOrigins reserves an n-capacity, zero-length origin slice from the
 // chunked arena.
 func (k *Kernel) allocOrigins(n int) []bgp.ASN { return carveASNs(&k.asnArena, n) }

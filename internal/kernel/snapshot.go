@@ -157,13 +157,29 @@ func (k *Kernel) RestorePart(s *Snapshot, part, parts int) error {
 	if k.tab.Len() != 0 || k.events != 0 {
 		return fmt.Errorf("kernel: restore into non-empty kernel")
 	}
+	// One pass picks the part's prefixes out of the image and counts those
+	// the kernel will track, so that the index is sized once (Reserve)
+	// and the inserts never rehash it: a million-prefix part would
+	// otherwise grow a dozen times, each growth writing every cell at
+	// random. Counting in a pass of its own would cost more than the
+	// growth: every part reads the whole image. An image holds far fewer
+	// than 2^32 prefixes.
+	mine := make([]uint32, 0, len(s.Prefixes)/parts)
+	tracked := 0
 	for i := range s.Prefixes {
 		ps := &s.Prefixes[i]
-		h := ptable.Hash(ps.Prefix)
-		if ptable.Shard(h, parts) != part {
+		if ptable.Shard(ptable.Hash(ps.Prefix), parts) != part {
 			continue
 		}
-		if err := k.restorePrefix(ps, uint32(h)); err != nil {
+		mine = append(mine, uint32(i))
+		if ps.lifecycle() || len(ps.Origins) != 0 {
+			tracked++
+		}
+	}
+	k.tab.Reserve(tracked)
+	for _, i := range mine {
+		ps := &s.Prefixes[i]
+		if err := k.restorePrefix(ps, uint32(ptable.Hash(ps.Prefix))); err != nil {
 			return err
 		}
 	}
@@ -191,6 +207,11 @@ func (k *Kernel) RestorePart(s *Snapshot, part, parts int) error {
 	return nil
 }
 
+// lifecycle reports whether a prefix state records a lifecycle (a
+// class, a sequence number or a start day), which the kernel tracks
+// even without origins.
+func (ps *PrefixSnap) lifecycle() bool { return ps.Seq != 0 || ps.Since != 0 || ps.Class != 0 }
+
 // restorePrefix loads one prefix state; h is uint32(ptable.Hash) of it.
 func (k *Kernel) restorePrefix(ps *PrefixSnap, h uint32) error {
 	if err := cmp.Or(validPrefix(ps.Prefix), validClass(ps.Class)); err != nil {
@@ -199,7 +220,7 @@ func (k *Kernel) restorePrefix(ps *PrefixSnap, h uint32) error {
 	if _, dup := k.tab.Find(ps.Prefix, h); dup {
 		return fmt.Errorf("kernel: snapshot repeats prefix %v", ps.Prefix)
 	}
-	lifecycle := ps.Seq != 0 || ps.Since != 0 || ps.Class != 0
+	lifecycle := ps.lifecycle()
 	if !lifecycle && len(ps.Origins) == 0 {
 		return nil // a stateless prefix is simply not tracked
 	}

@@ -92,6 +92,15 @@ func (t *Table[V]) Len() int { return t.idx.Len() }
 // recycled chain, i.e. the entry arena's retained footprint.
 func (t *Table[V]) Carved() int { return t.ents.Len() }
 
+// Cells returns the index's cell count, 4 bytes a cell: with Carved,
+// the table's retained footprint.
+func (t *Table[V]) Cells() int { return t.idx.Cells() }
+
+// Reserve sizes the index for n prefixes in a table that holds no
+// recycled id, so that inserting up to n of them never rehashes it; the
+// index ends no larger than inserting them would grow it.
+func (t *Table[V]) Reserve(n int) { t.idx.Reserve(n, t.hashOf) }
+
 // Find returns p's id. h must be uint32(Hash(p)).
 func (t *Table[V]) Find(p bgp.Prefix, h uint32) (uint32, bool) {
 	if p.Family() == bgp.FamilyIPv4 {

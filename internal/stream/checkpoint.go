@@ -57,9 +57,11 @@ type PeerIP [16]byte
 
 // WireAttrs is a path-attribute block in 4-octet-AS wire form. In an
 // image the routes that carry one attribute set alias one block —
-// Checkpoint serializes each block once, the binary decoder slices them
-// out of its input — so a table's two million routes cost as many slice
-// headers, not as many copies.
+// Checkpoint serializes each attrs handle's block once, the binary
+// decoder slices them out of its input — so a table's two million routes
+// cost as many slice headers, not as many copies. (A block two peers
+// announce is two handles, so two copies in the image, and one block in
+// the binary encoding, which dedupes by content.)
 type WireAttrs []byte
 
 // Checkpoint images the engine. The engine must be settled — parked
@@ -126,7 +128,7 @@ func (s *shard) routesImage(peers []PeerKey) []PrefixRoutes {
 		first := len(routes)
 		for i := head; i != 0; {
 			n := s.nodes.At(i)
-			peer := &peers[n.peer]
+			peer := &peers[s.attrs.peer(n.attrs)]
 			routes = append(routes, PeerRouteSnap{
 				PeerIP: PeerIP(peer.IP),
 				PeerAS: peer.AS,

@@ -436,3 +436,51 @@ func TestCheckpointHostileInput(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreSizesPrefixIndex: a restore sizes each shard's prefix index
+// once, before it inserts (kernel.RestorePart), and the index it ends
+// with is no larger than the one the replay grew: every restored shard
+// holds as many cells as the shard it was imaged from. The table mixes
+// single-origin prefixes, conflicts, and prefixes whose routes carry no
+// origin (an AS_SET at the end of the path), which the kernel image does
+// not list and the route restore enters after the reservation.
+func TestRestoreSizesPrefixIndex(t *testing.T) {
+	built := New(Config{Shards: 2})
+	defer built.Close()
+	peers := []PeerKey{{IP: [16]byte{1}, AS: 64500}, {IP: [16]byte{2}, AS: 64501}}
+	var blocks [2][16]*bgp.Attrs
+	for v, pk := range peers {
+		for i := range blocks[v] {
+			blocks[v][i] = &bgp.Attrs{ASPath: bgp.Seq(pk.AS, bgp.ASN(100+i))}
+		}
+	}
+	asSet := &bgp.Attrs{ASPath: bgp.Path{{Type: bgp.SegSequence, ASes: []bgp.ASN{64500}}, {Type: bgp.SegSet, ASes: []bgp.ASN{7, 8}}}}
+	for i := range 20000 {
+		p := bgp.PrefixFromUint32(10<<24|uint32(i)<<8, 24)
+		for v, pk := range peers {
+			a := blocks[v][i%16]
+			switch {
+			case i%40 == 0:
+				a = asSet
+			case i%100 == 1:
+				a = blocks[v][(i+v)%16] // the two vantages see two origins
+			}
+			built.ApplyUpdate(0, pk, &bgp.Update{NLRI: []bgp.Prefix{p}, Attrs: a})
+		}
+	}
+	built.CloseDay(0)
+	built.Sync()
+	restored, err := NewFromCheckpoint(Config{Shards: 2}, built.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if st := restored.Stats(); st.ActiveConflicts != 200 || st.KernelStates != 20000 {
+		t.Fatalf("restored %d prefixes with %d conflicts, want 20000 with 200", st.KernelStates, st.ActiveConflicts)
+	}
+	for i, s := range built.shards {
+		if got, want := restored.shards[i].k.Cells(), s.k.Cells(); got != want || want < 1<<14 {
+			t.Errorf("shard %d: restored index of %d cells, the replay grew %d", i, got, want)
+		}
+	}
+}

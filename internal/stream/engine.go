@@ -527,7 +527,7 @@ type Stats struct {
 	InternerBytes   int64                `json:"interner_bytes"`  // approximate retained interner memory
 	RouteNodes      int                  `json:"route_nodes"`     // route-node arena entries carved across all shards
 	KernelStates    int                  `json:"kernel_states"`   // prefix-table entries carved across all shard kernels
-	AttrHandles     int                  `json:"-"`               // attrs-handle table entries carved across all shards
+	AttrHandles     int                  `json:"-"`               // attrs-handle table entries carved across all shards, one per (peer, block) pair held at once
 	Peers           int                  `json:"-"`               // collector peers in the engine's peer table
 	ActiveConflicts int                  `json:"active_conflicts"`
 	TotalConflicts  int                  `json:"total_conflicts"` // distinct prefixes ever in conflict

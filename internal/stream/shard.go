@@ -46,13 +46,13 @@ type batch struct {
 // feed — recycles nodes through the shard free list instead of
 // reallocating maps. Peer counts per prefix are small (a collector has
 // tens of peers), so the linear list walk beats a map on both allocation
-// and locality. A node is 12 pointer-free bytes: the garbage collector
-// never looks inside the arena, and the route's origin AS is a property
-// of its attrs handle, so reassessing a prefix reads its nodes and one
-// handle origin per node.
+// and locality. A node is 8 pointer-free bytes: the garbage collector
+// never looks inside the arena, and the route's peer and origin AS are
+// properties of its attrs handle, which names a (peer, block) pair, so a
+// list walk tests a node's peer and reassessing a prefix reads its
+// origin from one handle record per node.
 type routeNode struct {
-	peer  uint32 // index into Engine.peers
-	attrs uint32 // attrTable handle
+	attrs uint32 // attrTable handle: the route's peer and its block
 	next  uint32 // arena index of the prefix's next route; 0 ends
 }
 
@@ -234,7 +234,7 @@ func (s *shard) applyOne(o *op) {
 func (s *shard) upsertRoute(head *uint32, peer uint32, a *bgp.Attrs) bool {
 	for i := *head; i != 0; {
 		n := s.nodes.At(i)
-		if n.peer == peer {
+		if s.attrs.peer(n.attrs) == peer {
 			// Pointer equality first: the replay decode stage interns
 			// attrs by wire bytes, so a re-announcement with unchanged
 			// attributes — the overwhelmingly common case on a real feed —
@@ -247,7 +247,7 @@ func (s *shard) upsertRoute(head *uint32, peer uint32, a *bgp.Attrs) bool {
 			if c := s.attrs.ptr(cur); c == a || c.Equal(a) {
 				return false
 			}
-			n.attrs = s.attrs.acquire(a)
+			n.attrs = s.attrs.acquire(a, peer)
 			s.attrs.release(cur)
 			return true
 		}
@@ -255,7 +255,7 @@ func (s *shard) upsertRoute(head *uint32, peer uint32, a *bgp.Attrs) bool {
 	}
 	i := s.allocNode()
 	n := s.nodes.At(i)
-	n.peer, n.attrs, n.next = peer, s.attrs.acquire(a), *head
+	n.attrs, n.next = s.attrs.acquire(a, peer), *head
 	*head = i
 	return true
 }
@@ -266,7 +266,7 @@ func (s *shard) removeRoute(head *uint32, peer uint32) bool {
 	link := head
 	for i := *link; i != 0; i = *link {
 		n := s.nodes.At(i)
-		if n.peer == peer {
+		if s.attrs.peer(n.attrs) == peer {
 			*link = n.next
 			s.attrs.release(n.attrs)
 			*n = routeNode{next: s.freeNode}
@@ -305,8 +305,8 @@ func (s *shard) reassess(id, head uint32, p bgp.Prefix, day int) {
 	origins := s.origScratch[:0]
 	for i := head; i != 0; {
 		n := s.nodes.At(i)
-		if o := s.attrs.origin(n.attrs); o.ok {
-			origins = rib.InsertOrigin(origins, o.as)
+		if as, ok := s.attrs.origin(n.attrs); ok {
+			origins = rib.InsertOrigin(origins, as)
 		}
 		i = n.next
 	}
